@@ -15,6 +15,10 @@ that feed the repo's perf trajectory are produced by ``run_bench.py``
 — in speed when timed, in correctness always.
 """
 
+import json
+import pathlib
+import time
+
 import numpy as np
 import perf_scenarios as sc
 import pytest
@@ -26,6 +30,15 @@ from repro.engine.vectorized import build_performance_matrix_vectorized
 @pytest.fixture(scope="module")
 def cat():
     return sc.catalog()
+
+
+def _committed(name):
+    """The named scenario of the committed ``BENCH_engine.json``."""
+    committed = json.loads(
+        (pathlib.Path(__file__).resolve().parents[2]
+         / "BENCH_engine.json").read_text()
+    )
+    return next(s for s in committed["scenarios"] if s["name"] == name)
 
 
 def _flat(result):
@@ -122,18 +135,7 @@ class TestBatchedEngine:
         assert len(result.outcomes) == 1000 * len(sc.SWEEP_LEVELS)
 
     def test_batched_speedup_regression_gate(self, cat):
-        import json
-        import pathlib
-        import time
-
-        committed = json.loads(
-            (pathlib.Path(__file__).resolve().parents[2]
-             / "BENCH_engine.json").read_text()
-        )
-        entry = next(
-            s for s in committed["scenarios"]
-            if s["name"] == "batched_sweep_100"
-        )
+        entry = _committed("batched_sweep_100")
         plans = sc.fleet_plans(cat, 100)
         t0 = time.perf_counter()
         serial = sc.run_fleet(cat, plans)
@@ -168,20 +170,9 @@ class TestBudgetOverhead:
     """
 
     def test_budget_overhead_gate(self, cat):
-        import json
-        import pathlib
-        import time
-
         from repro.budget import BudgetConfig
 
-        committed = json.loads(
-            (pathlib.Path(__file__).resolve().parents[2]
-             / "BENCH_engine.json").read_text()
-        )
-        entry = next(
-            s for s in committed["scenarios"]
-            if s["name"] == "budget_overhead_4"
-        )
+        entry = _committed("budget_overhead_4")
         assert entry["overhead_pct"] <= 5.0, (
             "the committed budget-arbiter overhead itself exceeds the "
             "5% budget — fix the arbiter, don't refresh the snapshot"
@@ -212,6 +203,42 @@ class TestBudgetOverhead:
         ceiling = max(5.0, entry["overhead_pct"] + 3.0)
         assert overhead_pct <= ceiling, (
             f"budget arbiter overhead regressed: measured "
+            f"{overhead_pct:.1f}%, committed {entry['overhead_pct']}%, "
+            f"gate ceiling {ceiling:.1f}% — investigate before "
+            "refreshing BENCH_engine.json"
+        )
+
+
+class TestGuardOverhead:
+    """The guard monitor: results unchanged, overhead gated.
+
+    Mirrors the budget gate: the record-mode monitor's tax on the
+    10-server sweep must stay within ``max(5%, committed + 3 pp)`` of
+    the committed ``guard_overhead_10`` figure, measured as interleaved
+    per-arm minima.
+    """
+
+    def test_guard_overhead_gate(self, cat):
+        from repro.guard import GuardConfig
+
+        entry = _committed("guard_overhead_10")
+        plans = sc.fleet_plans(cat, 10)
+        guard = GuardConfig()
+        sc.run_fleet(cat, plans, dedupe=True)  # warm model/grid caches
+        plain_s = guarded_s = float("inf")
+        plain = guarded = None
+        for _ in range(7):
+            t0 = time.perf_counter()
+            plain = sc.run_fleet(cat, plans, dedupe=True)
+            plain_s = min(plain_s, time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            guarded = sc.run_fleet(cat, plans, dedupe=True, guard=guard)
+            guarded_s = min(guarded_s, time.perf_counter() - t0)
+        assert _flat(guarded) == _flat(plain), "guards changed the results"
+        overhead_pct = 100.0 * (guarded_s / plain_s - 1.0)
+        ceiling = max(5.0, entry["overhead_pct"] + 3.0)
+        assert overhead_pct <= ceiling, (
+            f"guard monitor overhead regressed: measured "
             f"{overhead_pct:.1f}%, committed {entry['overhead_pct']}%, "
             f"gate ceiling {ceiling:.1f}% — investigate before "
             "refreshing BENCH_engine.json"

@@ -53,7 +53,8 @@ cell dedupe already relies on.
 from __future__ import annotations
 
 import copy
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -83,7 +84,7 @@ from repro.hwmodel.capping import CapStats, PowerCapController
 from repro.hwmodel.meter import PowerMeter
 from repro.hwmodel.spec import Allocation, ServerSpec
 from repro.sim.colocation import ColocationResult, SimConfig, build_colocated_server
-from repro.sim.telemetry import Telemetry, TimeSeries
+from repro.sim.telemetry import LaneBlock, LaneTelemetry
 
 __all__ = [
     "BatchedClusterSim",
@@ -508,6 +509,26 @@ def partition_cells(tasks: Sequence[Any]) -> Tuple[Dict[Any, List[int]], Set[int
     """
     groups, fallback, _infos = _partition(list(tasks), {})
     return groups, fallback
+
+
+@lru_cache(maxsize=None)
+def _series_layout(
+    with_ticks: bool, scheduled: bool, has_be: bool
+) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """A lane's (filled, empty) telemetry series, in the oracle's
+    creation order: the per-tick records, then the series its
+    aggregation epilogue reads (and so creates) if they are absent."""
+    if not with_ticks:
+        return (), ("be_throughput_norm", "power_w", "lc_load_fraction")
+    filled = (
+        "power_w", "lc_load_fraction", "lc_slack", "safe_mode",
+        "lc_cores", "lc_ways",
+    )
+    if scheduled:
+        filled += ("effective_cap_w",)
+    if has_be:
+        return filled + ("be_throughput_norm", "be_freq_ghz", "be_duty"), ()
+    return filled, ("be_throughput_norm",)
 
 
 # ----------------------------------------------------------------------
@@ -1510,25 +1531,31 @@ class BatchedClusterSim:
             raise ConfigError("batched sim has not run to completion")
         from repro.sim.cluster import LevelOutcome
 
-        # Lane-indexable epilogue state, materialized once: python-list
-        # columns for the telemetry series, pairwise-exact means for the
-        # averaged ones, and plain-int stat columns.  This keeps the
-        # per-lane assembly loop free of numpy scalar extraction.
-        pre: Dict[str, Any] = {
-            "cap": {f: a.tolist() for f, a in self.cap_stats.items()},
-            "mgr": {f: a.tolist() for f, a in self.mgr_stats.items()},
-            "joules": self.joules.tolist(),
-            "slo": self.slo_violations.tolist(),
-            "g_total": self.g_total.tolist(),
-        }
-        if self.n_ticks > 0:
-            pre["cols"] = {
-                name: np.ascontiguousarray(buf.T).tolist()
+        # The telemetry block: one time axis and one (lanes, ticks) copy
+        # of each buffer, which every lane's LaneTelemetry view shares.
+        block = LaneBlock(
+            tuple(self.times),
+            {
+                name: np.ascontiguousarray(buf.T)
                 for name, buf in self.buffers.items()
-            }
-            for name in ("be_throughput_norm", "power_w",
-                         "lc_load_fraction"):
-                pre[name] = _np_mean_lanes(self.buffers[name])
+            },
+        )
+        # Lane-indexable epilogue columns, listed once so the per-lane
+        # loop does no numpy scalar extraction: positional stat rows,
+        # pairwise-exact means of the averaged series.
+        cap_rows = list(zip(*(
+            self.cap_stats[f.name].tolist() for f in fields(CapStats)
+        )))
+        mgr_rows = list(zip(*(
+            self.mgr_stats[f.name].tolist() for f in fields(ManagerStats)
+        )))
+        means: Dict[str, List[float]] = {}
+        if self.n_ticks > 0:
+            for name in ("be_throughput_norm", "power_w", "lc_load_fraction"):
+                means[name] = _np_mean_lanes(self.buffers[name]).tolist()
+        joules = self.joules.tolist()
+        slo = self.slo_violations.tolist()
+        g_total = self.g_total.tolist()
 
         enforcing = self.guard is not None and self.guard.enforcing
         out: List[Any] = []
@@ -1540,79 +1567,53 @@ class BatchedClusterSim:
                     f"{first.render()}"
                 ))
                 continue
-            out.append(self._assemble(i, LevelOutcome, pre))
-        return out
-
-    def _assemble(
-        self, i: int, level_outcome_cls: Any, pre: Dict[str, Any]
-    ) -> Any:
-        plan = self.plans[i]
-        be_app = self.be_apps[i]
-        tele = Telemetry()
-        with_ticks = self.n_ticks > 0
-        if with_ticks:
-            names = [
-                "power_w", "lc_load_fraction", "lc_slack", "safe_mode",
-                "lc_cores", "lc_ways",
-            ]
-            if self.schedules[i] is not None:
-                names.append("effective_cap_w")
-            if be_app is not None:
-                names += ["be_throughput_norm", "be_freq_ghz", "be_duty"]
-            cols = pre["cols"]
-            times = self.times
-            for name in names:
-                tele.attach(TimeSeries(
-                    name=name, times=list(times), values=cols[name][i],
-                ))
-        # Series access order matches the oracle's aggregation epilogue
-        # so that series auto-creation order is identical too; the means
-        # themselves come from the vectorized pairwise-exact pass.
-        has_be_series = not tele.series("be_throughput_norm").empty
-        avg_norm = (
-            float(pre["be_throughput_norm"][i]) if has_be_series else 0.0
-        )
-        avg_abs = avg_norm * be_app.peak_throughput if be_app is not None else 0.0
-        avg_power = (
-            float(pre["power_w"][i])
-            if not tele.series("power_w").empty else 0.0
-        )
-        avg_load = (
-            float(pre["lc_load_fraction"][i])
-            if not tele.series("lc_load_fraction").empty else 0.0
-        )
-        report = None
-        if self.guard is not None:
-            report = GuardReport(
-                mode=self.guard.mode,
-                checks=6 * (self.n_warmup + self.n_ticks),
-                total_violations=pre["g_total"][i],
-                violations=tuple(self.g_violations[i]),
+            plan = self.plans[i]
+            lc_name = plan.lc_app.name
+            be_app = self.be_apps[i]
+            has_be = be_app is not None
+            be_name = be_app.name if has_be else None
+            filled, empty = _series_layout(
+                self.n_ticks > 0, self.schedules[i] is not None, has_be
             )
-        result = ColocationResult(
-            lc_name=plan.lc_app.name,
-            be_name=be_app.name if be_app is not None else None,
-            duration_s=self.durations[i],
-            avg_be_throughput_norm=avg_norm,
-            avg_be_throughput_abs=avg_abs,
-            avg_lc_load_fraction=avg_load,
-            avg_power_w=avg_power,
-            power_utilization=avg_power / plan.provisioned_power_w,
-            energy_kwh=pre["joules"][i] / 3.6e6,
-            slo_violation_fraction=pre["slo"][i] / max(1, self.n_ticks),
-            cap_stats=CapStats(**{f: c[i] for f, c in pre["cap"].items()}),
-            manager_stats=ManagerStats(
-                **{f: c[i] for f, c in pre["mgr"].items()}
-            ),
-            telemetry=tele,
-            guard_report=report,
-        )
-        return level_outcome_cls(
-            lc_name=plan.lc_app.name,
-            be_name=be_app.name if be_app is not None else None,
-            level=self.levels_raw[i],
-            result=result,
-        )
+            # The oracle's aggregation epilogue reads these series, so
+            # they exist even when empty; an empty series averages 0.0.
+            avg_norm = means["be_throughput_norm"][i] if has_be and means else 0.0
+            avg_power = means["power_w"][i] if means else 0.0
+            report = None
+            if self.guard is not None:
+                report = GuardReport(
+                    mode=self.guard.mode,
+                    checks=6 * (self.n_warmup + self.n_ticks),
+                    total_violations=g_total[i],
+                    violations=tuple(self.g_violations[i]),
+                )
+            result = ColocationResult(
+                lc_name=lc_name,
+                be_name=be_name,
+                duration_s=self.durations[i],
+                avg_be_throughput_norm=avg_norm,
+                avg_be_throughput_abs=(
+                    avg_norm * be_app.peak_throughput if has_be else 0.0
+                ),
+                avg_lc_load_fraction=(
+                    means["lc_load_fraction"][i] if means else 0.0
+                ),
+                avg_power_w=avg_power,
+                power_utilization=avg_power / plan.provisioned_power_w,
+                energy_kwh=joules[i] / 3.6e6,
+                slo_violation_fraction=slo[i] / max(1, self.n_ticks),
+                cap_stats=CapStats(*cap_rows[i]),
+                manager_stats=ManagerStats(*mgr_rows[i]),
+                telemetry=LaneTelemetry(block, i, filled, empty),
+                guard_report=report,
+            )
+            out.append(LevelOutcome(
+                lc_name=lc_name,
+                be_name=be_name,
+                level=self.levels_raw[i],
+                result=result,
+            ))
+        return out
 
     # ------------------------------------------------------------------
     # Checkpoint codec for the array state

@@ -10,7 +10,7 @@ averages, percentiles, and fraction-above-threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -101,16 +101,6 @@ class Telemetry:
             self._series[name] = TimeSeries(name=name)
         return self._series[name]
 
-    def attach(self, series: TimeSeries) -> None:
-        """Adopt a fully-built series under its own name.
-
-        Bulk-assembly fast path (the batched engine builds thousands of
-        telemetry bundles per sweep): equivalent to creating the series
-        via :meth:`series` and appending every point, including its
-        position in creation order, but without per-point calls.
-        """
-        self._series[series.name] = series
-
     def record(self, name: str, time_s: float, value: float) -> None:
         """Shortcut: append to the series called ``name``."""
         self.series(name).record(time_s, value)
@@ -121,6 +111,77 @@ class Telemetry:
 
     def __contains__(self, name: str) -> bool:
         return name in self._series
+
+
+class LaneBlock:
+    """The telemetry of a group of cells run in lock step, columnar.
+
+    One shared time axis and one contiguous ``(lanes, ticks)`` array per
+    series.  The batched engine builds one block per group;
+    :class:`LaneTelemetry` views expose single rows of it.  The time
+    axis is a tuple of Python floats, so every series built from it
+    shares the same (immutable) float objects.
+    """
+
+    __slots__ = ("times", "columns")
+
+    def __init__(
+        self, times: Tuple[float, ...], columns: Dict[str, np.ndarray]
+    ) -> None:
+        self.times = times
+        self.columns = columns
+
+
+class LaneTelemetry(Telemetry):
+    """One lane of a :class:`LaneBlock`, seen as a :class:`Telemetry`.
+
+    ``filled`` names the series that carry the lane's row and ``empty``
+    the series that exist but hold nothing; together, in that order,
+    they are the lane's series creation order.  The series are built on
+    first access to ``_series``, which every :class:`Telemetry` method
+    goes through, from fresh lists, so nothing a caller can mutate
+    aliases the block or another series.  The view then turns into the plain
+    :class:`Telemetry` the per-object path returns: it drops the block,
+    and pickles exactly like that standalone bundle.
+    """
+
+    def __init__(
+        self,
+        block: LaneBlock,
+        lane: int,
+        filled: Tuple[str, ...],
+        empty: Tuple[str, ...],
+    ) -> None:
+        # No super().__init__(): ``_series`` stays unset until
+        # __getattr__ builds it on first use.
+        self._block = block
+        self._lane = lane
+        self._layout = (filled, empty)
+
+    def __getattr__(self, name: str) -> Any:
+        if name != "_series" or "_block" not in self.__dict__:
+            # The __getattr__ protocol demands AttributeError.
+            raise AttributeError(name)  # pocolint: disable=exception-policy
+        block, lane = self._block, self._lane
+        filled, empty = self._layout
+        series = {
+            n: TimeSeries(
+                name=n,
+                times=list(block.times),
+                values=block.columns[n][lane].tolist(),
+            )
+            for n in filled
+        }
+        for n in empty:
+            series[n] = TimeSeries(name=n)
+        self.__dict__.clear()
+        self._series = series
+        object.__setattr__(self, "__class__", Telemetry)
+        return series
+
+    def __reduce_ex__(self, protocol: Any) -> Any:
+        self._series  # materialise: the view becomes a plain Telemetry
+        return self.__reduce_ex__(protocol)
 
 
 def write_csv(telemetry: Telemetry, path) -> int:

@@ -13,6 +13,10 @@ objects field by field with ``==`` on raw floats:
   :class:`~repro.guard.invariants.Violation` tuples and check counts;
 * every telemetry series, name order, tick times and values.
 
+The batched engine hands each cell its telemetry as a lazy view of the
+group's shared lane block; :class:`TestLaneViews` pins the view's
+series layouts, mutation isolation and pickling against the oracle.
+
 Coverage spans three manager types (POM, Heracles-balanced,
 Heracles-random), a no-BE plan, three fault schedules exercising all
 six fault types, record- and enforce-mode guards, the ``engine`` knob
@@ -20,6 +24,7 @@ on :func:`~repro.sim.cluster.run_cluster` (dedupe on and off), and a
 real mid-sweep SIGKILL resumed under the *other* engine.
 """
 
+import pickle
 import signal
 import subprocess
 import sys
@@ -29,6 +34,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.budget.schedule import CapSchedule
 from repro.core.server_manager import HeraclesLikeManager
 from repro.engine.batched import partition_cells, run_batched_cells
 from repro.engine.parallel import map_ordered
@@ -54,6 +60,7 @@ from repro.guard.invariants import GuardConfig
 from repro.runtime import Checkpoint, run_cluster_checkpointed
 from repro.sim.cluster import _run_cell, run_cluster
 from repro.sim.colocation import SimConfig
+from repro.sim.telemetry import Telemetry
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -217,6 +224,92 @@ class TestFaultedDifferential:
         assert not fallback
         for a, b in zip(_oracle(tasks), run_batched_cells(tasks)):
             assert_outcome_equal(a, b, f"{name} guarded={guarded}")
+
+
+#: The series the oracle's aggregation epilogue reads, and so creates
+#: empty, on a cell that ran no control tick.
+ZERO_TICK_SERIES = ("be_throughput_norm", "power_w", "lc_load_fraction")
+
+
+def _scheduled(tasks):
+    """Every other task gains a two-segment CapSchedule (a budgeted lane)."""
+    out = []
+    for k, task in enumerate(tasks):
+        if k % 2 == 0:
+            cap_w = task[0].provisioned_power_w
+            task += (CapSchedule(times_s=(0.0, 2.5),
+                                 caps_w=(0.9 * cap_w, 0.7 * cap_w)),)
+        out.append(task)
+    return out
+
+
+class TestLaneViews:
+    """Per-cell telemetry views of the group's shared lane block."""
+
+    @pytest.mark.parametrize("case", ["zero-tick", "no-be", "budgeted"])
+    def test_layout_bit_exact(self, catalog, mixed_plans, case):
+        config = SimConfig(warmup_s=1.0, seed=4)
+        duration_s = 0.4 if case == "zero-tick" else 6.0
+        tasks = _tasks(
+            mixed_plans, catalog.spec, (0.0, 0.5), duration_s, config
+        )
+        if case == "budgeted":
+            tasks = _scheduled(tasks)
+        _, fallback = partition_cells(tasks)
+        assert not fallback
+        got = run_batched_cells(tasks)
+        for task, a, b in zip(tasks, _oracle(tasks), got):
+            assert_outcome_equal(a, b, case)
+            tele = b.result.telemetry
+            assert isinstance(tele, Telemetry)
+            names = tele.names()
+            if case == "zero-tick":
+                assert names == ZERO_TICK_SERIES
+                assert all(tele.series(n).empty for n in names)
+            elif task[5] is None:
+                assert names[-1] == "be_throughput_norm"
+                assert tele.series("be_throughput_norm").empty
+            if case == "budgeted":
+                assert ("effective_cap_w" in tele) == (len(task) == 9)
+        if case == "no-be":
+            assert any(task[5] is None for task in tasks)
+
+    def test_record_changes_one_series_of_one_cell(self, catalog, mixed_plans):
+        config = SimConfig(warmup_s=1.0, seed=4)
+        tasks = _tasks(mixed_plans[:3], catalog.spec, (0.3, 0.8), 5.0, config)
+        oracle, got = _oracle(tasks), run_batched_cells(tasks)
+        # Materialise a neighbour first: its lists must not be shared.
+        assert "power_w" in got[0].result.telemetry
+        got[1].result.telemetry.record("power_w", 99.0, -1.0)
+        expected = oracle[1].result.telemetry.series("power_w")
+        expected.record(99.0, -1.0)
+        for k, (a, b) in enumerate(zip(oracle, got)):
+            assert_outcome_equal(a, b, f"cell {k}")
+
+    def test_pickle_gives_plain_telemetry(self, catalog, mixed_plans):
+        config = SimConfig(warmup_s=1.0, seed=4)
+        tasks = _scheduled(_tasks(
+            mixed_plans, catalog.spec, (0.0, 0.6), 4.0, config,
+            guard=GuardConfig(),
+        ))
+        for a, b in zip(_oracle(tasks), run_batched_cells(tasks)):
+            # A pickled view is the oracle's plain bundle, byte for byte.
+            assert pickle.dumps(b) == pickle.dumps(a)
+            clone = pickle.loads(pickle.dumps(b))
+            assert type(clone.result.telemetry) is Telemetry
+            assert_outcome_equal(a, clone, "pickled")
+            assert_outcome_equal(a, b, "after pickling")
+
+    def test_pickled_size_independent_of_group(self, catalog, mixed_plans):
+        config = SimConfig(warmup_s=1.0, seed=4)
+        task = _tasks(mixed_plans[:1], catalog.spec, (0.6,), 5.0, config)[0]
+        crowd = [task] * 300
+        groups, _ = partition_cells(crowd)
+        assert [len(p) for p in groups.values()] == [300]
+        alone = run_batched_cells([task])[0]
+        shared = run_batched_cells(crowd)[150]
+        assert len(pickle.dumps(shared)) == len(pickle.dumps(alone))
+        assert pickle.dumps(shared) == pickle.dumps(alone)
 
 
 class TestGuardReportDifferential:

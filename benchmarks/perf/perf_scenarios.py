@@ -12,13 +12,20 @@ timed code paths are the production ones:
   replicated catalog (R x 4 BE apps, R x 4 LC servers, 9 load levels);
 * **cluster** — a fleet of N servers cycling the four paper server
   plans, swept over load levels (the Fig 12/13 shape at fleet scale);
-* **pipeline** — the seeded policy sweep behind the evaluation.
+* **pipeline** — the seeded policy sweep behind the evaluation;
+* **placement LP** — the POColo matrix of the catalog replicated to
+  fleet size, the assignment the cluster manager solves;
+* **checkpointed sweep** — the cluster sweep through the crash-safe
+  runner, checkpointing after every cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.placement import LcServerSide
 from repro.evaluation.pipeline import (
@@ -82,7 +89,12 @@ def fleet_plans(cat: FittedCatalog, n_servers: int) -> List[ServerPlan]:
     return [base[i % len(base)] for i in range(n_servers)]
 
 
-def run_fleet(cat: FittedCatalog, plans: Sequence[ServerPlan], **kwargs):
+def run_fleet(
+    cat: FittedCatalog,
+    plans: Sequence[ServerPlan],
+    duration_s: float = SWEEP_DURATION_S,
+    **kwargs,
+):
     """One fleet sweep over :data:`SWEEP_LEVELS` (kwargs -> engine knobs)."""
     from repro.sim.cluster import run_cluster
 
@@ -90,7 +102,37 @@ def run_fleet(cat: FittedCatalog, plans: Sequence[ServerPlan], **kwargs):
         plans,
         cat.spec,
         levels=SWEEP_LEVELS,
-        duration_s=SWEEP_DURATION_S,
+        duration_s=duration_s,
+        config=SWEEP_CONFIG,
+        **kwargs,
+    )
+
+
+def placement_matrix(cat: FittedCatalog, copies: int = 12) -> np.ndarray:
+    """The POColo matrix of the catalog replicated ``copies`` times.
+
+    Replicas share their fits, so the replicated catalog's matrix is the
+    4 x 4 one tiled: ``4 * copies`` square, and full of exact ties.
+    """
+    return np.tile(cat.performance_matrix().values, (copies, copies))
+
+
+def run_fleet_checkpointed(
+    cat: FittedCatalog,
+    plans: Sequence[ServerPlan],
+    path: Path,
+    duration_s: float = SWEEP_DURATION_S,
+    **kwargs,
+):
+    """:func:`run_fleet` through the crash-safe runner, saving to ``path``."""
+    from repro.runtime import run_cluster_checkpointed
+
+    return run_cluster_checkpointed(
+        plans,
+        cat.spec,
+        path,
+        levels=SWEEP_LEVELS,
+        duration_s=duration_s,
         config=SWEEP_CONFIG,
         **kwargs,
     )

@@ -27,6 +27,7 @@ import os
 import pathlib
 import platform
 import sys
+import tempfile
 import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
@@ -41,6 +42,7 @@ from repro.engine.vectorized import (
 )
 from repro.evaluation.colocation_eval import evaluate_policy
 from repro.runtime.atomic import atomic_write_json
+from repro.solvers.assignment import assign_max
 from repro.workloads.traces import UNIFORM_EVAL_LEVELS
 
 
@@ -253,6 +255,90 @@ def bench_budget_overhead(cat, reps: int = 9) -> dict:
     }
 
 
+def bench_lp_assignment(cat, copies: int = 12, reps: int = 5) -> dict:
+    """The simplex LP against the Hungarian solver on a fleet-size matrix.
+
+    The matrix is the one the fleet's placement solves (the catalog
+    replicated ``copies`` times), so the LP pivots through its many
+    ties.  The ratio of the two solvers' per-arm minima over ``reps``
+    interleaved reps cancels host speed.  Replicated columns are
+    interchangeable, so the two assignments may pick different
+    replicas; every row must get the same value from both.
+    """
+    matrix = sc.placement_matrix(cat, copies)
+    n = matrix.shape[0]
+    lp_s = hungarian_s = float("inf")
+    lp = hungarian = None
+    for _ in range(reps):
+        (lp, _total), t = _timed(assign_max, matrix, method="lp")
+        lp_s = min(lp_s, t)
+        (hungarian, _total), t = _timed(assign_max, matrix, method="hungarian")
+        hungarian_s = min(hungarian_s, t)
+    row_values = [[matrix[i, j] for i, j in enumerate(a)] for a in (lp, hungarian)]
+    assert row_values[0] == row_values[1], "LP and Hungarian assignments differ"
+    return {
+        "name": f"lp_assignment_{n}",
+        "description": (
+            f"assign_max on the {n}x{n} POColo matrix of the catalog "
+            f"replicated x{copies}: Hungarian (serial_s) vs the simplex LP "
+            f"(engine_s); lp_over_hungarian is the ratio of per-arm minima "
+            f"over {reps} interleaved reps"
+        ),
+        "mechanism": "sparse-pivot",
+        "serial_s": round(hungarian_s, 4),
+        "engine_s": round(lp_s, 4),
+        "lp_over_hungarian": round(lp_s / hungarian_s, 2),
+        "identical_results": True,
+    }
+
+
+def bench_checkpoint_overhead(
+    cat, n_servers: int = 48, duration_s: float = 30.0, reps: int = 5
+) -> dict:
+    """Checkpointed vs plain batched sweep; the crash-safety tax.
+
+    The checkpointed arm saves after every cell (``checkpoint_every=1``,
+    the default), so a return to re-pickling every completed cell per
+    save shows up as a quadratic term here.  Cells run ``duration_s``
+    (the fleet benchmark's length) so their telemetry, and with it the
+    pickling, is the size a real sweep checkpoints.  Arms are
+    interleaved and the per-arm minimum is kept.
+    """
+    plans = sc.fleet_plans(cat, n_servers)
+    n_cells = n_servers * len(sc.SWEEP_LEVELS)
+    kwargs = dict(duration_s=duration_s, engine="batched")
+    sc.run_fleet(cat, plans, **kwargs)  # warm surface tables
+    plain_s = checkpointed_s = float("inf")
+    plain = checkpointed = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "sweep.ckpt"
+        for _ in range(reps):
+            plain, t = _timed(sc.run_fleet, cat, plans, **kwargs)
+            plain_s = min(plain_s, t)
+            checkpointed, t = _timed(
+                sc.run_fleet_checkpointed, cat, plans, path,
+                checkpoint_every=1, **kwargs,
+            )
+            checkpointed_s = min(checkpointed_s, t)
+    assert _flat(plain) == _flat(checkpointed), "checkpointed != plain"
+    return {
+        "name": f"checkpoint_overhead_{n_servers}",
+        "description": (
+            f"batched run_cluster: {n_servers} servers x "
+            f"{len(sc.SWEEP_LEVELS)} levels = {n_cells} cells of "
+            f"{duration_s:.0f}s, plain vs "
+            "run_cluster_checkpointed saving after every cell; min over "
+            f"{reps} interleaved reps"
+        ),
+        "mechanism": "checkpoint",
+        "serial_s": round(plain_s, 4),
+        "engine_s": round(checkpointed_s, 4),
+        "overhead_pct": round(100.0 * (checkpointed_s / plain_s - 1.0), 1),
+        "cells": n_cells,
+        "identical_results": True,
+    }
+
+
 def bench_pipeline(cat, workers: int) -> dict:
     """Serial vs process-pool policy sweep.
 
@@ -310,6 +396,8 @@ def main(argv=None) -> int:
     scenarios.append(bench_pipeline(cat, workers=2))
     scenarios.append(bench_guard_overhead(cat))
     scenarios.append(bench_budget_overhead(cat))
+    scenarios.append(bench_lp_assignment(cat))
+    scenarios.append(bench_checkpoint_overhead(cat))
 
     payload = {
         "schema": "pocolo-bench-engine/1",
@@ -331,6 +419,9 @@ def main(argv=None) -> int:
         print(f"{s['name']:28s} engine {s['engine_s']:8.3f}s"
               + (f"  serial {s['serial_s']:8.3f}s  speedup {speedup:5.2f}x"
                  if speedup is not None else "")
+              + (f"  overhead {s['overhead_pct']}%" if "overhead_pct" in s else "")
+              + (f"  LP/Hungarian {s['lp_over_hungarian']}x"
+                 if "lp_over_hungarian" in s else "")
               + ("  (not meaningful: fewer than 2 usable CPUs)"
                  if s.get("meaningful") is False else ""))
     print(f"wrote {out_path}")

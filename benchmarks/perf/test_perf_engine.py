@@ -22,6 +22,7 @@ import time
 import numpy as np
 import perf_scenarios as sc
 import pytest
+import run_bench
 
 from repro.core.placement import _build_performance_matrix_reference
 from repro.engine.vectorized import build_performance_matrix_vectorized
@@ -242,6 +243,46 @@ class TestGuardOverhead:
             f"{overhead_pct:.1f}%, committed {entry['overhead_pct']}%, "
             f"gate ceiling {ceiling:.1f}% — investigate before "
             "refreshing BENCH_engine.json"
+        )
+
+
+class TestFleetRunLayers:
+    """The two layers that dominated the crash-safe fleet sweep, gated.
+
+    Each gate re-runs its ``run_bench.py`` scenario, which asserts its
+    own result equivalence, and holds the measured figure to the
+    committed one times a relative slack.  The slacks come from four
+    full ``run_bench.py`` runs on the 2-CPU recording host, which read
+    14.8-21.1x for the LP/Hungarian ratio and 335-578% for the
+    checkpoint overhead, plus standalone repeats that reached 23.3x and
+    666%.  The dense pivot read 26-41x there, and re-pickling every
+    completed cell per save 1159-1402%, so both land above the
+    ceilings.
+    """
+
+    LP_SLACK = 0.25
+    CHECKPOINT_SLACK = 1.0
+
+    def test_lp_assignment_gate(self, cat):
+        entry = _committed("lp_assignment_48")
+        measured = run_bench.bench_lp_assignment(cat)["lp_over_hungarian"]
+        ceiling = entry["lp_over_hungarian"] * (1.0 + self.LP_SLACK)
+        assert measured <= ceiling, (
+            f"the simplex LP regressed against the Hungarian solver: "
+            f"measured {measured:.1f}x, committed "
+            f"{entry['lp_over_hungarian']}x, gate ceiling {ceiling:.1f}x — "
+            "investigate before refreshing BENCH_engine.json"
+        )
+
+    def test_checkpoint_overhead_gate(self, cat):
+        entry = _committed("checkpoint_overhead_48")
+        measured = run_bench.bench_checkpoint_overhead(cat)["overhead_pct"]
+        ceiling = entry["overhead_pct"] * (1.0 + self.CHECKPOINT_SLACK)
+        assert measured <= ceiling, (
+            f"checkpointing regressed: measured {measured:.0f}% over the "
+            f"plain sweep, committed {entry['overhead_pct']}%, gate "
+            f"ceiling {ceiling:.0f}% — investigate before refreshing "
+            "BENCH_engine.json"
         )
 
 

@@ -383,8 +383,14 @@ class SupervisedPool:
         broke = False
         try:
             for index in pending:
-                futures[index] = pool.submit(fn, *tasks[index])
-            for index in pending:
+                try:
+                    futures[index] = pool.submit(fn, *tasks[index])
+                except BrokenProcessPool:
+                    # A worker died before every task was submitted: the
+                    # unsubmitted tasks are lost like the unfinished ones.
+                    broke = True
+                    break
+            for index in [] if broke else pending:
                 try:
                     result = futures[index].result(timeout=self.task_timeout_s)
                 except BrokenProcessPool:

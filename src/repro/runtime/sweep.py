@@ -9,7 +9,9 @@ from the config seed.  That purity is the whole recovery story:
    the full fault report) before anything runs;
 2. completed cell outcomes are persisted, keyed by task index, in a
    single :class:`~repro.runtime.checkpoint.Checkpoint` file rewritten
-   atomically as results land;
+   atomically as results land.  Each cell is pickled once, when it
+   lands, and every save writes those bytes as they are, so a save
+   pickles only the cells new since the previous one;
 3. a resumed run re-plans (bit-identical, planning is deterministic),
    loads the completed cells, and re-runs only the missing ones.
 
@@ -28,6 +30,7 @@ so a crashing *worker* costs a pool rebuild, not the run; a crashing
 from __future__ import annotations
 
 import hashlib
+import pickle
 import re
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -141,10 +144,21 @@ def _dedupe_plan(
     return unique, keys, first_index
 
 
+def _encode_cell(outcome: LevelOutcome) -> bytes:
+    """One cell's checkpoint entry: its outcome, pickled on its own."""
+    return pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
+
+
 def _load_completed(
     path: Path, run_key: str, total: int
-) -> Dict[int, LevelOutcome]:
-    """Validate and extract the completed-cell map from a checkpoint."""
+) -> Tuple[Dict[int, LevelOutcome], Dict[int, bytes]]:
+    """Validate and decode the completed cells of a checkpoint.
+
+    Returns the outcomes and each cell's entry bytes, kept exactly as
+    loaded so later saves never re-pickle them.  Entries written before
+    cells were pickled one by one hold the ``LevelOutcome`` itself;
+    those are still accepted and encoded once here.
+    """
     checkpoint = Checkpoint.load(path, expect_run_key=run_key)
     payload = checkpoint.payload
     if not isinstance(payload, dict) or not isinstance(
@@ -154,15 +168,32 @@ def _load_completed(
             f"checkpoint {path} carries no completed-cell map; it was not "
             "written by run_cluster_checkpointed"
         )
-    completed: Dict[int, LevelOutcome] = {}
-    for index, outcome in payload["completed"].items():
+    outcomes: Dict[int, LevelOutcome] = {}
+    encoded: Dict[int, bytes] = {}
+    for index, entry in payload["completed"].items():
         if not isinstance(index, int) or not 0 <= index < total:
             raise CheckpointError(
                 f"checkpoint {path} names cell {index!r} outside this "
                 f"sweep's 0..{total - 1} range"
             )
-        completed[index] = outcome
-    return completed
+        outcome = entry
+        if isinstance(entry, bytes):
+            try:
+                outcome = pickle.loads(entry)
+            except Exception as exc:
+                raise CheckpointError(
+                    f"checkpoint {path} cell {index} failed to unpickle: {exc}"
+                ) from exc
+        if not isinstance(outcome, LevelOutcome):
+            raise CheckpointError(
+                f"checkpoint {path} cell {index} holds a "
+                f"{type(outcome).__name__}, not a LevelOutcome"
+            )
+        outcomes[index] = outcome
+        encoded[index] = (
+            entry if isinstance(entry, bytes) else _encode_cell(outcome)
+        )
+    return outcomes, encoded
 
 
 def run_cluster_checkpointed(
@@ -245,8 +276,9 @@ def run_cluster_checkpointed(
         exec_tasks = list(tasks)
     target = Path(checkpoint_path)
     completed: Dict[int, LevelOutcome] = {}
+    encoded: Dict[int, bytes] = {}
     if resume and target.exists():
-        completed = _load_completed(target, run_key, len(exec_tasks))
+        completed, encoded = _load_completed(target, run_key, len(exec_tasks))
     placement = {
         plan.lc_app.name: (plan.be_app.name if plan.be_app else None)
         for plan in plans
@@ -258,7 +290,7 @@ def run_cluster_checkpointed(
             cursor += 1
         Checkpoint(
             run_key=run_key,
-            payload={"completed": dict(completed), "placement": placement},
+            payload={"completed": encoded, "placement": placement},
             extra={
                 "cells_total": len(exec_tasks),
                 "cells_done": len(completed),
@@ -272,7 +304,9 @@ def run_cluster_checkpointed(
 
         def _on_result(position: int, outcome: LevelOutcome) -> None:
             nonlocal since_save
-            completed[pending[position]] = outcome
+            index = pending[position]
+            completed[index] = outcome
+            encoded[index] = _encode_cell(outcome)
             since_save += 1
             if since_save >= checkpoint_every:
                 _save()

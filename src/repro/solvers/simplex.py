@@ -1,4 +1,4 @@
-"""Dense two-phase simplex LP solver, implemented from scratch.
+"""Two-phase simplex LP solver on a dense tableau, implemented from scratch.
 
 The paper's cluster manager "uses a LP solver to identify an assignment
 that maximizes the overall cluster performance" (Section IV-B).  We build
@@ -13,7 +13,9 @@ primal simplex on the standard form
 with Bland's anti-cycling rule.  The assignment polytope (birkhoff
 polytope) has integral vertices, so simplex lands exactly on a
 permutation matrix — which the assignment wrapper in
-:mod:`repro.solvers.assignment` relies on.
+:mod:`repro.solvers.assignment` relies on.  Pivots write only the
+entries a pivot can change (see :func:`_pivot`); assignment tableaus are
+mostly zeros, so that is a small block of the table.
 """
 
 from __future__ import annotations
@@ -205,14 +207,33 @@ def _choose_entering(reduced: np.ndarray, bland: bool) -> int:
 
 
 def _pivot(table: np.ndarray, rhs: np.ndarray, row: int, col: int) -> None:
+    """Pivot on ``table[row, col]`` as a sparse rank-1 update.
+
+    Every row ``i != row`` with ``|table[i, col]| > _EPS`` becomes
+    ``table[i] - table[i, col] * table[row]`` after the pivot row is
+    normalised.  Only the entries where the normalised pivot row is
+    non-zero can change, so only those are written; each gets the same
+    ``t - f * p`` a dense row update would give, which keeps the pivot
+    sequence, and hence the tie-breaks on degenerate assignment LPs,
+    unchanged.  ``table`` must be C-contiguous (``solve_lp`` builds it
+    so), since the update goes through a flat view.
+    """
     pivot = table[row, col]
     table[row, :] /= pivot
     rhs[row] /= pivot
-    for i in range(table.shape[0]):
-        if i != row and abs(table[i, col]) > _EPS:
-            factor = table[i, col]
-            table[i, :] -= factor * table[row, :]
-            rhs[i] -= factor * rhs[row]
+    factors = table[:, col].copy()
+    factors[row] = 0.0
+    rows = np.flatnonzero(np.abs(factors) > _EPS)
+    if rows.size == 0:
+        return
+    pivot_row = table[row]
+    cols = np.flatnonzero(pivot_row)
+    factors = factors[rows]
+    flat = table.reshape(-1)
+    flat[np.add.outer(rows * table.shape[1], cols).ravel()] -= np.outer(
+        factors, pivot_row[cols]
+    ).ravel()
+    rhs[rows] -= factors * rhs[row]
 
 
 def _drive_out_artificials(

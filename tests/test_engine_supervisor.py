@@ -13,9 +13,12 @@ Covers the two halves of crash-tolerant execution:
 import os
 import pathlib
 import time
+from concurrent.futures import wait as futures_wait
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.engine import parallel
 from repro.engine.parallel import SupervisedPool, SupervisorStats, map_ordered
 from repro.errors import ConfigError, ExecutionError, ReproError
 
@@ -166,6 +169,37 @@ class TestSupervisedPoolCrashes:
         assert pool.stats.pool_rebuilds == 3  # 2 retries + the final strike
         # Capped exponential backoff: 0.05, 0.1 (cap 0.2 never reached).
         assert sleeps == [pytest.approx(0.05), pytest.approx(0.1)]
+
+    def test_pool_breaking_during_submit_is_survived(self, monkeypatch):
+        class BreaksOnSecondSubmit(parallel.ProcessPoolExecutor):
+            submits = 0
+
+            def submit(self, fn, /, *args, **kwargs):
+                type(self).submits += 1
+                if type(self).submits == 2:
+                    # Let the first task finish so the harvest is
+                    # deterministic, then fail as a dead pool does.
+                    futures_wait(self._submitted)
+                    raise BrokenProcessPool("worker died during submit")
+                future = super().submit(fn, *args, **kwargs)
+                self._submitted = [future]
+                return future
+
+        monkeypatch.setattr(
+            parallel, "ProcessPoolExecutor", BreaksOnSecondSubmit
+        )
+        pool = SupervisedPool(workers=2, backoff_base_s=0.0, backoff_cap_s=0.0)
+        seen = []
+        out = pool.map_ordered(
+            double, [(i,) for i in range(4)],
+            on_result=lambda index, result: seen.append((index, result)),
+        )
+        assert out == [0, 2, 4, 6]
+        assert sorted(seen) == [(0, 0), (1, 2), (2, 4), (3, 6)]
+        assert pool.stats.pool_rebuilds == 1
+        assert pool.stats.tasks_resubmitted == 3  # tasks 1-3 never ran
+        assert pool.stats.tasks_completed == 4
+        assert pool.stats.degraded_to_serial == 0
 
     def test_backoff_is_capped(self):
         sleeps = []

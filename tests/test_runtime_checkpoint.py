@@ -14,6 +14,7 @@ The contract under test (docs/RECOVERY.md):
   SIGKILL of a mid-flight subprocess.
 """
 
+import collections
 import hashlib
 import json
 import os
@@ -51,7 +52,7 @@ from repro.runtime import (
     run_cluster_checkpointed,
     sweep_run_key,
 )
-from repro.sim.cluster import ServerPlan, run_cluster
+from repro.sim.cluster import LevelOutcome, ServerPlan, run_cluster
 from repro.sim.colocation import SimConfig, build_colocated_server
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
@@ -483,6 +484,145 @@ class TestCheckpointedSweep:
             plans_a, catalog.spec,
             fault_plan=_fault_plan(plans_a), **self.KWARGS,
         ) != key
+
+
+def _keep_cells(path, keep, decode=False):
+    """Roll a checkpoint back to the cells in ``keep``.
+
+    ``decode`` rewrites them in the layout used before cells were
+    pickled one by one: the ``LevelOutcome`` itself, not its bytes.
+    """
+    checkpoint = Checkpoint.load(path)
+    completed = {
+        i: pickle.loads(entry) if decode else entry
+        for i, entry in checkpoint.payload["completed"].items() if i in keep
+    }
+    Checkpoint(
+        run_key=checkpoint.run_key,
+        payload={**checkpoint.payload, "completed": completed},
+    ).save(path)
+
+
+class TestPerCellLayout:
+    """Each cell is pickled once, when it lands; saves reuse the bytes."""
+
+    KWARGS = TestCheckpointedSweep.KWARGS
+    PAIRS = [("xapian", "rnn"), ("sphinx", "graph")]
+
+    @pytest.fixture()
+    def pickles(self, monkeypatch):
+        """How often each ``LevelOutcome`` object gets pickled."""
+        counts = collections.Counter()
+
+        def counting(outcome, protocol):
+            counts[id(outcome)] += 1
+            return object.__reduce_ex__(outcome, protocol)
+
+        monkeypatch.setattr(LevelOutcome, "__reduce_ex__", counting)
+        return counts
+
+    @pytest.mark.parametrize("engine", ["object", "batched"])
+    def test_each_cell_pickled_once(self, catalog, tmp_path, pickles, engine):
+        plans = _plans(catalog, self.PAIRS)
+        path = tmp_path / "sweep.ckpt"
+        result = run_cluster_checkpointed(
+            plans, catalog.spec, path, engine=engine, **self.KWARGS
+        )
+        # Four cells, five saves (one per cell plus the final one).
+        assert sorted(pickles) == sorted(id(o) for o in result.outcomes)
+        assert set(pickles.values()) == {1}
+        completed = Checkpoint.load(path).payload["completed"]
+        assert sorted(completed) == [0, 1, 2, 3]
+        assert all(isinstance(entry, bytes) for entry in completed.values())
+
+    def test_resumed_cells_are_not_pickled_again(
+        self, catalog, tmp_path, pickles
+    ):
+        plans = _plans(catalog, self.PAIRS)
+        path = tmp_path / "sweep.ckpt"
+        full = run_cluster_checkpointed(plans, catalog.spec, path, **self.KWARGS)
+        _keep_cells(path, keep={0, 2})
+        survivors = Checkpoint.load(path).payload["completed"]
+        pickles.clear()
+        resumed = run_cluster_checkpointed(
+            plans, catalog.spec, path, resume=True, **self.KWARGS
+        )
+        assert sum(pickles.values()) == 2  # only cells 1 and 3 ran
+        assert set(pickles.values()) == {1}
+        completed = Checkpoint.load(path).payload["completed"]
+        assert {i: completed[i] for i in survivors} == survivors
+        assert [pickle.dumps(o) for o in resumed.outcomes] == [
+            pickle.dumps(o) for o in full.outcomes
+        ]
+
+    def test_old_layout_resumes_bit_identical(self, catalog, tmp_path, pickles):
+        plans = _plans(catalog, self.PAIRS)
+        kwargs = dict(self.KWARGS, fault_plan=_fault_plan(plans))
+        path = tmp_path / "sweep.ckpt"
+        full = run_cluster_checkpointed(plans, catalog.spec, path, **kwargs)
+        _keep_cells(path, keep={0, 1}, decode=True)
+        pickles.clear()
+        resumed = run_cluster_checkpointed(
+            plans, catalog.spec, path, resume=True, **kwargs
+        )
+        # The two loaded outcomes are encoded once, the two re-run ones
+        # once each, and the file is rewritten in the per-cell layout.
+        assert sum(pickles.values()) == 4
+        assert set(pickles.values()) == {1}
+        completed = Checkpoint.load(path).payload["completed"]
+        assert all(isinstance(entry, bytes) for entry in completed.values())
+        assert [pickle.dumps(o) for o in resumed.outcomes] == [
+            pickle.dumps(o) for o in full.outcomes
+        ]
+        assert _flatten(resumed) == _flatten(
+            run_cluster(plans, catalog.spec, **kwargs)
+        )
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (pickle.dumps({"not": "an outcome"}), "cell 2 holds a dict"),
+            (("old", "layout", "tuple"), "cell 2 holds a tuple"),
+            (b"\x80\x05torn", "cell 2 failed to unpickle"),
+        ],
+        ids=["bytes", "object", "torn"],
+    )
+    def test_bad_cell_entry_names_the_cell(
+        self, catalog, tmp_path, entry, message
+    ):
+        plans = _plans(catalog, self.PAIRS)
+        path = tmp_path / "sweep.ckpt"
+        run_cluster_checkpointed(plans, catalog.spec, path, **self.KWARGS)
+        checkpoint = Checkpoint.load(path)
+        completed = dict(checkpoint.payload["completed"])
+        completed[2] = entry  # checksummed, so only the cell check sees it
+        Checkpoint(
+            run_key=checkpoint.run_key,
+            payload={**checkpoint.payload, "completed": completed},
+        ).save(path)
+        with pytest.raises(CheckpointError, match=message):
+            run_cluster_checkpointed(
+                plans, catalog.spec, path, resume=True, **self.KWARGS
+            )
+
+    def test_corrupt_payload_refused_before_any_cell_unpickle(
+        self, catalog, tmp_path, monkeypatch
+    ):
+        plans = _plans(catalog, self.PAIRS)
+        path = tmp_path / "sweep.ckpt"
+        run_cluster_checkpointed(plans, catalog.spec, path, **self.KWARGS)
+        blob = bytearray(path.read_bytes())
+        blob[-40] ^= 0xFF  # inside the last cell's bytes
+        path.write_bytes(bytes(blob))
+
+        def no_unpickle(data):
+            raise AssertionError("something was unpickled before the checksum")
+
+        monkeypatch.setattr(pickle, "loads", no_unpickle)
+        with pytest.raises(CheckpointError, match="checksum"):
+            run_cluster_checkpointed(
+                plans, catalog.spec, path, resume=True, **self.KWARGS
+            )
 
 
 class TestCrashResumeProperty:

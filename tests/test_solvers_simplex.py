@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.placement import fleet_placement
 from repro.errors import SolverError
+from repro.evaluation.reports import FLEET_CAPACITIES, FLEET_DEMANDS
+from repro.solvers import assignment, simplex, transportation
 from repro.solvers.assignment import METHODS, assign_max, lp_assignment_max
 from repro.solvers.hungarian import solve_assignment_max
 from repro.solvers.simplex import solve_lp
@@ -132,3 +135,110 @@ class TestAssignmentLp:
     def test_empty_matrix_rejected(self):
         with pytest.raises(SolverError):
             lp_assignment_max(np.zeros((0, 0)))
+
+
+def _dense_pivot(table, rhs, row, col):
+    """The row-by-row dense pivot, kept here as the reference."""
+    pivot = table[row, col]
+    table[row, :] /= pivot
+    rhs[row] /= pivot
+    for i in range(table.shape[0]):
+        if i != row and abs(table[i, col]) > simplex._EPS:
+            factor = table[i, col]
+            table[i, :] -= factor * table[row, :]
+            rhs[i] -= factor * rhs[row]
+
+
+def _tied_matrices():
+    rng = np.random.default_rng(2020)
+    return [np.round(rng.random((n, n)), 1) for n in (6, 9, 12)]
+
+
+class TestSparsePivotDifferential:
+    """The sparse rank-1 pivot reproduces the dense pivot bit for bit.
+
+    Every LP the solver returns (``x`` bytes, objective, iteration
+    count) and every decoded assignment must match, on the degenerate,
+    tie-heavy shapes the cluster stack actually solves: the catalog's
+    placement matrix replicated to fleet size, the all-equal 1 x 47
+    crash re-placement, and rounded matrices full of ties.
+    """
+
+    @staticmethod
+    def _solve(monkeypatch, pivot, call):
+        results = []
+
+        def recording(*args, **kwargs):
+            result = solve_lp(*args, **kwargs)
+            results.append(
+                (result.x.tobytes(), result.objective, result.iterations)
+            )
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simplex, "_pivot", pivot)
+            patch.setattr(simplex, "solve_lp", recording)
+            patch.setattr(assignment, "solve_lp", recording)
+            patch.setattr(transportation, "solve_lp", recording)
+            value = call()
+        assert results, "the call never reached solve_lp"
+        return value, results
+
+    def _assert_identical(self, monkeypatch, call):
+        sparse = self._solve(monkeypatch, simplex._pivot, call)
+        dense = self._solve(monkeypatch, _dense_pivot, call)
+        assert sparse == dense
+
+    def test_replicated_catalog_matrix(self, monkeypatch, catalog):
+        # Replicas share their fits, so the x12 catalog's placement
+        # matrix is the 4 x 4 one tiled: 48 x 48 and full of ties.
+        matrix = np.tile(catalog.performance_matrix().values, (12, 12))
+        self._assert_identical(
+            monkeypatch, lambda: assign_max(matrix, method="lp")
+        )
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.full((1, 47), 37.5),  # crash re-placement: equal refuges
+            np.arange(15.0).reshape(3, 5) % 4,
+            np.arange(15.0).reshape(5, 3) % 4,
+            np.zeros((6, 6)),
+            *_tied_matrices(),
+        ],
+        ids=["1x47-equal", "3x5", "5x3", "zeros", "tied6", "tied9", "tied12"],
+    )
+    def test_assignment_shapes(self, monkeypatch, matrix):
+        self._assert_identical(
+            monkeypatch, lambda: assign_max(matrix, method="lp")
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_general_lps_with_ties(self, monkeypatch, seed):
+        # Non-integral tableaus, both phases and negative right-hand
+        # sides: the update arithmetic itself, not just its pattern.
+        rng = np.random.default_rng(seed)
+        n = 12
+        x0 = np.round(rng.random(n), 1)  # a feasible point
+        c = np.round(rng.normal(size=n), 1)
+        a_ub = np.vstack([np.round(rng.normal(size=(6, n)), 1), np.ones(n)])
+        b_ub = np.round(a_ub @ x0 + 0.5, 1)
+        a_eq = np.round(rng.random((2, n)), 1)
+        b_eq = a_eq @ x0
+        self._assert_identical(
+            monkeypatch,
+            lambda: simplex.solve_lp(
+                c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq
+            ).objective,
+        )
+
+    def test_fleet_transportation_lp(self, monkeypatch, catalog):
+        matrix = catalog.performance_matrix()
+
+        def solve():
+            plan = fleet_placement(
+                matrix, FLEET_DEMANDS, FLEET_CAPACITIES, method="lp"
+            )
+            return plan.predicted_total, plan.flows
+
+        self._assert_identical(monkeypatch, solve)

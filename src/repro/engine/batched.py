@@ -39,7 +39,8 @@ possible:
 Anything the probe cannot prove eligible (custom manager classes,
 irregular DVFS ladders, unknown fault types, factories that raise) falls
 back lane-by-lane to the per-object oracle at its delivery position, so
-``run_batched_cells`` is a drop-in for the serial ``map_ordered`` path.
+``run_batched_cells`` is a drop-in for running each
+:class:`~repro.sim.cluster.Cell` through the oracle in order.
 
 The per-object path stays authoritative: ``tests/test_batched_
 differential.py`` proves equality field-by-field, and the object engine
@@ -55,7 +56,7 @@ from __future__ import annotations
 import copy
 from dataclasses import asdict, fields
 from functools import lru_cache
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -65,7 +66,6 @@ from repro.core.server_manager import (
     PowerOptimizedManager,
     balanced_allocation,
 )
-from repro.budget.schedule import CapSchedule
 from repro.core.utility import integer_min_power_allocation
 from repro.errors import CapacityError, ConfigError, InvariantViolationError
 from repro.faults.schedule import (
@@ -79,12 +79,17 @@ from repro.faults.schedule import (
     rng_from_state,
     rng_state,
 )
-from repro.guard.invariants import GuardConfig, GuardReport, Violation
+from repro.guard.invariants import GuardReport, Violation
 from repro.hwmodel.capping import CapStats, PowerCapController
 from repro.hwmodel.meter import PowerMeter
 from repro.hwmodel.spec import Allocation, ServerSpec
-from repro.sim.colocation import ColocationResult, SimConfig, build_colocated_server
+from repro.sim.colocation import ColocationResult, build_colocated_server
 from repro.sim.telemetry import LaneBlock, LaneTelemetry
+
+if TYPE_CHECKING:
+    # repro.sim.cluster imports this module lazily; a runtime import
+    # here would be circular.
+    from repro.sim.cluster import Cell
 
 __all__ = [
     "BatchedClusterSim",
@@ -415,60 +420,30 @@ def _build_probe(plan: Any, spec: ServerSpec, be_app: Any) -> Optional[Dict[str,
     return info
 
 
-def _task_parts(task: Any) -> Tuple[Any, ...]:
-    """An 8- or 9-element cell tuple padded to nine parts.
+def _faults_batchable(faults: Optional[FaultSchedule]) -> bool:
+    """Whether the batched core reproduces every fault of a schedule.
 
-    Unbudgeted cluster plans emit the historical eight-element tuples;
-    budgeted plans append a ninth element, the lane's
-    :class:`~repro.budget.schedule.CapSchedule`.  Callers always unpack
-    nine parts.
+    Only the group-uniform fault types are supported, and stale models
+    must hash by value (they key the solver memo).
     """
-    if isinstance(task, tuple) and len(task) == 8:
-        return task + (None,)
-    if isinstance(task, tuple) and len(task) == 9:
-        return task
-    raise ConfigError("cell task must be an 8- or 9-element tuple")
-
-
-def _task_eligible(task: Any) -> bool:
-    """Structural checks on one (plan, spec, level, ...) cell tuple."""
-    if not (isinstance(task, tuple) and len(task) in (8, 9)):
-        return False
-    (_plan, spec, level, duration_s, config, _be_app, faults, guard,
-     schedule) = _task_parts(task)
-    if not isinstance(spec, ServerSpec) or not isinstance(config, SimConfig):
-        return False
-    if guard is not None and not isinstance(guard, GuardConfig):
-        return False
-    if schedule is not None and not isinstance(schedule, CapSchedule):
-        return False
-    try:
-        if not duration_s > 0:
+    if faults is None:
+        return True
+    for fault in faults.faults:
+        if not isinstance(fault, _SUPPORTED_FAULTS):
             return False
-        if not 0.0 <= level <= 1.0:
-            return False
-    except TypeError:
-        return False
-    if faults is not None:
-        if not isinstance(faults, FaultSchedule):
-            return False
-        if any(not isinstance(f, _SUPPORTED_FAULTS) for f in faults.faults):
-            return False
-        if any(isinstance(f, ModelStaleness) for f in faults.faults):
+        if isinstance(fault, ModelStaleness):
             try:
-                for f in faults.faults:
-                    if isinstance(f, ModelStaleness):
-                        hash(f.model)
+                hash(fault.model)
             except TypeError:
                 return False
     return True
 
 
 def _partition(
-    tasks: Sequence[Any],
+    tasks: Sequence[Cell],
     probe_cache: Dict[Any, Any],
 ) -> Tuple[Dict[Any, List[int]], Set[int], List[Optional[Dict[str, Any]]]]:
-    """Split tasks into batchable groups and oracle-fallback positions.
+    """Split cells into batchable groups and oracle-fallback positions.
 
     A group shares everything that must be uniform across lanes of one
     :class:`BatchedClusterSim`: the fault schedule (by identity — the
@@ -478,29 +453,27 @@ def _partition(
     groups: Dict[Any, List[int]] = {}
     fallback: Set[int] = set()
     infos: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
-    for i, task in enumerate(tasks):
+    for i, cell in enumerate(tasks):
         info = None
-        if _task_eligible(task):
-            (plan, spec, _level, duration_s, config, be_app, faults, guard,
-             _schedule) = _task_parts(task)
-            info = _probe_plan(plan, spec, be_app, probe_cache)
+        if _faults_batchable(cell.faults):
+            info = _probe_plan(cell.plan, cell.spec, cell.be_app, probe_cache)
         if info is None:
             fallback.add(i)
             continue
         infos[i] = info
         group_key = (
-            id(faults) if faults is not None else None,
-            guard,
-            float(duration_s),
-            config,
-            spec,
+            id(cell.faults) if cell.faults is not None else None,
+            cell.guard,
+            float(cell.duration_s),
+            cell.config,
+            cell.spec,
             info["kind"],
         )
         groups.setdefault(group_key, []).append(i)
     return groups, fallback, infos
 
 
-def partition_cells(tasks: Sequence[Any]) -> Tuple[Dict[Any, List[int]], Set[int]]:
+def partition_cells(tasks: Sequence[Cell]) -> Tuple[Dict[Any, List[int]], Set[int]]:
     """Public partition view: group-key -> positions, plus fallback set.
 
     Property tests use this to assert which cells the batched core
@@ -568,17 +541,16 @@ class BatchedClusterSim:
         "g_ramp",
     )
 
-    def __init__(self, tasks: Sequence[Any], infos: Sequence[Dict[str, Any]]) -> None:
+    def __init__(self, tasks: Sequence[Cell], infos: Sequence[Dict[str, Any]]) -> None:
         if not tasks:
             raise ConfigError("batched sim needs at least one lane")
         n = len(tasks)
-        (plan0, spec, _lvl, duration_s, config, _be0, faults, guard,
-         _sched0) = _task_parts(tasks[0])
-        self.tasks = list(tasks)
+        cell0 = tasks[0]
+        spec, config, duration_s = cell0.spec, cell0.config, cell0.duration_s
         self.spec = spec
         self.config = config
-        self.faults = faults
-        self.guard = guard
+        self.faults = cell0.faults
+        self.guard = cell0.guard
         self.duration_s = duration_s
         self.n = n
         maps = _ladder_maps(spec)
@@ -599,13 +571,13 @@ class BatchedClusterSim:
 
         kind = infos[0]["kind"]
         self.kind = kind
-        self.plans = [t[0] for t in tasks]
-        self.levels_raw = [t[2] for t in tasks]
-        self.be_apps = [t[5] for t in tasks]
-        self.durations = [t[3] for t in tasks]
+        self.plans = [t.plan for t in tasks]
+        self.levels_raw = [t.level for t in tasks]
+        self.be_apps = [t.be_app for t in tasks]
+        self.durations = [t.duration_s for t in tasks]
 
         # ---- per-lane static columns -------------------------------
-        self.level = np.asarray([float(t[2]) for t in tasks])
+        self.level = np.asarray([float(t.level) for t in tasks])
         self.peak_load = np.asarray([p.lc_app.peak_load for p in self.plans])
         self.cap = np.asarray([float(p.provisioned_power_w) for p in self.plans])
 
@@ -616,7 +588,7 @@ class BatchedClusterSim:
         # +inf, caps with the last cap; schedule-less lanes get one
         # -inf breakpoint pinning their provisioned base.  The gathered
         # floats are the planner's own, so caps are bit-exact.
-        self.schedules = [_task_parts(t)[8] for t in tasks]
+        self.schedules = [t.schedule for t in tasks]
         self.any_sched = any(s is not None for s in self.schedules)
         if self.any_sched:
             width = max(
@@ -748,8 +720,8 @@ class BatchedClusterSim:
                     mi = len(models)
                     models.append(model)
                 midx[i] = mi
-            if faults is not None:
-                for f in faults.faults:
+            if self.faults is not None:
+                for f in self.faults.faults:
                     if isinstance(f, ModelStaleness) and f.model not in models:
                         models.append(f.model)
             self.models = models
@@ -1633,47 +1605,27 @@ class BatchedClusterSim:
 
 
 # ----------------------------------------------------------------------
-# Entry point: the batched equivalent of map_ordered(_run_cell, tasks)
+# Entry point: the batched equivalent of running each cell in order
 # ----------------------------------------------------------------------
 def run_batched_cells(
-    tasks: Sequence[Any],
-    keys: Optional[Sequence[Any]] = None,
+    tasks: Sequence[Cell],
     on_result: Optional[Any] = None,
 ) -> List[Any]:
-    """Run cluster cell tuples through the batched core.
+    """Run :class:`~repro.sim.cluster.Cell` records through the batched core.
 
-    Mirrors ``map_ordered(_run_cell, tasks, keys=keys)`` exactly:
-    results arrive in task order, equal ``keys`` dedupe to one
-    computation, and failures raise the same ``ExecutionError`` wrapping
-    at the same position.  Cells the batched core cannot claim (unknown
-    manager types, unsupported faults, non-constant traces) silently
-    fall back to the per-object oracle, one cell at a time.
+    Mirrors the serial ``SupervisedPool.map_ordered`` run of the cells
+    exactly: results arrive in cell order, and failures raise the same
+    ``ExecutionError`` wrapping at the same position.  Cells the
+    batched core cannot claim (unknown manager types, unsupported
+    faults) fall back to the per-object oracle, one cell at a time.
 
     ``on_result(position, result)`` fires per delivered result in
-    ascending position order — only honoured without ``keys`` (matching
-    the serial pool used by checkpointed sweeps, which dedupes before
-    execution).
+    ascending position order.
     """
-    task_list = list(tasks)
-    if keys is not None:
-        key_list = list(keys)
-        if len(key_list) != len(task_list):
-            raise ConfigError("keys must align one-to-one with tasks")
-        first_index: Dict[Any, int] = {}
-        unique: List[Any] = []
-        for task, key in zip(task_list, key_list):
-            if key not in first_index:
-                first_index[key] = len(unique)
-                unique.append(task)
-        unique_results = _execute(unique, None)
-        return [unique_results[first_index[key]] for key in key_list]
-    return _execute(task_list, on_result)
-
-
-def _execute(tasks: List[Any], on_result: Optional[Any]) -> List[Any]:
     from repro.engine.parallel import _task_failure
     from repro.sim.cluster import _run_cell
 
+    tasks = list(tasks)
     groups, fallback, infos = _partition(tasks, {})
     slots: List[Any] = [None] * len(tasks)
     for positions in groups.values():
@@ -1695,19 +1647,19 @@ def _execute(tasks: List[Any], on_result: Optional[Any]) -> List[Any]:
 
     total = len(tasks)
     results: List[Any] = []
-    for position, task in enumerate(tasks):
+    for position, cell in enumerate(tasks):
         if position in fallback:
             try:
-                result = _run_cell(*task)
+                result = _run_cell(cell)
             except Exception as exc:
-                raise _task_failure(position, total, _run_cell, task, exc) from exc
+                raise _task_failure(position, total, _run_cell, (cell,), exc) from exc
         else:
             entry = slots[position]
             if isinstance(entry, InvariantViolationError):
                 # The oracle raises mid-run in enforce mode; re-raise at
                 # the same delivery position with the same wrapping.
                 raise _task_failure(
-                    position, total, _run_cell, task, entry
+                    position, total, _run_cell, (cell,), entry
                 ) from entry
             result = entry
         results.append(result)

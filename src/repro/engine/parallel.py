@@ -10,24 +10,24 @@ reproducible:
 * **ordered collection** — results come back in submission order no
   matter which worker finishes first, so aggregates see the same
   sequence the serial loop produces;
-* **explicit seed threading** — each task tuple carries its own config
-  (and therefore its seed) across the process boundary; workers share
-  no RNG;
+* **explicit seed threading** — each task carries its own config (and
+  therefore its seed) across the process boundary; workers share no
+  RNG;
 * **serial fallback** — ``workers=1`` runs the exact same
   ``[fn(*t) for t in tasks]`` loop the pre-engine code ran, not a pool
   of one.
 
-:func:`map_ordered` also supports **deduplication**: when the caller
-can prove two tasks are identical (same key), the function is evaluated
-once per distinct key and the result is fanned back out positionally.
-Purity makes this exact; replicated fleets make it fast.
+Deduplicating identical cells is the cluster sweep's job
+(:attr:`repro.sim.cluster.Cell.key`), not this module's: here every
+task runs.
 
 Failures carry context: a task that raises is re-raised as
 :class:`~repro.errors.ExecutionError` naming the failing task's index
 and arguments, so a mid-batch death points at the exact (plan, level)
 cell instead of an anonymous traceback.
 
-:class:`SupervisedPool` layers *crash supervision* on top: worker
+:class:`SupervisedPool` is the one pool primitive, and
+:func:`map_ordered` is a call into it.  It adds *crash supervision*: worker
 deaths (SIGKILL, OOM, a hung task) break a ``ProcessPoolExecutor``
 permanently, so the supervisor rebuilds the pool with capped
 exponential backoff and re-submits only the tasks whose results were
@@ -60,7 +60,7 @@ from repro.errors import ConfigError, ExecutionError
 
 T = TypeVar("T")
 
-#: A hashable identity for one task; tasks with equal keys must be
+#: A hashable identity for one cell; cells with equal keys must be
 #: guaranteed (by the caller) to produce equal results.
 CellKey = Hashable
 
@@ -171,70 +171,25 @@ def _run_serial(
     return results
 
 
-def _run_pool(
-    fn: Callable[..., T], tasks: Sequence[Tuple], workers: int
-) -> List[T]:
-    """Submit every task, collect results in submission order."""
-    total = len(tasks)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *task) for task in tasks]
-        results: List[T] = []
-        for index, future in enumerate(futures):
-            try:
-                results.append(future.result())
-            except BrokenProcessPool as exc:
-                raise ExecutionError(
-                    f"worker pool broke while waiting for task {index} of "
-                    f"{total}; args={_summarize_task(tasks[index])} — a "
-                    "worker died (SIGKILL/OOM).  Use SupervisedPool for "
-                    "automatic pool rebuild and task re-submission"
-                ) from exc
-            except Exception as exc:
-                raise _task_failure(index, total, fn, tasks[index], exc) from exc
-        return results
-
-
 def map_ordered(
     fn: Callable[..., T],
     tasks: Sequence[Tuple],
     workers: int = 1,
-    keys: Optional[Sequence[CellKey]] = None,
 ) -> List[T]:
     """Map ``fn`` over argument tuples, preserving order and determinism.
 
     ``workers=1`` is the plain serial loop.  ``workers>1`` fans the
     tasks out to a process pool; ``fn`` and every argument must be
     picklable (module-level functions, dataclasses — no closures).
-
-    ``keys``, when given, must align with ``tasks``: tasks with equal
-    keys are evaluated once and share the result object.  Only pass
-    keys for pure functions — the whole point is that re-running an
-    identical cell is provably wasted work.
+    The pool is a default :class:`SupervisedPool`, so a worker death
+    costs a pool rebuild, not the map.
 
     A task that raises is re-raised as
     :class:`~repro.errors.ExecutionError` whose message names the
     failing task's index and arguments (the original exception is
     chained as ``__cause__``).
     """
-    if workers < 1:
-        raise ConfigError("workers must be at least 1")
-    if keys is None:
-        if workers == 1:
-            return _run_serial(fn, tasks)
-        return _run_pool(fn, tasks, workers)
-    if len(keys) != len(tasks):
-        raise ConfigError("keys must align one-to-one with tasks")
-    first_index: dict = {}
-    unique_tasks: List[Tuple] = []
-    for task, key in zip(tasks, keys):
-        if key not in first_index:
-            first_index[key] = len(unique_tasks)
-            unique_tasks.append(task)
-    if workers == 1:
-        unique_results = _run_serial(fn, unique_tasks)
-    else:
-        unique_results = _run_pool(fn, unique_tasks, workers)
-    return [unique_results[first_index[key]] for key in keys]
+    return SupervisedPool(workers=workers).map_ordered(fn, tasks)
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +241,7 @@ class SupervisedPool:
     with the task's index and arguments.
 
     Determinism: results are assembled positionally, so the output list
-    is bit-identical to ``map_ordered`` regardless of crashes, rebuild
+    is bit-identical to the serial loop regardless of crashes, rebuild
     counts, or completion order.
     """
 

@@ -16,7 +16,7 @@ Everything downstream (the figure benchmarks, the examples) builds on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -290,27 +290,21 @@ def run_policy(
     override = NOCAP_PROVISIONED_W if policy == POLICY_RANDOM_NOCAP else None
     plans = cluster_plans(catalog, placement, policy, provisioned_override_w=override)
     config = sim_config if sim_config is not None else SimConfig(seed=seed)
+    from repro.runtime.sweep import _ledgered, run_cluster_checkpointed
+
+    sweep: Dict[str, Any] = dict(
+        levels=levels, duration_s=duration_s, config=config, workers=workers,
+        dedupe=dedupe, guard=guard, engine=engine, budget=budget,
+    )
     if checkpoint_path is not None:
-        from repro.runtime.sweep import run_cluster_checkpointed
-
         return run_cluster_checkpointed(
-            plans, catalog.spec, checkpoint_path, levels=levels,
-            duration_s=duration_s, config=config, workers=workers,
-            dedupe=dedupe, resume=resume, checkpoint_every=checkpoint_every,
-            guard=guard, ledger_path=ledger_path, engine=engine,
-            budget=budget,
+            plans, catalog.spec, checkpoint_path, resume=resume,
+            checkpoint_every=checkpoint_every, ledger_path=ledger_path,
+            **sweep,
         )
-    if ledger_path is not None and guard is None:
-        raise ConfigError("a violation ledger needs a guard config")
-    result = run_cluster(plans, catalog.spec, levels=levels,
-                         duration_s=duration_s, config=config,
-                         workers=workers, dedupe=dedupe, guard=guard,
-                         engine=engine, budget=budget)
-    if ledger_path is not None:
-        from repro.guard.ledger import write_ledger
-
-        write_ledger(ledger_path, result)
-    return result
+    return _ledgered(
+        lambda: run_cluster(plans, catalog.spec, **sweep), guard, ledger_path
+    )
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from the config seed.  That purity is the whole recovery story:
 
 1. :func:`repro.sim.cluster.plan_cluster_tasks` decides every cell (and
    the full fault report) before anything runs;
-2. completed cell outcomes are persisted, keyed by task index, in a
+2. completed cell outcomes are persisted, keyed by planned position, in a
    single :class:`~repro.runtime.checkpoint.Checkpoint` file rewritten
    atomically as results land.  Each cell is pickled once, when it
    lands, and every save writes those bytes as they are, so a save
@@ -22,9 +22,12 @@ SIGKILL.  A checkpoint refuses to resume a different sweep: the
 ``run_key`` digests the sweep's full content (apps, provisioning,
 levels, duration, sim config, fault plan), not object identities.
 
-Execution goes through :class:`~repro.engine.parallel.SupervisedPool`,
-so a crashing *worker* costs a pool rebuild, not the run; a crashing
-*parent* costs at most ``checkpoint_every`` cells of work.
+Execution goes through the same executor as ``run_cluster`` (one
+:class:`~repro.engine.parallel.SupervisedPool` or the batched core), so
+a crashing *worker* costs a pool rebuild, not the run; a crashing
+*parent* costs at most ``checkpoint_every`` cells of work.  Positions
+are planned positions whatever ``dedupe`` is, so a checkpoint resumes
+with ``dedupe`` flipped.
 """
 
 from __future__ import annotations
@@ -33,10 +36,8 @@ import hashlib
 import pickle
 import re
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.parallel import CellKey, SupervisedPool
-from repro.engine.select import resolve_engine
 from repro.errors import CheckpointError, ConfigError
 from repro.faults.cluster import ClusterFaultPlan
 from repro.guard.invariants import GuardConfig
@@ -48,8 +49,7 @@ from repro.sim.cluster import (
     ClusterRunResult,
     LevelOutcome,
     ServerPlan,
-    _cell_key,
-    _run_cell,
+    _execute,
     plan_cluster_tasks,
 )
 from repro.sim.colocation import SimConfig
@@ -130,20 +130,6 @@ def sweep_run_key(
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 
-def _dedupe_plan(
-    tasks: Sequence[Tuple],
-) -> Tuple[List[Tuple], List[CellKey], Dict[CellKey, int]]:
-    """Mirror ``map_ordered``'s dedupe: unique tasks + fan-out mapping."""
-    keys = [_cell_key(*task) for task in tasks]
-    first_index: Dict[CellKey, int] = {}
-    unique: List[Tuple] = []
-    for task, key in zip(tasks, keys):
-        if key not in first_index:
-            first_index[key] = len(unique)
-            unique.append(task)
-    return unique, keys, first_index
-
-
 def _encode_cell(outcome: LevelOutcome) -> bytes:
     """One cell's checkpoint entry: its outcome, pickled on its own."""
     return pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
@@ -158,8 +144,20 @@ def _load_completed(
     loaded so later saves never re-pickle them.  Entries written before
     cells were pickled one by one hold the ``LevelOutcome`` itself;
     those are still accepted and encoded once here.
+
+    Entries are keyed by planned position.  Releases that keyed them by
+    position in the *deduplicated* cell list wrote a smaller
+    ``cells_total`` for sweeps with replicas; such a checkpoint is
+    refused, never mis-slotted.
     """
     checkpoint = Checkpoint.load(path, expect_run_key=run_key)
+    declared = checkpoint.extra.get("cells_total", total)
+    if declared != total:
+        raise CheckpointError(
+            f"checkpoint {path} records {declared!r} cells but this sweep "
+            f"plans {total}; it indexes a deduplicated cell list (written "
+            "with dedupe=True by an older release) — delete it and rerun"
+        )
     payload = checkpoint.payload
     if not isinstance(payload, dict) or not isinstance(
         payload.get("completed"), dict
@@ -208,7 +206,6 @@ def run_cluster_checkpointed(
     dedupe: bool = False,
     resume: bool = False,
     checkpoint_every: int = 1,
-    supervisor: Optional[SupervisedPool] = None,
     guard: Optional[GuardConfig] = None,
     ledger_path: Optional[PathLike] = None,
     engine: Optional[str] = None,
@@ -226,12 +223,7 @@ def run_cluster_checkpointed(
       ``--resume``" is a safe operating procedure); a checkpoint from a
       *different* sweep raises :class:`~repro.errors.CheckpointError`;
     * ``checkpoint_every`` — cells completed between checkpoint writes;
-      1 (default) bounds the recomputation lost to a crash at one cell;
-    * ``supervisor`` — a configured
-      :class:`~repro.engine.parallel.SupervisedPool` to execute with
-      (its worker count wins over ``workers``); by default a fresh
-      supervisor with ``workers`` workers is used, so worker crashes
-      are retried either way.
+      1 (default) bounds the recomputation lost to a crash at one cell.
 
     The checkpoint is left in place on success — it doubles as the
     completed-run record (its header carries progress counters readable
@@ -246,7 +238,8 @@ def run_cluster_checkpointed(
 
     ``engine="batched"`` executes the pending cells through the
     structure-of-arrays core (:mod:`repro.engine.batched`) instead of
-    the supervised pool; completed cells still checkpoint one by one in
+    the supervised pool, and like ``run_cluster`` refuses ``workers``
+    other than 1; completed cells still checkpoint one by one in
     delivery order, and — because both engines are bit-identical — a
     checkpoint written by either engine resumes under the other without
     changing a single result byte (the ``run_key`` is engine-agnostic
@@ -254,93 +247,78 @@ def run_cluster_checkpointed(
     """
     if checkpoint_every < 1:
         raise ConfigError("checkpoint_every must be at least 1")
-    engine_name = resolve_engine(engine)
-    if engine_name == "batched" and supervisor is not None:
-        raise ConfigError(
-            "engine='batched' runs in-process; it cannot execute through "
-            "a SupervisedPool"
+
+    def sweep() -> ClusterRunResult:
+        cells, skeleton = plan_cluster_tasks(
+            plans, spec, levels, duration_s, config, fault_plan, guard=guard,
+            budget=budget,
         )
-    if ledger_path is not None and guard is None:
-        raise ConfigError("a violation ledger needs a guard config")
-    tasks, skeleton = plan_cluster_tasks(
-        plans, spec, levels, duration_s, config, fault_plan, guard=guard,
-        budget=budget,
-    )
-    run_key = sweep_run_key(
-        plans, spec, levels=levels, duration_s=duration_s,
-        config=config, fault_plan=fault_plan, guard=guard, budget=budget,
-    )
-    if dedupe:
-        exec_tasks, keys, first_index = _dedupe_plan(tasks)
-    else:
-        exec_tasks = list(tasks)
-    target = Path(checkpoint_path)
-    completed: Dict[int, LevelOutcome] = {}
-    encoded: Dict[int, bytes] = {}
-    if resume and target.exists():
-        completed, encoded = _load_completed(target, run_key, len(exec_tasks))
-    placement = {
-        plan.lc_app.name: (plan.be_app.name if plan.be_app else None)
-        for plan in plans
-    }
-
-    def _save() -> None:
-        cursor = 0
-        while cursor in completed:
-            cursor += 1
-        Checkpoint(
-            run_key=run_key,
-            payload={"completed": encoded, "placement": placement},
-            extra={
-                "cells_total": len(exec_tasks),
-                "cells_done": len(completed),
-                "cursor": cursor,
-            },
-        ).save(target)
-
-    pending = [i for i in range(len(exec_tasks)) if i not in completed]
-    if pending:
+        run_key = sweep_run_key(
+            plans, spec, levels=levels, duration_s=duration_s,
+            config=config, fault_plan=fault_plan, guard=guard, budget=budget,
+        )
+        target = Path(checkpoint_path)
+        completed: Dict[int, LevelOutcome] = {}
+        encoded: Dict[int, bytes] = {}
+        if resume and target.exists():
+            completed, encoded = _load_completed(target, run_key, len(cells))
+        placement = {
+            plan.lc_app.name: (plan.be_app.name if plan.be_app else None)
+            for plan in plans
+        }
         since_save = 0
 
-        def _on_result(position: int, outcome: LevelOutcome) -> None:
+        def save() -> None:
+            cursor = 0
+            while cursor in encoded:
+                cursor += 1
+            Checkpoint(
+                run_key=run_key,
+                payload={"completed": encoded, "placement": placement},
+                extra={
+                    "cells_total": len(cells),
+                    "cells_done": len(encoded),
+                    "cursor": cursor,
+                },
+            ).save(target)
+
+        def on_result(position: int, outcome: LevelOutcome) -> None:
             nonlocal since_save
-            index = pending[position]
-            completed[index] = outcome
-            encoded[index] = _encode_cell(outcome)
+            encoded[position] = _encode_cell(outcome)
             since_save += 1
             if since_save >= checkpoint_every:
-                _save()
+                save()
                 since_save = 0
 
-        if engine_name == "batched":
-            # Imported lazily for the same layering reason as in
-            # run_cluster: the batched core sits above repro.sim.
-            from repro.engine.batched import run_batched_cells
-
-            run_batched_cells(
-                [exec_tasks[i] for i in pending], on_result=_on_result
-            )
-        else:
-            pool = supervisor if supervisor is not None else SupervisedPool(
-                workers=workers
-            )
-            pool.map_ordered(
-                _run_cell,
-                [exec_tasks[i] for i in pending],
-                on_result=_on_result,
-            )
-    _save()
-    if dedupe:
-        skeleton.outcomes.extend(completed[first_index[key]] for key in keys)
-    else:
         skeleton.outcomes.extend(
-            completed[i] for i in range(len(exec_tasks))
+            _execute(cells, engine, workers, dedupe, completed, on_result)
         )
+        save()
+        return skeleton
+
+    return _ledgered(sweep, guard, ledger_path)
+
+
+def _ledgered(
+    sweep: Callable[[], ClusterRunResult],
+    guard: Optional[GuardConfig],
+    ledger_path: Optional[PathLike],
+) -> ClusterRunResult:
+    """Run ``sweep``, then write its violation ledger if one is asked for.
+
+    The one owner of the ledger contract for every sweep entry point: a
+    ledger needs a guard config (refused before anything runs), and it
+    is rebuilt from the finished result, so a resumed sweep writes the
+    same bytes as an uninterrupted one.
+    """
+    if ledger_path is not None and guard is None:
+        raise ConfigError("a violation ledger needs a guard config")
+    result = sweep()
     if ledger_path is not None:
         # Imported here: repro.guard.ledger writes through this
         # package's atomic helpers, so a module-level import would be
         # circular during package initialization.
         from repro.guard.ledger import write_ledger
 
-        write_ledger(ledger_path, skeleton)
-    return skeleton
+        write_ledger(ledger_path, result)
+    return result

@@ -15,7 +15,8 @@ is entirely through the placement decision — as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from numbers import Real
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from repro.budget.arbiter import BudgetConfig, BudgetPlan, BudgetReport, plan_bu
 from repro.budget.schedule import CapSchedule
 from repro.core.placement import assign_with_fallback
 from repro.core.server_manager import ServerManagerBase
-from repro.engine.parallel import CellKey, map_ordered
+from repro.engine.parallel import CellKey, SupervisedPool
 from repro.engine.select import resolve_engine
 from repro.errors import ConfigError
 from repro.faults.cluster import (
@@ -145,88 +146,213 @@ class ClusterRunResult:
         return mapping
 
 
-def _run_cell(
-    plan: ServerPlan,
-    spec: ServerSpec,
-    level: float,
-    duration_s: float,
-    config: SimConfig,
-    be_app: Optional[BestEffortApp],
-    faults: Optional[FaultSchedule] = None,
-    guard: Optional[GuardConfig] = None,
-    cap_schedule: Optional[CapSchedule] = None,
-) -> LevelOutcome:
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class Cell:
+    """One (server, load level) cell of a sweep, validated when built.
+
+    A cell is everything :func:`_run_cell` needs and nothing else, so it
+    is a pure function of its fields: the RNG is built inside from
+    ``config.seed``.  ``faults`` is the faulted sweep's shared cell
+    fault schedule, ``guard`` the runtime invariants and ``schedule``
+    the budget arbiter's compiled cap schedule for this cell.
+
+    Construction raises :class:`~repro.errors.ConfigError` naming the
+    offending field, so a malformed sweep fails before any cell runs.
+    """
+
+    plan: ServerPlan
+    spec: ServerSpec
+    level: float
+    duration_s: float
+    config: SimConfig
+    be_app: Optional[BestEffortApp]
+    faults: Optional[FaultSchedule] = None
+    guard: Optional[GuardConfig] = None
+    schedule: Optional[CapSchedule] = None
+
+    def __init__(
+        self,
+        plan: ServerPlan,
+        spec: ServerSpec,
+        level: float,
+        duration_s: float,
+        config: SimConfig,
+        be_app: Optional[BestEffortApp],
+        faults: Optional[FaultSchedule] = None,
+        guard: Optional[GuardConfig] = None,
+        schedule: Optional[CapSchedule] = None,
+    ) -> None:
+        # One dict update instead of the frozen dataclass's nine
+        # object.__setattr__ calls: a fleet sweep builds thousands of
+        # cells, and this halves their cost.
+        self.__dict__.update(
+            plan=plan, spec=spec, level=level, duration_s=duration_s,
+            config=config, be_app=be_app, faults=faults, guard=guard,
+            schedule=schedule,
+        )
+        if not (
+            isinstance(spec, ServerSpec)
+            and isinstance(config, SimConfig)
+            and (faults is None or isinstance(faults, FaultSchedule))
+            and (guard is None or isinstance(guard, GuardConfig))
+            and (schedule is None or isinstance(schedule, CapSchedule))
+        ):
+            for name, kind, optional in _CELL_FIELD_TYPES:
+                value = getattr(self, name)
+                if not isinstance(value, kind) and not (optional and value is None):
+                    raise ConfigError(
+                        f"cell {name} must be a {kind.__name__}, "
+                        f"not {type(value).__name__}"
+                    )
+        # ``type(...) is float`` is the fast path; the ABC check admits
+        # ints and numpy scalars.
+        if not (
+            (type(duration_s) is float or isinstance(duration_s, Real))
+            and duration_s > 0
+        ):
+            raise ConfigError(
+                f"cell duration_s must be positive, got {duration_s!r}"
+            )
+        if not (
+            (type(level) is float or isinstance(level, Real))
+            and 0.0 <= level <= 1.0
+        ):
+            raise ConfigError(f"cell level must lie in [0, 1], got {level!r}")
+
+    def __repr__(self) -> str:
+        be_name = self.be_app.name if self.be_app is not None else None
+        return (
+            f"Cell(lc={self.plan.lc_app.name!r}, be={be_name!r}, "
+            f"level={self.level!r}, duration_s={self.duration_s!r})"
+        )
+
+    @property
+    def key(self) -> CellKey:
+        """Identity of this cell for deduplication.
+
+        Two cells with equal keys run the exact same simulation.  Apps
+        and fault schedules are compared by object identity —
+        replicated fleets share app objects, which is precisely the case
+        dedupe targets; manager factories are compared by value when
+        hashable (the pipeline's factories are) and by identity
+        otherwise (user closures never dedupe by accident).  Guard
+        configs and cap schedules are frozen value objects and compare
+        by content — two replicas handed value-equal budget schedules
+        still dedupe to one cell.
+        """
+        plan = self.plan
+        factory_key: Hashable = plan.manager_factory
+        try:
+            hash(factory_key)
+        except TypeError:
+            factory_key = ("id", id(plan.manager_factory))
+        return (
+            id(plan.lc_app),
+            None if self.be_app is None else id(self.be_app),
+            plan.provisioned_power_w,
+            factory_key,
+            self.spec,
+            self.level,
+            self.duration_s,
+            self.config,
+            None if self.faults is None else id(self.faults),
+            self.guard,
+            self.schedule,
+        )
+
+
+#: ``(field, type, may be None)`` for every type-checked :class:`Cell` field.
+_CELL_FIELD_TYPES = (
+    ("spec", ServerSpec, False),
+    ("config", SimConfig, False),
+    ("faults", FaultSchedule, True),
+    ("guard", GuardConfig, True),
+    ("schedule", CapSchedule, True),
+)
+
+
+def _run_cell(cell: Cell) -> LevelOutcome:
     """One fresh (server, level) steady-state colocation cell."""
+    plan = cell.plan
     server = build_colocated_server(
-        spec=spec,
+        spec=cell.spec,
         lc_app=plan.lc_app,
         provisioned_power_w=plan.provisioned_power_w,
-        be_app=be_app,
+        be_app=cell.be_app,
         name=f"{plan.lc_app.name}-server",
     )
     manager = plan.manager_factory(server)
     sim = ColocationSim(
         server=server,
         lc_app=plan.lc_app,
-        trace=ConstantTrace(level),
+        trace=ConstantTrace(cell.level),
         manager=manager,
-        be_app=be_app,
-        config=config,
-        faults=faults,
-        guard=guard,
-        cap_schedule=cap_schedule,
+        be_app=cell.be_app,
+        config=cell.config,
+        faults=cell.faults,
+        guard=cell.guard,
+        cap_schedule=cell.schedule,
     )
-    outcome = sim.run(duration_s)
+    outcome = sim.run(cell.duration_s)
     return LevelOutcome(
         lc_name=plan.lc_app.name,
-        be_name=be_app.name if be_app else None,
-        level=level,
+        be_name=cell.be_app.name if cell.be_app else None,
+        level=cell.level,
         result=outcome,
     )
 
 
-def _cell_key(
-    plan: ServerPlan,
-    spec: ServerSpec,
-    level: float,
-    duration_s: float,
-    config: SimConfig,
-    be_app: Optional[BestEffortApp],
-    faults: Optional[FaultSchedule],
-    guard: Optional[GuardConfig] = None,
-    cap_schedule: Optional[CapSchedule] = None,
-) -> CellKey:
-    """Identity of one cell for deduplication.
+def _execute(
+    cells: Sequence[Cell],
+    engine: Optional[str],
+    workers: int,
+    dedupe: bool,
+    completed: Mapping[int, LevelOutcome],
+    on_result: Optional[Callable[[int, LevelOutcome], None]] = None,
+) -> List[LevelOutcome]:
+    """Run a planned sweep: the one owner of dedupe, engine and pool.
 
-    Two cells with equal keys run the exact same simulation:
-    :func:`_run_cell` is a pure function of its arguments (the RNG is
-    built inside from ``config.seed``).  Apps and fault schedules are
-    compared by object identity — replicated fleets share app objects,
-    which is precisely the case dedupe targets; manager factories are
-    compared by value when hashable (the pipeline's factories are) and
-    by identity otherwise (user closures never dedupe by accident).
-    Guard configs and cap schedules are frozen value objects and
-    compare by content — two replicas handed value-equal budget
-    schedules still dedupe to one cell.
+    ``completed`` maps planned cell positions to outcomes already known
+    (a resumed checkpoint); those cells are not run again.  With
+    ``dedupe``, a cell whose :attr:`Cell.key` appeared earlier reuses
+    the outcome of that first occurrence, and a first occurrence runs
+    only when it is not completed — so positions mean the same cells
+    whether or not ``dedupe`` is set.  ``on_result(position, outcome)``
+    fires once per cell run, in delivery order.
+
+    Returns every planned cell's outcome, in planned order.
     """
-    try:
-        hash(plan.manager_factory)
-        factory_key = plan.manager_factory
-    except TypeError:
-        factory_key = ("id", id(plan.manager_factory))
-    return (
-        id(plan.lc_app),
-        None if be_app is None else id(be_app),
-        plan.provisioned_power_w,
-        factory_key,
-        spec,
-        level,
-        duration_s,
-        config,
-        None if faults is None else id(faults),
-        guard,
-        cap_schedule,
+    engine_name = resolve_engine(engine)
+    if engine_name == "batched" and workers != 1:
+        raise ConfigError(
+            "engine='batched' runs in-process; it cannot be combined "
+            "with a process pool (workers must be 1)"
+        )
+    source: Sequence[int] = range(len(cells))
+    if dedupe:
+        first: Dict[CellKey, int] = {}
+        source = [first.setdefault(cell.key, i) for i, cell in enumerate(cells)]
+    pending = [
+        i for i, origin in enumerate(source)
+        if origin == i and i not in completed
+    ]
+    hook = None if on_result is None else (
+        lambda position, outcome: on_result(pending[position], outcome)
     )
+    todo = [cells[i] for i in pending]
+    if engine_name == "batched":
+        # Imported lazily: the batched core builds on ColocationSim's
+        # module surface, so a top-level import would be circular.
+        from repro.engine.batched import run_batched_cells
+
+        fresh = run_batched_cells(todo, on_result=hook)
+    else:
+        fresh = SupervisedPool(workers).map_ordered(
+            _run_cell, [(cell,) for cell in todo], on_result=hook
+        )
+    outcomes = dict(completed)
+    outcomes.update(zip(pending, fresh))
+    return [outcomes[origin] for origin in source]
 
 
 def run_cluster(
@@ -256,7 +382,7 @@ def run_cluster(
     * ``workers`` — fan independent cells out to a process pool with
       ordered collection; ``workers=1`` is the exact serial loop.
     * ``dedupe`` — run each distinct (plan, level) cell once and reuse
-      the outcome for replicas (see :func:`_cell_key`); exact because
+      the outcome for replicas (see :attr:`Cell.key`); exact because
       cells are pure, and the big lever for replicated fleets.
 
     Both knobs are bit-identical to the default serial run — the
@@ -282,25 +408,11 @@ def run_cluster(
     :class:`~repro.budget.arbiter.BudgetReport`.  Cells stay pure, so
     dedupe, checkpointing and both engines keep working unchanged.
     """
-    tasks, result = plan_cluster_tasks(
+    cells, result = plan_cluster_tasks(
         plans, spec, levels, duration_s, config, fault_plan, guard=guard,
         budget=budget,
     )
-    keys = [_cell_key(*task) for task in tasks] if dedupe else None
-    engine_name = resolve_engine(engine)
-    if engine_name == "batched":
-        if workers != 1:
-            raise ConfigError(
-                "engine='batched' runs in-process; it cannot be combined "
-                "with a process pool (workers must be 1)"
-            )
-        # Imported lazily: the batched core builds on ColocationSim's
-        # module surface, so a top-level import would be circular.
-        from repro.engine.batched import run_batched_cells
-
-        result.outcomes.extend(run_batched_cells(tasks, keys=keys))
-        return result
-    result.outcomes.extend(map_ordered(_run_cell, tasks, workers=workers, keys=keys))
+    result.outcomes.extend(_execute(cells, engine, workers, dedupe, {}))
     return result
 
 
@@ -313,25 +425,25 @@ def plan_cluster_tasks(
     fault_plan: Optional[ClusterFaultPlan] = None,
     guard: Optional[GuardConfig] = None,
     budget: Optional[BudgetConfig] = None,
-) -> Tuple[List[Tuple], ClusterRunResult]:
+) -> Tuple[List[Cell], ClusterRunResult]:
     """Decide every cell of a sweep without executing any of them.
 
-    Returns ``(tasks, skeleton)``: the ordered ``_run_cell`` argument
-    tuples and a :class:`ClusterRunResult` with empty ``outcomes`` but —
+    Returns ``(cells, skeleton)``: the ordered :class:`Cell` records
+    and a :class:`ClusterRunResult` with empty ``outcomes`` but —
     for faulted sweeps — a fully populated :class:`ClusterFaultReport`
     (the crash/recovery/re-placement control flow depends only on the
     fault plan, never on cell outcomes, so it is decidable up front).
 
     This split is what makes crash-safe checkpointing possible: the
     :mod:`repro.runtime` layer plans once, persists completed cells by
-    task index, and on resume re-runs only the incomplete ones —
-    bit-identical because each cell is a pure function of its tuple.
-    ``run_cluster`` itself is ``plan_cluster_tasks`` + ``map_ordered``.
+    planned position, and on resume re-runs only the incomplete ones —
+    bit-identical because each cell is a pure function of its fields.
+    ``run_cluster`` itself is ``plan_cluster_tasks`` + one execution.
 
     With a ``budget``, the lease arbiter is planned first (also pure:
     demand comes from app power models, infra faults are data) and each
-    cell's task tuple gains its :class:`CapSchedule` as a ninth element;
-    unbudgeted tasks keep their historical eight-element shape.
+    cell carries its :class:`CapSchedule`, with the brownout ladder's LC
+    sheds and BE evictions applied.
     """
     if not plans:
         raise ConfigError("cluster needs at least one server plan")
@@ -348,30 +460,45 @@ def plan_cluster_tasks(
             plans, spec, levels, duration_s, config, fault_plan, guard,
             budget_plan,
         )
-    if budget_plan is None:
-        tasks: List[Tuple] = [
-            (plan, spec, level, duration_s, config, plan.be_app, None, guard)
-            for plan in plans
-            for level in levels
-        ]
-        return tasks, ClusterRunResult()
-    stats = budget_plan.report.stats
-    budgeted_tasks: List[Tuple] = []
+    cells: List[Cell] = []
     for plan in plans:
         name = plan.lc_app.name
         for level_index, level in enumerate(levels):
-            be_app = plan.be_app
-            if budget_plan.is_evicted(name, level_index) and be_app is not None:
-                be_app = None
-                stats.evicted_cells += 1
-            scale = budget_plan.scale_for(name, level_index)
-            if scale != 1.0:
-                stats.shed_cells += 1
-            budgeted_tasks.append((
-                plan, spec, level * scale, duration_s, config, be_app,
-                None, guard, budget_plan.schedule_for(name, level_index),
+            cell_level, evicted, schedule = _budget_terms(
+                budget_plan, name, level_index, level, plan.be_app is not None
+            )
+            cells.append(Cell(
+                plan, spec, cell_level, duration_s, config,
+                None if evicted else plan.be_app, None, guard, schedule,
             ))
-    return budgeted_tasks, ClusterRunResult(budget_report=budget_plan.report)
+    return cells, ClusterRunResult(
+        budget_report=budget_plan.report if budget_plan is not None else None
+    )
+
+
+def _budget_terms(
+    budget_plan: Optional[BudgetPlan],
+    name: str,
+    level_index: int,
+    level: float,
+    has_be: bool,
+) -> Tuple[float, bool, Optional[CapSchedule]]:
+    """One cell's ``(level, BE evicted, cap schedule)`` under a budget.
+
+    Applies the brownout ladder's LC load shed and BE eviction for the
+    cell, counting each in the budget report; without a budget the
+    cell keeps its level and co-runner and runs unscheduled.
+    """
+    if budget_plan is None:
+        return level, False, None
+    stats = budget_plan.report.stats
+    evicted = has_be and budget_plan.is_evicted(name, level_index)
+    if evicted:
+        stats.evicted_cells += 1
+    scale = budget_plan.scale_for(name, level_index)
+    if scale != 1.0:
+        stats.shed_cells += 1
+    return level * scale, evicted, budget_plan.schedule_for(name, level_index)
 
 
 def _replace_displaced(
@@ -429,7 +556,7 @@ def _plan_cluster_faulted(
     fault_plan: ClusterFaultPlan,
     guard: Optional[GuardConfig] = None,
     budget_plan: Optional[BudgetPlan] = None,
-) -> Tuple[List[Tuple], ClusterRunResult]:
+) -> Tuple[List[Cell], ClusterRunResult]:
     """Plan the level-major sweep with crash/recovery/rejoin handling.
 
     Levels are the timeline; each surviving server runs its level cell.
@@ -448,9 +575,8 @@ def _plan_cluster_faulted(
     fault plan — never on cell outcomes — so the timeline is walked
     here to decide every cell (and the full fault report) up front; the
     cells then execute through the engine in timeline order.  With a
-    ``budget_plan``, each emitted task gains its host's
-    :class:`CapSchedule` as a ninth element and brownout evictions /
-    LC sheds are applied per level window.
+    ``budget_plan``, each cell carries its host's :class:`CapSchedule`
+    and brownout evictions / LC sheds are applied per level window.
     """
     known = {plan.lc_app.name for plan in plans}
     for crash in fault_plan.crashes:
@@ -466,7 +592,7 @@ def _plan_cluster_faulted(
         plan.lc_app.name: ([plan.be_app] if plan.be_app is not None else [])
         for plan in plans
     }
-    tasks: List[Tuple] = []
+    cells: List[Cell] = []
     parked: List[Tuple[BestEffortApp, str]] = []
     for level_index, level in enumerate(levels):
         for event in fault_plan.recoveries_at(level_index):
@@ -512,34 +638,14 @@ def _plan_cluster_faulted(
             if name not in hosting:
                 report.degraded_cells += 1
                 continue
-            cell_level = level
-            schedule: Optional[CapSchedule] = None
-            co_runners = list(hosting[name])
-            if budget_plan is not None:
-                schedule = budget_plan.schedule_for(name, level_index)
-                scale = budget_plan.scale_for(name, level_index)
-                if scale != 1.0:
-                    budget_plan.report.stats.shed_cells += 1
-                cell_level = level * scale
-                if budget_plan.is_evicted(name, level_index) and co_runners:
-                    budget_plan.report.stats.evicted_cells += 1
-                    co_runners = []
-            if not co_runners:
-                task: Tuple = (
-                    plan, spec, cell_level, duration_s, config, None,
-                    fault_plan.cell_faults, guard,
-                )
-                if budget_plan is not None:
-                    task = task + (schedule,)
-                tasks.append(task)
-                continue
-            share_s = duration_s / len(co_runners)
-            for be_app in co_runners:
-                task = (
+            cell_level, evicted, schedule = _budget_terms(
+                budget_plan, name, level_index, level, bool(hosting[name])
+            )
+            co_runners = [] if evicted else list(hosting[name])
+            share_s = duration_s / len(co_runners) if co_runners else duration_s
+            for be_app in co_runners or [None]:
+                cells.append(Cell(
                     plan, spec, cell_level, share_s, config, be_app,
-                    fault_plan.cell_faults, guard,
-                )
-                if budget_plan is not None:
-                    task = task + (schedule,)
-                tasks.append(task)
-    return tasks, result
+                    fault_plan.cell_faults, guard, schedule,
+                ))
+    return cells, result

@@ -29,7 +29,7 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -58,7 +58,7 @@ from repro.faults.schedule import (
 )
 from repro.guard.invariants import GuardConfig
 from repro.runtime import Checkpoint, run_cluster_checkpointed
-from repro.sim.cluster import _run_cell, run_cluster
+from repro.sim.cluster import Cell, _run_cell, run_cluster
 from repro.sim.colocation import SimConfig
 from repro.sim.telemetry import Telemetry
 
@@ -134,14 +134,14 @@ def mixed_plans(catalog):
 
 def _tasks(plans, spec, levels, duration_s, config, faults=None, guard=None):
     return [
-        (plan, spec, level, duration_s, config, plan.be_app, faults, guard)
+        Cell(plan, spec, level, duration_s, config, plan.be_app, faults, guard)
         for plan in plans
         for level in levels
     ]
 
 
 def _oracle(tasks):
-    return [_run_cell(*task) for task in tasks]
+    return [_run_cell(task) for task in tasks]
 
 
 class TestUnfaultedDifferential:
@@ -168,7 +168,7 @@ class TestUnfaultedDifferential:
         """RESULT_FIELDS stays in sync with the result schema."""
         config = SimConfig(warmup_s=1.0, seed=0)
         task = _tasks(mixed_plans[:1], catalog.spec, (0.5,), 3.0, config)[0]
-        result = _run_cell(*task).result
+        result = _run_cell(task).result
         import dataclasses
 
         names = {f.name for f in dataclasses.fields(result)}
@@ -236,9 +236,10 @@ def _scheduled(tasks):
     out = []
     for k, task in enumerate(tasks):
         if k % 2 == 0:
-            cap_w = task[0].provisioned_power_w
-            task += (CapSchedule(times_s=(0.0, 2.5),
-                                 caps_w=(0.9 * cap_w, 0.7 * cap_w)),)
+            cap_w = task.plan.provisioned_power_w
+            task = replace(task, schedule=CapSchedule(
+                times_s=(0.0, 2.5), caps_w=(0.9 * cap_w, 0.7 * cap_w),
+            ))
         out.append(task)
     return out
 
@@ -266,13 +267,13 @@ class TestLaneViews:
             if case == "zero-tick":
                 assert names == ZERO_TICK_SERIES
                 assert all(tele.series(n).empty for n in names)
-            elif task[5] is None:
+            elif task.be_app is None:
                 assert names[-1] == "be_throughput_norm"
                 assert tele.series("be_throughput_norm").empty
             if case == "budgeted":
-                assert ("effective_cap_w" in tele) == (len(task) == 9)
+                assert ("effective_cap_w" in tele) == (task.schedule is not None)
         if case == "no-be":
-            assert any(task[5] is None for task in tasks)
+            assert any(task.be_app is None for task in tasks)
 
     def test_record_changes_one_series_of_one_cell(self, catalog, mixed_plans):
         config = SimConfig(warmup_s=1.0, seed=4)
@@ -348,7 +349,7 @@ class TestGuardReportDifferential:
             except Exception as exc:  # noqa: BLE001 - comparing raises
                 return type(exc).__name__, str(exc)
 
-        oracle = outcome(map_ordered, _run_cell, tasks, workers=1)
+        oracle = outcome(map_ordered, _run_cell, [(t,) for t in tasks], workers=1)
         batched = outcome(run_batched_cells, tasks)
         assert oracle is not None, "enforce scenario must raise"
         assert oracle == batched
@@ -380,13 +381,30 @@ class TestEngineKnob:
         for a, b in zip(base.outcomes, got.outcomes):
             assert_outcome_equal(a, b, "ctx")
 
-    def test_batched_refuses_process_pool(self, catalog, mixed_plans):
-        with pytest.raises(ConfigError, match="workers must be 1"):
-            run_cluster(
-                mixed_plans[:1], catalog.spec, levels=(0.5,),
-                duration_s=3.0, config=SimConfig(seed=0),
-                workers=2, engine="batched",
-            )
+    def test_batched_refuses_process_pool(self, catalog, mixed_plans, tmp_path):
+        """Every sweep entry point refuses it alike, before running anything."""
+        sweep = dict(levels=(0.5,), duration_s=3.0, workers=2, engine="batched")
+        config = SimConfig(seed=0)
+        entry_points = [
+            lambda: run_cluster(
+                mixed_plans[:1], catalog.spec, config=config, **sweep
+            ),
+            lambda: run_cluster_checkpointed(
+                mixed_plans[:1], catalog.spec, tmp_path / "sweep.ckpt",
+                config=config, **sweep,
+            ),
+            lambda: run_policy(
+                catalog, "pocolo", sim_config=config,
+                checkpoint_path=str(tmp_path / "policy.ckpt"), **sweep,
+            ),
+        ]
+        messages = []
+        for run in entry_points:
+            with pytest.raises(ConfigError, match="workers must be 1") as info:
+                run()
+            messages.append(str(info.value))
+        assert len(set(messages)) == 1
+        assert not list(tmp_path.iterdir()), "nothing may run or be saved"
 
     def test_run_policy_engines_agree(self, catalog):
         kwargs = dict(levels=(0.2, 0.6), duration_s=7.0,
@@ -485,16 +503,6 @@ class TestCrossEngineResume:
             )
             for a, b in zip(clean.outcomes, resumed.outcomes):
                 assert_outcome_equal(a, b, f"{source}->{resume_engine}")
-
-    def test_batched_refuses_supervisor(self, catalog, mixed_plans, tmp_path):
-        from repro.engine.parallel import SupervisedPool
-
-        with pytest.raises(ConfigError, match="SupervisedPool"):
-            run_cluster_checkpointed(
-                mixed_plans[:1], catalog.spec, tmp_path / "x.ckpt",
-                levels=(0.5,), duration_s=3.0, config=SimConfig(seed=0),
-                engine="batched", supervisor=SupervisedPool(workers=1),
-            )
 
     def test_sigkill_then_batched_resume(self, tmp_path):
         """A real SIGKILL mid-sweep; the survivor resumes batched."""

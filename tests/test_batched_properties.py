@@ -32,7 +32,7 @@ from repro.evaluation.pipeline import (
     placement_for_policy,
 )
 from repro.guard.invariants import GuardConfig
-from repro.sim.cluster import _run_cell
+from repro.sim.cluster import Cell, _run_cell
 from repro.sim.colocation import SimConfig
 
 from tests.test_batched_differential import (
@@ -69,7 +69,7 @@ def _fixture():
         config = SimConfig(warmup_s=2.0, seed=4)
         guard = GuardConfig(deep_check_every=3)
         tasks = [
-            (plan, catalog.spec, level, 5.0, config, plan.be_app, None, guard)
+            Cell(plan, catalog.spec, level, 5.0, config, plan.be_app, None, guard)
             for plan in plans
             for level in (0.0, 0.5, 0.9)
         ]
@@ -110,7 +110,7 @@ def test_batch_of_one_is_scalar_path(index):
     # ...and to the per-object oracle outright.
     key = ("scalar", index)
     if key not in _CACHE:
-        _CACHE[key] = _run_cell(*tasks[index])
+        _CACHE[key] = _run_cell(tasks[index])
     assert_outcome_equal(_CACHE[key], solo[0], "vs-oracle")
 
 

@@ -148,6 +148,10 @@ class TestSupervisedPoolCrashes:
         assert pool.stats.tasks_completed == 5
         assert pool.stats.backoff_s_total > 0.0
 
+    def test_map_ordered_survives_worker_sigkill(self, tmp_path):
+        out = map_ordered(crash_once, [(i, str(tmp_path)) for i in range(5)], workers=2)
+        assert out == [0, 10, 20, 30, 40]
+
     def test_only_lost_tasks_are_resubmitted(self, tmp_path):
         pool = SupervisedPool(workers=1 + 1, backoff_base_s=0.0, backoff_cap_s=0.0)
         pool.map_ordered(crash_once, [(i, str(tmp_path)) for i in range(5)])

@@ -113,8 +113,10 @@ class TestEnforceFailsFast:
 
     def test_cluster_cell_failure_names_the_violation(self, plans, catalog):
         # Through the engine the cell failure is wrapped, but the
-        # invariant name must survive into the ExecutionError message.
-        with pytest.raises(ExecutionError, match="InvariantViolationError"):
+        # invariant name and the failing cell's level must survive into
+        # the ExecutionError message.
+        with pytest.raises(ExecutionError, match="InvariantViolationError") as info:
             run_cluster(plans[:1], catalog.spec, levels=[0.5],
                         duration_s=4.0, config=FAST,
                         guard=self._impossible(catalog))
+        assert "level=0.5" in str(info.value)

@@ -30,7 +30,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.server_manager import HeraclesLikeManager, PowerOptimizedManager
-from repro.engine.parallel import SupervisedPool
 from repro.errors import CheckpointError, ConfigError
 from repro.evaluation.pipeline import PomFactory
 from repro.faults.cluster import ClusterFaultPlan, ServerCrash
@@ -52,6 +51,7 @@ from repro.runtime import (
     run_cluster_checkpointed,
     sweep_run_key,
 )
+from repro.sim import cluster as cluster_module
 from repro.sim.cluster import LevelOutcome, ServerPlan, run_cluster
 from repro.sim.colocation import SimConfig, build_colocated_server
 
@@ -382,7 +382,7 @@ class TestCheckpointedSweep:
             plans, catalog.spec, **self.KWARGS
         )
 
-    def test_resume_skips_completed_cells(self, catalog, tmp_path):
+    def test_resume_skips_completed_cells(self, catalog, tmp_path, monkeypatch):
         plans = _plans(catalog, [("xapian", "rnn"), ("sphinx", "graph")])
         path = tmp_path / "sweep.ckpt"
         full = run_cluster_checkpointed(
@@ -395,13 +395,17 @@ class TestCheckpointedSweep:
             run_key=checkpoint.run_key,
             payload={**checkpoint.payload, "completed": survivor},
         ).save(path)
-        supervisor = SupervisedPool(workers=1)
+        executed = []
+        run_cell = cluster_module._run_cell
+        monkeypatch.setattr(
+            cluster_module, "_run_cell",
+            lambda cell: executed.append(cell) or run_cell(cell),
+        )
         resumed = run_cluster_checkpointed(
-            plans, catalog.spec, path, resume=True, supervisor=supervisor,
-            **self.KWARGS,
+            plans, catalog.spec, path, resume=True, **self.KWARGS,
         )
         assert _flatten(resumed) == _flatten(full)
-        assert supervisor.stats.tasks_completed == 3  # 4 cells, 1 survived
+        assert len(executed) == 3  # 4 cells, 1 survived
 
     def test_resume_with_missing_file_starts_fresh(self, catalog, tmp_path):
         plans = _plans(catalog, [("xapian", "rnn")])
@@ -432,7 +436,73 @@ class TestCheckpointedSweep:
         )
         assert _flatten(deduped) == _flatten(clean)
         checkpoint = Checkpoint.load(tmp_path / "sweep.ckpt")
-        assert checkpoint.extra["cells_total"] == 4  # 2 unique plans x 2
+        # Entries sit at planned positions: 6 plans x 2 levels, of
+        # which the 2 unique plans x 2 levels ran.
+        assert checkpoint.extra["cells_total"] == 12
+        assert checkpoint.extra["cells_done"] == 4
+
+    def _replicated(self, catalog):
+        base = _plans(catalog, [("img-dnn", "rnn"), ("sphinx", "graph")])
+        return [base[0], base[0], base[1]]
+
+    @pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
+    @pytest.mark.parametrize(
+        "written, resumed", [(True, False), (False, True)],
+        ids=["dedupe-to-plain", "plain-to-dedupe"],
+    )
+    def test_resume_with_dedupe_flipped(
+        self, catalog, tmp_path, written, resumed, partial
+    ):
+        plans = self._replicated(catalog)
+        clean = run_cluster(plans, catalog.spec, **self.KWARGS)
+        path = tmp_path / "sweep.ckpt"
+        run_cluster_checkpointed(
+            plans, catalog.spec, path, dedupe=written, **self.KWARGS
+        )
+        if partial:
+            checkpoint = Checkpoint.load(path)
+            completed = checkpoint.payload["completed"]
+            Checkpoint(
+                run_key=checkpoint.run_key,
+                payload={
+                    **checkpoint.payload,
+                    "completed": {i: completed[i] for i in sorted(completed)[:2]},
+                },
+                extra=checkpoint.extra,
+            ).save(path)
+        got = run_cluster_checkpointed(
+            plans, catalog.spec, path, dedupe=resumed, resume=True,
+            **self.KWARGS,
+        )
+        assert _flatten(got) == _flatten(clean)
+
+    @pytest.mark.parametrize("dedupe", [False, True])
+    def test_deduplicated_layout_checkpoint_refused(
+        self, catalog, tmp_path, dedupe
+    ):
+        """Entries indexed by position in the deduplicated cell list
+        (the older ``dedupe=True`` layout) are refused, never mis-slotted."""
+        plans = self._replicated(catalog)
+        path = tmp_path / "sweep.ckpt"
+        run_cluster_checkpointed(
+            plans, catalog.spec, path, dedupe=True, **self.KWARGS
+        )
+        checkpoint = Checkpoint.load(path)
+        completed = checkpoint.payload["completed"]
+        unique = sorted(completed)  # planned positions 0, 1, 4, 5
+        Checkpoint(
+            run_key=checkpoint.run_key,
+            payload={
+                **checkpoint.payload,
+                "completed": {k: completed[i] for k, i in enumerate(unique)},
+            },
+            extra={"cells_total": 4, "cells_done": 4, "cursor": 4},
+        ).save(path)
+        with pytest.raises(CheckpointError, match="deduplicated"):
+            run_cluster_checkpointed(
+                plans, catalog.spec, path, dedupe=dedupe, resume=True,
+                **self.KWARGS,
+            )
 
     def test_faulted_sweep_resumes_bit_identical(self, catalog, tmp_path):
         plans = _plans(catalog, [("xapian", "rnn"), ("sphinx", "graph")])

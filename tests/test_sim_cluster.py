@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.server_manager import PowerOptimizedManager
 from repro.errors import ConfigError
-from repro.sim.cluster import ClusterRunResult, ServerPlan, run_cluster
+from repro.sim import cluster as cluster_module
+from repro.sim.cluster import Cell, ClusterRunResult, ServerPlan, run_cluster
 from repro.sim.colocation import SimConfig
 
 
@@ -94,3 +95,53 @@ class TestRunCluster:
         fwd_by_level = {o.level: o.result.avg_be_throughput_norm for o in fwd.outcomes}
         rev_by_level = {o.level: o.result.avg_be_throughput_norm for o in rev.outcomes}
         assert fwd_by_level == rev_by_level
+
+
+class TestCellValidation:
+    """A malformed cell is refused when built, naming the field."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("spec", "reference-spec"),
+        ("config", {"seed": 0}),
+        ("faults", []),
+        ("guard", {"mode": "enforce"}),
+        ("schedule", (0.0, 120.0)),
+        ("duration_s", 0.0),
+        ("duration_s", -3.0),
+        ("duration_s", "3"),
+        ("level", 1.5),
+        ("level", -0.1),
+        ("level", float("nan")),
+        ("level", "0.5"),
+    ])
+    def test_rejected_field(self, catalog, field, value):
+        plan = plans_for(catalog, [("xapian", "rnn")])[0]
+        fields = dict(
+            plan=plan, spec=catalog.spec, level=0.5, duration_s=3.0,
+            config=SimConfig(seed=0), be_app=plan.be_app,
+        )
+        fields[field] = value
+        with pytest.raises(ConfigError, match=f"cell {field} "):
+            Cell(**fields)
+
+    @pytest.mark.parametrize("sweep", [
+        dict(levels=[0.3, 1.5]),
+        dict(levels=[0.3], duration_s=0.0),
+    ], ids=["level", "duration_s"])
+    def test_sweep_refused_before_any_cell_runs(
+        self, catalog, monkeypatch, sweep
+    ):
+        def never(cell):
+            raise AssertionError(f"{cell!r} ran")
+
+        monkeypatch.setattr(cluster_module, "_run_cell", never)
+        plans = plans_for(catalog, [("xapian", "rnn")])
+        with pytest.raises(ConfigError, match="cell "):
+            run_cluster(plans, catalog.spec, config=SimConfig(seed=0), **sweep)
+
+    def test_repr_names_the_cell(self, catalog):
+        plan = plans_for(catalog, [("xapian", "rnn")])[0]
+        cell = Cell(plan, catalog.spec, 0.25, 4.0, SimConfig(), plan.be_app)
+        assert repr(cell) == (
+            "Cell(lc='xapian', be='rnn', level=0.25, duration_s=4.0)"
+        )

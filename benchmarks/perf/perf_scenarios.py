@@ -12,7 +12,6 @@ timed code paths are the production ones:
   replicated catalog (R x 4 BE apps, R x 4 LC servers, 9 load levels);
 * **cluster** — a fleet of N servers cycling the four paper server
   plans, swept over load levels (the Fig 12/13 shape at fleet scale);
-* **pipeline** — the seeded policy sweep behind the evaluation;
 * **placement LP** — the POColo matrix of the catalog replicated to
   fleet size, the assignment the cluster manager solves;
 * **checkpointed sweep** — the cluster sweep through the crash-safe

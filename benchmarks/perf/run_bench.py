@@ -4,9 +4,11 @@
 This is the repo's perf trajectory: each entry records, for one
 scenario, the serial wall time, the engine wall time, the speedup, and
 which engine mechanism produced it (vectorization, cell deduplication,
-or process-pool workers).  Every engine run is checked against its
-serial twin before the timing is trusted — a speedup over wrong results
-is not a speedup.
+the batched core, or the cost of a feature such as guards, budgets or
+checkpoints).  "Serial" always names the per-object engine explicitly,
+since the default engine is the batched one.  Every engine run is
+checked against its serial twin before the timing is trusted — a
+speedup over wrong results is not a speedup.
 
 Usage::
 
@@ -40,7 +42,6 @@ from repro.engine.vectorized import (
     build_performance_matrix_vectorized,
     clear_engine_caches,
 )
-from repro.evaluation.colocation_eval import evaluate_policy
 from repro.runtime.atomic import atomic_write_json
 from repro.solvers.assignment import assign_max
 from repro.workloads.traces import UNIFORM_EVAL_LEVELS
@@ -118,7 +119,7 @@ def bench_cluster(cat, n_servers: int, serial_baseline: bool = True) -> dict:
             f"run_cluster: {n_servers} servers (4 replicated plan "
             f"templates) x {len(sc.SWEEP_LEVELS)} load levels = "
             f"{n_cells} cells, {sc.SWEEP_DURATION_S:.0f}s cells; serial "
-            "loop vs engine cell deduplication"
+            "per-object loop vs the default engine with cell deduplication"
         ),
         "mechanism": "cell-dedupe",
         "engine_s": round(engine_s, 4),
@@ -126,7 +127,7 @@ def bench_cluster(cat, n_servers: int, serial_baseline: bool = True) -> dict:
         "identical_results": None,
     }
     if serial_baseline:
-        serial, serial_s = _timed(sc.run_fleet, cat, plans)
+        serial, serial_s = _timed(sc.run_fleet, cat, plans, engine="object")
         entry["serial_s"] = round(serial_s, 4)
         entry["speedup"] = round(serial_s / engine_s, 2)
         entry["identical_results"] = _flat(serial) == _flat(engine)
@@ -147,7 +148,7 @@ def bench_batched(cat, n_servers: int, reps: int = 3) -> dict:
     """
     plans = sc.fleet_plans(cat, n_servers)
     n_cells = n_servers * len(sc.SWEEP_LEVELS)
-    serial, serial_s = _timed(sc.run_fleet, cat, plans)
+    serial, serial_s = _timed(sc.run_fleet, cat, plans, engine="object")
     sc.run_fleet(cat, sc.fleet_plans(cat, 10), engine="batched")
     batched = None
     batched_s = float("inf")
@@ -179,19 +180,21 @@ def bench_guard_overhead(cat, n_servers: int = 10, reps: int = 9) -> dict:
     Arms are interleaved and the per-arm minimum is kept, so scheduler
     noise cannot masquerade as guard overhead.  The guarded run must
     stay clean and produce identical floats — guards observe, never
-    steer.
+    steer.  Both arms run the per-object engine, the one the committed
+    figure was recorded on.
     """
     from repro.guard import GuardConfig
 
     plans = sc.fleet_plans(cat, n_servers)
     guard = GuardConfig()
-    sc.run_fleet(cat, plans, dedupe=True)  # warm model/grid caches
+    kwargs = dict(dedupe=True, engine="object")
+    sc.run_fleet(cat, plans, **kwargs)  # warm model/grid caches
     plain_s = guarded_s = float("inf")
     plain = guarded = None
     for _ in range(reps):
-        plain, t = _timed(sc.run_fleet, cat, plans, dedupe=True)
+        plain, t = _timed(sc.run_fleet, cat, plans, **kwargs)
         plain_s = min(plain_s, t)
-        guarded, t = _timed(sc.run_fleet, cat, plans, dedupe=True, guard=guard)
+        guarded, t = _timed(sc.run_fleet, cat, plans, guard=guard, **kwargs)
         guarded_s = min(guarded_s, t)
     assert _flat(plain) == _flat(guarded), "guarded != unguarded results"
     assert all(
@@ -201,9 +204,9 @@ def bench_guard_overhead(cat, n_servers: int = 10, reps: int = 9) -> dict:
     return {
         "name": f"guard_overhead_{n_servers}",
         "description": (
-            f"run_cluster: {n_servers} servers x {len(sc.SWEEP_LEVELS)} "
-            "levels, unguarded vs guarded (record mode, all six "
-            "invariants, deep_check_every="
+            f"object-engine run_cluster: {n_servers} servers x "
+            f"{len(sc.SWEEP_LEVELS)} levels, unguarded vs guarded (record "
+            "mode, all six invariants, deep_check_every="
             f"{guard.deep_check_every}); min over {reps} interleaved reps"
         ),
         "mechanism": "guard-monitor",
@@ -214,7 +217,7 @@ def bench_guard_overhead(cat, n_servers: int = 10, reps: int = 9) -> dict:
     }
 
 
-def bench_budget_overhead(cat, reps: int = 9) -> dict:
+def bench_budget_overhead(cat, engine: str) -> dict:
     """Budgeted vs unbudgeted cluster sweep; the budget-arbiter tax.
 
     The arbiter plans entirely ahead of execution, so its runtime cost
@@ -222,29 +225,36 @@ def bench_budget_overhead(cat, reps: int = 9) -> dict:
     subtick.  Budgets need unique leaf names, so the fleet is the four
     distinct paper plans (no replicas).  Arms are interleaved and the
     per-arm minimum is kept; a dense arbiter period (0.5 s against 3 s
-    cells) makes this a worst-case schedule, not a best case.
+    cells) makes this a worst-case schedule, not a best case.  Both
+    arms run on ``engine``: ``budget_overhead_4`` is the per-object
+    engine's tax, ``budget_overhead_4_batched`` the batched engine's.
+    A batched sweep takes a few milliseconds, so its minima need more
+    reps to settle.
     """
     from repro.budget import BudgetConfig
 
     plans = sc.fleet_plans(cat, 4)
     budget = BudgetConfig(arbiter_period_s=0.5, lease_s=1.0, rack_size=2)
-    sc.run_fleet(cat, plans)  # warm model/grid caches
+    reps = BUDGET_OVERHEAD_REPS[engine]
+    sc.run_fleet(cat, plans, engine=engine)  # warm model/grid caches
     plain_s = budgeted_s = float("inf")
     budgeted = budgeted_again = None
     for _ in range(reps):
-        _plain, t = _timed(sc.run_fleet, cat, plans)
+        _plain, t = _timed(sc.run_fleet, cat, plans, engine=engine)
         plain_s = min(plain_s, t)
-        budgeted, t = _timed(sc.run_fleet, cat, plans, budget=budget)
+        budgeted, t = _timed(
+            sc.run_fleet, cat, plans, budget=budget, engine=engine
+        )
         budgeted_s = min(budgeted_s, t)
         budgeted_again = budgeted_again or budgeted
     assert _flat(budgeted) == _flat(budgeted_again), "budgeted run drifted"
     overhead_pct = round(100.0 * (budgeted_s / plain_s - 1.0), 1)
     return {
-        "name": "budget_overhead_4",
+        "name": BUDGET_OVERHEAD_NAMES[engine],
         "description": (
-            f"run_cluster: 4 distinct servers x {len(sc.SWEEP_LEVELS)} "
-            "levels, unbudgeted vs budget tree (racks of 2, 0.5s "
-            "arbiter period, 1s leases); min over "
+            f"{engine}-engine run_cluster: 4 distinct servers x "
+            f"{len(sc.SWEEP_LEVELS)} levels, unbudgeted vs budget tree "
+            "(racks of 2, 0.5s arbiter period, 1s leases); min over "
             f"{reps} interleaved reps"
         ),
         "mechanism": "budget-arbiter",
@@ -253,6 +263,15 @@ def bench_budget_overhead(cat, reps: int = 9) -> dict:
         "overhead_pct": overhead_pct,
         "identical_results": True,
     }
+
+
+#: The BENCH entry recording each engine's budget-arbiter tax.
+BUDGET_OVERHEAD_NAMES = {
+    "object": "budget_overhead_4",
+    "batched": "budget_overhead_4_batched",
+}
+#: Interleaved reps per arm of each engine's budget-overhead measurement.
+BUDGET_OVERHEAD_REPS = {"object": 9, "batched": 25}
 
 
 def bench_lp_assignment(cat, copies: int = 12, reps: int = 5) -> dict:
@@ -339,40 +358,6 @@ def bench_checkpoint_overhead(
     }
 
 
-def bench_pipeline(cat, workers: int) -> dict:
-    """Serial vs process-pool policy sweep.
-
-    A pool only runs in parallel on a host with at least two usable
-    CPUs; on fewer, the entry is kept for its correctness check but is
-    marked ``meaningful: false`` and its ratio is not a speedup.
-    """
-    kwargs = dict(
-        placement_seeds=range(4),
-        levels=sc.SWEEP_LEVELS,
-        duration_s=sc.SWEEP_DURATION_S,
-    )
-    serial, serial_s = _timed(evaluate_policy, cat, "pom", **kwargs)
-    pooled, pooled_s = _timed(
-        evaluate_policy, cat, "pom", workers=workers, **kwargs
-    )
-    identical = [_flat(r) for r in serial.runs] == [_flat(r) for r in pooled.runs]
-    assert identical, "pooled != serial"
-    return {
-        "name": "pipeline_policy_sweep",
-        "description": (
-            "evaluate_policy('pom'): 4 seeded cluster runs; serial vs "
-            f"process pool ({workers} workers); gains scale with usable "
-            "CPUs, and the ratio is not meaningful below 2"
-        ),
-        "mechanism": f"process-pool({workers})",
-        "serial_s": round(serial_s, 4),
-        "engine_s": round(pooled_s, 4),
-        "speedup": round(serial_s / pooled_s, 2),
-        "meaningful": usable_cpus() >= 2,
-        "identical_results": True,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -393,9 +378,9 @@ def main(argv=None) -> int:
     scenarios.append(bench_batched(cat, 100))
     if not args.quick:
         scenarios.append(bench_batched(cat, 1000))
-    scenarios.append(bench_pipeline(cat, workers=2))
     scenarios.append(bench_guard_overhead(cat))
-    scenarios.append(bench_budget_overhead(cat))
+    for engine in BUDGET_OVERHEAD_NAMES:
+        scenarios.append(bench_budget_overhead(cat, engine))
     scenarios.append(bench_lp_assignment(cat))
     scenarios.append(bench_checkpoint_overhead(cat))
 
@@ -421,9 +406,7 @@ def main(argv=None) -> int:
                  if speedup is not None else "")
               + (f"  overhead {s['overhead_pct']}%" if "overhead_pct" in s else "")
               + (f"  LP/Hungarian {s['lp_over_hungarian']}x"
-                 if "lp_over_hungarian" in s else "")
-              + ("  (not meaningful: fewer than 2 usable CPUs)"
-                 if s.get("meaningful") is False else ""))
+                 if "lp_over_hungarian" in s else ""))
     print(f"wrote {out_path}")
     return 0
 

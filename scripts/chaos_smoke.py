@@ -12,6 +12,10 @@ The drill:
 3. resume from the surviving checkpoint and compare every reported
    float to the clean run.
 
+The child and the clean run use the per-object engine, which lands
+cells one at a time, so the kill falls mid-sweep; the resume runs on
+the default (batched) engine, so the drill also crosses engines.
+
 Exit 0: resumed run bit-identical. Exit 1: drift, an unusable
 checkpoint, or a child that failed for any reason other than our kill.
 
@@ -55,6 +59,7 @@ from repro.runtime import run_cluster_checkpointed
 run_cluster_checkpointed(
     build_plans(), REFERENCE_SPEC, sys.argv[1], levels=LEVELS,
     duration_s=DURATION_S, config=CONFIG, resume=True, checkpoint_every=1,
+    engine="object",
 )
 """
 
@@ -127,7 +132,7 @@ def main(argv=None) -> int:
     print(f"chaos-smoke: {cells} cells, killing after {kill_after} "
           f"(seed {args.seed})")
 
-    clean = run_cluster(plans, REFERENCE_SPEC, **kwargs)
+    clean = run_cluster(plans, REFERENCE_SPEC, engine="object", **kwargs)
 
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = Path(tmp) / "sweep.ckpt"

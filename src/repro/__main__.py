@@ -111,7 +111,7 @@ def cmd_motivation(catalog, _args) -> None:
 
 
 def cmd_evaluate(catalog, args) -> None:
-    print("Running the three-policy cluster evaluation (this takes a minute)...")
+    print("Running the three-policy cluster evaluation...")
     evals = evaluate_all_policies(
         catalog, placement_seeds=range(args.seeds), duration_s=25.0
     )
@@ -185,7 +185,7 @@ def cmd_admission(catalog, _args) -> None:
 
 
 def cmd_tco(catalog, args) -> None:
-    print("Pricing the four policies (this takes a minute)...")
+    print("Pricing the four policies...")
     ev = fig15_tco(catalog, placement_seeds=range(args.seeds), duration_s=25.0)
     rows = [
         [name, b.servers_usd / 1e6, b.power_infra_usd / 1e6,
@@ -229,6 +229,7 @@ def cmd_run(catalog, args) -> None:
         workers=args.workers, checkpoint_path=checkpoint_path,
         resume=args.resume, checkpoint_every=args.checkpoint_every,
         budget=budget,
+        engine="object" if args.workers > 1 else None,  # a pool runs the oracle
     )
     servers = result.servers()
     throughput = result.be_throughput_by_server()
@@ -304,6 +305,7 @@ def cmd_guard(catalog, args) -> None:
     result = run_policy(
         catalog, args.policy, duration_s=args.duration, workers=args.workers,
         guard=guard, ledger_path=args.ledger,
+        engine="object" if args.workers > 1 else None,
     )
     reports = [
         o.result.guard_report for o in result.outcomes
@@ -343,7 +345,8 @@ def main(argv=None) -> int:
     parser.add_argument("--duration", type=float, default=25.0,
                         help="seconds of simulated time per cell (run)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="process-pool width for the run command")
+                        help="process-pool width for run/guard; above 1 "
+                             "they use the per-object engine")
     parser.add_argument("--checkpoint-dir", default=None,
                         help="directory for the run command's checkpoint file")
     parser.add_argument("--resume", action="store_true",

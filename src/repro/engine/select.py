@@ -2,10 +2,10 @@
 
 ``run_cluster`` / ``run_policy`` / ``run_cluster_checkpointed`` accept an
 ``engine="object"|"batched"`` keyword.  When the caller passes ``None``
-(the default), the ambient default configured here is used — tests use
-:func:`default_engine` to re-run an entire pipeline under the batched
-core without threading a knob through every call site (the golden-report
-byte-identity suite does exactly that).
+(the default), the ambient default configured here is used: the batched
+core.  Tests use :func:`default_engine` to re-run an entire pipeline on
+the per-object oracle without threading a knob through every call site
+(the golden-report and evaluation differential suites do exactly that).
 
 This module is dependency-free on purpose: it sits below both
 ``repro.sim`` and ``repro.engine.batched`` in the import graph, so
@@ -22,7 +22,7 @@ from repro.errors import ConfigError
 #: Engines the cluster entry points understand.
 ENGINES = ("object", "batched")
 
-_DEFAULT_ENGINE = "object"
+_DEFAULT_ENGINE = "batched"
 
 
 def resolve_engine(engine: Optional[str]) -> str:

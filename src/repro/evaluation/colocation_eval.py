@@ -19,13 +19,12 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.placement import PlacementDecision, enumerate_placements
-from repro.engine.parallel import map_ordered
 from repro.errors import ConfigError
 from repro.evaluation.pipeline import (
     FittedCatalog,
     cluster_plans,
     placement_for_policy,
-    run_policy,
+    run_policies,
 )
 from repro.sim.cluster import ClusterRunResult, run_cluster
 from repro.sim.colocation import SimConfig
@@ -45,24 +44,12 @@ class PolicyEvaluation:
     runs: List[ClusterRunResult] = field(repr=False, default_factory=list)
 
 
+def _mean(values: Iterable[float]) -> float:
+    return float(np.mean(list(values)))
+
+
 def _average_dicts(dicts: Sequence[Dict[str, float]]) -> Dict[str, float]:
-    keys = dicts[0].keys()
-    return {k: float(np.mean([d[k] for d in dicts])) for k in keys}
-
-
-def _run_policy_task(
-    catalog: FittedCatalog,
-    policy: str,
-    levels: Sequence[float],
-    duration_s: float,
-    seed: int,
-    sim_seed: int,
-) -> ClusterRunResult:
-    """One seeded policy run — module-level so the pool can pickle it."""
-    return run_policy(
-        catalog, policy, levels=levels, duration_s=duration_s,
-        seed=seed, sim_config=SimConfig(seed=sim_seed),
-    )
+    return {k: _mean(d[k] for d in dicts) for k in dicts[0]}
 
 
 def evaluate_policy(
@@ -72,39 +59,12 @@ def evaluate_policy(
     levels: Sequence[float] = UNIFORM_EVAL_LEVELS,
     duration_s: float = 30.0,
     sim_seed: int = 0,
-    workers: int = 1,
 ) -> PolicyEvaluation:
-    """Run one policy; random-placement policies average over seeds.
-
-    ``workers`` fans the independent seeded runs out to the engine's
-    process pool (each run is fully determined by its explicit seed
-    arguments); ``workers=1`` is the exact serial sweep.
-    """
-    seeds = list(placement_seeds) if policy in ("random", "pom", "random-nocap") else [0]
-    tasks = [
-        (catalog, policy, tuple(levels), duration_s, seed, sim_seed)
-        for seed in seeds
-    ]
-    runs = map_ordered(_run_policy_task, tasks, workers=workers)
-    return PolicyEvaluation(
-        policy=policy,
-        be_throughput_by_server=_average_dicts(
-            [r.be_throughput_by_server() for r in runs]
-        ),
-        power_utilization_by_server=_average_dicts(
-            [r.power_utilization_by_server() for r in runs]
-        ),
-        cluster_be_throughput=float(
-            np.mean([r.cluster_be_throughput() for r in runs])
-        ),
-        cluster_power_utilization=float(
-            np.mean([r.cluster_power_utilization() for r in runs])
-        ),
-        violation_fraction=float(
-            np.mean([r.cluster_violation_fraction() for r in runs])
-        ),
-        runs=runs,
-    )
+    """Run one policy; random-placement policies average over seeds."""
+    return evaluate_all_policies(
+        catalog, policies=(policy,), placement_seeds=placement_seeds,
+        levels=levels, duration_s=duration_s, sim_seed=sim_seed,
+    )[policy]
 
 
 def evaluate_all_policies(
@@ -114,16 +74,29 @@ def evaluate_all_policies(
     levels: Sequence[float] = UNIFORM_EVAL_LEVELS,
     duration_s: float = 30.0,
     sim_seed: int = 0,
-    workers: int = 1,
 ) -> Dict[str, PolicyEvaluation]:
-    """Fig 12/13 in one call: every policy, same workload and sim seed."""
-    seeds = list(placement_seeds)
+    """Fig 12/13 in one call: every policy, same workload and sim seed.
+
+    Every (policy, placement seed) run is planned first and all of them
+    execute as one sweep (:func:`~repro.evaluation.pipeline.run_policies`).
+    """
+    runs_by_policy = run_policies(
+        catalog, policies, placement_seeds, levels=levels,
+        duration_s=duration_s, sim_seed=sim_seed,
+    )
     return {
-        policy: evaluate_policy(
-            catalog, policy, placement_seeds=seeds, levels=levels,
-            duration_s=duration_s, sim_seed=sim_seed, workers=workers,
+        policy: PolicyEvaluation(
+            policy=policy,
+            be_throughput_by_server=_average_dicts([r.be_throughput_by_server() for r in runs]),
+            power_utilization_by_server=_average_dicts(
+                [r.power_utilization_by_server() for r in runs]
+            ),
+            cluster_be_throughput=_mean(r.cluster_be_throughput() for r in runs),
+            cluster_power_utilization=_mean(r.cluster_power_utilization() for r in runs),
+            violation_fraction=_mean(r.cluster_violation_fraction() for r in runs),
+            runs=runs,
         )
-        for policy in policies
+        for policy, runs in runs_by_policy.items()
     }
 
 

@@ -16,7 +16,7 @@ Everything downstream (the figure benchmarks, the examples) builds on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -56,7 +56,9 @@ from repro.sim.cluster import (
     ClusterRunResult,
     ManagerFactory,
     ServerPlan,
+    plan_cluster_tasks,
     run_cluster,
+    run_sweeps,
 )
 from repro.sim.colocation import SimConfig
 from repro.workloads.traces import UNIFORM_EVAL_LEVELS
@@ -68,6 +70,8 @@ if TYPE_CHECKING:  # guard/budget configs only pass through; import lazily
 #: The evaluation's policy names (Section V-D), plus the TCO-only variant.
 POLICIES = ("random", "pom", "pocolo")
 POLICY_RANDOM_NOCAP = "random-nocap"
+#: Policies that place at random, so evaluations average placement seeds.
+RANDOM_PLACED = ("random", "pom", POLICY_RANDOM_NOCAP)
 
 
 @dataclass
@@ -157,7 +161,7 @@ def placement_for_policy(
     method: str = "lp",
 ) -> PlacementDecision:
     """The placement each policy uses (random for random/pom, LP for pocolo)."""
-    if policy in ("random", POLICY_RANDOM_NOCAP, "pom"):
+    if policy in RANDOM_PLACED:
         return random_placement(
             tuple(catalog.be_apps), tuple(catalog.lc_apps),
             rng=np.random.default_rng(seed),
@@ -239,6 +243,20 @@ def cluster_plans(
     return plans
 
 
+def _policy_plans(
+    catalog: FittedCatalog,
+    policy: str,
+    levels: Sequence[float],
+    seed: int,
+    placement: Optional[PlacementDecision] = None,
+) -> List[ServerPlan]:
+    """One policy run's plans: its placement, then one plan per LC server."""
+    if placement is None:
+        placement = placement_for_policy(catalog, policy, seed=seed, levels=levels)
+    override = NOCAP_PROVISIONED_W if policy == POLICY_RANDOM_NOCAP else None
+    return cluster_plans(catalog, placement, policy, provisioned_override_w=override)
+
+
 def run_policy(
     catalog: FittedCatalog,
     policy: str,
@@ -263,32 +281,28 @@ def run_policy(
     at :data:`~repro.apps.catalog.NOCAP_PROVISIONED_W` (the Section V-F
     TCO baseline); all other policies use right-sized capacities.
 
-    ``workers`` / ``dedupe`` are forwarded to
+    ``engine``, ``workers`` and ``dedupe`` are forwarded to
     :func:`~repro.sim.cluster.run_cluster` — bit-identical execution
-    knobs, not semantic ones.  A ``checkpoint_path`` routes the sweep
-    through :func:`repro.runtime.run_cluster_checkpointed` instead:
-    completed cells persist as they land and ``resume=True`` re-runs
-    only the missing ones — still bit-identical (see
-    ``docs/RECOVERY.md``).
+    knobs, not semantic ones.  ``engine`` selects the simulation core:
+    the default ``"batched"`` structure-of-arrays core or the
+    ``"object"`` per-cell oracle (``docs/ENGINE.md``); ``workers > 1``
+    runs a process pool and needs ``engine="object"``.  A
+    ``checkpoint_path`` routes the sweep through
+    :func:`repro.runtime.run_cluster_checkpointed` instead: completed
+    cells persist as they land and ``resume=True`` re-runs only the
+    missing ones — still bit-identical (see ``docs/RECOVERY.md``).
 
     ``guard`` runs every cell under the runtime safety invariants of
     :mod:`repro.guard` (``docs/GUARDS.md``); ``ledger_path`` writes the
     violation ledger — derived deterministically from the completed
     cells, checkpointed or not.
 
-    ``engine`` selects the simulation core (``"object"`` per-cell
-    oracle / ``"batched"`` structure-of-arrays; see ``docs/ENGINE.md``)
-    — another bit-identical execution knob.
-
     ``budget`` switches on hierarchical lease-based power budgeting
     (:mod:`repro.budget`, ``docs/BUDGETS.md``): every cell runs under
     its arbiter-compiled cap schedule and the result carries a
     :class:`~repro.budget.arbiter.BudgetReport`.
     """
-    if placement is None:
-        placement = placement_for_policy(catalog, policy, seed=seed, levels=levels)
-    override = NOCAP_PROVISIONED_W if policy == POLICY_RANDOM_NOCAP else None
-    plans = cluster_plans(catalog, placement, policy, provisioned_override_w=override)
+    plans = _policy_plans(catalog, policy, levels, seed, placement)
     config = sim_config if sim_config is not None else SimConfig(seed=seed)
     from repro.runtime.sweep import _ledgered, run_cluster_checkpointed
 
@@ -305,6 +319,35 @@ def run_policy(
     return _ledgered(
         lambda: run_cluster(plans, catalog.spec, **sweep), guard, ledger_path
     )
+
+
+def run_policies(
+    catalog: FittedCatalog,
+    policies: Sequence[str],
+    placement_seeds: Iterable[int],
+    levels: Sequence[float] = UNIFORM_EVAL_LEVELS,
+    duration_s: float = 30.0,
+    sim_seed: int = 0,
+) -> Dict[str, List[ClusterRunResult]]:
+    """Every policy's seeded runs, planned first and executed as one sweep.
+
+    Random-placement policies run once per placement seed, POColo once
+    (seed 0), all under ``SimConfig(seed=sim_seed)``.  Each run equals
+    the :func:`run_policy` run with the same arguments, bit for bit.
+    """
+    seeds = list(placement_seeds)
+    runs: Dict[str, List[ClusterRunResult]] = {p: [] for p in policies}
+    planned = [(p, s) for p in runs for s in (seeds if p in RANDOM_PLACED else [0])]
+    config = SimConfig(seed=sim_seed)
+    results = run_sweeps([
+        plan_cluster_tasks(
+            _policy_plans(catalog, p, levels, s), catalog.spec, levels, duration_s, config
+        )
+        for p, s in planned
+    ])
+    for (policy, _seed), result in zip(planned, results):
+        runs[policy].append(result)
+    return runs
 
 
 @dataclass(frozen=True)

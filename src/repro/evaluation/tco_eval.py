@@ -15,8 +15,8 @@ Random(NoCap), Random and POM respectively."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from dataclasses import dataclass, fields
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
@@ -32,10 +32,9 @@ from repro.evaluation.pipeline import (
     POLICY_RANDOM_NOCAP,
     FittedCatalog,
     PolicySummary,
-    run_policy,
+    run_policies,
     summarize_policy,
 )
-from repro.sim.colocation import SimConfig
 from repro.workloads.traces import UNIFORM_EVAL_LEVELS
 
 #: Policy order of Fig 15's bars.
@@ -62,39 +61,24 @@ def measure_operating_points(
     """Simulate every policy and reduce to per-server operating points.
 
     Random-placement policies are averaged over ``placement_seeds``.
+    Every run is planned first and all of them execute as one sweep
+    (:func:`~repro.evaluation.pipeline.run_policies`).
     """
-    seeds = list(placement_seeds)
+    runs_by_policy = run_policies(
+        catalog, policies, placement_seeds, levels=levels,
+        duration_s=duration_s, sim_seed=sim_seed,
+    )
     summaries: Dict[str, PolicySummary] = {}
-    for policy in policies:
-        use_seeds = seeds if policy in ("random", "pom", POLICY_RANDOM_NOCAP) else [0]
+    for policy, runs in runs_by_policy.items():
         override = NOCAP_PROVISIONED_W if policy == POLICY_RANDOM_NOCAP else None
-        collected: List[PolicySummary] = []
-        for seed in use_seeds:
-            run = run_policy(
-                catalog, policy, levels=levels, duration_s=duration_s,
-                seed=seed, sim_config=SimConfig(seed=sim_seed),
-            )
-            collected.append(
-                summarize_policy(policy, run, catalog, provisioned_override_w=override)
-            )
-        summaries[policy] = PolicySummary(
-            policy=policy,
-            throughput_per_server=float(
-                np.mean([s.throughput_per_server for s in collected])
-            ),
-            provisioned_w_per_server=float(
-                np.mean([s.provisioned_w_per_server for s in collected])
-            ),
-            avg_power_w_per_server=float(
-                np.mean([s.avg_power_w_per_server for s in collected])
-            ),
-            be_throughput_norm=float(
-                np.mean([s.be_throughput_norm for s in collected])
-            ),
-            power_utilization=float(
-                np.mean([s.power_utilization for s in collected])
-            ),
-        )
+        collected = [
+            summarize_policy(policy, run, catalog, provisioned_override_w=override)
+            for run in runs
+        ]
+        summaries[policy] = PolicySummary(policy=policy, **{
+            f.name: float(np.mean([getattr(s, f.name) for s in collected]))
+            for f in fields(PolicySummary) if f.name != "policy"
+        })
     return summaries
 
 

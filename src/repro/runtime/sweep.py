@@ -236,14 +236,12 @@ def run_cluster_checkpointed(
     cells, so a resumed sweep emits a byte-identical ledger to an
     uninterrupted one.
 
-    ``engine="batched"`` executes the pending cells through the
-    structure-of-arrays core (:mod:`repro.engine.batched`) instead of
-    the supervised pool, and like ``run_cluster`` refuses ``workers``
-    other than 1; completed cells still checkpoint one by one in
-    delivery order, and — because both engines are bit-identical — a
-    checkpoint written by either engine resumes under the other without
-    changing a single result byte (the ``run_key`` is engine-agnostic
-    on purpose).
+    ``engine`` and ``workers`` mean what they mean to ``run_cluster``.
+    The batched engine (the default) delivers every cell when the sweep
+    ends, so a crash loses its whole run; the object engine lands cells
+    one at a time.  Both are bit-identical, so a checkpoint written by
+    either resumes under the other without changing a result byte (the
+    ``run_key`` is engine-agnostic on purpose).
     """
     if checkpoint_every < 1:
         raise ConfigError("checkpoint_every must be at least 1")

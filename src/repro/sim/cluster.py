@@ -323,10 +323,11 @@ def _execute(
     Returns every planned cell's outcome, in planned order.
     """
     engine_name = resolve_engine(engine)
-    if engine_name == "batched" and workers != 1:
+    if workers != 1 and engine != "object":
         raise ConfigError(
-            "engine='batched' runs in-process; it cannot be combined "
-            "with a process pool (workers must be 1)"
+            "a process pool runs the per-object engine: pass "
+            "engine='object' (the batched engine runs in-process, so "
+            "workers must be 1)"
         )
     source: Sequence[int] = range(len(cells))
     if dedupe:
@@ -355,6 +356,32 @@ def _execute(
     return [outcomes[origin] for origin in source]
 
 
+#: A planned sweep: its cells and the result skeleton they fill.
+PlannedSweep = Tuple[List[Cell], ClusterRunResult]
+
+
+def run_sweeps(
+    sweeps: Sequence[PlannedSweep],
+    engine: Optional[str] = None,
+    workers: int = 1,
+    dedupe: bool = False,
+) -> List[ClusterRunResult]:
+    """Run planned sweeps (from :func:`plan_cluster_tasks`) as one.
+
+    The sweeps' cells run through a single execution, so the batched
+    engine advances all their lanes together; each sweep's outcomes
+    then fill its own skeleton, which is returned.  Cells are pure, so
+    what a sweep runs beside never changes its outcomes.
+    """
+    cells = [cell for sweep_cells, _ in sweeps for cell in sweep_cells]
+    outcomes = _execute(cells, engine, workers, dedupe, {})
+    start = 0
+    for sweep_cells, skeleton in sweeps:
+        skeleton.outcomes.extend(outcomes[start:start + len(sweep_cells)])
+        start += len(sweep_cells)
+    return [skeleton for _, skeleton in sweeps]
+
+
 def run_cluster(
     plans: Sequence[ServerPlan],
     spec: ServerSpec,
@@ -377,29 +404,28 @@ def run_cluster(
 
     Cells never interact (fresh server + manager per cell; the faulted
     timeline's control flow depends only on the fault plan, not on cell
-    outcomes), so execution is delegated to the engine:
+    outcomes), so this is :func:`plan_cluster_tasks` plus one
+    :func:`run_sweeps`, and execution is the engine's:
 
-    * ``workers`` — fan independent cells out to a process pool with
-      ordered collection; ``workers=1`` is the exact serial loop.
+    * ``engine`` — ``"batched"`` (what ``None`` resolves to, see
+      :func:`repro.engine.select.default_engine`) advances all cells
+      together as numpy lanes (:mod:`repro.engine.batched`), falling
+      back to the oracle per cell it cannot claim; ``"object"`` runs
+      each cell through its own
+      :class:`~repro.sim.colocation.ColocationSim`, the oracle.
+    * ``workers`` — fan cells out to a process pool of the oracle with
+      ordered collection, so ``workers > 1`` needs ``engine="object"``;
+      ``workers=1`` is the exact serial loop.
     * ``dedupe`` — run each distinct (plan, level) cell once and reuse
       the outcome for replicas (see :attr:`Cell.key`); exact because
       cells are pure, and the big lever for replicated fleets.
 
-    Both knobs are bit-identical to the default serial run — the
-    differential suite pins that.
+    Every knob is bit-identical — the differential suites pin that.
 
     ``guard`` switches on the runtime safety invariants of
     :mod:`repro.guard` in every cell: each outcome carries a
     ``guard_report``, and enforce mode fails the run on the first
     violation.
-
-    ``engine`` selects the execution core: ``"object"`` runs each cell
-    through its own :class:`~repro.sim.colocation.ColocationSim` (the
-    oracle), ``"batched"`` advances all compatible cells together as
-    numpy lanes (:mod:`repro.engine.batched`) and falls back to the
-    oracle per cell it cannot claim.  ``None`` uses the ambient default
-    (:func:`repro.engine.select.default_engine`).  Both are bit-identical
-    — the batched differential suite pins it.
 
     ``budget`` switches on hierarchical power budgeting
     (:mod:`repro.budget`): the lease-granting arbiter is planned over
@@ -408,12 +434,11 @@ def run_cluster(
     :class:`~repro.budget.arbiter.BudgetReport`.  Cells stay pure, so
     dedupe, checkpointing and both engines keep working unchanged.
     """
-    cells, result = plan_cluster_tasks(
+    sweep = plan_cluster_tasks(
         plans, spec, levels, duration_s, config, fault_plan, guard=guard,
         budget=budget,
     )
-    result.outcomes.extend(_execute(cells, engine, workers, dedupe, {}))
-    return result
+    return run_sweeps([sweep], engine, workers, dedupe)[0]
 
 
 def plan_cluster_tasks(
@@ -425,7 +450,7 @@ def plan_cluster_tasks(
     fault_plan: Optional[ClusterFaultPlan] = None,
     guard: Optional[GuardConfig] = None,
     budget: Optional[BudgetConfig] = None,
-) -> Tuple[List[Cell], ClusterRunResult]:
+) -> PlannedSweep:
     """Decide every cell of a sweep without executing any of them.
 
     Returns ``(cells, skeleton)``: the ordered :class:`Cell` records
@@ -438,7 +463,7 @@ def plan_cluster_tasks(
     :mod:`repro.runtime` layer plans once, persists completed cells by
     planned position, and on resume re-runs only the incomplete ones —
     bit-identical because each cell is a pure function of its fields.
-    ``run_cluster`` itself is ``plan_cluster_tasks`` + one execution.
+    ``run_cluster`` itself is ``plan_cluster_tasks`` + :func:`run_sweeps`.
 
     With a ``budget``, the lease arbiter is planned first (also pure:
     demand comes from app power models, infra faults are data) and each
@@ -556,7 +581,7 @@ def _plan_cluster_faulted(
     fault_plan: ClusterFaultPlan,
     guard: Optional[GuardConfig] = None,
     budget_plan: Optional[BudgetPlan] = None,
-) -> Tuple[List[Cell], ClusterRunResult]:
+) -> PlannedSweep:
     """Plan the level-major sweep with crash/recovery/rejoin handling.
 
     Levels are the timeline; each surviving server runs its level cell.

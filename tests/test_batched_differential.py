@@ -40,6 +40,11 @@ from repro.engine.batched import partition_cells, run_batched_cells
 from repro.engine.parallel import map_ordered
 from repro.engine.select import default_engine
 from repro.errors import ConfigError
+from repro.evaluation import (
+    evaluate_all_policies,
+    measure_operating_points,
+    pipeline,
+)
 from repro.evaluation.pipeline import (
     ServerPlan,
     cluster_plans,
@@ -363,7 +368,7 @@ class TestEngineKnob:
             levels=(0.2, 0.6), duration_s=7.0,
             config=SimConfig(seed=3), guard=GuardConfig(),
         )
-        base = run_cluster(mixed_plans, catalog.spec, **kwargs)
+        base = run_cluster(mixed_plans, catalog.spec, engine="object", **kwargs)
         for dedupe in (False, True):
             got = run_cluster(
                 mixed_plans, catalog.spec, dedupe=dedupe,
@@ -375,45 +380,111 @@ class TestEngineKnob:
 
     def test_default_engine_context(self, catalog, mixed_plans):
         kwargs = dict(levels=(0.5,), duration_s=5.0, config=SimConfig(seed=3))
-        base = run_cluster(mixed_plans[:2], catalog.spec, **kwargs)
-        with default_engine("batched"):
-            got = run_cluster(mixed_plans[:2], catalog.spec, **kwargs)
+        with default_engine("object"):
+            base = run_cluster(mixed_plans[:2], catalog.spec, **kwargs)
+        got = run_cluster(mixed_plans[:2], catalog.spec, **kwargs)
         for a, b in zip(base.outcomes, got.outcomes):
             assert_outcome_equal(a, b, "ctx")
 
     def test_batched_refuses_process_pool(self, catalog, mixed_plans, tmp_path):
-        """Every sweep entry point refuses it alike, before running anything."""
-        sweep = dict(levels=(0.5,), duration_s=3.0, workers=2, engine="batched")
+        """Every sweep entry point refuses it alike, before running anything.
+
+        ``engine=None`` is refused too: a pool runs the oracle, which the
+        caller must name rather than have picked for them.
+        """
         config = SimConfig(seed=0)
-        entry_points = [
-            lambda: run_cluster(
-                mixed_plans[:1], catalog.spec, config=config, **sweep
-            ),
-            lambda: run_cluster_checkpointed(
-                mixed_plans[:1], catalog.spec, tmp_path / "sweep.ckpt",
-                config=config, **sweep,
-            ),
-            lambda: run_policy(
-                catalog, "pocolo", sim_config=config,
-                checkpoint_path=str(tmp_path / "policy.ckpt"), **sweep,
-            ),
-        ]
         messages = []
-        for run in entry_points:
-            with pytest.raises(ConfigError, match="workers must be 1") as info:
-                run()
-            messages.append(str(info.value))
+        for engine in ("batched", None):
+            sweep = dict(levels=(0.5,), duration_s=3.0, workers=2, engine=engine)
+            entry_points = [
+                lambda: run_cluster(
+                    mixed_plans[:1], catalog.spec, config=config, **sweep
+                ),
+                lambda: run_cluster_checkpointed(
+                    mixed_plans[:1], catalog.spec, tmp_path / "sweep.ckpt",
+                    config=config, **sweep,
+                ),
+                lambda: run_policy(
+                    catalog, "pocolo", sim_config=config,
+                    checkpoint_path=str(tmp_path / "policy.ckpt"), **sweep,
+                ),
+            ]
+            for run in entry_points:
+                with pytest.raises(ConfigError, match="workers must be 1") as info:
+                    run()
+                messages.append(str(info.value))
         assert len(set(messages)) == 1
+        assert "engine='object'" in messages[0]
         assert not list(tmp_path.iterdir()), "nothing may run or be saved"
 
     def test_run_policy_engines_agree(self, catalog):
         kwargs = dict(levels=(0.2, 0.6), duration_s=7.0,
                       sim_config=SimConfig(seed=3))
-        base = run_policy(catalog, "pocolo", **kwargs)
+        base = run_policy(catalog, "pocolo", engine="object", **kwargs)
         got = run_policy(catalog, "pocolo", engine="batched", **kwargs)
         assert len(base.outcomes) == len(got.outcomes)
         for a, b in zip(base.outcomes, got.outcomes):
             assert_outcome_equal(a, b, "policy")
+
+
+class TestEvaluationDifferential:
+    """The Fig 12/13 and Fig 15 evaluations agree across engines.
+
+    Both evaluators plan every (policy, placement seed) run and execute
+    them as one sweep on the default engine; here each runs once under
+    the oracle and once under the default, and every outcome field must
+    match.  Every evaluation cell must also take the batched path: a
+    manager change that demoted cells to the per-object fallback would
+    slow the evaluation ~55x without changing a number.
+    """
+
+    KWARGS = dict(placement_seeds=range(2), levels=(0.3, 0.7), duration_s=4.0)
+
+    def _both_engines(self, monkeypatch, evaluate, *args):
+        swept = []
+        real = pipeline.run_sweeps
+
+        def recording(sweeps, *rest, **kwargs):
+            swept.append([cell for cells, _ in sweeps for cell in cells])
+            return real(sweeps, *rest, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_sweeps", recording)
+        with default_engine("object"):
+            oracle = evaluate(*args, **self.KWARGS)
+        default = evaluate(*args, **self.KWARGS)
+        assert len(swept) == 2, "each evaluation must execute as one sweep"
+        assert len(swept[0]) == len(swept[1])
+        _, fallback = partition_cells(swept[1])
+        assert fallback == set(), "evaluation cells fell back to the oracle"
+        return oracle, default
+
+    def test_policy_evaluation_engines_agree(self, catalog, monkeypatch):
+        oracle, default = self._both_engines(
+            monkeypatch, evaluate_all_policies, catalog
+        )
+        assert list(oracle) == list(default) == ["random", "pom", "pocolo"]
+        for policy, want in oracle.items():
+            got = default[policy]
+            assert len(got.runs) == len(want.runs)
+            for k, (run_a, run_b) in enumerate(zip(want.runs, got.runs)):
+                assert len(run_a.outcomes) == len(run_b.outcomes)
+                for a, b in zip(run_a.outcomes, run_b.outcomes):
+                    assert_outcome_equal(a, b, f"{policy} run {k}")
+            for field in (
+                "be_throughput_by_server", "power_utilization_by_server",
+                "cluster_be_throughput", "cluster_power_utilization",
+                "violation_fraction",
+            ):
+                assert getattr(got, field) == getattr(want, field), (
+                    f"{policy}: {field}"
+                )
+
+    def test_operating_points_engines_agree(self, catalog, monkeypatch):
+        oracle, default = self._both_engines(
+            monkeypatch, measure_operating_points, catalog
+        )
+        assert list(oracle) == list(default)
+        assert oracle == default
 
 
 _SWEEP_SNIPPET = """\
@@ -448,8 +519,10 @@ if __name__ == "__main__":
     from repro.runtime import run_cluster_checkpointed
 
     plans, spec, kwargs = build_sweep()
+    # The oracle lands cells one at a time, so the kill lands mid-sweep.
     run_cluster_checkpointed(
-        plans, spec, sys.argv[1], resume=True, checkpoint_every=1, **kwargs
+        plans, spec, sys.argv[1], resume=True, checkpoint_every=1,
+        engine="object", **kwargs
     )
 """
 
@@ -472,7 +545,8 @@ class TestCrossEngineResume:
             config=SimConfig(seed=3), guard=GuardConfig(),
         )
         clean = run_cluster_checkpointed(
-            mixed_plans, catalog.spec, tmp_path / "clean.ckpt", **kwargs
+            mixed_plans, catalog.spec, tmp_path / "clean.ckpt",
+            engine="object", **kwargs
         )
         # Full batched run equals the object run outright.
         batched = run_cluster_checkpointed(
@@ -545,7 +619,7 @@ class TestCrossEngineResume:
         resumed = run_cluster_checkpointed(
             plans, spec, ckpt, resume=True, engine="batched", **kwargs
         )
-        clean = run_cluster(plans, spec, **kwargs)
+        clean = run_cluster(plans, spec, engine="object", **kwargs)
         assert len(resumed.outcomes) == len(clean.outcomes) == 6
         for a, b in zip(clean.outcomes, resumed.outcomes):
             assert_outcome_equal(a, b, "sigkill-resume")

@@ -86,7 +86,7 @@ class TestBudgetedDifferential:
             config=SimConfig(warmup_s=2.0, seed=1),
             guard=GuardConfig(), budget=BUDGET,
         )
-        base = run_cluster(fleet, catalog.spec, **kwargs)
+        base = run_cluster(fleet, catalog.spec, engine="object", **kwargs)
         got = run_cluster(fleet, catalog.spec, engine="batched", **kwargs)
         assert len(base.outcomes) == len(got.outcomes) == 8
         for a, b in zip(base.outcomes, got.outcomes):
@@ -108,7 +108,7 @@ class TestBudgetedDifferential:
             config=SimConfig(warmup_s=2.0, seed=5),
             fault_plan=fault_plan, guard=GuardConfig(), budget=BUDGET,
         )
-        base = run_cluster(fleet, catalog.spec, **kwargs)
+        base = run_cluster(fleet, catalog.spec, engine="object", **kwargs)
         got = run_cluster(fleet, catalog.spec, engine="batched", **kwargs)
         assert len(base.outcomes) == len(got.outcomes)
         for a, b in zip(base.outcomes, got.outcomes):
@@ -130,7 +130,7 @@ class TestBudgetedDifferential:
     def test_run_policy_budgeted_engines_agree(self, catalog):
         kwargs = dict(levels=(0.4, 0.8), duration_s=6.0,
                       sim_config=SimConfig(seed=3), budget=BUDGET)
-        base = run_policy(catalog, "pocolo", **kwargs)
+        base = run_policy(catalog, "pocolo", engine="object", **kwargs)
         got = run_policy(catalog, "pocolo", engine="batched", **kwargs)
         assert base.budget_report is not None
         for a, b in zip(base.outcomes, got.outcomes):
@@ -150,7 +150,8 @@ class TestBudgetedCheckpointResume:
             fault_plan=fault_plan, guard=GuardConfig(), budget=BUDGET,
         )
         clean = run_cluster_checkpointed(
-            fleet, catalog.spec, tmp_path / "clean.ckpt", **kwargs
+            fleet, catalog.spec, tmp_path / "clean.ckpt", engine="object",
+            **kwargs
         )
         path = tmp_path / "clean.ckpt"
         checkpoint = Checkpoint.load(path)
@@ -206,6 +207,7 @@ class TestKillTheArbiterDrill:
             duration_s=DRILL_DURATION_S,
             config=SimConfig(warmup_s=2.0, seed=2),
             fault_plan=DRILL_PLAN, guard=guard, budget=BUDGET,
+            engine="object",
         )
         plan = plan_budget(
             fleet, catalog.spec, DRILL_LEVELS, DRILL_DURATION_S, BUDGET,
@@ -322,8 +324,10 @@ if __name__ == "__main__":
     from repro.runtime import run_cluster_checkpointed
 
     fleet, spec, kwargs = build_drill()
+    # The oracle lands cells one at a time, so the kill lands mid-sweep.
     run_cluster_checkpointed(
-        fleet, spec, sys.argv[1], resume=True, checkpoint_every=1, **kwargs
+        fleet, spec, sys.argv[1], resume=True, checkpoint_every=1,
+        engine="object", **kwargs
     )
 """
 
@@ -371,7 +375,7 @@ class TestDrillSigkillResume:
         resumed = run_cluster_checkpointed(
             fleet, spec, ckpt, resume=True, **kwargs
         )
-        clean = run_cluster(fleet, spec, **kwargs)
+        clean = run_cluster(fleet, spec, engine="object", **kwargs)
         assert len(resumed.outcomes) == len(clean.outcomes) == 8
         for a, b in zip(clean.outcomes, resumed.outcomes):
             assert_outcome_equal(a, b, "drill-sigkill-resume")

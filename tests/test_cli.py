@@ -104,3 +104,19 @@ class TestBudgetCli:
     def test_run_rejects_unknown_fairness(self):
         with pytest.raises(SystemExit):
             main(["run", "--budget-tree", "--fairness", "maximal"])
+
+
+class TestPoolCli:
+    """``--workers`` > 1 runs the per-object engine in a pool.
+
+    The default engine refuses a pool, so these runs fail unless the
+    CLI names ``engine="object"`` itself.
+    """
+
+    @pytest.mark.parametrize("command", ["run", "guard"])
+    def test_pool_matches_in_process_run(self, capsys, command):
+        argv = [command, "--duration", "2"]
+        assert main(argv) == 0
+        in_process = capsys.readouterr().out
+        assert main(argv + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == in_process

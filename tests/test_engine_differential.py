@@ -6,8 +6,10 @@ The engine's contract is *bit-identity*, not approximation:
   reference (``_build_performance_matrix_reference``) cell for cell;
 * ``run_cluster(workers=N)`` and ``run_cluster(dedupe=True)`` reproduce
   the ``workers=1`` serial sweep exactly, across sim seeds and with a
-  fault plan active (crashes, recovery, re-placement, cell faults);
-* the pooled policy sweep reproduces the serial sweep.
+  fault plan active (crashes, recovery, re-placement, cell faults).
+
+The evaluation-level cross-engine check lives in
+``tests/test_batched_differential.py`` (``TestEvaluationDifferential``).
 
 Exact float equality (``==`` / ``np.array_equal``) is deliberate: any
 last-bit drift means the fast path computed something different, and a
@@ -31,7 +33,6 @@ from repro.engine.vectorized import (
     build_performance_matrix_vectorized,
     clear_engine_caches,
 )
-from repro.evaluation.colocation_eval import evaluate_policy
 from repro.evaluation.pipeline import (
     cluster_plans,
     fit_catalog,
@@ -161,7 +162,9 @@ class TestClusterDifferential:
             levels=(0.3, 0.7), duration_s=4.0, config=SimConfig(seed=seed)
         )
         serial = run_cluster(plans, catalog.spec, **kwargs)
-        pooled = run_cluster(plans, catalog.spec, workers=2, **kwargs)
+        pooled = run_cluster(
+            plans, catalog.spec, workers=2, engine="object", **kwargs
+        )
         assert _flatten(pooled) == _flatten(serial)
 
     @pytest.mark.parametrize("seed", [0, 3])
@@ -197,7 +200,9 @@ class TestClusterDifferential:
             config=SimConfig(seed=5), fault_plan=fault_plan,
         )
         serial = run_cluster(plans, catalog.spec, **kwargs)
-        pooled = run_cluster(plans, catalog.spec, workers=2, **kwargs)
+        pooled = run_cluster(
+            plans, catalog.spec, workers=2, engine="object", **kwargs
+        )
         deduped = run_cluster(plans, catalog.spec, dedupe=True, **kwargs)
         assert _flatten(pooled) == _flatten(serial)
         assert _flatten(deduped) == _flatten(serial)
@@ -217,21 +222,9 @@ class TestClusterDifferential:
     def test_run_policy_knobs_bit_identical(self, catalog):
         kwargs = dict(levels=(0.4, 0.8), duration_s=4.0, seed=1)
         serial = run_policy(catalog, "pom", **kwargs)
-        pooled = run_policy(catalog, "pom", workers=2, **kwargs)
+        pooled = run_policy(
+            catalog, "pom", workers=2, engine="object", **kwargs
+        )
         deduped = run_policy(catalog, "pom", dedupe=True, **kwargs)
         assert _flatten(pooled) == _flatten(serial)
         assert _flatten(deduped) == _flatten(serial)
-
-
-class TestPipelineDifferential:
-    def test_pooled_policy_sweep_bit_identical(self, catalog):
-        kwargs = dict(
-            placement_seeds=range(3), levels=(0.3, 0.7), duration_s=3.0
-        )
-        serial = evaluate_policy(catalog, "random", **kwargs)
-        pooled = evaluate_policy(catalog, "random", workers=2, **kwargs)
-        assert [_flatten(r) for r in pooled.runs] == [
-            _flatten(r) for r in serial.runs
-        ]
-        assert pooled.be_throughput_by_server == serial.be_throughput_by_server
-        assert pooled.cluster_power_utilization == serial.cluster_power_utilization

@@ -34,7 +34,8 @@ def catalog():
 @pytest.mark.parametrize("filename,builder", reports.GOLDEN_REPORTS)
 def test_golden_report_matches_committed(catalog, filename, builder):
     committed = (OUT_DIR / filename).read_text()
-    regenerated = getattr(reports, builder)(catalog) + "\n"
+    with default_engine("object"):
+        regenerated = getattr(reports, builder)(catalog) + "\n"
     assert regenerated == committed, (
         f"{filename} drifted from its committed snapshot; if the change "
         "is intended, regenerate via the benchmark and commit the file "

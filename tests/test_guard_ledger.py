@@ -82,6 +82,7 @@ run_cluster_checkpointed(
     build_plans(), REFERENCE_SPEC, sys.argv[1], levels=LEVELS,
     duration_s=DURATION_S, config=CONFIG, fault_plan=build_fault_plan(),
     guard=GUARD, ledger_path=sys.argv[2], resume=True, checkpoint_every=1,
+    engine="object",  # lands cells one at a time, so the kill is mid-sweep
 )
 """
 

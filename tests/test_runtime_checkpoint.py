@@ -401,8 +401,11 @@ class TestCheckpointedSweep:
             cluster_module, "_run_cell",
             lambda cell: executed.append(cell) or run_cell(cell),
         )
+        # Pinned to the oracle: it runs one cell at a time through
+        # _run_cell, which is what this test counts.
         resumed = run_cluster_checkpointed(
-            plans, catalog.spec, path, resume=True, **self.KWARGS,
+            plans, catalog.spec, path, resume=True, engine="object",
+            **self.KWARGS,
         )
         assert _flatten(resumed) == _flatten(full)
         assert len(executed) == 3  # 4 cells, 1 survived
@@ -732,8 +735,10 @@ class TestCrashResumeProperty:
     ):
         plans, kwargs = self._sweep(catalog, seed, faulted)
         path = tmp_path_factory.mktemp("ckpt") / "sweep.ckpt"
+        # A process pool runs the oracle, which must be named.
         run_cluster_checkpointed(
-            plans, catalog.spec, path, workers=workers, **kwargs
+            plans, catalog.spec, path, workers=workers, engine="object",
+            **kwargs
         )
         # Roll the checkpoint back to the moment of the simulated crash:
         # only the first ``kill_after`` completed cells survived.
@@ -745,7 +750,8 @@ class TestCrashResumeProperty:
             payload={**checkpoint.payload, "completed": survivors},
         ).save(path)
         resumed = run_cluster_checkpointed(
-            plans, catalog.spec, path, resume=True, workers=workers, **kwargs
+            plans, catalog.spec, path, resume=True, workers=workers,
+            engine="object", **kwargs
         )
         assert _flatten(resumed) == self._clean_flat(catalog, seed, faulted)
 
@@ -782,8 +788,10 @@ if __name__ == "__main__":
     from repro.runtime import run_cluster_checkpointed
 
     plans, spec, kwargs = build_sweep()
+    # The oracle lands cells one at a time, so the kill lands mid-sweep.
     run_cluster_checkpointed(
-        plans, spec, sys.argv[1], resume=True, checkpoint_every=1, **kwargs
+        plans, spec, sys.argv[1], resume=True, checkpoint_every=1,
+        engine="object", **kwargs
     )
 """
 

@@ -16,3 +16,20 @@ def sample_everything():
     unseeded_bitgen = np.random.PCG64()
     unseeded_stdlib = random.Random()
     return stamp, now, ambient, legacy, unseeded, unseeded_bitgen, unseeded_stdlib
+
+
+def stamped(at=time.time()):
+    return at
+
+
+@memoize(random.randint(1, 9))
+def cached():
+    return 0
+
+
+class Clocked:
+    started = time.monotonic()
+
+
+jitter = lambda: random.random()
+fresh = [n for n in range(3) if np.random.rand() > 0.5]

@@ -1,4 +1,4 @@
-"""Fixture: every statement here mixes units (POCO101 must flag each)."""
+"""Fixture: every site here mixes units (POCO101 must flag each)."""
 
 
 def broken_budget(idle_power_w, energy_joules, duration_s, budget_w):
@@ -13,3 +13,20 @@ def broken_budget(idle_power_w, energy_joules, duration_s, budget_w):
 
 def simulate(power_cap_w):
     return power_cap_w
+
+
+def deco(**limits):
+    return lambda func: func
+
+
+@deco(cap_w=spent_j)
+def defaulted(budget_w=cap_w + spent_j):
+    return budget_w
+
+
+class Budget:
+    headroom_w = cap_w - delay_s
+
+
+drain = lambda: cap_w + spent_j
+picked = [cap_w for cap_w in caps if cap_w > spent_j]

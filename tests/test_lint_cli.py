@@ -36,7 +36,7 @@ class TestExitCodes:
         assert code == 1
         out = capsys.readouterr().out
         assert "POCO101[unit-mixing]" in out
-        assert "6 new findings" in out
+        assert "11 new findings" in out
 
     def test_missing_path_exits_two(self, capsys):
         code = run_cli("tests/lint_fixtures/nonexistent.py", "--no-baseline")
@@ -76,7 +76,7 @@ class TestFormats:
         doc = json.loads(capsys.readouterr().out)
         assert doc["tool"] == "pocolint"
         assert doc["clean"] is False
-        assert doc["counts"] == {"nondeterminism": 7}
+        assert doc["counts"] == {"nondeterminism": 12}
         first = doc["new_findings"][0]
         assert set(first) == {"rule", "code", "path", "line", "col", "message"}
 
@@ -209,7 +209,7 @@ class TestSarifFormat:
         assert run["tool"]["driver"]["name"] == "pocolint"
         # the full nine-family catalogue rides along
         assert len(run["tool"]["driver"]["rules"]) == 9
-        assert len(run["results"]) == 6
+        assert len(run["results"]) == 11
         first = run["results"][0]
         assert first["ruleId"] == "POCO101"
         region = first["locations"][0]["physicalLocation"]["region"]
@@ -235,11 +235,11 @@ class TestGithubFormat:
         annotations = [
             line for line in out.splitlines() if line.startswith("::error ")
         ]
-        assert len(annotations) == 6
+        assert len(annotations) == 11
         assert "file=" in annotations[0]
         assert "line=5" in annotations[0]
         assert "title=POCO101[unit-mixing]" in annotations[0]
-        assert "pocolint: 6 new findings" in out
+        assert "pocolint: 11 new findings" in out
 
     def test_clean_run_emits_no_annotations(self, capsys):
         code = run_cli(
@@ -377,7 +377,7 @@ class TestBaselineWorkflow:
         assert code == 1
         out = capsys.readouterr().out
         # Only the freshly added wall-clock read is new; the original
-        # seven stay absorbed (keys are path-sensitive, so the copy is
+        # twelve stay absorbed (keys are path-sensitive, so the copy is
         # *not* automatically absorbed — assert the count grew by one
         # relative to the copy's own findings).
         assert "new finding" in out

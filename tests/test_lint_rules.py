@@ -12,7 +12,7 @@ import pathlib
 import pytest
 
 from repro.errors import LintError
-from repro.lint import all_rules, get_rule, lint_file, lint_source
+from repro.lint import all_rules, get_rule, lint_file, lint_paths, lint_source
 
 FIXTURES = pathlib.Path(__file__).parent / "lint_fixtures"
 
@@ -66,7 +66,7 @@ class TestRegistry:
 class TestUnitMixing:
     def test_bad_fixture_all_violations_found(self):
         found = findings_for("units_bad.py", "unit-mixing")
-        assert lines_of(found) == [5, 6, 7, 8, 9, 10]
+        assert lines_of(found) == [5, 6, 7, 8, 9, 10, 22, 23, 28, 31, 32]
 
     def test_finding_messages_name_both_units(self):
         found = findings_for("units_bad.py", "unit-mixing")
@@ -101,7 +101,9 @@ class TestUnitMixing:
 class TestNondeterminism:
     def test_bad_fixture_all_violations_found(self):
         found = findings_for("determinism_bad.py", "nondeterminism")
-        assert lines_of(found) == [11, 12, 13, 14, 15, 16, 17]
+        assert lines_of(found) == [
+            11, 12, 13, 14, 15, 16, 17, 21, 25, 31, 34, 35
+        ]
 
     def test_good_twin_is_clean(self):
         assert findings_for("determinism_good.py", "nondeterminism") == []
@@ -128,6 +130,71 @@ class TestNondeterminism:
     def test_generator_method_calls_are_not_confused_with_module(self):
         src = "draw = rng.random() + rng.normal()\n"
         assert lint_source(src, rules=[get_rule("nondeterminism")]) == []
+
+
+#: ``(path, line)`` of every unit and every determinism finding over
+#: ``tests/lint_fixtures``.  Default arguments, decorator arguments,
+#: class bodies, lambda bodies and comprehension ``if`` clauses are all
+#: covered (the tail of units_bad.py and determinism_bad.py).
+UNIT_SITES = [
+    ("unitflow_bad/controller.py", 13),
+    ("unitflow_bad/controller.py", 18),
+    ("unitflow_bad/controller.py", 23),
+    ("unitflow_bad/controller.py", 27),
+    ("units_bad.py", 5),
+    ("units_bad.py", 6),
+    ("units_bad.py", 7),
+    ("units_bad.py", 8),
+    ("units_bad.py", 9),
+    ("units_bad.py", 10),
+    ("units_bad.py", 22),
+    ("units_bad.py", 23),
+    ("units_bad.py", 28),
+    ("units_bad.py", 31),
+    ("units_bad.py", 32),
+]
+DETERMINISM_SITES = [
+    ("determinism_bad.py", 11),
+    ("determinism_bad.py", 12),
+    ("determinism_bad.py", 13),
+    ("determinism_bad.py", 14),
+    ("determinism_bad.py", 15),
+    ("determinism_bad.py", 16),
+    ("determinism_bad.py", 17),
+    ("determinism_bad.py", 21),
+    ("determinism_bad.py", 25),
+    ("determinism_bad.py", 31),
+    ("determinism_bad.py", 34),
+    ("determinism_bad.py", 35),
+    ("suppressed.py", 17),
+    ("taint_bad/sources.py", 7),
+    ("taint_bad/writer.py", 13),
+    ("taint_bad/writer.py", 18),
+    ("taint_bad/writer.py", 23),
+    ("taint_bad/writer.py", 27),
+    ("taint_bad/writer.py", 28),
+    ("taint_bad/writer.py", 33),
+    ("taint_bad/writer.py", 34),
+]
+
+
+def fixture_sites(*rule_names):
+    """``(path, line)`` set of the named rules over every fixture."""
+    rules = {type(get_rule(name)): get_rule(name) for name in rule_names}
+    found = lint_paths([FIXTURES], rules=list(rules.values()), root=FIXTURES)
+    return sorted({(f.path, f.line) for f in found})
+
+
+class TestFixtureCoverage:
+    """Pins the sites the unit and determinism rules reach."""
+
+    def test_unit_sites(self):
+        assert fixture_sites("unit-mixing", "unit-flow") == UNIT_SITES
+
+    def test_determinism_sites(self):
+        assert fixture_sites(
+            "nondeterminism", "determinism-taint"
+        ) == DETERMINISM_SITES
 
 
 class TestPoolClosure:

@@ -12,30 +12,32 @@ checks statically:
   only possible when every source of entropy (clocks, ambient RNG,
   unpicklable closures crossing process boundaries) is banned.
 
-``pocolint`` walks the AST of every file it is given and applies the
-rule families in :mod:`repro.lint.rules`:
+``pocolint`` parses every file it is given and applies the rule
+families in :mod:`repro.lint.rules`, one rule per concern:
 
-========== ==================== ==========================================
-code       rule id              protects
-========== ==================== ==========================================
-POCO101    ``unit-mixing``      additive watts/joules/seconds/GHz safety
-POCO201    ``nondeterminism``   clock/RNG bans (explicit seeded generators)
-POCO301    ``pool-closure``     picklable callables into process pools
-POCO401    ``exception-policy`` ReproError-only raises, no asserts/bare
-                                excepts in library code
-POCO501    ``atomic-artifacts`` durable files go through
-                                ``repro.runtime.atomic``
+========== ======================= =======================================
+code       rule id                 protects
+========== ======================= =======================================
+POCO301    ``pool-closure``        picklable callables into process pools
+POCO401    ``exception-policy``    ReproError-only raises, no asserts/bare
+                                   excepts in library code
+POCO501    ``atomic-artifacts``    durable files go through
+                                   ``repro.runtime.atomic``
 POCO601    ``hand-rolled-tolerance`` power/energy tolerance checks go
-                                through ``repro.guard.tolerance``
-POCO701    ``unit-flow``        interprocedural unit inference across
-                                assignments, call sites and returns
-POCO801    ``lane-safety``      lane modules: no view-aliased writes,
-                                float32 narrowing or axis= reductions
-POCO901    ``determinism-taint`` nondeterminism must not reach
-                                checkpoints/telemetry/ledger/pickles
-========== ==================== ==========================================
+                                   through ``repro.guard.tolerance``
+POCO701    ``unit-flow``           additive watts/joules/seconds/GHz
+                                   safety, with units followed across
+                                   assignments, calls and returns
+                                   (alias ``unit-mixing`` / POCO101)
+POCO801    ``lane-safety``         lane modules: no view-aliased writes,
+                                   float32 narrowing or axis= reductions
+POCO901    ``determinism-taint``   no clocks or ambient/unseeded RNG, and
+                                   no nondeterminism reaching checkpoints/
+                                   telemetry/ledger/pickles (alias
+                                   ``nondeterminism`` / POCO201)
+========== ======================= =======================================
 
-The first six families are per-file syntactic checks; the 7xx/8xx/9xx
+POCO301–POCO601 are per-file syntactic checks; the 7xx/8xx/9xx
 families run the whole-program dataflow engine (:mod:`repro.lint.graph`
 builds symbol tables and a call graph, :mod:`repro.lint.dataflow` is
 the abstract interpreter, :mod:`repro.lint.summaries` computes
@@ -43,7 +45,8 @@ interprocedural fixpoints).
 
 Run it as ``python -m repro.lint [paths ...]``; see ``docs/LINTING.md``
 for the rule catalogue, suppression syntax
-(``# pocolint: disable=<rule>``) and the baseline workflow.
+(``# pocolint: disable=<rule>``, where ``<rule>`` is an id, a code or
+an alias) and the baseline workflow.
 """
 
 from __future__ import annotations

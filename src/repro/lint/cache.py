@@ -20,11 +20,15 @@ files against the full project context, and rewrites the cache
 atomically (:func:`repro.runtime.atomic.atomic_write_json`) so a
 crashed run can never leave a torn cache behind.  A stale or corrupt
 cache is never an error: any entry whose hash does not match the file
-on disk — or any unreadable cache — degrades to a cold parse.
+on disk — or any unreadable cache — degrades to a cold parse.  The
+cache header records a digest of the linter's own sources, so a cache
+written by a different version of the analyzers (whose summaries may
+differ) is dropped whole.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -54,8 +58,6 @@ from repro.lint.summaries import (
 )
 from repro.runtime.atomic import atomic_write_json
 
-CACHE_VERSION = 1
-
 #: Default cache location, resolved against the lint root.
 DEFAULT_CACHE_NAME = ".pocolint-cache.json"
 
@@ -67,13 +69,25 @@ def file_digest(path: Path) -> Optional[str]:
         return None
 
 
+@functools.lru_cache(maxsize=None)
+def analyzer_digest() -> str:
+    """SHA-256 over the ``repro.lint`` sources that produce the cache."""
+    digest = hashlib.sha256()
+    package = Path(__file__).resolve().parent
+    for source in sorted(package.rglob("*.py")):
+        digest.update(source.relative_to(package).as_posix().encode())
+        digest.update(source.read_bytes())
+    return digest.hexdigest()
+
+
 def load_cache(path: Path) -> Dict[str, dict]:
-    """Per-file cache entries, or {} for a missing/corrupt/old cache."""
+    """Per-file cache entries, or {} for a missing/corrupt cache or one
+    written by different analyzer sources."""
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return {}
-    if not isinstance(raw, dict) or raw.get("version") != CACHE_VERSION:
+    if not isinstance(raw, dict) or raw.get("analyzer") != analyzer_digest():
         return {}
     files = raw.get("files")
     return files if isinstance(files, dict) else {}
@@ -82,7 +96,7 @@ def load_cache(path: Path) -> Dict[str, dict]:
 def save_cache(path: Path, files: Dict[str, dict]) -> None:
     atomic_write_json(
         path,
-        {"version": CACHE_VERSION, "tool": "pocolint", "files": files},
+        {"analyzer": analyzer_digest(), "tool": "pocolint", "files": files},
         sort_keys=True,
     )
 
@@ -269,7 +283,7 @@ def lint_paths_cached(
     for table, entry in restored:
         files[table.path] = entry
     for ctx, digest in parsed:
-        table = _table_for_path(project, ctx.path)
+        table = project.table_for(ctx.path)
         if table is None or not digest:
             continue
         files[ctx.path] = entry_for_module(
@@ -284,10 +298,3 @@ def _reported_path(path: Path, root: Path) -> str:
         return path.relative_to(root).as_posix()
     except ValueError:
         return path.as_posix()
-
-
-def _table_for_path(project: Project, path: str) -> Optional[ModuleSymbols]:
-    for table in project.modules.values():
-        if table.path == path:
-            return table
-    return None

@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rules",
         default=None,
         metavar="ID[,ID...]",
-        help="comma-separated rule ids to run (default: all)",
+        help="comma-separated rule ids, codes or aliases to run (default: all)",
     )
     parser.add_argument(
         "--list-rules",
@@ -217,7 +217,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         rules = _select_rules(args.rules)
         if args.list_rules:
             for rule in rules:
-                print(f"{rule.code}  {rule.rule_id:<18} {rule.summary}")
+                print(f"{rule.code}  {rule.rule_id:<21} {rule.summary}")
+                if rule.aliases:
+                    print(" " * 31 + "aliases: " + ", ".join(rule.aliases))
             return 0
         baseline_path = _resolve_baseline_path(args)
         # Baseline keys are ``path::message`` with paths relative to the

@@ -1,11 +1,13 @@
 """pocolint visitor core: findings, rule registry, suppressions, drivers.
 
-A *rule* is a class with a stable ``rule_id`` (the name used in
-``# pocolint: disable=<rule>`` comments), a short ``code`` (``POCOxxx``,
-used in report lines), and a ``check`` method that yields
+A *rule* is a class with a stable ``rule_id``, a short ``code``
+(``POCOxxx``, used in report lines), optional ``aliases`` (retired names
+of rules folded into it), and a ``check`` method that yields
 :class:`Finding` objects for one parsed module.  Rules are registered in
 a module-level registry so the CLI, the test suite and the repo-hygiene
-gate all see the same rule set.
+gate all see the same rule set.  Wherever a rule is named — ``--rules``,
+:func:`get_rule`, ``# pocolint: disable=<rule>`` — its id, its code and
+each alias all resolve to it.
 
 Determinism of the linter itself is part of the contract: findings are
 always reported sorted by ``(path, line, col, rule_id)`` and directory
@@ -20,7 +22,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Type
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.errors import LintError
 
@@ -95,19 +97,22 @@ class LintContext:
         return name in self.directives
 
     def is_suppressed(self, finding: Finding) -> bool:
-        rules = self.suppressed.get(finding.line)
-        if rules is None:
+        names = self.suppressed.get(finding.line)
+        if names is None:
             return False
-        return "all" in rules or finding.rule_id in rules
+        return "all" in names or any(
+            _NAMES.get(name) == finding.rule_id for name in names
+        )
 
 
 def _scan_comments(source: str) -> tuple:
     """Collect suppressions and module directives from comment tokens.
 
-    Suppressions map line number -> rule ids disabled on that physical
-    line; directives are module-wide markers.  Comments are found with
-    :mod:`tokenize` rather than a per-line regex so that ``pocolint:
-    disable`` *inside a string literal* does not suppress anything.
+    Suppressions map line number -> rule names (ids, codes or aliases)
+    disabled on that physical line; directives are module-wide markers.
+    Comments are found with :mod:`tokenize` rather than a per-line regex
+    so that ``pocolint: disable`` *inside a string literal* does not
+    suppress anything.
     """
     suppressed: Dict[int, frozenset] = {}
     directives: set = set()
@@ -145,6 +150,8 @@ class Rule:
     rule_id: str = ""
     code: str = ""
     summary: str = ""
+    #: retired rule ids and codes that still name this rule
+    aliases: Tuple[str, ...] = ()
     #: Whole-program rules (POCO701/801/901) need ``ctx.project`` to be a
     #: :class:`repro.lint.graph.Project`; the drivers build one covering
     #: every file in the run before such a rule is invoked.
@@ -165,8 +172,18 @@ class Rule:
             message=message,
         )
 
+    def report(
+        self, ctx: LintContext, candidates: Iterable[Tuple[int, int, str]]
+    ) -> Iterator[Finding]:
+        """Findings for ``(line, col, message)`` candidates, in order."""
+        for line, col, message in sorted(candidates):
+            yield Finding(self.rule_id, self.code, ctx.path, line, col, message)
+
 
 _REGISTRY: Dict[str, Type[Rule]] = {}
+
+#: every accepted rule name (id, code, alias) -> rule id
+_NAMES: Dict[str, str] = {}
 
 
 def register(rule_cls: Type[Rule]) -> Type[Rule]:
@@ -175,10 +192,13 @@ def register(rule_cls: Type[Rule]) -> Type[Rule]:
         raise LintError(
             f"rule {rule_cls.__name__} must define rule_id and code"
         )
-    existing = _REGISTRY.get(rule_cls.rule_id)
-    if existing is not None and existing is not rule_cls:
-        raise LintError(f"duplicate rule id {rule_cls.rule_id!r}")
+    names = (rule_cls.rule_id, rule_cls.code, *rule_cls.aliases)
+    for name in names:
+        owner = _NAMES.get(name)
+        if owner is not None and _REGISTRY[owner] is not rule_cls:
+            raise LintError(f"duplicate rule name {name!r}")
     _REGISTRY[rule_cls.rule_id] = rule_cls
+    _NAMES.update(dict.fromkeys(names, rule_cls.rule_id))
     return rule_cls
 
 
@@ -190,12 +210,29 @@ def all_rules() -> List[Rule]:
     ]
 
 
-def get_rule(rule_id: str) -> Rule:
+def get_rule(name: str) -> Rule:
+    """The rule named by its id, its code or one of its aliases."""
     try:
-        return _REGISTRY[rule_id]()
+        return _REGISTRY[_NAMES[name]]()
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise LintError(f"unknown rule {rule_id!r} (known: {known})") from None
+        known = ", ".join(sorted(_NAMES))
+        raise LintError(f"unknown rule {name!r} (known: {known})") from None
+
+
+def describe(node: ast.expr) -> str:
+    """A short, stable spelling of an offending expression."""
+    text = ast.unparse(node)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def call_name(func: ast.expr) -> Optional[str]:
+    """The bare name a call is spelled with: ``f`` for ``f()`` and
+    ``a.b.f()`` alike."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
 
 
 def _sorted_findings(findings: Iterable[Finding]) -> List[Finding]:

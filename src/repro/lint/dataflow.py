@@ -14,7 +14,14 @@ and the engine supplies the control-flow plumbing:
   round, so the iteration is monotone) with a hard iteration cap;
 * ``return`` collection — every return site's abstract value is
   recorded for the interprocedural summaries in
-  :mod:`repro.lint.summaries`.
+  :mod:`repro.lint.summaries`;
+* **coverage** — default arguments, decorators, class bodies, lambda
+  bodies and comprehension clauses are evaluated where they run, so
+  every call hook fires.  Nested ``def`` bodies are opaque unless a
+  checker lists the defs it analyzes on its own
+  (:attr:`DataflowAnalysis.separately_analyzed`); then every other
+  nested body is interpreted too, and the checker visits each call
+  site of its module.
 
 Environments map variable names (and ``self.attr`` pseudo-names) to
 abstract values.  A missing binding means *bottom*.  The engine never
@@ -26,7 +33,16 @@ produces no findings, not wrong ones.
 from __future__ import annotations
 
 import ast
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+
+from repro.lint.core import Finding, LintContext, Rule
+from repro.lint.graph import (
+    ClassSymbol,
+    FunctionSymbol,
+    ModuleSymbols,
+    Project,
+    iter_functions,
+)
 
 #: Hard cap on loop re-interpretation rounds; the environments are
 #: small agreement lattices, so stabilization is fast in practice.
@@ -41,6 +57,13 @@ class DataflowAnalysis:
     def __init__(self) -> None:
         #: (return node, abstract value) per return statement reached
         self.returns: List[Tuple[ast.Return, Any]] = []
+        #: (line, col, message) a checker reports; a set because loop
+        #: fixpoints and nested re-evaluation visit a site repeatedly
+        self.candidates: Set[Tuple[int, int, str]] = set()
+        #: None keeps nested ``def`` bodies opaque.  A checker sets the
+        #: defs it analyzes on their own; every other nested body is
+        #: then interpreted in a copy of its enclosing environment.
+        self.separately_analyzed: Optional[FrozenSet[ast.AST]] = None
 
     # -- the abstract domain (override in subclasses) ----------------------
 
@@ -48,23 +71,16 @@ class DataflowAnalysis:
         return None
 
     def join(self, a: Any, b: Any) -> Any:
-        """Default: agreement lattice — equal values survive a merge."""
-        if a == b:
-            return a
-        if a is None:
-            return b if self.join_with_bottom_keeps_value() else None
-        if b is None:
-            return a if self.join_with_bottom_keeps_value() else None
-        return self.join_conflict(a, b)
+        """Default: agreement lattice (a *must* analysis like unit
+        agreement) — equal values survive a merge, anything else is
+        bottom.  A *may* analysis like taint overrides it with union."""
+        return a if a == b else self.bottom()
 
-    def join_with_bottom_keeps_value(self) -> bool:
-        """Whether ``join(v, bottom) == v`` (a *may* analysis like taint)
-        or ``bottom`` (a *must* analysis like unit agreement)."""
-        return False
-
-    def join_conflict(self, a: Any, b: Any) -> Any:
-        """Merge two different non-bottom values (default: give up)."""
-        return None
+    def flag(self, node: ast.AST, message: str) -> None:
+        """Record a finding candidate at ``node``."""
+        self.candidates.add(
+            (getattr(node, "lineno", 1), getattr(node, "col_offset", 0), message)
+        )
 
     # -- expression evaluation (override pieces in subclasses) -------------
 
@@ -96,6 +112,41 @@ class DataflowAnalysis:
             self.eval_expr(node.body, env), self.eval_expr(node.orelse, env)
         )
 
+    def eval_ListComp(self, node: ast.expr, env: Env) -> Any:
+        """Comprehensions: clauses bind in their own scope, then the
+        element (or key and value) is evaluated there."""
+        scope = dict(env)
+        for clause in getattr(node, "generators", ()):
+            iter_value = self.eval_expr(clause.iter, scope)
+            element = self.iter_element(iter_value, clause.iter, scope)
+            self.bind_target(clause.target, element, clause.target, scope)
+            for condition in clause.ifs:
+                self.eval_expr(condition, scope)
+        return self.eval_children(node, scope)
+
+    eval_SetComp = eval_ListComp
+    eval_DictComp = eval_ListComp
+    eval_GeneratorExp = eval_ListComp
+
+    def eval_Lambda(self, node: ast.Lambda, env: Env) -> Any:
+        self._eval_defaults(node.args, env)
+        return self.eval_children(node, self._param_scope(node.args, env))
+
+    def _eval_defaults(self, args: ast.arguments, env: Env) -> None:
+        for default in (*args.defaults, *args.kw_defaults):
+            if default is not None:
+                self.eval_expr(default, env)
+
+    def _param_scope(self, args: ast.arguments, env: Env) -> Env:
+        """The enclosing environment with the parameters unbound."""
+        scope = dict(env)
+        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
+            scope[arg.arg] = self.bottom()
+        for arg in (args.vararg, args.kwarg):
+            if arg is not None:
+                scope[arg.arg] = self.bottom()
+        return scope
+
     # -- assignment transfer ----------------------------------------------
 
     def bind(self, name: str, value: Any, node: ast.AST, env: Env) -> None:
@@ -109,6 +160,8 @@ class DataflowAnalysis:
             pseudo = _self_attr_name(target)
             if pseudo is not None:
                 self.bind(pseudo, value, node, env)
+            else:
+                self.eval_expr(target.value, env)
         elif isinstance(target, (ast.Tuple, ast.List)):
             self._bind_tuple(target, value, node, env)
         elif isinstance(target, ast.Subscript):
@@ -159,11 +212,19 @@ class DataflowAnalysis:
         if method is not None:
             method(stmt, env)
             return
-        # Unmodeled statements: evaluate embedded expressions so call
-        # hooks still fire, then fall through without binding anything.
-        for child in ast.iter_child_nodes(stmt):
+        # Unmodeled statements (raise, assert, match, ...): visit every
+        # embedded expression and statement so call hooks still fire;
+        # nothing they bind escapes.
+        self._visit_unmodeled(stmt, dict(env))
+
+    def _visit_unmodeled(self, node: ast.AST, env: Env) -> None:
+        for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.expr):
                 self.eval_expr(child, env)
+            elif isinstance(child, ast.stmt):
+                self.execute(child, env)
+            else:
+                self._visit_unmodeled(child, env)
 
     def exec_Assign(self, stmt: ast.Assign, env: Env) -> None:
         value = self.eval_expr(stmt.value, env)
@@ -232,6 +293,7 @@ class DataflowAnalysis:
             _merge_into(
                 handler_env, dict(env), dict(body_env), self.join, self.bottom()
             )
+            self.eval_expr(handler.type, handler_env)
             if handler.name:
                 handler_env[handler.name] = self.bottom()
             self.run(handler.body, handler_env)
@@ -253,12 +315,29 @@ class DataflowAnalysis:
                 self.bind_target(item.optional_vars, value, stmt, env)
         self.run(stmt.body, env)
 
-    def exec_FunctionDef(self, stmt: ast.stmt, env: Env) -> None:
-        # Nested defs are opaque: bind the name, skip the body.
-        env[getattr(stmt, "name", "")] = self.bottom()
+    exec_AsyncFor = exec_For
+    exec_AsyncWith = exec_With
+
+    def exec_FunctionDef(self, stmt: ast.FunctionDef, env: Env) -> None:
+        for decorator in stmt.decorator_list:
+            self.eval_expr(decorator, env)
+        self._eval_defaults(stmt.args, env)
+        skipped = self.separately_analyzed
+        if skipped is not None and stmt not in skipped:
+            outer_returns, self.returns = self.returns, []
+            self.run(stmt.body, self._param_scope(stmt.args, env))
+            self.returns = outer_returns
+        env[stmt.name] = self.bottom()
 
     exec_AsyncFunctionDef = exec_FunctionDef
-    exec_ClassDef = exec_FunctionDef
+
+    def exec_ClassDef(self, stmt: ast.ClassDef, env: Env) -> None:
+        for expr in (*stmt.decorator_list, *stmt.bases):
+            self.eval_expr(expr, env)
+        for keyword in stmt.keywords:
+            self.eval_expr(keyword.value, env)
+        self.run(stmt.body, dict(env))
+        env[stmt.name] = self.bottom()
 
     # -- entry point -------------------------------------------------------
 
@@ -295,3 +374,56 @@ def _merge_into(target: Env, a: Env, b: Env, join: Any, bottom: Any) -> None:
     target.clear()
     for key in set(a) | set(b):
         target[key] = join(a.get(key, bottom), b.get(key, bottom))
+
+
+class DataflowRule(Rule):
+    """A whole-program rule that runs a checker over each function body
+    and over the module body, and reports the checkers' candidates.
+
+    Subclasses build the checker for one body (``cls_sym`` is the
+    enclosing class of a method, None for functions and the module)
+    and seed a function's parameters.  Nested defs are interpreted by
+    the checker of their enclosing body, so each site is visited once.
+    """
+
+    requires_project = True
+
+    def checker(
+        self, project: Project, table: ModuleSymbols,
+        cls_sym: Optional[ClassSymbol], path: str,
+    ) -> DataflowAnalysis:
+        raise NotImplementedError
+
+    def seed(self, func: FunctionSymbol, path: str) -> Env:
+        raise NotImplementedError
+
+    def after_function(
+        self, checker: DataflowAnalysis, func: FunctionSymbol
+    ) -> None:
+        """Hook: checks on a function's collected return values."""
+
+    def check(self, ctx: LintContext) -> Iterator[Finding]:
+        project = ctx.project
+        if not isinstance(project, Project):
+            return
+        table = project.table_for(ctx.path)
+        if table is None:
+            return
+        functions = [
+            (func, cls_sym)
+            for func, cls_sym in iter_functions(table)
+            if func.node is not None
+        ]
+        own_defs = frozenset(func.node for func, _ in functions)
+        candidates: Set[Tuple[int, int, str]] = set()
+        for func, cls_sym in functions:
+            checker = self.checker(project, table, cls_sym, ctx.path)
+            checker.separately_analyzed = own_defs
+            checker.run_function(func.node, self.seed(func, ctx.path))
+            self.after_function(checker, func)
+            candidates |= checker.candidates
+        checker = self.checker(project, table, None, ctx.path)
+        checker.separately_analyzed = own_defs
+        checker.run(list(ctx.tree.body), {})
+        candidates |= checker.candidates
+        yield from self.report(ctx, candidates)

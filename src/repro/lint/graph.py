@@ -64,10 +64,6 @@ class FunctionSymbol:
     node: Optional[ast.AST] = None
     class_name: Optional[str] = None
 
-    @property
-    def is_method(self) -> bool:
-        return self.class_name is not None
-
 
 @dataclass
 class ClassSymbol:
@@ -262,12 +258,6 @@ class Project:
         project._build_call_graph()
         return project
 
-    def add_cached_module(self, table: ModuleSymbols) -> None:
-        """Register a symbol table restored from the on-disk cache
-        (no AST; summaries come from the cache, not recomputation)."""
-        self.modules[table.name] = table
-        self._build_suffix_index()
-
     def _build_suffix_index(self) -> None:
         index: Dict[str, List[str]] = {}
         for name in self.modules:
@@ -276,6 +266,13 @@ class Project:
                 suffix = ".".join(parts[start:])
                 index.setdefault(suffix, []).append(name)
         self._suffix_index = index
+
+    def table_for(self, path: str) -> Optional[ModuleSymbols]:
+        """The symbol table of the module reported as ``path``."""
+        for table in self.modules.values():
+            if table.path == path:
+                return table
+        return None
 
     def module_for_suffix(self, dotted: str) -> Optional[ModuleSymbols]:
         """The unique module whose dotted name ends with ``dotted``."""
@@ -296,8 +293,7 @@ class Project:
             module = self.module_for_suffix(".".join(parts[:cut]))
             if module is None:
                 continue
-            rest = parts[cut:]
-            return _member_of(module, rest)
+            return _member_of(module, parts[cut:])
         return None
 
     def resolve_name(
@@ -341,12 +337,7 @@ class Project:
                     return resolved
                 return self._base_method(table, enclosing_class, parts[1])
             return None
-        head = self.resolve_name(table, parts[0])
-        for attr in parts[1:]:
-            if head is None:
-                return None
-            head = _member_of_symbol(head, attr)
-        return head
+        return _member_of(self.resolve_name(table, parts[0]), parts[1:])
 
     def _base_method(
         self, table: ModuleSymbols, cls_sym: ClassSymbol, method: str
@@ -393,8 +384,7 @@ def iter_functions(
             yield method, cls_sym
 
 
-def _member_of(module: ModuleSymbols, rest: Sequence[str]) -> Optional[object]:
-    head: Optional[object] = module
+def _member_of(head: Optional[object], rest: Sequence[str]) -> Optional[object]:
     for attr in rest:
         if head is None:
             return None

@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional
 
-from repro.lint.core import Finding, LintContext, Rule, register
+from repro.lint.core import Finding, LintContext, Rule, describe, register
 from repro.lint.dataflow import DataflowAnalysis, Env, self_attr_name
 
 #: numpy array constructors (reached as ``np.<name>`` or bare imports).
@@ -117,11 +117,6 @@ def _contains_float_literal(node: ast.expr) -> bool:
     return False
 
 
-def _describe(node: ast.expr) -> str:
-    text = ast.unparse(node)
-    return text if len(text) <= 40 else text[:37] + "..."
-
-
 class _LaneChecker(DataflowAnalysis):
     """Tracks array/view derivations and records the three hazards."""
 
@@ -137,7 +132,6 @@ class _LaneChecker(DataflowAnalysis):
         self.attr_arrays = attr_arrays
         self.module_arrays = module_arrays
         self.func_name = func_name
-        self.candidates: Set[Tuple[int, int, str]] = set()
 
     # -- derivation tracking ----------------------------------------------
 
@@ -187,26 +181,20 @@ class _LaneChecker(DataflowAnalysis):
         name = func.attr
         if name in _REDUCTIONS and _has_axis_argument(node):
             if self.func_name not in _EXEMPT_FUNCTIONS:
-                self.candidates.add(
-                    (
-                        node.lineno,
-                        node.col_offset,
-                        f"cross-lane {name}(axis=...) re-associates the "
-                        "reduction; use the pairwise-stable _np_mean_lanes "
-                        "helper (or derive from it) for lane aggregation",
-                    )
+                self.flag(
+                    node,
+                    f"cross-lane {name}(axis=...) re-associates the "
+                    "reduction; use the pairwise-stable _np_mean_lanes "
+                    "helper (or derive from it) for lane aggregation",
                 )
         if name == "astype":
             dtype = _dtype_name(node.args[0]) if node.args else None
             if dtype in _NARROW_DTYPES:
-                self.candidates.add(
-                    (
-                        node.lineno,
-                        node.col_offset,
-                        f"astype({dtype}) narrows lane state below "
-                        "float64; batched/oracle bit-identity requires "
-                        "float64 lanes",
-                    )
+                self.flag(
+                    node,
+                    f"astype({dtype}) narrows lane state below "
+                    "float64; batched/oracle bit-identity requires "
+                    "float64 lanes",
                 )
             if isinstance(receiver, ArrayVal):
                 return ArrayVal(
@@ -225,7 +213,7 @@ class _LaneChecker(DataflowAnalysis):
             return ArrayVal(
                 kind="array",
                 dtype=receiver.dtype,
-                base=_describe(func.value),
+                base=describe(func.value),
                 line=node.lineno,
             )
         if name in _CONSTRUCTORS and _is_numpy_reference(func.value):
@@ -239,13 +227,10 @@ class _LaneChecker(DataflowAnalysis):
     def _constructed(self, node: ast.Call, ctor: str) -> ArrayVal:
         dtype = _dtype_of_keyword(node)
         if dtype in _NARROW_DTYPES:
-            self.candidates.add(
-                (
-                    node.lineno,
-                    node.col_offset,
-                    f"lane array created with dtype={dtype}; lane state "
-                    "must stay float64 for bit-identity with the oracle",
-                )
+            self.flag(
+                node,
+                f"lane array created with dtype={dtype}; lane state "
+                "must stay float64 for bit-identity with the oracle",
             )
             resolved = "narrow"
         elif dtype is not None:
@@ -259,7 +244,7 @@ class _LaneChecker(DataflowAnalysis):
         else:
             resolved = None
         return ArrayVal(
-            kind="array", dtype=resolved, base=_describe(node), line=node.lineno
+            kind="array", dtype=resolved, base=describe(node), line=node.lineno
         )
 
     def _view_of(self, base: ArrayVal, node: ast.expr) -> ArrayVal:
@@ -279,14 +264,11 @@ class _LaneChecker(DataflowAnalysis):
                 target_val.dtype == "int_implicit"
                 and _contains_float_literal(node.value)
             ):
-                self.candidates.add(
-                    (
-                        node.lineno,
-                        node.col_offset,
-                        "in-place float accumulation into a lane array "
-                        "built from bare int literals (implicit int64); "
-                        "give it an explicit float64 dtype",
-                    )
+                self.flag(
+                    node,
+                    "in-place float accumulation into a lane array "
+                    "built from bare int literals (implicit int64); "
+                    "give it an explicit float64 dtype",
                 )
 
     def on_subscript_store(
@@ -297,25 +279,19 @@ class _LaneChecker(DataflowAnalysis):
             self._flag_alias(node, base, "subscript store")
 
     def _flag_alias(self, node: ast.AST, view: ArrayVal, how: str) -> None:
-        self.candidates.add(
-            (
-                getattr(node, "lineno", 1),
-                getattr(node, "col_offset", 0),
-                f"{how} mutates a view of lane array {view.base} "
-                f"(view created at line {view.line}); in-place writes "
-                "through an alias silently corrupt the base lanes — "
-                "operate on the base array or take an explicit .copy()",
-            )
+        self.flag(
+            node,
+            f"{how} mutates a view of lane array {view.base} "
+            f"(view created at line {view.line}); in-place writes "
+            "through an alias silently corrupt the base lanes — "
+            "operate on the base array or take an explicit .copy()",
         )
 
     def _flag_narrow_literal(self, node: ast.Call, name: str) -> None:
-        self.candidates.add(
-            (
-                node.lineno,
-                node.col_offset,
-                f"np.{name}(...) literal narrows lane arithmetic below "
-                "float64; drop the cast (python floats are float64)",
-            )
+        self.flag(
+            node,
+            f"np.{name}(...) literal narrows lane arithmetic below "
+            "float64; drop the cast (python floats are float64)",
         )
 
 
@@ -406,15 +382,7 @@ class LaneSafetyRule(Rule):
             )
             checker.run_function(func)
             candidates |= checker.candidates
-        for line, col, message in sorted(candidates):
-            yield Finding(
-                rule_id=self.rule_id,
-                code=self.code,
-                path=ctx.path,
-                line=line,
-                col=col,
-                message=message,
-            )
+        yield from self.report(ctx, candidates)
 
 
 def _iter_function_defs(tree: ast.Module) -> Iterator[ast.FunctionDef]:
@@ -425,9 +393,9 @@ def _iter_function_defs(tree: ast.Module) -> Iterator[ast.FunctionDef]:
 
 def _base_spelling(node: ast.expr, base: ArrayVal) -> str:
     if isinstance(node, ast.Subscript):
-        return _describe(node.value)
+        return describe(node.value)
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        return _describe(node.func.value)
+        return describe(node.func.value)
     if isinstance(node, ast.Attribute):
-        return _describe(node.value)
+        return describe(node.value)
     return base.base

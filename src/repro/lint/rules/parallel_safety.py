@@ -30,7 +30,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional, Set, Tuple
 
-from repro.lint.core import Finding, LintContext, Rule, register
+from repro.lint.core import Finding, LintContext, Rule, call_name, register
 
 #: Attribute names that submit work to a pool regardless of receiver.
 _SUBMIT_ATTRS = frozenset(
@@ -89,15 +89,7 @@ def _is_pool_call(node: ast.Call) -> bool:
 def _unwrap_partial(node: ast.expr) -> ast.expr:
     """``functools.partial(fn, ...)`` -> ``fn`` (recursively)."""
     while isinstance(node, ast.Call):
-        func = node.func
-        name = (
-            func.id
-            if isinstance(func, ast.Name)
-            else func.attr
-            if isinstance(func, ast.Attribute)
-            else None
-        )
-        if name != "partial" or not node.args:
+        if call_name(node.func) != "partial" or not node.args:
             break
         node = node.args[0]
     return node

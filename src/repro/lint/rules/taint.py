@@ -1,49 +1,38 @@
-"""POCO901 ``determinism-taint`` — nondeterminism source→sink tracking.
+"""POCO901 ``determinism-taint`` — banned entropy and where it flows.
 
-POCO201 flags nondeterministic *calls* where they happen; this rule
-answers the question that actually matters for reproducibility: does a
-nondeterministic value **reach durable or cross-process state**?  Taint
-enters at wall clocks (``time.time``), unseeded RNG constructors,
-``os.environ`` reads and set-order iteration; it propagates through
-assignments, call arguments and return values (interprocedural, via
-:func:`repro.lint.summaries.taint_summaries`); and it is reported only
-when it arrives at a sink:
+The engine layer's contract (docs/ENGINE.md) is that the vectorized
+and process-parallel paths are *bit-identical* to their serial
+oracles, which only holds when no code path reads entropy the serial
+oracle would not.  The rule reports two kinds of finding:
 
-* **checkpointed state** — arguments to ``Checkpoint(...)`` and the
-  return value of any ``export_state()`` method (the codec contract in
-  docs/ENGINE.md: exported state must replay bit-identically);
-* **telemetry** — ``telemetry.record(...)`` / ``series.record(...)``
-  samples, which land in result artifacts compared across runs;
-* **guard ledger** — ``write_ledger(...)`` / ``ledger_entries(...)``,
-  the violation record that chaos campaigns diff against goldens;
-* **worker pickling** — arguments to ``map_ordered(...)`` /
-  ``SupervisedPool.map_ordered(...)``, which cross a process boundary
-  and seed worker-side behaviour.
+* **banned calls**, wherever they happen: wall-clock reads, any call
+  into the stdlib ``random`` module or numpy's legacy global RNG, and
+  unseeded ``random.Random()`` / ``np.random.default_rng()`` /
+  bit-generator constructors (classified, with import aliases
+  resolved, by :class:`repro.lint.summaries.TaintAnalysis`);
+* **sources reaching sinks**: taint from those calls, ``os.environ``,
+  directory listings and set-order iteration, followed through
+  assignments, call arguments and returns across modules, into
+  ``Checkpoint(...)`` payloads and ``export_state()`` returns,
+  ``telemetry.record(...)`` samples, the guard ledger
+  (``write_ledger`` / ``ledger_entries``) and pickled worker arguments
+  (``map_ordered``).  Environment and order reads are findings only
+  here.
 
-Each finding carries the full evidence chain — source location, the
-assignment path that moved the value, and the sink — so a clock read in
-one module that reaches a checkpoint two modules away renders as
-``source (file:line) via a = ... (file:line) -> return of f() ...``.
-Values that are merely *derived from parameters* are not reported at
-the sink; instead a sink-parameter summary is computed so the *caller*
-passing tainted data into such a function is flagged at its own call
-site.
+Each sink finding carries the evidence chain (source location, the
+assignment path, the sink).  Values merely *derived from parameters*
+are not reported at the sink; a sink-parameter summary flags the
+*caller* that passes tainted data in, at its own call site.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Optional
 
-from repro.lint.core import Finding, LintContext, Rule, register
-from repro.lint.dataflow import Env
-from repro.lint.graph import (
-    ClassSymbol,
-    FunctionSymbol,
-    ModuleSymbols,
-    Project,
-    iter_functions,
-)
+from repro.lint.core import call_name, register
+from repro.lint.dataflow import DataflowAnalysis, DataflowRule, Env
+from repro.lint.graph import ClassSymbol, FunctionSymbol, ModuleSymbols, Project
 from repro.lint.summaries import (
     MAX_SUMMARY_PASSES,
     Taint,
@@ -80,9 +69,7 @@ SinkFlows = Dict[str, Dict[int, str]]
 
 def _sink_of_call(node: ast.Call) -> Optional[str]:
     func = node.func
-    name = func.attr if isinstance(func, ast.Attribute) else (
-        func.id if isinstance(func, ast.Name) else None
-    )
+    name = call_name(func)
     if name is None:
         return None
     if name in _SINK_FUNCTIONS:
@@ -117,10 +104,11 @@ class _SinkChecker(TaintAnalysis):
     ) -> None:
         super().__init__(project, table, cls_sym, summaries, path)
         self.sink_flows = sink_flows
-        #: (line, col, message) findings from direct/interproc sinks
-        self.candidates: Set[Tuple[int, int, str]] = set()
         #: own-parameter index -> sink description (for caller reporting)
         self.param_sinks: Dict[int, str] = {}
+
+    def on_banned_call(self, node: ast.Call, message: str) -> None:
+        self.flag(node, message)
 
     def on_call_site(
         self,
@@ -155,31 +143,11 @@ class _SinkChecker(TaintAnalysis):
         if not isinstance(taint, Taint):
             return
         if taint.real_sources():
-            self.candidates.add(
-                (
-                    node.lineno,
-                    node.col_offset,
-                    f"nondeterminism reaches {sink}: {_render_taint(taint)}",
-                )
+            self.flag(
+                node, f"nondeterminism reaches {sink}: {_render_taint(taint)}"
             )
         for index in taint.param_indices():
             self.param_sinks.setdefault(index, sink)
-
-    def check_state_export(self, func: FunctionSymbol) -> None:
-        """Flag tainted returns of ``export_state()`` codecs."""
-        if func.name not in _STATE_EXPORTERS:
-            return
-        for stmt, value in self.returns:
-            if isinstance(value, Taint) and value.real_sources():
-                self.candidates.add(
-                    (
-                        stmt.lineno,
-                        stmt.col_offset,
-                        "nondeterminism reaches checkpointed controller "
-                        f"state: {func.name}() return carries "
-                        f"{_render_taint(value)}",
-                    )
-                )
 
 
 def _sink_param_flows(project: Project) -> SinkFlows:
@@ -205,14 +173,10 @@ def _sink_param_flows(project: Project) -> SinkFlows:
             checker.run_function(
                 func.node, seed_param_taint(func, func.path)
             )
-            if checker.param_sinks and flows.get(
-                func.qualname
-            ) != checker.param_sinks:
-                merged = dict(flows.get(func.qualname, {}))
-                merged.update(checker.param_sinks)
-                if merged != flows.get(func.qualname):
-                    flows[func.qualname] = merged
-                    changed = True
+            merged = {**flows.get(func.qualname, {}), **checker.param_sinks}
+            if checker.param_sinks and merged != flows.get(func.qualname):
+                flows[func.qualname] = merged
+                changed = True
         if not changed:
             break
     project.summary_cache[_SINK_PARAMS_KEY] = flows
@@ -220,55 +184,39 @@ def _sink_param_flows(project: Project) -> SinkFlows:
 
 
 @register
-class DeterminismTaintRule(Rule):
+class DeterminismTaintRule(DataflowRule):
     rule_id = "determinism-taint"
     code = "POCO901"
+    aliases = ("nondeterminism", "POCO201")
     summary = (
-        "nondeterminism taint (clocks, unseeded RNGs, os.environ, set "
-        "order) must not reach checkpoints, telemetry, the guard ledger "
-        "or pickled worker arguments"
+        "no wall clocks or ambient/unseeded RNG, and no nondeterminism "
+        "(those, os.environ, listing or set order) reaching checkpoints, "
+        "telemetry, the guard ledger or pickled worker arguments"
     )
-    requires_project = True
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        project = ctx.project
-        if not isinstance(project, Project):
-            return
-        table = _table_for(project, ctx.path)
-        if table is None:
-            return
-        summaries = taint_summaries(project)
-        sink_flows = _sink_param_flows(project)
-        emitted: Set[Tuple[int, int, str]] = set()
-        for func, cls_sym in iter_functions(table):
-            if func.node is None:
-                continue
-            checker = _SinkChecker(
-                project, table, cls_sym, summaries, ctx.path, sink_flows
-            )
-            checker.run_function(
-                func.node, seed_param_taint(func, ctx.path)
-            )
-            checker.check_state_export(func)
-            emitted |= checker.candidates
-        module_checker = _SinkChecker(
-            project, table, None, summaries, ctx.path, sink_flows
+    def checker(
+        self, project: Project, table: ModuleSymbols,
+        cls_sym: Optional[ClassSymbol], path: str,
+    ) -> _SinkChecker:
+        return _SinkChecker(
+            project, table, cls_sym, taint_summaries(project), path,
+            _sink_param_flows(project),
         )
-        module_checker.run(list(ctx.tree.body), {})
-        emitted |= module_checker.candidates
-        for line, col, message in sorted(emitted):
-            yield Finding(
-                rule_id=self.rule_id,
-                code=self.code,
-                path=ctx.path,
-                line=line,
-                col=col,
-                message=message,
-            )
 
+    def seed(self, func: FunctionSymbol, path: str) -> Env:
+        return seed_param_taint(func, path)
 
-def _table_for(project: Project, path: str) -> Optional[ModuleSymbols]:
-    for table in project.modules.values():
-        if table.path == path:
-            return table
-    return None
+    def after_function(
+        self, checker: DataflowAnalysis, func: FunctionSymbol
+    ) -> None:
+        """Flag tainted returns of ``export_state()`` codecs."""
+        if func.name not in _STATE_EXPORTERS:
+            return
+        for stmt, value in checker.returns:
+            if isinstance(value, Taint) and value.real_sources():
+                checker.flag(
+                    stmt,
+                    "nondeterminism reaches checkpointed controller "
+                    f"state: {func.name}() return carries "
+                    f"{_render_taint(value)}",
+                )

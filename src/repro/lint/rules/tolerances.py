@@ -10,7 +10,8 @@ disagreeing with the code they watch.
 
 This rule flags the classic hand-rolled shapes when the quantity being
 compared carries a power/energy unit suffix (``_w``, ``_watts``,
-``_joules``, ``_kwh`` — the vocabulary of POCO101):
+``_joules``, ``_kwh`` — the suffix vocabulary of POCO701, read by
+:func:`repro.lint.summaries.suffix_unit`):
 
 * ``abs(a - b) < tol`` (any ordering, any of ``< <= > >=``) where
   ``a`` or ``b`` is a power/energy expression;
@@ -29,8 +30,15 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from repro.lint.core import Finding, LintContext, Rule, register
-from repro.lint.rules.units import infer_unit
+from repro.lint.core import (
+    Finding,
+    LintContext,
+    Rule,
+    call_name,
+    describe,
+    register,
+)
+from repro.lint.summaries import suffix_unit
 
 #: Units whose tolerance logic belongs to repro.guard.tolerance.
 _POWER_UNITS = frozenset({"watts", "joules", "kilowatt_hours"})
@@ -44,7 +52,7 @@ _EXEMPT_FRAGMENT = "repro/guard/"
 
 def _is_power_quantity(node: ast.expr) -> bool:
     """True when the expression carries a power/energy unit suffix."""
-    return infer_unit(node) in _POWER_UNITS
+    return suffix_unit(node) in _POWER_UNITS
 
 
 def _abs_of_power_difference(node: ast.expr) -> Optional[ast.expr]:
@@ -101,7 +109,7 @@ class HandRolledToleranceRule(Rule):
                         ctx,
                         node,
                         "hand-rolled tolerance comparison on "
-                        f"{_describe(matched)}; use repro.guard.tolerance "
+                        f"{describe(matched)}; use repro.guard.tolerance "
                         "(within_tolerance / tolerance_band)",
                     )
                     break
@@ -109,11 +117,7 @@ class HandRolledToleranceRule(Rule):
     def _check_isclose(
         self, ctx: LintContext, node: ast.Call
     ) -> Iterator[Finding]:
-        name = None
-        if isinstance(node.func, ast.Name):
-            name = node.func.id
-        elif isinstance(node.func, ast.Attribute):
-            name = node.func.attr
+        name = call_name(node.func)
         if name not in _ISCLOSE_NAMES:
             return
         for arg in node.args:
@@ -121,16 +125,9 @@ class HandRolledToleranceRule(Rule):
                 yield self.finding(
                     ctx,
                     node,
-                    f"{name}() tolerance check on {_describe(arg)}; use "
+                    f"{name}() tolerance check on {describe(arg)}; use "
                     "repro.guard.tolerance (within_tolerance / "
                     "tolerance_band)",
                 )
                 return
 
-
-def _describe(node: ast.expr) -> str:
-    """A short, stable spelling of the offending expression."""
-    text = ast.unparse(node)
-    if len(text) > 40:
-        text = text[:37] + "..."
-    return text

@@ -1,42 +1,38 @@
-"""POCO701 ``unit-flow`` — interprocedural dimensional inference.
+"""POCO701 ``unit-flow`` — additive unit safety for the power budget.
 
-POCO101 infers units from identifier suffixes at a single expression
-site; this rule runs the whole-program machinery instead.  Units
-propagate through local assignments (a value keeps its unit through an
-untagged temporary), through **call sites and returns** (a function
-whose body computes ``power_w * dt_s`` returns joules, so assigning it
-to ``budget_w`` two modules away is flagged), through **positional
-arguments** (resolved to the callee's parameter names via the project
-symbol table, which suffix matching alone can never see) and through
-**dataclass constructor fields**.
+The paper accounts power *additively in watts*
+(``P_static + sum_j r_j * p_j <= Power``), and this codebase encodes
+units in identifier suffixes (``power_w``, ``energy_joules``,
+``duration_s``, ``freq_ghz``).  The rule runs
+:class:`repro.lint.summaries.UnitAnalysis` over every function and
+module body and flags what is only meaningful between like units:
+``+``/``-`` (and ``+=``/``-=``) and comparisons across units; assigning
+a value to a name or attribute suffixed with another unit; passing it
+to a suffixed keyword (resolved callee or not) or to a suffixed
+positional parameter of a resolved callee; and returning it from a
+function suffixed with another unit.
 
-Jurisdiction split with POCO101: a mismatch whose two sides are both
-syntactically unit-suffixed is POCO101's finding and is *not* repeated
-here; POCO701 reports only mismatches that need flow evidence — a
-summary-derived return unit, a unit carried through an untagged local,
-or a positional-parameter binding.  POCO101 stays registered as the
-fallback for code the dataflow engine cannot resolve (see
-docs/LINTING.md).
+Units follow local assignments, call returns (interprocedural
+summaries) and dataclass constructor fields, so the suffix can be
+modules away from the mistake.  Only two *known*, different units
+mismatch: untagged code is never flagged.  The suffix vocabulary and
+its index-name exceptions (``p_j``, ``a_w``, ``sum_j``) live in
+:mod:`repro.lint.summaries`; see docs/LINTING.md.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
-from repro.lint.core import Finding, LintContext, Rule, register
-from repro.lint.dataflow import Env
-from repro.lint.graph import (
-    ClassSymbol,
-    FunctionSymbol,
-    ModuleSymbols,
-    Project,
-    iter_functions,
-)
-from repro.lint.rules.units import infer_unit, unit_of_name
+from repro.lint.core import describe, register
+from repro.lint.dataflow import DataflowAnalysis, DataflowRule, Env
+from repro.lint.graph import ClassSymbol, FunctionSymbol, ModuleSymbols, Project
 from repro.lint.summaries import (
     UnitAnalysis,
     seed_param_units,
+    suffix_unit,
+    unit_of_name,
     unit_returns,
 )
 
@@ -44,49 +40,64 @@ from repro.lint.summaries import (
 class _UnitFlowChecker(UnitAnalysis):
     """UnitAnalysis that records mismatches as candidate findings."""
 
-    def __init__(
+    def on_mix(
         self,
-        project: Project,
-        table: ModuleSymbols,
-        cls_sym: Optional[ClassSymbol],
-        returns_map: dict,
+        node: ast.AST,
+        what: str,
+        left: ast.expr,
+        left_unit: str,
+        right: ast.expr,
+        right_unit: str,
     ) -> None:
-        super().__init__(project, table, cls_sym, returns_map)
-        #: (line, col, message) candidates; a set because loop fixpoints
-        #: and nested re-evaluation visit the same site repeatedly
-        self.candidates: Set[Tuple[int, int, str]] = set()
+        self.flag(
+            node,
+            f"{what} mixes {left_unit} ({describe(left)}) with "
+            f"{right_unit} ({describe(right)})",
+        )
 
     # assignments ----------------------------------------------------------
 
-    def bind(self, name: str, value: object, node: ast.AST, env: Env) -> None:
-        expected = unit_of_name(name.rpartition(".")[-1] if "." in name else name)
-        value_expr = getattr(node, "value", None)
-        if (
-            expected is not None
-            and isinstance(value, str)
-            and value != expected
-            and isinstance(value_expr, ast.expr)
-            and infer_unit(value_expr) is None  # else POCO101's finding
+    def bind_target(
+        self, target: ast.expr, value: object, node: ast.AST, env: Env
+    ) -> None:
+        if isinstance(target, (ast.Name, ast.Attribute)) and isinstance(
+            node, (ast.Assign, ast.AnnAssign)
         ):
-            detail = self._value_detail(value_expr)
-            self.candidates.add(
-                (
-                    getattr(node, "lineno", 1),
-                    getattr(node, "col_offset", 0),
-                    f"assignment binds {value} to {name} "
-                    f"(expects {expected}){detail}",
-                )
+            self._check_assignment(target, value, node)
+        super().bind_target(target, value, node, env)
+
+    def _check_assignment(
+        self, target: ast.expr, value: object, node: ast.stmt
+    ) -> None:
+        name = target.id if isinstance(target, ast.Name) else target.attr
+        expected = unit_of_name(name)
+        if expected is None or not isinstance(value, str) or value == expected:
+            return
+        value_expr = node.value
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        direct = any(each is target for each in targets)
+        if direct and suffix_unit(value_expr) == value:
+            # The value names its unit itself: a plain suffix mismatch.
+            self.flag(
+                node,
+                f"assignment mixes {expected} ({describe(target)}) with "
+                f"{value} ({describe(value_expr)})",
             )
-        super().bind(name, value, node, env)
+            return
+        detail = self._value_detail(value_expr) if direct else ""
+        self.flag(
+            node,
+            f"assignment binds {value} to {describe(target)} "
+            f"(expects {expected}){detail}",
+        )
 
     def _value_detail(self, value_expr: ast.expr) -> str:
         """Cross-module evidence: where a call-derived unit came from."""
-        call = value_expr if isinstance(value_expr, ast.Call) else None
-        if call is None and isinstance(value_expr, ast.BinOp):
+        if not isinstance(value_expr, ast.Call):
             return ""
-        if call is None:
-            return ""
-        resolved = self.project.resolve_call(self.table, call.func, self.cls_sym)
+        resolved = self.project.resolve_call(
+            self.table, value_expr.func, self.cls_sym
+        )
         if isinstance(resolved, FunctionSymbol):
             return (
                 f"; value returned by {resolved.name}() "
@@ -96,102 +107,63 @@ class _UnitFlowChecker(UnitAnalysis):
 
     # call arguments -------------------------------------------------------
 
-    def on_call_resolved(
-        self, node: ast.Call, resolved: object, env: Env
+    def on_call(
+        self,
+        node: ast.Call,
+        resolved: object,
+        arg_units: List[Optional[str]],
+        keyword_units: Dict[Optional[str], Optional[str]],
     ) -> None:
+        for keyword in node.keywords:
+            expected = unit_of_name(keyword.arg or "")
+            actual = keyword_units.get(keyword.arg)
+            if expected is not None and actual is not None and actual != expected:
+                self.flag(
+                    keyword.value,
+                    f"keyword argument {keyword.arg}= expects {expected} "
+                    f"but receives {actual} ({describe(keyword.value)})",
+                )
         if isinstance(resolved, FunctionSymbol):
-            params: Tuple[str, ...] = resolved.params
+            params = resolved.params
             what = f"{resolved.name}()"
-            where = f"{resolved.path}:{resolved.lineno}"
         elif isinstance(resolved, ClassSymbol):
             params = resolved.init_params
             what = f"{resolved.name}(...) constructor"
-            where = f"{resolved.path}:{resolved.lineno}"
         else:
             return
-        for index, arg in enumerate(node.args):
-            if index >= len(params):
-                break
-            self._check_arg(arg, params[index], what, where, env, positional=True)
-        for keyword in node.keywords:
-            if keyword.arg is None or keyword.arg not in params:
-                continue
-            self._check_arg(
-                keyword.value, keyword.arg, what, where, env, positional=False
-            )
-
-    def _check_arg(
-        self,
-        arg: ast.expr,
-        param: str,
-        what: str,
-        where: str,
-        env: Env,
-        positional: bool,
-    ) -> None:
-        expected = unit_of_name(param)
-        if expected is None:
-            return
-        actual = self.eval_expr(arg, env)
-        if not isinstance(actual, str) or actual == expected:
-            return
-        # Keyword args with a syntactic unit are POCO101's findings;
-        # positional bindings are invisible to suffix matching, so a
-        # syntactically obvious unit still belongs to this rule there.
-        if not positional and infer_unit(arg) is not None:
-            return
-        self.candidates.add(
-            (
-                arg.lineno,
-                arg.col_offset,
-                f"argument for parameter {param}= of {what} expects "
-                f"{expected} but receives {actual} "
-                f"(callee defined at {where})",
-            )
-        )
+        for arg, param, actual in zip(node.args, params, arg_units):
+            expected = unit_of_name(param)
+            if expected is not None and actual is not None and actual != expected:
+                self.flag(
+                    arg,
+                    f"argument for parameter {param}= of {what} expects "
+                    f"{expected} but receives {actual} "
+                    f"(callee defined at {resolved.path}:{resolved.lineno})",
+                )
 
 
 @register
-class UnitFlowRule(Rule):
+class UnitFlowRule(DataflowRule):
     rule_id = "unit-flow"
     code = "POCO701"
+    aliases = ("unit-mixing", "POCO101")
     summary = (
-        "interprocedural unit inference: units follow assignments, call "
+        "watts/joules/seconds/GHz values may only be added, compared, "
+        "assigned or passed to like units; units follow assignments, call "
         "arguments, returns and dataclass fields across modules"
     )
-    requires_project = True
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        project = ctx.project
-        if not isinstance(project, Project):
-            return
-        table = _table_for(project, ctx.path)
-        if table is None:
-            return
-        returns_map = unit_returns(project)
-        emitted: Set[Tuple[int, int, str]] = set()
-        for func, cls_sym in iter_functions(table):
-            if func.node is None:
-                continue
-            checker = _UnitFlowChecker(project, table, cls_sym, returns_map)
-            checker.run_function(func.node, seed_param_units(func))
-            self._check_returns(checker, func)
-            emitted |= checker.candidates
-        module_checker = _UnitFlowChecker(project, table, None, returns_map)
-        module_checker.run(list(ctx.tree.body), {})
-        emitted |= module_checker.candidates
-        for line, col, message in sorted(emitted):
-            yield Finding(
-                rule_id=self.rule_id,
-                code=self.code,
-                path=ctx.path,
-                line=line,
-                col=col,
-                message=message,
-            )
+    def checker(
+        self, project: Project, table: ModuleSymbols,
+        cls_sym: Optional[ClassSymbol], path: str,
+    ) -> _UnitFlowChecker:
+        return _UnitFlowChecker(project, table, cls_sym, unit_returns(project))
 
-    def _check_returns(
-        self, checker: _UnitFlowChecker, func: FunctionSymbol
+    def seed(self, func: FunctionSymbol, path: str) -> Env:
+        return seed_param_units(func)
+
+    def after_function(
+        self, checker: DataflowAnalysis, func: FunctionSymbol
     ) -> None:
         """``def power_w(...)`` promises watts; flag returns that break it."""
         expected = unit_of_name(func.name)
@@ -199,18 +171,8 @@ class UnitFlowRule(Rule):
             return
         for stmt, value in checker.returns:
             if isinstance(value, str) and value != expected:
-                checker.candidates.add(
-                    (
-                        stmt.lineno,
-                        stmt.col_offset,
-                        f"{func.name}() is suffix-typed as {expected} but "
-                        f"this return produces {value}",
-                    )
+                checker.flag(
+                    stmt,
+                    f"{func.name}() is suffix-typed as {expected} but "
+                    f"this return produces {value}",
                 )
-
-
-def _table_for(project: Project, path: str) -> Optional[ModuleSymbols]:
-    for table in project.modules.values():
-        if table.path == path:
-            return table
-    return None

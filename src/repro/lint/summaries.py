@@ -1,14 +1,14 @@
 """Interprocedural summaries: unit inference and taint, with fixpoints.
 
-The v2 rule families ask two questions about every project function:
+The whole-program rule families ask two questions about every project
+function:
 
 * **units** — what dimensional unit (watts/joules/seconds/...) does
   this function return?  Answered by running :class:`UnitAnalysis`
-  (an abstract interpreter over the suffix-unit lattice of
-  :mod:`repro.lint.rules.units`) on each function body, with call
-  sites reading the *current* summary of their callee; iterated to a
-  fixpoint so chains like ``a() -> b() -> c()`` converge across
-  modules.
+  (an abstract interpreter over the suffix-unit lattice defined here)
+  on each function body, with call sites reading the *current* summary
+  of their callee; iterated to a fixpoint so chains like
+  ``a() -> b() -> c()`` converge across modules.
 * **taint** — can this function's return value carry nondeterminism
   (wall clock, unseeded RNG, ``os.environ``, set-iteration order),
   and which of its parameters flow into the return value?  Answered
@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.lint.core import call_name
 from repro.lint.dataflow import DataflowAnalysis, Env, self_attr_name
 from repro.lint.graph import (
     ClassSymbol,
@@ -37,13 +38,6 @@ from repro.lint.graph import (
     ModuleSymbols,
     Project,
     dotted_parts,
-)
-from repro.lint.rules.determinism import _CLOCK_CALLS, _SEEDABLE_CONSTRUCTORS
-from repro.lint.rules.units import (
-    _DERIVATIONS,
-    _UNIT_PRESERVING_CALLS,
-    _is_literal_number,
-    unit_of_name,
 )
 
 #: Fixpoint pass cap; call chains deeper than this stay unknown.
@@ -57,19 +51,87 @@ _TAINT_SUMMARY_KEY = "taint-summaries"
 # Unit flow
 # ----------------------------------------------------------------------
 
+#: identifier suffix -> canonical unit name
+SUFFIX_UNITS = {
+    "w": "watts",
+    "watts": "watts",
+    "j": "joules",
+    "joules": "joules",
+    "kwh": "kilowatt_hours",
+    "ghz": "gigahertz",
+    "hz": "hertz",
+    "s": "seconds",
+    "secs": "seconds",
+    "seconds": "seconds",
+    "ms": "milliseconds",
+    "usd": "dollars",
+}
+
+#: Stems that make a suffix an *index*, not a unit: the paper's
+#: per-app subscript ``j`` (``p_j``, ``r_j``), per-resource subscripts
+#: (``a_w`` = ways, ``a_c`` = cores), and reduction/loop words.
+INDEX_STEMS = frozenset(
+    {"sum", "prod", "alpha", "beta", "pref", "idx", "arg", "num", "min", "max"}
+)
+
+#: (unit_left, op, unit_right) -> derived unit for * and /.
+_DERIVATIONS = {
+    ("watts", "*", "seconds"): "joules",
+    ("seconds", "*", "watts"): "joules",
+    ("joules", "/", "seconds"): "watts",
+    ("joules", "/", "watts"): "seconds",
+}
+
+#: Builtins that return a value of their argument's unit.
+_UNIT_PRESERVING_CALLS = frozenset({"abs", "min", "max", "sum", "round", "float"})
+
+
+def unit_of_name(identifier: str) -> Optional[str]:
+    """Infer a unit from an identifier's trailing ``_<suffix>``."""
+    if "_" not in identifier:
+        return None
+    if "_per_" in identifier:
+        # ``power_infra_usd_per_w`` is a *rate* (dollars/watt), not
+        # watts — compound units are outside the suffix vocabulary.
+        return None
+    stem, _, suffix = identifier.rpartition("_")
+    unit = SUFFIX_UNITS.get(suffix)
+    if unit is None:
+        return None
+    stem = stem.lstrip("_")
+    if len(stem) <= 1 or stem in INDEX_STEMS:
+        return None
+    return unit
+
+
+def _is_literal_number(node: ast.expr) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(
+        node.op, (ast.USub, ast.UAdd)
+    ):
+        node = node.operand
+    return isinstance(node, ast.Constant) and isinstance(
+        node.value, (int, float)
+    )
+
+
 class UnitAnalysis(DataflowAnalysis):
     """Abstract interpretation over the suffix-unit agreement lattice.
 
     Values are canonical unit names (``"watts"``) or None (unknown);
     a merge of two different units gives up rather than guessing.
-    Name lookups fall back to suffix inference, so the analysis
-    strictly generalizes POCO101's syntactic ``infer_unit``.
+    Name lookups fall back to suffix inference.  Multiplication and
+    division *derive* units (``watts * seconds -> joules``), a same-unit
+    ratio is dimensionless, and scaling by a literal keeps the unit;
+    anything else is unknown, and unknown values never mismatch.
+
+    ``project`` may be None: calls then resolve to nothing and the
+    analysis reads units from suffixes alone (see :func:`suffix_unit`).
     """
 
     def __init__(
         self,
-        project: Project,
-        table: ModuleSymbols,
+        project: Optional[Project],
+        table: Optional[ModuleSymbols],
         cls_sym: Optional[ClassSymbol],
         unit_returns: Dict[str, Optional[str]],
     ) -> None:
@@ -81,14 +143,41 @@ class UnitAnalysis(DataflowAnalysis):
 
     # hooks for the POCO701 rule ------------------------------------------
 
-    def on_call_resolved(
-        self, node: ast.Call, resolved: object, env: Env
+    def on_call(
+        self,
+        node: ast.Call,
+        resolved: object,
+        arg_units: List[Optional[str]],
+        keyword_units: Dict[Optional[str], Optional[str]],
     ) -> None:
-        """Called for every call site with its resolved project symbol."""
+        """Called at every call site with its resolved project symbol
+        (or None) and the units of its arguments."""
 
-    def flow_unit(self, node: ast.expr, env: Env) -> Optional[str]:
-        """Public entry: abstract unit of an expression."""
-        return self.eval_expr(node, env)
+    def on_mix(
+        self,
+        node: ast.AST,
+        what: str,
+        left: ast.expr,
+        left_unit: str,
+        right: ast.expr,
+        right_unit: str,
+    ) -> None:
+        """Called where ``+``/``-``, ``+=``/``-=`` or a comparison
+        meets two different known units."""
+
+    def _check_mix(
+        self,
+        node: ast.AST,
+        what: str,
+        left: ast.expr,
+        left_unit: Optional[str],
+        right: ast.expr,
+        right_unit: Optional[str],
+    ) -> None:
+        if left_unit is not None and right_unit is not None and (
+            left_unit != right_unit
+        ):
+            self.on_mix(node, what, left, left_unit, right, right_unit)
 
     # expression evaluation ------------------------------------------------
 
@@ -101,9 +190,11 @@ class UnitAnalysis(DataflowAnalysis):
         pseudo = self_attr_name(node)
         if pseudo is not None and env.get(pseudo) is not None:
             return env[pseudo]
+        self.eval_expr(node.value, env)
         return unit_of_name(node.attr)
 
     def eval_Subscript(self, node: ast.Subscript, env: Env) -> Optional[str]:
+        self.eval_expr(node.slice, env)
         return self.eval_expr(node.value, env)
 
     def eval_Starred(self, node: ast.Starred, env: Env) -> Optional[str]:
@@ -118,20 +209,35 @@ class UnitAnalysis(DataflowAnalysis):
     def eval_Constant(self, node: ast.Constant, env: Env) -> Optional[str]:
         return None
 
+    def eval_Compare(self, node: ast.Compare, env: Env) -> Optional[str]:
+        operands = [node.left, *node.comparators]
+        units = [self.eval_expr(operand, env) for operand in operands]
+        for index in range(len(operands) - 1):
+            self._check_mix(
+                node, "comparison",
+                operands[index], units[index],
+                operands[index + 1], units[index + 1],
+            )
+        return None
+
     def eval_Call(self, node: ast.Call, env: Env) -> Optional[str]:
+        self.eval_expr(node.func, env)
         arg_units = [self.eval_expr(arg, env) for arg in node.args]
-        for keyword in node.keywords:
-            self.eval_expr(keyword.value, env)
-        resolved = self.project.resolve_call(
-            self.table, node.func, self.cls_sym
-        )
-        if resolved is not None:
-            self.on_call_resolved(node, resolved, env)
+        keyword_units = {
+            keyword.arg: self.eval_expr(keyword.value, env)
+            for keyword in node.keywords
+        }
+        resolved = None
+        if self.project is not None and self.table is not None:
+            resolved = self.project.resolve_call(
+                self.table, node.func, self.cls_sym
+            )
+        self.on_call(node, resolved, arg_units, keyword_units)
         if isinstance(resolved, FunctionSymbol):
             summary = self.unit_returns.get(resolved.qualname)
             if summary is not None:
                 return summary
-        name = _call_name(node.func)
+        name = call_name(node.func)
         if name in _UNIT_PRESERVING_CALLS and arg_units:
             return arg_units[0]
         if name is not None:
@@ -142,6 +248,11 @@ class UnitAnalysis(DataflowAnalysis):
         left = self.eval_expr(node.left, env)
         right = self.eval_expr(node.right, env)
         if isinstance(node.op, (ast.Add, ast.Sub)):
+            self._check_mix(
+                node, "arithmetic", node.left, left, node.right, right
+            )
+            # A known operand dominates an unknown one (``power_w + 0.5``
+            # is still watts); a mixed sum is unknown.
             if left == right:
                 return left
             return left if right is None else right if left is None else None
@@ -151,6 +262,9 @@ class UnitAnalysis(DataflowAnalysis):
                 if left == right:
                     return None
                 return _DERIVATIONS.get((left, op, right))
+            # Scaling by a literal number keeps the unit; an *unknown*
+            # operand (an untagged variable, a compound rate) does not —
+            # it may carry a dimension of its own.
             if left is not None and _is_literal_number(node.right):
                 return left
             if (
@@ -160,6 +274,22 @@ class UnitAnalysis(DataflowAnalysis):
             ):
                 return right
         return None
+
+    def on_aug_assign(
+        self, node: ast.AugAssign, value: Optional[str], env: Env
+    ) -> None:
+        if isinstance(node.op, (ast.Add, ast.Sub)):
+            self._check_mix(
+                node, "augmented assignment",
+                node.target, self.eval_expr(node.target, env),
+                node.value, value,
+            )
+
+
+def suffix_unit(node: ast.expr) -> Optional[str]:
+    """The unit an expression names by itself: its suffixes and the
+    conversions between them, with no bindings and no summaries."""
+    return UnitAnalysis(None, None, None, {}).eval_expr(node, {})
 
 
 def seed_param_units(func: FunctionSymbol) -> Env:
@@ -245,10 +375,6 @@ class TaintSummary:
     return_steps: Tuple[str, ...] = ()
     param_flow: Tuple[int, ...] = ()
 
-    @property
-    def is_clean(self) -> bool:
-        return not self.return_sources and not self.param_flow
-
 
 def merge_taint(a: Optional[Taint], b: Optional[Taint]) -> Optional[Taint]:
     if a is None:
@@ -278,6 +404,63 @@ _ENV_CALLS = frozenset({"os.getenv", "os.environ.get", "os.environb.get"})
 _LISTING_CALLS = frozenset(
     {"os.listdir", "os.scandir", "glob.glob", "glob.iglob"}
 )
+
+#: Fully-qualified callables that read a wall clock.
+_CLOCK_CALLS = frozenset(
+    {
+        "time.time", "time.time_ns", "time.perf_counter",
+        "time.perf_counter_ns", "time.monotonic", "time.monotonic_ns",
+        "datetime.datetime.now", "datetime.datetime.utcnow",
+        "datetime.datetime.today", "datetime.date.today",
+    }
+)
+
+#: numpy.random callables that are legitimate *when given a seed*.
+_SEEDABLE_CONSTRUCTORS = frozenset(
+    {
+        "numpy.random.default_rng", "numpy.random.SeedSequence",
+        "numpy.random.PCG64", "numpy.random.PCG64DXSM",
+        "numpy.random.Philox", "numpy.random.MT19937", "numpy.random.SFC64",
+    }
+)
+
+#: Why each banned read is a finding at its call site.
+_BANS = {
+    "clock": "is a wall-clock read; derive time from the simulation "
+    "clock, not the host",
+    "random.Random": "constructs an unseeded RNG; pass an explicit seed",
+    "seedable": "constructs an unseeded generator; pass an explicit seed "
+    "(e.g. default_rng(config.seed))",
+    "random.": "uses the process-global random module; thread an "
+    "explicitly seeded generator instead",
+    "numpy.random.": "uses numpy's global legacy RNG; use an explicitly "
+    "seeded numpy.random.Generator",
+}
+
+
+def _entropy_read(
+    dotted: str, has_args: bool
+) -> Optional[Tuple[str, str, Optional[str]]]:
+    """``(kind, evidence, ban)`` for a call that reads nondeterminism.
+
+    ``evidence`` formats the callee's spelling into the taint source.
+    ``ban`` says why a clock or RNG read is a finding wherever it
+    happens; environment and directory-order reads have none, because
+    they only matter once they reach a sink.
+    """
+    if dotted in _CLOCK_CALLS:
+        return "clock", "{}()", _BANS["clock"]
+    if dotted in _ENV_CALLS:
+        return "env", "{}()", None
+    if dotted in _LISTING_CALLS:
+        return "order", "{}()", None
+    if dotted == "random.Random" or dotted in _SEEDABLE_CONSTRUCTORS:
+        ban = _BANS.get(dotted, _BANS["seedable"])
+        return None if has_args else ("rng", "unseeded {}()", ban)
+    for prefix in ("random.", "numpy.random."):
+        if dotted.startswith(prefix) and dotted != "numpy.random.Generator":
+            return "rng", "global-RNG {}()", _BANS[prefix]
+    return None
 
 
 class TaintAnalysis(DataflowAnalysis):
@@ -323,6 +506,9 @@ class TaintAnalysis(DataflowAnalysis):
         """Called at every call with per-argument taint (keys are
         positional indices as strings plus keyword names)."""
 
+    def on_banned_call(self, node: ast.Call, message: str) -> None:
+        """Called at every clock or unseeded/global RNG read."""
+
     # bindings record the assignment path ---------------------------------
 
     def bind(self, name: str, value: Any, node: ast.AST, env: Env) -> None:
@@ -344,6 +530,7 @@ class TaintAnalysis(DataflowAnalysis):
         return self._set_marker(node)
 
     def eval_SetComp(self, node: ast.SetComp, env: Env) -> Any:
+        self.eval_ListComp(node, env)
         return self._set_marker(node)
 
     def _set_marker(self, node: ast.expr) -> Taint:
@@ -366,11 +553,12 @@ class TaintAnalysis(DataflowAnalysis):
 
     def eval_Subscript(self, node: ast.Subscript, env: Env) -> Any:
         dotted = _resolved_dotted(node.value, self.aliases)
+        value = self.eval_children(node, env)
         if dotted in _ENV_READS:
             return self._source(
                 "env", f"{ast.unparse(node.value)}[...]", node
             )
-        return self.eval_children(node, env)
+        return value
 
     def iter_element(self, iter_value: Any, node: ast.expr, env: Env) -> Any:
         if isinstance(iter_value, Taint) and iter_value.has_kind("set"):
@@ -402,6 +590,7 @@ class TaintAnalysis(DataflowAnalysis):
     # calls ----------------------------------------------------------------
 
     def eval_Call(self, node: ast.Call, env: Env) -> Any:
+        self.eval_expr(node.func, env)
         arg_taints: Dict[str, Optional[Taint]] = {}
         joined_args: Optional[Taint] = None
         for index, arg in enumerate(node.args):
@@ -422,7 +611,7 @@ class TaintAnalysis(DataflowAnalysis):
         if source is not None:
             return merge_taint(source, joined_args)
 
-        name = _call_name(node.func)
+        name = call_name(node.func)
         if name == "set" or name == "frozenset":
             marker = self._set_marker(node)
             return merge_taint(marker, _strip_kinds_opt(joined_args, ()))
@@ -471,25 +660,14 @@ class TaintAnalysis(DataflowAnalysis):
         dotted = _resolved_dotted(node.func, self.aliases)
         if dotted is None:
             return None
+        read = _entropy_read(dotted, bool(node.args or node.keywords))
+        if read is None:
+            return None
+        kind, evidence, ban = read
         spelled = ast.unparse(node.func)
-        if dotted in _CLOCK_CALLS:
-            return self._source("clock", f"{spelled}()", node)
-        if dotted in _ENV_CALLS:
-            return self._source("env", f"{spelled}()", node)
-        if dotted in _LISTING_CALLS:
-            return self._source("order", f"{spelled}()", node)
-        has_args = bool(node.args or node.keywords)
-        if dotted in _SEEDABLE_CONSTRUCTORS and not has_args:
-            return self._source("rng", f"unseeded {spelled}()", node)
-        if dotted == "random.Random" and not has_args:
-            return self._source("rng", f"unseeded {spelled}()", node)
-        if dotted.startswith("random.") or (
-            dotted.startswith("numpy.random.")
-            and dotted not in _SEEDABLE_CONSTRUCTORS
-            and dotted != "numpy.random.Generator"
-        ):
-            return self._source("rng", f"global-RNG {spelled}()", node)
-        return None
+        if ban is not None:
+            self.on_banned_call(node, f"{spelled}() {ban}")
+        return self._source(kind, evidence.format(spelled), node)
 
 
 def _strip_kinds(taint: Taint, kinds: Tuple[str, ...]) -> Optional[Taint]:
@@ -561,14 +739,6 @@ def taint_summaries(project: Project) -> Dict[str, TaintSummary]:
 # ----------------------------------------------------------------------
 # shared helpers
 # ----------------------------------------------------------------------
-
-def _call_name(func: ast.expr) -> Optional[str]:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
 
 def _resolved_dotted(
     node: ast.expr, aliases: Dict[str, str]

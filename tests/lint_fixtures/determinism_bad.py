@@ -1,4 +1,4 @@
-"""Fixture: every call here is banned entropy (POCO201 must flag each)."""
+"""Fixture: every call here is banned entropy (POCO901 must flag each)."""
 
 import random
 import time

@@ -1,4 +1,4 @@
-"""Fixture: explicitly seeded twin of determinism_bad (POCO201 silent)."""
+"""Fixture: explicitly seeded twin of determinism_bad (POCO901 silent)."""
 
 import numpy as np
 

@@ -2,5 +2,6 @@
 
 Each module plants one source kind (clock, env, unseeded RNG, set
 order) and routes it — through locals, returns and a module boundary —
-into a sink (telemetry, checkpoint, ledger, pickled worker args).
+into a sink (telemetry, checkpoint, ledger, pickled worker args),
+including the receiver of a chained call and a comprehension clause.
 """

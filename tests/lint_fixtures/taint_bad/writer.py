@@ -32,3 +32,11 @@ class JitterController:
     def export_state(self):
         jitter = random.random()
         return {"jitter": jitter}  # BAD: global RNG -> checkpointed state
+
+
+def save_stamped(path):
+    Checkpoint(run_key="k", payload={"t": stamp()}).save(path)  # BAD: chained
+
+
+def persist_listing(path):
+    return Checkpoint(run_key="k", payload=[n for n in os.listdir(path)])  # BAD

@@ -1,5 +1,7 @@
 """Same sinks as the bad twin, fed only deterministic values."""
 
+import os
+
 import numpy as np
 
 from taint_good.sources import ordered_names, stamp
@@ -28,3 +30,11 @@ class JitterController:
     def export_state(self):
         jitter = 0.0
         return {"jitter": jitter}  # fine: constant state
+
+
+def save_stamped(path, sim_time_s):
+    Checkpoint(run_key="k", payload={"t": stamp(sim_time_s)}).save(path)
+
+
+def persist_listing(path):
+    return Checkpoint(run_key="k", payload=[n for n in sorted(os.listdir(path))])

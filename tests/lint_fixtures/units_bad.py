@@ -1,4 +1,4 @@
-"""Fixture: every site here mixes units (POCO101 must flag each)."""
+"""Fixture: every site here mixes units (POCO701 must flag each)."""
 
 
 def broken_budget(idle_power_w, energy_joules, duration_s, budget_w):

@@ -1,4 +1,4 @@
-"""Fixture: unit-correct twin of units_bad (POCO101 must stay silent)."""
+"""Fixture: unit-correct twin of units_bad (POCO701 must stay silent)."""
 
 
 def sound_budget(idle_power_w, active_power_w, duration_s, budget_joules):

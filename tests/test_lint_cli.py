@@ -13,6 +13,7 @@ import subprocess
 import sys
 
 from repro.lint import Baseline, lint_paths
+from repro.lint.cache import analyzer_digest, load_cache
 from repro.lint.cli import main
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -35,7 +36,7 @@ class TestExitCodes:
         code = run_cli(str(FIXTURES / "units_bad.py"), "--no-baseline")
         assert code == 1
         out = capsys.readouterr().out
-        assert "POCO101[unit-mixing]" in out
+        assert "POCO701[unit-flow]" in out
         assert "11 new findings" in out
 
     def test_missing_path_exits_two(self, capsys):
@@ -76,7 +77,7 @@ class TestFormats:
         doc = json.loads(capsys.readouterr().out)
         assert doc["tool"] == "pocolint"
         assert doc["clean"] is False
-        assert doc["counts"] == {"nondeterminism": 12}
+        assert doc["counts"] == {"determinism-taint": 12}
         first = doc["new_findings"][0]
         assert set(first) == {"rule", "code", "path", "line", "col", "message"}
 
@@ -97,6 +98,30 @@ class TestFormats:
             "--rules=unit-mixing",
         )
         assert code == 0
+
+    def test_rule_selection_by_code_and_alias(self, capsys):
+        for name in ("POCO201", "nondeterminism", "POCO901"):
+            code = run_cli(
+                str(FIXTURES / "determinism_bad.py"),
+                "--no-baseline",
+                "--format=json",
+                f"--rules={name}",
+            )
+            assert code == 1
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["counts"] == {"determinism-taint": 12}
+
+    def test_unknown_rule_exits_two(self, capsys):
+        code = run_cli(str(FIXTURES / "units_good.py"), "--rules=POCO999")
+        assert code == 2
+        assert "unknown rule" in capsys.readouterr().err
+
+    def test_list_rules_names_the_aliases(self, capsys):
+        assert run_cli("--list-rules") == 0
+        out = capsys.readouterr().out
+        assert len([line for line in out.splitlines() if line.startswith("POCO")]) == 7
+        assert "aliases: unit-mixing, POCO101" in out
+        assert "aliases: nondeterminism, POCO201" in out
 
 
 #: Minimal structural subset of the SARIF 2.1.0 schema: enough to prove
@@ -207,11 +232,11 @@ class TestSarifFormat:
         assert doc["version"] == "2.1.0"
         run = doc["runs"][0]
         assert run["tool"]["driver"]["name"] == "pocolint"
-        # the full nine-family catalogue rides along
-        assert len(run["tool"]["driver"]["rules"]) == 9
+        # the full seven-family catalogue rides along
+        assert len(run["tool"]["driver"]["rules"]) == 7
         assert len(run["results"]) == 11
         first = run["results"][0]
-        assert first["ruleId"] == "POCO101"
+        assert first["ruleId"] == "POCO701"
         region = first["locations"][0]["physicalLocation"]["region"]
         assert region["startLine"] == 5
         assert region["startColumn"] >= 1  # SARIF columns are 1-based
@@ -238,7 +263,7 @@ class TestGithubFormat:
         assert len(annotations) == 11
         assert "file=" in annotations[0]
         assert "line=5" in annotations[0]
-        assert "title=POCO101[unit-mixing]" in annotations[0]
+        assert "title=POCO701[unit-flow]" in annotations[0]
         assert "pocolint: 11 new findings" in out
 
     def test_clean_run_emits_no_annotations(self, capsys):
@@ -341,6 +366,31 @@ class TestChangedOnly:
         code = run_cli("pkg", "--changed-only", "--no-baseline")
         out = capsys.readouterr().out
         assert code == 1  # mismatched hash -> re-parsed, finding intact
+        assert "time.time() (pkg/source.py:5)" in out
+
+    def test_cache_from_other_analyzer_sources_is_ignored(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        pkg = self._make_repo(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        run_cli("pkg", "--changed-only", "--no-baseline")
+        capsys.readouterr()
+        cache = tmp_path / ".pocolint-cache.json"
+        doc = json.loads(cache.read_text())
+        assert doc["analyzer"] == analyzer_digest()
+        # A cache from other analyzer sources: its hash-matching entry
+        # claims stamp() is clean, which a stale analyzer could say.
+        doc["analyzer"] = "0" * 64
+        doc["files"]["pkg/source.py"]["taint"] = {}
+        cache.write_text(json.dumps(doc))
+        assert load_cache(cache) == {}
+        (pkg / "sink.py").write_text(
+            "from pkg.source import stamp\n\n\ndef log(telemetry):\n"
+            "    telemetry.record('t', stamp(), 1.0)\n"
+        )
+        code = run_cli("pkg", "--changed-only", "--no-baseline")
+        out = capsys.readouterr().out
+        assert code == 1  # entry dropped -> re-analyzed, finding intact
         assert "time.time() (pkg/source.py:5)" in out
 
     def test_outside_git_repo_is_an_error(self, tmp_path, monkeypatch, capsys):

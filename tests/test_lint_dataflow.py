@@ -1,4 +1,4 @@
-"""Whole-program pocolint v2: graph, dataflow, POCO701/801/901 fixtures.
+"""Whole-program pocolint: graph, dataflow, POCO701/801/901 fixtures.
 
 The multi-module fixture *packages* under ``tests/lint_fixtures/`` are
 linted statically (never imported); the bad packages assert exact
@@ -98,11 +98,16 @@ class TestUnitFlow:
     def test_good_twin_is_clean(self):
         assert package_findings("unitflow_good", "unit-flow") == []
 
-    def test_does_not_duplicate_poco101_jurisdiction(self):
-        # Both sides syntactically suffixed: POCO101's finding, not 701's.
+    def test_syntactic_mismatch_reported_once(self):
+        # Both sides suffixed: one finding, worded as a suffix mismatch,
+        # whichever name of the rule selects it.
         src = "def f(power_w):\n    total_j = power_w\n    return total_j\n"
-        assert lint_source(src, rules=[get_rule("unit-flow")]) == []
-        assert len(lint_source(src, rules=[get_rule("unit-mixing")])) == 1
+        expected = [
+            (2, "assignment mixes joules (total_j) with watts (power_w)")
+        ]
+        for name in ("unit-flow", "unit-mixing"):
+            found = lint_source(src, rules=[get_rule(name)])
+            assert [(f.line, f.message) for f in found] == expected
 
     def test_unit_agreement_survives_branch_join(self):
         src = (
@@ -196,12 +201,27 @@ class TestDeterminismTaint:
     def test_bad_package_exact_locations(self):
         found = package_findings("taint_bad", "determinism-taint")
         assert located(found) == [
+            ("taint_bad/sources.py", 7),  # banned call
             ("taint_bad/writer.py", 13),
             ("taint_bad/writer.py", 18),
             ("taint_bad/writer.py", 23),
+            ("taint_bad/writer.py", 27),  # banned call
             ("taint_bad/writer.py", 28),
+            ("taint_bad/writer.py", 33),  # banned call
             ("taint_bad/writer.py", 34),
+            ("taint_bad/writer.py", 38),
+            ("taint_bad/writer.py", 42),
         ]
+
+    def test_chained_call_and_comprehension_reach_the_sink(self):
+        found = package_findings("taint_bad", "determinism-taint")
+        by_line = {f.line: f.message for f in found if f.path.endswith("writer.py")}
+        # Checkpoint(...).save(path): the sink is the receiver of the call
+        assert "Checkpoint payload" in by_line[38]
+        assert "return of stamp()" in by_line[38]
+        # taint enters through a comprehension's for clause
+        assert "os.listdir()" in by_line[42]
+        assert "Checkpoint payload" in by_line[42]
 
     def test_evidence_chains_cross_the_module_boundary(self):
         found = package_findings("taint_bad", "determinism-taint")
@@ -240,10 +260,21 @@ class TestDeterminismTaint:
         )
         assert lint_source(src, rules=[get_rule("determinism-taint")]) == []
 
-    def test_source_without_sink_is_silent(self):
-        # POCO901 only fires at sinks; loose clocks are POCO201's job.
-        src = "import time\n\ndef f():\n    return time.time()\n"
-        assert lint_source(src, rules=[get_rule("determinism-taint")]) == []
+    def test_only_banned_calls_fire_without_a_sink(self):
+        # A loose clock read is a finding at its call, once; environment
+        # and listing reads only matter where they reach a sink.
+        src = (
+            "import os\nimport time\n\ndef f(path):\n"
+            "    return time.time(), os.environ['X'], os.listdir(path)\n"
+        )
+        found = lint_source(src, rules=[get_rule("determinism-taint")])
+        assert [(f.line, f.message) for f in found] == [
+            (
+                5,
+                "time.time() is a wall-clock read; derive time from the "
+                "simulation clock, not the host",
+            )
+        ]
 
     def test_param_flow_reports_at_the_caller(self):
         # `route` sinks its parameter; the *caller* feeding it a clock is

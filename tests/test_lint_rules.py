@@ -26,11 +26,9 @@ def lines_of(findings):
 
 
 class TestRegistry:
-    def test_nine_rule_families_registered(self):
+    def test_seven_rule_families_registered(self):
         rules = all_rules()
         assert [r.rule_id for r in rules] == [
-            "unit-mixing",
-            "nondeterminism",
             "pool-closure",
             "exception-policy",
             "atomic-artifacts",
@@ -40,8 +38,6 @@ class TestRegistry:
             "determinism-taint",
         ]
         assert [r.code for r in rules] == [
-            "POCO101",
-            "POCO201",
             "POCO301",
             "POCO401",
             "POCO501",
@@ -56,7 +52,16 @@ class TestRegistry:
         assert by_id["unit-flow"].requires_project
         assert by_id["lane-safety"].requires_project is False
         assert by_id["determinism-taint"].requires_project
-        assert by_id["unit-mixing"].requires_project is False
+        assert by_id["pool-closure"].requires_project is False
+
+    def test_codes_and_folded_names_resolve(self):
+        # The retired syntactic rules live on as aliases of the rules
+        # they were folded into; every code resolves too.
+        for name in ("unit-mixing", "POCO101", "POCO701"):
+            assert get_rule(name).rule_id == "unit-flow"
+        for name in ("nondeterminism", "POCO201", "POCO901"):
+            assert get_rule(name).rule_id == "determinism-taint"
+        assert get_rule("POCO301").rule_id == "pool-closure"
 
     def test_unknown_rule_raises_lint_error(self):
         with pytest.raises(LintError, match="unknown rule"):
@@ -175,6 +180,8 @@ DETERMINISM_SITES = [
     ("taint_bad/writer.py", 28),
     ("taint_bad/writer.py", 33),
     ("taint_bad/writer.py", 34),
+    ("taint_bad/writer.py", 38),
+    ("taint_bad/writer.py", 42),
 ]
 
 
@@ -328,6 +335,13 @@ class TestSuppression:
         # Lines 7 and 11 are suppressed; line 17 must still fire, and
         # the string literal on line 16 must not act as a suppression.
         assert lines_of(found) == [17]
+
+    def test_codes_and_aliases_suppress(self):
+        for name in ("POCO201", "POCO901", "determinism-taint"):
+            src = f"import time\nt = time.time()  # pocolint: disable={name}\n"
+            assert lint_source(src, rules=[get_rule("nondeterminism")]) == []
+        src = "total_j = 1.0\ntotal_j = power_w  # pocolint: disable=POCO101\n"
+        assert lint_source(src, rules=[get_rule("unit-flow")]) == []
 
     def test_disable_must_name_the_right_rule(self):
         src = "import time\nt = time.time()  # pocolint: disable=unit-mixing\n"

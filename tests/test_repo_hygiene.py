@@ -34,8 +34,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 #: in placement.py and meter.py now take explicit default seeds), so
 #: every cap is zero and the baseline is empty.
 BASELINE_CAPS = {
-    "unit-mixing": 0,
-    "nondeterminism": 0,
     "pool-closure": 0,
     "exception-policy": 0,
     "atomic-artifacts": 0,

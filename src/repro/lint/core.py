@@ -18,6 +18,7 @@ output.
 from __future__ import annotations
 
 import ast
+import functools
 import re
 import tokenize
 from dataclasses import dataclass, field
@@ -92,6 +93,12 @@ class LintContext:
             suppressed=suppressed,
             directives=directives,
         )
+
+    @functools.cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of the tree in ``ast.walk`` order: one walk per
+        file, shared by the rules that scan the whole tree."""
+        return list(ast.walk(self.tree))
 
     def has_directive(self, name: str) -> bool:
         return name in self.directives

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.lint.core import LintContext
 
@@ -99,7 +99,9 @@ def _function_params(node: ast.AST) -> Tuple[str, ...]:
     return tuple(names)
 
 
-def collect_import_aliases(tree: ast.Module, module_name: str) -> Dict[str, str]:
+def collect_import_aliases(
+    nodes: Iterable[ast.AST], module_name: str
+) -> Dict[str, str]:
     """Map local names to the dotted targets they import.
 
     Relative imports are resolved against ``module_name`` so that
@@ -108,7 +110,7 @@ def collect_import_aliases(tree: ast.Module, module_name: str) -> Dict[str, str]
     """
     aliases: Dict[str, str] = {}
     pkg_parts = module_name.split(".")[:-1]
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 aliases[alias.asname or alias.name.split(".")[0]] = (
@@ -145,11 +147,12 @@ class ModuleSymbols:
     imports: Dict[str, str] = field(default_factory=dict)
 
     @classmethod
-    def from_tree(cls, tree: ast.Module, path: str) -> "ModuleSymbols":
+    def from_context(cls, ctx: LintContext) -> "ModuleSymbols":
+        path = ctx.path
         name = module_name_for_path(path)
         table = cls(name=name, path=path)
-        table.imports = collect_import_aliases(tree, name)
-        for node in tree.body:
+        table.imports = collect_import_aliases(ctx.nodes, name)
+        for node in ctx.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 table.functions[node.name] = FunctionSymbol(
                     qualname=f"{name}.{node.name}",
@@ -249,7 +252,7 @@ class Project:
         contribute pre-computed summaries, but are never re-analyzed."""
         project = cls()
         for ctx in contexts:
-            table = ModuleSymbols.from_tree(ctx.tree, ctx.path)
+            table = ModuleSymbols.from_context(ctx)
             project.modules[table.name] = table
             project.contexts[table.name] = ctx
         for table in cached_tables:

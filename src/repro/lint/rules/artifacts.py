@@ -79,7 +79,7 @@ class AtomicArtifactsRule(Rule):
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         if ctx.path.replace("\\", "/").endswith(_ALLOWED_PATH_SUFFIX):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func

@@ -84,7 +84,7 @@ class ExceptionPolicyRule(Rule):
     )
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Raise):
                 yield from self._check_raise(ctx, node)
             elif isinstance(node, ast.ExceptHandler):

@@ -106,12 +106,15 @@ class PoolClosureRule(Rule):
     )
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
+        calls = [
+            node
+            for node in ctx.nodes
+            if isinstance(node, ast.Call) and node.args and _is_pool_call(node)
+        ]
+        if not calls:
+            return
         _, nested_only = _collect_def_scopes(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not (isinstance(node, ast.Call) and _is_pool_call(node)):
-                continue
-            if not node.args:
-                continue
+        for node in calls:
             target = _unwrap_partial(node.args[0])
             site = _call_site_name(node)
             if isinstance(target, ast.Lambda):

@@ -87,7 +87,7 @@ class HandRolledToleranceRule(Rule):
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         if _EXEMPT_FRAGMENT in ctx.path.replace("\\", "/"):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Compare):
                 yield from self._check_compare(ctx, node)
             elif isinstance(node, ast.Call):

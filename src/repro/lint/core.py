@@ -248,37 +248,26 @@ def _sorted_findings(findings: Iterable[Finding]) -> List[Finding]:
     )
 
 
-def _attach_project(
-    contexts: Sequence[LintContext], rules: Sequence[Rule]
-) -> None:
-    """Build one Project over ``contexts`` when any rule needs it."""
-    if not any(rule.requires_project for rule in rules):
-        return
-    # Imported lazily: graph builds on LintContext, so a module-level
-    # import here would be circular.
-    from repro.lint.graph import Project
-
-    project = Project.from_contexts(contexts)
-    for ctx in contexts:
-        ctx.project = project
-
-
 def _check_contexts(
     contexts: Sequence[LintContext],
-    rules: Sequence[Rule],
+    rules: Optional[Sequence[Rule]] = None,
     project: Optional[object] = None,
 ) -> List[Finding]:
-    """Run ``rules`` over ``contexts``; ``project`` injects a pre-built
-    whole-program view (the cached ``--changed-only`` driver), otherwise
-    one is constructed on demand."""
-    if project is not None:
-        for ctx in contexts:
-            ctx.project = project
-    else:
-        _attach_project(contexts, rules)
+    """Run ``rules`` (default: all) over ``contexts``.  ``project``
+    injects a pre-built whole-program view (the cached
+    ``--changed-only`` driver); otherwise one is built over
+    ``contexts`` when any rule needs it."""
+    active = list(rules) if rules is not None else all_rules()
+    if project is None and any(rule.requires_project for rule in active):
+        # Imported lazily: graph builds on LintContext, so a module-level
+        # import here would be circular.
+        from repro.lint.graph import Project
+
+        project = Project.from_contexts(contexts)
     findings: List[Finding] = []
     for ctx in contexts:
-        for rule in rules:
+        ctx.project = project
+        for rule in active:
             for finding in rule.check(ctx):
                 if not ctx.is_suppressed(finding):
                     findings.append(finding)
@@ -293,9 +282,7 @@ def lint_source(
     Whole-program rules see a single-module project, so intraprocedural
     and same-file interprocedural findings still fire.
     """
-    ctx = LintContext.from_source(source, path)
-    active = list(rules) if rules is not None else all_rules()
-    return _check_contexts([ctx], active)
+    return _check_contexts([LintContext.from_source(source, path)], rules)
 
 
 def _read_context(path: Path, root: Optional[Path]) -> LintContext:
@@ -316,9 +303,7 @@ def lint_file(
     path: Path, rules: Optional[Sequence[Rule]] = None, root: Optional[Path] = None
 ) -> List[Finding]:
     """Lint one file; ``root`` relativizes the reported path when given."""
-    ctx = _read_context(path, root)
-    active = list(rules) if rules is not None else all_rules()
-    return _check_contexts([ctx], active)
+    return _check_contexts([_read_context(path, root)], rules)
 
 
 def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
@@ -336,22 +321,14 @@ def lint_paths(
     paths: Sequence[Path],
     rules: Optional[Sequence[Rule]] = None,
     root: Optional[Path] = None,
-    report_only: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
     """Lint every ``*.py`` under ``paths`` (files or directories).
 
     All files are parsed into one whole-program project before any
     project-aware rule runs, so interprocedural findings cross file
-    boundaries.  ``report_only`` (reported paths, posix) restricts which
-    files produce findings without shrinking the project — the
-    ``--changed-only`` CLI mode lints the diff against full context.
+    boundaries.
     """
-    active = list(rules) if rules is not None else all_rules()
     contexts = [
         _read_context(file_path, root) for file_path in iter_python_files(paths)
     ]
-    findings = _check_contexts(contexts, active)
-    if report_only is not None:
-        wanted = set(report_only)
-        findings = [f for f in findings if f.path in wanted]
-    return findings
+    return _check_contexts(contexts, rules)

@@ -343,6 +343,18 @@ class TestSuppression:
         src = "total_j = 1.0\ntotal_j = power_w  # pocolint: disable=POCO101\n"
         assert lint_source(src, rules=[get_rule("unit-flow")]) == []
 
+    def test_engine_suppression_by_old_name_still_holds(self):
+        # engine/batched.py reads the legacy global RNG state on purpose
+        # and silences it with the pre-fold rule id.
+        path = FIXTURES.parents[1] / "src" / "repro" / "engine" / "batched.py"
+        source = path.read_text(encoding="utf-8")
+        rule = get_rule("determinism-taint")
+        assert "# pocolint: disable=nondeterminism" in source
+        assert lint_source(source, rules=[rule]) == []
+        bare = source.replace("  # pocolint: disable=nondeterminism", "")
+        found = lint_source(bare, rules=[rule])
+        assert [f.message.split()[0] for f in found] == ["np.random.get_state()"]
+
     def test_disable_must_name_the_right_rule(self):
         src = "import time\nt = time.time()  # pocolint: disable=unit-mixing\n"
         found = lint_source(src, rules=[get_rule("nondeterminism")])

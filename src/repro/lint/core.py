@@ -159,7 +159,7 @@ class Rule:
     summary: str = ""
     #: retired rule ids and codes that still name this rule
     aliases: Tuple[str, ...] = ()
-    #: Whole-program rules (POCO701/801/901) need ``ctx.project`` to be a
+    #: Whole-program rules (POCO701/901) need ``ctx.project`` to be a
     #: :class:`repro.lint.graph.Project`; the drivers build one covering
     #: every file in the run before such a rule is invoked.
     requires_project: bool = False

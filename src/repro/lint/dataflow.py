@@ -409,17 +409,17 @@ class DataflowRule(Rule):
         table = project.table_for(ctx.path)
         if table is None:
             return
-        functions = [
-            (func, cls_sym)
+        bodies = [
+            (func.node, func, cls_sym)
             for func, cls_sym in iter_functions(table)
             if func.node is not None
         ]
-        own_defs = frozenset(func.node for func, _ in functions)
+        own_defs = frozenset(node for node, _, _ in bodies)
         candidates: Set[Tuple[int, int, str]] = set()
-        for func, cls_sym in functions:
+        for node, func, cls_sym in bodies:
             checker = self.checker(project, table, cls_sym, ctx.path)
             checker.separately_analyzed = own_defs
-            checker.run_function(func.node, self.seed(func, ctx.path))
+            checker.run_function(node, self.seed(func, ctx.path))
             self.after_function(checker, func)
             candidates |= checker.candidates
         checker = self.checker(project, table, None, ctx.path)

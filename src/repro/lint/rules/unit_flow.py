@@ -23,7 +23,7 @@ its index-name exceptions (``p_j``, ``a_w``, ``sum_j``) live in
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.lint.core import describe, register
 from repro.lint.dataflow import DataflowAnalysis, DataflowRule, Env
@@ -60,20 +60,25 @@ class _UnitFlowChecker(UnitAnalysis):
     def bind_target(
         self, target: ast.expr, value: object, node: ast.AST, env: Env
     ) -> None:
-        if isinstance(target, (ast.Name, ast.Attribute)) and isinstance(
-            node, (ast.Assign, ast.AnnAssign)
+        if (
+            isinstance(target, (ast.Name, ast.Attribute))
+            and isinstance(node, (ast.Assign, ast.AnnAssign))
+            and node.value is not None
         ):
-            self._check_assignment(target, value, node)
+            self._check_assignment(target, value, node, node.value)
         super().bind_target(target, value, node, env)
 
     def _check_assignment(
-        self, target: ast.expr, value: object, node: ast.stmt
+        self,
+        target: Union[ast.Name, ast.Attribute],
+        value: object,
+        node: Union[ast.Assign, ast.AnnAssign],
+        value_expr: ast.expr,
     ) -> None:
         name = target.id if isinstance(target, ast.Name) else target.attr
         expected = unit_of_name(name)
         if expected is None or not isinstance(value, str) or value == expected:
             return
-        value_expr = node.value
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
         direct = any(each is target for each in targets)
         if direct and suffix_unit(value_expr) == value:
@@ -95,9 +100,7 @@ class _UnitFlowChecker(UnitAnalysis):
         """Cross-module evidence: where a call-derived unit came from."""
         if not isinstance(value_expr, ast.Call):
             return ""
-        resolved = self.project.resolve_call(
-            self.table, value_expr.func, self.cls_sym
-        )
+        resolved = self.resolve(value_expr.func)
         if isinstance(resolved, FunctionSymbol):
             return (
                 f"; value returned by {resolved.name}() "

@@ -179,6 +179,12 @@ class UnitAnalysis(DataflowAnalysis):
         ):
             self.on_mix(node, what, left, left_unit, right, right_unit)
 
+    def resolve(self, func: ast.expr) -> Optional[object]:
+        """The project symbol a callee expression names, if any."""
+        if self.project is None or self.table is None:
+            return None
+        return self.project.resolve_call(self.table, func, self.cls_sym)
+
     # expression evaluation ------------------------------------------------
 
     def eval_Name(self, node: ast.Name, env: Env) -> Optional[str]:
@@ -227,11 +233,7 @@ class UnitAnalysis(DataflowAnalysis):
             keyword.arg: self.eval_expr(keyword.value, env)
             for keyword in node.keywords
         }
-        resolved = None
-        if self.project is not None and self.table is not None:
-            resolved = self.project.resolve_call(
-                self.table, node.func, self.cls_sym
-            )
+        resolved = self.resolve(node.func)
         self.on_call(node, resolved, arg_units, keyword_units)
         if isinstance(resolved, FunctionSymbol):
             summary = self.unit_returns.get(resolved.qualname)
@@ -529,7 +531,7 @@ class TaintAnalysis(DataflowAnalysis):
         self.eval_children(node, env)
         return self._set_marker(node)
 
-    def eval_SetComp(self, node: ast.SetComp, env: Env) -> Any:
+    def eval_SetComp(self, node: ast.expr, env: Env) -> Any:
         self.eval_ListComp(node, env)
         return self._set_marker(node)
 

@@ -137,6 +137,22 @@ class TestUnitFlow:
         assert lint_source(src, rules=[get_rule("unit-flow")]) == []
 
 
+class TestNestedBodies:
+    def test_nested_def_sites_are_reported_once(self):
+        # Nested defs run in their enclosing body's checker, with the
+        # enclosing parameters in scope, so both rules see their sites.
+        src = (
+            "import time\n"
+            "def outer(cap_w, spent_j):\n"
+            "    def inner():\n"
+            "        return cap_w + spent_j, time.time()\n"
+            "    return inner\n"
+        )
+        for name in ("unit-flow", "determinism-taint"):
+            found = lint_source(src, rules=[get_rule(name)])
+            assert [f.line for f in found] == [4]
+
+
 class TestLaneSafety:
     def test_bad_package_exact_locations(self):
         found = package_findings("lane_bad", "lane-safety")

@@ -98,6 +98,14 @@ class TestUnitMixing:
         src = "drift_w = bias_w + rate_w_per_s * elapsed_s\n"
         assert lint_source(src, rules=[get_rule("unit-mixing")]) == []
 
+    def test_keyword_on_unresolved_call(self):
+        src = "external.run(power_cap_w=energy_joules)\n"
+        found = lint_source(src, rules=[get_rule("unit-mixing")])
+        assert [f.message for f in found] == [
+            "keyword argument power_cap_w= expects watts but receives "
+            "joules (energy_joules)"
+        ]
+
     def test_paper_index_suffixes_are_not_units(self):
         src = "total = p_j + duration_s\nways = a_w + freq_ghz\n"
         assert lint_source(src, rules=[get_rule("unit-mixing")]) == []

@@ -23,6 +23,9 @@ and the engine supplies the control-flow plumbing:
   nested body is interpreted too, and the checker visits each call
   site of its module.
 
+:class:`DataflowRule` is the driver of the whole-program rules built
+on it: one checker per function body and one for the module body.
+
 Environments map variable names (and ``self.attr`` pseudo-names) to
 abstract values.  A missing binding means *bottom*.  The engine never
 raises on unexpected syntax: anything it does not model evaluates to

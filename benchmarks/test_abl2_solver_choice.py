@@ -4,9 +4,10 @@ The paper says "We use a LP solver" and cites Hungarian/randomized
 alternatives without comparing them.  This ablation runs all back ends
 on the same fitted performance matrix.
 
-Expected shape: LP, Hungarian and brute force agree exactly (the
-assignment polytope is integral); greedy can fall short; the optimum
-clearly beats the mean random placement.
+Expected shape: LP, Hungarian and brute force return the same mapping
+(every exact method returns the canonical optimum, the lexicographically
+smallest optimal assignment); greedy can fall short; the optimum clearly
+beats the mean random placement.
 
 The emitted table is a committed golden snapshot — see
 ``tests/test_golden_reports.py`` and ``repro.evaluation.reports``.
@@ -31,5 +32,6 @@ def test_abl2_solver_choice(benchmark, emit, catalog):
         by_method["brute"].predicted_total, abs=1e-9
     )
     assert by_method["lp"].mapping == by_method["brute"].mapping
+    assert by_method["hungarian"].mapping == by_method["brute"].mapping
     assert by_method["greedy"].predicted_total <= by_method["lp"].predicted_total + 1e-9
     assert by_method["lp"].predicted_total > random_mean * 1.01

@@ -201,7 +201,7 @@ def build_performance_matrix(
 
 
 def assign_with_fallback(
-    values: np.ndarray, method: str = "lp", retries: int = 1
+    values: np.ndarray, method: str = "hungarian", retries: int = 1
 ) -> Tuple[List[int], float, str, int]:
     """Solve an assignment with bounded retry and a greedy last resort.
 
@@ -242,12 +242,14 @@ def assign_with_fallback(
 
 
 def pocolo_placement(
-    matrix: PerformanceMatrix, method: str = "lp", retries: int = 1
+    matrix: PerformanceMatrix, method: str = "hungarian", retries: int = 1
 ) -> PlacementDecision:
     """Solve the matrix for the throughput-maximizing assignment.
 
-    ``method`` selects the back end (``lp`` is the paper's choice;
-    ``hungarian``/``greedy``/``brute`` exist for the A2 ablation).  On
+    ``method`` selects the back end: ``hungarian`` (default) and the
+    paper's ``lp`` return the same canonical optimum (see
+    :func:`repro.solvers.assign_max`); ``greedy``/``brute`` exist for
+    the A2 ablation.  On
     :class:`SolverError` the solve is retried ``retries`` times and then
     falls back to the greedy heuristic, so placement always returns a
     feasible decision; the decision records how it was reached.

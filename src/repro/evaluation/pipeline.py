@@ -158,9 +158,10 @@ def placement_for_policy(
     policy: str,
     seed: int = 0,
     levels: Sequence[float] = UNIFORM_EVAL_LEVELS,
-    method: str = "lp",
+    method: str = "hungarian",
 ) -> PlacementDecision:
-    """The placement each policy uses (random for random/pom, LP for pocolo)."""
+    """The placement each policy uses (random for random/pom, the optimal
+    assignment for pocolo)."""
     if policy in RANDOM_PLACED:
         return random_placement(
             tuple(catalog.be_apps), tuple(catalog.lc_apps),

@@ -5,6 +5,11 @@ cluster performance" (Section IV-B).  This module exposes one function,
 :func:`assign_max`, with a selectable method, so the solver-choice
 ablation (A2 in DESIGN.md) can swap back ends without touching the
 placement logic.
+
+Every exact method (``hungarian``, ``lp``, ``brute``) returns the same
+assignment: the lexicographically smallest optimal permutation of the
+zero-padded square matrix, decoded with padded columns as -1.  Which
+optimum a solver happens to reach among tied ones never leaks out.
 """
 
 from __future__ import annotations
@@ -15,18 +20,22 @@ import numpy as np
 
 from repro.errors import SolverError
 from repro.solvers.hungarian import (
+    _decode,
+    _pad_square,
+    _validate,
     brute_force_assignment_max,
     greedy_assignment_max,
     solve_assignment_max,
+    tie_tolerance,
 )
-from repro.solvers.simplex import solve_lp
+from repro.solvers.simplex import LpResult, solve_lp
 
 #: Supported assignment back ends.
 METHODS = ("hungarian", "lp", "greedy", "brute")
 
 
 def assign_max(
-    matrix: Sequence[Sequence[float]], method: str = "lp"
+    matrix: Sequence[Sequence[float]], method: str = "hungarian"
 ) -> Tuple[List[int], float]:
     """Maximize the total value of a row-to-column assignment.
 
@@ -36,8 +45,10 @@ def assign_max(
         ``matrix[i][j]`` is the value of assigning row ``i`` (a BE app)
         to column ``j`` (an LC server).
     method:
-        ``"lp"`` (paper's choice), ``"hungarian"``, ``"greedy"``
-        (heuristic) or ``"brute"`` (exhaustive, small matrices only).
+        ``"hungarian"`` (default), ``"lp"`` (the paper's formulation),
+        ``"greedy"`` (heuristic) or ``"brute"`` (exhaustive, small
+        matrices only).  The exact three return the same canonical
+        assignment.
 
     Returns ``(assignment, total)`` with ``assignment[i]`` the column for
     row ``i`` (-1 if unmatched in rectangular problems).
@@ -47,7 +58,11 @@ def assign_max(
     if method == "greedy":
         return greedy_assignment_max(matrix)
     if method == "brute":
-        return brute_force_assignment_max(matrix)
+        m = _validate(matrix)
+        perm, _ = brute_force_assignment_max(_pad_square(m))
+        assignment = _decode(perm, *m.shape)
+        total = sum(m[i][j] for i, j in enumerate(assignment) if j >= 0)
+        return assignment, float(total)
     if method == "lp":
         return lp_assignment_max(matrix)
     raise SolverError(f"unknown assignment method {method!r}; use one of {METHODS}")
@@ -58,38 +73,37 @@ def lp_assignment_max(
 ) -> Tuple[List[int], float]:
     """Assignment via the Birkhoff-polytope LP (the paper's formulation).
 
-    Variables ``x_ij >= 0`` with row sums and column sums equal to 1;
-    because every vertex of that polytope is a permutation matrix, the
-    simplex optimum is integral and decodes directly to an assignment.
-    Rectangular matrices are padded with zero-value cells first.
+    Every vertex of that polytope is a permutation matrix, so the
+    simplex optimum is an optimal assignment.  Rectangular matrices are
+    padded with zero-value cells first.  The LP's optimum value must
+    match the Hungarian solver's within the tie tolerance (else
+    :class:`SolverError`); the canonical assignment is returned, so the
+    vertex the pivoting happened to land on among tied optima does not
+    matter.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.size == 0:
-        raise SolverError("assignment needs a non-empty 2-D matrix")
-    rows, cols = m.shape
-    n = max(rows, cols)
-    padded = np.zeros((n, n))
-    padded[:rows, :cols] = m
+    m = _validate(matrix)
+    result = birkhoff_lp(_pad_square(m))
+    assignment, total = solve_assignment_max(m)
+    if abs(result.objective - total) > tie_tolerance(m):
+        raise SolverError(
+            f"LP optimum {result.objective!r} disagrees with the Hungarian "
+            f"optimum {total!r}"
+        )
+    return assignment, total
 
-    c = padded.reshape(-1)
+
+def birkhoff_lp(square: np.ndarray) -> LpResult:
+    """Solve the assignment LP of a square value matrix.
+
+    Maximizes ``sum(square[i, j] * x_ij)`` over variables ``x_ij >= 0``
+    with every row and column summing to 1 (the Birkhoff polytope).
+    """
+    n = square.shape[0]
+    c = square.reshape(-1)
     a_eq = np.zeros((2 * n, n * n))
     b_eq = np.ones(2 * n)
     for i in range(n):
         a_eq[i, i * n : (i + 1) * n] = 1.0  # row sum
     for j in range(n):
         a_eq[n + j, j::n] = 1.0  # column sum
-    result = solve_lp(c, a_eq=a_eq, b_eq=b_eq)
-
-    x = result.x.reshape(n, n)
-    assignment = [-1] * rows
-    for i in range(rows):
-        j = int(np.argmax(x[i]))
-        if x[i, j] < 0.5:
-            raise SolverError(
-                "LP relaxation returned a fractional row; this should be "
-                "impossible on the assignment polytope"
-            )  # pragma: no cover - guarded by polytope integrality
-        if j < cols:
-            assignment[i] = j
-    total = sum(m[i][assignment[i]] for i in range(rows) if assignment[i] >= 0)
-    return assignment, float(total)
+    return solve_lp(c, a_eq=a_eq, b_eq=b_eq)

@@ -186,7 +186,9 @@ class TestEnumeratePlacements:
 class TestAssignWithFallback:
     def test_healthy_matrix_uses_the_requested_method(self):
         values = [[3.0, 1.0], [1.0, 3.0]]
-        assignment, total, used, fallbacks = assign_with_fallback(values)
+        assignment, total, used, fallbacks = assign_with_fallback(
+            values, method="lp"
+        )
         assert assignment == [0, 1]
         assert total == pytest.approx(6.0)
         assert used == "lp"

@@ -49,7 +49,7 @@ class TestPlacementForPolicy:
         a = placement_for_policy(catalog, "pocolo")
         b = placement_for_policy(catalog, "pocolo")
         assert a.mapping == b.mapping
-        assert a.method == "lp"
+        assert a.method == "hungarian"
 
     def test_random_uses_seed(self, catalog):
         a = placement_for_policy(catalog, "random", seed=1)

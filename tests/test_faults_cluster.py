@@ -5,6 +5,8 @@ crash completes without raising, re-places the displaced best-effort app
 onto a survivor, and retains nonzero BE throughput.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigError
@@ -92,6 +94,24 @@ class TestClusterCrash:
         cells = [(o.lc_name, o.level) for o in run.outcomes]
         assert (crashed, levels[0]) in cells
         assert (crashed, levels[1]) not in cells
+
+    @pytest.mark.parametrize("engine", ["object", "batched"])
+    def test_tied_survivors_take_the_first_by_name(self, plans, catalog,
+                                                   engine):
+        # Equal budgets and one co-runner each give every survivor the
+        # same refuge score; the canonical assignment breaks the tie
+        # toward the first survivor in sorted-name order.
+        tied = [replace(p, provisioned_power_w=185.0) for p in plans]
+        names = sorted(p.lc_app.name for p in tied)
+        crashed = names[-1]
+        fault_plan = ClusterFaultPlan(
+            crashes=(ServerCrash(crashed, at_level_index=1),)
+        )
+        run = run_cluster(tied, catalog.spec, levels=[0.3, 0.6],
+                          duration_s=6.0, config=FAST,
+                          fault_plan=fault_plan, engine=engine)
+        [repl] = run.fault_report.replacements
+        assert (repl.from_lc, repl.to_lc) == (crashed, names[0])
 
     def test_survivor_time_shares_its_slice(self, plans, catalog):
         two = plans[:2]

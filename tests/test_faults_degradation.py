@@ -142,7 +142,7 @@ class TestSolverFallback:
     def test_successful_solve_reports_no_fallbacks(self):
         values = np.array([[3.0, 1.0], [2.0, 4.0]])
         assignment, total, method, fallbacks = assign_with_fallback(values)
-        assert method == "lp"
+        assert method == "hungarian"
         assert fallbacks == 0
         assert assignment == [0, 1]
 
@@ -173,7 +173,7 @@ class TestSolverFallback:
         assert set(decision.mapping) == set(matrix.be_names)
         clean = pocolo_placement(matrix)
         assert clean.solver_fallbacks == 0
-        assert clean.method == "lp"
+        assert clean.method == "hungarian"
 
 
 class TestDegradationReporting:

@@ -41,8 +41,6 @@ from repro.budget.brownout import (
     STAGE_SHED,
     BrownoutLadder,
     BrownoutState,
-    state_from_data,
-    state_to_data,
 )
 from repro.budget.fairness import (
     FAIRNESS_MAX_MIN,
@@ -51,7 +49,7 @@ from repro.budget.fairness import (
 )
 from repro.budget.schedule import CapSchedule
 from repro.budget.tree import BudgetTree, RackNode, build_tree
-from repro.errors import CheckpointError, ConfigError, InvariantViolationError
+from repro.errors import ConfigError, InvariantViolationError
 from repro.faults.cluster import ClusterFaultPlan
 from repro.faults.schedule import (
     ArbiterCrash,
@@ -264,11 +262,9 @@ class BudgetAuditor:
 class BudgetArbiter:
     """The stateful broker: one :meth:`tick` per arbiter period.
 
-    Holds the grant ledger and each rack's brownout ladder position —
-    exactly the state that must survive a restart, so
-    :meth:`export_state` / :meth:`import_state` follow the same
-    snapshot protocol as
-    :class:`~repro.hwmodel.capping.PowerCapController`.
+    Holds the grant ledger and each rack's brownout ladder position.
+    It lives only inside one :func:`plan_budget` call and is never
+    persisted: a resume re-plans the budget from the same inputs.
     """
 
     def __init__(
@@ -476,63 +472,6 @@ class BudgetArbiter:
                 g for g in grants if g.expires_s > time_s
             ]
 
-    # ------------------------------------------------------------------
-    # Checkpoint state (the PowerCapController snapshot protocol)
-    # ------------------------------------------------------------------
-    def export_state(self) -> Dict[str, Any]:
-        """Snapshot the ledger, ladder positions and counters."""
-        return {
-            "controller": "BudgetArbiter",
-            "tick_index": self._tick_index,
-            "stats": dataclasses.asdict(self.stats),
-            "ledger": {
-                name: [dataclasses.asdict(g) for g in grants]
-                for name, grants in self._ledger.items()
-            },
-            "brownout": {
-                rack: state_to_data(state)
-                for rack, state in self._brownout.items()
-            },
-        }
-
-    def import_state(self, state: Mapping[str, Any]) -> None:
-        """Restore a :meth:`export_state` snapshot, exactly."""
-        if state.get("controller") != "BudgetArbiter":
-            raise CheckpointError(
-                f"snapshot belongs to {state.get('controller')!r}, not "
-                "BudgetArbiter"
-            )
-        try:
-            self._tick_index = int(state["tick_index"])
-            self.stats = BudgetStats(
-                **{k: int(v) for k, v in dict(state["stats"]).items()}
-            )
-            ledger: Dict[str, List[Grant]] = {
-                server.name: [] for server in self.tree.servers
-            }
-            for name, grants in dict(state["ledger"]).items():
-                if name not in ledger:
-                    raise CheckpointError(
-                        f"snapshot grants for unknown server {name!r}"
-                    )
-                ledger[name] = [Grant(**dict(g)) for g in grants]
-            brownout = {
-                rack: state_from_data(data)
-                for rack, data in dict(state["brownout"]).items()
-            }
-        except CheckpointError:
-            raise
-        except Exception as exc:
-            raise CheckpointError(
-                f"malformed BudgetArbiter snapshot: {exc}"
-            ) from exc
-        if set(brownout) != set(self._brownout):
-            raise CheckpointError(
-                "snapshot brownout racks do not match this budget tree"
-            )
-        self._ledger = ledger
-        self._brownout = brownout
-
 
 # ----------------------------------------------------------------------
 # The plan-time compiler
@@ -717,16 +656,13 @@ def plan_budget(
     budget: BudgetConfig,
     fault_plan: Optional[ClusterFaultPlan] = None,
     guard: Optional[GuardConfig] = None,
-    arbiter_state: Optional[Mapping[str, Any]] = None,
 ) -> BudgetPlan:
     """Walk the sweep timeline and compile the budget into cell plans.
 
     Deterministic by construction: the only inputs are the plans, the
     sweep geometry, the budget config and the (data-pure) fault plan —
     replanning on a checkpoint resume reproduces the identical plan,
-    which is why the arbiter needs no mid-sweep persistence beyond
-    :meth:`BudgetArbiter.export_state` (exposed for operators running
-    the arbiter as a service; ``arbiter_state`` restores one).
+    which is why the arbiter needs no persistence of its own.
 
     With ``guard`` set, the grant-conservation and rack-overcommit
     invariants audit every arbiter period; ``enforce`` mode raises
@@ -744,8 +680,6 @@ def plan_budget(
     tree = build_tree(plans, budget.rack_size, budget.rack_slack)
     auditor = BudgetAuditor(guard)
     arbiter = BudgetArbiter(tree, budget, faults=infra, auditor=auditor)
-    if arbiter_state is not None:
-        arbiter.import_state(arbiter_state)
     alive_by_level = _alive_by_level(plans, n_levels, fault_plan)
     plan_by_name = {str(plan.lc_app.name): plan for plan in plans}
     stage_history: Dict[str, List[Tuple[float, int]]] = {

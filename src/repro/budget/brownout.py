@@ -29,9 +29,9 @@ oscillation the hysteresis exists to prevent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Tuple
 
-from repro.errors import CheckpointError, ConfigError
+from repro.errors import ConfigError
 
 #: Ladder stage numbers (0 is nominal operation).
 STAGE_NOMINAL = 0
@@ -123,25 +123,3 @@ class BrownoutLadder:
             state.recovery_streak = 0
         return False
 
-
-def state_to_data(state: BrownoutState) -> Dict[str, int]:
-    """Serialize one rack's ladder state for the arbiter checkpoint."""
-    return {"stage": state.stage, "recovery_streak": state.recovery_streak}
-
-
-def state_from_data(data: Any) -> BrownoutState:
-    """Rebuild ladder state from :func:`state_to_data` output."""
-    if not isinstance(data, dict) or not {
-        "stage", "recovery_streak"
-    } <= set(data):
-        raise CheckpointError(
-            f"malformed brownout ladder state: {data!r}"
-        )
-    stage = int(data["stage"])
-    if not STAGE_NOMINAL <= stage <= STAGE_SHED:
-        raise CheckpointError(
-            f"brownout stage {stage} outside the ladder's 0..3 range"
-        )
-    return BrownoutState(
-        stage=stage, recovery_streak=int(data["recovery_streak"])
-    )

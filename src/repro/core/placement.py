@@ -89,10 +89,6 @@ class PlacementDecision:
     method: str
     solver_fallbacks: int = 0
 
-    def lc_for(self, be: str) -> str:
-        """The LC server assigned to a BE app."""
-        return self.mapping[be]
-
 
 def predict_spare_capacity(
     lc: LcServerSide,

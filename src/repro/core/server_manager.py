@@ -25,14 +25,13 @@ resize the BE app into whatever direct resources are spare.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from repro.core.utility import IndirectUtilityModel, integer_min_power_allocation
-from repro.errors import CapacityError, CheckpointError, ConfigError, SimulationError
+from repro.errors import CapacityError, ConfigError, SimulationError
 from repro.hwmodel.server import Server
 from repro.hwmodel.spec import Allocation
 
@@ -150,41 +149,6 @@ class ServerManagerBase:
         return self.server.allocation_of(primary)
 
     # ------------------------------------------------------------------
-    # Checkpoint support (repro.runtime): a manager's mutable control
-    # state round-trips through plain data so a crashed run can resume
-    # with bit-identical decisions.  Subclasses extend both methods.
-    # ------------------------------------------------------------------
-    def export_state(self) -> Dict[str, Any]:
-        """Snapshot every mutable control variable as plain data.
-
-        The snapshot is self-describing (it records the manager class)
-        and contains no live objects — safe to pickle into a
-        :class:`~repro.runtime.checkpoint.Checkpoint`.  The managed
-        server and configuration knobs are *not* included: a restore
-        target is constructed from the run configuration first, then
-        handed the snapshot via :meth:`import_state`.
-        """
-        return {
-            "manager": type(self).__name__,
-            "stats": asdict(self.stats),
-        }
-
-    def import_state(self, state: Mapping[str, Any]) -> None:
-        """Restore a snapshot taken by :meth:`export_state`.
-
-        Raises :class:`~repro.errors.CheckpointError` when the snapshot
-        was taken from a different manager class — silently adopting a
-        foreign controller's counters would corrupt the resumed run.
-        """
-        recorded = state.get("manager")
-        if recorded != type(self).__name__:
-            raise CheckpointError(
-                f"manager snapshot belongs to {recorded!r}, cannot restore "
-                f"into {type(self).__name__}"
-            )
-        self.stats = ManagerStats(**state["stats"])
-
-    # ------------------------------------------------------------------
     def _decide_primary_allocation(
         self, current: Allocation, measured_load: float, measured_slack: float
     ) -> Allocation:
@@ -289,25 +253,6 @@ class HeraclesLikeManager(ServerManagerBase):
         self._cooldown = 0
         self._floor_cores = 1
         self._floor_age = 0
-
-    def export_state(self) -> Dict[str, Any]:
-        state = super().export_state()
-        state.update(
-            walk_rng=copy.deepcopy(self._walk_rng.bit_generator.state),
-            high_slack_streak=self._high_slack_streak,
-            cooldown=self._cooldown,
-            floor_cores=self._floor_cores,
-            floor_age=self._floor_age,
-        )
-        return state
-
-    def import_state(self, state: Mapping[str, Any]) -> None:
-        super().import_state(state)
-        self._walk_rng.bit_generator.state = copy.deepcopy(state["walk_rng"])
-        self._high_slack_streak = int(state["high_slack_streak"])
-        self._cooldown = int(state["cooldown"])
-        self._floor_cores = int(state["floor_cores"])
-        self._floor_age = int(state["floor_age"])
 
     def _decide_primary_allocation(
         self, current: Allocation, measured_load: float, measured_slack: float
@@ -446,26 +391,6 @@ class PowerOptimizedManager(ServerManagerBase):
         self._fallback_steps_left = 0
         self._promised_capacity: Optional[float] = None
         self._promised_at_max_freq = True
-
-    def export_state(self) -> Dict[str, Any]:
-        state = super().export_state()
-        state.update(
-            headroom=self.headroom,
-            miss_streak=self._miss_streak,
-            fallback_steps_left=self._fallback_steps_left,
-            promised_capacity=self._promised_capacity,
-            promised_at_max_freq=self._promised_at_max_freq,
-        )
-        return state
-
-    def import_state(self, state: Mapping[str, Any]) -> None:
-        super().import_state(state)
-        self.headroom = float(state["headroom"])
-        self._miss_streak = int(state["miss_streak"])
-        self._fallback_steps_left = int(state["fallback_steps_left"])
-        promised = state["promised_capacity"]
-        self._promised_capacity = None if promised is None else float(promised)
-        self._promised_at_max_freq = bool(state["promised_at_max_freq"])
 
     @property
     def distrusts_model(self) -> bool:

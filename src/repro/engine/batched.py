@@ -76,8 +76,6 @@ from repro.faults.schedule import (
     MeterStuckAt,
     ModelStaleness,
     TelemetryGap,
-    rng_from_state,
-    rng_state,
 )
 from repro.guard.invariants import GuardReport, Violation
 from repro.hwmodel.capping import CapStats, PowerCapController
@@ -395,7 +393,7 @@ def _build_probe(plan: Any, spec: ServerSpec, be_app: Any) -> Optional[Dict[str,
             shrink_patience=int(manager.shrink_patience),
             grow_cooldown=int(manager.grow_cooldown),
             floor_ttl=int(manager.floor_ttl),
-            walk_state=rng_state(manager._walk_rng),
+            walk_rng=manager._walk_rng,
             streak0=int(manager._high_slack_streak),
             cooldown0=int(manager._cooldown),
             floor0=int(manager._floor_cores),
@@ -514,32 +512,9 @@ class BatchedClusterSim:
     mirrors ``ColocationSim.__init__`` + ``run()`` setup for every lane
     at once; :meth:`step` is one control tick of the oracle's loop body;
     :meth:`collect` assembles per-lane :class:`LevelOutcome` objects
-    bit-identical to the oracle's.
-
-    :meth:`export_state` / :meth:`import_state` snapshot the mutable
-    array state (including both RNG tapes and per-lane walk generators)
-    so an in-process resume continues bit-identically; the snapshot is a
-    deep copy and holds live fault objects as dict keys, so it is an
-    in-process checkpoint, not a serialization format.
+    bit-identical to the oracle's.  Its state lives only for one run:
+    recovery re-runs whole cells (``docs/RECOVERY.md``).
     """
-
-    #: Mutable state snapshotted by export_state/import_state.  RNG
-    #: generators are handled separately via rng_state/rng_from_state.
-    _MUTABLE = (
-        "_tick", "lc_c", "lc_w", "lc_f", "be_c", "be_w", "be_f", "be_duty",
-        "be_empty", "cap_stats", "ssr", "backoff", "cooldown", "safe",
-        "prev_raw", "prev_valid", "repeat", "healthy_streak",
-        "m_filt", "m_filt_init", "m_last_raw", "m_last_filt", "m_last_time",
-        "m_has_last", "held", "e_prev_w", "e_prev_t", "e_has_prev", "joules",
-        "mgr_stats", "h_streak", "h_cooldown", "h_floor", "h_floor_age",
-        "p_headroom", "p_miss", "p_fb_left", "p_promised", "p_promised_valid",
-        "p_promised_at_max", "eff_midx", "model_swapped",
-        "stale_load", "stale_slack", "have_stale",
-        "slo_violations", "buffers", "g_cap_streak", "g_energy_tick",
-        "g_rng_tick", "g_rng_baseline", "g_total", "g_violations",
-        "g_first_violation", "cap", "g_prev_cap", "g_prev_cap_valid",
-        "g_ramp",
-    )
 
     def __init__(self, tasks: Sequence[Cell], infos: Sequence[Dict[str, Any]]) -> None:
         if not tasks:
@@ -708,7 +683,7 @@ class BatchedClusterSim:
             self.h_floor_age = np.asarray(
                 [i["floor_age0"] for i in infos], dtype=np.int64
             )
-            self.walk_rngs = [rng_from_state(i["walk_state"]) for i in infos]
+            self.walk_rngs = [copy.deepcopy(i["walk_rng"]) for i in infos]
         else:
             models: List[Any] = []
             midx = np.zeros(n, dtype=np.int64)
@@ -1586,22 +1561,6 @@ class BatchedClusterSim:
                 result=result,
             ))
         return out
-
-    # ------------------------------------------------------------------
-    # Checkpoint codec for the array state
-    # ------------------------------------------------------------------
-    def export_state(self) -> Dict[str, Any]:
-        """Deep-copy snapshot of all mutable state, RNG tapes included."""
-        state: Dict[str, Any] = {}
-        for name in self._MUTABLE + ("rng_with", "rng_without", "walk_rngs"):
-            if hasattr(self, name):
-                state[name] = copy.deepcopy(getattr(self, name))
-        return state
-
-    def import_state(self, state: Dict[str, Any]) -> None:
-        """Restore a snapshot taken by :meth:`export_state`."""
-        for name, value in state.items():
-            setattr(self, name, copy.deepcopy(value))
 
 
 # ----------------------------------------------------------------------

@@ -158,7 +158,6 @@ def placement_for_policy(
     policy: str,
     seed: int = 0,
     levels: Sequence[float] = UNIFORM_EVAL_LEVELS,
-    method: str = "hungarian",
 ) -> PlacementDecision:
     """The placement each policy uses (random for random/pom, the optimal
     assignment for pocolo)."""
@@ -168,7 +167,7 @@ def placement_for_policy(
             rng=np.random.default_rng(seed),
         )
     if policy == "pocolo":
-        return pocolo_placement(catalog.performance_matrix(levels), method=method)
+        return pocolo_placement(catalog.performance_matrix(levels))
     raise ConfigError(f"unknown policy {policy!r}; choose from {POLICIES}")
 
 
@@ -249,11 +248,9 @@ def _policy_plans(
     policy: str,
     levels: Sequence[float],
     seed: int,
-    placement: Optional[PlacementDecision] = None,
 ) -> List[ServerPlan]:
     """One policy run's plans: its placement, then one plan per LC server."""
-    if placement is None:
-        placement = placement_for_policy(catalog, policy, seed=seed, levels=levels)
+    placement = placement_for_policy(catalog, policy, seed=seed, levels=levels)
     override = NOCAP_PROVISIONED_W if policy == POLICY_RANDOM_NOCAP else None
     return cluster_plans(catalog, placement, policy, provisioned_override_w=override)
 
@@ -265,7 +262,6 @@ def run_policy(
     duration_s: float = 40.0,
     seed: int = 0,
     sim_config: Optional[SimConfig] = None,
-    placement: Optional[PlacementDecision] = None,
     workers: int = 1,
     dedupe: bool = False,
     checkpoint_path: Optional[str] = None,
@@ -303,7 +299,7 @@ def run_policy(
     its arbiter-compiled cap schedule and the result carries a
     :class:`~repro.budget.arbiter.BudgetReport`.
     """
-    plans = _policy_plans(catalog, policy, levels, seed, placement)
+    plans = _policy_plans(catalog, policy, levels, seed)
     config = sim_config if sim_config is not None else SimConfig(seed=seed)
     from repro.runtime.sweep import _ledgered, run_cluster_checkpointed
 

@@ -15,69 +15,12 @@ draws a reproducible random mix for soak-style testing.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Type,
-    TypeVar,
-)
+from typing import Iterator, List, Optional, Sequence, Tuple, Type, TypeVar
 
 import numpy as np
 
-from repro.errors import CheckpointError, ConfigError
-
-
-def rng_state(rng: np.random.Generator) -> Dict[str, Any]:
-    """Snapshot a numpy ``Generator``'s exact stream position.
-
-    The returned dict is plain data (the bit generator's name plus its
-    integer state words), safe to pickle into a checkpoint; feed it to
-    :func:`rng_from_state` to continue the stream bit-identically.
-    Fault schedules themselves are pure data, but the controllers that
-    consume them carry live generators (e.g. the Heracles-like manager's
-    random walk) — this pair is how the crash-safe runtime
-    (:mod:`repro.runtime`) carries those streams across a restart.
-    """
-    state = rng.bit_generator.state
-    if not isinstance(state, dict):
-        raise CheckpointError(
-            f"bit generator {type(rng.bit_generator).__name__} exposes "
-            "non-dict state; cannot checkpoint this RNG"
-        )
-    return copy.deepcopy(state)
-
-
-def rng_from_state(state: Mapping[str, Any]) -> np.random.Generator:
-    """Rebuild the generator captured by :func:`rng_state`, exactly.
-
-    Raises :class:`~repro.errors.CheckpointError` when the snapshot
-    names an unknown bit generator or carries malformed state — a
-    corrupt or hand-edited checkpoint must fail loudly, not resume a
-    different random stream.
-    """
-    name = state.get("bit_generator")
-    candidate = getattr(np.random, name, None) if isinstance(name, str) else None
-    if not (isinstance(candidate, type)
-            and issubclass(candidate, np.random.BitGenerator)):
-        raise CheckpointError(
-            f"RNG snapshot names unknown bit generator {name!r}"
-        )
-    bit_gen = candidate()
-    try:
-        bit_gen.state = copy.deepcopy(dict(state))
-    except Exception as exc:
-        raise CheckpointError(
-            f"RNG snapshot for {name} is malformed: {exc}"
-        ) from exc
-    return np.random.Generator(bit_gen)
+from repro.errors import ConfigError
 
 
 @dataclass(frozen=True)

@@ -685,7 +685,6 @@ class CampaignResult:
 def run_campaign(
     runner: ColocationCaseRunner,
     config: CampaignConfig = CampaignConfig(),
-    supervisor: Optional[SupervisedPool] = None,
 ) -> CampaignResult:
     """Execute one coverage-guided chaos campaign.
 
@@ -700,9 +699,7 @@ def run_campaign(
     violations, after shrinking each to a minimal reproducer.
     """
     rng = np.random.default_rng(config.seed)
-    pool = supervisor if supervisor is not None else SupervisedPool(
-        workers=config.workers
-    )
+    pool = SupervisedPool(workers=config.workers)
     schedules: List[FaultSchedule] = [FaultSchedule(())]
     for _ in range(config.initial_corpus - 1):
         schedules.append(FaultSchedule.random(

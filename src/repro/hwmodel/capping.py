@@ -28,10 +28,10 @@ only occasional upward probes.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
-from repro.errors import CheckpointError, ConfigError
+from repro.errors import ConfigError
 from repro.hwmodel.meter import PowerMeter
 from repro.hwmodel.server import Server
 
@@ -157,48 +157,6 @@ class PowerCapController:
         self._prev_raw_w: Optional[float] = None
         self._repeat_streak = 0
         self._healthy_streak = 0
-
-    # ------------------------------------------------------------------
-    # Checkpoint support (repro.runtime)
-    # ------------------------------------------------------------------
-    def export_state(self) -> Dict[str, Any]:
-        """Snapshot the loop's mutable state as plain data.
-
-        Everything a resumed controller needs to keep making the same
-        throttle/restore/watchdog decisions: the stats counters, the
-        restore pacing, and the watchdog streaks.  Configuration and the
-        managed server/meter are reconstructed from the run setup, not
-        checkpointed.
-        """
-        return {
-            "controller": type(self).__name__,
-            "stats": asdict(self.stats),
-            "samples_since_restore": self._samples_since_restore,
-            "restore_backoff": self._restore_backoff,
-            "restore_cooldown": self._restore_cooldown,
-            "safe_mode": self.safe_mode,
-            "prev_raw_w": self._prev_raw_w,
-            "repeat_streak": self._repeat_streak,
-            "healthy_streak": self._healthy_streak,
-        }
-
-    def import_state(self, state: Mapping[str, Any]) -> None:
-        """Restore a snapshot taken by :meth:`export_state`."""
-        recorded = state.get("controller")
-        if recorded != type(self).__name__:
-            raise CheckpointError(
-                f"cap-loop snapshot belongs to {recorded!r}, cannot restore "
-                f"into {type(self).__name__}"
-            )
-        self.stats = CapStats(**state["stats"])
-        self._samples_since_restore = int(state["samples_since_restore"])
-        self._restore_backoff = int(state["restore_backoff"])
-        self._restore_cooldown = int(state["restore_cooldown"])
-        self.safe_mode = bool(state["safe_mode"])
-        prev = state["prev_raw_w"]
-        self._prev_raw_w = None if prev is None else float(prev)
-        self._repeat_streak = int(state["repeat_streak"])
-        self._healthy_streak = int(state["healthy_streak"])
 
     # ------------------------------------------------------------------
     # Meter watchdog

@@ -130,10 +130,6 @@ class Server:
             if state.role == SECONDARY
         )
 
-    def model_of(self, tenant: str) -> PowerDrawModel:
-        """The application model registered for ``tenant``."""
-        return self._require(tenant).model
-
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------

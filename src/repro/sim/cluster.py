@@ -114,10 +114,6 @@ class ClusterRunResult:
         """Mean power draw / provisioned capacity per server (Fig 13)."""
         return self._per_server(lambda r: r.power_utilization)
 
-    def violation_by_server(self) -> Dict[str, float]:
-        """Mean SLO-violation fraction per server."""
-        return self._per_server(lambda r: r.slo_violation_fraction)
-
     def cluster_be_throughput(self) -> float:
         """Mean normalized BE throughput across servers and levels."""
         per = self.be_throughput_by_server()

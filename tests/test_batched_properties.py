@@ -8,10 +8,7 @@ are truly independent reproductions of the per-object oracle:
 * **batch of one is the scalar path** — a single-lane batch equals the
   oracle cell bit for bit;
 * **concatenation is union** — running two clusters in one batch equals
-  running them separately and concatenating;
-* **state round-trip** — :meth:`BatchedClusterSim.export_state` /
-  :meth:`import_state` taken at *any* tick resumes to a bit-identical
-  result (the in-process analogue of the checkpoint codec).
+  running them separately and concatenating.
 
 All comparisons reuse :func:`assert_outcome_equal`, i.e. exact floats
 down to every telemetry tick and guard violation.
@@ -20,11 +17,7 @@ down to every telemetry tick and guard violation.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.engine.batched import (
-    BatchedClusterSim,
-    _partition,
-    run_batched_cells,
-)
+from repro.engine.batched import run_batched_cells
 from repro.evaluation.pipeline import (
     ServerPlan,
     cluster_plans,
@@ -126,29 +119,3 @@ def test_concat_of_clusters_is_union(split):
     )
     for a, b in zip(baseline, merged):
         assert_outcome_equal(a, b, f"split={split}")
-
-
-@settings(max_examples=6, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(pause_after=st.integers(min_value=0, max_value=6))
-def test_state_roundtrip_resumes_bit_identical(pause_after):
-    """Export at tick k, import into a fresh sim, finish: same result."""
-    tasks, _ = _fixture()
-    groups, fallback, infos = _partition(tasks, {})
-    assert not fallback
-    positions = max(groups.values(), key=len)
-    group_tasks = [tasks[i] for i in positions]
-    group_infos = [infos[i] for i in positions]
-
-    donor = BatchedClusterSim(group_tasks, group_infos)
-    for _ in range(pause_after):
-        donor.step()
-    snapshot = donor.export_state()
-    donor.run()
-    expected = donor.collect()
-
-    resumed = BatchedClusterSim(group_tasks, group_infos)
-    resumed.import_state(snapshot)
-    resumed.run()
-    for a, b in zip(expected, resumed.collect()):
-        assert_outcome_equal(a, b, f"pause={pause_after}")

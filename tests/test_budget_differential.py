@@ -185,6 +185,36 @@ class TestBudgetedCheckpointResume:
             )
 
 
+class TestReplanIsDeterministic:
+    """A resume re-plans the budget; the re-plan must be the same plan.
+
+    This is why the arbiter keeps no state across a restart: the plan
+    is a pure function of the plans, levels, config, guard and faults.
+    """
+
+    def test_replan_equals_first_plan(self, catalog, fleet, infra_battery):
+        fault_plan = ClusterFaultPlan(
+            crashes=(ServerCrash(fleet[1].lc_app.name, at_level_index=1),),
+            rejoins=(ServerRejoin(fleet[1].lc_app.name, at_level_index=2),),
+            infra_faults=infra_battery,
+        )
+        args = (fleet, catalog.spec, (0.2, 0.5, 0.8), 7.0, BUDGET)
+        first = plan_budget(*args, fault_plan=fault_plan, guard=GuardConfig())
+        again = plan_budget(*args, fault_plan=fault_plan, guard=GuardConfig())
+        stats = first.report.stats
+        assert stats.skipped_ticks > 0
+        assert stats.grants_lost > 0
+        assert stats.grants_delayed > 0
+        assert first.report.max_stage() > 0
+        assert again.schedules == first.schedules
+        assert again.evicted == first.evicted
+        assert again.level_scale == first.level_scale
+        assert again.report.stats == stats
+        assert again.report.stage_history == first.report.stage_history
+        assert again.report.guard_report is not None
+        assert again.report.guard_report == first.report.guard_report
+
+
 #: The drill geometry: 2 levels x 10 s, arbiter killed at 7 s with
 #: leases outstanding, never recovering.  Shared by the in-process
 #: assertions and the SIGKILL child below.

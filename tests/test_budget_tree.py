@@ -27,7 +27,7 @@ from repro.budget import (
     max_min_shares,
     throughput_shares,
 )
-from repro.errors import CheckpointError, ConfigError
+from repro.errors import ConfigError
 from repro.faults.schedule import (
     FaultSchedule,
     GrantDelay,
@@ -329,29 +329,6 @@ class TestBudgetArbiter:
         assert arbiter.in_force_cap_w("s0", 0.5) == pytest.approx(
             floor * config.min_cap_fraction
         )
-
-    def test_state_round_trip(self):
-        arbiter, tree = _arbiter()
-        arbiter.tick(0.0, _hungry(tree))
-        arbiter.tick(1.0, {})
-        snapshot = arbiter.export_state()
-        fresh, _ = _arbiter()
-        fresh.import_state(snapshot)
-        for t in (0.2, 1.2, 2.5, 3.5):
-            for server in tree.servers:
-                assert fresh.in_force_cap_w(server.name, t) == (
-                    arbiter.in_force_cap_w(server.name, t)
-                )
-        assert fresh.export_state() == snapshot
-
-    def test_import_rejects_foreign_snapshots(self):
-        arbiter, _ = _arbiter()
-        with pytest.raises(CheckpointError):
-            arbiter.import_state({"controller": "PowerCapController"})
-        snapshot = arbiter.export_state()
-        snapshot["ledger"]["intruder"] = []
-        with pytest.raises(CheckpointError):
-            arbiter.import_state(snapshot)
 
 
 @st.composite

@@ -6,8 +6,6 @@ The contract under test (docs/RECOVERY.md):
 * :class:`repro.runtime.checkpoint.Checkpoint` — every corruption mode
   (truncation, bit rot, alien/newer files, foreign runs) is refused
   *before* unpickling;
-* controller state snapshots (managers, cap loop, RNG streams)
-  round-trip exactly;
 * :func:`repro.runtime.sweep.run_cluster_checkpointed` — checkpoint →
   kill → resume equals the uninterrupted run bit-for-bit, pinned with
   Hypothesis across seeds / worker counts / fault plans and with a real
@@ -25,23 +23,13 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.server_manager import HeraclesLikeManager, PowerOptimizedManager
 from repro.errors import CheckpointError, ConfigError
 from repro.evaluation.pipeline import PomFactory
 from repro.faults.cluster import ClusterFaultPlan, ServerCrash
-from repro.faults.schedule import (
-    FaultSchedule,
-    MeterDrift,
-    TelemetryGap,
-    rng_from_state,
-    rng_state,
-)
-from repro.hwmodel.capping import PowerCapController
-from repro.hwmodel.meter import PowerMeter
+from repro.faults.schedule import FaultSchedule, MeterDrift, TelemetryGap
 from repro.runtime import (
     CHECKPOINT_MAGIC,
     Checkpoint,
@@ -53,7 +41,7 @@ from repro.runtime import (
 )
 from repro.sim import cluster as cluster_module
 from repro.sim.cluster import LevelOutcome, ServerPlan, run_cluster
-from repro.sim.colocation import SimConfig, build_colocated_server
+from repro.sim.colocation import SimConfig
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -244,119 +232,6 @@ class TestCheckpointCodec:
         path.write_bytes(header + b"\n" + evil[:len(payload)].ljust(len(payload), b"."))
         with pytest.raises(CheckpointError, match="checksum"):
             Checkpoint.load(path)
-
-
-class TestControllerStateRoundTrip:
-    def _driven_manager(self, catalog, cls, steps=25, **kwargs):
-        lc = catalog.lc_apps["xapian"]
-        server = build_colocated_server(
-            catalog.spec, lc, provisioned_power_w=lc.peak_server_power_w()
-        )
-        if cls is PowerOptimizedManager:
-            kwargs.setdefault("model", catalog.lc_fits["xapian"].model)
-        manager = cls(server, **kwargs)
-        load = 0.4 * lc.peak_load
-        for _ in range(steps):
-            alloc = server.allocation_of(lc.name)
-            manager.control_step(load, lc.slack(load, alloc))
-        return manager, lc
-
-    def test_pom_manager_roundtrip(self, catalog):
-        a, lc = self._driven_manager(catalog, PowerOptimizedManager)
-        b, _ = self._driven_manager(catalog, PowerOptimizedManager, steps=0)
-        snapshot = a.export_state()
-        b.import_state(snapshot)
-        assert b.export_state() == snapshot
-        assert b.stats == a.stats
-
-    def test_heracles_manager_roundtrip_continues_rng_stream(self, catalog):
-        a, lc = self._driven_manager(
-            catalog, HeraclesLikeManager, path="random", seed=3
-        )
-        b, _ = self._driven_manager(
-            catalog, HeraclesLikeManager, steps=0, path="random", seed=99
-        )
-        b.import_state(a.export_state())
-        assert b.export_state() == a.export_state()
-        # The random walk continues bit-identically despite seed=99.
-        load = 0.4 * lc.peak_load
-        for _ in range(10):
-            a.control_step(load, 0.5)
-            b.control_step(load, 0.5)
-        assert b.export_state() == a.export_state()
-
-    def test_cross_class_restore_refused(self, catalog):
-        pom, _ = self._driven_manager(catalog, PowerOptimizedManager, steps=0)
-        her, _ = self._driven_manager(catalog, HeraclesLikeManager, steps=0)
-        with pytest.raises(CheckpointError, match="HeraclesLikeManager"):
-            pom.import_state(her.export_state())
-
-    def test_snapshot_is_plain_data(self, catalog):
-        manager, _ = self._driven_manager(
-            catalog, HeraclesLikeManager, path="random", seed=3
-        )
-        snapshot = manager.export_state()
-        # Pickles and JSON-ish survives a deep copy through pickle.
-        assert pickle.loads(pickle.dumps(snapshot)) == snapshot
-
-    def _driven_capper(self, catalog, steps=30):
-        lc = catalog.lc_apps["xapian"]
-        server = build_colocated_server(
-            catalog.spec, lc, provisioned_power_w=120.0
-        )
-        meter = PowerMeter(
-            source=server.power_w, rng=np.random.default_rng(0),
-            noise_sigma_w=0.5,
-        )
-        capper = PowerCapController(server, meter)
-        for k in range(steps):
-            capper.step(k * 0.1)
-        return capper
-
-    def test_cap_controller_roundtrip(self, catalog):
-        a = self._driven_capper(catalog)
-        b = self._driven_capper(catalog, steps=0)
-        snapshot = a.export_state()
-        b.import_state(snapshot)
-        assert b.export_state() == snapshot
-        assert b.stats == a.stats
-        assert b.safe_mode == a.safe_mode
-
-    def test_cap_controller_foreign_snapshot_refused(self, catalog):
-        capper = self._driven_capper(catalog, steps=0)
-        with pytest.raises(CheckpointError):
-            capper.import_state({"controller": "SomethingElse", "stats": {}})
-
-
-class TestRngSnapshots:
-    def test_stream_continues_exactly(self):
-        rng = np.random.default_rng(42)
-        rng.random(17)  # advance mid-stream
-        snapshot = rng_state(rng)
-        expected = rng.random(8)
-        resumed = rng_from_state(snapshot)
-        assert np.array_equal(resumed.random(8), expected)
-
-    def test_snapshot_is_a_copy(self):
-        rng = np.random.default_rng(1)
-        snapshot = rng_state(rng)
-        rng.random(100)  # must not mutate the snapshot
-        assert np.array_equal(
-            rng_from_state(snapshot).random(4),
-            rng_from_state(rng_state(np.random.default_rng(1))).random(4),
-        )
-
-    def test_unknown_bit_generator_refused(self):
-        with pytest.raises(CheckpointError, match="unknown bit generator"):
-            rng_from_state({"bit_generator": "MersennePrime", "state": {}})
-
-    def test_malformed_state_refused(self):
-        with pytest.raises(CheckpointError, match="malformed"):
-            rng_from_state({"bit_generator": "PCG64", "state": "garbage"})
-
-    def test_snapshot_pickles(self):
-        snapshot = rng_state(np.random.default_rng(7))
-        assert pickle.loads(pickle.dumps(snapshot)) == snapshot
 
 
 class TestCheckpointedSweep:

@@ -375,8 +375,11 @@ def bench_checkpoint_overhead(
     """Checkpointed vs plain batched sweep; the crash-safety tax.
 
     The checkpointed arm saves after every cell (``checkpoint_every=1``,
-    the default), so a return to re-pickling every completed cell per
-    save shows up as a quadratic term here.  Cells run ``duration_s``
+    the default), so a return to re-pickling or rewriting every
+    completed cell per save shows up as a quadratic term here.  The
+    journal is append-only and each arm starts it fresh, so its size
+    after a sweep is every byte that sweep wrote to it
+    (``bytes_written``).  Cells run ``duration_s``
     (the fleet benchmark's length) so their telemetry, and with it the
     pickling, is the size a real sweep checkpoints.  Arms are
     interleaved and the per-arm minimum is kept.
@@ -397,6 +400,7 @@ def bench_checkpoint_overhead(
                 checkpoint_every=1, **kwargs,
             )
             checkpointed_s = min(checkpointed_s, t)
+        bytes_written = path.stat().st_size
     assert _flat(plain) == _flat(checkpointed), "checkpointed != plain"
     return {
         "name": f"checkpoint_overhead_{n_servers}",
@@ -405,12 +409,14 @@ def bench_checkpoint_overhead(
             f"{len(sc.SWEEP_LEVELS)} levels = {n_cells} cells of "
             f"{duration_s:.0f}s, plain vs "
             "run_cluster_checkpointed saving after every cell; min over "
-            f"{reps} interleaved reps"
+            f"{reps} interleaved reps; bytes_written is the journal's size "
+            "after one sweep"
         ),
         "mechanism": "checkpoint",
         "serial_s": round(plain_s, 4),
         "engine_s": round(checkpointed_s, 4),
         "overhead_pct": round(100.0 * (checkpointed_s / plain_s - 1.0), 1),
+        "bytes_written": bytes_written,
         "cells": n_cells,
         "identical_results": True,
     }

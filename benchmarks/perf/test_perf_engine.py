@@ -308,10 +308,10 @@ class TestFleetRunLayers:
     recording host; a dense pivot read 89x, above its ceiling.  The
     default assignment's speedup over the simplex solve read 48.5-54.6x
     (at most 11% below the highest reading); a Hungarian inner loop
-    back on numpy scalar indexing lands below its floor.  The checkpoint
-    overhead read 335-578% over four earlier full runs, plus standalone
-    repeats that reached 666%; re-pickling every completed cell per
-    save read 1159-1402%, above the ceiling.
+    back on numpy scalar indexing lands below its floor.  The
+    append-only checkpoint journal's overhead read 73-164% over ten
+    runs; rewriting the whole file on every save read 472-608% on the
+    same host, above the ceiling.
     """
 
     LP_SLACK = 0.25

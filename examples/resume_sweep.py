@@ -8,14 +8,14 @@ self-contained drill:
 2. **Killed run** — the same sweep with a checkpoint file, executed in
    a child process that is SIGKILLed as soon as the checkpoint shows
    progress (a real ``kill -9``, not an exception).
-3. **Resume** — ``run_cluster_checkpointed(..., resume=True)`` loads
-   the validated checkpoint, re-runs only the missing cells, and the
-   result matches the clean run float for float.
+3. **Resume** — ``run_cluster_checkpointed(..., resume=True)`` reads
+   the checkpoint journal, checks every record's SHA-256, drops a torn
+   last record, re-runs only the missing cells, and the result matches
+   the clean run float for float.
 
 Run:  python examples/resume_sweep.py
 """
 
-import os
 import signal
 import subprocess
 import sys
@@ -25,7 +25,7 @@ from pathlib import Path
 
 from repro.apps import REFERENCE_SPEC, best_effort_apps, latency_critical_apps
 from repro.evaluation.pipeline import HeraclesFactory
-from repro.runtime import Checkpoint, run_cluster_checkpointed, sweep_run_key
+from repro.runtime import read_journal, run_cluster_checkpointed, sweep_run_key
 from repro.sim.cluster import ServerPlan, run_cluster
 from repro.sim.colocation import SimConfig
 
@@ -44,6 +44,7 @@ from repro.runtime import run_cluster_checkpointed
 run_cluster_checkpointed(
     build_plans(), REFERENCE_SPEC, sys.argv[1], levels=LEVELS,
     duration_s=DURATION_S, config=CONFIG, resume=True, checkpoint_every=1,
+    engine="object",  # lands cells one at a time, so the kill is mid-sweep
 )
 """
 
@@ -87,15 +88,14 @@ def main() -> None:
             cwd=Path(__file__).resolve().parents[1],
         )
         while child.poll() is None:
-            if ckpt.exists() and Checkpoint.load(ckpt).extra["cells_done"] >= 1:
+            if ckpt.exists() and read_journal(ckpt).cells_done >= 1:
                 child.send_signal(signal.SIGKILL)
                 break
             time.sleep(0.02)
         child.wait()
-        survived = Checkpoint.load(ckpt)
+        survived = read_journal(ckpt)
         print(f"   killed (exit {child.returncode}); checkpoint survived "
-              f"{survived.extra['cells_done']}/{survived.extra['cells_total']}"
-              " cells")
+              f"{survived.cells_done}/{survived.cells_total} cells")
         print(f"   run key {survived.run_key[:16]}… == "
               f"{sweep_run_key(plans, REFERENCE_SPEC, **kwargs)[:16]}…")
 

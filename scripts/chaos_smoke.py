@@ -9,14 +9,17 @@ The drill:
    SIGKILL it once the checkpoint shows ``--kill-after`` completed
    cells (chosen from ``--seed`` by default, so every CI run kills at a
    different-but-reproducible point);
-3. resume from the surviving checkpoint and compare every reported
-   float to the clean run.
+3. resume from the surviving checkpoint journal and compare every
+   reported float to the clean run;
+4. cut a copy of that journal inside its last record (a torn write,
+   at a point chosen from ``--seed``), resume it too and compare again:
+   the torn record must be dropped and its cell re-run.
 
 The child and the clean run use the per-object engine, which lands
 cells one at a time, so the kill falls mid-sweep; the resume runs on
 the default (batched) engine, so the drill also crosses engines.
 
-Exit 0: resumed run bit-identical. Exit 1: drift, an unusable
+Exit 0: both resumed runs bit-identical. Exit 1: drift, an unusable
 checkpoint, or a child that failed for any reason other than our kill.
 
 Usage:  PYTHONPATH=src python scripts/chaos_smoke.py [--seed N]
@@ -40,7 +43,7 @@ from repro.apps import (  # noqa: E402  (path bootstrap above)
     latency_critical_apps,
 )
 from repro.evaluation.pipeline import HeraclesFactory  # noqa: E402
-from repro.runtime import Checkpoint, run_cluster_checkpointed  # noqa: E402
+from repro.runtime import read_journal, run_cluster_checkpointed  # noqa: E402
 from repro.sim.cluster import ServerPlan, run_cluster  # noqa: E402
 from repro.sim.colocation import SimConfig  # noqa: E402
 
@@ -98,11 +101,9 @@ def kill_mid_flight(ckpt: Path, kill_after: int, timeout_s: float) -> int:
     deadline = time.monotonic() + timeout_s
     try:
         while child.poll() is None and time.monotonic() < deadline:
-            if ckpt.exists():
-                done = Checkpoint.load(ckpt).extra.get("cells_done", 0)
-                if done >= kill_after:
-                    child.send_signal(signal.SIGKILL)
-                    break
+            if ckpt.exists() and read_journal(ckpt).cells_done >= kill_after:
+                child.send_signal(signal.SIGKILL)
+                break
             time.sleep(0.02)
         child.wait(timeout=30)
     finally:
@@ -110,6 +111,30 @@ def kill_mid_flight(ckpt: Path, kill_after: int, timeout_s: float) -> int:
             child.kill()
             child.wait(timeout=30)
     return child.returncode
+
+
+def tear_last_record(ckpt: Path, torn: Path, rng: random.Random) -> int:
+    """Copy ``ckpt`` to ``torn``, cut inside its last record's payload.
+
+    Returns the planned position of the cell whose record is torn.
+    """
+    journal = read_journal(ckpt)
+    position, data = list(journal.cells.items())[-1]
+    cut = journal.intact_bytes - rng.randint(1, len(data))
+    torn.write_bytes(ckpt.read_bytes()[:cut])
+    return position
+
+
+def report(label: str, clean_rows, resumed_rows) -> bool:
+    """Print the verdict for one resumed run; True when bit-identical."""
+    if resumed_rows == clean_rows:
+        print(f"chaos-smoke: OK — {label} bit-identical to clean run")
+        return True
+    for index, (a, b) in enumerate(zip(clean_rows, resumed_rows)):
+        if a != b:
+            print(f"chaos-smoke: FAIL — {label}, cell {index} drifted:\n"
+                  f"  clean:   {a}\n  resumed: {b}")
+    return False
 
 
 def main(argv=None) -> int:
@@ -126,9 +151,10 @@ def main(argv=None) -> int:
     plans = build_plans()
     kwargs = dict(levels=LEVELS, duration_s=DURATION_S, config=CONFIG)
     cells = len(plans) * len(LEVELS)
+    rng = random.Random(args.seed)
     kill_after = args.kill_after
     if kill_after is None:
-        kill_after = random.Random(args.seed).randint(1, cells - 1)
+        kill_after = rng.randint(1, cells - 1)
     print(f"chaos-smoke: {cells} cells, killing after {kill_after} "
           f"(seed {args.seed})")
 
@@ -148,22 +174,32 @@ def main(argv=None) -> int:
         if not ckpt.exists():
             print("chaos-smoke: FAIL — no checkpoint survived the kill")
             return 1
-        extra = Checkpoint.load(ckpt).extra
+        journal = read_journal(ckpt)
         print(f"chaos-smoke: checkpoint survived with "
-              f"{extra['cells_done']}/{extra['cells_total']} cells; resuming")
+              f"{journal.cells_done}/{journal.cells_total} cells; resuming")
+        torn = Path(tmp) / "torn.ckpt"
+        position = tear_last_record(ckpt, torn, rng)
         resumed = run_cluster_checkpointed(
             plans, REFERENCE_SPEC, ckpt, resume=True, **kwargs
         )
+        left = read_journal(torn).cells_done
+        print(f"chaos-smoke: tore cell {position}'s record in a copy "
+              f"({left} whole records left); resuming it")
+        if left != journal.cells_done - 1:
+            print("chaos-smoke: FAIL — the torn record was not dropped")
+            return 1
+        resumed_torn = run_cluster_checkpointed(
+            plans, REFERENCE_SPEC, torn, resume=True, **kwargs
+        )
+        healed = read_journal(torn)
+        if healed.intact_bytes != healed.file_bytes:
+            print("chaos-smoke: FAIL — the torn tail survived the resume")
+            return 1
 
-    clean_rows, resumed_rows = flatten(clean), flatten(resumed)
-    if resumed_rows == clean_rows:
-        print("chaos-smoke: OK — resumed run bit-identical to clean run")
-        return 0
-    for index, (a, b) in enumerate(zip(clean_rows, resumed_rows)):
-        if a != b:
-            print(f"chaos-smoke: FAIL — cell {index} drifted:\n"
-                  f"  clean:   {a}\n  resumed: {b}")
-    return 1
+    clean_rows = flatten(clean)
+    ok = report("resumed run", clean_rows, flatten(resumed))
+    ok &= report("torn-tail resume", clean_rows, flatten(resumed_torn))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -19,7 +19,9 @@ Flagged, anywhere in ``src/repro``:
   (reads, and dynamically chosen modes the linter cannot judge).
 
 Allowlisted: :mod:`repro.runtime.atomic` itself — something has to
-perform the final write — and any line carrying
+perform the final write, and its ``AppendOnlyFile`` is the one
+in-place writer, for checkpoint journals whose records carry their own
+checksums — and any line carrying
 ``# pocolint: disable=atomic-artifacts`` (for genuine streaming
 writers, e.g. an append-only log).
 """

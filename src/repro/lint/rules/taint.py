@@ -13,7 +13,8 @@ oracle would not.  The rule reports two kinds of finding:
 * **sources reaching sinks**: taint from those calls, ``os.environ``,
   directory listings and set-order iteration, followed through
   assignments, call arguments and returns across modules, into
-  ``Checkpoint(...)`` payloads and ``export_state()`` returns,
+  ``Checkpoint(...)`` payloads, ``checkpoint.append(...)`` journal
+  records and ``export_state()`` returns,
   ``telemetry.record(...)`` samples, the guard ledger
   (``write_ledger`` / ``ledger_entries``) and pickled worker arguments
   (``map_ordered``).  Environment and order reads are findings only
@@ -61,6 +62,10 @@ _SINK_CONSTRUCTORS: Dict[str, str] = {
 #: are the receiver idioms used by repro.sim.telemetry call sites.
 _RECORD_RECEIVER_MARKERS = ("telemetry", "series", "energy", "trace")
 
+#: ``<receiver>.append(...)`` is a checkpoint sink when the receiver
+#: spelling names a checkpoint journal (repro.runtime.sweep's idiom).
+_APPEND_RECEIVER_MARKER = "checkpoint"
+
 #: Functions whose return value is itself a checkpoint sink.
 _STATE_EXPORTERS = frozenset({"export_state"})
 
@@ -80,6 +85,9 @@ def _sink_of_call(node: ast.Call) -> Optional[str]:
         receiver = ast.unparse(func.value).lower()
         if any(marker in receiver for marker in _RECORD_RECEIVER_MARKERS):
             return f"telemetry ({ast.unparse(func.value)}.record)"
+    if name == "append" and isinstance(func, ast.Attribute):
+        if _APPEND_RECEIVER_MARKER in ast.unparse(func.value).lower():
+            return "checkpointed state (Checkpoint journal record)"
     return None
 
 

@@ -7,11 +7,16 @@ Three layers, each usable alone:
 * :mod:`repro.runtime.atomic` — write-temp → fsync → rename helpers;
   every durable artifact the repo emits goes through them, so a crash
   can never leave a half-written JSON/Markdown/CSV behind (enforced by
-  pocolint's POCO501 ``atomic-artifacts`` rule).
-* :mod:`repro.runtime.checkpoint` — a versioned, checksummed,
-  self-describing checkpoint file format with paranoid validation on
-  load (magic, version, length, SHA-256, run identity) before a single
-  byte is unpickled.
+  pocolint's POCO501 ``atomic-artifacts`` rule).  Its
+  :class:`~repro.runtime.atomic.AppendOnlyFile` is the fsynced append
+  the checkpoint journal grows by.
+* :mod:`repro.runtime.checkpoint` — an append-only checkpoint journal:
+  an atomically written header (magic, version, run identity), then
+  one record per cell carrying its own length and SHA-256.  Crash
+  safety comes from those per-record hashes, not from a rename per
+  save: a crash mid-append leaves a torn last record that the reader
+  drops, and every record is checked before a single byte is
+  unpickled.
 * :mod:`repro.runtime.sweep` — :func:`run_cluster_checkpointed`, the
   crash-safe wrapper around the cluster sweep: completed (plan, level)
   cells persist as they land and a resumed run re-executes only the
@@ -32,6 +37,8 @@ from repro.runtime.checkpoint import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     Checkpoint,
+    Journal,
+    read_journal,
 )
 from repro.runtime.sweep import run_cluster_checkpointed, sweep_run_key
 
@@ -39,9 +46,11 @@ __all__ = [
     "CHECKPOINT_MAGIC",
     "CHECKPOINT_VERSION",
     "Checkpoint",
+    "Journal",
     "atomic_write_bytes",
     "atomic_write_json",
     "atomic_write_text",
+    "read_journal",
     "run_cluster_checkpointed",
     "sweep_run_key",
 ]

@@ -1,10 +1,10 @@
-"""Atomic artifact writes: write-temp → fsync → rename.
+"""Durable artifact writes: write-temp → fsync → rename, and fsynced appends.
 
-Every durable artifact this repo emits — checkpoints, benchmark JSON,
-report tables, telemetry CSVs, the lint baseline — goes through these
-helpers so that a reader (or a crash) can never observe a half-written
-file: either the old content is still there, or the new content is
-complete.  The recipe is the classic POSIX one:
+Every durable artifact this repo emits — benchmark JSON, report
+tables, telemetry CSVs, the lint baseline, checkpoint headers — goes
+through these helpers so that a reader (or a crash) can never observe a
+half-written file: either the old content is still there, or the new
+content is complete.  The recipe is the classic POSIX one:
 
 1. write the full payload to a temporary file *in the target directory*
    (same filesystem, so the final rename cannot degrade to a copy);
@@ -14,6 +14,15 @@ complete.  The recipe is the classic POSIX one:
    operation on POSIX and on modern Windows;
 4. best-effort ``fsync`` of the containing directory so the rename
    itself survives a power cut.
+
+Checkpoint journals are the one file that grows in place.
+:class:`AppendOnlyFile` appends a batch, then flushes it and calls
+``fsync``; there is no temp file, rename or directory ``fsync`` per
+batch.  Their crash safety comes from the journal format instead: the
+header is written once with :func:`atomic_write_bytes`, and every
+record carries its own length and SHA-256, so a crash mid-append
+leaves a torn *tail* that the reader detects and drops, never a changed
+earlier byte (:mod:`repro.runtime.checkpoint`).
 
 pocolint's POCO501 ``atomic-artifacts`` rule flags direct writes of
 ``.json``/``.md`` artifacts elsewhere in ``src/repro`` and points here.
@@ -25,7 +34,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Optional, Union
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -83,3 +92,33 @@ def atomic_write_json(
     """Atomically serialize ``obj`` as JSON (trailing newline included)."""
     text = json.dumps(obj, indent=indent, sort_keys=sort_keys) + "\n"
     return atomic_write_text(path, text)
+
+
+class AppendOnlyFile:
+    """A file that only grows, one flushed and fsynced batch at a time.
+
+    ``keep_bytes`` first truncates the file to that length (fsynced),
+    which is how a journal drops a torn tail before appending again.
+    Appends never touch an earlier byte, so a crash can tear only the
+    batch being written.
+    """
+
+    def __init__(self, path: PathLike, keep_bytes: Optional[int] = None) -> None:
+        self.path = Path(path)
+        self._handle = open(self.path, "ab")
+        if keep_bytes is not None:
+            try:
+                self._handle.truncate(keep_bytes)
+                os.fsync(self._handle.fileno())
+            except BaseException:
+                self._handle.close()
+                raise
+
+    def append(self, data: bytes) -> None:
+        """Write ``data`` at the end of the file and make it durable."""
+        self._handle.write(data)
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
+
+    def close(self) -> None:
+        self._handle.close()

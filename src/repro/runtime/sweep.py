@@ -7,13 +7,13 @@ from the config seed.  That purity is the whole recovery story:
 
 1. :func:`repro.sim.cluster.plan_cluster_tasks` decides every cell (and
    the full fault report) before anything runs;
-2. completed cell outcomes are persisted, keyed by planned position, in a
-   single :class:`~repro.runtime.checkpoint.Checkpoint` file rewritten
-   atomically as results land.  Each cell is pickled once, when it
-   lands, and every save writes those bytes as they are, so a save
-   pickles only the cells new since the previous one;
+2. completed cell outcomes are persisted, keyed by planned position, in
+   a :class:`~repro.runtime.checkpoint.Checkpoint` journal: each cell is
+   pickled once, when it lands, and appended as one checksummed record,
+   so the bytes written over a sweep grow linearly with its cells;
 3. a resumed run re-plans (bit-identical, planning is deterministic),
-   loads the completed cells, and re-runs only the missing ones.
+   loads the completed cells, drops a torn last record, and re-runs
+   only the missing cells.
 
 The resumed :class:`~repro.sim.cluster.ClusterRunResult` is therefore
 *bit-identical* to an uninterrupted run — the property
@@ -44,7 +44,7 @@ from repro.guard.invariants import GuardConfig
 from repro.budget.arbiter import BudgetConfig
 from repro.hwmodel.spec import ServerSpec
 from repro.runtime.atomic import PathLike
-from repro.runtime.checkpoint import Checkpoint
+from repro.runtime.checkpoint import Checkpoint, Journal, read_journal
 from repro.sim.cluster import (
     ClusterRunResult,
     LevelOutcome,
@@ -84,11 +84,10 @@ def sweep_run_key(
     Two processes given the same configuration compute the same key;
     any change to the apps, provisioning, levels, duration, sim config,
     fault plan, guard config or budget config changes it.
-    :meth:`Checkpoint.load` compares this key before resuming, so a
-    checkpoint can never silently continue a *different* sweep.  The
-    guard, budget, rejoin and infra-fault parts are appended only when
-    configured, so checkpoints written before those features existed
-    keep resuming.
+    :func:`~repro.runtime.checkpoint.read_journal` compares this key
+    before resuming, so a checkpoint can never silently continue a
+    *different* sweep.  The guard, budget, rejoin and infra-fault parts
+    are appended only when configured.
     """
     parts: List[str] = [
         f"spec={_stable_repr(spec)}",
@@ -131,67 +130,40 @@ def sweep_run_key(
 
 
 def _encode_cell(outcome: LevelOutcome) -> bytes:
-    """One cell's checkpoint entry: its outcome, pickled on its own."""
+    """One cell's journal record payload: its outcome, pickled on its own."""
     return pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _load_completed(
     path: Path, run_key: str, total: int
-) -> Tuple[Dict[int, LevelOutcome], Dict[int, bytes]]:
-    """Validate and decode the completed cells of a checkpoint.
+) -> Tuple[Journal, Dict[int, LevelOutcome]]:
+    """Validate a checkpoint journal and decode its completed cells.
 
-    Returns the outcomes and each cell's entry bytes, kept exactly as
-    loaded so later saves never re-pickle them.  Entries written before
-    cells were pickled one by one hold the ``LevelOutcome`` itself;
-    those are still accepted and encoded once here.
-
-    Entries are keyed by planned position.  Releases that keyed them by
-    position in the *deduplicated* cell list wrote a smaller
-    ``cells_total`` for sweeps with replicas; such a checkpoint is
-    refused, never mis-slotted.
+    Every record's length and SHA-256 are checked before any cell is
+    unpickled; then each cell is decoded once.  Cells are keyed by
+    planned position.
     """
-    checkpoint = Checkpoint.load(path, expect_run_key=run_key)
-    declared = checkpoint.extra.get("cells_total", total)
-    if declared != total:
+    journal = read_journal(path, expect_run_key=run_key)
+    if journal.cells_total != total:
         raise CheckpointError(
-            f"checkpoint {path} records {declared!r} cells but this sweep "
-            f"plans {total}; it indexes a deduplicated cell list (written "
-            "with dedupe=True by an older release) — delete it and rerun"
-        )
-    payload = checkpoint.payload
-    if not isinstance(payload, dict) or not isinstance(
-        payload.get("completed"), dict
-    ):
-        raise CheckpointError(
-            f"checkpoint {path} carries no completed-cell map; it was not "
-            "written by run_cluster_checkpointed"
+            f"checkpoint {path} records {journal.cells_total} cells but this "
+            f"sweep plans {total}; delete it and rerun"
         )
     outcomes: Dict[int, LevelOutcome] = {}
-    encoded: Dict[int, bytes] = {}
-    for index, entry in payload["completed"].items():
-        if not isinstance(index, int) or not 0 <= index < total:
+    for position, data in journal.cells.items():
+        try:
+            outcome = pickle.loads(data)
+        except Exception as exc:
             raise CheckpointError(
-                f"checkpoint {path} names cell {index!r} outside this "
-                f"sweep's 0..{total - 1} range"
-            )
-        outcome = entry
-        if isinstance(entry, bytes):
-            try:
-                outcome = pickle.loads(entry)
-            except Exception as exc:
-                raise CheckpointError(
-                    f"checkpoint {path} cell {index} failed to unpickle: {exc}"
-                ) from exc
+                f"checkpoint {path} cell {position} failed to unpickle: {exc}"
+            ) from exc
         if not isinstance(outcome, LevelOutcome):
             raise CheckpointError(
-                f"checkpoint {path} cell {index} holds a "
+                f"checkpoint {path} cell {position} holds a "
                 f"{type(outcome).__name__}, not a LevelOutcome"
             )
-        outcomes[index] = outcome
-        encoded[index] = (
-            entry if isinstance(entry, bytes) else _encode_cell(outcome)
-        )
-    return outcomes, encoded
+        outcomes[position] = outcome
+    return journal, outcomes
 
 
 def run_cluster_checkpointed(
@@ -216,18 +188,20 @@ def run_cluster_checkpointed(
     Semantics and results are bit-identical to ``run_cluster`` with the
     same arguments; the additions are durability knobs:
 
-    * ``checkpoint_path`` — the single checkpoint file, atomically
-      rewritten as cells complete (never observably half-written);
+    * ``checkpoint_path`` — the checkpoint journal.  A fresh run's
+      first save atomically replaces any old file with a new header;
+      every save appends one checksummed record per completed cell;
     * ``resume`` — load ``checkpoint_path`` first and re-run only the
       cells it lacks.  A missing file starts fresh (so "always pass
       ``--resume``" is a safe operating procedure); a checkpoint from a
       *different* sweep raises :class:`~repro.errors.CheckpointError`;
-    * ``checkpoint_every`` — cells completed between checkpoint writes;
-      1 (default) bounds the recomputation lost to a crash at one cell.
+    * ``checkpoint_every`` — cells completed between checkpoint writes
+      (one append and ``fsync`` each); 1 (default) bounds the
+      recomputation lost to a crash at one cell.
 
     The checkpoint is left in place on success — it doubles as the
-    completed-run record (its header carries progress counters readable
-    without unpickling).
+    completed-run record (:func:`~repro.runtime.checkpoint.read_journal`
+    counts its cells without unpickling).
 
     ``guard`` runs every cell under the safety invariants of
     :mod:`repro.guard` (and becomes part of the run key, so guarded and
@@ -257,41 +231,27 @@ def run_cluster_checkpointed(
         )
         target = Path(checkpoint_path)
         completed: Dict[int, LevelOutcome] = {}
-        encoded: Dict[int, bytes] = {}
         if resume and target.exists():
-            completed, encoded = _load_completed(target, run_key, len(cells))
-        placement = {
-            plan.lc_app.name: (plan.be_app.name if plan.be_app else None)
-            for plan in plans
-        }
-        since_save = 0
-
-        def save() -> None:
-            cursor = 0
-            while cursor in encoded:
-                cursor += 1
-            Checkpoint(
-                run_key=run_key,
-                payload={"completed": encoded, "placement": placement},
-                extra={
-                    "cells_total": len(cells),
-                    "cells_done": len(encoded),
-                    "cursor": cursor,
-                },
-            ).save(target)
+            journal, completed = _load_completed(target, run_key, len(cells))
+            checkpoint = Checkpoint.reopen(journal)
+        else:
+            placement = {
+                plan.lc_app.name: (plan.be_app.name if plan.be_app else None)
+                for plan in plans
+            }
+            checkpoint = Checkpoint.create(target, run_key, len(cells), placement)
 
         def on_result(position: int, outcome: LevelOutcome) -> None:
-            nonlocal since_save
-            encoded[position] = _encode_cell(outcome)
-            since_save += 1
-            if since_save >= checkpoint_every:
-                save()
-                since_save = 0
+            checkpoint.append(position, _encode_cell(outcome))
+            if checkpoint.pending >= checkpoint_every:
+                checkpoint.save()
 
-        skeleton.outcomes.extend(
-            _execute(cells, engine, workers, dedupe, completed, on_result)
-        )
-        save()
+        with checkpoint:
+            skeleton.outcomes.extend(
+                _execute(cells, engine, workers, dedupe, completed, on_result)
+            )
+            if checkpoint.pending:
+                checkpoint.save()
         return skeleton
 
     return _ledgered(sweep, guard, ledger_path)

@@ -40,3 +40,7 @@ def save_stamped(path):
 
 def persist_listing(path):
     return Checkpoint(run_key="k", payload=[n for n in os.listdir(path)])  # BAD
+
+
+def journal_stamp(checkpoint, position):
+    checkpoint.append(position, stamp())  # BAD: wall clock -> journal record

@@ -38,3 +38,7 @@ def save_stamped(path, sim_time_s):
 
 def persist_listing(path):
     return Checkpoint(run_key="k", payload=[n for n in sorted(os.listdir(path))])
+
+
+def journal_stamp(checkpoint, position, sim_time_s):
+    checkpoint.append(position, stamp(sim_time_s))

@@ -62,10 +62,11 @@ from repro.faults.schedule import (
     TelemetryGap,
 )
 from repro.guard.invariants import GuardConfig
-from repro.runtime import Checkpoint, run_cluster_checkpointed
+from repro.runtime import read_journal, run_cluster_checkpointed
 from repro.sim.cluster import Cell, _run_cell, run_cluster
 from repro.sim.colocation import SimConfig
 from repro.sim.telemetry import Telemetry
+from tests.test_runtime_checkpoint import keep_cells
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -562,15 +563,7 @@ class TestCrossEngineResume:
             ("batched.ckpt", "object", 3),
         ]:
             path = tmp_path / source
-            checkpoint = Checkpoint.load(path)
-            completed = checkpoint.payload["completed"]
-            survivors = {
-                i: completed[i] for i in sorted(completed)[:keep]
-            }
-            Checkpoint(
-                run_key=checkpoint.run_key,
-                payload={**checkpoint.payload, "completed": survivors},
-            ).save(path)
+            keep_cells(path, sorted(read_journal(path).cells)[:keep])
             resumed = run_cluster_checkpointed(
                 mixed_plans, catalog.spec, path, resume=True,
                 engine=resume_engine, **kwargs,
@@ -595,11 +588,9 @@ class TestCrossEngineResume:
             while time.monotonic() < deadline:
                 if child.poll() is not None:
                     break
-                if ckpt.exists():
-                    extra = Checkpoint.load(ckpt).extra
-                    if extra.get("cells_done", 0) >= 1:
-                        progressed = True
-                        break
+                if ckpt.exists() and read_journal(ckpt).cells_done >= 1:
+                    progressed = True
+                    break
                 time.sleep(0.02)
             assert progressed, (
                 "child finished or stalled before the kill: "

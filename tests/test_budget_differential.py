@@ -39,10 +39,11 @@ from repro.faults.schedule import (
     RackPowerDerate,
 )
 from repro.guard.invariants import GuardConfig
-from repro.runtime import Checkpoint, run_cluster_checkpointed
+from repro.runtime import read_journal, run_cluster_checkpointed
 from repro.sim.cluster import run_cluster
 from repro.sim.colocation import SimConfig
 from tests.test_batched_differential import assert_outcome_equal
+from tests.test_runtime_checkpoint import keep_cells
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -154,13 +155,7 @@ class TestBudgetedCheckpointResume:
             **kwargs
         )
         path = tmp_path / "clean.ckpt"
-        checkpoint = Checkpoint.load(path)
-        completed = checkpoint.payload["completed"]
-        survivors = {i: completed[i] for i in sorted(completed)[:3]}
-        Checkpoint(
-            run_key=checkpoint.run_key,
-            payload={**checkpoint.payload, "completed": survivors},
-        ).save(path)
+        keep_cells(path, sorted(read_journal(path).cells)[:3])
         resumed = run_cluster_checkpointed(
             fleet, catalog.spec, path, resume=True, engine="batched",
             **kwargs,
@@ -302,13 +297,7 @@ class TestKillTheArbiterDrill:
         )
         path = tmp_path / "drill.ckpt"
         first = run_cluster_checkpointed(fleet, catalog.spec, path, **kwargs)
-        checkpoint = Checkpoint.load(path)
-        completed = checkpoint.payload["completed"]
-        survivors = {i: completed[i] for i in sorted(completed)[:2]}
-        Checkpoint(
-            run_key=checkpoint.run_key,
-            payload={**checkpoint.payload, "completed": survivors},
-        ).save(path)
+        keep_cells(path, sorted(read_journal(path).cells)[:2])
         resumed = run_cluster_checkpointed(
             fleet, catalog.spec, path, resume=True, engine="batched",
             **kwargs,
@@ -381,11 +370,9 @@ class TestDrillSigkillResume:
             while time.monotonic() < deadline:
                 if child.poll() is not None:
                     break
-                if ckpt.exists():
-                    extra = Checkpoint.load(ckpt).extra
-                    if extra.get("cells_done", 0) >= 1:
-                        progressed = True
-                        break
+                if ckpt.exists() and read_journal(ckpt).cells_done >= 1:
+                    progressed = True
+                    break
                 time.sleep(0.02)
             assert progressed, (
                 "child finished or stalled before the kill: "

@@ -33,7 +33,7 @@ from repro.guard.ledger import (
     render_ledger,
     write_ledger,
 )
-from repro.runtime import Checkpoint, run_cluster_checkpointed
+from repro.runtime import read_journal, run_cluster_checkpointed
 from repro.sim import SimConfig, run_cluster
 from repro.sim.cluster import ServerPlan
 
@@ -96,11 +96,9 @@ def _kill_after_one_cell(ckpt: Path, timeout_s: float = 120.0) -> int:
     deadline = time.monotonic() + timeout_s
     try:
         while child.poll() is None and time.monotonic() < deadline:
-            if ckpt.exists():
-                done = Checkpoint.load(ckpt).extra.get("cells_done", 0)
-                if done >= 1:
-                    child.send_signal(signal.SIGKILL)
-                    break
+            if ckpt.exists() and read_journal(ckpt).cells_done >= 1:
+                child.send_signal(signal.SIGKILL)
+                break
             time.sleep(0.01)
         child.wait(timeout=60)
     finally:
@@ -127,8 +125,8 @@ class TestResumeBitIdentity:
             "the child must die to our kill, not on its own"
         )
         assert ckpt.exists(), "no checkpoint survived the kill"
-        extra = Checkpoint.load(ckpt).extra
-        assert 1 <= extra["cells_done"] < extra["cells_total"], (
+        journal = read_journal(ckpt)
+        assert 1 <= journal.cells_done < journal.cells_total, (
             "the kill must land mid-sweep for the drill to mean anything"
         )
 

@@ -227,6 +227,7 @@ class TestDeterminismTaint:
             ("taint_bad/writer.py", 34),
             ("taint_bad/writer.py", 38),
             ("taint_bad/writer.py", 42),
+            ("taint_bad/writer.py", 46),
         ]
 
     def test_chained_call_and_comprehension_reach_the_sink(self):
@@ -238,6 +239,9 @@ class TestDeterminismTaint:
         # taint enters through a comprehension's for clause
         assert "os.listdir()" in by_line[42]
         assert "Checkpoint payload" in by_line[42]
+        # checkpoint.append(...): a journal record is a sink too
+        assert "Checkpoint journal record" in by_line[46]
+        assert "return of stamp()" in by_line[46]
 
     def test_evidence_chains_cross_the_module_boundary(self):
         found = package_findings("taint_bad", "determinism-taint")

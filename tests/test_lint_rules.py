@@ -190,6 +190,7 @@ DETERMINISM_SITES = [
     ("taint_bad/writer.py", 34),
     ("taint_bad/writer.py", 38),
     ("taint_bad/writer.py", 42),
+    ("taint_bad/writer.py", 46),
 ]
 
 

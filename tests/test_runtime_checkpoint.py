@@ -1,11 +1,12 @@
-"""Crash-safe runtime tests: atomic writes, checkpoint codec, resume.
+"""Crash-safe runtime tests: atomic writes, checkpoint journal, resume.
 
 The contract under test (docs/RECOVERY.md):
 
 * :mod:`repro.runtime.atomic` — a reader can never observe a torn file;
-* :class:`repro.runtime.checkpoint.Checkpoint` — every corruption mode
-  (truncation, bit rot, alien/newer files, foreign runs) is refused
-  *before* unpickling;
+* :mod:`repro.runtime.checkpoint` — the journal is append-only; a torn
+  last record is dropped and re-run, every other defect (corruption,
+  alien/older/newer files, foreign runs) is refused *before*
+  unpickling;
 * :func:`repro.runtime.sweep.run_cluster_checkpointed` — checkpoint →
   kill → resume equals the uninterrupted run bit-for-bit, pinned with
   Hypothesis across seeds / worker counts / fault plans and with a real
@@ -32,10 +33,12 @@ from repro.faults.cluster import ClusterFaultPlan, ServerCrash
 from repro.faults.schedule import FaultSchedule, MeterDrift, TelemetryGap
 from repro.runtime import (
     CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     Checkpoint,
     atomic_write_bytes,
     atomic_write_json,
     atomic_write_text,
+    read_journal,
     run_cluster_checkpointed,
     sweep_run_key,
 )
@@ -130,108 +133,175 @@ class TestAtomicWrites:
         assert text.index('"a"') < text.index('"b"')
 
 
+def write_journal(path, cells, run_key="k" * 64, cells_total=4, placement=None):
+    """Write a journal holding ``cells`` (position -> bytes), in order."""
+    with Checkpoint.create(
+        path, run_key, cells_total, placement or {"xapian": "rnn"}
+    ) as checkpoint:
+        for position, data in cells.items():
+            checkpoint.append(position, data)
+        checkpoint.save()
+    return path
+
+
+def keep_cells(path, keep):
+    """Roll a checkpoint back to its records for the positions in ``keep``."""
+    journal = read_journal(path)
+    write_journal(
+        path, {i: data for i, data in journal.cells.items() if i in keep},
+        journal.run_key, journal.cells_total, journal.placement,
+    )
+
+
+def record_spans(path):
+    """``(position, line start, payload start, end)`` of every record."""
+    blob = Path(path).read_bytes()
+    offset = blob.index(b"\n") + 1
+    spans = []
+    while offset < len(blob):
+        newline = blob.index(b"\n", offset)
+        line = json.loads(blob[offset:newline])
+        end = newline + 1 + line["bytes"]
+        spans.append((line["cell"], offset, newline + 1, end))
+        offset = end
+    return spans
+
+
+def _flip_byte(path, at):
+    blob = bytearray(Path(path).read_bytes())
+    blob[at] ^= 0xFF
+    Path(path).write_bytes(bytes(blob))
+
+
+def _v1_file(path):
+    """A checkpoint in the version-1 layout: one pickled payload."""
+    payload = pickle.dumps({"completed": {0: b"cell"}, "placement": {}})
+    header = json.dumps({
+        "magic": CHECKPOINT_MAGIC, "version": 1, "run_key": "k" * 64,
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "payload_bytes": len(payload),
+        "extra": {"cells_total": 4, "cells_done": 1, "cursor": 1},
+    })
+    path.write_bytes(header.encode() + b"\n" + payload)
+    return path
+
+
 class TestCheckpointCodec:
+    CELLS = {0: b"first cell", 3: b"second\ncell"}
+
     def _save(self, tmp_path, **overrides):
-        fields = dict(
-            run_key="k" * 64,
-            payload={"completed": {0: (1.0, 2.0)}, "note": "hi"},
-            extra={"cells_done": 1},
+        return write_journal(tmp_path / "sweep.ckpt", self.CELLS, **overrides)
+
+    def _header(self, path, **fields):
+        header = {
+            "magic": CHECKPOINT_MAGIC, "version": 2, "run_key": "k" * 64,
+            "cells_total": 4, "placement": {},
+        }
+        header.update(fields)
+        path.write_bytes(
+            json.dumps({k: v for k, v in header.items() if v is not None})
+            .encode() + b"\n"
         )
-        fields.update(overrides)
-        path = tmp_path / "sweep.ckpt"
-        Checkpoint(**fields).save(path)
         return path
 
     def test_roundtrip(self, tmp_path):
         path = self._save(tmp_path)
-        loaded = Checkpoint.load(path, expect_run_key="k" * 64)
-        assert loaded.run_key == "k" * 64
-        assert loaded.payload == {"completed": {0: (1.0, 2.0)}, "note": "hi"}
-        assert loaded.extra == {"cells_done": 1}
-        assert loaded.version == 1
+        journal = read_journal(path, expect_run_key="k" * 64)
+        assert journal.run_key == "k" * 64
+        assert journal.cells == self.CELLS
+        assert list(journal.cells) == [0, 3]  # record order
+        assert (journal.cells_total, journal.cells_done) == (4, 2)
+        assert journal.placement == {"xapian": "rnn"}
+        assert journal.intact_bytes == journal.file_bytes == path.stat().st_size
 
     def test_header_line_is_greppable_json(self, tmp_path):
         path = self._save(tmp_path)
-        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-        assert header["magic"] == CHECKPOINT_MAGIC
-        assert header["extra"] == {"cells_done": 1}
-        assert header["payload_bytes"] > 0
+        header, record = path.read_bytes().split(b"\n")[:2]
+        assert json.loads(header) == {
+            "magic": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION,
+            "run_key": "k" * 64, "cells_total": 4,
+            "placement": {"xapian": "rnn"},
+        }
+        assert json.loads(record) == {
+            "bytes": len(self.CELLS[0]), "cell": 0,
+            "sha256": hashlib.sha256(self.CELLS[0]).hexdigest(),
+        }
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
-            Checkpoint.load(tmp_path / "absent.ckpt")
+            read_journal(tmp_path / "absent.ckpt")
 
     def test_no_header_newline(self, tmp_path):
         path = tmp_path / "x.ckpt"
         path.write_bytes(b"just-bytes-no-newline")
         with pytest.raises(CheckpointError, match="no header line"):
-            Checkpoint.load(path)
+            read_journal(path)
 
     def test_header_not_json(self, tmp_path):
         path = tmp_path / "x.ckpt"
         path.write_bytes(b"{broken json\npayload")
         with pytest.raises(CheckpointError, match="not valid JSON"):
-            Checkpoint.load(path)
+            read_journal(path)
 
     def test_alien_magic(self, tmp_path):
         path = tmp_path / "x.ckpt"
         path.write_bytes(b'{"magic": "other-tool"}\n')
         with pytest.raises(CheckpointError, match="not a pocolo checkpoint"):
-            Checkpoint.load(path)
+            read_journal(path)
 
     def test_newer_version_refused(self, tmp_path):
-        path = self._save(tmp_path, version=2)
-        with pytest.raises(CheckpointError, match="unsupported version 2"):
-            Checkpoint.load(path)
+        path = self._header(tmp_path / "x.ckpt", version=3)
+        with pytest.raises(CheckpointError, match="unsupported version 3"):
+            read_journal(path)
 
     def test_non_integer_version_refused(self, tmp_path):
-        header = json.dumps({"magic": CHECKPOINT_MAGIC, "version": "1"})
-        path = tmp_path / "x.ckpt"
-        path.write_bytes(header.encode() + b"\n")
+        path = self._header(tmp_path / "x.ckpt", version="2")
         with pytest.raises(CheckpointError, match="unsupported version"):
-            Checkpoint.load(path)
+            read_journal(path)
 
     def test_truncation_detected(self, tmp_path):
+        """A cut last record is a torn tail: left out, never an error."""
         path = self._save(tmp_path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-3])
-        with pytest.raises(CheckpointError, match="truncated"):
-            Checkpoint.load(path)
+        journal = read_journal(path)
+        assert journal.cells == {0: self.CELLS[0]}
+        assert journal.intact_bytes == record_spans(path)[0][3]
+        assert journal.file_bytes == len(blob) - 3
 
     def test_bit_rot_detected(self, tmp_path):
         path = self._save(tmp_path)
-        blob = bytearray(path.read_bytes())
-        blob[-1] ^= 0xFF  # flip a payload byte, length unchanged
-        path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="checksum"):
-            Checkpoint.load(path)
+        _flip_byte(path, record_spans(path)[0][2])  # first payload byte
+        with pytest.raises(CheckpointError, match="corrupt: cell 0 at byte"):
+            read_journal(path)
 
     def test_foreign_run_key_refused(self, tmp_path):
         path = self._save(tmp_path)
         with pytest.raises(CheckpointError, match="refusing to resume"):
-            Checkpoint.load(path, expect_run_key="m" * 64)
+            read_journal(path, expect_run_key="m" * 64)
 
     def test_missing_run_key_refused(self, tmp_path):
-        payload = pickle.dumps(None)
-        header = json.dumps({
-            "magic": CHECKPOINT_MAGIC, "version": 1,
-            "payload_sha256": hashlib.sha256(payload).hexdigest(),
-            "payload_bytes": len(payload),
-        })
-        path = tmp_path / "x.ckpt"
-        path.write_bytes(header.encode() + b"\n" + payload)
+        path = self._header(tmp_path / "x.ckpt", run_key=None)
         with pytest.raises(CheckpointError, match="lacks a run_key"):
-            Checkpoint.load(path)
+            read_journal(path)
 
-    def test_corruption_never_reaches_unpickle(self, tmp_path):
-        """A tampered payload fails the checksum, not the unpickler."""
+    def test_corruption_never_reaches_unpickle(self, tmp_path, monkeypatch):
+        """A tampered record fails its checksum; the reader never unpickles."""
         path = self._save(tmp_path)
+        _, _, start, end = record_spans(path)[0]
         blob = path.read_bytes()
-        header, payload = blob.split(b"\n", 1)
         evil = b"cos\nsystem\n(S'true'\ntR."  # classic pickle bomb shape
-        path.write_bytes(header + b"\n" + evil[:len(payload)].ljust(len(payload), b"."))
-        with pytest.raises(CheckpointError, match="checksum"):
-            Checkpoint.load(path)
+        path.write_bytes(
+            blob[:start] + evil[:end - start].ljust(end - start, b".")
+            + blob[end:]
+        )
+
+        def no_unpickle(data):
+            raise AssertionError("the journal reader unpickled something")
+
+        monkeypatch.setattr(pickle, "loads", no_unpickle)
+        with pytest.raises(CheckpointError, match="corrupt: cell 0"):
+            read_journal(path)
 
 
 class TestCheckpointedSweep:
@@ -249,11 +319,10 @@ class TestCheckpointedSweep:
         plans = _plans(catalog, [("xapian", "rnn")])
         path = tmp_path / "sweep.ckpt"
         run_cluster_checkpointed(plans, catalog.spec, path, **self.KWARGS)
-        checkpoint = Checkpoint.load(path)
-        assert checkpoint.extra == {
-            "cells_total": 2, "cells_done": 2, "cursor": 2,
-        }
-        assert checkpoint.run_key == sweep_run_key(
+        journal = read_journal(path)
+        assert (journal.cells_total, journal.cells_done) == (2, 2)
+        assert journal.intact_bytes == journal.file_bytes
+        assert journal.run_key == sweep_run_key(
             plans, catalog.spec, **self.KWARGS
         )
 
@@ -263,13 +332,8 @@ class TestCheckpointedSweep:
         full = run_cluster_checkpointed(
             plans, catalog.spec, path, **self.KWARGS
         )
-        # Simulate a crash after one cell: truncate the completed map.
-        checkpoint = Checkpoint.load(path)
-        survivor = {0: checkpoint.payload["completed"][0]}
-        Checkpoint(
-            run_key=checkpoint.run_key,
-            payload={**checkpoint.payload, "completed": survivor},
-        ).save(path)
+        # Simulate a crash after one cell: only its record survives.
+        keep_cells(path, {0})
         executed = []
         run_cell = cluster_module._run_cell
         monkeypatch.setattr(
@@ -313,11 +377,11 @@ class TestCheckpointedSweep:
             **self.KWARGS,
         )
         assert _flatten(deduped) == _flatten(clean)
-        checkpoint = Checkpoint.load(tmp_path / "sweep.ckpt")
-        # Entries sit at planned positions: 6 plans x 2 levels, of
+        journal = read_journal(tmp_path / "sweep.ckpt")
+        # Records sit at planned positions: 6 plans x 2 levels, of
         # which the 2 unique plans x 2 levels ran.
-        assert checkpoint.extra["cells_total"] == 12
-        assert checkpoint.extra["cells_done"] == 4
+        assert journal.cells_total == 12
+        assert journal.cells_done == 4
 
     def _replicated(self, catalog):
         base = _plans(catalog, [("img-dnn", "rnn"), ("sphinx", "graph")])
@@ -338,16 +402,7 @@ class TestCheckpointedSweep:
             plans, catalog.spec, path, dedupe=written, **self.KWARGS
         )
         if partial:
-            checkpoint = Checkpoint.load(path)
-            completed = checkpoint.payload["completed"]
-            Checkpoint(
-                run_key=checkpoint.run_key,
-                payload={
-                    **checkpoint.payload,
-                    "completed": {i: completed[i] for i in sorted(completed)[:2]},
-                },
-                extra=checkpoint.extra,
-            ).save(path)
+            keep_cells(path, sorted(read_journal(path).cells)[:2])
         got = run_cluster_checkpointed(
             plans, catalog.spec, path, dedupe=resumed, resume=True,
             **self.KWARGS,
@@ -358,25 +413,21 @@ class TestCheckpointedSweep:
     def test_deduplicated_layout_checkpoint_refused(
         self, catalog, tmp_path, dedupe
     ):
-        """Entries indexed by position in the deduplicated cell list
-        (the older ``dedupe=True`` layout) are refused, never mis-slotted."""
+        """Records indexed by position in the deduplicated cell list
+        (the layout of older ``dedupe=True`` checkpoints) are refused by
+        the ``cells_total`` check, never mis-slotted."""
         plans = self._replicated(catalog)
         path = tmp_path / "sweep.ckpt"
         run_cluster_checkpointed(
             plans, catalog.spec, path, dedupe=True, **self.KWARGS
         )
-        checkpoint = Checkpoint.load(path)
-        completed = checkpoint.payload["completed"]
-        unique = sorted(completed)  # planned positions 0, 1, 4, 5
-        Checkpoint(
-            run_key=checkpoint.run_key,
-            payload={
-                **checkpoint.payload,
-                "completed": {k: completed[i] for k, i in enumerate(unique)},
-            },
-            extra={"cells_total": 4, "cells_done": 4, "cursor": 4},
-        ).save(path)
-        with pytest.raises(CheckpointError, match="deduplicated"):
+        journal = read_journal(path)
+        unique = sorted(journal.cells)  # planned positions 0, 1, 4, 5
+        write_journal(
+            path, {k: journal.cells[i] for k, i in enumerate(unique)},
+            journal.run_key, cells_total=4,
+        )
+        with pytest.raises(CheckpointError, match="records 4 cells but this sweep plans 6"):
             run_cluster_checkpointed(
                 plans, catalog.spec, path, dedupe=dedupe, resume=True,
                 **self.KWARGS,
@@ -388,17 +439,7 @@ class TestCheckpointedSweep:
         path = tmp_path / "sweep.ckpt"
         clean = run_cluster(plans, catalog.spec, **kwargs)
         run_cluster_checkpointed(plans, catalog.spec, path, **kwargs)
-        checkpoint = Checkpoint.load(path)
-        Checkpoint(
-            run_key=checkpoint.run_key,
-            payload={
-                **checkpoint.payload,
-                "completed": {
-                    i: o for i, o in checkpoint.payload["completed"].items()
-                    if i < 2
-                },
-            },
-        ).save(path)
+        keep_cells(path, {0, 1})
         resumed = run_cluster_checkpointed(
             plans, catalog.spec, path, resume=True, **kwargs
         )
@@ -434,23 +475,6 @@ class TestCheckpointedSweep:
         ) != key
 
 
-def _keep_cells(path, keep, decode=False):
-    """Roll a checkpoint back to the cells in ``keep``.
-
-    ``decode`` rewrites them in the layout used before cells were
-    pickled one by one: the ``LevelOutcome`` itself, not its bytes.
-    """
-    checkpoint = Checkpoint.load(path)
-    completed = {
-        i: pickle.loads(entry) if decode else entry
-        for i, entry in checkpoint.payload["completed"].items() if i in keep
-    }
-    Checkpoint(
-        run_key=checkpoint.run_key,
-        payload={**checkpoint.payload, "completed": completed},
-    ).save(path)
-
-
 class TestPerCellLayout:
     """Each cell is pickled once, when it lands; saves reuse the bytes."""
 
@@ -476,12 +500,15 @@ class TestPerCellLayout:
         result = run_cluster_checkpointed(
             plans, catalog.spec, path, engine=engine, **self.KWARGS
         )
-        # Four cells, five saves (one per cell plus the final one).
+        # Four cells, four saves: one record each.
         assert sorted(pickles) == sorted(id(o) for o in result.outcomes)
         assert set(pickles.values()) == {1}
-        completed = Checkpoint.load(path).payload["completed"]
-        assert sorted(completed) == [0, 1, 2, 3]
-        assert all(isinstance(entry, bytes) for entry in completed.values())
+        cells = read_journal(path).cells
+        assert sorted(cells) == [0, 1, 2, 3]
+        assert [cells[i] for i in range(4)] == [
+            pickle.dumps(o, protocol=pickle.HIGHEST_PROTOCOL)
+            for o in result.outcomes
+        ]
 
     def test_resumed_cells_are_not_pickled_again(
         self, catalog, tmp_path, pickles
@@ -489,48 +516,25 @@ class TestPerCellLayout:
         plans = _plans(catalog, self.PAIRS)
         path = tmp_path / "sweep.ckpt"
         full = run_cluster_checkpointed(plans, catalog.spec, path, **self.KWARGS)
-        _keep_cells(path, keep={0, 2})
-        survivors = Checkpoint.load(path).payload["completed"]
+        keep_cells(path, {0, 2})
+        survivors = read_journal(path).cells
         pickles.clear()
         resumed = run_cluster_checkpointed(
             plans, catalog.spec, path, resume=True, **self.KWARGS
         )
         assert sum(pickles.values()) == 2  # only cells 1 and 3 ran
         assert set(pickles.values()) == {1}
-        completed = Checkpoint.load(path).payload["completed"]
+        completed = read_journal(path).cells
         assert {i: completed[i] for i in survivors} == survivors
         assert [pickle.dumps(o) for o in resumed.outcomes] == [
             pickle.dumps(o) for o in full.outcomes
         ]
 
-    def test_old_layout_resumes_bit_identical(self, catalog, tmp_path, pickles):
-        plans = _plans(catalog, self.PAIRS)
-        kwargs = dict(self.KWARGS, fault_plan=_fault_plan(plans))
-        path = tmp_path / "sweep.ckpt"
-        full = run_cluster_checkpointed(plans, catalog.spec, path, **kwargs)
-        _keep_cells(path, keep={0, 1}, decode=True)
-        pickles.clear()
-        resumed = run_cluster_checkpointed(
-            plans, catalog.spec, path, resume=True, **kwargs
-        )
-        # The two loaded outcomes are encoded once, the two re-run ones
-        # once each, and the file is rewritten in the per-cell layout.
-        assert sum(pickles.values()) == 4
-        assert set(pickles.values()) == {1}
-        completed = Checkpoint.load(path).payload["completed"]
-        assert all(isinstance(entry, bytes) for entry in completed.values())
-        assert [pickle.dumps(o) for o in resumed.outcomes] == [
-            pickle.dumps(o) for o in full.outcomes
-        ]
-        assert _flatten(resumed) == _flatten(
-            run_cluster(plans, catalog.spec, **kwargs)
-        )
-
     @pytest.mark.parametrize(
         "entry, message",
         [
             (pickle.dumps({"not": "an outcome"}), "cell 2 holds a dict"),
-            (("old", "layout", "tuple"), "cell 2 holds a tuple"),
+            (pickle.dumps(("old", "layout", "tuple")), "cell 2 holds a tuple"),
             (b"\x80\x05torn", "cell 2 failed to unpickle"),
         ],
         ids=["bytes", "object", "torn"],
@@ -541,13 +545,10 @@ class TestPerCellLayout:
         plans = _plans(catalog, self.PAIRS)
         path = tmp_path / "sweep.ckpt"
         run_cluster_checkpointed(plans, catalog.spec, path, **self.KWARGS)
-        checkpoint = Checkpoint.load(path)
-        completed = dict(checkpoint.payload["completed"])
-        completed[2] = entry  # checksummed, so only the cell check sees it
-        Checkpoint(
-            run_key=checkpoint.run_key,
-            payload={**checkpoint.payload, "completed": completed},
-        ).save(path)
+        journal = read_journal(path)
+        cells = dict(journal.cells)
+        cells[2] = entry  # checksummed, so only the cell check sees it
+        write_journal(path, cells, journal.run_key, journal.cells_total)
         with pytest.raises(CheckpointError, match=message):
             run_cluster_checkpointed(
                 plans, catalog.spec, path, resume=True, **self.KWARGS
@@ -559,18 +560,156 @@ class TestPerCellLayout:
         plans = _plans(catalog, self.PAIRS)
         path = tmp_path / "sweep.ckpt"
         run_cluster_checkpointed(plans, catalog.spec, path, **self.KWARGS)
-        blob = bytearray(path.read_bytes())
-        blob[-40] ^= 0xFF  # inside the last cell's bytes
-        path.write_bytes(bytes(blob))
+        position, _, start, end = record_spans(path)[1]
+        _flip_byte(path, (start + end) // 2)  # inside a middle cell's bytes
 
         def no_unpickle(data):
             raise AssertionError("something was unpickled before the checksum")
 
         monkeypatch.setattr(pickle, "loads", no_unpickle)
-        with pytest.raises(CheckpointError, match="checksum"):
+        with pytest.raises(CheckpointError, match=f"corrupt: cell {position} "):
             run_cluster_checkpointed(
                 plans, catalog.spec, path, resume=True, **self.KWARGS
             )
+
+
+class TestJournal:
+    """The append-only journal: torn tails, corruption, size, old files."""
+
+    KWARGS = TestCheckpointedSweep.KWARGS
+    PAIRS = TestPerCellLayout.PAIRS
+
+    def _full_run(self, catalog, tmp_path, **kwargs):
+        plans = _plans(catalog, self.PAIRS)
+        path = tmp_path / "sweep.ckpt"
+        result = run_cluster_checkpointed(
+            plans, catalog.spec, path, engine="object", **self.KWARGS,
+            **kwargs,
+        )
+        return plans, path, result
+
+    @pytest.mark.parametrize("damage", ["cut", "flip"])
+    def test_torn_tail_reruns_only_that_cell(
+        self, catalog, tmp_path, monkeypatch, damage
+    ):
+        plans, path, full = self._full_run(catalog, tmp_path)
+        clean_file = path.read_bytes()
+        position, _, start, end = record_spans(path)[-1]
+        if damage == "cut":
+            path.write_bytes(clean_file[:(start + end) // 2])  # mid-payload
+        else:
+            _flip_byte(path, end - 1)
+        assert sorted(read_journal(path).cells) == [0, 1, 2]
+        executed = []
+        run_cell = cluster_module._run_cell
+        monkeypatch.setattr(
+            cluster_module, "_run_cell",
+            lambda cell: executed.append(cell) or run_cell(cell),
+        )
+        resumed = run_cluster_checkpointed(
+            plans, catalog.spec, path, resume=True, engine="object",
+            **self.KWARGS,
+        )
+        assert position == 3
+        assert len(executed) == 1
+        assert _flatten(resumed) == _flatten(
+            run_cluster(plans, catalog.spec, **self.KWARGS)
+        )
+        assert [pickle.dumps(o) for o in resumed.outcomes] == [
+            pickle.dumps(o) for o in full.outcomes
+        ]
+        # The torn bytes were truncated and the cell's record re-written.
+        assert path.read_bytes() == clean_file
+        journal = read_journal(path)
+        assert journal.cells_done == 4
+        assert journal.intact_bytes == journal.file_bytes
+
+    def test_v1_file_refused(self, catalog, tmp_path):
+        path = _v1_file(tmp_path / "old.ckpt")
+        with pytest.raises(CheckpointError, match="written by an older release"):
+            read_journal(path)
+        plans = _plans(catalog, self.PAIRS)
+        with pytest.raises(CheckpointError, match="delete it and rerun"):
+            run_cluster_checkpointed(
+                plans, catalog.spec, path, resume=True, **self.KWARGS
+            )
+        assert json.loads(path.read_bytes().split(b"\n", 1)[0])["version"] == 1
+
+    def test_file_size_is_header_plus_records(self, catalog, tmp_path):
+        """Bytes written grow linearly: each cell's bytes and one line."""
+        plans = _plans(catalog, self.PAIRS)
+        path = tmp_path / "sweep.ckpt"
+        run_cluster_checkpointed(plans, catalog.spec, path, **self.KWARGS)
+        journal = read_journal(path)
+        header = json.dumps({
+            "magic": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION,
+            "run_key": journal.run_key, "cells_total": 4,
+            "placement": journal.placement,
+        }, sort_keys=True)
+        records = sum(
+            len(json.dumps({
+                "bytes": len(data), "cell": position,
+                "sha256": hashlib.sha256(data).hexdigest(),
+            }, sort_keys=True)) + 1 + len(data)
+            for position, data in journal.cells.items()
+        )
+        assert path.stat().st_size == len(header) + 1 + records
+
+    @pytest.mark.parametrize("every, saves", [(1, 4), (2, 2), (3, 2)])
+    def test_saves_only_append(
+        self, catalog, tmp_path, monkeypatch, every, saves
+    ):
+        """Every save keeps each earlier byte; no save is empty."""
+        snapshots = []
+        inodes = set()
+        real_save = Checkpoint.save
+
+        def recording_save(checkpoint):
+            assert checkpoint.pending > 0
+            returned = real_save(checkpoint)
+            snapshots.append(returned.read_bytes())
+            inodes.add(returned.stat().st_ino)
+            return returned
+
+        monkeypatch.setattr(Checkpoint, "save", recording_save)
+        _, path, _ = self._full_run(catalog, tmp_path, checkpoint_every=every)
+        assert len(snapshots) == saves
+        assert len(inodes) == 1  # one file, grown in place, never replaced
+        header_end = path.read_bytes().index(b"\n") + 1
+        previous = path.read_bytes()[:header_end]
+        for snapshot in snapshots:
+            assert len(snapshot) > len(previous)
+            assert snapshot.startswith(previous)
+            previous = snapshot
+        assert previous == path.read_bytes()
+
+    def test_reader_of_a_half_written_record(self, tmp_path):
+        """Every prefix of a journal loads: only whole records count."""
+        cells = {2: bytes(range(97)), 0: b"x" * 150, 3: b"\n{" * 40}
+        path = write_journal(tmp_path / "full.ckpt", cells)
+        blob = path.read_bytes()
+        ends = [span[3] for span in record_spans(path)]
+        live = tmp_path / "live.ckpt"
+        for cut in range(blob.index(b"\n") + 1, len(blob) + 1):
+            live.write_bytes(blob[:cut])
+            journal = read_journal(live)
+            complete = sum(end <= cut for end in ends)
+            assert list(journal.cells) == list(cells)[:complete]
+            assert journal.intact_bytes == max(
+                [end for end in ends if end <= cut],
+                default=blob.index(b"\n") + 1,
+            )
+
+    def test_records_out_of_range_or_twice_refused(self, tmp_path):
+        path = write_journal(tmp_path / "x.ckpt", {4: b"a"})
+        with pytest.raises(CheckpointError, match="cell 4 outside"):
+            read_journal(path)
+        path = write_journal(tmp_path / "y.ckpt", {1: b"a"})
+        with Checkpoint.reopen(read_journal(path)) as checkpoint:
+            checkpoint.append(1, b"b")
+            checkpoint.save()
+        with pytest.raises(CheckpointError, match="records cell 1 twice"):
+            read_journal(path)
 
 
 class TestCrashResumeProperty:
@@ -604,9 +743,11 @@ class TestCrashResumeProperty:
         workers=st.sampled_from([1, 2]),
         faulted=st.booleans(),
         kill_after=st.integers(min_value=0, max_value=4),
+        torn_bytes=st.integers(min_value=0, max_value=400),
     )
     def test_kill_and_resume_bit_identical(
-        self, catalog, tmp_path_factory, seed, workers, faulted, kill_after
+        self, catalog, tmp_path_factory, seed, workers, faulted, kill_after,
+        torn_bytes,
     ):
         plans, kwargs = self._sweep(catalog, seed, faulted)
         path = tmp_path_factory.mktemp("ckpt") / "sweep.ckpt"
@@ -615,15 +756,14 @@ class TestCrashResumeProperty:
             plans, catalog.spec, path, workers=workers, engine="object",
             **kwargs
         )
-        # Roll the checkpoint back to the moment of the simulated crash:
-        # only the first ``kill_after`` completed cells survived.
-        checkpoint = Checkpoint.load(path)
-        completed = checkpoint.payload["completed"]
-        survivors = {i: completed[i] for i in sorted(completed)[:kill_after]}
-        Checkpoint(
-            run_key=checkpoint.run_key,
-            payload={**checkpoint.payload, "completed": survivors},
-        ).save(path)
+        # Cut the journal back to the moment of the simulated crash: the
+        # first ``kill_after`` records survived, plus up to
+        # ``torn_bytes`` of the next one (never all of it).
+        spans = record_spans(path)
+        if kill_after < len(spans):
+            _, start, _, end = spans[kill_after]
+            blob = path.read_bytes()
+            path.write_bytes(blob[:start + min(torn_bytes, end - start - 1)])
         resumed = run_cluster_checkpointed(
             plans, catalog.spec, path, resume=True, workers=workers,
             engine="object", **kwargs
@@ -671,6 +811,35 @@ if __name__ == "__main__":
 """
 
 
+_FSYNC_KILL_MAIN = _SWEEP_SNIPPET + """
+
+if __name__ == "__main__":
+    import os
+    import signal
+    import sys
+
+    from repro.runtime import run_cluster_checkpointed
+
+    real_fsync = os.fsync
+    calls = []
+
+    def fsync_or_die(fd):
+        # The Nth fsync never happens: the process dies after the
+        # record was written and flushed, before it was synced.
+        calls.append(fd)
+        if len(calls) == int(sys.argv[2]):
+            os.kill(os.getpid(), signal.SIGKILL)
+        real_fsync(fd)
+
+    os.fsync = fsync_or_die
+    plans, spec, kwargs = build_sweep()
+    run_cluster_checkpointed(
+        plans, spec, sys.argv[1], checkpoint_every=1, engine="object",
+        **kwargs
+    )
+"""
+
+
 class TestSigkillResume:
     """A real mid-flight SIGKILL, then an in-process resume."""
 
@@ -691,11 +860,9 @@ class TestSigkillResume:
             while time.monotonic() < deadline:
                 if child.poll() is not None:
                     break
-                if ckpt.exists():
-                    extra = Checkpoint.load(ckpt).extra
-                    if extra.get("cells_done", 0) >= 1:
-                        progressed = True
-                        break
+                if ckpt.exists() and read_journal(ckpt).cells_done >= 1:
+                    progressed = True
+                    break
                 time.sleep(0.02)
             assert progressed, (
                 "child finished or stalled before the kill: "
@@ -709,9 +876,9 @@ class TestSigkillResume:
                 child.wait(timeout=30)
         assert child.returncode == -signal.SIGKILL
 
-        # The atomically-written checkpoint is loadable and partial.
-        partial = Checkpoint.load(ckpt)
-        assert 1 <= partial.extra["cells_done"] < partial.extra["cells_total"]
+        # The journal is loadable and partial.
+        partial = read_journal(ckpt)
+        assert 1 <= partial.cells_done < partial.cells_total
 
         namespace = {}
         exec(_SWEEP_SNIPPET, namespace)
@@ -721,4 +888,37 @@ class TestSigkillResume:
         )
         clean = run_cluster(plans, spec, **kwargs)
         assert _flatten(resumed) == _flatten(clean)
-        assert Checkpoint.load(ckpt).extra["cells_done"] == 6
+        assert read_journal(ckpt).cells_done == 6
+
+    # The header write syncs the file and its directory (fsync calls 1
+    # and 2); save k is call k + 2.
+    @pytest.mark.parametrize("fatal_fsync", [3, 6])
+    def test_sigkill_between_record_write_and_fsync(self, tmp_path, fatal_fsync):
+        script = tmp_path / "fsync_kill.py"
+        script.write_text(_FSYNC_KILL_MAIN)
+        ckpt = tmp_path / "sweep.ckpt"
+        child = subprocess.run(
+            [sys.executable, str(script), str(ckpt), str(fatal_fsync)],
+            env={"PYTHONPATH": str(REPO_SRC), "PATH": "/usr/bin:/bin"},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=120,
+        )
+        assert child.returncode == -signal.SIGKILL, child.stderr.decode(
+            errors="replace"
+        )
+        # The unsynced record reached the file; the process died, not
+        # the machine, so the page cache still holds it.
+        partial = read_journal(ckpt)
+        assert partial.cells_done == fatal_fsync - 2
+        assert partial.intact_bytes == partial.file_bytes
+
+        namespace = {}
+        exec(_SWEEP_SNIPPET, namespace)
+        plans, spec, kwargs = namespace["build_sweep"]()
+        resumed = run_cluster_checkpointed(
+            plans, spec, ckpt, resume=True, **kwargs
+        )
+        clean = run_cluster(plans, spec, **kwargs)
+        assert [pickle.dumps(o) for o in resumed.outcomes] == [
+            pickle.dumps(o) for o in clean.outcomes
+        ]
+        assert read_journal(ckpt).cells_done == 6

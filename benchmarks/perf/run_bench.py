@@ -374,9 +374,11 @@ def bench_checkpoint_overhead(
 ) -> dict:
     """Checkpointed vs plain batched sweep; the crash-safety tax.
 
-    The checkpointed arm saves after every cell (``checkpoint_every=1``,
-    the default), so a return to re-pickling or rewriting every
-    completed cell per save shows up as a quadratic term here.  The
+    The checkpointed arm runs with ``checkpoint_every=1`` (the default):
+    every cell is pickled once and appended as one record, and each run
+    of cells the batched engine delivers together is committed with one
+    ``fsync``, so a return to an fsync per cell, or to re-pickling or
+    rewriting every completed cell per save, shows up here.  The
     journal is append-only and each arm starts it fresh, so its size
     after a sweep is every byte that sweep wrote to it
     (``bytes_written``).  Cells run ``duration_s``
@@ -408,7 +410,8 @@ def bench_checkpoint_overhead(
             f"batched run_cluster: {n_servers} servers x "
             f"{len(sc.SWEEP_LEVELS)} levels = {n_cells} cells of "
             f"{duration_s:.0f}s, plain vs "
-            "run_cluster_checkpointed saving after every cell; min over "
+            "run_cluster_checkpointed with checkpoint_every=1 (one record "
+            "per cell, one fsync per delivered run); min over "
             f"{reps} interleaved reps; bytes_written is the journal's size "
             "after one sweep"
         ),

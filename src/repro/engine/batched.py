@@ -32,9 +32,13 @@ possible:
   exactly two tape classes (level > 0 with load noise, and everything
   else); the sim keeps one generator per class and broadcasts scalar
   draws.
-* **Group-uniform faults** — a :class:`~repro.faults.schedule
-  .FaultSchedule` is shared by every lane of a group, so gap/dropout/
-  stuck windows gate *whether* a draw happens uniformly across lanes.
+* **Per-schedule generator pairs** — gap/dropout/stuck windows gate
+  *whether* a draw happens, so lanes under different
+  :class:`~repro.faults.schedule.FaultSchedule` objects consume their
+  tapes differently.  The sim keeps one two-variant generator pair per
+  distinct schedule (unfaulted lanes are their own class), evaluates
+  each schedule once per tick or sub-tick, and gathers each lane's
+  draw by its schedule's index.
 
 Anything the probe cannot prove eligible (custom manager classes,
 irregular DVFS ladders, unknown fault types, factories that raise) falls
@@ -54,9 +58,21 @@ cell dedupe already relies on.
 from __future__ import annotations
 
 import copy
+import operator
 from dataclasses import asdict, fields
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -96,7 +112,7 @@ __all__ = [
     "run_batched_cells",
 ]
 
-#: Fault types whose group-uniform gating the batched core reproduces.
+#: Fault types whose per-schedule gating the batched core reproduces.
 _SUPPORTED_FAULTS = (
     LoadSpike,
     TelemetryGap,
@@ -421,8 +437,8 @@ def _build_probe(plan: Any, spec: ServerSpec, be_app: Any) -> Optional[Dict[str,
 def _faults_batchable(faults: Optional[FaultSchedule]) -> bool:
     """Whether the batched core reproduces every fault of a schedule.
 
-    Only the group-uniform fault types are supported, and stale models
-    must hash by value (they key the solver memo).
+    Only the fault types the core models per schedule are supported,
+    and stale models must hash by value (they key the solver memo).
     """
     if faults is None:
         return True
@@ -443,10 +459,11 @@ def _partition(
 ) -> Tuple[Dict[Any, List[int]], Set[int], List[Optional[Dict[str, Any]]]]:
     """Split cells into batchable groups and oracle-fallback positions.
 
-    A group shares everything that must be uniform across lanes of one
-    :class:`BatchedClusterSim`: the fault schedule (by identity — the
-    cluster planner shares one schedule object per co-runner set), the
-    guard config, duration, sim config, server spec and manager kind.
+    A group shares what must be uniform across the lanes of one
+    :class:`BatchedClusterSim`: the guard config, the sim config (seed,
+    tick geometry and noise sigmas) and the server spec.  Manager kind,
+    duration, fault schedule and cap schedule are lane attributes, so a
+    sweep over one config and spec is one group.
     """
     groups: Dict[Any, List[int]] = {}
     fallback: Set[int] = set()
@@ -459,14 +476,7 @@ def _partition(
             fallback.add(i)
             continue
         infos[i] = info
-        group_key = (
-            id(cell.faults) if cell.faults is not None else None,
-            cell.guard,
-            float(cell.duration_s),
-            cell.config,
-            cell.spec,
-            info["kind"],
-        )
+        group_key = (cell.guard, cell.config, cell.spec)
         groups.setdefault(group_key, []).append(i)
     return groups, fallback, infos
 
@@ -475,8 +485,8 @@ def partition_cells(tasks: Sequence[Cell]) -> Tuple[Dict[Any, List[int]], Set[in
     """Public partition view: group-key -> positions, plus fallback set.
 
     Property tests use this to assert which cells the batched core
-    claims (and that permuting/concatenating task lists only permutes
-    the groups, never the per-cell results).
+    claims, and that a sweep over one (guard, config, spec) is one
+    group whatever its lanes' kinds, durations and schedules.
     """
     groups, fallback, _infos = _partition(list(tasks), {})
     return groups, fallback
@@ -502,11 +512,23 @@ def _series_layout(
     return filled, ("be_throughput_norm",)
 
 
+def _kind_lanes(mask: np.ndarray) -> Any:
+    """Index one manager kind's lanes: None when it has none, a plain
+    slice (whose gathers are views) when it has every lane."""
+    lanes = np.flatnonzero(mask)
+    if len(lanes) == 0:
+        return None
+    if len(lanes) == len(mask):
+        return slice(None)
+    return lanes
+
+
 # ----------------------------------------------------------------------
 # The batched simulation core
 # ----------------------------------------------------------------------
 class BatchedClusterSim:
-    """All lanes of one uniform group, stepped together per control tick.
+    """Every lane of one (guard, sim config, spec) group, stepped together
+    per control tick.
 
     A *lane* is one (server, level) colocation cell.  Construction
     mirrors ``ColocationSim.__init__`` + ``run()`` setup for every lane
@@ -514,6 +536,23 @@ class BatchedClusterSim:
     :meth:`collect` assembles per-lane :class:`LevelOutcome` objects
     bit-identical to the oracle's.  Its state lives only for one run:
     recovery re-runs whole cells (``docs/RECOVERY.md``).
+
+    Manager kind, duration, fault schedule and cap schedule are lane
+    attributes:
+
+    * **kind** — :meth:`_control_step` runs the Heracles decision on the
+      Heracles lanes and the POM decision on the POM lanes; each kind's
+      state lives on its own index subset (a plain slice when one kind
+      has every lane, so a single-kind group pays for one branch only).
+      The cap loop, meter, guard and epilogue run once over all lanes.
+    * **duration** — every lane starts at ``tick = -n_warmup`` and the
+      sim runs to the longest lane.  A finished lane keeps stepping (its
+      state is what a longer oracle run would hold) but stops writing
+      telemetry, counters, energy and guard verdicts (``_live``).
+    * **fault schedule** — one generator pair per distinct schedule
+      object, unfaulted lanes being their own class; each schedule is
+      consulted once per tick or sub-tick and each lane gathers its
+      class's draw and fault columns.
     """
 
     def __init__(self, tasks: Sequence[Cell], infos: Sequence[Dict[str, Any]]) -> None:
@@ -521,12 +560,10 @@ class BatchedClusterSim:
             raise ConfigError("batched sim needs at least one lane")
         n = len(tasks)
         cell0 = tasks[0]
-        spec, config, duration_s = cell0.spec, cell0.config, cell0.duration_s
+        spec, config = cell0.spec, cell0.config
         self.spec = spec
         self.config = config
-        self.faults = cell0.faults
         self.guard = cell0.guard
-        self.duration_s = duration_s
         self.n = n
         maps = _ladder_maps(spec)
         if maps is None:
@@ -539,17 +576,21 @@ class BatchedClusterSim:
 
         cfg = config
         self.n_warmup = int(round(cfg.warmup_s / cfg.control_interval_s))
-        self.n_ticks = int(round(duration_s / cfg.control_interval_s))
+        self.durations = [t.duration_s for t in tasks]
+        # np.round rounds half to even, as the oracle's round() does.
+        self.lane_ticks = np.round(
+            np.asarray(self.durations, dtype=np.float64) / cfg.control_interval_s
+        ).astype(np.int64)
+        self.n_ticks = int(self.lane_ticks.max())
         self.subticks = int(round(cfg.control_interval_s / cfg.power_interval_s))
-        if self.n_ticks < 0 or self.subticks < 1:
+        if int(self.lane_ticks.min()) < 0 or self.subticks < 1:
             raise ConfigError("degenerate tick geometry")
+        #: Distinct lane lengths; a lane of length L runs ticks up to L - 1.
+        self.lengths = sorted(set(self.lane_ticks.tolist()))
 
-        kind = infos[0]["kind"]
-        self.kind = kind
         self.plans = [t.plan for t in tasks]
         self.levels_raw = [t.level for t in tasks]
         self.be_apps = [t.be_app for t in tasks]
-        self.durations = [t.duration_s for t in tasks]
 
         # ---- per-lane static columns -------------------------------
         self.level = np.asarray([float(t.level) for t in tasks])
@@ -641,6 +682,22 @@ class BatchedClusterSim:
             self.be_norm = np.zeros((1, self.C + 1, self.W + 1, self.K))
             self.be_act = np.zeros((1, self.C + 1, self.W + 1, self.K))
 
+        # ---- fault classes -----------------------------------------
+        # One class per distinct schedule object, unfaulted lanes being
+        # their own: a class shares its oracle's draw-skipping pattern.
+        self.fscheds: List[Optional[FaultSchedule]] = [cell0.faults]
+        fclass = np.zeros(n, dtype=np.int64)
+        if any(task.faults is not cell0.faults for task in tasks):
+            classes = {id(cell0.faults): 0}
+            for i, task in enumerate(tasks):
+                k = classes.setdefault(id(task.faults), len(classes))
+                if k == len(self.fscheds):
+                    self.fscheds.append(task.faults)
+                fclass[i] = k
+        self.fclass = fclass
+        self.n_fc = len(self.fscheds)
+        self.faulted = any(s is not None for s in self.fscheds)
+
         # ---- allocations -------------------------------------------
         self.lc_c = np.asarray([i["lc0"][0] for i in infos], dtype=np.int64)
         self.lc_w = np.asarray([i["lc0"][1] for i in infos], dtype=np.int64)
@@ -658,36 +715,43 @@ class BatchedClusterSim:
                 self.be_empty[i] = False
 
         # ---- manager knobs and state -------------------------------
-        self.slack_target = np.asarray([i["slack_target"] for i in infos])
-        self.slack_upper = np.asarray([i["slack_upper"] for i in infos])
+        # Each kind's state lives on its lanes only: ``h_sel``/``p_sel``
+        # index them (None: no lane of that kind).
         self.mgr_stats = {
             f: np.asarray([i["stats0"][f] for i in infos], dtype=np.int64)
             for f in infos[0]["stats0"]
         }
-        if kind == "heracles":
-            self.h_random = np.asarray([i["path"] == "random" for i in infos])
+        heracles = np.asarray([i["kind"] == "heracles" for i in infos])
+        self.h_sel = _kind_lanes(heracles)
+        self.p_sel = _kind_lanes(~heracles)  # the probe admits two kinds
+        if self.h_sel is not None:
+            her = [infos[i] for i in np.arange(n)[self.h_sel].tolist()]
+            self.h_slack_target = np.asarray([i["slack_target"] for i in her])
+            self.h_slack_upper = np.asarray([i["slack_upper"] for i in her])
+            self.h_random = np.asarray([i["path"] == "random" for i in her])
             self.h_patience = np.asarray(
-                [i["shrink_patience"] for i in infos], dtype=np.int64
+                [i["shrink_patience"] for i in her], dtype=np.int64
             )
             self.h_grow_cd = np.asarray(
-                [i["grow_cooldown"] for i in infos], dtype=np.int64
+                [i["grow_cooldown"] for i in her], dtype=np.int64
             )
             self.h_floor_ttl = np.asarray(
-                [i["floor_ttl"] for i in infos], dtype=np.int64
+                [i["floor_ttl"] for i in her], dtype=np.int64
             )
-            self.h_streak = np.asarray([i["streak0"] for i in infos], dtype=np.int64)
+            self.h_streak = np.asarray([i["streak0"] for i in her], dtype=np.int64)
             self.h_cooldown = np.asarray(
-                [i["cooldown0"] for i in infos], dtype=np.int64
+                [i["cooldown0"] for i in her], dtype=np.int64
             )
-            self.h_floor = np.asarray([i["floor0"] for i in infos], dtype=np.int64)
+            self.h_floor = np.asarray([i["floor0"] for i in her], dtype=np.int64)
             self.h_floor_age = np.asarray(
-                [i["floor_age0"] for i in infos], dtype=np.int64
+                [i["floor_age0"] for i in her], dtype=np.int64
             )
-            self.walk_rngs = [copy.deepcopy(i["walk_rng"]) for i in infos]
-        else:
+            self.walk_rngs = [copy.deepcopy(i["walk_rng"]) for i in her]
+        if self.p_sel is not None:
+            pom = [infos[i] for i in np.arange(n)[self.p_sel].tolist()]
             models: List[Any] = []
-            midx = np.zeros(n, dtype=np.int64)
-            for i, info in enumerate(infos):
+            midx = np.zeros(len(pom), dtype=np.int64)
+            for i, info in enumerate(pom):
                 model = info["model"]
                 try:
                     mi = models.index(model)
@@ -695,44 +759,46 @@ class BatchedClusterSim:
                     mi = len(models)
                     models.append(model)
                 midx[i] = mi
-            if self.faults is not None:
-                for f in self.faults.faults:
+            for sched in self.fscheds:
+                for f in () if sched is None else sched.faults:
                     if isinstance(f, ModelStaleness) and f.model not in models:
                         models.append(f.model)
             self.models = models
             self.midx = midx
+            self.eff_midx = midx.copy()
+            self.p_fclass = fclass[self.p_sel]
             self.grids = np.stack([_model_grid(m, spec) for m in models])
             self.floor_perf = self.grids[:, 1, 1].copy()
             self.full_perf = self.grids[:, self.C, self.W].copy()
-            self.p_headroom = np.asarray([i["headroom0"] for i in infos])
-            self.p_min_headroom = np.asarray([i["min_headroom"] for i in infos])
-            self.p_max_headroom = np.asarray([i["max_headroom"] for i in infos])
-            self.p_freq_trim = np.asarray([i["freq_trim"] for i in infos])
+            self.p_slack_target = np.asarray([i["slack_target"] for i in pom])
+            self.p_slack_upper = np.asarray([i["slack_upper"] for i in pom])
+            self.p_headroom = np.asarray([i["headroom0"] for i in pom])
+            self.p_min_headroom = np.asarray([i["min_headroom"] for i in pom])
+            self.p_max_headroom = np.asarray([i["max_headroom"] for i in pom])
+            self.p_freq_trim = np.asarray([i["freq_trim"] for i in pom])
             self.p_distrust = np.asarray(
-                [i["distrust_after"] for i in infos], dtype=np.int64
+                [i["distrust_after"] for i in pom], dtype=np.int64
             )
             self.p_retrust = np.asarray(
-                [i["retrust_after"] for i in infos], dtype=np.int64
+                [i["retrust_after"] for i in pom], dtype=np.int64
             )
-            self.p_miss = np.asarray([i["miss0"] for i in infos], dtype=np.int64)
+            self.p_miss = np.asarray([i["miss0"] for i in pom], dtype=np.int64)
             self.p_fb_left = np.asarray(
-                [i["fb_left0"] for i in infos], dtype=np.int64
+                [i["fb_left0"] for i in pom], dtype=np.int64
             )
             self.p_promised = np.asarray(
                 [0.0 if i["promised0"] is None else float(i["promised0"])
-                 for i in infos]
+                 for i in pom]
             )
             self.p_promised_valid = np.asarray(
-                [i["promised0"] is not None for i in infos]
+                [i["promised0"] is not None for i in pom]
             )
             self.p_promised_at_max = np.asarray(
-                [i["promised_at_max0"] for i in infos]
+                [i["promised_at_max0"] for i in pom]
             )
-        self.eff_midx = self.midx.copy() if kind == "pom" else None
-        self.model_swapped = False
+        self.model_swapped = [False] * self.n_fc
 
         # ---- capper knobs and state --------------------------------
-        cap0 = infos[0]["capper"]
         self.duty_step = np.asarray([i["capper"]["duty_step"] for i in infos])
         self.min_duty = np.asarray([i["capper"]["min_duty"] for i in infos])
         self.restore_margin = np.asarray(
@@ -747,7 +813,6 @@ class BatchedClusterSim:
         self.max_plausible = np.asarray(
             [i["capper"]["max_plausible"] for i in infos]
         )
-        del cap0
         self.cap_stats = {
             f: np.zeros(n, dtype=np.int64)
             for f in (
@@ -773,17 +838,21 @@ class BatchedClusterSim:
         self.m_last_filt = np.zeros(n)
         self.m_last_time = 0.0
         self.m_has_last = False
-        self.held: Dict[Any, np.ndarray] = {}
+        #: Per fault class: MeterStuckAt fault -> the readings it holds.
+        self.held: List[Dict[Any, np.ndarray]] = [{} for _ in self.fscheds]
         self.e_prev_w = np.zeros(n)
         self.e_prev_t = 0.0
         self.e_has_prev = False
         self.joules = np.zeros(n)
 
         # ---- RNG tapes ---------------------------------------------
-        # Two tape classes (module docstring): lanes that draw the load
-        # lognormal and lanes whose zero true load skips it.
-        self.rng_with = np.random.default_rng(cfg.seed)
-        self.rng_without = np.random.default_rng(cfg.seed)
+        # Two tape classes (module docstring) per fault class: lanes
+        # that draw the load lognormal and lanes whose zero true load
+        # skips it.
+        self.rng_with = [np.random.default_rng(cfg.seed) for _ in self.fscheds]
+        self.rng_without = [
+            np.random.default_rng(cfg.seed) for _ in self.fscheds
+        ]
         self.with_mask = (self.level > 0.0) & (cfg.load_noise > 0)
 
         # ---- telemetry buffers -------------------------------------
@@ -816,12 +885,84 @@ class BatchedClusterSim:
         self.g_ramp = np.zeros(n)
         self.g_energy_tick = 0
         self.g_rng_tick = 0
-        self.g_rng_baseline: Optional[Tuple[str, bytes, int]] = None
+        #: Per lane length: the RNG fingerprint its lanes last checked.
+        self.g_rng_baseline: Dict[int, Tuple[str, bytes, int]] = {}
         self.g_total = np.zeros(n, dtype=np.int64)
         self.g_violations: List[List[Violation]] = [[] for _ in range(n)]
         self.g_first_violation: List[Optional[Violation]] = [None] * n
 
+        #: True while every lane runs, else the mask of running lanes.
+        self._live: Any = True
+        #: ``acc += inc`` on the running lanes: a plain in-place add
+        #: until a lane finishes, then a masked one.
+        self._add: Callable[[np.ndarray, Any], Any] = operator.iadd
         self._tick = -self.n_warmup
+        self._retire_finished()
+
+    # ------------------------------------------------------------------
+    # Lane bookkeeping: finished lanes and fault classes
+    # ------------------------------------------------------------------
+    def _retire_finished(self) -> None:
+        """Stop lanes whose last tick is behind the clock from writing."""
+        if self._tick in self.lengths:
+            live = self._live = self.lane_ticks > self._tick
+            self._add = lambda acc, inc: np.add(acc, inc, out=acc, where=live)
+
+    def _running(self, mask: np.ndarray) -> np.ndarray:
+        """``mask`` restricted to the lanes still running."""
+        return mask if self._live is True else mask & self._live
+
+    def _add_kind(self, acc: np.ndarray, sel: Any, inc: Any) -> None:
+        """``_add`` on one manager kind's lanes (``sel`` indexes them)."""
+        if isinstance(sel, slice):
+            self._add(acc, inc)
+            return
+        if self._live is not True:
+            inc = inc * self._live[sel]
+        acc[sel] += inc
+
+    def _draw(
+        self,
+        rngs: List[np.random.Generator],
+        draw: Callable[[np.random.Generator], float],
+        classes: Sequence[int],
+    ) -> Any:
+        """Each fault class's scalar draw, gathered per lane.
+
+        ``draw(rng)`` runs on the generator of every class in
+        ``classes``; the other classes draw nothing (a fault made their
+        oracle skip the draw) and read 0.0.  With one fault class the
+        draw is returned as the plain scalar the oracle multiplies by.
+        """
+        if self.n_fc == 1:
+            return draw(rngs[0])
+        z = np.zeros(self.n_fc)
+        for k in classes:
+            z[k] = draw(rngs[k])
+        return z[self.fclass]
+
+    def _lane_columns(
+        self, per_class: List[List[float]]
+    ) -> Iterator[Tuple[Optional[np.ndarray], Any]]:
+        """Per-lane columns of each fault class's ordered fault values.
+
+        ``per_class[k]`` lists the values class ``k`` applies this tick,
+        in the oracle's order (active spikes' factors, drifts' biases).
+        Yields ``(lanes, value)`` for each position ``j``: the lanes
+        whose class has a ``j``-th value, and those values gathered per
+        lane.  With one fault class ``lanes`` is None and ``value`` the
+        plain scalar.
+        """
+        if self.n_fc == 1:
+            for value in per_class[0]:
+                yield None, value
+            return
+        for j in range(max(len(values) for values in per_class)):
+            has = np.asarray([len(values) > j for values in per_class])
+            col = np.asarray(
+                [values[j] if len(values) > j else 0.0 for values in per_class]
+            )
+            yield has[self.fclass], col[self.fclass]
 
     # ------------------------------------------------------------------
     # Gathers
@@ -863,23 +1004,38 @@ class BatchedClusterSim:
         in_window = tick >= 0
 
         load_frac = self.level.copy()
-        if self.faults is not None:
-            for spike in self.faults.active(t, LoadSpike):
-                load_frac = np.minimum(1.0, load_frac * spike.factor)
+        if self.faulted:
+            factors = [
+                [] if s is None else [f.factor for f in s.active(t, LoadSpike)]
+                for s in self.fscheds
+            ]
+            for lanes, factor in self._lane_columns(factors):
+                spiked = np.minimum(1.0, load_frac * factor)
+                load_frac = (
+                    spiked if lanes is None
+                    else np.where(lanes, spiked, load_frac)
+                )
             self._apply_model_staleness(t)
         true_load = load_frac * self.peak_load
 
-        in_gap = (
-            self.faults is not None
-            and self.have_stale
-            and self.faults.first_active(t, TelemetryGap) is not None
-        )
-        if in_gap:
+        # Per fault class: a telemetry gap serves the stale values and
+        # skips the class's load and latency draws.
+        gap = [
+            self.have_stale and s is not None
+            and s.first_active(t, TelemetryGap) is not None
+            for s in self.fscheds
+        ]
+        if all(gap):
             measured_load = self.stale_load
             measured_slack = self.stale_slack
         else:
+            fresh = [k for k, in_gap in enumerate(gap) if not in_gap]
             if cfg.load_noise > 0:
-                z_load = self.rng_with.lognormal(mean=0.0, sigma=cfg.load_noise)
+                z_load = self._draw(
+                    self.rng_with,
+                    lambda rng: rng.lognormal(mean=0.0, sigma=cfg.load_noise),
+                    fresh,
+                )
                 measured_load = np.where(
                     self.with_mask, true_load * z_load, true_load
                 )
@@ -888,12 +1044,17 @@ class BatchedClusterSim:
             capacity = self._lc_capacity(self.lc_c, self.lc_w, self.lc_f)
             p99 = self._true_p99(true_load, capacity)
             if cfg.latency_noise > 0:
-                z_w = self.rng_with.lognormal(mean=0.0, sigma=cfg.latency_noise)
-                z_wo = self.rng_without.lognormal(
-                    mean=0.0, sigma=cfg.latency_noise
-                )
+                def latency(rng: np.random.Generator) -> float:
+                    return rng.lognormal(mean=0.0, sigma=cfg.latency_noise)
+
+                z_w = self._draw(self.rng_with, latency, fresh)
+                z_wo = self._draw(self.rng_without, latency, fresh)
                 p99 = p99 * np.where(self.with_mask, z_w, z_wo)
             measured_slack = 1.0 - p99 / self.slo_p99
+            if any(gap):
+                stale = np.asarray(gap)[self.fclass]
+                measured_load = np.where(stale, self.stale_load, measured_load)
+                measured_slack = np.where(stale, self.stale_slack, measured_slack)
             self.stale_load = measured_load
             self.stale_slack = measured_slack
             self.have_stale = True
@@ -908,41 +1069,48 @@ class BatchedClusterSim:
         ) / self.slo_p99
         power = self._power()
         if self.guard is not None:
-            self._guard_observe(
-                t, in_window, tick == self.n_ticks - 1, power, load_frac
-            )
+            self._guard_observe(t, in_window, tick, power)
         if in_window:
-            self.slo_violations += true_slack < 0
-            buf = self.buffers
-            buf["power_w"][tick] = power
-            buf["lc_load_fraction"][tick] = load_frac
-            buf["lc_slack"][tick] = true_slack
-            buf["safe_mode"][tick] = np.where(self.safe, 1.0, 0.0)
-            buf["lc_cores"][tick] = self.lc_c
-            buf["lc_ways"][tick] = self.lc_w
+            self._add(self.slo_violations, true_slack < 0)
+            self._record(tick, "power_w", power)
+            self._record(tick, "lc_load_fraction", load_frac)
+            self._record(tick, "lc_slack", true_slack)
+            self._record(tick, "safe_mode", np.where(self.safe, 1.0, 0.0))
+            self._record(tick, "lc_cores", self.lc_c)
+            self._record(tick, "lc_ways", self.lc_w)
             if self.any_sched:
                 # End-of-tick cap (the last subtick's gather), recorded
                 # only into scheduled lanes' series at assembly.
-                buf["effective_cap_w"][tick] = self.cap
+                self._record(tick, "effective_cap_w", self.cap)
             # meter.last_reading exists after the first subtick ever.
             if self.e_has_prev:
                 dt = self.m_last_time - self.e_prev_t
-                self.joules = self.joules + (
-                    0.5 * (self.e_prev_w + self.m_last_raw)
-                ) * dt
+                self._add(
+                    self.joules, (0.5 * (self.e_prev_w + self.m_last_raw)) * dt
+                )
             self.e_prev_w = self.m_last_raw.copy()
             self.e_prev_t = self.m_last_time
             self.e_has_prev = True
             norm = self.be_norm[self.be_tbl, self.be_c, self.be_w, self.be_f]
-            buf["be_throughput_norm"][tick] = np.where(
-                self.be_empty, 0.0, norm * self.be_duty
+            self._record(
+                tick, "be_throughput_norm",
+                np.where(self.be_empty, 0.0, norm * self.be_duty),
             )
             # An empty Allocation reports the dataclass default freq.
-            buf["be_freq_ghz"][tick] = np.where(
-                self.be_empty, 2.2, self.maps["vals_arr"][self.be_f]
+            self._record(
+                tick, "be_freq_ghz",
+                np.where(self.be_empty, 2.2, self.maps["vals_arr"][self.be_f]),
             )
-            buf["be_duty"][tick] = self.be_duty
+            self._record(tick, "be_duty", self.be_duty)
         self._tick += 1
+        self._retire_finished()
+
+    def _record(self, tick: int, name: str, values: np.ndarray) -> None:
+        """Write one tick's row of a telemetry series for running lanes."""
+        if self._live is True:
+            self.buffers[name][tick] = values
+        else:
+            np.copyto(self.buffers[name][tick], values, where=self._live)
 
     def run(self) -> None:
         """Advance to the end of the run (idempotent once complete)."""
@@ -950,16 +1118,25 @@ class BatchedClusterSim:
             self.step()
 
     def _apply_model_staleness(self, t: float) -> None:
-        if self.kind != "pom":
+        """Per fault class: swap a stale model into its POM lanes, and
+        the true one back when the window closes."""
+        if self.p_sel is None:
             return
-        fault = self.faults.first_active(t, ModelStaleness)
-        if fault is not None and not self.model_swapped:
-            self.eff_midx = np.full(self.n, self.models.index(fault.model),
-                                    dtype=np.int64)
-            self.model_swapped = True
-        elif fault is None and self.model_swapped:
-            self.eff_midx = self.midx.copy()
-            self.model_swapped = False
+        for k, sched in enumerate(self.fscheds):
+            if sched is None:
+                continue
+            fault = sched.first_active(t, ModelStaleness)
+            if fault is not None and not self.model_swapped[k]:
+                self.eff_midx = np.where(
+                    self.p_fclass == k, self.models.index(fault.model),
+                    self.eff_midx,
+                )
+                self.model_swapped[k] = True
+            elif fault is None and self.model_swapped[k]:
+                self.eff_midx = np.where(
+                    self.p_fclass == k, self.midx, self.eff_midx
+                )
+                self.model_swapped[k] = False
 
     # ------------------------------------------------------------------
     # Manager control step (vectorized ServerManagerBase.control_step)
@@ -968,14 +1145,23 @@ class BatchedClusterSim:
         self, measured_load: np.ndarray, measured_slack: np.ndarray
     ) -> None:
         stats = self.mgr_stats
-        stats["control_steps"] += 1
-        stats["slo_violations"] += measured_slack < 0
-        if self.kind == "heracles":
-            tc, tw, tf = self._heracles_decide(measured_slack)
+        self._add(stats["control_steps"], 1)
+        self._add(stats["slo_violations"], measured_slack < 0)
+        h, p = self.h_sel, self.p_sel
+        if p is None:
+            tc, tw, tf = self._heracles_decide(h, measured_slack)
+        elif h is None:
+            tc, tw, tf = self._pom_decide(p, measured_load, measured_slack)
         else:
-            tc, tw, tf = self._pom_decide(measured_load, measured_slack)
+            tc = np.empty(self.n, dtype=np.int64)
+            tw = np.empty(self.n, dtype=np.int64)
+            tf = np.empty(self.n, dtype=np.int64)
+            tc[h], tw[h], tf[h] = self._heracles_decide(h, measured_slack[h])
+            tc[p], tw[p], tf[p] = self._pom_decide(
+                p, measured_load[p], measured_slack[p]
+            )
         changed = (tc != self.lc_c) | (tw != self.lc_w) | (tf != self.lc_f)
-        stats["reconfigurations"] += changed
+        self._add(stats["reconfigurations"], changed)
         self.lc_c, self.lc_w, self.lc_f = tc, tw, tf
         self._refresh_secondary()
 
@@ -1001,37 +1187,40 @@ class BatchedClusterSim:
         self.be_empty = np.where(grant, False, np.where(release, True, prev_empty))
 
     def _heracles_decide(
-        self, slack: np.ndarray
+        self, sel: Any, slack: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Heracles targets for the lanes ``sel`` indexes (their slack)."""
+        lc_c, lc_w, lc_f = self.lc_c[sel], self.lc_w[sel], self.lc_f[sel]
+        stats = self.mgr_stats
         self.h_cooldown = np.where(
             self.h_cooldown > 0, self.h_cooldown - 1, self.h_cooldown
         )
         self.h_floor_age += 1
         self.h_floor = np.where(self.h_floor_age > self.h_floor_ttl, 1, self.h_floor)
 
-        grow = slack < self.slack_target
-        self.mgr_stats["grow_actions"] += grow
+        grow = slack < self.h_slack_target
+        self._add_kind(stats["grow_actions"], sel, grow)
         self.h_cooldown = np.where(grow, self.h_grow_cd, self.h_cooldown)
-        new_floor = np.minimum(self.C, self.lc_c + 1)
+        new_floor = np.minimum(self.C, lc_c + 1)
         self.h_floor = np.where(grow, new_floor, self.h_floor)
         self.h_floor_age = np.where(grow, 0, self.h_floor_age)
 
-        high = ~grow & (slack > self.slack_upper)
+        high = ~grow & (slack > self.h_slack_upper)
         streak = np.where(high, self.h_streak + 1, 0)
         can_shrink = (
             high
             & (self.h_cooldown == 0)
             & (streak >= self.h_patience)
-            & (self.lc_c - 1 >= self.h_floor)
+            & (lc_c - 1 >= self.h_floor)
         )
-        self.mgr_stats["shrink_actions"] += can_shrink
+        self._add_kind(stats["shrink_actions"], sel, can_shrink)
         self.h_streak = np.where(can_shrink, 0, streak)
 
         bal_c, bal_w = self.maps["bal_c"], self.maps["bal_w"]
-        tc, tw, tf = self.lc_c.copy(), self.lc_w.copy(), self.lc_f.copy()
+        tc, tw, tf = lc_c.copy(), lc_w.copy(), lc_f.copy()
         bal_grow = grow & ~self.h_random
         bal_shrink = can_shrink & ~self.h_random
-        req = np.where(bal_grow, self.lc_c + 1, np.where(bal_shrink, self.lc_c - 1, 0))
+        req = np.where(bal_grow, lc_c + 1, np.where(bal_shrink, lc_c - 1, 0))
         moved = bal_grow | bal_shrink
         tc = np.where(moved, bal_c[req], tc)
         tw = np.where(moved, bal_w[req], tw)
@@ -1039,7 +1228,7 @@ class BatchedClusterSim:
 
         # Random-walk lanes: per-lane generators, rare-event scalar loop.
         for i in np.flatnonzero(grow & self.h_random):
-            c, w = int(self.lc_c[i]), int(self.lc_w[i])
+            c, w = int(lc_c[i]), int(lc_w[i])
             options = []
             if c + 1 <= self.C:
                 options.append((c + 1, w))
@@ -1052,7 +1241,7 @@ class BatchedClusterSim:
                 tc[i], tw[i] = pick
             tf[i] = self.K - 1
         for i in np.flatnonzero(can_shrink & self.h_random):
-            c, w = int(self.lc_c[i]), int(self.lc_w[i])
+            c, w = int(lc_c[i]), int(lc_w[i])
             options = []
             if c - 1 >= self.h_floor[i]:
                 options.append((c - 1, w))
@@ -1065,13 +1254,16 @@ class BatchedClusterSim:
         return tc, tw, tf
 
     def _pom_decide(
-        self, measured_load: np.ndarray, measured_slack: np.ndarray
+        self, sel: Any, measured_load: np.ndarray, measured_slack: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """POM targets for the lanes ``sel`` indexes (their telemetry)."""
+        lc_c, lc_w, lc_f = self.lc_c[sel], self.lc_w[sel], self.lc_f[sel]
+        n = len(lc_c)
         stats = self.mgr_stats
-        grow = measured_slack < self.slack_target
-        shrink = ~grow & (measured_slack > self.slack_upper)
-        stats["grow_actions"] += grow
-        stats["shrink_actions"] += shrink
+        grow = measured_slack < self.p_slack_target
+        shrink = ~grow & (measured_slack > self.p_slack_upper)
+        self._add_kind(stats["grow_actions"], sel, grow)
+        self._add_kind(stats["shrink_actions"], sel, shrink)
         self.p_headroom = np.where(
             grow,
             np.minimum(self.p_max_headroom, self.p_headroom * 1.25),
@@ -1088,22 +1280,22 @@ class BatchedClusterSim:
             observing, np.where(grow & covered, self.p_miss + 1, 0), self.p_miss
         )
         enter = (self.p_fb_left == 0) & (self.p_miss >= self.p_distrust)
-        stats["model_fallbacks"] += enter
+        self._add_kind(stats["model_fallbacks"], sel, enter)
         self.p_fb_left = np.where(enter, self.p_retrust, self.p_fb_left)
         self.p_miss = np.where(enter, 0, self.p_miss)
         fb = self.p_fb_left > 0
         self.p_fb_left = np.where(fb, self.p_fb_left - 1, self.p_fb_left)
-        stats["model_fallback_steps"] += fb
+        self._add_kind(stats["model_fallback_steps"], sel, fb)
         self.p_promised_valid = np.where(fb, False, self.p_promised_valid)
 
         bal_c, bal_w = self.maps["bal_c"], self.maps["bal_w"]
         req = np.where(
-            grow, self.lc_c + 1,
-            np.where(measured_slack > self.slack_upper, self.lc_c - 1, self.lc_c),
+            grow, lc_c + 1,
+            np.where(measured_slack > self.p_slack_upper, lc_c - 1, lc_c),
         )
         tc = np.where(fb, bal_c[req], 0)
         tw = np.where(fb, bal_w[req], 0)
-        tf = np.full(self.n, self.K - 1, dtype=np.int64)
+        tf = np.full(n, self.K - 1, dtype=np.int64)
 
         nm = ~fb
         if np.any(nm):
@@ -1112,8 +1304,9 @@ class BatchedClusterSim:
             target = np.minimum(
                 np.maximum(target, self.floor_perf[eff]), self.full_perf[eff]
             )
-            ac = np.zeros(self.n, dtype=np.int64)
-            aw = np.zeros(self.n, dtype=np.int64)
+            ac = np.zeros(n, dtype=np.int64)
+            aw = np.zeros(n, dtype=np.int64)
+            solver_fallbacks = np.zeros(n, dtype=np.int64)
             local: Dict[Tuple[int, float], Tuple[Any, ...]] = {}
             for i in np.flatnonzero(nm):
                 key = (int(eff[i]), float(target[i]))
@@ -1126,19 +1319,21 @@ class BatchedClusterSim:
                 if entry[0] == "ok":
                     ac[i], aw[i] = entry[1], entry[2]
                 else:
-                    stats["solver_fallbacks"][i] += 1
+                    solver_fallbacks[i] = 1
                     ac[i], aw[i] = self.C, self.W
-            at_floor = (ac == self.lc_c) & (aw == self.lc_w)
+            if solver_fallbacks.any():
+                self._add_kind(stats["solver_fallbacks"], sel, solver_fallbacks)
+            at_floor = (ac == lc_c) & (aw == lc_w)
             trim_down = (
                 nm & self.p_freq_trim
-                & (measured_slack > self.slack_upper) & at_floor
+                & (measured_slack > self.p_slack_upper) & at_floor
             )
             hold_freq = (
                 nm & self.p_freq_trim & ~trim_down
-                & (measured_slack >= self.slack_target)
+                & (measured_slack >= self.p_slack_target)
             )
-            tf = np.where(trim_down, self.maps["down_idx"][self.lc_f], tf)
-            tf = np.where(hold_freq, self.lc_f, tf)
+            tf = np.where(trim_down, self.maps["down_idx"][lc_f], tf)
+            tf = np.where(hold_freq, lc_f, tf)
             tc = np.where(nm, ac, tc)
             tw = np.where(nm, aw, tw)
             self.p_promised = np.where(
@@ -1153,52 +1348,96 @@ class BatchedClusterSim:
     # ------------------------------------------------------------------
     # Power meter (vectorized PowerMeter / FaultyPowerMeter.sample)
     # ------------------------------------------------------------------
-    def _meter_base_observe(self) -> np.ndarray:
-        """``PowerMeter._observe``: true draw plus gaussian meter noise."""
+    def _meter_base_observe(self, classes: Sequence[int]) -> np.ndarray:
+        """``PowerMeter._observe``: true draw plus gaussian meter noise,
+        drawn by the fault classes in ``classes``."""
         true_w = self._power()
         if self.meter_sigma:
-            z_w = self.rng_with.normal(0.0, self.meter_sigma)
-            z_wo = self.rng_without.normal(0.0, self.meter_sigma)
+            sigma = self.meter_sigma
+
+            def noise(rng: np.random.Generator) -> float:
+                return rng.normal(0.0, sigma)
+
+            z_w = self._draw(self.rng_with, noise, classes)
+            z_wo = self._draw(self.rng_without, noise, classes)
             return np.maximum(0.0, true_w + np.where(self.with_mask, z_w, z_wo))
         return np.maximum(0.0, true_w + 0.0)
 
-    def _meter_observe(self, t: float) -> np.ndarray:
-        """``FaultyPowerMeter._observe``: stuck-at first, then drift."""
-        if self.faults is None:
-            return self._meter_base_observe()
-        stuck = self.faults.first_active(t, MeterStuckAt)
-        if stuck is not None:
-            if stuck not in self.held:
-                if stuck.value_w is not None:
-                    self.held[stuck] = np.full(self.n, float(stuck.value_w))
+    def _meter_observe(self, t: float, classes: Sequence[int]) -> np.ndarray:
+        """``FaultyPowerMeter._observe`` for the fault classes in
+        ``classes``: stuck-at first, then drift."""
+        if not self.faulted:
+            return self._meter_base_observe(classes)
+        stuck: Dict[int, MeterStuckAt] = {}
+        draws: List[int] = []
+        biases: List[List[float]] = [[] for _ in self.fscheds]
+        for k in classes:
+            sched = self.fscheds[k]
+            if sched is None:
+                draws.append(k)
+                continue
+            fault = sched.first_active(t, MeterStuckAt)
+            if fault is None:
+                draws.append(k)
+                biases[k] = [d.bias_at(t) for d in sched.active(t, MeterDrift)]
+                continue
+            stuck[k] = fault
+            if (
+                fault not in self.held[k]
+                and fault.value_w is None
+                and not self.m_has_last
+            ):
+                draws.append(k)  # the held value is this draw
+        base = self._meter_base_observe(draws) if draws else np.zeros(self.n)
+        raw = base
+        for lanes, bias in self._lane_columns(biases):
+            drifted = raw + bias
+            raw = drifted if lanes is None else np.where(lanes, drifted, raw)
+        # Idempotent on lanes without drift: the base is already >= 0.
+        raw = np.maximum(0.0, raw)
+        for k, fault in stuck.items():
+            held = self.held[k].get(fault)
+            if held is None:
+                if fault.value_w is not None:
+                    held = np.full(self.n, float(fault.value_w))
                 elif self.m_has_last:
-                    self.held[stuck] = self.m_last_raw.copy()
+                    held = self.m_last_raw.copy()
                 else:
-                    self.held[stuck] = self._meter_base_observe()
+                    held = base.copy()
+                self.held[k][fault] = held
             # Held readings bypass drift and the trailing clamp.
-            return self.held[stuck]
-        raw = self._meter_base_observe()
-        for drift in self.faults.active(t, MeterDrift):
-            raw = raw + drift.bias_at(t)
-        return np.maximum(0.0, raw)
+            raw = held if self.n_fc == 1 else np.where(self.fclass == k, held, raw)
+        return raw
 
     def _meter_sample(self, t: float) -> None:
-        """``sample``: dropout re-serves the last reading restamped."""
-        if (
-            self.faults is not None
-            and self.m_has_last
-            and self.faults.first_active(t, MeterDropout) is not None
-        ):
-            # FaultyPowerMeter re-publishes the stale reading under the
-            # new timestamp: no draw, no EWMA update.
-            self.m_last_time = t
-            return
-        raw = self._meter_observe(t)
+        """``sample`` per fault class: a dropout re-serves the last
+        reading restamped."""
+        classes: Sequence[int] = range(self.n_fc)
+        dropped = None
+        if self.faulted and self.m_has_last:
+            drop = [
+                s is not None and s.first_active(t, MeterDropout) is not None
+                for s in self.fscheds
+            ]
+            if all(drop):
+                # FaultyPowerMeter re-publishes the stale reading under
+                # the new timestamp: no draw, no EWMA update.
+                self.m_last_time = t
+                return
+            if any(drop):
+                classes = [k for k, d in enumerate(drop) if not d]
+                dropped = np.asarray(drop)[self.fclass]
+        raw = self._meter_observe(t, classes)
         if not self.m_filt_init:
             self.m_filt = raw.copy()
             self.m_filt_init = True
         else:
-            self.m_filt = 0.5 * raw + 0.5 * self.m_filt
+            filt = 0.5 * raw + 0.5 * self.m_filt
+            self.m_filt = filt if dropped is None else np.where(
+                dropped, self.m_filt, filt
+            )
+        if dropped is not None:
+            raw = np.where(dropped, self.m_last_raw, raw)
         self.m_last_raw = raw
         self.m_last_filt = self.m_filt
         self.m_last_time = t
@@ -1224,8 +1463,8 @@ class BatchedClusterSim:
 
         was_safe = self.safe
         trip = ~was_safe & ~healthy
-        stats["watchdog_trips"] += trip
-        stats["safe_mode_entries"] += trip
+        self._add(stats["watchdog_trips"], trip)
+        self._add(stats["safe_mode_entries"], trip)
         self.healthy_streak = np.where(trip, 0, self.healthy_streak)
         self.healthy_streak = np.where(
             was_safe, np.where(healthy, self.healthy_streak + 1, 0),
@@ -1234,12 +1473,12 @@ class BatchedClusterSim:
         recover = was_safe & (self.healthy_streak >= self.recovery_samples)
         handled = (was_safe | trip) & ~recover
         self.safe = handled
-        stats["safe_mode_steps"] += handled
+        self._add(stats["safe_mode_steps"], handled)
         # _floor: pin secondaries to (min freq, min duty); counts a
         # throttle event only when that actually changes the allocation.
         floor_mask = handled & has_sec
         changed = floor_mask & ((self.be_f != 0) | (self.be_duty != self.min_duty))
-        stats["throttle_events"] += changed
+        self._add(stats["throttle_events"], changed)
         self.be_f = np.where(floor_mask, 0, self.be_f)
         self.be_duty = np.where(floor_mask, self.min_duty, self.be_duty)
         return handled
@@ -1256,16 +1495,16 @@ class BatchedClusterSim:
         raw = self.m_last_raw
         filt = self.m_last_filt
         stats = self.cap_stats
-        stats["samples"] += 1
+        self._add(stats["samples"], 1)
         self.ssr += 1
         self.cooldown = np.where(
             self.cooldown > 0, self.cooldown - 1, self.cooldown
         )
-        stats["over_cap_samples"] += raw > self.cap
+        self._add(stats["over_cap_samples"], raw > self.cap)
         has_sec = self.has_be & ~self.be_empty
         handled = self._watchdog_step(raw, has_sec)
         active = has_sec & ~handled
-        stats["duty_limited_samples"] += active & (self.be_duty < 1.0)
+        self._add(stats["duty_limited_samples"], active & (self.be_duty < 1.0))
 
         over = active & (filt > self.cap)
         # Oscillation punishment: a restore that bounced straight back
@@ -1279,8 +1518,8 @@ class BatchedClusterSim:
         can_down = self.maps["can_down"][self.be_f]
         f_down = over & can_down
         d_down = over & ~can_down & (self.be_duty > self.min_duty + 1e-9)
-        stats["throttle_events"] += f_down
-        stats["throttle_events"] += d_down
+        self._add(stats["throttle_events"], f_down)
+        self._add(stats["throttle_events"], d_down)
         new_duty = np.maximum(self.min_duty, self.be_duty - self.duty_step)
         self.be_f = np.where(f_down, self.maps["down_idx"][self.be_f], self.be_f)
         self.be_duty = np.where(d_down, new_duty, self.be_duty)
@@ -1292,8 +1531,8 @@ class BatchedClusterSim:
         )
         d_up = restore & (self.be_duty < 1.0 - 1e-9)
         f_up = restore & ~d_up & self.maps["can_up"][self.be_f]
-        stats["restore_events"] += d_up
-        stats["restore_events"] += f_up
+        self._add(stats["restore_events"], d_up)
+        self._add(stats["restore_events"], f_up)
         up_duty = np.minimum(1.0, self.be_duty + self.duty_step)
         self.be_duty = np.where(d_up, up_duty, self.be_duty)
         self.be_f = np.where(f_up, self.maps["up_idx"][self.be_f], self.be_f)
@@ -1309,24 +1548,32 @@ class BatchedClusterSim:
         if self.g_first_violation[lane] is None:
             self.g_first_violation[lane] = violation
 
-    def _guard_observe(
-        self,
-        t: float,
-        in_window: bool,
-        final: bool,
-        power: np.ndarray,
-        _load_frac: np.ndarray,
-    ) -> None:
-        g = self.guard
-        # 1. power-cap: envelope with drift + safe-mode allowances,
-        # grace streak per lane.
-        if in_window:
-            margin_w = g.cap_margin_w
-            if self.faults is not None:
-                for drift in self.faults.active(t, MeterDrift):
+    def _guard_margins(self, t: float) -> Any:
+        """The power-cap envelope's margin per lane: the config margin
+        plus each active under-reporting drift of the lane's schedule."""
+        margins: List[float] = []
+        for sched in self.fscheds:
+            margin_w = self.guard.cap_margin_w
+            if sched is not None:
+                for drift in sched.active(t, MeterDrift):
                     bias = drift.bias_at(t)
                     if bias < 0:
                         margin_w += -bias
+            margins.append(margin_w)
+        if self.n_fc == 1:
+            return margins[0]
+        return np.asarray(margins)[self.fclass]
+
+    def _guard_observe(
+        self, t: float, in_window: bool, tick: int, power: np.ndarray
+    ) -> None:
+        g = self.guard
+        # The oracle's final sample: lanes whose last tick this is.
+        final = self.lane_ticks == tick + 1 if tick + 1 in self.lengths else None
+        # 1. power-cap: envelope with drift + safe-mode allowances,
+        # grace streak per lane.
+        if in_window:
+            margin_w = self._guard_margins(t)
             safe_allow = np.where(self.safe, self._be_power(), 0.0)
             # PowerCapInvariant._ramp_allowance_w, lane-vectorized in
             # the same float-op order; ramp stays exactly 0.0 on lanes
@@ -1345,8 +1592,11 @@ class BatchedClusterSim:
             self.g_prev_cap_valid = True
             limit = self.cap + ((margin_w + safe_allow) + ramp)
             exceeds = power > limit
-            self.g_cap_streak = np.where(exceeds, self.g_cap_streak + 1, 0)
-            for i in np.flatnonzero(self.g_cap_streak > g.cap_grace_steps):
+            streak = np.where(exceeds, self.g_cap_streak + 1, 0)
+            if self._live is not True:
+                streak = np.where(self._live, streak, self.g_cap_streak)
+            self.g_cap_streak = streak
+            for i in np.flatnonzero(self._running(streak > g.cap_grace_steps)):
                 self._fire(int(i), Violation(
                     invariant="power-cap",
                     time_s=t,
@@ -1358,13 +1608,15 @@ class BatchedClusterSim:
                     limit=float(limit[i]),
                 ))
 
-        # 2. energy-conservation: strided cumulative check; the final
-        # tick always evaluates.  The attribution sum below reproduces
-        # AttributedPowerMeter.read() term by term (adding the 0.0
-        # idle-share/active terms of absent tenants is bit-exact).
+        # 2. energy-conservation: strided cumulative check; each lane's
+        # final tick always evaluates.  The attribution sum below
+        # reproduces AttributedPowerMeter.read() term by term (adding
+        # the 0.0 idle-share/active terms of absent tenants is
+        # bit-exact).
         tick_no = self.g_energy_tick
         self.g_energy_tick += 1
-        if not (tick_no % g.deep_check_every and not final):
+        stride = tick_no % g.deep_check_every == 0
+        if stride or final is not None:
             lc_act = self.lc_act[self.lc_tbl, self.lc_c, self.lc_w, self.lc_f]
             half_idle = self.idle_w * 0.5
             lc_share = half_idle * (self.lc_c / self.C + self.lc_w / self.W)
@@ -1374,7 +1626,10 @@ class BatchedClusterSim:
             total = ((lc_act + lc_share) + (be_act + be_share)) + leftover
             error = np.abs(total - power)
             tol = g.energy_abs_tol_w + g.energy_rel_tol * np.abs(power)
-            for i in np.flatnonzero(error > tol):
+            bad = error > tol
+            if final is not None and not stride:
+                bad = bad & final
+            for i in np.flatnonzero(self._running(bad)):
                 self._fire(int(i), Violation(
                     invariant="energy-conservation",
                     time_s=t,
@@ -1390,7 +1645,7 @@ class BatchedClusterSim:
         # duty-cycled here (LC duty is pinned to 1.0), so only the
         # core/way floors can fire.
         c_bad = self.lc_c < g.lc_min_cores
-        for i in np.flatnonzero(c_bad):
+        for i in np.flatnonzero(self._running(c_bad)):
             name = self.plans[i].lc_app.name
             self._fire(int(i), Violation(
                 invariant="lc-slo-floor",
@@ -1399,7 +1654,8 @@ class BatchedClusterSim:
                 observed=float(self.lc_c[i]),
                 limit=float(g.lc_min_cores),
             ))
-        for i in np.flatnonzero(~c_bad & (self.lc_w < g.lc_min_ways)):
+        w_bad = ~c_bad & (self.lc_w < g.lc_min_ways)
+        for i in np.flatnonzero(self._running(w_bad)):
             name = self.plans[i].lc_app.name
             self._fire(int(i), Violation(
                 invariant="lc-slo-floor",
@@ -1415,7 +1671,7 @@ class BatchedClusterSim:
         total_c = self.lc_c + self.be_c
         total_w = self.lc_w + self.be_w
         c_over = total_c > self.C
-        for i in np.flatnonzero(c_over):
+        for i in np.flatnonzero(self._running(c_over)):
             self._fire(int(i), Violation(
                 invariant="budget-conservation",
                 time_s=t,
@@ -1423,7 +1679,8 @@ class BatchedClusterSim:
                 observed=float(total_c[i]),
                 limit=float(self.C),
             ))
-        for i in np.flatnonzero(~c_over & (total_w > self.W)):
+        w_over = ~c_over & (total_w > self.W)
+        for i in np.flatnonzero(self._running(w_over)):
             self._fire(int(i), Violation(
                 invariant="budget-conservation",
                 time_s=t,
@@ -1435,33 +1692,41 @@ class BatchedClusterSim:
         # 5. monotonic-time: the batched clock is tick * interval with a
         # strictly increasing tick, so it can never fire.
 
-        # 6. rng-isolation: one group-wide fingerprint of the legacy
-        # global RNG, broadcast to every lane on mismatch.
+        # 6. rng-isolation: one fingerprint of the legacy global RNG per
+        # tick, checked against each lane length's own baseline (lanes
+        # of one length check on the same ticks), broadcast to that
+        # length's lanes on mismatch.
         if g.check_rng:
             tick_no = self.g_rng_tick
             self.g_rng_tick += 1
-            if not (tick_no % g.deep_check_every and not final):
-                state = np.random.get_state()[:3]  # pocolint: disable=nondeterminism
-                current = (
-                    str(state[0]), np.asarray(state[1]).tobytes(), int(state[2])
+            if tick_no % g.deep_check_every == 0:
+                checking = [k for k in self.lengths if k > tick]
+            else:
+                checking = [tick + 1] if final is not None else []
+            if not checking:
+                return
+            state = np.random.get_state()[:3]  # pocolint: disable=nondeterminism
+            current = (
+                str(state[0]), np.asarray(state[1]).tobytes(), int(state[2])
+            )
+            for length in checking:
+                baseline = self.g_rng_baseline.get(length)
+                self.g_rng_baseline[length] = current
+                if baseline is None or current == baseline:
+                    continue
+                shared = Violation(
+                    invariant="rng-isolation",
+                    time_s=t,
+                    message=(
+                        "numpy's global legacy RNG advanced mid-run (a "
+                        "component drew from np.random instead of its "
+                        "seeded generator)"
+                    ),
+                    observed=float(current[2]),
+                    limit=float("nan"),
                 )
-                if self.g_rng_baseline is None:
-                    self.g_rng_baseline = current
-                elif current != self.g_rng_baseline:
-                    self.g_rng_baseline = current
-                    shared = Violation(
-                        invariant="rng-isolation",
-                        time_s=t,
-                        message=(
-                            "numpy's global legacy RNG advanced mid-run (a "
-                            "component drew from np.random instead of its "
-                            "seeded generator)"
-                        ),
-                        observed=float(current[2]),
-                        limit=float("nan"),
-                    )
-                    for i in range(self.n):
-                        self._fire(i, shared)
+                for i in np.flatnonzero(self.lane_ticks == length):
+                    self._fire(int(i), shared)
 
     # ------------------------------------------------------------------
     # Result assembly
@@ -1478,15 +1743,30 @@ class BatchedClusterSim:
             raise ConfigError("batched sim has not run to completion")
         from repro.sim.cluster import LevelOutcome
 
-        # The telemetry block: one time axis and one (lanes, ticks) copy
-        # of each buffer, which every lane's LaneTelemetry view shares.
-        block = LaneBlock(
-            tuple(self.times),
-            {
-                name: np.ascontiguousarray(buf.T)
-                for name, buf in self.buffers.items()
-            },
-        )
+        # One telemetry block per lane length: one time axis and one
+        # (lanes, ticks) copy of each buffer, which every lane view of
+        # that length shares.  Series means are pairwise-exact per
+        # length, since numpy's summation tree depends on the length.
+        single = len(self.lengths) == 1
+        views: Dict[int, Tuple[LaneBlock, Dict[str, List[float]]]] = {}
+        rows = np.arange(self.n)
+        for length in self.lengths:
+            lanes: Any = slice(None)
+            if not single:
+                lanes = np.flatnonzero(self.lane_ticks == length)
+                rows[lanes] = np.arange(len(lanes))
+            block = LaneBlock(
+                tuple(self.times[:length]),
+                {
+                    name: np.ascontiguousarray(buf[:length, lanes].T)
+                    for name, buf in self.buffers.items()
+                },
+            )
+            means = {
+                name: _np_mean_lanes(self.buffers[name][:length, lanes]).tolist()
+                for name in ("be_throughput_norm", "power_w", "lc_load_fraction")
+            } if length > 0 else {}
+            views[length] = (block, means)
         # Lane-indexable epilogue columns, listed once so the per-lane
         # loop does no numpy scalar extraction: positional stat rows,
         # pairwise-exact means of the averaged series.
@@ -1496,10 +1776,8 @@ class BatchedClusterSim:
         mgr_rows = list(zip(*(
             self.mgr_stats[f.name].tolist() for f in fields(ManagerStats)
         )))
-        means: Dict[str, List[float]] = {}
-        if self.n_ticks > 0:
-            for name in ("be_throughput_norm", "power_w", "lc_load_fraction"):
-                means[name] = _np_mean_lanes(self.buffers[name]).tolist()
+        lane_ticks = self.lane_ticks.tolist()
+        lane_rows = rows.tolist()
         joules = self.joules.tolist()
         slo = self.slo_violations.tolist()
         g_total = self.g_total.tolist()
@@ -1519,18 +1797,23 @@ class BatchedClusterSim:
             be_app = self.be_apps[i]
             has_be = be_app is not None
             be_name = be_app.name if has_be else None
+            ticks = lane_ticks[i]
+            block, means = views[ticks]
+            row = lane_rows[i]
             filled, empty = _series_layout(
-                self.n_ticks > 0, self.schedules[i] is not None, has_be
+                ticks > 0, self.schedules[i] is not None, has_be
             )
             # The oracle's aggregation epilogue reads these series, so
             # they exist even when empty; an empty series averages 0.0.
-            avg_norm = means["be_throughput_norm"][i] if has_be and means else 0.0
-            avg_power = means["power_w"][i] if means else 0.0
+            avg_norm = (
+                means["be_throughput_norm"][row] if has_be and means else 0.0
+            )
+            avg_power = means["power_w"][row] if means else 0.0
             report = None
             if self.guard is not None:
                 report = GuardReport(
                     mode=self.guard.mode,
-                    checks=6 * (self.n_warmup + self.n_ticks),
+                    checks=6 * (self.n_warmup + ticks),
                     total_violations=g_total[i],
                     violations=tuple(self.g_violations[i]),
                 )
@@ -1543,15 +1826,15 @@ class BatchedClusterSim:
                     avg_norm * be_app.peak_throughput if has_be else 0.0
                 ),
                 avg_lc_load_fraction=(
-                    means["lc_load_fraction"][i] if means else 0.0
+                    means["lc_load_fraction"][row] if means else 0.0
                 ),
                 avg_power_w=avg_power,
                 power_utilization=avg_power / plan.provisioned_power_w,
                 energy_kwh=joules[i] / 3.6e6,
-                slo_violation_fraction=slo[i] / max(1, self.n_ticks),
+                slo_violation_fraction=slo[i] / max(1, ticks),
                 cap_stats=CapStats(*cap_rows[i]),
                 manager_stats=ManagerStats(*mgr_rows[i]),
-                telemetry=LaneTelemetry(block, i, filled, empty),
+                telemetry=LaneTelemetry(block, row, filled, empty),
                 guard_report=report,
             )
             out.append(LevelOutcome(
@@ -1568,7 +1851,7 @@ class BatchedClusterSim:
 # ----------------------------------------------------------------------
 def run_batched_cells(
     tasks: Sequence[Cell],
-    on_result: Optional[Any] = None,
+    on_result: Optional[Callable[[List[Tuple[int, Any]]], None]] = None,
 ) -> List[Any]:
     """Run :class:`~repro.sim.cluster.Cell` records through the batched core.
 
@@ -1578,8 +1861,10 @@ def run_batched_cells(
     batched core cannot claim (unknown manager types, unsupported
     faults) fall back to the per-object oracle, one cell at a time.
 
-    ``on_result(position, result)`` fires per delivered result in
-    ascending position order.
+    ``on_result(delivered)`` receives each run of results delivered
+    together, as ``(position, result)`` pairs in ascending position
+    order: the batched results up to the next oracle fallback (or
+    failure) arrive in one call, before that fallback runs.
     """
     from repro.engine.parallel import _task_failure
     from repro.sim.cluster import _run_cell
@@ -1606,8 +1891,16 @@ def run_batched_cells(
 
     total = len(tasks)
     results: List[Any] = []
+    delivered: List[Tuple[int, Any]] = []
+
+    def deliver() -> None:
+        if on_result is not None and delivered:
+            on_result(list(delivered))
+            delivered.clear()
+
     for position, cell in enumerate(tasks):
         if position in fallback:
+            deliver()
             try:
                 result = _run_cell(cell)
             except Exception as exc:
@@ -1617,11 +1910,13 @@ def run_batched_cells(
             if isinstance(entry, InvariantViolationError):
                 # The oracle raises mid-run in enforce mode; re-raise at
                 # the same delivery position with the same wrapping.
+                deliver()
                 raise _task_failure(
                     position, total, _run_cell, (cell,), entry
                 ) from entry
             result = entry
         results.append(result)
         if on_result is not None:
-            on_result(position, result)
+            delivered.append((position, result))
+    deliver()
     return results

@@ -197,7 +197,9 @@ def run_cluster_checkpointed(
       *different* sweep raises :class:`~repro.errors.CheckpointError`;
     * ``checkpoint_every`` — cells completed between checkpoint writes
       (one append and ``fsync`` each); 1 (default) bounds the
-      recomputation lost to a crash at one cell.
+      recomputation lost to a crash at one cell.  Cells that land
+      together are committed together: the batched engine delivers its
+      results in runs, and each run is one write and one ``fsync``.
 
     The checkpoint is left in place on success — it doubles as the
     completed-run record (:func:`~repro.runtime.checkpoint.read_journal`
@@ -241,8 +243,11 @@ def run_cluster_checkpointed(
             }
             checkpoint = Checkpoint.create(target, run_key, len(cells), placement)
 
-        def on_result(position: int, outcome: LevelOutcome) -> None:
-            checkpoint.append(position, _encode_cell(outcome))
+        def on_result(delivered: List[Tuple[int, LevelOutcome]]) -> None:
+            # Group commit: a run of cells that landed together is
+            # appended with one fsync, whatever checkpoint_every is.
+            for position, outcome in delivered:
+                checkpoint.append(position, _encode_cell(outcome))
             if checkpoint.pending >= checkpoint_every:
                 checkpoint.save()
 

@@ -304,7 +304,7 @@ def _execute(
     workers: int,
     dedupe: bool,
     completed: Mapping[int, LevelOutcome],
-    on_result: Optional[Callable[[int, LevelOutcome], None]] = None,
+    on_result: Optional[Callable[[List[Tuple[int, LevelOutcome]]], None]] = None,
 ) -> List[LevelOutcome]:
     """Run a planned sweep: the one owner of dedupe, engine and pool.
 
@@ -313,8 +313,12 @@ def _execute(
     ``dedupe``, a cell whose :attr:`Cell.key` appeared earlier reuses
     the outcome of that first occurrence, and a first occurrence runs
     only when it is not completed — so positions mean the same cells
-    whether or not ``dedupe`` is set.  ``on_result(position, outcome)``
-    fires once per cell run, in delivery order.
+    whether or not ``dedupe`` is set.  ``on_result(delivered)`` receives
+    the cells run, in delivery order, as ``(position, outcome)`` pairs:
+    each call is one run of cells that landed together (one cell on the
+    object engine; every batched cell up to the next oracle fallback on
+    the batched engine), so a checkpoint commits each run with one
+    ``fsync``.
 
     Returns every planned cell's outcome, in planned order.
     """
@@ -333,19 +337,22 @@ def _execute(
         i for i, origin in enumerate(source)
         if origin == i and i not in completed
     ]
-    hook = None if on_result is None else (
-        lambda position, outcome: on_result(pending[position], outcome)
-    )
     todo = [cells[i] for i in pending]
+    landed = None if on_result is None else (
+        lambda delivered: on_result([(pending[i], o) for i, o in delivered])
+    )
     if engine_name == "batched":
         # Imported lazily: the batched core builds on ColocationSim's
         # module surface, so a top-level import would be circular.
         from repro.engine.batched import run_batched_cells
 
-        fresh = run_batched_cells(todo, on_result=hook)
+        fresh = run_batched_cells(todo, on_result=landed)
     else:
         fresh = SupervisedPool(workers).map_ordered(
-            _run_cell, [(cell,) for cell in todo], on_result=hook
+            _run_cell, [(cell,) for cell in todo],
+            on_result=None if landed is None else (
+                lambda index, outcome: landed([(index, outcome)])
+            ),
         )
     outcomes = dict(completed)
     outcomes.update(zip(pending, fresh))

@@ -187,35 +187,37 @@ class TestUnfaultedDifferential:
         )
 
 
+@pytest.fixture(scope="module")
+def schedules(catalog):
+    """Three fault schedules exercising all six batched fault types."""
+    stale = catalog.lc_fits[list(catalog.lc_fits)[1]].model
+    return {
+        "meter-mix": FaultSchedule([
+            MeterDrift(start_s=1.0, duration_s=3.0,
+                       bias_w=-2.0, rate_w_per_s=-1.5),
+            MeterDropout(start_s=4.2, duration_s=1.0),
+            MeterStuckAt(start_s=6.0, duration_s=2.0),
+            MeterStuckAt(start_s=9.0, duration_s=1.5, value_w=400.0),
+        ]),
+        "control-mix": FaultSchedule([
+            LoadSpike(start_s=2.0, duration_s=2.0, factor=1.8),
+            TelemetryGap(start_s=5.0, duration_s=2.0),
+            ModelStaleness(start_s=3.0, duration_s=4.0, model=stale),
+        ]),
+        "everything": FaultSchedule([
+            LoadSpike(start_s=1.0, duration_s=1.0, factor=2.5),
+            TelemetryGap(start_s=2.0, duration_s=1.0),
+            MeterDrift(start_s=3.0, duration_s=6.0,
+                       bias_w=1.0, rate_w_per_s=2.0),
+            MeterStuckAt(start_s=7.0, duration_s=1.0),
+            MeterDropout(start_s=8.5, duration_s=0.8),
+            ModelStaleness(start_s=4.0, duration_s=2.0, model=stale),
+        ]),
+    }
+
+
 class TestFaultedDifferential:
     """Every fault type, alone and overlapping, guard off and on."""
-
-    @pytest.fixture(scope="class")
-    def schedules(self, catalog):
-        stale = catalog.lc_fits[list(catalog.lc_fits)[1]].model
-        return {
-            "meter-mix": FaultSchedule([
-                MeterDrift(start_s=1.0, duration_s=3.0,
-                           bias_w=-2.0, rate_w_per_s=-1.5),
-                MeterDropout(start_s=4.2, duration_s=1.0),
-                MeterStuckAt(start_s=6.0, duration_s=2.0),
-                MeterStuckAt(start_s=9.0, duration_s=1.5, value_w=400.0),
-            ]),
-            "control-mix": FaultSchedule([
-                LoadSpike(start_s=2.0, duration_s=2.0, factor=1.8),
-                TelemetryGap(start_s=5.0, duration_s=2.0),
-                ModelStaleness(start_s=3.0, duration_s=4.0, model=stale),
-            ]),
-            "everything": FaultSchedule([
-                LoadSpike(start_s=1.0, duration_s=1.0, factor=2.5),
-                TelemetryGap(start_s=2.0, duration_s=1.0),
-                MeterDrift(start_s=3.0, duration_s=6.0,
-                           bias_w=1.0, rate_w_per_s=2.0),
-                MeterStuckAt(start_s=7.0, duration_s=1.0),
-                MeterDropout(start_s=8.5, duration_s=0.8),
-                ModelStaleness(start_s=4.0, duration_s=2.0, model=stale),
-            ]),
-        }
 
     @pytest.mark.parametrize("name", ["meter-mix", "control-mix", "everything"])
     @pytest.mark.parametrize("guarded", [False, True], ids=["noguard", "guard"])
@@ -317,6 +319,59 @@ class TestLaneViews:
         shared = run_batched_cells(crowd)[150]
         assert len(pickle.dumps(shared)) == len(pickle.dumps(alone))
         assert pickle.dumps(shared) == pickle.dumps(alone)
+
+
+def _one_block_sweep(plans, spec, schedules, config, guard):
+    """One task list whose lanes differ in every lane attribute.
+
+    Manager kinds (POM, Heracles on both paths), two durations, no
+    schedule or one of two distinct fault schedules, and budgeted
+    lanes, spread so that every combination shares the block.
+    """
+    faults = (None, schedules["meter-mix"], schedules["control-mix"])
+    tasks = [
+        Cell(
+            plan, spec, level, (6.0, 11.0)[(k + j) % 2], config,
+            plan.be_app, faults[(k + 2 * j) % 3], guard,
+        )
+        for k, plan in enumerate(plans)
+        for j, level in enumerate((0.0, 0.4, 0.9))
+    ]
+    return _scheduled(tasks)
+
+
+class TestOneBlock:
+    """A sweep mixing kinds, durations and schedules is one lane block."""
+
+    @pytest.mark.parametrize("guard", [
+        None,
+        GuardConfig(deep_check_every=4),
+        GuardConfig(cap_margin_w=-40.0, cap_grace_steps=1,
+                    lc_min_cores=9, lc_min_ways=6),
+    ], ids=["noguard", "guard", "violating"])
+    def test_mixed_lanes_bit_exact(
+        self, catalog, mixed_plans, schedules, guard
+    ):
+        config = SimConfig(warmup_s=2.0, seed=5)
+        tasks = _one_block_sweep(
+            mixed_plans, catalog.spec, schedules, config, guard
+        )
+        assert {type(t.plan.manager_factory).__name__ for t in tasks} == {
+            "PomFactory", "HeraclesFactory", "RandomHeraclesFactory",
+        }
+        assert {t.duration_s for t in tasks} == {6.0, 11.0}
+        assert len({id(t.faults) for t in tasks}) == 3
+        assert {t.schedule is None for t in tasks} == {True, False}
+        groups, fallback = partition_cells(tasks)
+        assert not fallback
+        assert [len(p) for p in groups.values()] == [len(tasks)]
+        oracle = _oracle(tasks)
+        if guard is not None and guard.cap_margin_w < 0:
+            assert any(
+                o.result.guard_report.total_violations for o in oracle
+            ), "scenario must actually violate"
+        for k, (a, b) in enumerate(zip(oracle, run_batched_cells(tasks))):
+            assert_outcome_equal(a, b, f"lane {k} guard={guard!r}")
 
 
 class TestGuardReportDifferential:
@@ -576,32 +631,32 @@ class TestCrossEngineResume:
         script = tmp_path / "child_sweep.py"
         script.write_text(_CHILD_MAIN)
         ckpt = tmp_path / "sweep.ckpt"
-        child = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, str(script), str(ckpt)],
             env={"PYTHONPATH": str(REPO_SRC), "PATH": "/usr/bin:/bin"},
             stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE,
-        )
-        try:
-            deadline = time.monotonic() + 60.0
-            progressed = False
-            while time.monotonic() < deadline:
-                if child.poll() is not None:
-                    break
-                if ckpt.exists() and read_journal(ckpt).cells_done >= 1:
-                    progressed = True
-                    break
-                time.sleep(0.02)
-            assert progressed, (
-                "child finished or stalled before the kill: "
-                f"{child.stderr.read().decode(errors='replace')}"
-            )
-            child.send_signal(signal.SIGKILL)
-            child.wait(timeout=30)
-        finally:
-            if child.poll() is None:
-                child.kill()
+        ) as child:
+            try:
+                deadline = time.monotonic() + 60.0
+                progressed = False
+                while time.monotonic() < deadline:
+                    if child.poll() is not None:
+                        break
+                    if ckpt.exists() and read_journal(ckpt).cells_done >= 1:
+                        progressed = True
+                        break
+                    time.sleep(0.02)
+                assert progressed, (
+                    "child finished or stalled before the kill: "
+                    f"{child.stderr.read().decode(errors='replace')}"
+                )
+                child.send_signal(signal.SIGKILL)
                 child.wait(timeout=30)
+            finally:
+                if child.poll() is None:
+                    child.kill()
+                    child.wait(timeout=30)
         assert child.returncode == -signal.SIGKILL
 
         namespace = {}

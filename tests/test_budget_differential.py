@@ -358,32 +358,32 @@ class TestDrillSigkillResume:
         script = tmp_path / "drill_child.py"
         script.write_text(_DRILL_CHILD)
         ckpt = tmp_path / "drill.ckpt"
-        child = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, str(script), str(ckpt)],
             env={"PYTHONPATH": str(REPO_SRC), "PATH": "/usr/bin:/bin"},
             stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE,
-        )
-        try:
-            deadline = time.monotonic() + 120.0
-            progressed = False
-            while time.monotonic() < deadline:
-                if child.poll() is not None:
-                    break
-                if ckpt.exists() and read_journal(ckpt).cells_done >= 1:
-                    progressed = True
-                    break
-                time.sleep(0.02)
-            assert progressed, (
-                "child finished or stalled before the kill: "
-                f"{child.stderr.read().decode(errors='replace')}"
-            )
-            child.send_signal(signal.SIGKILL)
-            child.wait(timeout=30)
-        finally:
-            if child.poll() is None:
-                child.kill()
+        ) as child:
+            try:
+                deadline = time.monotonic() + 120.0
+                progressed = False
+                while time.monotonic() < deadline:
+                    if child.poll() is not None:
+                        break
+                    if ckpt.exists() and read_journal(ckpt).cells_done >= 1:
+                        progressed = True
+                        break
+                    time.sleep(0.02)
+                assert progressed, (
+                    "child finished or stalled before the kill: "
+                    f"{child.stderr.read().decode(errors='replace')}"
+                )
+                child.send_signal(signal.SIGKILL)
                 child.wait(timeout=30)
+            finally:
+                if child.poll() is None:
+                    child.kill()
+                    child.wait(timeout=30)
         assert child.returncode == -signal.SIGKILL
 
         namespace = {}

@@ -22,11 +22,13 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.server_manager import PowerOptimizedManager
 from repro.errors import CheckpointError, ConfigError
 from repro.evaluation.pipeline import PomFactory
 from repro.faults.cluster import ClusterFaultPlan, ServerCrash
@@ -500,7 +502,8 @@ class TestPerCellLayout:
         result = run_cluster_checkpointed(
             plans, catalog.spec, path, engine=engine, **self.KWARGS
         )
-        # Four cells, four saves: one record each.
+        # Four cells, one record each (saved one by one on the object
+        # engine, as one run on the batched engine).
         assert sorted(pickles) == sorted(id(o) for o in result.outcomes)
         assert set(pickles.values()) == {1}
         cells = read_journal(path).cells
@@ -712,6 +715,97 @@ class TestJournal:
             read_journal(path)
 
 
+class _UnbatchedPom(PowerOptimizedManager):
+    """A POM subclass the batched core does not model: its cells fall
+    back to the per-object oracle."""
+
+
+@dataclass(frozen=True)
+class UnbatchedPomFactory:
+    model: object
+
+    def __call__(self, server):
+        return _UnbatchedPom(server, model=self.model)
+
+
+class TestGroupCommit:
+    """Cells that land together are committed with one fsync."""
+
+    KWARGS = TestCheckpointedSweep.KWARGS
+    PAIRS = TestPerCellLayout.PAIRS
+
+    @pytest.fixture()
+    def saves(self, monkeypatch):
+        """The number of cells each ``Checkpoint.save`` committed."""
+        committed = []
+        real_save = Checkpoint.save
+
+        def counting_save(checkpoint):
+            committed.append(checkpoint.pending)
+            return real_save(checkpoint)
+
+        monkeypatch.setattr(Checkpoint, "save", counting_save)
+        return committed
+
+    def test_batched_run_is_one_save(self, catalog, tmp_path, saves):
+        plans = _plans(catalog, self.PAIRS)
+        path = tmp_path / "sweep.ckpt"
+        result = run_cluster_checkpointed(
+            plans, catalog.spec, path, engine="batched", checkpoint_every=1,
+            **self.KWARGS,
+        )
+        assert saves == [4]
+        cells = read_journal(path).cells
+        assert [cells[i] for i in range(4)] == [
+            pickle.dumps(o, protocol=pickle.HIGHEST_PROTOCOL)
+            for o in result.outcomes
+        ]
+
+    def test_fallback_cell_finds_earlier_cells_committed(
+        self, catalog, tmp_path, monkeypatch, saves
+    ):
+        plans = _plans(catalog, self.PAIRS)
+        plans[1] = replace(plans[1], manager_factory=UnbatchedPomFactory(
+            plans[1].manager_factory.model
+        ))
+        path = tmp_path / "sweep.ckpt"
+        planned, _ = cluster_module.plan_cluster_tasks(
+            plans, catalog.spec, self.KWARGS["levels"],
+            self.KWARGS["duration_s"], self.KWARGS["config"], None,
+        )
+        position_of = {
+            (cell.plan.lc_app.name, cell.level): k
+            for k, cell in enumerate(planned)
+        }
+        seen = []
+        run_cell = cluster_module._run_cell
+
+        def recording(cell):
+            position = position_of[(cell.plan.lc_app.name, cell.level)]
+            committed = set(read_journal(path).cells) if path.exists() else set()
+            seen.append((position, committed))
+            return run_cell(cell)
+
+        monkeypatch.setattr(cluster_module, "_run_cell", recording)
+        result = run_cluster_checkpointed(
+            plans, catalog.spec, path, engine="batched", checkpoint_every=1,
+            **self.KWARGS,
+        )
+        fallbacks = [position for position, _ in seen]
+        assert fallbacks == [
+            k for k, cell in enumerate(planned) if cell.plan is plans[1]
+        ]
+        for position, committed in seen:
+            assert committed == set(range(position)), position
+        # One save per run of cells delivered between oracle cells.
+        assert len(saves) == sum(p > 0 for p in fallbacks) + 1
+        assert sum(saves) == 4
+        want = run_cluster(plans, catalog.spec, engine="object", **self.KWARGS)
+        assert [pickle.dumps(o) for o in result.outcomes] == [
+            pickle.dumps(o) for o in want.outcomes
+        ]
+
+
 class TestCrashResumeProperty:
     """Checkpoint → kill → resume == uninterrupted, across the sweep space."""
 
@@ -847,33 +941,33 @@ class TestSigkillResume:
         script = tmp_path / "child_sweep.py"
         script.write_text(_CHILD_MAIN)
         ckpt = tmp_path / "sweep.ckpt"
-        child = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, str(script), str(ckpt)],
             env={"PYTHONPATH": str(REPO_SRC), "PATH": "/usr/bin:/bin"},
             stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE,
-        )
-        try:
-            # Wait for at least one checkpointed cell, then pull the plug.
-            deadline = time.monotonic() + 60.0
-            progressed = False
-            while time.monotonic() < deadline:
-                if child.poll() is not None:
-                    break
-                if ckpt.exists() and read_journal(ckpt).cells_done >= 1:
-                    progressed = True
-                    break
-                time.sleep(0.02)
-            assert progressed, (
-                "child finished or stalled before the kill: "
-                f"{child.stderr.read().decode(errors='replace')}"
-            )
-            child.send_signal(signal.SIGKILL)
-            child.wait(timeout=30)
-        finally:
-            if child.poll() is None:
-                child.kill()
+        ) as child:
+            try:
+                # Wait for at least one checkpointed cell, then pull the plug.
+                deadline = time.monotonic() + 60.0
+                progressed = False
+                while time.monotonic() < deadline:
+                    if child.poll() is not None:
+                        break
+                    if ckpt.exists() and read_journal(ckpt).cells_done >= 1:
+                        progressed = True
+                        break
+                    time.sleep(0.02)
+                assert progressed, (
+                    "child finished or stalled before the kill: "
+                    f"{child.stderr.read().decode(errors='replace')}"
+                )
+                child.send_signal(signal.SIGKILL)
                 child.wait(timeout=30)
+            finally:
+                if child.poll() is None:
+                    child.kill()
+                    child.wait(timeout=30)
         assert child.returncode == -signal.SIGKILL
 
         # The journal is loadable and partial.

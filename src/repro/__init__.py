@@ -13,7 +13,8 @@ Package layout
     latency-critical, four best-effort), calibrated to Table II and the
     Section II-C anchors.
 ``repro.workloads``
-    Diurnal / step / replay load traces and the uniform evaluation sweep.
+    Constant / diurnal / step / weekly / flash-crowd load traces and the
+    uniform evaluation sweep.
 ``repro.core``
     The paper's contribution: Cobb-Douglas indirect utility, profiling
     and fitting, the POM server manager, and the placement machinery.

@@ -8,17 +8,10 @@ from repro.analysis.reporting import (
     format_table,
     percent_change,
 )
-from repro.analysis.stats import (
-    Summary,
-    bootstrap_ci,
-    paired_diff_ci,
-    relative_gain_ci,
-)
+from repro.analysis.stats import Summary, relative_gain_ci
 
 __all__ = [
     "Summary",
-    "bootstrap_ci",
-    "paired_diff_ci",
     "relative_gain_ci",
     "format_cell",
     "format_budget_degradation",

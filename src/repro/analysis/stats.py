@@ -1,15 +1,15 @@
 """Resampling statistics for the evaluation's reported numbers.
 
 The cluster evaluation averages over random placements and noisy
-simulations; these helpers quantify how much of a reported delta is
-signal.  Percentile bootstrap — no distributional assumptions, matching
-how systems papers should (and often don't) report such numbers.
+simulations; :func:`relative_gain_ci` quantifies how much of a reported
+gain is signal.  Percentile bootstrap — no distributional assumptions,
+matching how systems papers should (and often don't) report such numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,62 +24,6 @@ class Summary:
     ci_low: float
     ci_high: float
     n: int
-
-    @property
-    def half_width(self) -> float:
-        """Half the CI width — the ± people quote."""
-        return 0.5 * (self.ci_high - self.ci_low)
-
-    def excludes_zero(self) -> bool:
-        """True when the CI lies strictly on one side of zero."""
-        return self.ci_low > 0.0 or self.ci_high < 0.0
-
-
-def bootstrap_ci(
-    values: Sequence[float],
-    statistic: Callable[[np.ndarray], float] = np.mean,
-    n_boot: int = 2000,
-    alpha: float = 0.05,
-    seed: int = 0,
-) -> Summary:
-    """Percentile-bootstrap CI of ``statistic`` over ``values``."""
-    data = np.asarray(values, dtype=float)
-    if data.size < 2:
-        raise ConfigError("bootstrap needs at least two observations")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("alpha must lie in (0, 1)")
-    if n_boot < 100:
-        raise ConfigError("use at least 100 bootstrap resamples")
-    rng = np.random.default_rng(seed)
-    stats = np.empty(n_boot)
-    for b in range(n_boot):
-        sample = data[rng.integers(0, data.size, size=data.size)]
-        stats[b] = statistic(sample)
-    lo, hi = np.percentile(stats, [100 * alpha / 2, 100 * (1 - alpha / 2)])
-    return Summary(
-        mean=float(statistic(data)), ci_low=float(lo), ci_high=float(hi),
-        n=int(data.size),
-    )
-
-
-def paired_diff_ci(
-    a: Sequence[float],
-    b: Sequence[float],
-    n_boot: int = 2000,
-    alpha: float = 0.05,
-    seed: int = 0,
-) -> Summary:
-    """Bootstrap CI of the mean paired difference ``a - b``.
-
-    Use when both policies were measured under the *same* seeds
-    (placements, noise draws) — pairing removes the shared variance, the
-    right comparison for "policy X beats policy Y".
-    """
-    a_v = np.asarray(a, dtype=float)
-    b_v = np.asarray(b, dtype=float)
-    if a_v.shape != b_v.shape:
-        raise ConfigError("paired comparison needs equal-length samples")
-    return bootstrap_ci(a_v - b_v, n_boot=n_boot, alpha=alpha, seed=seed)
 
 
 def relative_gain_ci(

@@ -11,7 +11,6 @@ from repro.apps.base import (
     ApplicationProfile,
     PerformanceSurface,
     PowerSurface,
-    desaturate,
     measured,
     saturate,
 )
@@ -25,10 +24,8 @@ from repro.apps.catalog import (
     best_effort_apps,
     derive_power_coefficients,
     latency_critical_apps,
-    make_be,
     make_graph,
     make_img_dnn,
-    make_lc,
     make_lstm,
     make_pbzip,
     make_rnn,
@@ -54,12 +51,9 @@ __all__ = [
     "XAPIAN_MOTIVATION_CAPACITY_W",
     "best_effort_apps",
     "derive_power_coefficients",
-    "desaturate",
     "latency_critical_apps",
-    "make_be",
     "make_graph",
     "make_img_dnn",
-    "make_lc",
     "make_lstm",
     "make_pbzip",
     "make_rnn",

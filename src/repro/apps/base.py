@@ -62,16 +62,6 @@ def saturate(x: float, kappa: float) -> float:
     return (1.0 + kappa) * x / (1.0 + kappa * x)
 
 
-def desaturate(y: float, kappa: float) -> float:
-    """Inverse of :func:`saturate` on [0, 1]."""
-    if kappa < 0:
-        raise ConfigError("saturation kappa cannot be negative")
-    denom = (1.0 + kappa) - kappa * y
-    if denom <= 0:
-        raise ConfigError(f"cannot desaturate {y} with kappa {kappa}")
-    return y / denom
-
-
 @dataclass(frozen=True)
 class PerformanceSurface:
     """Ground-truth normalized performance over (cores, ways, freq, duty).

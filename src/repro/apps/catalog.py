@@ -269,23 +269,3 @@ def latency_critical_apps(spec: ServerSpec = REFERENCE_SPEC) -> Dict[str, Latenc
 def best_effort_apps(spec: ServerSpec = REFERENCE_SPEC) -> Dict[str, BestEffortApp]:
     """All four BE apps keyed by name, in paper order."""
     return {name: _BE_BUILDERS[name](spec) for name in BE_NAMES}
-
-
-def make_lc(name: str, spec: ServerSpec = REFERENCE_SPEC) -> LatencyCriticalApp:
-    """Build one LC app by name; raises :class:`ConfigError` on unknown names."""
-    try:
-        return _LC_BUILDERS[name](spec)
-    except KeyError:
-        raise ConfigError(
-            f"unknown latency-critical app {name!r}; choose from {LC_NAMES}"
-        ) from None
-
-
-def make_be(name: str, spec: ServerSpec = REFERENCE_SPEC) -> BestEffortApp:
-    """Build one BE app by name; raises :class:`ConfigError` on unknown names."""
-    try:
-        return _BE_BUILDERS[name](spec)
-    except KeyError:
-        raise ConfigError(
-            f"unknown best-effort app {name!r}; choose from {BE_NAMES}"
-        ) from None

@@ -27,7 +27,6 @@ from repro.core.fitting import (
 from repro.core.indifference import (
     EdgeworthBox,
     EdgeworthPoint,
-    expansion_path,
     indifference_curve,
     path_is_ray,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "enumerate_placements",
     "fleet_placement",
     "exhaustive_partition",
-    "expansion_path",
     "fit_indirect_utility",
     "fit_performance",
     "fit_power",

@@ -7,9 +7,10 @@ These are the paper's analytical illustrations (Section III, Figs 5-6):
   indifferent to any of the allocations in the iso-load line".
 * The **expansion path** is the dotted curve of Fig 5: for each
   performance level, the allocation on the indifference curve consuming
-  the least power.  Under Cobb-Douglas with linear power it is the ray
+  the least power (``IndirectUtilityModel.least_power_allocation`` per
+  level).  Under Cobb-Douglas with linear power it is the ray
   ``cores/ways = (a_c/p_c)/(a_w/p_w)`` — i.e. the preference vector made
-  geometric.
+  geometric; :func:`path_is_ray` checks that shape.
 * The **Edgeworth box** (Fig 6) places the primary's origin at the
   bottom-left and the secondary's at the top-right of the
   (total cores) × (total ways) rectangle; the primary's least-power
@@ -52,18 +53,6 @@ def indifference_curve(
         cores = (perf_level / (a0 * (w ** a_w))) ** (1.0 / a_c)
         points.append((cores, float(w)))
     return points
-
-
-def expansion_path(
-    model: IndirectUtilityModel,
-    perf_levels: Sequence[float],
-) -> List[Tuple[float, float]]:
-    """Least-power allocation per performance level (Fig 5's dotted curve).
-
-    All points lie on the ray ``cores : ways = (a_c/p_c) : (a_w/p_w)``;
-    returned in the order of ``perf_levels``.
-    """
-    return [tuple(model.least_power_allocation(u)) for u in perf_levels]
 
 
 def path_is_ray(points: Sequence[Tuple[float, float]], tolerance: float = 1e-9) -> bool:

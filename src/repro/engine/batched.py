@@ -1873,19 +1873,14 @@ def run_batched_cells(
     groups, fallback, infos = _partition(tasks, {})
     slots: List[Any] = [None] * len(tasks)
     for positions in groups.values():
-        try:
-            sim = BatchedClusterSim(
-                [tasks[i] for i in positions],
-                [infos[i] for i in positions],
-            )
-            sim.run()
-            outcomes = sim.collect()
-        except Exception:  # pocolint: disable=exception-policy
-            # Deliberate swallow: a lane the probe admitted but the core
-            # cannot faithfully run demotes its whole group to the
-            # oracle, which recomputes it from scratch.
-            fallback.update(positions)
-            continue
+        # No fallback here: an error in a group the probe admitted is a
+        # bug in the batched core and propagates to the caller.
+        sim = BatchedClusterSim(
+            [tasks[i] for i in positions],
+            [infos[i] for i in positions],
+        )
+        sim.run()
+        outcomes = sim.collect()
         for position, outcome in zip(positions, outcomes):
             slots[position] = outcome
 

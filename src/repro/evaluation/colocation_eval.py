@@ -52,21 +52,6 @@ def _average_dicts(dicts: Sequence[Dict[str, float]]) -> Dict[str, float]:
     return {k: _mean(d[k] for d in dicts) for k in dicts[0]}
 
 
-def evaluate_policy(
-    catalog: FittedCatalog,
-    policy: str,
-    placement_seeds: Iterable[int] = range(6),
-    levels: Sequence[float] = UNIFORM_EVAL_LEVELS,
-    duration_s: float = 30.0,
-    sim_seed: int = 0,
-) -> PolicyEvaluation:
-    """Run one policy; random-placement policies average over seeds."""
-    return evaluate_all_policies(
-        catalog, policies=(policy,), placement_seeds=placement_seeds,
-        levels=levels, duration_s=duration_s, sim_seed=sim_seed,
-    )[policy]
-
-
 def evaluate_all_policies(
     catalog: FittedCatalog,
     policies: Sequence[str] = ("random", "pom", "pocolo"),

@@ -8,11 +8,7 @@ CPU limiting, and a sampled power meter — so the Pocolo controllers in
 against the simulator's internals.
 """
 
-from repro.hwmodel.attribution import (
-    AttributedPowerMeter,
-    AttributedReading,
-    attribution_shift,
-)
+from repro.hwmodel.attribution import AttributedPowerMeter, AttributedReading
 from repro.hwmodel.cache import CacheAllocator
 from repro.hwmodel.capping import CapStats, PowerCapController
 from repro.hwmodel.cpu import CoreAllocator, DvfsController
@@ -21,14 +17,12 @@ from repro.hwmodel.meter import (
     EnergyCounter,
     PowerMeter,
     PowerReading,
-    average_power_w,
 )
 from repro.hwmodel.server import PRIMARY, SECONDARY, PowerDrawModel, Server
 from repro.hwmodel.spec import (
     Allocation,
     FrequencyLadder,
     ServerSpec,
-    allocation_distance,
     spare_of,
 )
 
@@ -36,7 +30,6 @@ __all__ = [
     "Allocation",
     "AttributedPowerMeter",
     "AttributedReading",
-    "attribution_shift",
     "CacheAllocator",
     "CapStats",
     "CoreAllocator",
@@ -52,7 +45,5 @@ __all__ = [
     "SECONDARY",
     "Server",
     "ServerSpec",
-    "allocation_distance",
-    "average_power_w",
     "spare_of",
 ]

@@ -14,9 +14,7 @@ the simulated server:
 It also quantifies the modeling consequence: fitting the utility model
 against *attributed* power (idle apportioned in) shifts every ``p_j``
 upward by the per-unit idle charge, which compresses the indirect
-preference vector toward balance while preserving its ordering —
-:func:`attribution_shift` computes the shifted vector analytically so
-tests (and users choosing a convention) can see exactly what moves.
+preference vector toward balance while preserving its ordering.
 This reproduction calibrates against active power (idle kept at server
 level); EXPERIMENTS.md documents the choice.
 """
@@ -24,15 +22,12 @@ level); EXPERIMENTS.md documents the choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.hwmodel.server import Server
-
-if TYPE_CHECKING:  # hwmodel is below core in the layering; import lazily
-    from repro.core.utility import IndirectUtilityModel
 
 
 @dataclass(frozen=True)
@@ -108,36 +103,3 @@ class AttributedPowerMeter:
         if true_power_w is None:
             true_power_w = self.server.power_w()
         return abs(total - true_power_w)
-
-
-def attribution_shift(
-    model: "IndirectUtilityModel",
-    idle_power_w: float,
-    total_cores: int,
-    total_ways: int,
-) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """Preference vectors under both power-accounting conventions.
-
-    Returns ``(active_only, with_idle_apportioned)``.  Apportioning adds
-    ``idle/(2C)`` per core and ``idle/(2W)`` per way to the marginal
-    power coefficients; both are positive, so the indirect preferences
-    compress toward 0.5 but — because the additive charges are
-    tenant-independent — the *ordering* across applications whose
-    preferences straddle the same side is preserved.
-    """
-    if idle_power_w < 0:
-        raise ConfigError("idle power cannot be negative")
-    if total_cores < 1 or total_ways < 1:
-        raise ConfigError("resource totals must be positive")
-    if len(model.names) != 2:
-        raise ConfigError("attribution shift is defined for (cores, ways)")
-    active = model.preference_vector()
-    p_c = model.power.p[0] + idle_power_w / (2.0 * total_cores)
-    p_w = model.power.p[1] + idle_power_w / (2.0 * total_ways)
-    raw_c = model.perf.alphas[0] / p_c
-    raw_w = model.perf.alphas[1] / p_w
-    shifted = {
-        model.names[0]: raw_c / (raw_c + raw_w),
-        model.names[1]: raw_w / (raw_c + raw_w),
-    }
-    return active, shifted

@@ -12,7 +12,7 @@ energy counter (joules).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -163,21 +163,3 @@ class EnergyCounter:
         """Zero the counter and forget the previous reading."""
         self._joules = 0.0
         self._prev = None
-
-
-def average_power_w(readings: List[PowerReading]) -> float:
-    """Time-weighted average power over a list of readings.
-
-    Falls back to the arithmetic mean when fewer than two readings exist.
-    """
-    if not readings:
-        return 0.0
-    if len(readings) == 1:
-        return readings[0].watts
-    counter = EnergyCounter()
-    for r in readings:
-        counter.record(r)
-    span = readings[-1].time_s - readings[0].time_s
-    if span <= 0:
-        return float(np.mean([r.watts for r in readings]))
-    return counter.joules / span

@@ -15,7 +15,6 @@ allocators that enforce isolation live in :mod:`repro.hwmodel.cpu` and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Tuple
 
@@ -254,11 +253,3 @@ def spare_of(spec: ServerSpec, primary: Allocation) -> Allocation:
     if cores <= 0 or ways <= 0:
         return Allocation.empty()
     return Allocation(cores=cores, ways=ways, freq_ghz=spec.max_freq_ghz)
-
-
-def allocation_distance(a: Allocation, b: Allocation) -> float:
-    """Euclidean distance between two allocations in (cores, ways) space.
-
-    Used by controllers to quantify how disruptive a reconfiguration is.
-    """
-    return math.hypot(a.cores - b.cores, a.ways - b.ways)

@@ -6,7 +6,7 @@ Three layers, each usable alone:
 
 * :mod:`repro.runtime.atomic` — write-temp → fsync → rename helpers;
   every durable artifact the repo emits goes through them, so a crash
-  can never leave a half-written JSON/Markdown/CSV behind (enforced by
+  can never leave a half-written JSON/Markdown behind (enforced by
   pocolint's POCO501 ``atomic-artifacts`` rule).  Its
   :class:`~repro.runtime.atomic.AppendOnlyFile` is the fsynced append
   the checkpoint journal grows by.

@@ -1,9 +1,9 @@
 """Durable artifact writes: write-temp → fsync → rename, and fsynced appends.
 
 Every durable artifact this repo emits — benchmark JSON, report
-tables, telemetry CSVs, the lint baseline, checkpoint headers — goes
-through these helpers so that a reader (or a crash) can never observe a
-half-written file: either the old content is still there, or the new
+tables, the lint baseline, checkpoint headers — goes through these
+helpers so that a reader (or a crash) can never observe a half-written
+file: either the old content is still there, or the new
 content is complete.  The recipe is the classic POSIX one:
 
 1. write the full payload to a temporary file *in the target directory*

@@ -12,7 +12,6 @@ from repro.sim.colocation import (
     ColocationSim,
     SimConfig,
     build_colocated_server,
-    run_steady_state,
 )
 from repro.sim.queueing import (
     QueueingConfig,
@@ -21,7 +20,7 @@ from repro.sim.queueing import (
     p99_curve,
     simulate_queue,
 )
-from repro.sim.telemetry import Telemetry, TimeSeries, write_csv
+from repro.sim.telemetry import Telemetry, TimeSeries
 from repro.sim.timeshare import (
     BestEffortJob,
     FcfsScheduler,
@@ -51,11 +50,9 @@ __all__ = [
     "SimConfig",
     "Telemetry",
     "TimeSeries",
-    "write_csv",
     "build_colocated_server",
     "calibrate_knee",
     "p99_curve",
     "simulate_queue",
     "run_cluster",
-    "run_steady_state",
 ]

@@ -44,7 +44,7 @@ from repro.hwmodel.meter import EnergyCounter, PowerMeter
 from repro.hwmodel.server import PRIMARY, SECONDARY, Server
 from repro.hwmodel.spec import ServerSpec
 from repro.sim.telemetry import Telemetry
-from repro.workloads.traces import ConstantTrace, LoadTrace
+from repro.workloads.traces import LoadTrace
 
 if TYPE_CHECKING:  # the guard layer imports hwmodel only; no cycle
     from repro.guard.invariants import GuardConfig, GuardReport
@@ -337,20 +337,3 @@ def build_colocated_server(
     if be_app is not None:
         server.attach(be_app.name, be_app, role=SECONDARY)
     return server
-
-
-def run_steady_state(
-    sim_builder,
-    level: float,
-    duration_s: float = 60.0,
-) -> ColocationResult:
-    """Run a sim at one constant LC load level (the Section V-D sweep).
-
-    ``sim_builder`` is a callable taking a :class:`LoadTrace` and
-    returning a fresh :class:`ColocationSim`; fresh state per level keeps
-    the sweep order-independent.
-    """
-    if not 0.0 <= level <= 1.0:
-        raise ConfigError("load level must lie in [0, 1]")
-    sim = sim_builder(ConstantTrace(level))
-    return sim.run(duration_s)

@@ -182,29 +182,3 @@ class LaneTelemetry(Telemetry):
     def __reduce_ex__(self, protocol: Any) -> Any:
         self._series  # materialise: the view becomes a plain Telemetry
         return self.__reduce_ex__(protocol)
-
-
-def write_csv(telemetry: Telemetry, path) -> int:
-    """Dump every series of a telemetry bundle to one tidy CSV file.
-
-    Long format — ``series,time_s,value`` — so any plotting tool ingests
-    it directly.  Returns the number of data rows written.  The file is
-    replaced atomically: a crash mid-dump leaves the previous CSV
-    intact, never a torn one.
-    """
-    import csv
-    import io
-
-    from repro.runtime.atomic import atomic_write_text
-
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer)
-    writer.writerow(["series", "time_s", "value"])
-    rows = 0
-    for name in telemetry.names():
-        series = telemetry.series(name)
-        for t, v in zip(series.times, series.values):
-            writer.writerow([name, t, v])
-            rows += 1
-    atomic_write_text(path, buffer.getvalue())
-    return rows

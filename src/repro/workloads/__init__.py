@@ -1,41 +1,24 @@
-"""Load generation: diurnal/step/replay traces, the uniform evaluation
-sweep, and production-shaped generators (weekly, flash-crowd, growth,
-composite)."""
+"""Load generation: constant/diurnal/step/weekly/flash-crowd traces and
+the uniform evaluation sweep."""
 
-from repro.workloads.generators import (
-    CompositeTrace,
-    FlashCrowdTrace,
-    GrowthTrace,
-    TraceStatistics,
-    WeeklyTrace,
-    trace_statistics,
-)
 from repro.workloads.traces import (
     UNIFORM_EVAL_LEVELS,
     ConstantTrace,
     DiurnalTrace,
+    FlashCrowdTrace,
     LoadTrace,
-    NoisyTrace,
-    ReplayTrace,
     StepTrace,
-    daily_average,
+    WeeklyTrace,
     uniform_levels,
 )
 
 __all__ = [
-    "CompositeTrace",
     "ConstantTrace",
-    "FlashCrowdTrace",
-    "GrowthTrace",
-    "TraceStatistics",
-    "WeeklyTrace",
-    "trace_statistics",
     "DiurnalTrace",
+    "FlashCrowdTrace",
     "LoadTrace",
-    "NoisyTrace",
-    "ReplayTrace",
     "StepTrace",
     "UNIFORM_EVAL_LEVELS",
-    "daily_average",
+    "WeeklyTrace",
     "uniform_levels",
 ]

@@ -3,11 +3,13 @@
 The paper's primary applications see "dynamic variations, such as diurnal
 load behavior" (Fig 1); the evaluation averages over "a uniform load
 distribution from 10% to 90% in steps of 10%" (Section V-D).  This module
-provides both, plus step and replay traces for controller testing.
+provides both, plus step traces for controller testing and the
+weekday/weekend (:class:`WeeklyTrace`) and load-spike
+(:class:`FlashCrowdTrace`) shapes of a production week.
 
 A trace maps simulation time (seconds) to a *load fraction* in [0, 1] —
 the fraction of the application's peak load currently offered.  Traces are
-deterministic; wrap one in :class:`NoisyTrace` for stochastic arrivals.
+deterministic.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from repro.errors import ConfigError
 
 #: The evaluation's load levels (Section V-D).
 UNIFORM_EVAL_LEVELS: Tuple[float, ...] = tuple(round(0.1 * i, 1) for i in range(1, 10))
+
+DAY_S = 86_400.0
+WEEK_S = 7 * DAY_S
 
 
 @runtime_checkable
@@ -120,63 +125,68 @@ class StepTrace:
 
 
 @dataclass(frozen=True)
-class ReplayTrace:
-    """Linear interpolation through regularly sampled load fractions.
+class WeeklyTrace:
+    """Diurnal base with per-day-of-week scaling.
 
-    ``samples[i]`` is the load at ``i * interval_s``; beyond the last
-    sample the trace wraps around (production diurnal traces repeat).
+    ``day_factors[d]`` scales day ``d`` (0 = the trace's epoch day); the
+    default profile slumps ~35 % on days 5-6 — the weekend shape of
+    office-hours services.  Output is clipped to [0, 1].
     """
 
-    samples: Tuple[float, ...]
-    interval_s: float
+    base: DiurnalTrace = DiurnalTrace()
+    day_factors: Tuple[float, ...] = (1.0, 1.0, 1.0, 1.0, 1.0, 0.65, 0.6)
 
     def __post_init__(self) -> None:
-        if len(self.samples) < 2:
-            raise ConfigError("replay trace needs at least two samples")
-        if self.interval_s <= 0:
-            raise ConfigError("sample interval must be positive")
-        for frac in self.samples:
-            if not 0.0 <= frac <= 1.0:
-                raise ConfigError("load fractions must lie in [0, 1]")
+        if len(self.day_factors) != 7:
+            raise ConfigError("need exactly seven day factors")
+        if any(f < 0 for f in self.day_factors):
+            raise ConfigError("day factors cannot be negative")
 
     def load_fraction(self, time_s: float) -> float:
-        """Interpolated (and wrapped) load at ``time_s``."""
-        span = len(self.samples) * self.interval_s
-        t = time_s % span
-        idx = int(t // self.interval_s)
-        frac_in_cell = (t - idx * self.interval_s) / self.interval_s
-        nxt = (idx + 1) % len(self.samples)
-        return (1.0 - frac_in_cell) * self.samples[idx] + frac_in_cell * self.samples[nxt]
+        """Scaled diurnal load at ``time_s``; periodic over the week."""
+        day = int((time_s % WEEK_S) // DAY_S)
+        value = self.base.load_fraction(time_s) * self.day_factors[day]
+        return min(1.0, max(0.0, value))
 
 
-class NoisyTrace:
-    """Multiplicative noise around a base trace, clipped to [0, 1].
+@dataclass(frozen=True)
+class FlashCrowdTrace:
+    """A base trace plus scheduled spikes.
 
-    Deterministic given the seed *and* query times: noise is drawn from a
-    per-call generator keyed by quantized time, so repeated queries at the
-    same time agree (controllers may sample a timestamp more than once).
+    Each event is ``(start_s, duration_s, magnitude)``: during the
+    event, load is lifted toward 1.0 by ``magnitude`` (0.5 closes half
+    the gap to full load; 1.0 pegs it).  The decay after ``duration_s``
+    is exponential with ``decay_s`` — crowds disperse, they don't
+    vanish.
     """
 
-    def __init__(self, base: LoadTrace, sigma: float = 0.03, seed: int = 0,
-                 quantum_s: float = 1.0) -> None:
-        if sigma < 0:
-            raise ConfigError("noise sigma cannot be negative")
-        if quantum_s <= 0:
-            raise ConfigError("time quantum must be positive")
-        self._base = base
-        self._sigma = sigma
-        self._seed = seed
-        self._quantum_s = quantum_s
+    base: LoadTrace
+    events: Tuple[Tuple[float, float, float], ...]
+    decay_s: float = 600.0
+
+    def __post_init__(self) -> None:
+        for start, duration, magnitude in self.events:
+            if start < 0 or duration <= 0:
+                raise ConfigError("events need start >= 0 and duration > 0")
+            if not 0.0 <= magnitude <= 1.0:
+                raise ConfigError("event magnitude must lie in [0, 1]")
+        if self.decay_s <= 0:
+            raise ConfigError("decay must be positive")
 
     def load_fraction(self, time_s: float) -> float:
-        """Noisy load at ``time_s`` (reproducible per time quantum)."""
-        base = self._base.load_fraction(time_s)
-        if self._sigma == 0:
-            return base
-        bucket = int(time_s // self._quantum_s)
-        rng = np.random.default_rng((self._seed, bucket))
-        noisy = base * rng.lognormal(0.0, self._sigma)
-        return min(1.0, max(0.0, noisy))
+        """Base load lifted by any active (or decaying) events."""
+        value = self.base.load_fraction(time_s)
+        for start, duration, magnitude in self.events:
+            if time_s < start:
+                continue
+            if time_s <= start + duration:
+                lift = magnitude
+            else:
+                lift = magnitude * float(
+                    np.exp(-(time_s - start - duration) / self.decay_s)
+                )
+            value = value + lift * (1.0 - value)
+        return min(1.0, max(0.0, value))
 
 
 def uniform_levels(start: float = 0.1, stop: float = 0.9, step: float = 0.1) -> List[float]:
@@ -194,11 +204,3 @@ def uniform_levels(start: float = 0.1, stop: float = 0.9, step: float = 0.1) -> 
         if not 0.0 <= level <= 1.0:
             raise ConfigError("levels must lie in [0, 1]")
     return levels
-
-
-def daily_average(trace: LoadTrace, period_s: float = 86400.0, samples: int = 288) -> float:
-    """Mean load fraction of ``trace`` over one period (sampled)."""
-    if samples < 1:
-        raise ConfigError("need at least one sample")
-    times = np.linspace(0.0, period_s, samples, endpoint=False)
-    return float(np.mean([trace.load_fraction(float(t)) for t in times]))

@@ -3,79 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.analysis.stats import bootstrap_ci, paired_diff_ci, relative_gain_ci
+from repro.analysis.stats import relative_gain_ci
 from repro.errors import ConfigError
-
-
-class TestBootstrapCi:
-    def test_ci_brackets_the_mean(self):
-        rng = np.random.default_rng(0)
-        data = rng.normal(10.0, 2.0, size=50)
-        summary = bootstrap_ci(data, seed=1)
-        assert summary.ci_low <= summary.mean <= summary.ci_high
-        assert summary.n == 50
-
-    def test_ci_covers_true_mean_mostly(self):
-        rng = np.random.default_rng(1)
-        hits = 0
-        for trial in range(40):
-            data = rng.normal(5.0, 1.0, size=30)
-            s = bootstrap_ci(data, n_boot=400, seed=trial)
-            hits += s.ci_low <= 5.0 <= s.ci_high
-        assert hits >= 32  # ~95 % nominal, allow slack
-
-    def test_width_shrinks_with_samples(self):
-        rng = np.random.default_rng(2)
-        small = bootstrap_ci(rng.normal(0, 1, size=10), seed=3)
-        large = bootstrap_ci(rng.normal(0, 1, size=1000), seed=3)
-        assert large.half_width < small.half_width
-
-    def test_deterministic_by_seed(self):
-        data = [1.0, 2.0, 3.0, 4.0, 5.0]
-        a = bootstrap_ci(data, seed=9)
-        b = bootstrap_ci(data, seed=9)
-        assert (a.ci_low, a.ci_high) == (b.ci_low, b.ci_high)
-
-    def test_custom_statistic(self):
-        data = [1.0, 2.0, 100.0]
-        s = bootstrap_ci(data, statistic=np.median, seed=0)
-        assert s.mean == 2.0
-
-    def test_excludes_zero(self):
-        s = bootstrap_ci([5.0, 6.0, 7.0, 5.5, 6.5], seed=0)
-        assert s.excludes_zero()
-        s0 = bootstrap_ci([-1.0, 1.0, -0.5, 0.5, 0.1, -0.1], seed=0)
-        assert not s0.excludes_zero()
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            bootstrap_ci([1.0])
-        with pytest.raises(ConfigError):
-            bootstrap_ci([1.0, 2.0], alpha=0.0)
-        with pytest.raises(ConfigError):
-            bootstrap_ci([1.0, 2.0], n_boot=10)
-
-
-class TestPairedDiff:
-    def test_detects_consistent_improvement(self):
-        rng = np.random.default_rng(3)
-        base = rng.normal(1.0, 0.5, size=20)
-        improved = base + rng.normal(0.1, 0.02, size=20)  # +0.1 paired
-        s = paired_diff_ci(improved, base, seed=4)
-        assert s.excludes_zero()
-        assert s.mean == pytest.approx(0.1, abs=0.02)
-
-    def test_pairing_beats_unpaired_on_shared_noise(self):
-        rng = np.random.default_rng(4)
-        shared = rng.normal(0.0, 5.0, size=25)  # big shared variance
-        base = 1.0 + shared
-        improved = 1.05 + shared
-        paired = paired_diff_ci(improved, base, seed=5)
-        assert paired.excludes_zero()  # pairing removes the shared noise
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            paired_diff_ci([1.0, 2.0], [1.0])
 
 
 class TestRelativeGain:
@@ -84,7 +13,7 @@ class TestRelativeGain:
         new = [1.2] * 20
         s = relative_gain_ci(new, base, seed=6)
         assert s.mean == pytest.approx(0.2)
-        assert s.excludes_zero()
+        assert s.ci_low > 0.0
 
     def test_noisy_gain_bracketed(self):
         rng = np.random.default_rng(7)

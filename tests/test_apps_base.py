@@ -8,7 +8,6 @@ from repro.apps.base import (
     ApplicationProfile,
     PerformanceSurface,
     PowerSurface,
-    desaturate,
     measured,
     saturate,
 )
@@ -31,13 +30,6 @@ class TestSaturation:
     def test_negative_kappa_rejected(self):
         with pytest.raises(ConfigError):
             saturate(0.5, -0.1)
-        with pytest.raises(ConfigError):
-            desaturate(0.5, -0.1)
-
-    @given(st.floats(min_value=0.0, max_value=1.0),
-           st.floats(min_value=0.0, max_value=2.0))
-    def test_desaturate_inverts_saturate(self, x, kappa):
-        assert desaturate(saturate(x, kappa), kappa) == pytest.approx(x, abs=1e-9)
 
     @given(st.floats(min_value=0.001, max_value=0.999),
            st.floats(min_value=0.01, max_value=1.0))

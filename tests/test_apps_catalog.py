@@ -15,8 +15,6 @@ from repro.apps.catalog import (
     best_effort_apps,
     derive_power_coefficients,
     latency_critical_apps,
-    make_be,
-    make_lc,
 )
 from repro.errors import ConfigError
 from repro.hwmodel.spec import Allocation, spare_of
@@ -26,16 +24,6 @@ class TestRegistries:
     def test_paper_order(self):
         assert LC_NAMES == ("img-dnn", "sphinx", "xapian", "tpcc")
         assert BE_NAMES == ("lstm", "rnn", "graph", "pbzip")
-
-    def test_factories_by_name(self):
-        assert make_lc("sphinx").name == "sphinx"
-        assert make_be("graph").name == "graph"
-
-    def test_unknown_names_rejected(self):
-        with pytest.raises(ConfigError):
-            make_lc("nginx")
-        with pytest.raises(ConfigError):
-            make_be("sphinx")  # an LC app is not a BE app
 
     def test_registries_complete(self, lc_apps, be_apps):
         assert tuple(lc_apps) == LC_NAMES

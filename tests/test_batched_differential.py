@@ -36,7 +36,11 @@ import pytest
 
 from repro.budget.schedule import CapSchedule
 from repro.core.server_manager import HeraclesLikeManager
-from repro.engine.batched import partition_cells, run_batched_cells
+from repro.engine.batched import (
+    BatchedClusterSim,
+    partition_cells,
+    run_batched_cells,
+)
 from repro.engine.parallel import map_ordered
 from repro.engine.select import default_engine
 from repro.errors import ConfigError
@@ -150,25 +154,50 @@ def _oracle(tasks):
     return [_run_cell(task) for task in tasks]
 
 
+#: ``(guard, levels, durations)`` per unfaulted case.  ``exact-energy``
+#: zeroes the energy tolerances so the oracle records energy violations,
+#: and sets a deep-check stride longer than any run, so after the first
+#: tick each lane's energy check runs only on its own final tick, which
+#: differs per duration.
+UNFAULTED_CASES = {
+    "noguard": (None, (0.0, 0.3, 0.8), (7.0,)),
+    "default": (GuardConfig(), (0.0, 0.3, 0.8), (7.0,)),
+    "deep3": (GuardConfig(deep_check_every=3), (0.0, 0.3, 0.8), (7.0,)),
+    "exact-energy": (
+        GuardConfig(deep_check_every=100, energy_abs_tol_w=0.0,
+                    energy_rel_tol=0.0),
+        (0.0, 0.4, 0.9),
+        tuple(float(d) for d in range(3, 13)),
+    ),
+}
+
+
 class TestUnfaultedDifferential:
     """All manager types, idle through saturated, guard off and on."""
 
-    @pytest.mark.parametrize("guard", [
-        None,
-        GuardConfig(),
-        GuardConfig(deep_check_every=3),
-    ], ids=["noguard", "default", "deep3"])
-    def test_bit_exact(self, catalog, mixed_plans, guard):
+    @pytest.mark.parametrize("case", list(UNFAULTED_CASES))
+    def test_bit_exact(self, catalog, mixed_plans, case):
+        guard, levels, durations = UNFAULTED_CASES[case]
         config = SimConfig(warmup_s=3.0, seed=1)
-        tasks = _tasks(
-            mixed_plans, catalog.spec, (0.0, 0.3, 0.8), 7.0, config,
-            guard=guard,
-        )
+        tasks = [
+            task
+            for duration_s in durations
+            for task in _tasks(
+                mixed_plans, catalog.spec, levels, duration_s, config,
+                guard=guard,
+            )
+        ]
         groups, fallback = partition_cells(tasks)
         assert not fallback, "every cell must take the batched path"
         assert groups, "partitioning produced no groups"
-        for a, b in zip(_oracle(tasks), run_batched_cells(tasks)):
-            assert_outcome_equal(a, b, f"guard={guard!r}")
+        oracle = _oracle(tasks)
+        if case == "exact-energy":
+            assert any(
+                v.invariant == "energy-conservation"
+                for o in oracle for v in o.result.guard_report.violations
+            ), "scenario must actually violate energy conservation"
+        for a, b in zip(oracle, run_batched_cells(tasks)):
+            assert_outcome_equal(a, b, f"case={case}")
 
     def test_result_fields_covered(self, catalog, mixed_plans):
         """RESULT_FIELDS stays in sync with the result schema."""
@@ -372,6 +401,28 @@ class TestOneBlock:
             ), "scenario must actually violate"
         for k, (a, b) in enumerate(zip(oracle, run_batched_cells(tasks))):
             assert_outcome_equal(a, b, f"lane {k} guard={guard!r}")
+
+
+class TestNoSilentDemotion:
+    """A failure inside an admitted batched group propagates.
+
+    Only the probe routes cells to the oracle.  Rerunning a group on the
+    oracle after the batched core raised would hide the bug behind a
+    ~55x slower sweep that still returns the right numbers.
+    """
+
+    def test_collect_error_reaches_run_cluster(
+        self, catalog, mixed_plans, monkeypatch
+    ):
+        def broken_collect(self):
+            raise RuntimeError("planted batched-core bug")
+
+        monkeypatch.setattr(BatchedClusterSim, "collect", broken_collect)
+        with pytest.raises(RuntimeError, match="planted batched-core bug"):
+            run_cluster(
+                mixed_plans[:2], catalog.spec, levels=(0.5,), duration_s=3.0,
+                config=SimConfig(seed=0), engine="batched",
+            )
 
 
 class TestGuardReportDifferential:

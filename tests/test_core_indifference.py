@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.indifference import (
     EdgeworthBox,
-    expansion_path,
     indifference_curve,
     path_is_ray,
 )
@@ -15,6 +14,11 @@ from repro.core.utility import (
     LinearPowerParams,
 )
 from repro.errors import ConfigError
+
+
+def _least_power_path(model, perf_levels):
+    """Fig 5's dotted curve: the least-power allocation per level."""
+    return [tuple(model.least_power_allocation(u)) for u in perf_levels]
 
 
 @pytest.fixture()
@@ -61,16 +65,16 @@ class TestIndifferenceCurve:
 
 class TestExpansionPath:
     def test_path_is_a_ray(self, model):
-        path = expansion_path(model, perf_levels=[1.0, 2.0, 4.0, 8.0])
+        path = _least_power_path(model, [1.0, 2.0, 4.0, 8.0])
         assert path_is_ray(path, tolerance=1e-9)
 
     def test_ray_slope_is_preference_ratio(self, model):
-        (c, w), = expansion_path(model, [3.0])
+        (c, w), = _least_power_path(model, [3.0])
         expected = (0.6 / 8.0) / (0.4 / 1.5)
         assert c / w == pytest.approx(expected)
 
     def test_points_lie_on_their_curves(self, model):
-        for level, (c, w) in zip([1.0, 5.0], expansion_path(model, [1.0, 5.0])):
+        for level, (c, w) in zip([1.0, 5.0], _least_power_path(model, [1.0, 5.0])):
             assert model.performance((c, w)) == pytest.approx(level)
 
     def test_path_is_ray_edge_cases(self):
@@ -115,7 +119,7 @@ class TestPaperShape:
 
     def test_sphinx_expansion_prefers_ways(self, catalog):
         model = catalog.lc_fits["sphinx"].model
-        path = expansion_path(model, [model.performance((2.0, 8.0))])
+        path = _least_power_path(model, [model.performance((2.0, 8.0))])
         cores, ways = path[0]
         assert ways > cores  # cache-leaning power-efficient path
 

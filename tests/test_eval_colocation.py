@@ -10,7 +10,7 @@ from repro.evaluation.ablations import (
     ablate_solver_choice,
 )
 from repro.evaluation.colocation_eval import (
-    evaluate_policy,
+    evaluate_all_policies,
     measure_placement,
 )
 from repro.evaluation.pipeline import placement_for_policy
@@ -18,15 +18,17 @@ from repro.evaluation.pipeline import placement_for_policy
 
 class TestEvaluatePolicy:
     def test_aggregates_per_server(self, catalog):
-        ev = evaluate_policy(catalog, "pocolo", levels=[0.3, 0.7], duration_s=8.0)
+        ev = evaluate_all_policies(catalog, policies=("pocolo",), levels=[0.3, 0.7],
+                                   duration_s=8.0)["pocolo"]
         assert set(ev.be_throughput_by_server) == set(catalog.lc_apps)
         assert 0.0 < ev.cluster_be_throughput < 1.0
         assert 0.0 < ev.cluster_power_utilization <= 1.05
         assert len(ev.runs) == 1  # pocolo placement is deterministic
 
     def test_random_policy_averages_seeds(self, catalog):
-        ev = evaluate_policy(catalog, "random", placement_seeds=range(3),
-                             levels=[0.5], duration_s=6.0)
+        ev = evaluate_all_policies(catalog, policies=("random",),
+                                   placement_seeds=range(3), levels=[0.5],
+                                   duration_s=6.0)["random"]
         assert len(ev.runs) == 3
 
 

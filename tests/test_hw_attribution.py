@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.hwmodel.attribution import AttributedPowerMeter, attribution_shift
+from repro.hwmodel.attribution import AttributedPowerMeter
 from repro.hwmodel.server import PRIMARY, SECONDARY, Server
 from repro.hwmodel.spec import Allocation
 
@@ -68,39 +68,3 @@ class TestAttributedPowerMeter:
     def test_validation(self, server):
         with pytest.raises(ConfigError):
             AttributedPowerMeter(server, noise_sigma=-0.1)
-
-
-class TestAttributionShift:
-    def test_compresses_toward_balance_preserving_side(self, catalog, spec):
-        model = catalog.be_fits["graph"].model  # strongly cores-leaning
-        active, shifted = attribution_shift(
-            model, spec.idle_power_w, spec.cores, spec.llc_ways
-        )
-        assert active["cores"] > 0.5
-        assert 0.5 < shifted["cores"] < active["cores"]
-
-    def test_ordering_preserved_across_catalog(self, catalog, spec):
-        """The placement signal survives the accounting convention."""
-        active_shares = {}
-        shifted_shares = {}
-        for name, fit in catalog.be_fits.items():
-            active, shifted = attribution_shift(
-                fit.model, spec.idle_power_w, spec.cores, spec.llc_ways
-            )
-            active_shares[name] = active["cores"]
-            shifted_shares[name] = shifted["cores"]
-        active_order = sorted(active_shares, key=active_shares.get)
-        shifted_order = sorted(shifted_shares, key=shifted_shares.get)
-        assert active_order == shifted_order
-
-    def test_zero_idle_is_identity(self, catalog, spec):
-        model = catalog.be_fits["lstm"].model
-        active, shifted = attribution_shift(model, 0.0, spec.cores, spec.llc_ways)
-        assert shifted["cores"] == pytest.approx(active["cores"])
-
-    def test_validation(self, catalog, spec):
-        model = catalog.be_fits["lstm"].model
-        with pytest.raises(ConfigError):
-            attribution_shift(model, -1.0, spec.cores, spec.llc_ways)
-        with pytest.raises(ConfigError):
-            attribution_shift(model, 10.0, 0, spec.llc_ways)

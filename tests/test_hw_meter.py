@@ -8,7 +8,6 @@ from repro.hwmodel.meter import (
     EnergyCounter,
     PowerMeter,
     PowerReading,
-    average_power_w,
 )
 
 
@@ -146,24 +145,3 @@ class TestEnergyCounter:
         counter.reset()
         assert counter.joules == 0.0
         counter.record(PowerReading(0.0, 50.0, 50.0))  # earlier time OK after reset
-
-
-class TestAveragePower:
-    def test_empty_is_zero(self):
-        assert average_power_w([]) == 0.0
-
-    def test_single_reading(self):
-        assert average_power_w([PowerReading(0.0, 42.0, 42.0)]) == 42.0
-
-    def test_time_weighted(self):
-        readings = [
-            PowerReading(0.0, 100.0, 100.0),
-            PowerReading(1.0, 100.0, 100.0),
-            PowerReading(3.0, 400.0, 400.0),
-        ]
-        # trapezoid: 100*1 + 250*2 = 600 J over 3 s = 200 W
-        assert average_power_w(readings) == pytest.approx(200.0)
-
-    def test_zero_span_falls_back_to_mean(self):
-        readings = [PowerReading(1.0, 100.0, 100.0), PowerReading(1.0, 300.0, 300.0)]
-        assert average_power_w(readings) == pytest.approx(200.0)

@@ -9,7 +9,6 @@ from repro.hwmodel.spec import (
     Allocation,
     FrequencyLadder,
     ServerSpec,
-    allocation_distance,
     spare_of,
 )
 
@@ -169,19 +168,3 @@ class TestSpareOf:
         spare = spare_of(spec, primary)
         assert primary.cores + spare.cores == spec.cores
         assert primary.ways + spare.ways == spec.llc_ways
-
-
-class TestAllocationDistance:
-    def test_zero_for_identical(self):
-        a = Allocation(cores=3, ways=5)
-        assert allocation_distance(a, a) == 0.0
-
-    def test_euclidean(self):
-        a = Allocation(cores=1, ways=1)
-        b = Allocation(cores=4, ways=5)
-        assert allocation_distance(a, b) == pytest.approx(5.0)
-
-    def test_symmetric(self):
-        a = Allocation(cores=2, ways=9)
-        b = Allocation(cores=7, ways=3)
-        assert allocation_distance(a, b) == allocation_distance(b, a)

@@ -9,7 +9,6 @@ from repro.sim.colocation import (
     ColocationSim,
     SimConfig,
     build_colocated_server,
-    run_steady_state,
 )
 from repro.workloads.traces import ConstantTrace, StepTrace
 
@@ -174,20 +173,3 @@ class TestWiringValidation:
         with pytest.raises(SimulationError):
             ColocationSim(server=server, lc_app=lc, trace=ConstantTrace(0.5),
                           manager=mgr, be_app=be)
-
-
-class TestRunSteadyState:
-    def test_builder_called_with_constant_trace(self, catalog):
-        seen = {}
-
-        def builder(trace):
-            seen["trace"] = trace
-            return make_sim(catalog)
-
-        run_steady_state(builder, level=0.3, duration_s=5.0)
-        assert isinstance(seen["trace"], ConstantTrace)
-        assert seen["trace"].fraction == 0.3
-
-    def test_invalid_level_rejected(self, catalog):
-        with pytest.raises(ConfigError):
-            run_steady_state(lambda trace: make_sim(catalog), level=1.5)

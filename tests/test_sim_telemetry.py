@@ -98,28 +98,3 @@ class TestTelemetry:
     def test_same_series_instance(self):
         t = Telemetry()
         assert t.series("x") is t.series("x")
-
-
-class TestWriteCsv:
-    def test_round_trip(self, tmp_path):
-        import csv
-        from repro.sim.telemetry import write_csv
-
-        t = Telemetry()
-        t.record("power_w", 0.0, 100.0)
-        t.record("power_w", 1.0, 110.0)
-        t.record("slack", 0.0, 0.4)
-        path = tmp_path / "telemetry.csv"
-        rows = write_csv(t, path)
-        assert rows == 3
-        with path.open() as handle:
-            parsed = list(csv.DictReader(handle))
-        assert parsed[0] == {"series": "power_w", "time_s": "0.0", "value": "100.0"}
-        assert {r["series"] for r in parsed} == {"power_w", "slack"}
-
-    def test_empty_bundle(self, tmp_path):
-        from repro.sim.telemetry import write_csv
-
-        path = tmp_path / "empty.csv"
-        assert write_csv(Telemetry(), path) == 0
-        assert path.read_text().startswith("series,time_s,value")

@@ -26,8 +26,7 @@ from repro.core.server_manager import PowerOptimizedManager
 from repro.core.utility import integer_min_power_allocation
 from repro.hwmodel.spec import FrequencyLadder, ServerSpec
 from repro.sim.colocation import ColocationSim, SimConfig, build_colocated_server
-from repro.workloads.generators import FlashCrowdTrace, WeeklyTrace
-from repro.workloads.traces import DiurnalTrace
+from repro.workloads.traces import DiurnalTrace, FlashCrowdTrace, WeeklyTrace
 
 
 class CompressedTrace:

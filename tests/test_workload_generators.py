@@ -1,20 +1,18 @@
-"""Tests for repro.workloads.generators: production-shaped traces."""
+"""Tests for the production-shaped traces of repro.workloads.traces:
+weekday/weekend modulation and flash crowds."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigError
-from repro.workloads.generators import (
+from repro.workloads.traces import (
     DAY_S,
     WEEK_S,
-    CompositeTrace,
+    ConstantTrace,
+    DiurnalTrace,
     FlashCrowdTrace,
-    GrowthTrace,
-    TraceStatistics,
     WeeklyTrace,
-    trace_statistics,
 )
-from repro.workloads.traces import ConstantTrace, DiurnalTrace
 
 
 class TestWeeklyTrace:
@@ -86,84 +84,6 @@ class TestFlashCrowdTrace:
             FlashCrowdTrace(ConstantTrace(0.5), events=((0.0, 10.0, 1.5),))
         with pytest.raises(ConfigError):
             FlashCrowdTrace(ConstantTrace(0.5), events=(), decay_s=0.0)
-
-
-class TestGrowthTrace:
-    def test_compound_growth(self):
-        trace = GrowthTrace(base=ConstantTrace(0.4), weekly_growth=0.10)
-        assert trace.load_fraction(0.0) == pytest.approx(0.4)
-        assert trace.load_fraction(WEEK_S) == pytest.approx(0.44)
-        assert trace.load_fraction(2 * WEEK_S) == pytest.approx(0.484)
-
-    def test_saturates_at_one(self):
-        trace = GrowthTrace(base=ConstantTrace(0.9), weekly_growth=0.5)
-        assert trace.load_fraction(10 * WEEK_S) == 1.0
-
-    def test_decline_allowed(self):
-        trace = GrowthTrace(base=ConstantTrace(0.8), weekly_growth=-0.2)
-        assert trace.load_fraction(WEEK_S) == pytest.approx(0.64)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            GrowthTrace(base=ConstantTrace(0.5), weekly_growth=-1.5)
-
-
-class TestCompositeTrace:
-    def test_weighted_mixture(self):
-        trace = CompositeTrace(
-            components=((ConstantTrace(0.2), 1.0), (ConstantTrace(0.8), 3.0))
-        )
-        assert trace.load_fraction(0.0) == pytest.approx(0.65)
-
-    def test_single_component_passthrough(self):
-        trace = CompositeTrace(components=((ConstantTrace(0.37), 2.0),))
-        assert trace.load_fraction(123.0) == pytest.approx(0.37)
-
-    def test_phase_shifted_mixture_flattens_peaks(self):
-        a = DiurnalTrace(peak_time_s=0.0)
-        b = DiurnalTrace(peak_time_s=DAY_S / 2)
-        mixed = CompositeTrace(components=((a, 1.0), (b, 1.0)))
-        stats = trace_statistics(mixed, horizon_s=DAY_S, samples=288)
-        solo = trace_statistics(a, horizon_s=DAY_S, samples=288)
-        assert stats.peak_to_mean < solo.peak_to_mean
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            CompositeTrace(components=())
-        with pytest.raises(ConfigError):
-            CompositeTrace(components=((ConstantTrace(0.5), -1.0),))
-        with pytest.raises(ConfigError):
-            CompositeTrace(components=((ConstantTrace(0.5), 0.0),))
-
-
-class TestTraceStatistics:
-    def test_constant(self):
-        stats = trace_statistics(ConstantTrace(0.4), horizon_s=DAY_S)
-        assert stats.peak == pytest.approx(0.4)
-        assert stats.mean == pytest.approx(0.4)
-        assert stats.peak_to_mean == pytest.approx(1.0)
-        assert stats.off_peak_fraction == 1.0  # 0.4 < 0.5 always
-
-    def test_diurnal_shape(self):
-        stats = trace_statistics(
-            DiurnalTrace(min_fraction=0.1, max_fraction=0.9), horizon_s=DAY_S
-        )
-        assert stats.peak == pytest.approx(0.9, abs=0.02)
-        assert stats.mean == pytest.approx(0.5, abs=0.02)
-        assert 1.5 < stats.peak_to_mean < 2.0
-        assert 0.3 < stats.off_peak_fraction < 0.7
-
-    def test_zero_mean_guard(self):
-        stats = TraceStatistics(peak=0.0, mean=0.0, p95=0.0, off_peak_fraction=1.0)
-        assert stats.peak_to_mean == float("inf")
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            trace_statistics(ConstantTrace(0.5), samples=1)
-        with pytest.raises(ConfigError):
-            trace_statistics(ConstantTrace(0.5), horizon_s=0.0)
-        with pytest.raises(ConfigError):
-            trace_statistics(ConstantTrace(0.5), off_peak_threshold=0.0)
 
 
 class TestPlanningIntegration:

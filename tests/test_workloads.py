@@ -8,10 +8,7 @@ from repro.workloads.traces import (
     UNIFORM_EVAL_LEVELS,
     ConstantTrace,
     DiurnalTrace,
-    NoisyTrace,
-    ReplayTrace,
     StepTrace,
-    daily_average,
     uniform_levels,
 )
 
@@ -97,56 +94,6 @@ class TestStepTrace:
             StepTrace.of((0.0, 1.5))
 
 
-class TestReplayTrace:
-    def test_interpolation(self):
-        trace = ReplayTrace(samples=(0.0, 1.0), interval_s=10.0)
-        assert trace.load_fraction(5.0) == pytest.approx(0.5)
-
-    def test_exact_samples(self):
-        trace = ReplayTrace(samples=(0.2, 0.6, 0.4), interval_s=10.0)
-        assert trace.load_fraction(0.0) == pytest.approx(0.2)
-        assert trace.load_fraction(10.0) == pytest.approx(0.6)
-
-    def test_wraparound(self):
-        trace = ReplayTrace(samples=(0.2, 0.8), interval_s=10.0)
-        assert trace.load_fraction(20.0) == pytest.approx(0.2)
-        # Between last sample and wrap: interpolates back toward sample 0.
-        assert trace.load_fraction(15.0) == pytest.approx(0.5)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            ReplayTrace(samples=(0.5,), interval_s=10.0)
-        with pytest.raises(ConfigError):
-            ReplayTrace(samples=(0.5, 0.6), interval_s=0.0)
-        with pytest.raises(ConfigError):
-            ReplayTrace(samples=(0.5, 1.6), interval_s=10.0)
-
-
-class TestNoisyTrace:
-    def test_reproducible_within_quantum(self):
-        trace = NoisyTrace(ConstantTrace(0.5), sigma=0.1, seed=4)
-        assert trace.load_fraction(3.2) == trace.load_fraction(3.7)
-
-    def test_different_quanta_differ(self):
-        trace = NoisyTrace(ConstantTrace(0.5), sigma=0.1, seed=4)
-        assert trace.load_fraction(3.0) != trace.load_fraction(4.0)
-
-    def test_zero_sigma_passthrough(self):
-        trace = NoisyTrace(ConstantTrace(0.5), sigma=0.0)
-        assert trace.load_fraction(123.0) == 0.5
-
-    @given(st.floats(min_value=0.0, max_value=1e5))
-    def test_always_in_bounds(self, t):
-        trace = NoisyTrace(ConstantTrace(0.9), sigma=0.5, seed=1)
-        assert 0.0 <= trace.load_fraction(t) <= 1.0
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ConfigError):
-            NoisyTrace(ConstantTrace(0.5), sigma=-0.1)
-        with pytest.raises(ConfigError):
-            NoisyTrace(ConstantTrace(0.5), quantum_s=0.0)
-
-
 class TestUniformLevels:
     def test_paper_sweep(self):
         assert list(UNIFORM_EVAL_LEVELS) == pytest.approx(
@@ -163,16 +110,3 @@ class TestUniformLevels:
             uniform_levels(0.1, 0.9, 0.0)
         with pytest.raises(ConfigError):
             uniform_levels(0.5, 1.5, 0.5)
-
-
-class TestDailyAverage:
-    def test_constant(self):
-        assert daily_average(ConstantTrace(0.4)) == pytest.approx(0.4)
-
-    def test_diurnal_average_is_midpoint(self):
-        trace = DiurnalTrace(min_fraction=0.2, max_fraction=0.8)
-        assert daily_average(trace, samples=1000) == pytest.approx(0.5, abs=0.01)
-
-    def test_needs_samples(self):
-        with pytest.raises(ConfigError):
-            daily_average(ConstantTrace(0.5), samples=0)

@@ -26,7 +26,7 @@ from pathlib import Path
 from repro.apps import REFERENCE_SPEC, best_effort_apps, latency_critical_apps
 from repro.evaluation.pipeline import HeraclesFactory
 from repro.runtime import read_journal, run_cluster_checkpointed, sweep_run_key
-from repro.sim.cluster import ServerPlan, run_cluster
+from repro.sim.cluster import ServerPlan, Sweep, run_cluster
 from repro.sim.colocation import SimConfig
 
 LEVELS = [0.25, 0.5, 0.75]
@@ -97,7 +97,7 @@ def main() -> None:
         print(f"   killed (exit {child.returncode}); checkpoint survived "
               f"{survived.cells_done}/{survived.cells_total} cells")
         print(f"   run key {survived.run_key[:16]}… == "
-              f"{sweep_run_key(plans, REFERENCE_SPEC, **kwargs)[:16]}…")
+              f"{sweep_run_key(Sweep(plans, REFERENCE_SPEC, **kwargs))[:16]}…")
 
         print("3. Resuming from the checkpoint...")
         resumed = run_cluster_checkpointed(

@@ -226,10 +226,8 @@ def cmd_run(catalog, args) -> None:
               f"{budget.lease_s:g}s leases, {budget.fairness} fairness")
     result = run_policy(
         catalog, args.policy, duration_s=args.duration,
-        workers=args.workers, checkpoint_path=checkpoint_path,
-        resume=args.resume, checkpoint_every=args.checkpoint_every,
-        budget=budget,
-        engine="object" if args.workers > 1 else None,  # a pool runs the oracle
+        checkpoint_path=checkpoint_path, resume=args.resume,
+        checkpoint_every=args.checkpoint_every, budget=budget,
     )
     servers = result.servers()
     throughput = result.be_throughput_by_server()
@@ -303,9 +301,8 @@ def cmd_guard(catalog, args) -> None:
                   "contracts across the searched fault schedules.")
         return
     result = run_policy(
-        catalog, args.policy, duration_s=args.duration, workers=args.workers,
+        catalog, args.policy, duration_s=args.duration,
         guard=guard, ledger_path=args.ledger,
-        engine="object" if args.workers > 1 else None,
     )
     reports = [
         o.result.guard_report for o in result.outcomes
@@ -345,8 +342,8 @@ def main(argv=None) -> int:
     parser.add_argument("--duration", type=float, default=25.0,
                         help="seconds of simulated time per cell (run)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="process-pool width for run/guard; above 1 "
-                             "they use the per-object engine")
+                        help="process-pool width for guard --campaign "
+                             "(run and guard sweeps run in-process)")
     parser.add_argument("--checkpoint-dir", default=None,
                         help="directory for the run command's checkpoint file")
     parser.add_argument("--resume", action="store_true",
@@ -376,6 +373,11 @@ def main(argv=None) -> int:
                         default="max-min",
                         help="headroom redistribution objective")
     args = parser.parse_args(argv)
+    if args.workers != 1 and args.command in ("run", "guard") and not args.campaign:
+        raise ConfigError(
+            "--workers sets the pool width of guard --campaign; "
+            f"{args.command} runs its sweep in-process"
+        )
 
     catalog = fit_catalog(seed=args.seed) if args.command != "list" else None
     handler = {

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.budget.brownout import (
     STAGE_EVICT,
@@ -68,6 +68,9 @@ from repro.guard.invariants import (
     RackOvercommitInvariant,
     Violation,
 )
+
+if TYPE_CHECKING:  # repro.sim.cluster imports this module
+    from repro.sim.cluster import Sweep
 
 
 @dataclass(frozen=True)
@@ -648,31 +651,24 @@ def _cap_in_force(
     return cap_w
 
 
-def plan_budget(
-    plans: Sequence[Any],
-    spec: Any,
-    levels: Sequence[float],
-    duration_s: float,
-    budget: BudgetConfig,
-    fault_plan: Optional[ClusterFaultPlan] = None,
-    guard: Optional[GuardConfig] = None,
-) -> BudgetPlan:
-    """Walk the sweep timeline and compile the budget into cell plans.
+def plan_budget(sweep: Sweep) -> BudgetPlan:
+    """Walk the sweep timeline and compile ``sweep.budget`` into cell plans.
 
     Deterministic by construction: the only inputs are the plans, the
     sweep geometry, the budget config and the (data-pure) fault plan —
     replanning on a checkpoint resume reproduces the identical plan,
     which is why the arbiter needs no persistence of its own.
 
-    With ``guard`` set, the grant-conservation and rack-overcommit
+    With ``sweep.guard`` set, the grant-conservation and rack-overcommit
     invariants audit every arbiter period; ``enforce`` mode raises
     :class:`~repro.errors.InvariantViolationError` before any cell
     runs.
     """
-    if duration_s <= 0.0:
-        raise ConfigError("duration_s must be positive")
-    if not levels:
-        raise ConfigError("a budgeted sweep needs at least one level")
+    budget = sweep.budget
+    if budget is None:
+        raise ConfigError("plan_budget needs a sweep with a budget config")
+    plans, spec, levels, duration_s = sweep.plans, sweep.spec, sweep.levels, sweep.duration_s
+    fault_plan, guard = sweep.fault_plan, sweep.guard
     n_levels = len(levels)
     total_s = n_levels * float(duration_s)
     period_s = budget.arbiter_period_s

@@ -1,4 +1,4 @@
-"""Execution engine: vectorized math and deterministic fan-out.
+"""Execution engine: vectorized math, batched lanes and a supervised pool.
 
 The simulation and placement layers describe *what* to compute; this
 package decides *how fast*.  Three mechanisms, all result-preserving:
@@ -7,22 +7,23 @@ package decides *how fast*.  Three mechanisms, all result-preserving:
   (Fig 7 step II) computed with numpy broadcasting over the
   BE x LC x load-level cube instead of nested Python loops, bit-identical
   to the loop-based reference kept in :mod:`repro.core.placement`.
-* :mod:`repro.engine.parallel` — an ordered, seed-explicit process-pool
-  map for independent simulation cells (``run_cluster``) and policy
-  sweeps (``evaluation.pipeline.run_policy``); ``workers=1`` *is* the
-  serial path, not an emulation of it.
+* :mod:`repro.engine.batched` — the structure-of-arrays core that
+  advances every cell of a cluster sweep (``run_cluster``,
+  ``run_sweeps``) together as numpy lanes, bit-identical to the
+  per-object oracle that runs the same cells one at a time in-process.
 * cell **deduplication** — replicated fleets (many servers sharing the
   same app/manager/provisioning template) run each distinct
   (plan, level) cell once and fan the outcome back out, which is exact
   because every cell is a pure function of its explicit inputs.
 
-On top of the fan-out sits **crash supervision**:
-:class:`repro.engine.parallel.SupervisedPool` rebuilds a broken process
-pool with capped exponential backoff, re-submits only the lost tasks,
-and degrades to serial execution after repeated failures — the engine
-half of the crash-safe runtime (:mod:`repro.runtime`).
+:mod:`repro.engine.parallel` holds the ordered, seed-explicit process
+pool the guard campaign fans its cases out through
+(``CampaignConfig.workers``).  Its :class:`SupervisedPool` rebuilds a
+broken pool with capped exponential backoff, re-submits only the lost
+tasks, and degrades to serial execution after repeated failures.
 
-``tests/test_engine_differential.py`` pins all three equivalences;
+``tests/test_engine_differential.py`` and
+``tests/test_batched_differential.py`` pin the equivalences;
 ``benchmarks/perf/`` tracks the speedups in ``BENCH_engine.json``.
 """
 

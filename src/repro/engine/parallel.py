@@ -1,25 +1,19 @@
-"""Deterministic fan-out for independent simulation cells.
+"""Deterministic fan-out for independent, pure tasks.
 
-Every cell the cluster sweep runs — one (server plan, load level)
-steady-state colocation — is a pure function of its explicit arguments:
-the RNG is constructed inside the cell from the seed carried by its
-:class:`~repro.sim.colocation.SimConfig`, never inherited from ambient
-state.  That makes the sweep embarrassingly parallel *and* exactly
+Each task is a pure function of its explicit arguments — a sweep cell
+or a guard-campaign case builds its RNG inside, from the seed its
+config carries, never from ambient state.  That makes fan-out exactly
 reproducible:
 
 * **ordered collection** — results come back in submission order no
-  matter which worker finishes first, so aggregates see the same
-  sequence the serial loop produces;
+  matter which worker finishes first;
 * **explicit seed threading** — each task carries its own config (and
   therefore its seed) across the process boundary; workers share no
   RNG;
-* **serial fallback** — ``workers=1`` runs the exact same
-  ``[fn(*t) for t in tasks]`` loop the pre-engine code ran, not a pool
-  of one.
-
-Deduplicating identical cells is the cluster sweep's job
-(:attr:`repro.sim.cluster.Cell.key`), not this module's: here every
-task runs.
+* **serial fallback** — ``workers=1`` runs the literal
+  ``[fn(*t) for t in tasks]`` loop, not a pool of one.  The cluster
+  sweep's per-object engine runs its cells through that loop,
+  in-process; the guard campaign fans its cases out through the pool.
 
 Failures carry context: a task that raises is re-raised as
 :class:`~repro.errors.ExecutionError` naming the failing task's index

@@ -1,7 +1,8 @@
 """Ambient engine selection for the cluster simulation entry points.
 
-``run_cluster`` / ``run_policy`` / ``run_cluster_checkpointed`` accept an
-``engine="object"|"batched"`` keyword.  When the caller passes ``None``
+``run_cluster`` / ``run_sweeps`` / ``run_policy`` /
+``run_cluster_checkpointed`` accept an ``engine="object"|"batched"``
+keyword; both engines run in-process.  When the caller passes ``None``
 (the default), the ambient default configured here is used: the batched
 core.  Tests use :func:`default_engine` to re-run an entire pipeline on
 the per-object oracle without threading a knob through every call site

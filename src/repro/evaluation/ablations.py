@@ -29,7 +29,7 @@ from repro.core.server_manager import PowerOptimizedManager
 from repro.errors import ConfigError
 from repro.evaluation.pipeline import FittedCatalog, fit_catalog
 from repro.hwmodel.spec import Allocation, ServerSpec
-from repro.sim.cluster import ServerPlan, run_cluster
+from repro.sim.cluster import ServerPlan, Sweep, run_sweeps
 from repro.sim.colocation import SimConfig
 from repro.workloads.traces import UNIFORM_EVAL_LEVELS
 
@@ -69,12 +69,12 @@ def ablate_slack_target(
     """
     if lc_name not in catalog.lc_apps or be_name not in catalog.be_apps:
         raise ConfigError("unknown application name")
-    rows = []
     lc = catalog.lc_apps[lc_name]
     be = catalog.be_apps[be_name]
     model = catalog.lc_fits[lc_name].model
-    for target in targets:
-        plan = ServerPlan(
+    config = SimConfig(seed=sim_seed)
+    sweeps = [
+        Sweep([ServerPlan(
             lc_app=lc,
             be_app=be,
             provisioned_power_w=lc.peak_server_power_w(),
@@ -82,18 +82,18 @@ def ablate_slack_target(
                 server, model=model, slack_target=t,
                 slack_upper=max(0.45, t + 0.2),
             ),
+        )], catalog.spec, levels, duration_s, config)
+        for target in targets
+    ]
+    return [
+        SlackAblationRow(
+            slack_target=float(target),
+            be_throughput=result.cluster_be_throughput(),
+            power_utilization=result.cluster_power_utilization(),
+            violation_fraction=result.cluster_violation_fraction(),
         )
-        result = run_cluster([plan], catalog.spec, levels=levels,
-                             duration_s=duration_s, config=SimConfig(seed=sim_seed))
-        rows.append(
-            SlackAblationRow(
-                slack_target=float(target),
-                be_throughput=result.cluster_be_throughput(),
-                power_utilization=result.cluster_power_utilization(),
-                violation_fraction=result.cluster_violation_fraction(),
-            )
-        )
-    return rows
+        for target, result in zip(targets, run_sweeps(sweeps))
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ Everything downstream (the figure benchmarks, the examples) builds on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -56,8 +56,7 @@ from repro.sim.cluster import (
     ClusterRunResult,
     ManagerFactory,
     ServerPlan,
-    plan_cluster_tasks,
-    run_cluster,
+    Sweep,
     run_sweeps,
 )
 from repro.sim.colocation import SimConfig
@@ -262,7 +261,6 @@ def run_policy(
     duration_s: float = 40.0,
     seed: int = 0,
     sim_config: Optional[SimConfig] = None,
-    workers: int = 1,
     dedupe: bool = False,
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
@@ -278,44 +276,38 @@ def run_policy(
     at :data:`~repro.apps.catalog.NOCAP_PROVISIONED_W` (the Section V-F
     TCO baseline); all other policies use right-sized capacities.
 
-    ``engine``, ``workers`` and ``dedupe`` are forwarded to
+    ``engine`` and ``dedupe`` mean what they mean to
     :func:`~repro.sim.cluster.run_cluster` — bit-identical execution
     knobs, not semantic ones.  ``engine`` selects the simulation core:
     the default ``"batched"`` structure-of-arrays core or the
-    ``"object"`` per-cell oracle (``docs/ENGINE.md``); ``workers > 1``
-    runs a process pool and needs ``engine="object"``.  A
-    ``checkpoint_path`` routes the sweep through
-    :func:`repro.runtime.run_cluster_checkpointed` instead: completed
+    ``"object"`` per-cell oracle (``docs/ENGINE.md``).  A
+    ``checkpoint_path`` makes the sweep crash-safe, as
+    :func:`repro.runtime.run_cluster_checkpointed` does: completed
     cells persist as they land and ``resume=True`` re-runs only the
     missing ones — still bit-identical (see ``docs/RECOVERY.md``).
 
-    ``guard`` runs every cell under the runtime safety invariants of
-    :mod:`repro.guard` (``docs/GUARDS.md``); ``ledger_path`` writes the
-    violation ledger — derived deterministically from the completed
-    cells, checkpointed or not.
-
-    ``budget`` switches on hierarchical lease-based power budgeting
-    (:mod:`repro.budget`, ``docs/BUDGETS.md``): every cell runs under
-    its arbiter-compiled cap schedule and the result carries a
-    :class:`~repro.budget.arbiter.BudgetReport`.
+    ``guard`` and ``budget`` mean what they mean to
+    :class:`~repro.sim.cluster.Sweep` (``docs/GUARDS.md``,
+    ``docs/BUDGETS.md``); ``ledger_path`` writes the violation ledger —
+    derived deterministically from the completed cells, checkpointed
+    or not.
     """
-    plans = _policy_plans(catalog, policy, levels, seed)
-    config = sim_config if sim_config is not None else SimConfig(seed=seed)
-    from repro.runtime.sweep import _ledgered, run_cluster_checkpointed
+    from repro.runtime.sweep import _ledgered, _run_checkpointed
 
-    sweep: Dict[str, Any] = dict(
-        levels=levels, duration_s=duration_s, config=config, workers=workers,
-        dedupe=dedupe, guard=guard, engine=engine, budget=budget,
+    config = sim_config if sim_config is not None else SimConfig(seed=seed)
+    sweep = Sweep(
+        _policy_plans(catalog, policy, levels, seed), catalog.spec, levels,
+        duration_s, config, guard=guard, budget=budget,
     )
-    if checkpoint_path is not None:
-        return run_cluster_checkpointed(
-            plans, catalog.spec, checkpoint_path, resume=resume,
-            checkpoint_every=checkpoint_every, ledger_path=ledger_path,
-            **sweep,
+
+    def execute() -> ClusterRunResult:
+        if checkpoint_path is None:
+            return run_sweeps([sweep], engine, dedupe)[0]
+        return _run_checkpointed(
+            sweep, checkpoint_path, engine, dedupe, resume, checkpoint_every
         )
-    return _ledgered(
-        lambda: run_cluster(plans, catalog.spec, **sweep), guard, ledger_path
-    )
+
+    return _ledgered(execute, guard, ledger_path)
 
 
 def run_policies(
@@ -337,7 +329,7 @@ def run_policies(
     planned = [(p, s) for p in runs for s in (seeds if p in RANDOM_PLACED else [0])]
     config = SimConfig(seed=sim_seed)
     results = run_sweeps([
-        plan_cluster_tasks(
+        Sweep(
             _policy_plans(catalog, p, levels, s), catalog.spec, levels, duration_s, config
         )
         for p, s in planned

@@ -79,7 +79,8 @@ from repro.workloads.traces import ConstantTrace
 
 if TYPE_CHECKING:  # pragma: no cover - cluster/budget layers sit above
     from repro.budget.arbiter import BudgetConfig
-    from repro.sim.cluster import ServerPlan
+    from repro.faults.cluster import ClusterFaultPlan
+    from repro.sim.cluster import ServerPlan, Sweep
 
 #: Builds a manager for a freshly assembled campaign server (mirrors
 #: :data:`repro.sim.cluster.ManagerFactory`; restated here to keep this
@@ -344,27 +345,30 @@ class BudgetCaseRunner:
     budget: Optional["BudgetConfig"] = None
 
     def __post_init__(self) -> None:
-        if not self.plans:
-            raise ConfigError("budget campaigns need at least one plan")
         if self.guard.enforcing:
             raise ConfigError(
                 "campaign runners need a record-mode guard: enforce mode "
                 "would kill the case instead of reporting its violations"
             )
-        if not self.levels or any(
-            not 0.0 <= level <= 1.0 for level in self.levels
-        ):
-            raise ConfigError("load levels must lie in [0, 1]")
-        if self.duration_s <= 0:
-            raise ConfigError("duration must be positive")
+        self._sweep(None)  # the sweep terms are checked when it is built
 
-    def run(self, schedule: FaultSchedule) -> "CaseOutcome":
-        """Execute one budgeted sweep under ``schedule``; summarize it."""
+    def _sweep(self, fault_plan: Optional["ClusterFaultPlan"]) -> "Sweep":
+        """The budgeted sweep this runner executes under ``fault_plan``."""
         # Imported lazily: the cluster and budget layers sit above this
         # module (repro.sim's package __init__ imports repro.guard).
         from repro.budget.arbiter import BudgetConfig
+        from repro.sim.cluster import Sweep
+
+        budget = self.budget if self.budget is not None else BudgetConfig()
+        return Sweep(
+            self.plans, self.spec, self.levels, self.duration_s, self.config,
+            fault_plan, self.guard, budget,
+        )
+
+    def run(self, schedule: FaultSchedule) -> "CaseOutcome":
+        """Execute one budgeted sweep under ``schedule``; summarize it."""
         from repro.faults.cluster import ClusterFaultPlan
-        from repro.sim.cluster import run_cluster
+        from repro.sim.cluster import run_sweeps
 
         infra = [f for f in schedule if isinstance(f, _INFRA_FAULTS)]
         cell = [f for f in schedule if not isinstance(f, _INFRA_FAULTS)]
@@ -372,12 +376,7 @@ class BudgetCaseRunner:
             cell_faults=FaultSchedule(cell) if cell else None,
             infra_faults=FaultSchedule(infra) if infra else None,
         )
-        budget = self.budget if self.budget is not None else BudgetConfig()
-        result = run_cluster(
-            list(self.plans), self.spec, levels=self.levels,
-            duration_s=self.duration_s, config=self.config,
-            fault_plan=fault_plan, guard=self.guard, budget=budget,
-        )
+        result = run_sweeps([self._sweep(fault_plan)])[0]
         counters: Dict[str, int] = {}
         checks = 0
         total = 0

@@ -23,9 +23,7 @@ Three layers, each usable alone:
   missing ones, producing a **bit-identical**
   :class:`~repro.sim.cluster.ClusterRunResult`.
 
-Worker-level failures are handled one layer down by
-:class:`repro.engine.parallel.SupervisedPool`; the recovery runbook is
-``docs/RECOVERY.md``.
+The recovery runbook is ``docs/RECOVERY.md``.
 """
 
 from repro.runtime.atomic import (

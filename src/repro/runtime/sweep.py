@@ -5,8 +5,9 @@ The cluster sweep (:func:`repro.sim.cluster.run_cluster`) is a list of
 of its explicit arguments only, with every RNG built inside the cell
 from the config seed.  That purity is the whole recovery story:
 
-1. :func:`repro.sim.cluster.plan_cluster_tasks` decides every cell (and
-   the full fault report) before anything runs;
+1. :func:`repro.sim.cluster.plan_cluster_tasks` decides every cell of a
+   :class:`~repro.sim.cluster.Sweep` (and the full fault report) before
+   anything runs;
 2. completed cell outcomes are persisted, keyed by planned position, in
    a :class:`~repro.runtime.checkpoint.Checkpoint` journal: each cell is
    pickled once, when it lands, and appended as one checksummed record,
@@ -22,12 +23,11 @@ SIGKILL.  A checkpoint refuses to resume a different sweep: the
 ``run_key`` digests the sweep's full content (apps, provisioning,
 levels, duration, sim config, fault plan), not object identities.
 
-Execution goes through the same executor as ``run_cluster`` (one
-:class:`~repro.engine.parallel.SupervisedPool` or the batched core), so
-a crashing *worker* costs a pool rebuild, not the run; a crashing
-*parent* costs at most ``checkpoint_every`` cells of work.  Positions
-are planned positions whatever ``dedupe`` is, so a checkpoint resumes
-with ``dedupe`` flipped.
+Execution goes through the same in-process executor as
+``run_cluster`` (the batched core or the per-object oracle), so a
+crash costs at most the cells that had not yet landed in the journal.
+Positions are planned positions whatever ``dedupe`` is, so a
+checkpoint resumes with ``dedupe`` flipped.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ import re
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.budget.arbiter import BudgetConfig
 from repro.errors import CheckpointError, ConfigError
 from repro.faults.cluster import ClusterFaultPlan
 from repro.guard.invariants import GuardConfig
-from repro.budget.arbiter import BudgetConfig
 from repro.hwmodel.spec import ServerSpec
 from repro.runtime.atomic import PathLike
 from repro.runtime.checkpoint import Checkpoint, Journal, read_journal
@@ -49,6 +49,7 @@ from repro.sim.cluster import (
     ClusterRunResult,
     LevelOutcome,
     ServerPlan,
+    Sweep,
     _execute,
     plan_cluster_tasks,
 )
@@ -69,16 +70,7 @@ def _stable_repr(obj: Any) -> str:
     return _ADDRESS_RE.sub("", repr(obj))
 
 
-def sweep_run_key(
-    plans: Sequence[ServerPlan],
-    spec: ServerSpec,
-    levels: Sequence[float] = UNIFORM_EVAL_LEVELS,
-    duration_s: float = 60.0,
-    config: SimConfig = SimConfig(),
-    fault_plan: Optional[ClusterFaultPlan] = None,
-    guard: Optional[GuardConfig] = None,
-    budget: Optional[BudgetConfig] = None,
-) -> str:
+def sweep_run_key(sweep: Sweep) -> str:
     """Digest a sweep's identity into a stable, content-based key.
 
     Two processes given the same configuration compute the same key;
@@ -89,13 +81,14 @@ def sweep_run_key(
     *different* sweep.  The guard, budget, rejoin and infra-fault parts
     are appended only when configured.
     """
+    fault_plan, guard, budget = sweep.fault_plan, sweep.guard, sweep.budget
     parts: List[str] = [
-        f"spec={_stable_repr(spec)}",
-        f"levels={[float(level) for level in levels]!r}",
-        f"duration_s={float(duration_s)!r}",
-        f"config={_stable_repr(config)}",
+        f"spec={_stable_repr(sweep.spec)}",
+        f"levels={list(sweep.levels)!r}",
+        f"duration_s={float(sweep.duration_s)!r}",
+        f"config={_stable_repr(sweep.config)}",
     ]
-    for plan in plans:
+    for plan in sweep.plans:
         parts.append("plan=" + "|".join((
             _stable_repr(plan.lc_app),
             _stable_repr(plan.be_app),
@@ -174,7 +167,6 @@ def run_cluster_checkpointed(
     duration_s: float = 60.0,
     config: SimConfig = SimConfig(),
     fault_plan: Optional[ClusterFaultPlan] = None,
-    workers: int = 1,
     dedupe: bool = False,
     resume: bool = False,
     checkpoint_every: int = 1,
@@ -212,54 +204,62 @@ def run_cluster_checkpointed(
     cells, so a resumed sweep emits a byte-identical ledger to an
     uninterrupted one.
 
-    ``engine`` and ``workers`` mean what they mean to ``run_cluster``.
+    ``engine`` and ``dedupe`` mean what they mean to ``run_cluster``.
     The batched engine (the default) delivers every cell when the sweep
     ends, so a crash loses its whole run; the object engine lands cells
     one at a time.  Both are bit-identical, so a checkpoint written by
     either resumes under the other without changing a result byte (the
     ``run_key`` is engine-agnostic on purpose).
     """
+    sweep = Sweep(plans, spec, levels, duration_s, config, fault_plan, guard, budget)
+    return _ledgered(
+        lambda: _run_checkpointed(
+            sweep, checkpoint_path, engine, dedupe, resume, checkpoint_every
+        ),
+        guard, ledger_path,
+    )
+
+
+def _run_checkpointed(
+    sweep: Sweep,
+    checkpoint_path: PathLike,
+    engine: Optional[str],
+    dedupe: bool,
+    resume: bool,
+    checkpoint_every: int,
+) -> ClusterRunResult:
+    """Plan ``sweep``, resume what its journal holds, run and journal the rest."""
     if checkpoint_every < 1:
         raise ConfigError("checkpoint_every must be at least 1")
+    cells, skeleton = plan_cluster_tasks(sweep)
+    run_key = sweep_run_key(sweep)
+    target = Path(checkpoint_path)
+    completed: Dict[int, LevelOutcome] = {}
+    if resume and target.exists():
+        journal, completed = _load_completed(target, run_key, len(cells))
+        checkpoint = Checkpoint.reopen(journal)
+    else:
+        placement = {
+            plan.lc_app.name: (plan.be_app.name if plan.be_app else None)
+            for plan in sweep.plans
+        }
+        checkpoint = Checkpoint.create(target, run_key, len(cells), placement)
 
-    def sweep() -> ClusterRunResult:
-        cells, skeleton = plan_cluster_tasks(
-            plans, spec, levels, duration_s, config, fault_plan, guard=guard,
-            budget=budget,
+    def on_result(delivered: List[Tuple[int, LevelOutcome]]) -> None:
+        # Group commit: a run of cells that landed together is
+        # appended with one fsync, whatever checkpoint_every is.
+        for position, outcome in delivered:
+            checkpoint.append(position, _encode_cell(outcome))
+        if checkpoint.pending >= checkpoint_every:
+            checkpoint.save()
+
+    with checkpoint:
+        skeleton.outcomes.extend(
+            _execute(cells, engine, dedupe, completed, on_result)
         )
-        run_key = sweep_run_key(
-            plans, spec, levels=levels, duration_s=duration_s,
-            config=config, fault_plan=fault_plan, guard=guard, budget=budget,
-        )
-        target = Path(checkpoint_path)
-        completed: Dict[int, LevelOutcome] = {}
-        if resume and target.exists():
-            journal, completed = _load_completed(target, run_key, len(cells))
-            checkpoint = Checkpoint.reopen(journal)
-        else:
-            placement = {
-                plan.lc_app.name: (plan.be_app.name if plan.be_app else None)
-                for plan in plans
-            }
-            checkpoint = Checkpoint.create(target, run_key, len(cells), placement)
-
-        def on_result(delivered: List[Tuple[int, LevelOutcome]]) -> None:
-            # Group commit: a run of cells that landed together is
-            # appended with one fsync, whatever checkpoint_every is.
-            for position, outcome in delivered:
-                checkpoint.append(position, _encode_cell(outcome))
-            if checkpoint.pending >= checkpoint_every:
-                checkpoint.save()
-
-        with checkpoint:
-            skeleton.outcomes.extend(
-                _execute(cells, engine, workers, dedupe, completed, on_result)
-            )
-            if checkpoint.pending:
-                checkpoint.save()
-        return skeleton
-
-    return _ledgered(sweep, guard, ledger_path)
+        if checkpoint.pending:
+            checkpoint.save()
+    return skeleton
 
 
 def _ledgered(

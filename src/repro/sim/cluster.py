@@ -26,7 +26,7 @@ from repro.budget.arbiter import BudgetConfig, BudgetPlan, BudgetReport, plan_bu
 from repro.budget.schedule import CapSchedule
 from repro.core.placement import assign_with_fallback
 from repro.core.server_manager import ServerManagerBase
-from repro.engine.parallel import CellKey, SupervisedPool
+from repro.engine.parallel import CellKey, _run_serial
 from repro.engine.select import resolve_engine
 from repro.errors import ConfigError
 from repro.faults.cluster import (
@@ -301,12 +301,11 @@ def _run_cell(cell: Cell) -> LevelOutcome:
 def _execute(
     cells: Sequence[Cell],
     engine: Optional[str],
-    workers: int,
     dedupe: bool,
     completed: Mapping[int, LevelOutcome],
     on_result: Optional[Callable[[List[Tuple[int, LevelOutcome]]], None]] = None,
 ) -> List[LevelOutcome]:
-    """Run a planned sweep: the one owner of dedupe, engine and pool.
+    """Run a planned sweep: the one owner of dedupe and engine choice.
 
     ``completed`` maps planned cell positions to outcomes already known
     (a resumed checkpoint); those cells are not run again.  With
@@ -323,12 +322,6 @@ def _execute(
     Returns every planned cell's outcome, in planned order.
     """
     engine_name = resolve_engine(engine)
-    if workers != 1 and engine != "object":
-        raise ConfigError(
-            "a process pool runs the per-object engine: pass "
-            "engine='object' (the batched engine runs in-process, so "
-            "workers must be 1)"
-        )
     source: Sequence[int] = range(len(cells))
     if dedupe:
         first: Dict[CellKey, int] = {}
@@ -348,7 +341,7 @@ def _execute(
 
         fresh = run_batched_cells(todo, on_result=landed)
     else:
-        fresh = SupervisedPool(workers).map_ordered(
+        fresh = _run_serial(
             _run_cell, [(cell,) for cell in todo],
             on_result=None if landed is None else (
                 lambda index, outcome: landed([(index, outcome)])
@@ -359,30 +352,79 @@ def _execute(
     return [outcomes[origin] for origin in source]
 
 
-#: A planned sweep: its cells and the result skeleton they fill.
-PlannedSweep = Tuple[List[Cell], ClusterRunResult]
+@dataclass(frozen=True)
+class Sweep:
+    """One cluster sweep: every server plan at every load level.
+
+    The eight terms that define a sweep, validated once, when the value
+    is built: ``plans`` and ``levels`` are normalised to tuples (levels
+    as Python floats, so a numpy array works), and a malformed sweep
+    raises :class:`~repro.errors.ConfigError` before anything is
+    planned or run.
+
+    ``fault_plan`` turns the level sweep into the cluster's timeline
+    (crashes, recoveries, rejoins, re-placement, cell and infra
+    faults).  ``guard`` switches on the runtime safety invariants of
+    :mod:`repro.guard` in every cell: each outcome carries a
+    ``guard_report``, and enforce mode fails the run on the first
+    violation.  ``budget`` switches on hierarchical power budgeting
+    (:mod:`repro.budget`): the lease-granting arbiter is planned over
+    the timeline up front, every cell receives its compiled
+    :class:`~repro.budget.schedule.CapSchedule` and the result carries a
+    :class:`~repro.budget.arbiter.BudgetReport`.  Cells stay pure, so
+    dedupe, checkpointing and both engines work unchanged.
+    """
+
+    plans: Sequence[ServerPlan]
+    spec: ServerSpec
+    levels: Sequence[float] = UNIFORM_EVAL_LEVELS
+    duration_s: float = 60.0
+    config: SimConfig = SimConfig()
+    fault_plan: Optional[ClusterFaultPlan] = None
+    guard: Optional[GuardConfig] = None
+    budget: Optional[BudgetConfig] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "plans", tuple(self.plans))
+        object.__setattr__(self, "levels", tuple(float(level) for level in self.levels))
+        if not self.plans:
+            raise ConfigError("sweep needs at least one server plan")
+        if not self.levels:
+            raise ConfigError("sweep needs at least one load level")
+        for level in self.levels:
+            if not 0.0 <= level <= 1.0:
+                raise ConfigError(f"sweep level must lie in [0, 1], got {level!r}")
+        if not self.duration_s > 0:
+            raise ConfigError(f"sweep duration_s must be positive, got {self.duration_s!r}")
+        if self.fault_plan is not None:
+            # Every rejoin repairs one of these crashes (ClusterFaultPlan
+            # checks that), so known crash names cover the rejoins too.
+            known = {plan.lc_app.name for plan in self.plans}
+            for crash in self.fault_plan.crashes:
+                if crash.lc_name not in known:
+                    raise ConfigError(f"sweep crash names unknown server {crash.lc_name!r}")
 
 
 def run_sweeps(
-    sweeps: Sequence[PlannedSweep],
+    sweeps: Sequence[Sweep],
     engine: Optional[str] = None,
-    workers: int = 1,
     dedupe: bool = False,
 ) -> List[ClusterRunResult]:
-    """Run planned sweeps (from :func:`plan_cluster_tasks`) as one.
+    """Plan sweeps (with :func:`plan_cluster_tasks`) and run them as one.
 
     The sweeps' cells run through a single execution, so the batched
     engine advances all their lanes together; each sweep's outcomes
-    then fill its own skeleton, which is returned.  Cells are pure, so
-    what a sweep runs beside never changes its outcomes.
+    then fill its own result.  Cells are pure, so what a sweep runs
+    beside never changes its outcomes.
     """
-    cells = [cell for sweep_cells, _ in sweeps for cell in sweep_cells]
-    outcomes = _execute(cells, engine, workers, dedupe, {})
+    planned = [plan_cluster_tasks(sweep) for sweep in sweeps]
+    cells = [cell for sweep_cells, _ in planned for cell in sweep_cells]
+    outcomes = _execute(cells, engine, dedupe, {})
     start = 0
-    for sweep_cells, skeleton in sweeps:
+    for sweep_cells, skeleton in planned:
         skeleton.outcomes.extend(outcomes[start:start + len(sweep_cells)])
         start += len(sweep_cells)
-    return [skeleton for _, skeleton in sweeps]
+    return [skeleton for _, skeleton in planned]
 
 
 def run_cluster(
@@ -392,7 +434,6 @@ def run_cluster(
     duration_s: float = 60.0,
     config: SimConfig = SimConfig(),
     fault_plan: Optional[ClusterFaultPlan] = None,
-    workers: int = 1,
     dedupe: bool = False,
     guard: Optional[GuardConfig] = None,
     engine: Optional[str] = None,
@@ -400,60 +441,34 @@ def run_cluster(
 ) -> ClusterRunResult:
     """Run every server plan at every load level, fresh state per cell.
 
-    With a ``fault_plan`` the sweep becomes the cluster's timeline:
-    levels run in order, crash events drop servers between levels, their
-    displaced best-effort apps are re-placed onto survivors, and the
-    returned result carries a :class:`ClusterFaultReport`.
+    The sweep terms mean what they mean to :class:`Sweep`.  With a
+    ``fault_plan`` levels run in order, crash events drop servers
+    between levels, their displaced best-effort apps are re-placed onto
+    survivors, and the returned result carries a
+    :class:`ClusterFaultReport`.
 
     Cells never interact (fresh server + manager per cell; the faulted
     timeline's control flow depends only on the fault plan, not on cell
-    outcomes), so this is :func:`plan_cluster_tasks` plus one
-    :func:`run_sweeps`, and execution is the engine's:
+    outcomes), so this is :func:`plan_cluster_tasks` plus one execution,
+    and execution is the engine's:
 
     * ``engine`` — ``"batched"`` (what ``None`` resolves to, see
       :func:`repro.engine.select.default_engine`) advances all cells
       together as numpy lanes (:mod:`repro.engine.batched`), falling
       back to the oracle per cell it cannot claim; ``"object"`` runs
-      each cell through its own
+      each cell in turn through its own
       :class:`~repro.sim.colocation.ColocationSim`, the oracle.
-    * ``workers`` — fan cells out to a process pool of the oracle with
-      ordered collection, so ``workers > 1`` needs ``engine="object"``;
-      ``workers=1`` is the exact serial loop.
     * ``dedupe`` — run each distinct (plan, level) cell once and reuse
       the outcome for replicas (see :attr:`Cell.key`); exact because
       cells are pure, and the big lever for replicated fleets.
 
     Every knob is bit-identical — the differential suites pin that.
-
-    ``guard`` switches on the runtime safety invariants of
-    :mod:`repro.guard` in every cell: each outcome carries a
-    ``guard_report``, and enforce mode fails the run on the first
-    violation.
-
-    ``budget`` switches on hierarchical power budgeting
-    (:mod:`repro.budget`): the lease-granting arbiter is planned over
-    the sweep timeline up front and every cell receives its compiled
-    :class:`~repro.budget.schedule.CapSchedule`; the result carries a
-    :class:`~repro.budget.arbiter.BudgetReport`.  Cells stay pure, so
-    dedupe, checkpointing and both engines keep working unchanged.
     """
-    sweep = plan_cluster_tasks(
-        plans, spec, levels, duration_s, config, fault_plan, guard=guard,
-        budget=budget,
-    )
-    return run_sweeps([sweep], engine, workers, dedupe)[0]
+    sweep = Sweep(plans, spec, levels, duration_s, config, fault_plan, guard, budget)
+    return run_sweeps([sweep], engine, dedupe)[0]
 
 
-def plan_cluster_tasks(
-    plans: Sequence[ServerPlan],
-    spec: ServerSpec,
-    levels: Sequence[float] = UNIFORM_EVAL_LEVELS,
-    duration_s: float = 60.0,
-    config: SimConfig = SimConfig(),
-    fault_plan: Optional[ClusterFaultPlan] = None,
-    guard: Optional[GuardConfig] = None,
-    budget: Optional[BudgetConfig] = None,
-) -> PlannedSweep:
+def plan_cluster_tasks(sweep: Sweep) -> Tuple[List[Cell], ClusterRunResult]:
     """Decide every cell of a sweep without executing any of them.
 
     Returns ``(cells, skeleton)``: the ordered :class:`Cell` records
@@ -466,38 +481,26 @@ def plan_cluster_tasks(
     :mod:`repro.runtime` layer plans once, persists completed cells by
     planned position, and on resume re-runs only the incomplete ones —
     bit-identical because each cell is a pure function of its fields.
-    ``run_cluster`` itself is ``plan_cluster_tasks`` + :func:`run_sweeps`.
+    :func:`run_sweeps` is ``plan_cluster_tasks`` plus one execution.
 
     With a ``budget``, the lease arbiter is planned first (also pure:
     demand comes from app power models, infra faults are data) and each
     cell carries its :class:`CapSchedule`, with the brownout ladder's LC
     sheds and BE evictions applied.
     """
-    if not plans:
-        raise ConfigError("cluster needs at least one server plan")
-    if not levels:
-        raise ConfigError("need at least one load level")
-    budget_plan: Optional[BudgetPlan] = None
-    if budget is not None:
-        budget_plan = plan_budget(
-            plans, spec, levels, duration_s, budget,
-            fault_plan=fault_plan, guard=guard,
-        )
-    if fault_plan is not None:
-        return _plan_cluster_faulted(
-            plans, spec, levels, duration_s, config, fault_plan, guard,
-            budget_plan,
-        )
+    budget_plan = None if sweep.budget is None else plan_budget(sweep)
+    if sweep.fault_plan is not None:
+        return _plan_cluster_faulted(sweep, budget_plan)
     cells: List[Cell] = []
-    for plan in plans:
+    for plan in sweep.plans:
         name = plan.lc_app.name
-        for level_index, level in enumerate(levels):
+        for level_index, level in enumerate(sweep.levels):
             cell_level, evicted, schedule = _budget_terms(
                 budget_plan, name, level_index, level, plan.be_app is not None
             )
             cells.append(Cell(
-                plan, spec, cell_level, duration_s, config,
-                None if evicted else plan.be_app, None, guard, schedule,
+                plan, sweep.spec, cell_level, sweep.duration_s, sweep.config,
+                None if evicted else plan.be_app, None, sweep.guard, schedule,
             ))
     return cells, ClusterRunResult(
         budget_report=budget_plan.report if budget_plan is not None else None
@@ -576,15 +579,8 @@ def _replace_displaced(
 
 
 def _plan_cluster_faulted(
-    plans: Sequence[ServerPlan],
-    spec: ServerSpec,
-    levels: Sequence[float],
-    duration_s: float,
-    config: SimConfig,
-    fault_plan: ClusterFaultPlan,
-    guard: Optional[GuardConfig] = None,
-    budget_plan: Optional[BudgetPlan] = None,
-) -> PlannedSweep:
+    sweep: Sweep, budget_plan: Optional[BudgetPlan]
+) -> Tuple[List[Cell], ClusterRunResult]:
     """Plan the level-major sweep with crash/recovery/rejoin handling.
 
     Levels are the timeline; each surviving server runs its level cell.
@@ -606,10 +602,9 @@ def _plan_cluster_faulted(
     ``budget_plan``, each cell carries its host's :class:`CapSchedule`
     and brownout evictions / LC sheds are applied per level window.
     """
-    known = {plan.lc_app.name for plan in plans}
-    for crash in fault_plan.crashes:
-        if crash.lc_name not in known:
-            raise ConfigError(f"crash names unknown server {crash.lc_name!r}")
+    plans, spec, fault_plan = sweep.plans, sweep.spec, sweep.fault_plan
+    if fault_plan is None:
+        raise ConfigError("the faulted planner needs a fault plan")
     report = ClusterFaultReport()
     result = ClusterRunResult(
         fault_report=report,
@@ -622,7 +617,7 @@ def _plan_cluster_faulted(
     }
     cells: List[Cell] = []
     parked: List[Tuple[BestEffortApp, str]] = []
-    for level_index, level in enumerate(levels):
+    for level_index, level in enumerate(sweep.levels):
         for event in fault_plan.recoveries_at(level_index):
             if event.lc_name not in hosting:
                 # Rejoin empty-handed; the displaced BE stays where the
@@ -670,10 +665,10 @@ def _plan_cluster_faulted(
                 budget_plan, name, level_index, level, bool(hosting[name])
             )
             co_runners = [] if evicted else list(hosting[name])
-            share_s = duration_s / len(co_runners) if co_runners else duration_s
+            share_s = sweep.duration_s / len(co_runners) if co_runners else sweep.duration_s
             for be_app in co_runners or [None]:
                 cells.append(Cell(
-                    plan, spec, cell_level, share_s, config, be_app,
-                    fault_plan.cell_faults, guard, schedule,
+                    plan, spec, cell_level, share_s, sweep.config, be_app,
+                    fault_plan.cell_faults, sweep.guard, schedule,
                 ))
     return cells, result

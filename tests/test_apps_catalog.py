@@ -10,11 +10,8 @@ from repro.apps.catalog import (
     BE_NAMES,
     LC_NAMES,
     NOCAP_PROVISIONED_W,
-    REFERENCE_SPEC,
     XAPIAN_MOTIVATION_CAPACITY_W,
-    best_effort_apps,
     derive_power_coefficients,
-    latency_critical_apps,
 )
 from repro.errors import ConfigError
 from repro.hwmodel.spec import Allocation, spare_of

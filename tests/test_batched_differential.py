@@ -43,7 +43,6 @@ from repro.engine.batched import (
 )
 from repro.engine.parallel import map_ordered
 from repro.engine.select import default_engine
-from repro.errors import ConfigError
 from repro.evaluation import (
     evaluate_all_policies,
     measure_operating_points,
@@ -67,7 +66,7 @@ from repro.faults.schedule import (
 )
 from repro.guard.invariants import GuardConfig
 from repro.runtime import read_journal, run_cluster_checkpointed
-from repro.sim.cluster import Cell, _run_cell, run_cluster
+from repro.sim.cluster import Cell, _run_cell, plan_cluster_tasks, run_cluster
 from repro.sim.colocation import SimConfig
 from repro.sim.telemetry import Telemetry
 from tests.test_runtime_checkpoint import keep_cells
@@ -493,37 +492,6 @@ class TestEngineKnob:
         for a, b in zip(base.outcomes, got.outcomes):
             assert_outcome_equal(a, b, "ctx")
 
-    def test_batched_refuses_process_pool(self, catalog, mixed_plans, tmp_path):
-        """Every sweep entry point refuses it alike, before running anything.
-
-        ``engine=None`` is refused too: a pool runs the oracle, which the
-        caller must name rather than have picked for them.
-        """
-        config = SimConfig(seed=0)
-        messages = []
-        for engine in ("batched", None):
-            sweep = dict(levels=(0.5,), duration_s=3.0, workers=2, engine=engine)
-            entry_points = [
-                lambda: run_cluster(
-                    mixed_plans[:1], catalog.spec, config=config, **sweep
-                ),
-                lambda: run_cluster_checkpointed(
-                    mixed_plans[:1], catalog.spec, tmp_path / "sweep.ckpt",
-                    config=config, **sweep,
-                ),
-                lambda: run_policy(
-                    catalog, "pocolo", sim_config=config,
-                    checkpoint_path=str(tmp_path / "policy.ckpt"), **sweep,
-                ),
-            ]
-            for run in entry_points:
-                with pytest.raises(ConfigError, match="workers must be 1") as info:
-                    run()
-                messages.append(str(info.value))
-        assert len(set(messages)) == 1
-        assert "engine='object'" in messages[0]
-        assert not list(tmp_path.iterdir()), "nothing may run or be saved"
-
     def test_run_policy_engines_agree(self, catalog):
         kwargs = dict(levels=(0.2, 0.6), duration_s=7.0,
                       sim_config=SimConfig(seed=3))
@@ -552,7 +520,9 @@ class TestEvaluationDifferential:
         real = pipeline.run_sweeps
 
         def recording(sweeps, *rest, **kwargs):
-            swept.append([cell for cells, _ in sweeps for cell in cells])
+            swept.append([
+                cell for sweep in sweeps for cell in plan_cluster_tasks(sweep)[0]
+            ])
             return real(sweeps, *rest, **kwargs)
 
         monkeypatch.setattr(pipeline, "run_sweeps", recording)

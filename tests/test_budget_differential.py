@@ -40,7 +40,7 @@ from repro.faults.schedule import (
 )
 from repro.guard.invariants import GuardConfig
 from repro.runtime import read_journal, run_cluster_checkpointed
-from repro.sim.cluster import run_cluster
+from repro.sim.cluster import Sweep, run_cluster
 from repro.sim.colocation import SimConfig
 from tests.test_batched_differential import assert_outcome_equal
 from tests.test_runtime_checkpoint import keep_cells
@@ -193,9 +193,14 @@ class TestReplanIsDeterministic:
             rejoins=(ServerRejoin(fleet[1].lc_app.name, at_level_index=2),),
             infra_faults=infra_battery,
         )
-        args = (fleet, catalog.spec, (0.2, 0.5, 0.8), 7.0, BUDGET)
-        first = plan_budget(*args, fault_plan=fault_plan, guard=GuardConfig())
-        again = plan_budget(*args, fault_plan=fault_plan, guard=GuardConfig())
+        def sweep():
+            return Sweep(
+                fleet, catalog.spec, (0.2, 0.5, 0.8), 7.0,
+                fault_plan=fault_plan, guard=GuardConfig(), budget=BUDGET,
+            )
+
+        first = plan_budget(sweep())
+        again = plan_budget(sweep())
         stats = first.report.stats
         assert stats.skipped_ticks > 0
         assert stats.grants_lost > 0
@@ -234,10 +239,10 @@ class TestKillTheArbiterDrill:
             fault_plan=DRILL_PLAN, guard=guard, budget=BUDGET,
             engine="object",
         )
-        plan = plan_budget(
-            fleet, catalog.spec, DRILL_LEVELS, DRILL_DURATION_S, BUDGET,
-            fault_plan=DRILL_PLAN, guard=guard,
-        )
+        plan = plan_budget(Sweep(
+            fleet, catalog.spec, DRILL_LEVELS, DRILL_DURATION_S,
+            fault_plan=DRILL_PLAN, guard=guard, budget=BUDGET,
+        ))
         return result, plan
 
     def test_grants_were_outstanding_at_the_crash(self, drill):

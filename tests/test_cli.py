@@ -106,17 +106,15 @@ class TestBudgetCli:
             main(["run", "--budget-tree", "--fairness", "maximal"])
 
 
-class TestPoolCli:
-    """``--workers`` > 1 runs the per-object engine in a pool.
+class TestWorkersCli:
+    """``--workers`` is the guard campaign's pool width.
 
-    The default engine refuses a pool, so these runs fail unless the
-    CLI names ``engine="object"`` itself.
+    ``run`` and ``guard`` without ``--campaign`` run their sweep
+    in-process, so they refuse a pool rather than ignore it.
     """
 
     @pytest.mark.parametrize("command", ["run", "guard"])
-    def test_pool_matches_in_process_run(self, capsys, command):
-        argv = [command, "--duration", "2"]
-        assert main(argv) == 0
-        in_process = capsys.readouterr().out
-        assert main(argv + ["--workers", "2"]) == 0
-        assert capsys.readouterr().out == in_process
+    def test_sweep_commands_reject_a_pool(self, capsys, command):
+        with pytest.raises(ConfigError, match="--workers"):
+            main([command, "--duration", "2", "--workers", "2"])
+        assert capsys.readouterr().out == ""

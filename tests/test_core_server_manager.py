@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.server_manager import (
-    DEFAULT_SLACK_TARGET,
-    HeraclesLikeManager,
-    PowerOptimizedManager,
-)
+from repro.core.server_manager import HeraclesLikeManager, PowerOptimizedManager
 from repro.errors import ConfigError
 from repro.hwmodel.server import PRIMARY, SECONDARY, Server
 from repro.hwmodel.spec import Allocation

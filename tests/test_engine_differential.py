@@ -4,9 +4,9 @@ The engine's contract is *bit-identity*, not approximation:
 
 * the vectorized performance matrix reproduces the retained loop
   reference (``_build_performance_matrix_reference``) cell for cell;
-* ``run_cluster(workers=N)`` and ``run_cluster(dedupe=True)`` reproduce
-  the ``workers=1`` serial sweep exactly, across sim seeds and with a
-  fault plan active (crashes, recovery, re-placement, cell faults).
+* ``run_cluster(dedupe=True)`` reproduces the plain sweep exactly,
+  across sim seeds and with a fault plan active (crashes, recovery,
+  re-placement, cell faults).
 
 The evaluation-level cross-engine check lives in
 ``tests/test_batched_differential.py`` (``TestEvaluationDifferential``).
@@ -155,19 +155,6 @@ class TestMatrixDifferential:
 
 class TestClusterDifferential:
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_workers_bit_identical(self, catalog, seed):
-        placement = placement_for_policy(catalog, "pocolo")
-        plans = cluster_plans(catalog, placement, "pocolo")[:2]
-        kwargs = dict(
-            levels=(0.3, 0.7), duration_s=4.0, config=SimConfig(seed=seed)
-        )
-        serial = run_cluster(plans, catalog.spec, **kwargs)
-        pooled = run_cluster(
-            plans, catalog.spec, workers=2, engine="object", **kwargs
-        )
-        assert _flatten(pooled) == _flatten(serial)
-
-    @pytest.mark.parametrize("seed", [0, 3])
     def test_dedupe_bit_identical(self, catalog, seed):
         placement = placement_for_policy(catalog, "pocolo")
         base = cluster_plans(catalog, placement, "pocolo")[:2]
@@ -200,31 +187,22 @@ class TestClusterDifferential:
             config=SimConfig(seed=5), fault_plan=fault_plan,
         )
         serial = run_cluster(plans, catalog.spec, **kwargs)
-        pooled = run_cluster(
-            plans, catalog.spec, workers=2, engine="object", **kwargs
-        )
         deduped = run_cluster(plans, catalog.spec, dedupe=True, **kwargs)
-        assert _flatten(pooled) == _flatten(serial)
         assert _flatten(deduped) == _flatten(serial)
-        for other in (pooled, deduped):
-            assert (
-                other.fault_report.crashes_handled,
-                other.fault_report.recoveries_handled,
-                other.fault_report.degraded_cells,
-                other.fault_report.replacements,
-            ) == (
-                serial.fault_report.crashes_handled,
-                serial.fault_report.recoveries_handled,
-                serial.fault_report.degraded_cells,
-                serial.fault_report.replacements,
-            )
+        assert (
+            deduped.fault_report.crashes_handled,
+            deduped.fault_report.recoveries_handled,
+            deduped.fault_report.degraded_cells,
+            deduped.fault_report.replacements,
+        ) == (
+            serial.fault_report.crashes_handled,
+            serial.fault_report.recoveries_handled,
+            serial.fault_report.degraded_cells,
+            serial.fault_report.replacements,
+        )
 
     def test_run_policy_knobs_bit_identical(self, catalog):
         kwargs = dict(levels=(0.4, 0.8), duration_s=4.0, seed=1)
         serial = run_policy(catalog, "pom", **kwargs)
-        pooled = run_policy(
-            catalog, "pom", workers=2, engine="object", **kwargs
-        )
         deduped = run_policy(catalog, "pom", dedupe=True, **kwargs)
-        assert _flatten(pooled) == _flatten(serial)
         assert _flatten(deduped) == _flatten(serial)

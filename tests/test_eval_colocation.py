@@ -1,9 +1,11 @@
 """Tests for repro.evaluation.colocation_eval and ablations (short runs)."""
 
-
+import numpy as np
 import pytest
 
+from repro.core.placement import PlacementDecision
 from repro.errors import ConfigError
+from repro.evaluation import ablations, colocation_eval
 from repro.evaluation.ablations import (
     ablate_sample_budget,
     ablate_slack_target,
@@ -11,9 +13,25 @@ from repro.evaluation.ablations import (
 )
 from repro.evaluation.colocation_eval import (
     evaluate_all_policies,
+    fig14_placement_comparison,
     measure_placement,
 )
-from repro.evaluation.pipeline import placement_for_policy
+from repro.evaluation.pipeline import cluster_plans, placement_for_policy
+from repro.sim.cluster import run_cluster
+from repro.sim.colocation import SimConfig
+
+
+def _counting_run_sweeps(monkeypatch, module):
+    """Patch ``module.run_sweeps`` to record each call's sweep count."""
+    calls = []
+    real = module.run_sweeps
+
+    def counting(sweeps, *args, **kwargs):
+        calls.append(len(sweeps))
+        return real(sweeps, *args, **kwargs)
+
+    monkeypatch.setattr(module, "run_sweeps", counting)
+    return calls
 
 
 class TestEvaluatePolicy:
@@ -51,6 +69,39 @@ class TestMeasurePlacement:
         assert curve.total_load[0] > 0.5
 
 
+class TestFig14:
+    LEVELS = (0.2, 0.7)
+    DURATION_S = 5.0
+
+    def _per_level_totals(self, catalog, mapping):
+        """The curve as one ``run_cluster`` call per level computes it."""
+        decision = PlacementDecision(mapping=dict(mapping),
+                                     predicted_total=float("nan"), method="fixed")
+        plans = cluster_plans(catalog, decision, policy="pom")
+        totals = []
+        for level in self.LEVELS:
+            result = run_cluster(plans, catalog.spec, levels=[level],
+                                 duration_s=self.DURATION_S,
+                                 config=SimConfig(seed=0))
+            totals.append(float(np.mean([
+                o.result.avg_lc_load_fraction + o.result.avg_be_throughput_norm
+                for o in result.outcomes
+            ])))
+        return tuple(totals)
+
+    def test_one_sweep_equals_per_level_runs(self, catalog, monkeypatch):
+        calls = _counting_run_sweeps(monkeypatch, colocation_eval)
+        fig = fig14_placement_comparison(catalog, levels=self.LEVELS,
+                                         duration_s=self.DURATION_S)
+        assert calls == [24], "all placements must run as one sweep"
+        other = next(c for c in fig.all_curves if c.mapping != fig.pocolo.mapping)
+        for curve in (fig.pocolo, other):
+            assert curve.levels == self.LEVELS
+            assert curve.total_load == self._per_level_totals(
+                catalog, dict(curve.mapping)
+            )
+
+
 class TestSolverAblation:
     def test_exact_methods_agree(self, catalog):
         rows, random_mean = ablate_solver_choice(catalog)
@@ -76,10 +127,12 @@ class TestSolverAblation:
 
 
 class TestSlackAblation:
-    def test_rows_cover_targets(self, catalog):
+    def test_rows_cover_targets(self, catalog, monkeypatch):
+        calls = _counting_run_sweeps(monkeypatch, ablations)
         rows = ablate_slack_target(catalog, targets=(0.1, 0.5),
                                    levels=[0.3], duration_s=5.0)
         assert [r.slack_target for r in rows] == [0.1, 0.5]
+        assert calls == [2], "every target must run in one sweep"
 
     def test_extreme_target_starves_be(self, catalog):
         rows = ablate_slack_target(catalog, targets=(0.1, 0.5),

@@ -6,7 +6,6 @@ from repro.apps.catalog import NOCAP_PROVISIONED_W
 from repro.core.server_manager import HeraclesLikeManager, PowerOptimizedManager
 from repro.errors import ConfigError
 from repro.evaluation.pipeline import (
-    FittedCatalog,
     cluster_plans,
     fit_catalog,
     manager_factory,

@@ -8,13 +8,7 @@ orderings and directions, not absolute numbers.
 import numpy as np
 import pytest
 
-from repro.evaluation import (
-    evaluate_all_policies,
-    fig15_tco,
-    fit_catalog,
-    placement_for_policy,
-    run_policy,
-)
+from repro.evaluation import evaluate_all_policies, fig15_tco, placement_for_policy
 
 
 @pytest.fixture(scope="module")

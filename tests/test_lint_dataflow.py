@@ -9,8 +9,8 @@ twin runs the same shapes legally and must stay silent.
 import pathlib
 
 from repro.lint import get_rule, lint_file, lint_paths, lint_source
-from repro.lint.graph import Project, module_name_for_path
 from repro.lint.core import LintContext
+from repro.lint.graph import Project, module_name_for_path
 
 FIXTURES = pathlib.Path(__file__).parent / "lint_fixtures"
 

@@ -9,7 +9,7 @@ The contract under test (docs/RECOVERY.md):
   unpickling;
 * :func:`repro.runtime.sweep.run_cluster_checkpointed` — checkpoint →
   kill → resume equals the uninterrupted run bit-for-bit, pinned with
-  Hypothesis across seeds / worker counts / fault plans and with a real
+  Hypothesis across seeds / fault plans / kill points and with a real
   SIGKILL of a mid-flight subprocess.
 """
 
@@ -45,7 +45,7 @@ from repro.runtime import (
     sweep_run_key,
 )
 from repro.sim import cluster as cluster_module
-from repro.sim.cluster import LevelOutcome, ServerPlan, run_cluster
+from repro.sim.cluster import LevelOutcome, ServerPlan, Sweep, run_cluster
 from repro.sim.colocation import SimConfig
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
@@ -325,7 +325,7 @@ class TestCheckpointedSweep:
         assert (journal.cells_total, journal.cells_done) == (2, 2)
         assert journal.intact_bytes == journal.file_bytes
         assert journal.run_key == sweep_run_key(
-            plans, catalog.spec, **self.KWARGS
+            Sweep(plans, catalog.spec, **self.KWARGS)
         )
 
     def test_resume_skips_completed_cells(self, catalog, tmp_path, monkeypatch):
@@ -465,16 +465,16 @@ class TestCheckpointedSweep:
     def test_run_key_is_content_based(self, catalog):
         plans_a = _plans(catalog, [("xapian", "rnn")])
         plans_b = _plans(catalog, [("xapian", "rnn")])  # fresh objects
-        key = sweep_run_key(plans_a, catalog.spec, **self.KWARGS)
-        assert sweep_run_key(plans_b, catalog.spec, **self.KWARGS) == key
-        assert sweep_run_key(
+        key = sweep_run_key(Sweep(plans_a, catalog.spec, **self.KWARGS))
+        assert sweep_run_key(Sweep(plans_b, catalog.spec, **self.KWARGS)) == key
+        assert sweep_run_key(Sweep(
             plans_a, catalog.spec,
             levels=[0.3, 0.7], duration_s=9.0, config=SimConfig(seed=2),
-        ) != key
-        assert sweep_run_key(
+        )) != key
+        assert sweep_run_key(Sweep(
             plans_a, catalog.spec,
             fault_plan=_fault_plan(plans_a), **self.KWARGS,
-        ) != key
+        )) != key
 
 
 class TestPerCellLayout:
@@ -770,8 +770,7 @@ class TestGroupCommit:
         ))
         path = tmp_path / "sweep.ckpt"
         planned, _ = cluster_module.plan_cluster_tasks(
-            plans, catalog.spec, self.KWARGS["levels"],
-            self.KWARGS["duration_s"], self.KWARGS["config"], None,
+            Sweep(plans, catalog.spec, **self.KWARGS)
         )
         position_of = {
             (cell.plan.lc_app.name, cell.level): k
@@ -834,21 +833,20 @@ class TestCrashResumeProperty:
     )
     @given(
         seed=st.integers(min_value=0, max_value=3),
-        workers=st.sampled_from([1, 2]),
         faulted=st.booleans(),
         kill_after=st.integers(min_value=0, max_value=4),
         torn_bytes=st.integers(min_value=0, max_value=400),
     )
     def test_kill_and_resume_bit_identical(
-        self, catalog, tmp_path_factory, seed, workers, faulted, kill_after,
+        self, catalog, tmp_path_factory, seed, faulted, kill_after,
         torn_bytes,
     ):
         plans, kwargs = self._sweep(catalog, seed, faulted)
         path = tmp_path_factory.mktemp("ckpt") / "sweep.ckpt"
-        # A process pool runs the oracle, which must be named.
+        # The oracle lands one record per cell, so every kill point
+        # between records is reachable.
         run_cluster_checkpointed(
-            plans, catalog.spec, path, workers=workers, engine="object",
-            **kwargs
+            plans, catalog.spec, path, engine="object", **kwargs
         )
         # Cut the journal back to the moment of the simulated crash: the
         # first ``kill_after`` records survived, plus up to
@@ -859,8 +857,7 @@ class TestCrashResumeProperty:
             blob = path.read_bytes()
             path.write_bytes(blob[:start + min(torn_bytes, end - start - 1)])
         resumed = run_cluster_checkpointed(
-            plans, catalog.spec, path, resume=True, workers=workers,
-            engine="object", **kwargs
+            plans, catalog.spec, path, resume=True, engine="object", **kwargs
         )
         assert _flatten(resumed) == self._clean_flat(catalog, seed, faulted)
 

@@ -136,7 +136,7 @@ class TestCellValidation:
 
         monkeypatch.setattr(cluster_module, "_run_cell", never)
         plans = plans_for(catalog, [("xapian", "rnn")])
-        with pytest.raises(ConfigError, match="cell "):
+        with pytest.raises(ConfigError, match="sweep "):
             run_cluster(plans, catalog.spec, config=SimConfig(seed=0), **sweep)
 
     def test_repr_names_the_cell(self, catalog):

@@ -13,12 +13,7 @@ isolation story depends on:
 
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import (
-    RuleBasedStateMachine,
-    initialize,
-    invariant,
-    rule,
-)
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import AllocationError
 from repro.hwmodel.cache import CacheAllocator

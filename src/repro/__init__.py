@@ -23,8 +23,8 @@ Package layout
 ``repro.sim``
     The time-stepped colocation and cluster simulators.
 ``repro.engine``
-    The execution layer: vectorized placement math, deterministic
-    process-pool fan-out, and exact cell deduplication.
+    The execution layer: vectorized placement math, the batched sweep
+    core, an in-process ordered map, and exact cell deduplication.
 ``repro.guard``
     Runtime safety invariants (power cap, energy conservation, SLO
     floor), the violation ledger, and coverage-guided chaos campaigns.

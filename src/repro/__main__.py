@@ -285,7 +285,6 @@ def cmd_guard(catalog, args) -> None:
               f"({args.rounds} rounds)...")
         campaign = run_campaign(runner, CampaignConfig(
             seed=args.seed, rounds=args.rounds, horizon_s=args.duration,
-            workers=args.workers,
         ))
         print(f"cases run        {campaign.cases_run}")
         print(f"corpus size      {campaign.corpus_size}")
@@ -341,9 +340,6 @@ def main(argv=None) -> int:
                         help="policy for the run command (default pocolo)")
     parser.add_argument("--duration", type=float, default=25.0,
                         help="seconds of simulated time per cell (run)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="process-pool width for guard --campaign "
-                             "(run and guard sweeps run in-process)")
     parser.add_argument("--checkpoint-dir", default=None,
                         help="directory for the run command's checkpoint file")
     parser.add_argument("--resume", action="store_true",
@@ -373,11 +369,6 @@ def main(argv=None) -> int:
                         default="max-min",
                         help="headroom redistribution objective")
     args = parser.parse_args(argv)
-    if args.workers != 1 and args.command in ("run", "guard") and not args.campaign:
-        raise ConfigError(
-            "--workers sets the pool width of guard --campaign; "
-            f"{args.command} runs its sweep in-process"
-        )
 
     catalog = fit_catalog(seed=args.seed) if args.command != "list" else None
     handler = {

@@ -1,4 +1,4 @@
-"""Execution engine: vectorized math, batched lanes and a supervised pool.
+"""Execution engine: vectorized math, batched lanes and an ordered map.
 
 The simulation and placement layers describe *what* to compute; this
 package decides *how fast*.  Three mechanisms, all result-preserving:
@@ -16,23 +16,17 @@ package decides *how fast*.  Three mechanisms, all result-preserving:
   (plan, level) cell once and fan the outcome back out, which is exact
   because every cell is a pure function of its explicit inputs.
 
-:mod:`repro.engine.parallel` holds the ordered, seed-explicit process
-pool the guard campaign fans its cases out through
-(``CampaignConfig.workers``).  Its :class:`SupervisedPool` rebuilds a
-broken pool with capped exponential backoff, re-submits only the lost
-tasks, and degrades to serial execution after repeated failures.
+:mod:`repro.engine.parallel` holds :func:`map_ordered`, the in-process
+ordered map the per-object engine runs its cells through and the guard
+campaign its cases; a task that raises surfaces as
+:class:`~repro.errors.ExecutionError` naming its index and arguments.
 
 ``tests/test_engine_differential.py`` and
 ``tests/test_batched_differential.py`` pin the equivalences;
 ``benchmarks/perf/`` tracks the speedups in ``BENCH_engine.json``.
 """
 
-from repro.engine.parallel import (
-    CellKey,
-    SupervisedPool,
-    SupervisorStats,
-    map_ordered,
-)
+from repro.engine.parallel import CellKey, map_ordered
 from repro.engine.vectorized import (
     ModelGrid,
     build_performance_matrix_vectorized,
@@ -47,8 +41,6 @@ __all__ = [
     "CellKey",
     "ENGINES",
     "ModelGrid",
-    "SupervisedPool",
-    "SupervisorStats",
     "build_performance_matrix_vectorized",
     "cached_spare_capacity",
     "clear_engine_caches",

@@ -1855,7 +1855,7 @@ def run_batched_cells(
 ) -> List[Any]:
     """Run :class:`~repro.sim.cluster.Cell` records through the batched core.
 
-    Mirrors the serial ``SupervisedPool.map_ordered`` run of the cells
+    Mirrors the :func:`~repro.engine.parallel.map_ordered` run of the cells
     exactly: results arrive in cell order, and failures raise the same
     ``ExecutionError`` wrapping at the same position.  Cells the
     batched core cannot claim (unknown manager types, unsupported

@@ -51,12 +51,12 @@ class LintError(ReproError):
 
 
 class ExecutionError(ReproError):
-    """A task failed inside the execution engine's fan-out.
+    """A task failed inside the execution engine's ordered map.
 
-    Raised by :func:`repro.engine.parallel.map_ordered` and
-    :class:`repro.engine.parallel.SupervisedPool` when a mapped function
-    raises (the message names the failing task's index and arguments) or
-    when supervision exhausts its restart budget."""
+    Raised by :func:`repro.engine.parallel.map_ordered` (and the batched
+    engine, which wraps its cell failures the same way) when a mapped
+    function raises; the message names the failing task's index,
+    arguments and root cause."""
 
 
 class InvariantViolationError(ReproError):

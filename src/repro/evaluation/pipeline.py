@@ -175,8 +175,8 @@ class HeraclesFactory:
     """Builds the power-unaware baseline manager.
 
     A frozen dataclass (not a closure) so that :class:`ServerPlan`
-    objects pickle across the engine's process pool and compare equal
-    for cell deduplication.
+    objects compare equal for cell deduplication and have a stable
+    repr in the sweep's run key.
     """
 
     def __call__(self, server: Server) -> ServerManagerBase:

@@ -170,8 +170,7 @@ class GuardReport:
 
     ``violations`` is capped at the config's ``max_violations``;
     ``total_violations`` keeps the true count so truncation is visible.
-    Plain frozen data — pickles across the process pool and into
-    checkpoints unchanged.
+    Plain frozen data — pickles into checkpoints unchanged.
     """
 
     mode: str

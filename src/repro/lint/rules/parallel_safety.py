@@ -1,14 +1,14 @@
 """POCO301 ``pool-closure`` — picklable callables into process pools.
 
-``engine.parallel.map_ordered`` fans tasks out to a
-``ProcessPoolExecutor``; its contract (PR 2, docs/ENGINE.md) is that
-the mapped callable and every argument cross the process boundary by
+Work submitted to a process pool crosses the process boundary by
 pickling — so the callable must be addressable by qualified name:
 a module-level function or a frozen-dataclass factory.  Lambdas,
 functions nested inside other functions, and ``self.``-bound methods
-all fail at runtime with an opaque ``PicklingError`` — and only when
-``workers > 1``, which is exactly how nondeterministic "works on my
-serial run" bugs ship.  This rule rejects them at rest.
+all fail at runtime with an opaque ``PicklingError`` — and only on the
+pooled path, which is exactly how nondeterministic "works on my
+serial run" bugs ship.  This rule rejects them at rest.  It also
+checks ``engine.parallel.map_ordered`` call sites, although that map
+runs its tasks in-process and pickles nothing.
 
 Checked call sites:
 

@@ -26,7 +26,7 @@ from repro.budget.arbiter import BudgetConfig, BudgetPlan, BudgetReport, plan_bu
 from repro.budget.schedule import CapSchedule
 from repro.core.placement import assign_with_fallback
 from repro.core.server_manager import ServerManagerBase
-from repro.engine.parallel import CellKey, _run_serial
+from repro.engine.parallel import CellKey, map_ordered
 from repro.engine.select import resolve_engine
 from repro.errors import ConfigError
 from repro.faults.cluster import (
@@ -341,7 +341,7 @@ def _execute(
 
         fresh = run_batched_cells(todo, on_result=landed)
     else:
-        fresh = _run_serial(
+        fresh = map_ordered(
             _run_cell, [(cell,) for cell in todo],
             on_result=None if landed is None else (
                 lambda index, outcome: landed([(index, outcome)])

@@ -460,7 +460,7 @@ class TestGuardReportDifferential:
             except Exception as exc:  # noqa: BLE001 - comparing raises
                 return type(exc).__name__, str(exc)
 
-        oracle = outcome(map_ordered, _run_cell, [(t,) for t in tasks], workers=1)
+        oracle = outcome(map_ordered, _run_cell, [(t,) for t in tasks])
         batched = outcome(run_batched_cells, tasks)
         assert oracle is not None, "enforce scenario must raise"
         assert oracle == batched

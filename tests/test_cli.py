@@ -107,14 +107,19 @@ class TestBudgetCli:
 
 
 class TestWorkersCli:
-    """``--workers`` is the guard campaign's pool width.
+    """Every command runs in-process, so there is no ``--workers`` flag.
 
-    ``run`` and ``guard`` without ``--campaign`` run their sweep
-    in-process, so they refuse a pool rather than ignore it.
+    ``run``, ``guard`` and ``guard --campaign`` reject it as an unknown
+    argument before any work starts.
     """
 
-    @pytest.mark.parametrize("command", ["run", "guard"])
+    @pytest.mark.parametrize("command", [
+        ["run"], ["guard"], ["guard", "--campaign"],
+    ], ids=["run", "guard", "campaign"])
     def test_sweep_commands_reject_a_pool(self, capsys, command):
-        with pytest.raises(ConfigError, match="--workers"):
-            main([command, "--duration", "2", "--workers", "2"])
-        assert capsys.readouterr().out == ""
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--duration", "2", "--workers", "2"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --workers 2" in captured.err

@@ -8,6 +8,7 @@ minimal reproducer, and that reproducer must round-trip through a
 pinned fixture and still violate.
 """
 
+import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.apps import REFERENCE_SPEC, best_effort_apps, latency_critical_apps
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ExecutionError
 from repro.evaluation.pipeline import HeraclesFactory
 from repro.faults import (
     FaultSchedule,
@@ -43,6 +44,7 @@ from repro.guard.fixtures import (
 )
 from repro.guard.invariants import GuardReport, Violation
 from repro.hwmodel.capping import PowerCapController
+from repro.sim.colocation import SimConfig
 
 #: The pairing the planted bug is detectable under: moderate LC load
 #: with a BE tenant holding real resources while the meter reads low.
@@ -64,7 +66,20 @@ class WatchdogDisabledCapper:
         return PowerCapController(server=server, meter=meter, watchdog=False)
 
 
-def make_runner(capper_factory=None, duration_s=20.0, level=0.5):
+class FailsAfter:
+    """Capper factory that builds ``calls`` healthy cappers, then raises."""
+
+    def __init__(self, calls):
+        self.remaining = calls
+
+    def __call__(self, server, meter):
+        if self.remaining == 0:
+            raise RuntimeError("capper refused to start")
+        self.remaining -= 1
+        return PowerCapController(server=server, meter=meter)
+
+
+def make_runner(capper_factory=None, duration_s=20.0, level=0.5, sim_seed=0):
     lc = latency_critical_apps()[DETECT_LC]
     return ColocationCaseRunner(
         lc_app=lc,
@@ -74,6 +89,7 @@ def make_runner(capper_factory=None, duration_s=20.0, level=0.5):
         be_app=best_effort_apps()[DETECT_BE],
         level=level,
         duration_s=duration_s,
+        config=SimConfig(seed=sim_seed),
         capper_factory=capper_factory,
     )
 
@@ -87,7 +103,6 @@ class TestConfigValidation:
         {"mean_duration_s": 0.0},
         {"max_faults": 0},
         {"shrink_budget": -1},
-        {"workers": 0},
     ])
     def test_bad_campaign_knobs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -295,3 +310,53 @@ class TestCampaignSearch:
         )
         assert result.evaluations <= 3
         assert 1 <= len(result.schedule) <= 2
+
+
+#: ``CampaignResult`` of the ``scripts/guard_campaign_smoke.py`` drill
+#: (``DETECT_CONFIG`` at the campaign seed, cells simulated with the same
+#: seed), keyed by (seed, watchdog disabled): ``cases_run``,
+#: ``corpus_size``, ``coverage_points``, then per violation its
+#: invariants, ``shrunk.describe()`` and ``shrink_evaluations``.
+CAMPAIGN_PINS = {
+    (0, False): (36, 15, 17, []),
+    (0, True): (24, 9, 12, [
+        (("power-cap",), ["MeterStuckAt [t=13.3223s..16.6612s]"], 5),
+    ]),
+    (1, False): (36, 9, 13, []),
+    # Two violating cases of one batch shrink to the same reproducer.
+    (1, True): (12, 5, 8, [
+        (("power-cap",), ["MeterStuckAt [t=1.53795s..3.2384s]",
+                          "MeterStuckAt [t=2.24799s..6.66398s]"], 12),
+    ] * 2),
+}
+
+
+class TestCampaignPinned:
+    """Campaign results are a pure function of (runner, config)."""
+
+    @pytest.mark.parametrize("seed, broken", sorted(CAMPAIGN_PINS))
+    def test_smoke_drill(self, seed, broken):
+        runner = make_runner(
+            capper_factory=WatchdogDisabledCapper() if broken else None,
+            sim_seed=seed,
+        )
+        config = dataclasses.replace(DETECT_CONFIG, seed=seed)
+        result = run_campaign(runner, config)
+        found = (
+            result.cases_run, result.corpus_size, result.coverage_points,
+            [
+                (case.invariants, case.shrunk.describe(),
+                 case.shrink_evaluations)
+                for case in result.violations
+            ],
+        )
+        assert found == CAMPAIGN_PINS[seed, broken]
+
+    def test_raising_case_names_its_index(self):
+        # The third case of the initial corpus fails to build its capper.
+        runner = make_runner(capper_factory=FailsAfter(2), duration_s=4.0)
+        config = CampaignConfig(seed=0, rounds=1, batch_size=2,
+                                initial_corpus=4, horizon_s=4.0)
+        with pytest.raises(ExecutionError, match=r"task 2 of 4") as excinfo:
+            run_campaign(runner, config)
+        assert isinstance(excinfo.value.__cause__, RuntimeError)

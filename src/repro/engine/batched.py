@@ -1705,7 +1705,7 @@ class BatchedClusterSim:
                 checking = [tick + 1] if final is not None else []
             if not checking:
                 return
-            state = np.random.get_state()[:3]  # pocolint: disable=nondeterminism
+            state = np.random.get_state()[:3]  # pocolint: disable=determinism-taint
             current = (
                 str(state[0]), np.asarray(state[1]).tobytes(), int(state[2])
             )

@@ -45,9 +45,9 @@ class ConfigError(ReproError):
 
 
 class LintError(ReproError):
-    """The static-analysis driver itself failed (unreadable file, bad
-    baseline, unknown rule id) — distinct from *findings*, which are
-    reported data, not exceptions."""
+    """The static-analysis driver itself failed (unreadable file,
+    unknown rule name in a selection or a suppression) — distinct from
+    *findings*, which are reported data, not exceptions."""
 
 
 class ExecutionError(ReproError):

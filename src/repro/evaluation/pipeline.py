@@ -188,7 +188,7 @@ class PomFactory:
     """Builds the power-optimized manager around one fitted LC model.
 
     Value-equal when the model is the same, which lets the engine
-    recognize replicated servers; picklable for pooled execution.
+    recognize replicated servers.
     """
 
     model: object

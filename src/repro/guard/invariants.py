@@ -490,7 +490,8 @@ class RngIsolationInvariant(Invariant):
     Every cell builds its own ``default_rng(config.seed)``; a stray
     ``np.random.uniform(...)`` (the module-level singleton) would make
     results depend on execution order across cells — silently breaking
-    dedupe, parallel fan-out and checkpoint-resume bit-identity.  The
+    dedupe, batched-versus-oracle equality and checkpoint-resume
+    bit-identity.  The
     invariant fingerprints the global Mersenne Twister state on its
     first tick and verifies it never moves.
     """
@@ -506,7 +507,7 @@ class RngIsolationInvariant(Invariant):
     def _fingerprint() -> Tuple[str, bytes, int]:
         # Reading the legacy global RNG is the point: the invariant
         # detects anyone *using* it.
-        kind, keys, pos = np.random.get_state()[:3]  # pocolint: disable=nondeterminism
+        kind, keys, pos = np.random.get_state()[:3]  # pocolint: disable=determinism-taint
         return str(kind), np.asarray(keys).tobytes(), int(pos)
 
     def observe(self, sample: GuardSample) -> Optional[Violation]:

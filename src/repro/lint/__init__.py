@@ -7,10 +7,11 @@ checks statically:
   in watts (``P_static + sum_j r_j * p_j <= Power``), so any arithmetic
   that silently mixes watts with joules (or seconds, or GHz) corrupts
   every budget downstream;
-* **bit-identical determinism** — the engine layer's vectorized and
-  parallel paths must reproduce their serial oracles exactly, which is
-  only possible when every source of entropy (clocks, ambient RNG,
-  unpicklable closures crossing process boundaries) is banned.
+* **bit-identical determinism** — the engine layer's batched and
+  vectorized paths must reproduce their per-object oracles exactly,
+  which is only possible when every source of entropy (wall clocks,
+  ambient or unseeded RNG) is banned and no environment, listing or
+  set order reaches durable state.
 
 ``pocolint`` parses every file it is given and applies the rule
 families in :mod:`repro.lint.rules`, one rule per concern:
@@ -18,7 +19,6 @@ families in :mod:`repro.lint.rules`, one rule per concern:
 ========== ======================= =======================================
 code       rule id                 protects
 ========== ======================= =======================================
-POCO301    ``pool-closure``        picklable callables into process pools
 POCO401    ``exception-policy``    ReproError-only raises, no asserts/bare
                                    excepts in library code
 POCO501    ``atomic-artifacts``    durable files go through
@@ -28,30 +28,27 @@ POCO601    ``hand-rolled-tolerance`` power/energy tolerance checks go
 POCO701    ``unit-flow``           additive watts/joules/seconds/GHz
                                    safety, with units followed across
                                    assignments, calls and returns
-                                   (alias ``unit-mixing`` / POCO101)
 POCO801    ``lane-safety``         lane modules: no view-aliased writes,
                                    float32 narrowing or axis= reductions
 POCO901    ``determinism-taint``   no clocks or ambient/unseeded RNG, and
                                    no nondeterminism reaching checkpoints/
-                                   telemetry/ledger/pickles (alias
-                                   ``nondeterminism`` / POCO201)
+                                   telemetry/ledger
 ========== ======================= =======================================
 
-POCO301–POCO601 are per-file syntactic checks; the 7xx/8xx/9xx
+POCO401–POCO601 are per-file syntactic checks; the 7xx/8xx/9xx
 families run the whole-program dataflow engine (:mod:`repro.lint.graph`
 builds symbol tables and a call graph, :mod:`repro.lint.dataflow` is
 the abstract interpreter, :mod:`repro.lint.summaries` computes
 interprocedural fixpoints).
 
 Run it as ``python -m repro.lint [paths ...]``; see ``docs/LINTING.md``
-for the rule catalogue, suppression syntax
+for the rule catalogue and the suppression syntax
 (``# pocolint: disable=<rule>``, where ``<rule>`` is an id, a code or
-an alias) and the baseline workflow.
+``all``).
 """
 
 from __future__ import annotations
 
-from repro.lint.baseline import Baseline
 from repro.lint.core import (
     Finding,
     LintContext,
@@ -65,7 +62,6 @@ from repro.lint.core import (
 )
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintContext",
     "Rule",

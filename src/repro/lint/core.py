@@ -1,13 +1,12 @@
 """pocolint visitor core: findings, rule registry, suppressions, drivers.
 
 A *rule* is a class with a stable ``rule_id``, a short ``code``
-(``POCOxxx``, used in report lines), optional ``aliases`` (retired names
-of rules folded into it), and a ``check`` method that yields
+(``POCOxxx``, used in report lines) and a ``check`` method that yields
 :class:`Finding` objects for one parsed module.  Rules are registered in
-a module-level registry so the CLI, the test suite and the repo-hygiene
-gate all see the same rule set.  Wherever a rule is named — ``--rules``,
-:func:`get_rule`, ``# pocolint: disable=<rule>`` — its id, its code and
-each alias all resolve to it.
+a module-level registry so the CLI and the test suite see the same rule
+set.  Wherever a rule is named — ``--rules``, :func:`get_rule`,
+``# pocolint: disable=<rule>`` — its id and its code both resolve to
+it; a suppression naming anything else is a :class:`LintError`.
 
 Determinism of the linter itself is part of the contract: findings are
 always reported sorted by ``(path, line, col, rule_id)`` and directory
@@ -27,7 +26,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Ty
 
 from repro.errors import LintError
 
-#: Matches ``# pocolint: disable=rule-a,rule-b`` (or ``disable=all``).
+#: Matches a ``pocolint: disable=`` comment naming rules (or ``all``).
 _SUPPRESS_RE = re.compile(r"#\s*pocolint:\s*disable=([A-Za-z0-9_,\- ]+)")
 
 #: Matches module-scope directives: ``# pocolint: lane-module``.
@@ -48,16 +47,6 @@ class Finding:
     col: int
     message: str
 
-    @property
-    def baseline_key(self) -> str:
-        """Location-insensitive identity used for baseline matching.
-
-        Line numbers churn on unrelated edits, so grandfathered findings
-        are keyed by ``path::message`` (the message embeds the offending
-        symbol, which is stable) rather than by exact coordinates.
-        """
-        return f"{self.path}::{self.message}"
-
     def render(self) -> str:
         return (
             f"{self.path}:{self.line}:{self.col}: "
@@ -75,8 +64,7 @@ class LintContext:
     suppressed: Dict[int, frozenset] = field(default_factory=dict)
     #: module-scope directives (``# pocolint: lane-module``)
     directives: frozenset = frozenset()
-    #: whole-program view, set by the project-aware drivers; None when a
-    #: single source string is linted without project context
+    #: whole-program view, set by the driver when a rule needs it
     project: Optional[object] = None
 
     @classmethod
@@ -86,6 +74,13 @@ class LintContext:
         except SyntaxError as exc:
             raise LintError(f"{path}: cannot parse: {exc}") from exc
         suppressed, directives = _scan_comments(source)
+        for line, names in sorted(suppressed.items()):
+            unknown = sorted(names - _NAMES.keys() - {"all"})
+            if unknown:
+                raise LintError(
+                    f"{path}:{line}: pocolint: disable= names unknown rule "
+                    f"{', '.join(map(repr, unknown))}"
+                )
         return cls(
             path=path,
             source=source,
@@ -115,7 +110,7 @@ class LintContext:
 def _scan_comments(source: str) -> tuple:
     """Collect suppressions and module directives from comment tokens.
 
-    Suppressions map line number -> rule names (ids, codes or aliases)
+    Suppressions map line number -> rule names (ids, codes or ``all``)
     disabled on that physical line; directives are module-wide markers.
     Comments are found with :mod:`tokenize` rather than a per-line regex
     so that ``pocolint: disable`` *inside a string literal* does not
@@ -149,16 +144,14 @@ def _scan_comments(source: str) -> tuple:
 class Rule:
     """Base class for pocolint rules.
 
-    Subclasses set ``rule_id`` (kebab-case slug, used for suppression
-    and baselines), ``code`` (``POCOxxx``), a one-line ``summary``, and
+    Subclasses set ``rule_id`` (kebab-case slug, used for
+    suppression), ``code`` (``POCOxxx``), a one-line ``summary``, and
     implement :meth:`check`.
     """
 
     rule_id: str = ""
     code: str = ""
     summary: str = ""
-    #: retired rule ids and codes that still name this rule
-    aliases: Tuple[str, ...] = ()
     #: Whole-program rules (POCO701/901) need ``ctx.project`` to be a
     #: :class:`repro.lint.graph.Project`; the drivers build one covering
     #: every file in the run before such a rule is invoked.
@@ -189,7 +182,7 @@ class Rule:
 
 _REGISTRY: Dict[str, Type[Rule]] = {}
 
-#: every accepted rule name (id, code, alias) -> rule id
+#: every accepted rule name (id or code) -> rule id
 _NAMES: Dict[str, str] = {}
 
 
@@ -199,7 +192,7 @@ def register(rule_cls: Type[Rule]) -> Type[Rule]:
         raise LintError(
             f"rule {rule_cls.__name__} must define rule_id and code"
         )
-    names = (rule_cls.rule_id, rule_cls.code, *rule_cls.aliases)
+    names = (rule_cls.rule_id, rule_cls.code)
     for name in names:
         owner = _NAMES.get(name)
         if owner is not None and _REGISTRY[owner] is not rule_cls:
@@ -218,7 +211,7 @@ def all_rules() -> List[Rule]:
 
 
 def get_rule(name: str) -> Rule:
-    """The rule named by its id, its code or one of its aliases."""
+    """The rule named by its id or its code."""
     try:
         return _REGISTRY[_NAMES[name]]()
     except KeyError:
@@ -249,16 +242,13 @@ def _sorted_findings(findings: Iterable[Finding]) -> List[Finding]:
 
 
 def _check_contexts(
-    contexts: Sequence[LintContext],
-    rules: Optional[Sequence[Rule]] = None,
-    project: Optional[object] = None,
+    contexts: Sequence[LintContext], rules: Optional[Sequence[Rule]] = None
 ) -> List[Finding]:
-    """Run ``rules`` (default: all) over ``contexts``.  ``project``
-    injects a pre-built whole-program view (the cached
-    ``--changed-only`` driver); otherwise one is built over
-    ``contexts`` when any rule needs it."""
+    """Run ``rules`` (default: all) over ``contexts``, building one
+    whole-program view over ``contexts`` when any rule needs it."""
     active = list(rules) if rules is not None else all_rules()
-    if project is None and any(rule.requires_project for rule in active):
+    project = None
+    if any(rule.requires_project for rule in active):
         # Imported lazily: graph builds on LintContext, so a module-level
         # import here would be circular.
         from repro.lint.graph import Project

@@ -413,9 +413,7 @@ class DataflowRule(Rule):
         if table is None:
             return
         bodies = [
-            (func.node, func, cls_sym)
-            for func, cls_sym in iter_functions(table)
-            if func.node is not None
+            (func.node, func, cls_sym) for func, cls_sym in iter_functions(table)
         ]
         own_defs = frozenset(node for node, _, _ in bodies)
         candidates: Set[Tuple[int, int, str]] = set()

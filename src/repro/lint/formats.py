@@ -1,96 +1,58 @@
-"""Report renderers for the pocolint CLI: SARIF 2.1.0 and GitHub.
+"""Report renderers for the pocolint CLI: text, JSON and GitHub.
 
-``--format sarif`` emits a static-analysis interchange document (SARIF
-2.1.0) that code-scanning backends ingest directly; every registered
-rule appears in the tool's rule catalogue and every new finding becomes
-a ``result`` with a physical location.  Column numbers are converted
-from pocolint's 0-based ``col_offset`` to SARIF's 1-based columns.
-
-``--format github`` emits GitHub Actions workflow commands
+``text`` prints one ``path:line:col: CODE[rule] message`` line per
+finding; ``json`` emits a machine-readable document with per-rule
+counts; ``github`` emits GitHub Actions workflow commands
 (``::error file=...,line=...``) so findings surface as inline
-annotations on the pull-request diff; the human summary goes to the
-same stream as an ordinary log line.
+annotations on the pull-request diff.  ``text`` and ``github`` end with
+the same one-line summary.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, Optional, Sequence, TextIO
 
-from repro.lint.core import Finding, Rule
-
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
+from repro.lint.core import Finding
 
 
-def sarif_document(
-    new: Sequence[Finding], rules: Sequence[Rule]
-) -> Dict[str, object]:
-    """The SARIF 2.1.0 run for one lint invocation (new findings only:
-    baseline-absorbed findings are deliberately not re-reported)."""
-    rule_index: Dict[str, int] = {}
-    catalogue: List[dict] = []
-    for position, rule in enumerate(rules):
-        rule_index[rule.code] = position
-        catalogue.append(
-            {
-                "id": rule.code,
-                "name": rule.rule_id,
-                "shortDescription": {"text": rule.summary},
-                "defaultConfiguration": {"level": "error"},
-            }
-        )
-    results = [
-        {
-            "ruleId": finding.code,
-            "ruleIndex": rule_index.get(finding.code, -1),
-            "level": "error",
-            "message": {"text": f"[{finding.rule_id}] {finding.message}"},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": finding.path,
-                            "uriBaseId": "SRCROOT",
-                        },
-                        "region": {
-                            "startLine": finding.line,
-                            "startColumn": finding.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        for finding in new
-    ]
-    return {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "pocolint",
-                        "informationUri": "docs/LINTING.md",
-                        "rules": catalogue,
-                    }
-                },
-                "columnKind": "utf16CodeUnits",
-                "results": results,
-            }
-        ],
-    }
+def summary(findings: Sequence[Finding]) -> str:
+    if not findings:
+        return "pocolint: clean"
+    noun = "finding" if len(findings) == 1 else "findings"
+    return f"pocolint: {len(findings)} {noun}"
 
 
-def render_sarif(
-    new: Sequence[Finding], rules: Sequence[Rule], stream=None
-) -> None:
+def render_text(findings: Sequence[Finding], stream: Optional[TextIO] = None) -> None:
     stream = stream if stream is not None else sys.stdout
-    json.dump(sarif_document(new, rules), stream, indent=2)
+    for finding in findings:
+        print(finding.render(), file=stream)
+    print(summary(findings), file=stream)
+
+
+def render_json(findings: Sequence[Finding], stream: Optional[TextIO] = None) -> None:
+    stream = stream if stream is not None else sys.stdout
+    counts: Dict[str, int] = {}
+    for finding in findings:
+        counts[finding.rule_id] = counts.get(finding.rule_id, 0) + 1
+    doc = {
+        "tool": "pocolint",
+        "findings": [
+            {
+                "rule": f.rule_id,
+                "code": f.code,
+                "path": f.path,
+                "line": f.line,
+                "col": f.col,
+                "message": f.message,
+            }
+            for f in findings
+        ],
+        "counts": dict(sorted(counts.items())),
+        "clean": not findings,
+    }
+    json.dump(doc, stream, indent=2)
     print(file=stream)
 
 
@@ -110,11 +72,9 @@ def _escape_data(value: str) -> str:
     return value.replace("%", "%25").replace("\r", "%0D").replace("\n", "%0A")
 
 
-def render_github(
-    new: Sequence[Finding], old: Sequence[Finding], stream=None
-) -> None:
+def render_github(findings: Sequence[Finding], stream: Optional[TextIO] = None) -> None:
     stream = stream if stream is not None else sys.stdout
-    for finding in new:
+    for finding in findings:
         title = _escape_property(f"{finding.code}[{finding.rule_id}]")
         print(
             f"::error file={_escape_property(finding.path)},"
@@ -122,9 +82,12 @@ def render_github(
             f"title={title}::{_escape_data(finding.message)}",
             file=stream,
         )
-    noun = "finding" if len(new) == 1 else "findings"
-    suffix = f" ({len(old)} grandfathered by baseline)" if old else ""
-    if new:
-        print(f"pocolint: {len(new)} new {noun}{suffix}", file=stream)
-    else:
-        print(f"pocolint: clean{suffix}", file=stream)
+    print(summary(findings), file=stream)
+
+
+#: ``--format`` choice -> renderer
+RENDERERS: Dict[str, Callable[[Sequence[Finding]], None]] = {
+    "text": render_text,
+    "json": render_json,
+    "github": render_github,
+}

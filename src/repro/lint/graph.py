@@ -16,7 +16,7 @@ so this module builds, once per lint run:
   packages and temporary directories alike;
 * a **call graph**: for every function, the set of project functions
   it calls (used by the interprocedural summary fixpoint in
-  :mod:`repro.lint.summaries` and serialized into the on-disk cache).
+  :mod:`repro.lint.summaries`).
 
 Resolution is deliberately conservative: an ambiguous suffix (two
 modules both named ``util``) resolves to nothing, and nothing is ever
@@ -61,7 +61,7 @@ class FunctionSymbol:
     path: str
     lineno: int
     params: Tuple[str, ...]
-    node: Optional[ast.AST] = None
+    node: ast.AST
     class_name: Optional[str] = None
 
 
@@ -236,27 +236,15 @@ class Project:
         self._suffix_index: Dict[str, List[str]] = {}
         #: summary caches, populated lazily by repro.lint.summaries
         self.summary_cache: Dict[str, object] = {}
-        #: summaries imported from the on-disk cache for unparsed modules
-        self.cached_unit_returns: Dict[str, Optional[str]] = {}
-        self.cached_taint: Dict[str, object] = {}
 
     @classmethod
-    def from_contexts(
-        cls,
-        contexts: Sequence[LintContext],
-        cached_tables: Sequence[ModuleSymbols] = (),
-    ) -> "Project":
-        """Build the project from parsed contexts plus (optionally)
-        symbol tables restored from the on-disk cache.  Cached tables
-        carry no ASTs — their functions resolve as call targets and
-        contribute pre-computed summaries, but are never re-analyzed."""
+    def from_contexts(cls, contexts: Sequence[LintContext]) -> "Project":
+        """Build the project from every parsed context of the run."""
         project = cls()
         for ctx in contexts:
             table = ModuleSymbols.from_context(ctx)
             project.modules[table.name] = table
             project.contexts[table.name] = ctx
-        for table in cached_tables:
-            project.modules.setdefault(table.name, table)
         project._build_suffix_index()
         project._build_call_graph()
         return project
@@ -357,8 +345,6 @@ class Project:
     def _build_call_graph(self) -> None:
         for table in self.modules.values():
             for func, cls_sym in iter_functions(table):
-                if func.node is None:
-                    continue
                 callees = set()
                 for node in ast.walk(func.node):
                     if not isinstance(node, ast.Call):
@@ -370,7 +356,9 @@ class Project:
                         callees.add(resolved.qualname)
                 self.call_graph[func.qualname] = tuple(sorted(callees))
 
-    def all_functions(self) -> Iterator[Tuple[ModuleSymbols, FunctionSymbol, Optional[ClassSymbol]]]:
+    def all_functions(
+        self,
+    ) -> Iterator[Tuple[ModuleSymbols, FunctionSymbol, Optional[ClassSymbol]]]:
         for table in self.modules.values():
             for func, cls_sym in iter_functions(table):
                 yield table, func, cls_sym

@@ -3,15 +3,12 @@
 Importing this package registers every rule with the core registry;
 :func:`repro.lint.all_rules` then returns them sorted by code:
 
-* POCO301 ``pool-closure`` — :mod:`repro.lint.rules.parallel_safety`
 * POCO401 ``exception-policy`` — :mod:`repro.lint.rules.exceptions`
 * POCO501 ``atomic-artifacts`` — :mod:`repro.lint.rules.artifacts`
 * POCO601 ``hand-rolled-tolerance`` — :mod:`repro.lint.rules.tolerances`
-* POCO701 ``unit-flow`` (alias ``unit-mixing`` / POCO101) —
-  :mod:`repro.lint.rules.unit_flow`
+* POCO701 ``unit-flow`` — :mod:`repro.lint.rules.unit_flow`
 * POCO801 ``lane-safety`` — :mod:`repro.lint.rules.lane_safety`
-* POCO901 ``determinism-taint`` (alias ``nondeterminism`` / POCO201) —
-  :mod:`repro.lint.rules.taint`
+* POCO901 ``determinism-taint`` — :mod:`repro.lint.rules.taint`
 
 The 7xx/9xx families are whole-program: they set ``requires_project``
 so the drivers build a :class:`repro.lint.graph.Project` (symbol tables
@@ -23,7 +20,6 @@ from __future__ import annotations
 from repro.lint.rules.artifacts import AtomicArtifactsRule
 from repro.lint.rules.exceptions import ExceptionPolicyRule
 from repro.lint.rules.lane_safety import LaneSafetyRule
-from repro.lint.rules.parallel_safety import PoolClosureRule
 from repro.lint.rules.taint import DeterminismTaintRule
 from repro.lint.rules.tolerances import HandRolledToleranceRule
 from repro.lint.rules.unit_flow import UnitFlowRule
@@ -34,6 +30,5 @@ __all__ = [
     "ExceptionPolicyRule",
     "HandRolledToleranceRule",
     "LaneSafetyRule",
-    "PoolClosureRule",
     "UnitFlowRule",
 ]

@@ -1,9 +1,9 @@
 """POCO901 ``determinism-taint`` — banned entropy and where it flows.
 
-The engine layer's contract (docs/ENGINE.md) is that the vectorized
-and process-parallel paths are *bit-identical* to their serial
-oracles, which only holds when no code path reads entropy the serial
-oracle would not.  The rule reports two kinds of finding:
+The engine layer's contract (docs/ENGINE.md) is that the batched and
+vectorized paths are *bit-identical* to their per-object oracles,
+which only holds when no code path reads entropy the oracle would
+not.  The rule reports two kinds of finding:
 
 * **banned calls**, wherever they happen: wall-clock reads, any call
   into the stdlib ``random`` module or numpy's legacy global RNG, and
@@ -14,11 +14,9 @@ oracle would not.  The rule reports two kinds of finding:
   directory listings and set-order iteration, followed through
   assignments, call arguments and returns across modules, into
   ``Checkpoint(...)`` payloads, ``checkpoint.append(...)`` journal
-  records and ``export_state()`` returns,
-  ``telemetry.record(...)`` samples, the guard ledger
-  (``write_ledger`` / ``ledger_entries``) and pickled worker arguments
-  (``map_ordered``).  Environment and order reads are findings only
-  here.
+  records, ``telemetry.record(...)`` samples and the guard ledger
+  (``write_ledger`` / ``ledger_entries``).  Environment and order reads
+  are findings only here.
 
 Each sink finding carries the evidence chain (source location, the
 assignment path, the sink).  Values merely *derived from parameters*
@@ -32,7 +30,7 @@ import ast
 from typing import Dict, Optional
 
 from repro.lint.core import call_name, register
-from repro.lint.dataflow import DataflowAnalysis, DataflowRule, Env
+from repro.lint.dataflow import DataflowRule, Env
 from repro.lint.graph import ClassSymbol, FunctionSymbol, ModuleSymbols, Project
 from repro.lint.summaries import (
     MAX_SUMMARY_PASSES,
@@ -49,7 +47,6 @@ _SINK_PARAMS_KEY = "sink-params"
 _SINK_FUNCTIONS: Dict[str, str] = {
     "write_ledger": "the guard violation ledger",
     "ledger_entries": "the guard violation ledger",
-    "map_ordered": "pickled worker-task arguments",
 }
 
 #: Constructors whose payload becomes durable state.
@@ -65,9 +62,6 @@ _RECORD_RECEIVER_MARKERS = ("telemetry", "series", "energy", "trace")
 #: ``<receiver>.append(...)`` is a checkpoint sink when the receiver
 #: spelling names a checkpoint journal (repro.runtime.sweep's idiom).
 _APPEND_RECEIVER_MARKER = "checkpoint"
-
-#: Functions whose return value is itself a checkpoint sink.
-_STATE_EXPORTERS = frozenset({"export_state"})
 
 SinkFlows = Dict[str, Dict[int, str]]
 
@@ -173,8 +167,6 @@ def _sink_param_flows(project: Project) -> SinkFlows:
     for _ in range(MAX_SUMMARY_PASSES):
         changed = False
         for table, func, cls_sym in project.all_functions():
-            if func.node is None:
-                continue
             checker = _SinkChecker(
                 project, table, cls_sym, summaries, func.path, flows
             )
@@ -195,11 +187,10 @@ def _sink_param_flows(project: Project) -> SinkFlows:
 class DeterminismTaintRule(DataflowRule):
     rule_id = "determinism-taint"
     code = "POCO901"
-    aliases = ("nondeterminism", "POCO201")
     summary = (
         "no wall clocks or ambient/unseeded RNG, and no nondeterminism "
         "(those, os.environ, listing or set order) reaching checkpoints, "
-        "telemetry, the guard ledger or pickled worker arguments"
+        "telemetry or the guard ledger"
     )
 
     def checker(
@@ -213,18 +204,3 @@ class DeterminismTaintRule(DataflowRule):
 
     def seed(self, func: FunctionSymbol, path: str) -> Env:
         return seed_param_taint(func, path)
-
-    def after_function(
-        self, checker: DataflowAnalysis, func: FunctionSymbol
-    ) -> None:
-        """Flag tainted returns of ``export_state()`` codecs."""
-        if func.name not in _STATE_EXPORTERS:
-            return
-        for stmt, value in checker.returns:
-            if isinstance(value, Taint) and value.real_sources():
-                checker.flag(
-                    stmt,
-                    "nondeterminism reaches checkpointed controller "
-                    f"state: {func.name}() return carries "
-                    f"{_render_taint(value)}",
-                )

@@ -149,7 +149,6 @@ class _UnitFlowChecker(UnitAnalysis):
 class UnitFlowRule(DataflowRule):
     rule_id = "unit-flow"
     code = "POCO701"
-    aliases = ("unit-mixing", "POCO101")
     summary = (
         "watts/joules/seconds/GHz values may only be added, compared, "
         "assigned or passed to like units; units follow assignments, call "

@@ -18,10 +18,8 @@ function:
   ``source → path → sink`` even when the source lives two modules
   away from the sink.
 
-Summaries are memoized per :class:`repro.lint.graph.Project` (one lint
-run) and serialized into the on-disk cache for ``--changed-only`` runs;
-modules restored from cache contribute their stored summaries as fixed
-inputs instead of being re-analyzed.
+Summaries are memoized per :class:`repro.lint.graph.Project`, so
+each is computed once per lint run.
 """
 
 from __future__ import annotations
@@ -309,12 +307,10 @@ def unit_returns(project: Project) -> Dict[str, Optional[str]]:
     cached = project.summary_cache.get(_UNIT_SUMMARY_KEY)
     if cached is not None:
         return cached  # type: ignore[return-value]
-    returns: Dict[str, Optional[str]] = dict(project.cached_unit_returns)
+    returns: Dict[str, Optional[str]] = {}
     for _ in range(MAX_SUMMARY_PASSES):
         changed = False
         for table, func, cls_sym in project.all_functions():
-            if func.node is None:
-                continue  # cache-restored module: summary already fixed
             analysis = UnitAnalysis(project, table, cls_sym, returns)
             analysis.run_function(func.node, seed_param_units(func))
             unit = analysis.return_value()
@@ -704,16 +700,10 @@ def taint_summaries(project: Project) -> Dict[str, TaintSummary]:
     cached = project.summary_cache.get(_TAINT_SUMMARY_KEY)
     if cached is not None:
         return cached  # type: ignore[return-value]
-    summaries: Dict[str, TaintSummary] = {
-        name: value
-        for name, value in project.cached_taint.items()
-        if isinstance(value, TaintSummary)
-    }
+    summaries: Dict[str, TaintSummary] = {}
     for _ in range(MAX_SUMMARY_PASSES):
         changed = False
         for table, func, cls_sym in project.all_functions():
-            if func.node is None:
-                continue
             analysis = TaintAnalysis(
                 project, table, cls_sym, summaries, func.path
             )

@@ -8,8 +8,8 @@ Three layers, each usable alone:
   every durable artifact the repo emits goes through them, so a crash
   can never leave a half-written JSON/Markdown behind (enforced by
   pocolint's POCO501 ``atomic-artifacts`` rule).  Its
-  :class:`~repro.runtime.atomic.AppendOnlyFile` is the fsynced append
-  the checkpoint journal grows by.
+  :class:`~repro.runtime.atomic.AppendOnlyFile` is the append-then-
+  fsync file the checkpoint journal grows by.
 * :mod:`repro.runtime.checkpoint` — an append-only checkpoint journal:
   an atomically written header (magic, version, run identity), then
   one record per cell carrying its own length and SHA-256.  Crash

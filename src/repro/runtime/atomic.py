@@ -1,7 +1,7 @@
 """Durable artifact writes: write-temp → fsync → rename, and fsynced appends.
 
 Every durable artifact this repo emits — benchmark JSON, report
-tables, the lint baseline, checkpoint headers — goes through these
+tables, guard ledgers, checkpoint headers — goes through these
 helpers so that a reader (or a crash) can never observe a half-written
 file: either the old content is still there, or the new
 content is complete.  The recipe is the classic POSIX one:
@@ -16,9 +16,10 @@ content is complete.  The recipe is the classic POSIX one:
    itself survives a power cut.
 
 Checkpoint journals are the one file that grows in place.
-:class:`AppendOnlyFile` appends a batch, then flushes it and calls
-``fsync``; there is no temp file, rename or directory ``fsync`` per
-batch.  Their crash safety comes from the journal format instead: the
+:class:`AppendOnlyFile` writes records at the end of the file as they
+come and makes them durable with one flush and ``fsync`` per
+:meth:`~AppendOnlyFile.sync`; there is no temp file, rename or
+directory ``fsync``.  Their crash safety comes from the journal format instead: the
 header is written once with :func:`atomic_write_bytes`, and every
 record carries its own length and SHA-256, so a crash mid-append
 leaves a torn *tail* that the reader detects and drops, never a changed
@@ -95,12 +96,12 @@ def atomic_write_json(
 
 
 class AppendOnlyFile:
-    """A file that only grows, one flushed and fsynced batch at a time.
+    """A file that only grows: writes go to its end, syncs make them durable.
 
     ``keep_bytes`` first truncates the file to that length (fsynced),
     which is how a journal drops a torn tail before appending again.
-    Appends never touch an earlier byte, so a crash can tear only the
-    batch being written.
+    Writes never touch an earlier byte, so a crash can tear only what
+    was written since the last :meth:`sync`.
     """
 
     def __init__(self, path: PathLike, keep_bytes: Optional[int] = None) -> None:
@@ -114,9 +115,12 @@ class AppendOnlyFile:
                 self._handle.close()
                 raise
 
-    def append(self, data: bytes) -> None:
-        """Write ``data`` at the end of the file and make it durable."""
+    def write(self, data: bytes) -> None:
+        """Write ``data`` at the end of the file; :meth:`sync` persists it."""
         self._handle.write(data)
+
+    def sync(self) -> None:
+        """Flush every write so far and ``fsync`` it to disk."""
         self._handle.flush()
         os.fsync(self._handle.fileno())
 

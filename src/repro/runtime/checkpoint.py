@@ -11,9 +11,10 @@ record per landed cell::
     <M bytes>
     ...
 
-The header is written once, by the first save, with
+The header is written once, by the first append, with
 :func:`repro.runtime.atomic.atomic_write_bytes`, so it is never torn.
-Records are appended in batches, each batch flushed and synced to disk
+Each record is written to the journal as its cell lands, and a save
+flushes and syncs everything written so far to disk
 (:class:`repro.runtime.atomic.AppendOnlyFile`), so the bytes written
 over a sweep are the cells' bytes plus a line of framing each.
 
@@ -38,7 +39,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 from types import TracebackType
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Type
+from typing import Any, Dict, Mapping, Optional, Tuple, Type
 
 from repro.errors import CheckpointError
 from repro.runtime.atomic import AppendOnlyFile, PathLike, atomic_write_bytes
@@ -105,12 +106,12 @@ class Checkpoint:
     """An open checkpoint journal that landed cells are appended to.
 
     :meth:`create` starts a journal, :meth:`reopen` continues one that
-    :func:`read_journal` validated.  :meth:`append` queues a record and
-    :meth:`save` writes every queued record in one append, then flushes
-    and syncs it to disk.  Nothing touches the file before the first
-    save: that save writes a new journal's header atomically (or
-    truncates a reopened journal's torn tail) and opens the file, which
-    stays open until :meth:`close`.  Use it as a context manager.
+    :func:`read_journal` validated.  :meth:`append` writes a record to
+    the journal and :meth:`save` flushes and syncs every record written
+    so far to disk.  Nothing touches the file before the first append:
+    that append writes a new journal's header atomically (or truncates
+    a reopened journal's torn tail) and opens the file, which stays
+    open until :meth:`close`.  Use it as a context manager.
     """
 
     def __init__(
@@ -123,7 +124,7 @@ class Checkpoint:
         self._header = header
         self._keep_bytes = keep_bytes
         self._file: Optional[AppendOnlyFile] = None
-        self._pending: List[bytes] = []
+        self._pending = 0
 
     @classmethod
     def create(
@@ -133,32 +134,34 @@ class Checkpoint:
         cells_total: int,
         placement: Mapping[str, Optional[str]],
     ) -> "Checkpoint":
-        """A new journal at ``path``; its first save replaces any old file."""
+        """A new journal at ``path``; its first append replaces any old file."""
         return cls(path, header=_header_line(run_key, cells_total, placement))
 
     @classmethod
     def reopen(cls, journal: Journal) -> "Checkpoint":
-        """Continue ``journal``; its first save truncates a torn tail."""
+        """Continue ``journal``; its first append truncates a torn tail."""
         torn = journal.intact_bytes < journal.file_bytes
         return cls(journal.path, keep_bytes=journal.intact_bytes if torn else None)
 
     @property
     def pending(self) -> int:
-        """Records queued since the last :meth:`save`."""
-        return len(self._pending)
+        """Records written since the last :meth:`save`."""
+        return self._pending
 
     def append(self, position: int, data: bytes) -> None:
-        """Queue cell ``position``'s payload; :meth:`save` persists it."""
-        self._pending.append(_record(position, data))
-
-    def save(self) -> Path:
-        """Append every queued record, flush and ``fsync``; returns the path."""
+        """Write cell ``position``'s record; :meth:`save` makes it durable."""
         if self._file is None:
             if self._header is not None:
                 atomic_write_bytes(self.path, self._header)
             self._file = AppendOnlyFile(self.path, keep_bytes=self._keep_bytes)
-        self._file.append(b"".join(self._pending))
-        self._pending.clear()
+        self._file.write(_record(position, data))
+        self._pending += 1
+
+    def save(self) -> Path:
+        """Flush and ``fsync`` every record written so far; returns the path."""
+        if self._file is not None:
+            self._file.sync()
+        self._pending = 0
         return self.path
 
     def close(self) -> None:

@@ -181,17 +181,17 @@ def run_cluster_checkpointed(
     same arguments; the additions are durability knobs:
 
     * ``checkpoint_path`` — the checkpoint journal.  A fresh run's
-      first save atomically replaces any old file with a new header;
-      every save appends one checksummed record per completed cell;
+      first landed cell atomically replaces any old file with a new
+      header; every landed cell appends one checksummed record;
     * ``resume`` — load ``checkpoint_path`` first and re-run only the
       cells it lacks.  A missing file starts fresh (so "always pass
       ``--resume``" is a safe operating procedure); a checkpoint from a
       *different* sweep raises :class:`~repro.errors.CheckpointError`;
-    * ``checkpoint_every`` — cells completed between checkpoint writes
-      (one append and ``fsync`` each); 1 (default) bounds the
+    * ``checkpoint_every`` — cells completed between checkpoint saves
+      (one flush and ``fsync`` each); 1 (default) bounds the
       recomputation lost to a crash at one cell.  Cells that land
       together are committed together: the batched engine delivers its
-      results in runs, and each run is one write and one ``fsync``.
+      results in runs, and each run is one ``fsync``.
 
     The checkpoint is left in place on success — it doubles as the
     completed-run record (:func:`~repro.runtime.checkpoint.read_journal`
@@ -247,7 +247,7 @@ def _run_checkpointed(
 
     def on_result(delivered: List[Tuple[int, LevelOutcome]]) -> None:
         # Group commit: a run of cells that landed together is
-        # appended with one fsync, whatever checkpoint_every is.
+        # synced with one fsync, whatever checkpoint_every is.
         for position, outcome in delivered:
             checkpoint.append(position, _encode_cell(outcome))
         if checkpoint.pending >= checkpoint_every:

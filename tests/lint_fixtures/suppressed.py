@@ -4,7 +4,7 @@ import time
 
 
 def stamp():
-    return time.time()  # pocolint: disable=nondeterminism
+    return time.time()  # pocolint: disable=determinism-taint
 
 
 def stamp_all():
@@ -13,5 +13,5 @@ def stamp_all():
 
 def not_suppressed():
     # A suppression inside a string literal must not count:
-    marker = "# pocolint: disable=nondeterminism"
+    marker = "# pocolint: disable=determinism-taint"
     return time.time(), marker

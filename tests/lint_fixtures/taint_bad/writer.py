@@ -1,9 +1,6 @@
 """Sink module: every sink family receives a tainted value."""
 
 import os
-import random
-
-import numpy as np
 
 from taint_bad.sources import ordered_names, stamp
 
@@ -21,17 +18,6 @@ def persist(run_id):
 def record_rows(ledger_path):
     rows = ordered_names()
     write_ledger(ledger_path, rows)  # BAD: set order -> ledger
-
-
-def fan_out(worker):
-    draw = np.random.default_rng()
-    return map_ordered(worker, [draw])  # BAD: unseeded rng -> pickled args
-
-
-class JitterController:
-    def export_state(self):
-        jitter = random.random()
-        return {"jitter": jitter}  # BAD: global RNG -> checkpointed state
 
 
 def save_stamped(path):

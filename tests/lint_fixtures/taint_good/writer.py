@@ -2,8 +2,6 @@
 
 import os
 
-import numpy as np
-
 from taint_good.sources import ordered_names, stamp
 
 
@@ -19,17 +17,6 @@ def persist(run_id, salt):
 def record_rows(ledger_path):
     rows = ordered_names()
     write_ledger(ledger_path, rows)  # fine: sorted() fixed the order
-
-
-def fan_out(worker, seed):
-    draw = np.random.default_rng(seed)
-    return map_ordered(worker, [draw])  # fine: seeded generator pickles
-
-
-class JitterController:
-    def export_state(self):
-        jitter = 0.0
-        return {"jitter": jitter}  # fine: constant state
 
 
 def save_stamped(path, sim_time_s):

@@ -230,7 +230,7 @@ class TestEnergyConservationInvariant:
         config = GuardConfig(deep_check_every=100)
         inv = RngIsolationInvariant(config)
         assert inv.observe(sample_at(server)) is None  # baselines
-        np.random.random()  # pocolint: disable=nondeterminism
+        np.random.random()  # pocolint: disable=determinism-taint
         for _ in range(3):
             assert inv.observe(sample_at(server)) is None
         violation = inv.observe(sample_at(server, final=True))
@@ -329,7 +329,7 @@ class TestRngIsolationInvariant:
     def test_stray_global_draw_is_caught_then_rebaselined(self, server):
         inv = RngIsolationInvariant(EVERY_TICK)
         assert inv.observe(sample_at(server)) is None  # baseline tick
-        np.random.random()  # pocolint: disable=nondeterminism
+        np.random.random()  # pocolint: disable=determinism-taint
         violation = inv.observe(sample_at(server))
         assert violation is not None
         assert "global legacy RNG" in violation.message
@@ -346,7 +346,7 @@ class TestRngIsolationInvariant:
         inv = RngIsolationInvariant(GuardConfig(check_rng=False,
                                                 deep_check_every=1))
         assert inv.observe(sample_at(server)) is None
-        np.random.random()  # pocolint: disable=nondeterminism
+        np.random.random()  # pocolint: disable=determinism-taint
         assert inv.observe(sample_at(server)) is None
 
 

@@ -6,6 +6,7 @@ linted statically (never imported); the bad packages assert exact
 twin runs the same shapes legally and must stay silent.
 """
 
+import ast
 import pathlib
 
 from repro.lint import get_rule, lint_file, lint_paths, lint_source
@@ -13,6 +14,7 @@ from repro.lint.core import LintContext
 from repro.lint.graph import Project, module_name_for_path
 
 FIXTURES = pathlib.Path(__file__).parent / "lint_fixtures"
+REPO_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def package_findings(pkg, rule_id):
@@ -99,15 +101,12 @@ class TestUnitFlow:
         assert package_findings("unitflow_good", "unit-flow") == []
 
     def test_syntactic_mismatch_reported_once(self):
-        # Both sides suffixed: one finding, worded as a suffix mismatch,
-        # whichever name of the rule selects it.
+        # Both sides suffixed: one finding, worded as a suffix mismatch.
         src = "def f(power_w):\n    total_j = power_w\n    return total_j\n"
-        expected = [
+        found = lint_source(src, rules=[get_rule("unit-flow")])
+        assert [(f.line, f.message) for f in found] == [
             (2, "assignment mixes joules (total_j) with watts (power_w)")
         ]
-        for name in ("unit-flow", "unit-mixing"):
-            found = lint_source(src, rules=[get_rule(name)])
-            assert [(f.line, f.message) for f in found] == expected
 
     def test_unit_agreement_survives_branch_join(self):
         src = (
@@ -203,9 +202,8 @@ class TestLaneSafety:
         assert "mutates a view of lane array ticks" in found[0].message
 
     def test_live_engine_modules_declare_and_pass(self):
-        repo_src = pathlib.Path(__file__).parent.parent / "src"
         for name in ("batched.py", "vectorized.py"):
-            path = repo_src / "repro" / "engine" / name
+            path = REPO_SRC / "repro" / "engine" / name
             text = path.read_text(encoding="utf-8")
             assert "# pocolint: lane-module" in text
             assert (
@@ -218,50 +216,74 @@ class TestDeterminismTaint:
         found = package_findings("taint_bad", "determinism-taint")
         assert located(found) == [
             ("taint_bad/sources.py", 7),  # banned call
-            ("taint_bad/writer.py", 13),
-            ("taint_bad/writer.py", 18),
-            ("taint_bad/writer.py", 23),
-            ("taint_bad/writer.py", 27),  # banned call
+            ("taint_bad/writer.py", 10),
+            ("taint_bad/writer.py", 15),
+            ("taint_bad/writer.py", 20),
+            ("taint_bad/writer.py", 24),
             ("taint_bad/writer.py", 28),
-            ("taint_bad/writer.py", 33),  # banned call
-            ("taint_bad/writer.py", 34),
-            ("taint_bad/writer.py", 38),
-            ("taint_bad/writer.py", 42),
-            ("taint_bad/writer.py", 46),
+            ("taint_bad/writer.py", 32),
         ]
 
     def test_chained_call_and_comprehension_reach_the_sink(self):
         found = package_findings("taint_bad", "determinism-taint")
         by_line = {f.line: f.message for f in found if f.path.endswith("writer.py")}
         # Checkpoint(...).save(path): the sink is the receiver of the call
-        assert "Checkpoint payload" in by_line[38]
-        assert "return of stamp()" in by_line[38]
+        assert "Checkpoint payload" in by_line[24]
+        assert "return of stamp()" in by_line[24]
         # taint enters through a comprehension's for clause
-        assert "os.listdir()" in by_line[42]
-        assert "Checkpoint payload" in by_line[42]
+        assert "os.listdir()" in by_line[28]
+        assert "Checkpoint payload" in by_line[28]
         # checkpoint.append(...): a journal record is a sink too
-        assert "Checkpoint journal record" in by_line[46]
-        assert "return of stamp()" in by_line[46]
+        assert "Checkpoint journal record" in by_line[32]
+        assert "return of stamp()" in by_line[32]
 
     def test_evidence_chains_cross_the_module_boundary(self):
         found = package_findings("taint_bad", "determinism-taint")
         by_line = {f.line: f.message for f in found}
         # clock -> telemetry, with the source anchored in the other module
-        assert "time.time() (taint_bad/sources.py:7)" in by_line[13]
-        assert "return of stamp()" in by_line[13]
+        assert "time.time() (taint_bad/sources.py:7)" in by_line[10]
+        assert "return of stamp()" in by_line[10]
         # env -> checkpoint
-        assert "os.environ[...]" in by_line[18]
-        assert "Checkpoint payload" in by_line[18]
+        assert "os.environ[...]" in by_line[15]
+        assert "Checkpoint payload" in by_line[15]
         # set order -> ledger
-        assert "hash-randomized order" in by_line[23]
-        assert "guard violation ledger" in by_line[23]
-        # unseeded rng -> pickled worker args
-        assert "unseeded np.random.default_rng()" in by_line[28]
-        # global rng -> export_state return
-        assert "export_state() return carries" in by_line[34]
+        assert "hash-randomized order" in by_line[20]
+        assert "guard violation ledger" in by_line[20]
 
     def test_good_twin_is_clean(self):
         assert package_findings("taint_good", "determinism-taint") == []
+
+    def test_every_sink_name_is_defined_in_src_repro(self):
+        # A sink named after an API the package no longer defines guards
+        # nothing; deleting the API must delete its sink too.
+        from repro.lint.rules import taint
+
+        defined = set()
+        for path in (REPO_SRC / "repro").rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            defined.update(
+                node.name
+                for node in ast.walk(tree)
+                if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                )
+            )
+        # Every upper-case dict/set constant of the rule is a table of
+        # sink names (today _SINK_FUNCTIONS and _SINK_CONSTRUCTORS).
+        tables = {
+            name: value
+            for name, value in vars(taint).items()
+            if name.isupper()
+            if isinstance(value, (dict, set, frozenset))
+        }
+        assert {"_SINK_FUNCTIONS", "_SINK_CONSTRUCTORS"} <= set(tables)
+        dead = sorted(
+            (table, sink)
+            for table, names in tables.items()
+            for sink in names
+            if sink not in defined
+        )
+        assert dead == []
 
     def test_sorted_cleanses_order_taint(self):
         src = (

@@ -13,6 +13,7 @@ import pytest
 
 from repro.errors import LintError
 from repro.lint import all_rules, get_rule, lint_file, lint_paths, lint_source
+from repro.lint.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "lint_fixtures"
 
@@ -26,10 +27,9 @@ def lines_of(findings):
 
 
 class TestRegistry:
-    def test_seven_rule_families_registered(self):
+    def test_six_rule_families_registered(self):
         rules = all_rules()
         assert [r.rule_id for r in rules] == [
-            "pool-closure",
             "exception-policy",
             "atomic-artifacts",
             "hand-rolled-tolerance",
@@ -38,7 +38,6 @@ class TestRegistry:
             "determinism-taint",
         ]
         assert [r.code for r in rules] == [
-            "POCO301",
             "POCO401",
             "POCO501",
             "POCO601",
@@ -52,16 +51,16 @@ class TestRegistry:
         assert by_id["unit-flow"].requires_project
         assert by_id["lane-safety"].requires_project is False
         assert by_id["determinism-taint"].requires_project
-        assert by_id["pool-closure"].requires_project is False
+        assert by_id["exception-policy"].requires_project is False
 
-    def test_codes_and_folded_names_resolve(self):
-        # The retired syntactic rules live on as aliases of the rules
-        # they were folded into; every code resolves too.
-        for name in ("unit-mixing", "POCO101", "POCO701"):
-            assert get_rule(name).rule_id == "unit-flow"
-        for name in ("nondeterminism", "POCO201", "POCO901"):
-            assert get_rule(name).rule_id == "determinism-taint"
-        assert get_rule("POCO301").rule_id == "pool-closure"
+    def test_codes_resolve_and_retired_names_do_not(self):
+        for rule in all_rules():
+            assert get_rule(rule.code).rule_id == rule.rule_id
+        # Names of rules that were folded away or deleted name nothing.
+        for name in ("unit-mixing", "POCO101", "nondeterminism", "POCO201",
+                     "pool-closure", "POCO301"):
+            with pytest.raises(LintError, match="unknown rule"):
+                get_rule(name)
 
     def test_unknown_rule_raises_lint_error(self):
         with pytest.raises(LintError, match="unknown rule"):
@@ -70,11 +69,11 @@ class TestRegistry:
 
 class TestUnitMixing:
     def test_bad_fixture_all_violations_found(self):
-        found = findings_for("units_bad.py", "unit-mixing")
+        found = findings_for("units_bad.py", "unit-flow")
         assert lines_of(found) == [5, 6, 7, 8, 9, 10, 22, 23, 28, 31, 32]
 
     def test_finding_messages_name_both_units(self):
-        found = findings_for("units_bad.py", "unit-mixing")
+        found = findings_for("units_bad.py", "unit-flow")
         by_line = {f.line: f.message for f in found}
         assert "mixes watts (idle_power_w) with joules" in by_line[5]
         assert "comparison mixes joules" in by_line[6]
@@ -82,25 +81,25 @@ class TestUnitMixing:
         assert "keyword argument power_cap_w= expects watts" in by_line[10]
 
     def test_good_twin_is_clean(self):
-        assert findings_for("units_good.py", "unit-mixing") == []
+        assert findings_for("units_good.py", "unit-flow") == []
 
     def test_watts_times_seconds_derives_joules(self):
         src = "energy_joules = power_w * duration_s\n"
-        assert lint_source(src, rules=[get_rule("unit-mixing")]) == []
+        assert lint_source(src, rules=[get_rule("unit-flow")]) == []
 
     def test_joules_over_seconds_derives_watts(self):
         src = "avg_w = energy_joules / duration_s\n"
-        assert lint_source(src, rules=[get_rule("unit-mixing")]) == []
+        assert lint_source(src, rules=[get_rule("unit-flow")]) == []
 
     def test_unknown_product_is_not_trusted(self):
         # rate_w_per_s is a compound rate, not seconds — its product
         # with anything must not inherit the other operand's unit.
         src = "drift_w = bias_w + rate_w_per_s * elapsed_s\n"
-        assert lint_source(src, rules=[get_rule("unit-mixing")]) == []
+        assert lint_source(src, rules=[get_rule("unit-flow")]) == []
 
     def test_keyword_on_unresolved_call(self):
         src = "external.run(power_cap_w=energy_joules)\n"
-        found = lint_source(src, rules=[get_rule("unit-mixing")])
+        found = lint_source(src, rules=[get_rule("unit-flow")])
         assert [f.message for f in found] == [
             "keyword argument power_cap_w= expects watts but receives "
             "joules (energy_joules)"
@@ -108,18 +107,18 @@ class TestUnitMixing:
 
     def test_paper_index_suffixes_are_not_units(self):
         src = "total = p_j + duration_s\nways = a_w + freq_ghz\n"
-        assert lint_source(src, rules=[get_rule("unit-mixing")]) == []
+        assert lint_source(src, rules=[get_rule("unit-flow")]) == []
 
 
 class TestNondeterminism:
     def test_bad_fixture_all_violations_found(self):
-        found = findings_for("determinism_bad.py", "nondeterminism")
+        found = findings_for("determinism_bad.py", "determinism-taint")
         assert lines_of(found) == [
             11, 12, 13, 14, 15, 16, 17, 21, 25, 31, 34, 35
         ]
 
     def test_good_twin_is_clean(self):
-        assert findings_for("determinism_good.py", "nondeterminism") == []
+        assert findings_for("determinism_good.py", "determinism-taint") == []
 
     def test_import_aliasing_is_resolved(self):
         src = (
@@ -128,7 +127,7 @@ class TestNondeterminism:
             "a = clock()\n"
             "b = nprand.rand(3)\n"
         )
-        found = lint_source(src, rules=[get_rule("nondeterminism")])
+        found = lint_source(src, rules=[get_rule("determinism-taint")])
         assert lines_of(found) == [3, 4]
 
     def test_seeded_calls_are_allowed(self):
@@ -138,11 +137,11 @@ class TestNondeterminism:
             "rng = np.random.default_rng(42)\n"
             "local = random.Random(7)\n"
         )
-        assert lint_source(src, rules=[get_rule("nondeterminism")]) == []
+        assert lint_source(src, rules=[get_rule("determinism-taint")]) == []
 
     def test_generator_method_calls_are_not_confused_with_module(self):
         src = "draw = rng.random() + rng.normal()\n"
-        assert lint_source(src, rules=[get_rule("nondeterminism")]) == []
+        assert lint_source(src, rules=[get_rule("determinism-taint")]) == []
 
 
 #: ``(path, line)`` of every unit and every determinism finding over
@@ -181,23 +180,18 @@ DETERMINISM_SITES = [
     ("determinism_bad.py", 35),
     ("suppressed.py", 17),
     ("taint_bad/sources.py", 7),
-    ("taint_bad/writer.py", 13),
-    ("taint_bad/writer.py", 18),
-    ("taint_bad/writer.py", 23),
-    ("taint_bad/writer.py", 27),
+    ("taint_bad/writer.py", 10),
+    ("taint_bad/writer.py", 15),
+    ("taint_bad/writer.py", 20),
+    ("taint_bad/writer.py", 24),
     ("taint_bad/writer.py", 28),
-    ("taint_bad/writer.py", 33),
-    ("taint_bad/writer.py", 34),
-    ("taint_bad/writer.py", 38),
-    ("taint_bad/writer.py", 42),
-    ("taint_bad/writer.py", 46),
+    ("taint_bad/writer.py", 32),
 ]
 
 
-def fixture_sites(*rule_names):
-    """``(path, line)`` set of the named rules over every fixture."""
-    rules = {type(get_rule(name)): get_rule(name) for name in rule_names}
-    found = lint_paths([FIXTURES], rules=list(rules.values()), root=FIXTURES)
+def fixture_sites(rule_id):
+    """``(path, line)`` set of one rule over every fixture."""
+    found = lint_paths([FIXTURES], rules=[get_rule(rule_id)], root=FIXTURES)
     return sorted({(f.path, f.line) for f in found})
 
 
@@ -205,49 +199,10 @@ class TestFixtureCoverage:
     """Pins the sites the unit and determinism rules reach."""
 
     def test_unit_sites(self):
-        assert fixture_sites("unit-mixing", "unit-flow") == UNIT_SITES
+        assert fixture_sites("unit-flow") == UNIT_SITES
 
     def test_determinism_sites(self):
-        assert fixture_sites(
-            "nondeterminism", "determinism-taint"
-        ) == DETERMINISM_SITES
-
-
-class TestPoolClosure:
-    def test_bad_fixture_all_violations_found(self):
-        found = findings_for("parallel_bad.py", "pool-closure")
-        assert lines_of(found) == [7, 12, 13, 19]
-
-    def test_messages_distinguish_the_three_shapes(self):
-        found = findings_for("parallel_bad.py", "pool-closure")
-        by_line = {f.line: f.message for f in found}
-        assert "lambda" in by_line[7]
-        assert "nested function 'cell'" in by_line[12]
-        assert "bound method self.one_cell" in by_line[19]
-
-    def test_good_twin_is_clean(self):
-        assert findings_for("parallel_good.py", "pool-closure") == []
-
-    def test_partial_of_lambda_is_unwrapped(self):
-        src = (
-            "from functools import partial\n"
-            "out = map_ordered(partial(lambda t: t, 1), tasks)\n"
-        )
-        found = lint_source(src, rules=[get_rule("pool-closure")])
-        assert lines_of(found) == [2]
-
-    def test_module_level_name_shadowing_nested_def_not_flagged(self):
-        src = (
-            "def cell(t):\n"
-            "    return t\n"
-            "def run(tasks):\n"
-            "    def cell(t):\n"
-            "        return t\n"
-            "    return map_ordered(cell, tasks)\n"
-        )
-        # `cell` also exists at module level, so static resolution keeps
-        # quiet rather than guessing which one the name binds to.
-        assert lint_source(src, rules=[get_rule("pool-closure")]) == []
+        assert fixture_sites("determinism-taint") == DETERMINISM_SITES
 
 
 class TestExceptionPolicy:
@@ -340,34 +295,52 @@ class TestHandRolledTolerance:
 
 class TestSuppression:
     def test_disable_comment_silences_one_rule(self):
-        found = findings_for("suppressed.py", "nondeterminism")
+        found = findings_for("suppressed.py", "determinism-taint")
         # Lines 7 and 11 are suppressed; line 17 must still fire, and
         # the string literal on line 16 must not act as a suppression.
         assert lines_of(found) == [17]
 
-    def test_codes_and_aliases_suppress(self):
-        for name in ("POCO201", "POCO901", "determinism-taint"):
+    def test_ids_and_codes_suppress(self):
+        for name in ("POCO901", "determinism-taint"):
             src = f"import time\nt = time.time()  # pocolint: disable={name}\n"
-            assert lint_source(src, rules=[get_rule("nondeterminism")]) == []
-        src = "total_j = 1.0\ntotal_j = power_w  # pocolint: disable=POCO101\n"
+            assert lint_source(src, rules=[get_rule("determinism-taint")]) == []
+        src = "total_j = 1.0\ntotal_j = power_w  # pocolint: disable=POCO701\n"
         assert lint_source(src, rules=[get_rule("unit-flow")]) == []
 
-    def test_engine_suppression_by_old_name_still_holds(self):
+    def test_engine_suppression_holds(self):
         # engine/batched.py reads the legacy global RNG state on purpose
-        # and silences it with the pre-fold rule id.
+        # and silences that one line.
         path = FIXTURES.parents[1] / "src" / "repro" / "engine" / "batched.py"
         source = path.read_text(encoding="utf-8")
         rule = get_rule("determinism-taint")
-        assert "# pocolint: disable=nondeterminism" in source
+        assert "# pocolint: disable=determinism-taint" in source
         assert lint_source(source, rules=[rule]) == []
-        bare = source.replace("  # pocolint: disable=nondeterminism", "")
+        bare = source.replace("  # pocolint: disable=determinism-taint", "")
         found = lint_source(bare, rules=[rule])
         assert [f.message.split()[0] for f in found] == ["np.random.get_state()"]
 
     def test_disable_must_name_the_right_rule(self):
-        src = "import time\nt = time.time()  # pocolint: disable=unit-mixing\n"
-        found = lint_source(src, rules=[get_rule("nondeterminism")])
+        src = "import time\nt = time.time()  # pocolint: disable=unit-flow\n"
+        found = lint_source(src, rules=[get_rule("determinism-taint")])
         assert lines_of(found) == [2]
+
+    def test_unknown_name_is_an_error(self):
+        # A retired or misspelled name would otherwise stop suppressing
+        # without a word.
+        src = "import time\n\nt = time.time()  # pocolint: disable=nondeterminism\n"
+        with pytest.raises(LintError) as excinfo:
+            lint_source(src, path="pkg/mod.py")
+        assert str(excinfo.value) == (
+            "pkg/mod.py:3: pocolint: disable= names unknown rule "
+            "'nondeterminism'"
+        )
+
+    def test_unknown_name_fails_the_cli(self, tmp_path, capsys):
+        target = tmp_path / "mod.py"
+        target.write_text("x = 1  # pocolint: disable=all, no-such-rule\n")
+        assert main([str(target)]) == 2
+        err = capsys.readouterr().err
+        assert "mod.py:1:" in err and "'no-such-rule'" in err
 
 
 class TestLinterSelfCheck:

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.server_manager import PowerOptimizedManager
-from repro.errors import CheckpointError, ConfigError
+from repro.errors import CheckpointError, ConfigError, ExecutionError
 from repro.evaluation.pipeline import PomFactory
 from repro.faults.cluster import ClusterFaultPlan, ServerCrash
 from repro.faults.schedule import FaultSchedule, MeterDrift, TelemetryGap
@@ -77,6 +77,14 @@ def _plans(catalog, pairs):
             manager_factory=PomFactory(catalog.lc_fits[lc_name].model),
         ))
     return out
+
+
+@dataclass(frozen=True)
+class RaisingFactory:
+    """A manager factory whose every cell fails before it runs."""
+
+    def __call__(self, server):
+        raise ConfigError("planted manager failure")
 
 
 def _fault_plan(plans):
@@ -453,6 +461,22 @@ class TestCheckpointedSweep:
             clean.fault_report.crashes_handled,
             clean.fault_report.degraded_cells,
         )
+
+    def test_failed_first_cell_leaves_old_journal_untouched(
+        self, catalog, tmp_path
+    ):
+        """A fresh run whose first cell raises writes nothing: an old
+        journal at ``checkpoint_path`` stays byte-identical."""
+        plans = _plans(catalog, [("xapian", "rnn")])
+        path = tmp_path / "sweep.ckpt"
+        run_cluster_checkpointed(plans, catalog.spec, path, **self.KWARGS)
+        before = path.read_bytes()
+        failing = [replace(plans[0], manager_factory=RaisingFactory())]
+        with pytest.raises(ExecutionError, match="planted manager failure"):
+            run_cluster_checkpointed(
+                failing, catalog.spec, path, engine="object", **self.KWARGS
+            )
+        assert path.read_bytes() == before
 
     def test_checkpoint_every_validated(self, catalog, tmp_path):
         plans = _plans(catalog, [("xapian", "rnn")])

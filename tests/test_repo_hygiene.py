@@ -1,4 +1,4 @@
-"""Repo hygiene: no build artifacts in the index.
+"""Repo hygiene: no build artifacts in the index, and no lint baseline.
 
 Checks the *tracked* file list (``git ls-files``), not the working
 tree — generated files on disk are fine, committing them is not:
@@ -7,6 +7,10 @@ tree — generated files on disk are fine, committing them is not:
 * the only ``benchmarks/out`` files in the index are the snapshot-pinned
   goldens from ``repro.evaluation.reports.GOLDEN_REPORTS`` (everything
   else there is regenerated by the benchmark harness and gitignored).
+
+It also holds the pocolint gate (docs/LINTING.md): no
+``lint-baseline.json`` may be committed to grandfather findings, and
+``src/repro`` must be pocolint-clean as it stands.
 
 The git checks are skipped outside a git checkout (e.g. an sdist).
 """
@@ -17,6 +21,7 @@ import subprocess
 import pytest
 
 from repro.evaluation.reports import GOLDEN_REPORTS
+from repro.lint import lint_paths
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -56,3 +61,13 @@ def test_benchmarks_out_only_pinned_goldens(tracked_files):
     )
     missing = sorted(pinned - tracked_out)
     assert missing == [], f"pinned golden snapshots not committed: {missing}"
+
+
+def test_src_repro_pocolint_clean_modulo_baseline():
+    # The baseline is gone: findings are fixed, never grandfathered, so
+    # no baseline file may come back and the tree must lint clean.
+    assert not (REPO_ROOT / "lint-baseline.json").exists()
+    findings = lint_paths([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
+    assert findings == [], "new pocolint findings:\n" + "\n".join(
+        f.render() for f in findings
+    )

@@ -8,10 +8,10 @@ self-contained drill:
 2. **Killed run** — the same sweep with a checkpoint file, executed in
    a child process that is SIGKILLed as soon as the checkpoint shows
    progress (a real ``kill -9``, not an exception).
-3. **Resume** — ``run_cluster_checkpointed(..., resume=True)`` reads
-   the checkpoint journal, checks every record's SHA-256, drops a torn
-   last record, re-runs only the missing cells, and the result matches
-   the clean run float for float.
+3. **Resume** — ``run_sweeps([sweep], durability=Durability(ckpt,
+   resume=True))`` reads the checkpoint journal, checks every record's
+   SHA-256, drops a torn last record, re-runs only the missing cells,
+   and the result matches the clean run float for float.
 
 Run:  python examples/resume_sweep.py
 """
@@ -25,8 +25,8 @@ from pathlib import Path
 
 from repro.apps import REFERENCE_SPEC, best_effort_apps, latency_critical_apps
 from repro.evaluation.pipeline import HeraclesFactory
-from repro.runtime import read_journal, run_cluster_checkpointed, sweep_run_key
-from repro.sim.cluster import ServerPlan, Sweep, run_cluster
+from repro.runtime import read_journal, sweep_run_key
+from repro.sim.cluster import Durability, ServerPlan, Sweep, run_sweeps
 from repro.sim.colocation import SimConfig
 
 LEVELS = [0.25, 0.5, 0.75]
@@ -37,14 +37,13 @@ CONFIG = SimConfig(seed=11)
 _CHILD = f"""\
 import sys
 sys.path[:0] = {sys.path!r}
-from examples.resume_sweep import build_plans, LEVELS, DURATION_S, CONFIG
-from repro.apps import REFERENCE_SPEC
-from repro.runtime import run_cluster_checkpointed
+from examples.resume_sweep import build_sweep
+from repro.sim.cluster import Durability, run_sweeps
 
-run_cluster_checkpointed(
-    build_plans(), REFERENCE_SPEC, sys.argv[1], levels=LEVELS,
-    duration_s=DURATION_S, config=CONFIG, resume=True, checkpoint_every=1,
+run_sweeps(
+    [build_sweep()],
     engine="object",  # lands cells one at a time, so the kill is mid-sweep
+    durability=Durability(sys.argv[1], resume=True, checkpoint_every=1),
 )
 """
 
@@ -63,6 +62,11 @@ def build_plans():
     ]
 
 
+def build_sweep():
+    """The drill's sweep: both servers at every level."""
+    return Sweep(build_plans(), REFERENCE_SPEC, LEVELS, DURATION_S, CONFIG)
+
+
 def flatten(result):
     return [
         (o.lc_name, o.level, o.result.avg_be_throughput_norm,
@@ -72,11 +76,10 @@ def flatten(result):
 
 
 def main() -> None:
-    plans = build_plans()
-    kwargs = dict(levels=LEVELS, duration_s=DURATION_S, config=CONFIG)
+    sweep = build_sweep()
 
     print("1. Clean reference run (uninterrupted)...")
-    clean = run_cluster(plans, REFERENCE_SPEC, **kwargs)
+    clean = run_sweeps([sweep])[0]
     print(f"   {len(clean.outcomes)} cells, cluster BE throughput "
           f"{clean.cluster_be_throughput():.4f}")
 
@@ -97,12 +100,12 @@ def main() -> None:
         print(f"   killed (exit {child.returncode}); checkpoint survived "
               f"{survived.cells_done}/{survived.cells_total} cells")
         print(f"   run key {survived.run_key[:16]}… == "
-              f"{sweep_run_key(Sweep(plans, REFERENCE_SPEC, **kwargs))[:16]}…")
+              f"{sweep_run_key(sweep)[:16]}…")
 
         print("3. Resuming from the checkpoint...")
-        resumed = run_cluster_checkpointed(
-            plans, REFERENCE_SPEC, ckpt, resume=True, **kwargs
-        )
+        resumed = run_sweeps(
+            [sweep], durability=Durability(ckpt, resume=True)
+        )[0]
 
     identical = flatten(resumed) == flatten(clean)
     print(f"   resumed run bit-identical to clean run: {identical}")

@@ -43,8 +43,13 @@ from repro.apps import (  # noqa: E402  (path bootstrap above)
     latency_critical_apps,
 )
 from repro.evaluation.pipeline import HeraclesFactory  # noqa: E402
-from repro.runtime import read_journal, run_cluster_checkpointed  # noqa: E402
-from repro.sim.cluster import ServerPlan, run_cluster  # noqa: E402
+from repro.runtime import read_journal  # noqa: E402
+from repro.sim.cluster import (  # noqa: E402
+    Durability,
+    ServerPlan,
+    Sweep,
+    run_sweeps,
+)
 from repro.sim.colocation import SimConfig  # noqa: E402
 
 LEVELS = [0.25, 0.5, 0.75]
@@ -55,14 +60,12 @@ _CHILD = f"""\
 import sys
 sys.path.insert(0, {str(REPO_ROOT / "src")!r})
 sys.path.insert(0, {str(REPO_ROOT / "scripts")!r})
-from chaos_smoke import build_plans, LEVELS, DURATION_S, CONFIG
-from repro.apps import REFERENCE_SPEC
-from repro.runtime import run_cluster_checkpointed
+from chaos_smoke import build_sweep
+from repro.sim.cluster import Durability, run_sweeps
 
-run_cluster_checkpointed(
-    build_plans(), REFERENCE_SPEC, sys.argv[1], levels=LEVELS,
-    duration_s=DURATION_S, config=CONFIG, resume=True, checkpoint_every=1,
-    engine="object",
+run_sweeps(
+    [build_sweep()], engine="object",
+    durability=Durability(sys.argv[1], resume=True, checkpoint_every=1),
 )
 """
 
@@ -78,6 +81,10 @@ def build_plans():
         )
         for lc, be in [("xapian", "rnn"), ("sphinx", "graph")]
     ]
+
+
+def build_sweep():
+    return Sweep(build_plans(), REFERENCE_SPEC, LEVELS, DURATION_S, CONFIG)
 
 
 def flatten(result):
@@ -148,9 +155,8 @@ def main(argv=None) -> int:
                         help="give up after this many seconds (default 300)")
     args = parser.parse_args(argv)
 
-    plans = build_plans()
-    kwargs = dict(levels=LEVELS, duration_s=DURATION_S, config=CONFIG)
-    cells = len(plans) * len(LEVELS)
+    sweep = build_sweep()
+    cells = len(sweep.plans) * len(sweep.levels)
     rng = random.Random(args.seed)
     kill_after = args.kill_after
     if kill_after is None:
@@ -158,7 +164,7 @@ def main(argv=None) -> int:
     print(f"chaos-smoke: {cells} cells, killing after {kill_after} "
           f"(seed {args.seed})")
 
-    clean = run_cluster(plans, REFERENCE_SPEC, engine="object", **kwargs)
+    clean = run_sweeps([sweep], engine="object")[0]
 
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = Path(tmp) / "sweep.ckpt"
@@ -179,18 +185,16 @@ def main(argv=None) -> int:
               f"{journal.cells_done}/{journal.cells_total} cells; resuming")
         torn = Path(tmp) / "torn.ckpt"
         position = tear_last_record(ckpt, torn, rng)
-        resumed = run_cluster_checkpointed(
-            plans, REFERENCE_SPEC, ckpt, resume=True, **kwargs
-        )
+        resumed = run_sweeps([sweep], durability=Durability(ckpt, resume=True))[0]
         left = read_journal(torn).cells_done
         print(f"chaos-smoke: tore cell {position}'s record in a copy "
               f"({left} whole records left); resuming it")
         if left != journal.cells_done - 1:
             print("chaos-smoke: FAIL — the torn record was not dropped")
             return 1
-        resumed_torn = run_cluster_checkpointed(
-            plans, REFERENCE_SPEC, torn, resume=True, **kwargs
-        )
+        resumed_torn = run_sweeps(
+            [sweep], durability=Durability(torn, resume=True)
+        )[0]
         healed = read_journal(torn)
         if healed.intact_bytes != healed.file_bytes:
             print("chaos-smoke: FAIL — the torn tail survived the resume")

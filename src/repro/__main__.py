@@ -47,8 +47,9 @@ from repro.evaluation import (
     fig9_10_11_preferences,
     fit_catalog,
     placement_for_policy,
-    run_policy,
+    policy_sweep,
 )
+from repro.sim.cluster import Durability, run_sweeps
 
 COMMANDS = ("list", "placement", "preferences", "fit", "motivation",
             "evaluate", "tco", "validate", "admission", "run", "guard")
@@ -201,14 +202,14 @@ def cmd_tco(catalog, args) -> None:
 
 
 def cmd_run(catalog, args) -> None:
-    if args.resume and not args.checkpoint_dir:
-        raise ConfigError("--resume needs --checkpoint-dir (nothing to resume from)")
     checkpoint_path = None
     if args.checkpoint_dir:
         checkpoint_path = str(
             Path(args.checkpoint_dir)
             / f"{args.policy}-seed{args.seed}.ckpt"
         )
+    durability = Durability(checkpoint_path, args.resume, args.checkpoint_every)
+    if checkpoint_path is not None:
         print(f"Checkpointing to {checkpoint_path}"
               + (" (resuming)" if args.resume else ""))
     budget = None
@@ -224,11 +225,8 @@ def cmd_run(catalog, args) -> None:
         print(f"Hierarchical budget tree: racks of {budget.rack_size}, "
               f"{budget.arbiter_period_s:g}s arbiter period, "
               f"{budget.lease_s:g}s leases, {budget.fairness} fairness")
-    result = run_policy(
-        catalog, args.policy, duration_s=args.duration,
-        checkpoint_path=checkpoint_path, resume=args.resume,
-        checkpoint_every=args.checkpoint_every, budget=budget,
-    )
+    sweep = policy_sweep(catalog, args.policy, duration_s=args.duration, budget=budget)
+    result = run_sweeps([sweep], durability=durability)[0]
     servers = result.servers()
     throughput = result.be_throughput_by_server()
     power = result.power_utilization_by_server()
@@ -299,10 +297,8 @@ def cmd_guard(catalog, args) -> None:
             print("\nNo violations found — the control stack held its "
                   "contracts across the searched fault schedules.")
         return
-    result = run_policy(
-        catalog, args.policy, duration_s=args.duration,
-        guard=guard, ledger_path=args.ledger,
-    )
+    sweep = policy_sweep(catalog, args.policy, duration_s=args.duration, guard=guard)
+    result = run_sweeps([sweep], durability=Durability(ledger_path=args.ledger))[0]
     reports = [
         o.result.guard_report for o in result.outcomes
         if o.result.guard_report is not None

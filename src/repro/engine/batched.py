@@ -41,10 +41,10 @@ possible:
   draw by its schedule's index.
 
 Anything the probe cannot prove eligible (custom manager classes,
-irregular DVFS ladders, unknown fault types, factories that raise) falls
-back lane-by-lane to the per-object oracle at its delivery position, so
-``run_batched_cells`` is a drop-in for running each
-:class:`~repro.sim.cluster.Cell` through the oracle in order.
+irregular DVFS ladders, unknown fault types, unhashable models) falls
+back lane-by-lane, with a reason, to the per-object oracle at its
+delivery position, so ``run_batched_cells`` is a drop-in for running
+each :class:`~repro.sim.cluster.Cell` through the oracle in order.
 
 The per-object path stays authoritative: ``tests/test_batched_
 differential.py`` proves equality field-by-field, and the object engine
@@ -70,8 +70,8 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -83,6 +83,7 @@ from repro.core.server_manager import (
     balanced_allocation,
 )
 from repro.core.utility import integer_min_power_allocation
+from repro.engine.parallel import _task_failure
 from repro.errors import CapacityError, ConfigError, InvariantViolationError
 from repro.faults.schedule import (
     FaultSchedule,
@@ -310,15 +311,16 @@ def _probe_plan(
     spec: ServerSpec,
     be_app: Any,
     cache: Dict[Any, Any],
-) -> Optional[Dict[str, Any]]:
+) -> Union[Dict[str, Any], str]:
     """Build one throwaway server+manager to learn a plan's initial state.
 
     The probe proves the plan drives a manager class whose decision
     procedure the batched core replicates, and records every knob and
     every bit of initial mutable state.  The cache is per-invocation
-    (id() keys are only stable while the objects are alive).  A probe
-    that raises or fails any eligibility check caches a negative: those
-    lanes run on the per-object oracle instead.
+    (id() keys are only stable while the objects are alive).  A plan
+    that fails an eligibility check caches the reason, a string: those
+    lanes run on the per-object oracle instead.  A probe that raises
+    propagates, as the oracle's identical build would.
     """
     key = (
         id(plan.lc_app),
@@ -327,23 +329,17 @@ def _probe_plan(
         id(plan.manager_factory),
         spec,
     )
-    hit = cache.get(key, None)
-    if hit is not None:
-        return None if hit is _INELIGIBLE else hit
-    try:
-        info = _build_probe(plan, spec, be_app)
-    except Exception:  # pocolint: disable=exception-policy
-        # Deliberate swallow: a probe that cannot model the cell is not
-        # a failure, it routes the cell to the per-object oracle.
-        info = None
-    cache[key] = _INELIGIBLE if info is None else info
-    return info
+    hit: Union[Dict[str, Any], str, None] = cache.get(key)
+    if hit is None:
+        hit = cache[key] = _build_probe(plan, spec, be_app)
+    return hit
 
 
-def _build_probe(plan: Any, spec: ServerSpec, be_app: Any) -> Optional[Dict[str, Any]]:
+def _build_probe(plan: Any, spec: ServerSpec, be_app: Any) -> Union[Dict[str, Any], str]:
+    """A plan's probe info, or the reason its cells run on the oracle."""
     maps = _ladder_maps(spec)
     if maps is None:
-        return None
+        return "irregular DVFS ladder"
     server = build_colocated_server(
         spec=spec,
         lc_app=plan.lc_app,
@@ -353,28 +349,28 @@ def _build_probe(plan: Any, spec: ServerSpec, be_app: Any) -> Optional[Dict[str,
     )
     manager = plan.manager_factory(server)
     if manager.server is not server:
-        return None
+        return "manager manages another server"
     if type(manager) is HeraclesLikeManager:
         kind = "heracles"
     elif type(manager) is PowerOptimizedManager:
         kind = "pom"
     else:
-        return None
+        return f"custom manager type {type(manager).__name__}"
     primary = server.primary_tenant()
     if primary is None:
-        return None
+        return "no primary tenant"
     lc0 = server.allocation_of(primary)
     if lc0.is_empty or lc0.duty_cycle != 1.0 or lc0.freq_ghz not in maps["index"]:
-        return None
+        return "irregular initial LC allocation"
     be_name = server.secondary_tenant()
     if (be_app is not None) != (be_name is not None):
-        return None
+        return "BE app and secondary tenant disagree"
     be0: Optional[Tuple[int, int, int, float]] = None
     if be_name is not None:
         be_alloc = server.allocation_of(be_name)
         if not be_alloc.is_empty:
             if be_alloc.freq_ghz not in maps["index"]:
-                return None
+                return "BE frequency off the DVFS ladder"
             be0 = (
                 be_alloc.cores,
                 be_alloc.ways,
@@ -383,7 +379,7 @@ def _build_probe(plan: Any, spec: ServerSpec, be_app: Any) -> Optional[Dict[str,
             )
     capper = PowerCapController(server=server, meter=PowerMeter(source=lambda: 0.0))
     if not capper.watchdog:
-        return None
+        return "cap watchdog disabled"
     info: Dict[str, Any] = {
         "kind": kind,
         "primary": primary,
@@ -403,7 +399,7 @@ def _build_probe(plan: Any, spec: ServerSpec, be_app: Any) -> Optional[Dict[str,
     }
     if kind == "heracles":
         if manager.path not in ("balanced", "random"):
-            return None
+            return f"unknown Heracles path {manager.path!r}"
         info.update(
             path=manager.path,
             shrink_patience=int(manager.shrink_patience),
@@ -417,7 +413,10 @@ def _build_probe(plan: Any, spec: ServerSpec, be_app: Any) -> Optional[Dict[str,
         )
     else:
         model = manager.model
-        hash(model)  # memo keys need value-hashable models
+        try:
+            hash(model)
+        except TypeError:
+            return "unhashable POM model"  # memo keys need value-hashable models
         info.update(
             model=model,
             headroom0=float(manager.headroom),
@@ -456,24 +455,32 @@ def _faults_batchable(faults: Optional[FaultSchedule]) -> bool:
 def _partition(
     tasks: Sequence[Cell],
     probe_cache: Dict[Any, Any],
-) -> Tuple[Dict[Any, List[int]], Set[int], List[Optional[Dict[str, Any]]]]:
+) -> Tuple[Dict[Any, List[int]], Dict[int, str], List[Optional[Dict[str, Any]]]]:
     """Split cells into batchable groups and oracle-fallback positions.
 
     A group shares what must be uniform across the lanes of one
     :class:`BatchedClusterSim`: the guard config, the sim config (seed,
     tick geometry and noise sigmas) and the server spec.  Manager kind,
     duration, fault schedule and cap schedule are lane attributes, so a
-    sweep over one config and spec is one group.
+    sweep over one config and spec is one group.  Fallback positions map
+    to the reason the cell runs on the oracle; a probe that raises
+    fails as the oracle's run of that cell would.
     """
+    from repro.sim.cluster import _run_cell
+
     groups: Dict[Any, List[int]] = {}
-    fallback: Set[int] = set()
+    fallback: Dict[int, str] = {}
     infos: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
     for i, cell in enumerate(tasks):
-        info = None
-        if _faults_batchable(cell.faults):
+        if not _faults_batchable(cell.faults):
+            fallback[i] = "fault schedule not batchable"
+            continue
+        try:
             info = _probe_plan(cell.plan, cell.spec, cell.be_app, probe_cache)
-        if info is None:
-            fallback.add(i)
+        except Exception as exc:
+            raise _task_failure(i, len(tasks), _run_cell, (cell,), exc) from exc
+        if isinstance(info, str):
+            fallback[i] = info
             continue
         infos[i] = info
         group_key = (cell.guard, cell.config, cell.spec)
@@ -481,12 +488,13 @@ def _partition(
     return groups, fallback, infos
 
 
-def partition_cells(tasks: Sequence[Cell]) -> Tuple[Dict[Any, List[int]], Set[int]]:
-    """Public partition view: group-key -> positions, plus fallback set.
+def partition_cells(tasks: Sequence[Cell]) -> Tuple[Dict[Any, List[int]], Dict[int, str]]:
+    """Public partition view: group-key -> positions, plus fallback reasons.
 
     Property tests use this to assert which cells the batched core
-    claims, and that a sweep over one (guard, config, spec) is one
-    group whatever its lanes' kinds, durations and schedules.
+    claims (and why the others fall back to the oracle), and that a
+    sweep over one (guard, config, spec) is one group whatever its
+    lanes' kinds, durations and schedules.
     """
     groups, fallback, _infos = _partition(list(tasks), {})
     return groups, fallback
@@ -1866,7 +1874,6 @@ def run_batched_cells(
     order: the batched results up to the next oracle fallback (or
     failure) arrive in one call, before that fallback runs.
     """
-    from repro.engine.parallel import _task_failure
     from repro.sim.cluster import _run_cell
 
     tasks = list(tasks)

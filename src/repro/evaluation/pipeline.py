@@ -10,7 +10,7 @@ defines the three policies of the evaluation (Section V-D):
   server management.
 
 Everything downstream (the figure benchmarks, the examples) builds on
-:func:`fit_catalog` and :func:`run_policy`.
+:func:`fit_catalog` and :func:`policy_sweep`.
 """
 
 from __future__ import annotations
@@ -242,16 +242,35 @@ def cluster_plans(
     return plans
 
 
-def _policy_plans(
+def policy_sweep(
     catalog: FittedCatalog,
     policy: str,
-    levels: Sequence[float],
-    seed: int,
-) -> List[ServerPlan]:
-    """One policy run's plans: its placement, then one plan per LC server."""
+    levels: Sequence[float] = UNIFORM_EVAL_LEVELS,
+    duration_s: float = 40.0,
+    seed: int = 0,
+    sim_config: Optional[SimConfig] = None,
+    guard: Optional["GuardConfig"] = None,
+    budget: Optional["BudgetConfig"] = None,
+) -> Sweep:
+    """One policy's :class:`~repro.sim.cluster.Sweep` over the full cluster.
+
+    The placement comes from :func:`placement_for_policy` with ``seed``,
+    then one plan per LC server.  ``random-nocap`` runs the random policy
+    with every server provisioned at
+    :data:`~repro.apps.catalog.NOCAP_PROVISIONED_W` (the Section V-F TCO
+    baseline); all other policies use right-sized capacities.  The sim
+    config defaults to ``SimConfig(seed=seed)``; ``guard`` and
+    ``budget`` mean what they mean to :class:`~repro.sim.cluster.Sweep`
+    (``docs/GUARDS.md``, ``docs/BUDGETS.md``).
+    """
     placement = placement_for_policy(catalog, policy, seed=seed, levels=levels)
     override = NOCAP_PROVISIONED_W if policy == POLICY_RANDOM_NOCAP else None
-    return cluster_plans(catalog, placement, policy, provisioned_override_w=override)
+    return Sweep(
+        cluster_plans(catalog, placement, policy, provisioned_override_w=override),
+        catalog.spec, levels, duration_s,
+        sim_config if sim_config is not None else SimConfig(seed=seed),
+        guard=guard, budget=budget,
+    )
 
 
 def run_policy(
@@ -261,53 +280,16 @@ def run_policy(
     duration_s: float = 40.0,
     seed: int = 0,
     sim_config: Optional[SimConfig] = None,
-    dedupe: bool = False,
-    checkpoint_path: Optional[str] = None,
-    resume: bool = False,
-    checkpoint_every: int = 1,
-    guard: Optional["GuardConfig"] = None,
-    ledger_path: Optional[str] = None,
-    engine: Optional[str] = None,
-    budget: Optional["BudgetConfig"] = None,
 ) -> ClusterRunResult:
     """Run one policy over the full cluster and load sweep.
 
-    ``random-nocap`` runs the random policy with every server provisioned
-    at :data:`~repro.apps.catalog.NOCAP_PROVISIONED_W` (the Section V-F
-    TCO baseline); all other policies use right-sized capacities.
-
-    ``engine`` and ``dedupe`` mean what they mean to
-    :func:`~repro.sim.cluster.run_cluster` — bit-identical execution
-    knobs, not semantic ones.  ``engine`` selects the simulation core:
-    the default ``"batched"`` structure-of-arrays core or the
-    ``"object"`` per-cell oracle (``docs/ENGINE.md``).  A
-    ``checkpoint_path`` makes the sweep crash-safe, as
-    :func:`repro.runtime.run_cluster_checkpointed` does: completed
-    cells persist as they land and ``resume=True`` re-runs only the
-    missing ones — still bit-identical (see ``docs/RECOVERY.md``).
-
-    ``guard`` and ``budget`` mean what they mean to
-    :class:`~repro.sim.cluster.Sweep` (``docs/GUARDS.md``,
-    ``docs/BUDGETS.md``); ``ledger_path`` writes the violation ledger —
-    derived deterministically from the completed cells, checkpointed
-    or not.
+    A keyword shim: :func:`policy_sweep` run by
+    :func:`~repro.sim.cluster.run_sweeps` on the default engine.  Build
+    the sweep with :func:`policy_sweep` and call ``run_sweeps`` for a
+    guard, a budget, an engine, dedupe or a checkpoint journal
+    (:class:`~repro.sim.cluster.Durability`).
     """
-    from repro.runtime.sweep import _ledgered, _run_checkpointed
-
-    config = sim_config if sim_config is not None else SimConfig(seed=seed)
-    sweep = Sweep(
-        _policy_plans(catalog, policy, levels, seed), catalog.spec, levels,
-        duration_s, config, guard=guard, budget=budget,
-    )
-
-    def execute() -> ClusterRunResult:
-        if checkpoint_path is None:
-            return run_sweeps([sweep], engine, dedupe)[0]
-        return _run_checkpointed(
-            sweep, checkpoint_path, engine, dedupe, resume, checkpoint_every
-        )
-
-    return _ledgered(execute, guard, ledger_path)
+    return run_sweeps([policy_sweep(catalog, policy, levels, duration_s, seed, sim_config)])[0]
 
 
 def run_policies(
@@ -329,10 +311,7 @@ def run_policies(
     planned = [(p, s) for p in runs for s in (seeds if p in RANDOM_PLACED else [0])]
     config = SimConfig(seed=sim_seed)
     results = run_sweeps([
-        Sweep(
-            _policy_plans(catalog, p, levels, s), catalog.spec, levels, duration_s, config
-        )
-        for p, s in planned
+        policy_sweep(catalog, p, levels, duration_s, s, config) for p, s in planned
     ])
     for (policy, _seed), result in zip(planned, results):
         runs[policy].append(result)

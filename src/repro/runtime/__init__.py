@@ -17,11 +17,13 @@ Three layers, each usable alone:
   save: a crash mid-append leaves a torn last record that the reader
   drops, and every record is checked before a single byte is
   unpickled.
-* :mod:`repro.runtime.sweep` — :func:`run_cluster_checkpointed`, the
-  crash-safe wrapper around the cluster sweep: completed (plan, level)
+* :mod:`repro.runtime.sweep` — the journaled execution behind
+  :func:`~repro.sim.cluster.run_sweeps` when it is given a
+  :class:`~repro.sim.cluster.Durability`: completed (plan, level)
   cells persist as they land and a resumed run re-executes only the
   missing ones, producing a **bit-identical**
   :class:`~repro.sim.cluster.ClusterRunResult`.
+  :func:`run_cluster_checkpointed` is its keyword shim.
 
 The recovery runbook is ``docs/RECOVERY.md``.
 """

@@ -23,8 +23,10 @@ SIGKILL.  A checkpoint refuses to resume a different sweep: the
 ``run_key`` digests the sweep's full content (apps, provisioning,
 levels, duration, sim config, fault plan), not object identities.
 
-Execution goes through the same in-process executor as
-``run_cluster`` (the batched core or the per-object oracle), so a
+:func:`~repro.sim.cluster.run_sweeps` calls :func:`run_journaled` for a
+:class:`~repro.sim.cluster.Durability` with a journal, so execution goes
+through the same in-process executor as ``run_cluster`` (the batched
+core or the per-object oracle), and a
 crash costs at most the cells that had not yet landed in the journal.
 Positions are planned positions whatever ``dedupe`` is, so a
 checkpoint resumes with ``dedupe`` flipped.
@@ -36,7 +38,7 @@ import hashlib
 import pickle
 import re
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.budget.arbiter import BudgetConfig
 from repro.errors import CheckpointError, ConfigError
@@ -46,12 +48,14 @@ from repro.hwmodel.spec import ServerSpec
 from repro.runtime.atomic import PathLike
 from repro.runtime.checkpoint import Checkpoint, Journal, read_journal
 from repro.sim.cluster import (
+    Cell,
     ClusterRunResult,
+    Durability,
     LevelOutcome,
     ServerPlan,
     Sweep,
     _execute,
-    plan_cluster_tasks,
+    run_sweeps,
 )
 from repro.sim.colocation import SimConfig
 from repro.workloads.traces import UNIFORM_EVAL_LEVELS
@@ -175,67 +179,40 @@ def run_cluster_checkpointed(
     engine: Optional[str] = None,
     budget: Optional[BudgetConfig] = None,
 ) -> ClusterRunResult:
-    """:func:`~repro.sim.cluster.run_cluster`, crash-safe.
+    """:func:`~repro.sim.cluster.run_cluster`, crash-safe: a keyword shim.
 
-    Semantics and results are bit-identical to ``run_cluster`` with the
-    same arguments; the additions are durability knobs:
-
-    * ``checkpoint_path`` — the checkpoint journal.  A fresh run's
-      first landed cell atomically replaces any old file with a new
-      header; every landed cell appends one checksummed record;
-    * ``resume`` — load ``checkpoint_path`` first and re-run only the
-      cells it lacks.  A missing file starts fresh (so "always pass
-      ``--resume``" is a safe operating procedure); a checkpoint from a
-      *different* sweep raises :class:`~repro.errors.CheckpointError`;
-    * ``checkpoint_every`` — cells completed between checkpoint saves
-      (one flush and ``fsync`` each); 1 (default) bounds the
-      recomputation lost to a crash at one cell.  Cells that land
-      together are committed together: the batched engine delivers its
-      results in runs, and each run is one ``fsync``.
-
-    The checkpoint is left in place on success — it doubles as the
-    completed-run record (:func:`~repro.runtime.checkpoint.read_journal`
-    counts its cells without unpickling).
-
-    ``guard`` runs every cell under the safety invariants of
-    :mod:`repro.guard` (and becomes part of the run key, so guarded and
-    unguarded checkpoints never cross-resume).  ``ledger_path`` writes
-    the violation ledger — rebuilt deterministically from the completed
-    cells, so a resumed sweep emits a byte-identical ledger to an
-    uninterrupted one.
-
-    ``engine`` and ``dedupe`` mean what they mean to ``run_cluster``.
-    The batched engine (the default) delivers every cell when the sweep
-    ends, so a crash loses its whole run; the object engine lands cells
-    one at a time.  Both are bit-identical, so a checkpoint written by
-    either resumes under the other without changing a result byte (the
-    ``run_key`` is engine-agnostic on purpose).
+    ``checkpoint_path``, ``resume``, ``checkpoint_every`` and
+    ``ledger_path`` are the fields of :class:`~repro.sim.cluster.Durability`;
+    the rest mean what they mean to ``run_cluster``.  The run key is
+    engine-agnostic, so a journal written by either engine resumes under
+    the other.
     """
-    sweep = Sweep(plans, spec, levels, duration_s, config, fault_plan, guard, budget)
-    return _ledgered(
-        lambda: _run_checkpointed(
-            sweep, checkpoint_path, engine, dedupe, resume, checkpoint_every
-        ),
-        guard, ledger_path,
-    )
+    return run_sweeps(
+        [Sweep(plans, spec, levels, duration_s, config, fault_plan, guard, budget)],
+        engine, dedupe,
+        Durability(checkpoint_path, resume, checkpoint_every, ledger_path),
+    )[0]
 
 
-def _run_checkpointed(
+def run_journaled(
     sweep: Sweep,
-    checkpoint_path: PathLike,
+    cells: Sequence[Cell],
     engine: Optional[str],
     dedupe: bool,
-    resume: bool,
-    checkpoint_every: int,
-) -> ClusterRunResult:
-    """Plan ``sweep``, resume what its journal holds, run and journal the rest."""
-    if checkpoint_every < 1:
-        raise ConfigError("checkpoint_every must be at least 1")
-    cells, skeleton = plan_cluster_tasks(sweep)
+    durability: Durability,
+) -> List[LevelOutcome]:
+    """Run ``sweep``'s planned ``cells``, journaling each as it lands.
+
+    A resumed run loads what ``durability``'s journal holds and runs
+    only the rest; a fresh one starts a new journal.  Returns every
+    planned cell's outcome, in planned order.
+    """
+    if durability.journal_path is None:
+        raise ConfigError("a journaled run needs a journal_path")
     run_key = sweep_run_key(sweep)
-    target = Path(checkpoint_path)
+    target = Path(durability.journal_path)
     completed: Dict[int, LevelOutcome] = {}
-    if resume and target.exists():
+    if durability.resume and target.exists():
         journal, completed = _load_completed(target, run_key, len(cells))
         checkpoint = Checkpoint.reopen(journal)
     else:
@@ -250,38 +227,11 @@ def _run_checkpointed(
         # synced with one fsync, whatever checkpoint_every is.
         for position, outcome in delivered:
             checkpoint.append(position, _encode_cell(outcome))
-        if checkpoint.pending >= checkpoint_every:
+        if checkpoint.pending >= durability.checkpoint_every:
             checkpoint.save()
 
     with checkpoint:
-        skeleton.outcomes.extend(
-            _execute(cells, engine, dedupe, completed, on_result)
-        )
+        outcomes = _execute(cells, engine, dedupe, completed, on_result)
         if checkpoint.pending:
             checkpoint.save()
-    return skeleton
-
-
-def _ledgered(
-    sweep: Callable[[], ClusterRunResult],
-    guard: Optional[GuardConfig],
-    ledger_path: Optional[PathLike],
-) -> ClusterRunResult:
-    """Run ``sweep``, then write its violation ledger if one is asked for.
-
-    The one owner of the ledger contract for every sweep entry point: a
-    ledger needs a guard config (refused before anything runs), and it
-    is rebuilt from the finished result, so a resumed sweep writes the
-    same bytes as an uninterrupted one.
-    """
-    if ledger_path is not None and guard is None:
-        raise ConfigError("a violation ledger needs a guard config")
-    result = sweep()
-    if ledger_path is not None:
-        # Imported here: repro.guard.ledger writes through this
-        # package's atomic helpers, so a module-level import would be
-        # circular during package initialization.
-        from repro.guard.ledger import write_ledger
-
-        write_ledger(ledger_path, result)
-    return result
+    return outcomes

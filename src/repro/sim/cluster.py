@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +45,9 @@ from repro.sim.colocation import (
     build_colocated_server,
 )
 from repro.workloads.traces import UNIFORM_EVAL_LEVELS, ConstantTrace
+
+if TYPE_CHECKING:  # repro.runtime imports this module
+    from repro.runtime.atomic import PathLike
 
 #: Builds a manager for a freshly assembled server.
 ManagerFactory = Callable[[Server], ServerManagerBase]
@@ -405,26 +408,80 @@ class Sweep:
                     raise ConfigError(f"sweep crash names unknown server {crash.lc_name!r}")
 
 
+@dataclass(frozen=True)
+class Durability:
+    """How one sweep survives a crash, checked when built.
+
+    * ``journal_path`` — the checkpoint journal.  A fresh run's first
+      landed cell atomically replaces any old file with a new header;
+      every landed cell appends one checksummed record.  It is kept on
+      success as the completed-run record.
+    * ``resume`` — load the journal and re-run only the cells it lacks.
+      A missing file starts fresh; a journal of a *different* sweep
+      raises :class:`~repro.errors.CheckpointError`.  Needs a journal.
+    * ``checkpoint_every`` (at least 1) — cells completed between saves
+      (one flush and ``fsync`` each).  Cells that land together, such as
+      a batched run, are committed with one ``fsync``.
+    * ``ledger_path`` — the violation ledger, rebuilt from the finished
+      result, so a resumed sweep writes the same bytes as an
+      uninterrupted one.  It needs the sweep's ``guard``.
+    """
+
+    journal_path: Optional[PathLike] = None
+    resume: bool = False
+    checkpoint_every: int = 1
+    ledger_path: Optional[PathLike] = None
+
+    def __post_init__(self) -> None:
+        if self.checkpoint_every < 1:
+            raise ConfigError("checkpoint_every must be at least 1")
+        if self.resume and self.journal_path is None:
+            raise ConfigError("resume needs a journal_path (nothing to resume from)")
+
+
 def run_sweeps(
     sweeps: Sequence[Sweep],
     engine: Optional[str] = None,
     dedupe: bool = False,
+    durability: Optional[Durability] = None,
 ) -> List[ClusterRunResult]:
     """Plan sweeps (with :func:`plan_cluster_tasks`) and run them as one.
 
-    The sweeps' cells run through a single execution, so the batched
-    engine advances all their lanes together; each sweep's outcomes
-    then fill its own result.  Cells are pure, so what a sweep runs
-    beside never changes its outcomes.
+    The one run call.  The sweeps' cells run through a single
+    execution, so the batched engine advances all their lanes together;
+    each sweep's outcomes then fill its own result.  Cells are pure, so
+    what a sweep runs beside never changes its outcomes.  ``engine`` and
+    ``dedupe`` are the bit-identical knobs of :func:`run_cluster`.
+
+    ``durability`` makes one sweep crash-safe (a journal's run key is one
+    sweep's); it is refused for several sweeps, and a ledger for a sweep
+    without a ``guard``, before anything is planned or written.
     """
+    if durability is not None:
+        if len(sweeps) != 1:
+            raise ConfigError(
+                f"durability covers exactly one sweep, not {len(sweeps)}"
+            )
+        if durability.ledger_path is not None and sweeps[0].guard is None:
+            raise ConfigError("a violation ledger needs a guard config")
     planned = [plan_cluster_tasks(sweep) for sweep in sweeps]
     cells = [cell for sweep_cells, _ in planned for cell in sweep_cells]
-    outcomes = _execute(cells, engine, dedupe, {})
+    if durability is None or durability.journal_path is None:
+        outcomes = _execute(cells, engine, dedupe, {})
+    else:
+        from repro.runtime.sweep import run_journaled  # imports this module
+
+        outcomes = run_journaled(sweeps[0], cells, engine, dedupe, durability)
     start = 0
     for sweep_cells, skeleton in planned:
         skeleton.outcomes.extend(outcomes[start:start + len(sweep_cells)])
         start += len(sweep_cells)
-    return [skeleton for _, skeleton in planned]
+    results = [skeleton for _, skeleton in planned]
+    if durability is not None and durability.ledger_path is not None:
+        from repro.guard.ledger import write_ledger  # imports repro.runtime
+
+        write_ledger(durability.ledger_path, results[0])
+    return results
 
 
 def run_cluster(

@@ -35,7 +35,8 @@ from pathlib import Path
 import pytest
 
 from repro.budget.schedule import CapSchedule
-from repro.core.server_manager import HeraclesLikeManager
+from repro.core.server_manager import HeraclesLikeManager, PowerOptimizedManager
+from repro.core.utility import IndirectUtilityModel
 from repro.engine.batched import (
     BatchedClusterSim,
     partition_cells,
@@ -43,17 +44,19 @@ from repro.engine.batched import (
 )
 from repro.engine.parallel import map_ordered
 from repro.engine.select import default_engine
+from repro.errors import ExecutionError
 from repro.evaluation import (
     evaluate_all_policies,
     measure_operating_points,
     pipeline,
 )
 from repro.evaluation.pipeline import (
+    PomFactory,
     ServerPlan,
     cluster_plans,
     fit_catalog,
     placement_for_policy,
-    run_policy,
+    policy_sweep,
 )
 from repro.faults.schedule import (
     FaultSchedule,
@@ -66,7 +69,7 @@ from repro.faults.schedule import (
 )
 from repro.guard.invariants import GuardConfig
 from repro.runtime import read_journal, run_cluster_checkpointed
-from repro.sim.cluster import Cell, _run_cell, plan_cluster_tasks, run_cluster
+from repro.sim.cluster import Cell, _run_cell, plan_cluster_tasks, run_cluster, run_sweeps
 from repro.sim.colocation import SimConfig
 from repro.sim.telemetry import Telemetry
 from tests.test_runtime_checkpoint import keep_cells
@@ -423,6 +426,78 @@ class TestNoSilentDemotion:
                 config=SimConfig(seed=0), engine="batched",
             )
 
+    def test_probe_error_raises_like_the_oracle(self, catalog, mixed_plans):
+        """A factory that raises on its first call fails both engines
+        with the same ``ExecutionError``; the batched engine must not
+        retry the cell on the oracle, where the second call succeeds."""
+        messages = []
+        for engine in ("object", "batched"):
+            flaky = FirstCallRaises(mixed_plans[1].manager_factory)
+            plans = [mixed_plans[0], replace(mixed_plans[1], manager_factory=flaky)]
+            with pytest.raises(ExecutionError, match="planted first-call failure") as info:
+                run_cluster(
+                    plans, catalog.spec, levels=(0.5,), duration_s=3.0,
+                    config=SimConfig(seed=0), engine=engine,
+                )
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("task 1 of 2 (_run_cell)")
+
+
+class FirstCallRaises:
+    """Wraps a manager factory; its first call raises, later ones build."""
+
+    def __init__(self, factory):
+        self.factory = factory
+        self.calls = 0
+
+    def __call__(self, server):
+        self.calls += 1
+        if self.calls == 1:
+            raise RuntimeError("planted first-call failure")
+        return self.factory(server)
+
+
+class UnhashableModel(IndirectUtilityModel):
+    """A fitted model that cannot key the batched core's solver memo."""
+
+    __hash__ = None
+
+
+class SubclassedPomManager(PowerOptimizedManager):
+    """A manager type the batched core does not replicate."""
+
+
+@dataclass(frozen=True)
+class SubclassedPomFactory:
+    model: object
+
+    def __call__(self, server):
+        return SubclassedPomManager(server, model=self.model)
+
+
+class TestProbeFallback:
+    """Cells the probe cannot claim run on the oracle, with a reason."""
+
+    @pytest.mark.parametrize("case, reason", [
+        ("unhashable-model", "unhashable POM model"),
+        ("custom-manager", "custom manager type SubclassedPomManager"),
+    ], ids=["unhashable-model", "custom-manager"])
+    def test_fallback_reason(self, catalog, mixed_plans, case, reason):
+        pom = mixed_plans[0]
+        model = pom.manager_factory.model
+        if case == "unhashable-model":
+            factory = PomFactory(model=UnhashableModel(model.perf, model.power, model.names))
+        else:
+            factory = SubclassedPomFactory(model)
+        plans = [replace(pom, manager_factory=factory), mixed_plans[3]]
+        tasks = _tasks(plans, catalog.spec, (0.3, 0.7), 4.0, SimConfig(seed=0))
+        groups, fallback = partition_cells(tasks)
+        assert fallback == {0: reason, 1: reason}
+        assert [len(p) for p in groups.values()] == [2]
+        for a, b in zip(_oracle(tasks), run_batched_cells(tasks)):
+            assert_outcome_equal(a, b, case)
+
 
 class TestGuardReportDifferential:
     """Violating runs: reports and enforce-mode raises must match."""
@@ -495,8 +570,9 @@ class TestEngineKnob:
     def test_run_policy_engines_agree(self, catalog):
         kwargs = dict(levels=(0.2, 0.6), duration_s=7.0,
                       sim_config=SimConfig(seed=3))
-        base = run_policy(catalog, "pocolo", engine="object", **kwargs)
-        got = run_policy(catalog, "pocolo", engine="batched", **kwargs)
+        sweep = policy_sweep(catalog, "pocolo", **kwargs)
+        base = run_sweeps([sweep], engine="object")[0]
+        got = run_sweeps([sweep], engine="batched")[0]
         assert len(base.outcomes) == len(got.outcomes)
         for a, b in zip(base.outcomes, got.outcomes):
             assert_outcome_equal(a, b, "policy")
@@ -532,7 +608,7 @@ class TestEvaluationDifferential:
         assert len(swept) == 2, "each evaluation must execute as one sweep"
         assert len(swept[0]) == len(swept[1])
         _, fallback = partition_cells(swept[1])
-        assert fallback == set(), "evaluation cells fell back to the oracle"
+        assert fallback == {}, "evaluation cells fell back to the oracle"
         return oracle, default
 
     def test_policy_evaluation_engines_agree(self, catalog, monkeypatch):

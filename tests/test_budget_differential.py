@@ -26,7 +26,7 @@ from repro.evaluation.pipeline import (
     cluster_plans,
     fit_catalog,
     placement_for_policy,
-    run_policy,
+    policy_sweep,
 )
 from repro.faults.cluster import ClusterFaultPlan, ServerCrash, ServerRejoin
 from repro.faults.schedule import (
@@ -40,7 +40,7 @@ from repro.faults.schedule import (
 )
 from repro.guard.invariants import GuardConfig
 from repro.runtime import read_journal, run_cluster_checkpointed
-from repro.sim.cluster import Sweep, run_cluster
+from repro.sim.cluster import Sweep, run_cluster, run_sweeps
 from repro.sim.colocation import SimConfig
 from tests.test_batched_differential import assert_outcome_equal
 from tests.test_runtime_checkpoint import keep_cells
@@ -131,8 +131,9 @@ class TestBudgetedDifferential:
     def test_run_policy_budgeted_engines_agree(self, catalog):
         kwargs = dict(levels=(0.4, 0.8), duration_s=6.0,
                       sim_config=SimConfig(seed=3), budget=BUDGET)
-        base = run_policy(catalog, "pocolo", engine="object", **kwargs)
-        got = run_policy(catalog, "pocolo", engine="batched", **kwargs)
+        sweep = policy_sweep(catalog, "pocolo", **kwargs)
+        base = run_sweeps([sweep], engine="object")[0]
+        got = run_sweeps([sweep], engine="batched")[0]
         assert base.budget_report is not None
         for a, b in zip(base.outcomes, got.outcomes):
             assert_outcome_equal(a, b, "policy-budgeted")

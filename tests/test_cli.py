@@ -52,6 +52,11 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    def test_resume_without_checkpoint_dir_rejected(self, capsys):
+        with pytest.raises(ConfigError, match="resume needs a journal_path"):
+            main(["run", "--resume", "--duration", "2"])
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.slow
     def test_motivation(self, capsys):
         assert main(["motivation"]) == 0

@@ -37,12 +37,12 @@ from repro.evaluation.pipeline import (
     cluster_plans,
     fit_catalog,
     placement_for_policy,
-    run_policy,
+    policy_sweep,
 )
 from repro.faults.cluster import ClusterFaultPlan, ServerCrash
 from repro.faults.schedule import FaultSchedule, MeterDrift, TelemetryGap
 from repro.hwmodel.spec import ServerSpec
-from repro.sim.cluster import run_cluster
+from repro.sim.cluster import run_cluster, run_sweeps
 from repro.sim.colocation import SimConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -203,6 +203,7 @@ class TestClusterDifferential:
 
     def test_run_policy_knobs_bit_identical(self, catalog):
         kwargs = dict(levels=(0.4, 0.8), duration_s=4.0, seed=1)
-        serial = run_policy(catalog, "pom", **kwargs)
-        deduped = run_policy(catalog, "pom", dedupe=True, **kwargs)
+        sweep = policy_sweep(catalog, "pom", **kwargs)
+        serial = run_sweeps([sweep])[0]
+        deduped = run_sweeps([sweep], dedupe=True)[0]
         assert _flatten(deduped) == _flatten(serial)

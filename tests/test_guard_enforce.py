@@ -11,7 +11,7 @@ the cell immediately instead of producing a quietly wrong number.
 import pytest
 
 from repro.errors import ExecutionError, InvariantViolationError
-from repro.evaluation import placement_for_policy, run_policy
+from repro.evaluation import placement_for_policy, policy_sweep
 from repro.evaluation.pipeline import cluster_plans
 from repro.faults import (
     ClusterFaultPlan,
@@ -21,6 +21,7 @@ from repro.faults import (
 )
 from repro.guard import GuardConfig
 from repro.sim import SimConfig, run_cluster
+from repro.sim.cluster import run_sweeps
 from repro.sim.colocation import ColocationSim, build_colocated_server
 from repro.workloads.traces import ConstantTrace
 
@@ -46,10 +47,11 @@ class TestEnforceCleanRuns:
     @pytest.mark.slow
     @pytest.mark.parametrize("policy", ["pocolo", "pom"])
     def test_policy_sweep_completes_in_enforce_mode(self, catalog, policy):
-        result = run_policy(
+        sweep = policy_sweep(
             catalog, policy, levels=[0.3, 0.7], duration_s=6.0,
             sim_config=FAST, guard=ENFORCE,
         )
+        result = run_sweeps([sweep])[0]
         reports = [o.result.guard_report for o in result.outcomes]
         assert reports and all(r is not None for r in reports)
         assert all(r.mode == "enforce" and r.clean for r in reports)

@@ -2,8 +2,11 @@
 
 A sweep's eight terms are checked once, when the value is built, so a
 malformed sweep is refused before anything is planned — budget plan
-included — or run.  ``sweep_run_key`` digests are pinned to hex strings
-so a checkpoint journal written by an earlier version still resumes.
+included — or run.  :class:`~repro.sim.cluster.Durability` checks itself
+the same way, and ``run_sweeps`` refuses durability it cannot honour
+before anything is planned or written.  ``sweep_run_key`` digests are
+pinned to hex strings so a checkpoint journal written by an earlier
+version still resumes.
 """
 
 import pickle
@@ -27,7 +30,7 @@ from repro.faults.schedule import (
 from repro.guard.invariants import GuardConfig
 from repro.runtime import sweep_run_key
 from repro.sim import cluster as cluster_module
-from repro.sim.cluster import ServerPlan, Sweep, run_cluster, run_sweeps
+from repro.sim.cluster import Durability, ServerPlan, Sweep, run_cluster, run_sweeps
 from repro.sim.colocation import SimConfig
 
 PAIRS = (("xapian", "rnn"), ("sphinx", "graph"), ("img-dnn", "lstm"))
@@ -73,16 +76,18 @@ def _full_fault_plan():
     )
 
 
+@pytest.fixture
+def nothing_plans(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("planning ran for a malformed sweep")
+
+    monkeypatch.setattr(cluster_module, "plan_cluster_tasks", never)
+    monkeypatch.setattr(cluster_module, "plan_budget", never)
+
+
+@pytest.mark.usefixtures("nothing_plans")
 class TestSweepValidation:
     """Every malformed sweep raises from ``Sweep(...)`` itself."""
-
-    @pytest.fixture(autouse=True)
-    def nothing_plans(self, monkeypatch):
-        def never(*args, **kwargs):
-            raise AssertionError("planning ran for a malformed sweep")
-
-        monkeypatch.setattr(cluster_module, "plan_cluster_tasks", never)
-        monkeypatch.setattr(cluster_module, "plan_budget", never)
 
     @pytest.mark.parametrize("budget", [None, BUDGET], ids=["plain", "budget"])
     @pytest.mark.parametrize("terms, match", [
@@ -103,6 +108,40 @@ class TestSweepValidation:
         sweep.update(terms)
         with pytest.raises(ConfigError, match=match):
             Sweep(**sweep)
+
+
+@pytest.mark.usefixtures("nothing_plans")
+class TestDurabilityValidation:
+    """Malformed durability raises from ``Durability(...)`` itself, and
+    durability ``run_sweeps`` cannot honour is refused before anything
+    is planned or written."""
+
+    @pytest.mark.parametrize("terms, match", [
+        (dict(journal_path="sweep.ckpt", checkpoint_every=0),
+         "checkpoint_every must be at least 1"),
+        (dict(resume=True, ledger_path="ledger.jsonl"),
+         r"resume needs a journal_path \(nothing to resume from\)"),
+    ], ids=["every-0", "resume-without-journal"])
+    def test_refused_when_built(self, terms, match):
+        with pytest.raises(ConfigError, match=match):
+            Durability(**terms)
+
+    @pytest.mark.parametrize("count, ledger, match", [
+        (1, True, "a violation ledger needs a guard config"),
+        (2, False, "durability covers exactly one sweep, not 2"),
+    ], ids=["ledger-without-guard", "two-sweeps"])
+    def test_refused_by_run_sweeps(self, tmp_path, count, ledger, match):
+        journal = tmp_path / "sweep.ckpt"
+        journal.write_bytes(b"an earlier journal")
+        ledger_path = tmp_path / "ledger.jsonl" if ledger else None
+        sweep = Sweep(_plans(), REFERENCE_SPEC, LEVELS, 4.0, CONFIG)
+        with pytest.raises(ConfigError, match=match):
+            run_sweeps(
+                [sweep] * count,
+                durability=Durability(journal, ledger_path=ledger_path),
+            )
+        assert journal.read_bytes() == b"an earlier journal"
+        assert sorted(tmp_path.iterdir()) == [journal]
 
 
 class TestSweepNormalisation:

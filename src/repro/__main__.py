@@ -263,11 +263,6 @@ def cmd_guard(catalog, args) -> None:
             run_campaign,
         )
 
-        if guard.enforcing:
-            raise ConfigError(
-                "--campaign needs --guard-mode record (the campaign "
-                "observes violations; enforce mode would abort its cases)"
-            )
         placement = placement_for_policy(catalog, args.policy, seed=args.seed)
         plan = cluster_plans(catalog, placement, args.policy)[0]
         runner = ColocationCaseRunner(
@@ -380,7 +375,12 @@ def main(argv=None) -> int:
         "run": cmd_run,
         "guard": cmd_guard,
     }[args.command]
-    handler(catalog, args)
+    try:
+        handler(catalog, args)
+    except ConfigError as exc:
+        # A rejected option combination reads like argparse's own
+        # errors: the usage and one error line on stderr, exit status 2.
+        parser.error(str(exc))
     return 0
 
 

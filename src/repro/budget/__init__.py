@@ -9,7 +9,6 @@ fail-safe floor, never running overcommitted.  See ``docs/BUDGETS.md``.
 
 from repro.budget.arbiter import (
     BudgetArbiter,
-    BudgetAuditor,
     BudgetConfig,
     BudgetPlan,
     BudgetReport,
@@ -45,7 +44,6 @@ from repro.budget.tree import (
 
 __all__ = [
     "BudgetArbiter",
-    "BudgetAuditor",
     "BudgetConfig",
     "BudgetPlan",
     "BudgetReport",

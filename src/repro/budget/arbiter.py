@@ -26,7 +26,8 @@ consume the identical plan — the foundation of the bit-exactness the
 differential tests pin.
 
 The two budget invariants (grant conservation, rack overcommit) are
-audited here, over the planned timeline, via :class:`BudgetAuditor`.
+audited here, over the planned timeline, by the same
+:class:`~repro.guard.monitor.GuardMonitor` that guards every cell.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from repro.budget.fairness import (
 )
 from repro.budget.schedule import CapSchedule
 from repro.budget.tree import BudgetTree, RackNode, build_tree
-from repro.errors import ConfigError, InvariantViolationError
+from repro.errors import ConfigError
 from repro.faults.cluster import ClusterFaultPlan
 from repro.faults.schedule import (
     ArbiterCrash,
@@ -61,13 +62,12 @@ from repro.faults.schedule import (
 )
 from repro.guard.invariants import (
     BudgetSample,
-    BudgetTreeInvariant,
     GrantConservationInvariant,
-    GuardConfig,
     GuardReport,
+    InvariantRegistry,
     RackOvercommitInvariant,
-    Violation,
 )
+from repro.guard.monitor import GuardMonitor
 
 if TYPE_CHECKING:  # repro.sim.cluster imports this module
     from repro.sim.cluster import Sweep
@@ -130,15 +130,7 @@ class BudgetConfig:
             raise ConfigError("lc_shed_fraction must be in (0, 1)")
         # Ladder-ratio and hold validation is delegated to the ladder
         # itself so the constraints live in one place.
-        BrownoutLadder(
-            (
-                self.brownout_throttle_ratio,
-                self.brownout_evict_ratio,
-                self.brownout_shed_ratio,
-            ),
-            self.brownout_exit_margin,
-            self.brownout_hold_ticks,
-        )
+        self.ladder()
 
     def ladder(self) -> BrownoutLadder:
         """The brownout ladder this config describes."""
@@ -205,69 +197,15 @@ class BudgetStats:
     shed_cells: int = 0
 
 
-class BudgetAuditor:
-    """Feeds :class:`BudgetSample` snapshots to the budget invariants.
-
-    The budget counterpart of :class:`repro.guard.monitor.GuardMonitor`:
-    ``record`` mode collects violations into a
-    :class:`~repro.guard.invariants.GuardReport`, ``enforce`` mode
-    raises :class:`~repro.errors.InvariantViolationError` on the first.
-    With no guard configured it is inert (zero planning overhead).
-    """
-
-    def __init__(self, guard: Optional[GuardConfig]) -> None:
-        self.guard = guard
-        self._invariants: List[BudgetTreeInvariant] = (
-            []
-            if guard is None
-            else [GrantConservationInvariant(), RackOvercommitInvariant()]
-        )
-        self._checks = 0
-        self._total_violations = 0
-        self._violations: List[Violation] = []
-
-    @property
-    def enabled(self) -> bool:
-        """False when inert — callers skip building samples entirely."""
-        return self.guard is not None
-
-    def observe(self, sample: BudgetSample) -> None:
-        """Run every budget invariant against one node sample."""
-        guard = self.guard
-        if guard is None:
-            return
-        for invariant in self._invariants:
-            self._checks += 1
-            violation = invariant.observe(sample)
-            if violation is None:
-                continue
-            self._total_violations += 1
-            if len(self._violations) < guard.max_violations:
-                self._violations.append(violation)
-            if guard.enforcing:
-                raise InvariantViolationError(
-                    f"budget invariant violated in enforce mode: "
-                    f"{violation.render()}"
-                )
-
-    def report(self) -> Optional[GuardReport]:
-        """The audit outcome (None when no guard was configured)."""
-        if self.guard is None:
-            return None
-        return GuardReport(
-            mode=self.guard.mode,
-            checks=self._checks,
-            total_violations=self._total_violations,
-            violations=tuple(self._violations),
-        )
-
-
 class BudgetArbiter:
     """The stateful broker: one :meth:`tick` per arbiter period.
 
-    Holds the grant ledger and each rack's brownout ladder position.
-    It lives only inside one :func:`plan_budget` call and is never
-    persisted: a resume re-plans the budget from the same inputs.
+    Holds each rack's brownout ladder position; the grants it issues
+    are returned to the caller, which compiles them into cap timelines
+    (:func:`_build_segments`).  It lives only inside one
+    :func:`plan_budget` call and is never persisted: a resume re-plans
+    the budget from the same inputs.  With a ``monitor``, every issued
+    assignment is audited for grant conservation.
     """
 
     def __init__(
@@ -275,21 +213,17 @@ class BudgetArbiter:
         tree: BudgetTree,
         config: BudgetConfig,
         faults: Optional[FaultSchedule] = None,
-        auditor: Optional[BudgetAuditor] = None,
+        monitor: Optional[GuardMonitor[BudgetSample]] = None,
     ) -> None:
         self.tree = tree
         self.config = config
         self.faults = faults
-        self.auditor = auditor if auditor is not None else BudgetAuditor(None)
+        self.monitor = monitor
         self.stats = BudgetStats()
         self._ladder = config.ladder()
         self._brownout: Dict[str, BrownoutState] = {
             rack.name: BrownoutState() for rack in tree.racks
         }
-        self._ledger: Dict[str, List[Grant]] = {
-            server.name: [] for server in tree.servers
-        }
-        self._tick_index = 0
 
     # ------------------------------------------------------------------
     # Queries
@@ -310,26 +244,6 @@ class BudgetArbiter:
             if trip.rack == rack.name:
                 capacity_w *= trip.residual
         return capacity_w
-
-    def in_force_cap_w(self, server_name: str, time_s: float) -> float:
-        """The cap actually governing ``server_name`` at ``time_s``.
-
-        The latest-*arrived* unexpired grant wins (a delayed stale
-        grant that lands after a fresher one overrides it — the
-        reordering the rack-overcommit invariant watches); with no live
-        grant the server sits at its fail-safe floor.
-        """
-        governing: Optional[Grant] = None
-        for grant in self._ledger[server_name]:
-            if grant.effective_s <= time_s < grant.expires_s:
-                if governing is None or (
-                    (grant.effective_s, grant.granted_at_s)
-                    >= (governing.effective_s, governing.granted_at_s)
-                ):
-                    governing = grant
-        if governing is None:
-            return self.tree.floor_of(server_name)
-        return governing.cap_w
 
     # ------------------------------------------------------------------
     # The tick
@@ -391,8 +305,8 @@ class BudgetArbiter:
                 )
         # Grant conservation is checked on what the arbiter *issues*;
         # message loss downstream never excuses an over-issue.
-        if self.auditor.enabled:
-            self.auditor.observe(BudgetSample(
+        if self.monitor is not None:
+            self.monitor.observe(BudgetSample(
                 time_s=time_s,
                 node=rack.name,
                 committed_w=sum(caps.values()),
@@ -409,7 +323,7 @@ class BudgetArbiter:
         self,
         time_s: float,
         demands: Mapping[str, ServerDemand],
-        alive: Optional[Set[str]] = None,
+        alive: Set[str],
     ) -> List[Grant]:
         """One arbiter period: assign caps, apply message faults, lease.
 
@@ -417,10 +331,7 @@ class BudgetArbiter:
         are counted but not returned — downstream, the old lease keeps
         governing until it expires).
         """
-        if alive is None:
-            alive = {server.name for server in self.tree.servers}
         self.stats.ticks += 1
-        self._tick_index += 1
         issued: List[Grant] = []
         cluster_committed_w = 0.0
         for rack in self.tree.racks:
@@ -447,11 +358,10 @@ class BudgetArbiter:
                     effective_s=time_s + delay_s,
                     expires_s=time_s + self.config.lease_s,
                 )
-                self._ledger[name].append(grant)
                 issued.append(grant)
                 self.stats.grants_issued += 1
-        if self.auditor.enabled:
-            self.auditor.observe(BudgetSample(
+        if self.monitor is not None:
+            self.monitor.observe(BudgetSample(
                 time_s=time_s,
                 node="cluster",
                 committed_w=cluster_committed_w,
@@ -465,15 +375,7 @@ class BudgetArbiter:
                     for server in rack.servers if server.name in alive
                 ) * self.config.min_cap_fraction,
             ))
-        self._prune(time_s)
         return issued
-
-    def _prune(self, time_s: float) -> None:
-        """Drop grants that can no longer govern any future instant."""
-        for name, grants in self._ledger.items():
-            self._ledger[name] = [
-                g for g in grants if g.expires_s > time_s
-            ]
 
 
 # ----------------------------------------------------------------------
@@ -598,13 +500,17 @@ def _build_segments(
 ) -> List[Tuple[float, float]]:
     """Compile one server's grant history into cap segments.
 
-    The cap in force at any instant follows the same rule as
-    :meth:`BudgetArbiter.in_force_cap_w`: the latest grant (by
-    effective time, then grant time) whose ``[effective_s, expires_s)``
-    window covers the instant, else the fail-safe floor.  A grant
-    delayed past its own expiry has an empty window and is dead on
-    arrival; every transition back to the floor is a lease running out,
-    counted as an expiry — that revert *is* the lease protocol.
+    This is the lease rule, and its only statement: the cap in force at
+    any instant is the latest grant (by effective time, then grant
+    time) whose ``[effective_s, expires_s)`` window covers the instant,
+    else the fail-safe floor.  A delayed stale grant that lands after a
+    fresher one overrides it — the reordering the rack-overcommit
+    invariant watches.  A grant delayed past its own expiry has an
+    empty window and is dead on arrival; every transition back to the
+    floor is a lease running out, counted as an expiry — that revert
+    *is* the lease protocol.  Segments start at 0.0 and are strictly
+    increasing, so :meth:`CapSchedule.from_segments` compiles them
+    into the server's timeline.
     """
     live = [
         grant for grant in grants
@@ -638,19 +544,6 @@ def _build_segments(
     return segments
 
 
-def _cap_in_force(
-    segments: List[Tuple[float, float]], time_s: float
-) -> float:
-    """The segment value governing ``time_s`` (segments are sorted)."""
-    cap_w = segments[0][1]
-    for start_s, value_w in segments:
-        if start_s <= time_s:
-            cap_w = value_w
-        else:
-            break
-    return cap_w
-
-
 def plan_budget(sweep: Sweep) -> BudgetPlan:
     """Walk the sweep timeline and compile ``sweep.budget`` into cell plans.
 
@@ -674,8 +567,12 @@ def plan_budget(sweep: Sweep) -> BudgetPlan:
     period_s = budget.arbiter_period_s
     infra = fault_plan.infra_faults if fault_plan is not None else None
     tree = build_tree(plans, budget.rack_size, budget.rack_slack)
-    auditor = BudgetAuditor(guard)
-    arbiter = BudgetArbiter(tree, budget, faults=infra, auditor=auditor)
+    monitor = None
+    if guard is not None:
+        monitor = GuardMonitor(guard, InvariantRegistry([
+            GrantConservationInvariant(guard), RackOvercommitInvariant(guard),
+        ]))
+    arbiter = BudgetArbiter(tree, budget, faults=infra, monitor=monitor)
     alive_by_level = _alive_by_level(plans, n_levels, fault_plan)
     plan_by_name = {str(plan.lc_app.name): plan for plan in plans}
     stage_history: Dict[str, List[Tuple[float, int]]] = {
@@ -714,17 +611,17 @@ def plan_budget(sweep: Sweep) -> BudgetPlan:
             )
         tick_index += 1
 
-    segments_by_server = {
-        name: _build_segments(
+    timeline_by_server = {
+        name: CapSchedule.from_segments(_build_segments(
             grants, tree.floor_of(name), total_s, arbiter.stats
-        )
+        ))
         for name, grants in grants_by_server.items()
     }
 
     # In-force audit at every period boundary: this is where stale
     # grants meet collapsed capacity, the case the rack-overcommit
     # invariant (and its lease grace) exists for.
-    if guard is not None:
+    if monitor is not None:
         audit_index = 0
         while True:
             time_s = audit_index * period_s
@@ -734,11 +631,11 @@ def plan_budget(sweep: Sweep) -> BudgetPlan:
             alive = alive_by_level[level_index]
             for rack in tree.racks:
                 committed_w = sum(
-                    _cap_in_force(segments_by_server[s.name], time_s)
+                    timeline_by_server[s.name].cap_at(time_s)
                     for s in rack.servers
                     if s.name in alive
                 )
-                auditor.observe(BudgetSample(
+                monitor.observe(BudgetSample(
                     time_s=time_s,
                     node=rack.name,
                     committed_w=committed_w,
@@ -761,11 +658,11 @@ def plan_budget(sweep: Sweep) -> BudgetPlan:
         start_s = level_index * float(duration_s)
         end_s = start_s + float(duration_s)
         for name in alive_by_level[level_index]:
-            segments = segments_by_server[name]
-            pieces = [(0.0, _cap_in_force(segments, start_s))]
+            timeline = timeline_by_server[name]
+            pieces = [(0.0, timeline.cap_at(start_s))]
             pieces.extend(
                 (seg_start_s - start_s, cap_w)
-                for seg_start_s, cap_w in segments
+                for seg_start_s, cap_w in zip(timeline.times_s, timeline.caps_w)
                 if start_s < seg_start_s < end_s
             )
             schedules[(name, level_index)] = CapSchedule.from_segments(pieces)
@@ -790,7 +687,7 @@ def plan_budget(sweep: Sweep) -> BudgetPlan:
     report = BudgetReport(
         fairness=budget.fairness,
         stats=arbiter.stats,
-        guard_report=auditor.report(),
+        guard_report=None if monitor is None else monitor.report(),
         stage_history={
             rack: tuple(history) for rack, history in stage_history.items()
         },

@@ -56,7 +56,7 @@ class BrownoutLadder:
     ``enter_ratios[s-1]`` is the capacity ratio below which stage ``s``
     engages; they must be non-increasing.  The ladder itself is
     stateless — each rack's :class:`BrownoutState` is threaded through
-    :meth:`step` so the arbiter can checkpoint it.
+    :meth:`step`, so one ladder serves every rack of an arbiter.
     """
 
     def __init__(

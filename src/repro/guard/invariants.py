@@ -39,8 +39,9 @@ whether to collect them (``record`` mode) or raise
 :class:`~repro.errors.InvariantViolationError` (``enforce`` mode).
 
 Two further invariants guard the *hierarchical budget* layer
-(:mod:`repro.budget`) and run at plan time over :class:`BudgetSample`
-snapshots of the arbiter's tree, not per control tick:
+(:mod:`repro.budget`).  They share the :class:`Invariant` base and the
+monitor, but run at plan time over :class:`BudgetSample` snapshots of
+the arbiter's tree, not per control tick:
 
 ``grant-conservation``
     At every tree node, the caps the arbiter issues to its children
@@ -55,7 +56,7 @@ snapshots of the arbiter's tree, not per control tick:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Generic, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -216,20 +217,53 @@ class GuardSample:
     final: bool = False
 
 
-class Invariant:
-    """Base class: one named, stateful, per-tick safety check."""
+@dataclass(frozen=True)
+class BudgetSample:
+    """One budget-tree node's state at one arbiter period boundary.
+
+    Pure data (unlike :class:`GuardSample`'s live references): the
+    budget invariants audit the *plan*, which exists before any
+    simulation state does.  ``issued`` distinguishes a live arbiter
+    tick (fresh assignments) from an in-force audit of a period the
+    arbiter missed — stale grants are legitimate there, up to the
+    lease grace the rack-overcommit invariant enforces.
+    """
+
+    time_s: float
+    node: str
+    committed_w: float
+    capacity_w: float
+    oversubscription: float
+    issued: bool
+    lease_s: float
+    period_s: float
+    #: The least the arbiter can physically issue to this node's
+    #: children (the sum of their emergency minimums — caps below
+    #: ``min_cap_fraction`` of a floor cannot be enforced by a capper).
+    #: When a fault collapses capacity beneath this, issuing it is the
+    #: arbiter doing its best, not over-committing.
+    min_deliverable_w: float = 0.0
+
+
+#: The snapshot an invariant reads: one control tick of a live run, or
+#: one budget-tree node at one arbiter period.
+SampleT = TypeVar("SampleT", GuardSample, BudgetSample)
+
+
+class Invariant(Generic[SampleT]):
+    """Base class: one named, stateful safety check over one sample type."""
 
     name: str = ""
 
     def __init__(self, config: GuardConfig) -> None:
         self.config = config
 
-    def observe(self, sample: GuardSample) -> Optional[Violation]:
-        """Check one tick; return a violation or None."""
+    def observe(self, sample: SampleT) -> Optional[Violation]:
+        """Check one sample; return a violation or None."""
         raise NotImplementedError
 
     def violation(
-        self, sample: GuardSample, message: str, observed: float, limit: float
+        self, sample: SampleT, message: str, observed: float, limit: float
     ) -> Violation:
         """Build a violation record anchored at the sample's clock."""
         return Violation(
@@ -241,7 +275,7 @@ class Invariant:
         )
 
 
-class PowerCapInvariant(Invariant):
+class PowerCapInvariant(Invariant[GuardSample]):
     """True draw stays inside the cap envelope (Section IV-C's contract).
 
     The envelope adapts to what a *correct* controller can actually
@@ -335,7 +369,7 @@ class PowerCapInvariant(Invariant):
         )
 
 
-class EnergyConservationInvariant(Invariant):
+class EnergyConservationInvariant(Invariant[GuardSample]):
     """Attributed per-tenant power sums back to the true server draw.
 
     The power-containers split (:class:`AttributedPowerMeter`) charges
@@ -378,7 +412,7 @@ class EnergyConservationInvariant(Invariant):
         )
 
 
-class LcSloFloorInvariant(Invariant):
+class LcSloFloorInvariant(Invariant[GuardSample]):
     """The latency-critical primary keeps its floor share, always.
 
     The paper gives the primary absolute priority; the floor is the
@@ -422,7 +456,7 @@ class LcSloFloorInvariant(Invariant):
         return None
 
 
-class BudgetConservationInvariant(Invariant):
+class BudgetConservationInvariant(Invariant[GuardSample]):
     """Allocations never oversubscribe the box or leave the knob ranges."""
 
     name = "budget-conservation"
@@ -464,7 +498,7 @@ class BudgetConservationInvariant(Invariant):
         return None
 
 
-class MonotonicTimeInvariant(Invariant):
+class MonotonicTimeInvariant(Invariant[GuardSample]):
     """The simulation clock strictly advances between control ticks."""
 
     name = "monotonic-time"
@@ -484,7 +518,7 @@ class MonotonicTimeInvariant(Invariant):
         return None
 
 
-class RngIsolationInvariant(Invariant):
+class RngIsolationInvariant(Invariant[GuardSample]):
     """Nothing draws from numpy's global legacy RNG during the run.
 
     Every cell builds its own ``default_rng(config.seed)``; a stray
@@ -538,19 +572,19 @@ class RngIsolationInvariant(Invariant):
 
 
 @dataclass
-class InvariantRegistry:
+class InvariantRegistry(Generic[SampleT]):
     """The ordered set of invariants one guarded run evaluates.
 
     Order is part of determinism: violations are discovered (and the
     enforce-mode exception raised) in registry order within a tick.
     """
 
-    invariants: List[Invariant] = field(default_factory=list)
+    invariants: List[Invariant[SampleT]] = field(default_factory=list)
 
-    @classmethod
-    def default(cls, config: GuardConfig) -> "InvariantRegistry":
-        """The full safety-contract set, in severity order."""
-        return cls(invariants=[
+    @staticmethod
+    def default(config: GuardConfig) -> "InvariantRegistry[GuardSample]":
+        """The full per-tick safety-contract set, in severity order."""
+        return InvariantRegistry(invariants=[
             PowerCapInvariant(config),
             EnergyConservationInvariant(config),
             LcSloFloorInvariant(config),
@@ -574,57 +608,7 @@ class InvariantRegistry:
 BUDGET_SUM_TOL_W = 1e-6
 
 
-@dataclass(frozen=True)
-class BudgetSample:
-    """One budget-tree node's state at one arbiter period boundary.
-
-    Pure data (unlike :class:`GuardSample`'s live references): the
-    budget invariants audit the *plan*, which exists before any
-    simulation state does.  ``issued`` distinguishes a live arbiter
-    tick (fresh assignments) from an in-force audit of a period the
-    arbiter missed — stale grants are legitimate there, up to the
-    lease grace the rack-overcommit invariant enforces.
-    """
-
-    time_s: float
-    node: str
-    committed_w: float
-    capacity_w: float
-    oversubscription: float
-    issued: bool
-    lease_s: float
-    period_s: float
-    #: The least the arbiter can physically issue to this node's
-    #: children (the sum of their emergency minimums — caps below
-    #: ``min_cap_fraction`` of a floor cannot be enforced by a capper).
-    #: When a fault collapses capacity beneath this, issuing it is the
-    #: arbiter doing its best, not over-committing.
-    min_deliverable_w: float = 0.0
-
-
-class BudgetTreeInvariant:
-    """Base for plan-time budget checks (same Violation vocabulary)."""
-
-    name: str = ""
-
-    def observe(self, sample: BudgetSample) -> Optional[Violation]:
-        """Check one node sample; return a violation or None."""
-        raise NotImplementedError
-
-    def violation(
-        self, sample: BudgetSample, message: str, observed: float, limit: float
-    ) -> Violation:
-        """Build a violation record anchored at the sample's clock."""
-        return Violation(
-            invariant=self.name,
-            time_s=sample.time_s,
-            message=message,
-            observed=observed,
-            limit=limit,
-        )
-
-
-class GrantConservationInvariant(BudgetTreeInvariant):
+class GrantConservationInvariant(Invariant[BudgetSample]):
     """The arbiter never issues more than a node can deliver.
 
     At every tree node, on every tick the arbiter actually runs, the
@@ -661,7 +645,7 @@ class GrantConservationInvariant(BudgetTreeInvariant):
         )
 
 
-class RackOvercommitInvariant(BudgetTreeInvariant):
+class RackOvercommitInvariant(Invariant[BudgetSample]):
     """In-force caps above capacity never outlive the lease grace.
 
     Stale grants legitimately overcommit a rack whose capacity just
@@ -674,7 +658,8 @@ class RackOvercommitInvariant(BudgetTreeInvariant):
 
     name = "rack-overcommit"
 
-    def __init__(self) -> None:
+    def __init__(self, config: GuardConfig) -> None:
+        super().__init__(config)
         self._over_since_s: dict[str, float] = {}
 
     def observe(self, sample: BudgetSample) -> Optional[Violation]:

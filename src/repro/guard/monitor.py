@@ -1,9 +1,12 @@
-"""The per-run guard monitor: evaluate every invariant, every tick.
+"""The guard monitor: evaluate every invariant on every sample.
 
-:class:`GuardMonitor` is the object the simulation loop actually talks
-to — one :meth:`observe` call per control tick with a
-:class:`~repro.guard.invariants.GuardSample`, one :meth:`report` call at
-the end.  In ``record`` mode violations accumulate (capped) into the
+:class:`GuardMonitor` is the object a guarded run actually talks to —
+one :meth:`observe` call per sample, one :meth:`report` call at the
+end.  The simulation loop feeds it a
+:class:`~repro.guard.invariants.GuardSample` per control tick; the
+budget planner (:func:`repro.budget.arbiter.plan_budget`) feeds it a
+:class:`~repro.guard.invariants.BudgetSample` per tree node and arbiter
+period.  In ``record`` mode violations accumulate (capped) into the
 :class:`~repro.guard.invariants.GuardReport`; in ``enforce`` mode the
 first violation raises :class:`~repro.errors.InvariantViolationError`
 immediately, so a broken controller kills its cell instead of producing
@@ -12,42 +15,37 @@ a quietly wrong result.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Generic, List
 
 from repro.errors import InvariantViolationError
 from repro.guard.invariants import (
     GuardConfig,
     GuardReport,
-    GuardSample,
     InvariantRegistry,
+    SampleT,
     Violation,
 )
 
 
-class GuardMonitor:
-    """Evaluates an invariant registry against a running simulation.
+class GuardMonitor(Generic[SampleT]):
+    """Evaluates an invariant registry against one guarded run.
 
     One monitor guards one run: invariants are stateful (grace streaks,
-    previous tick times, RNG baselines), so monitors are never shared
-    or reused across cells.
+    previous tick times, RNG baselines, overcommit onsets), so monitors
+    are never shared or reused across cells or plans.
     """
 
     def __init__(
-        self,
-        config: GuardConfig,
-        registry: Optional[InvariantRegistry] = None,
+        self, config: GuardConfig, registry: InvariantRegistry[SampleT]
     ) -> None:
         self.config = config
-        self.registry = (
-            registry if registry is not None
-            else InvariantRegistry.default(config)
-        )
+        self.registry = registry
         self._checks = 0
         self._total_violations = 0
         self._violations: List[Violation] = []
 
-    def observe(self, sample: GuardSample) -> None:
-        """Run every invariant against one control tick's snapshot.
+    def observe(self, sample: SampleT) -> None:
+        """Run every invariant against one snapshot.
 
         Raises :class:`~repro.errors.InvariantViolationError` on the
         first violation when enforcing; otherwise records it (up to the

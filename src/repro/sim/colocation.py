@@ -192,10 +192,12 @@ class ColocationSim:
         if self.guard is not None:
             # Imported here: repro.guard.campaign drives this sim, so a
             # module-level import would be circular.
-            from repro.guard.invariants import GuardSample
+            from repro.guard.invariants import GuardSample, InvariantRegistry
             from repro.guard.monitor import GuardMonitor
 
-            monitor = GuardMonitor(self.guard)
+            monitor = GuardMonitor(
+                self.guard, InvariantRegistry.default(self.guard)
+            )
         telemetry = Telemetry()
         energy = EnergyCounter()
         primary = self.server.primary_tenant()

@@ -4,12 +4,16 @@ The property at the heart of the lease protocol — every deviation from
 the fail-safe floor expires, so the arbiter never needs to be trusted —
 is pinned twice: directly (grants revert to the floor after ``lease_s``
 with no renewal) and via Hypothesis (zero budget-invariant violations
-under arbitrary grant/loss/delay/expiry sequences).
+under arbitrary grant/loss/delay/expiry sequences).  Caps are read the
+way a budgeted cell sees them: ``_build_segments`` over the grants
+``tick()`` returned, compiled into a :class:`CapSchedule`.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.budget.arbiter
+import repro.sim.cluster
 from repro.budget import (
     STAGE_EVICT,
     STAGE_NOMINAL,
@@ -18,8 +22,8 @@ from repro.budget import (
     BrownoutLadder,
     BrownoutState,
     BudgetArbiter,
-    BudgetAuditor,
     BudgetConfig,
+    BudgetStats,
     CapSchedule,
     ServerDemand,
     build_tree,
@@ -27,7 +31,9 @@ from repro.budget import (
     max_min_shares,
     throughput_shares,
 )
-from repro.errors import ConfigError
+from repro.budget.arbiter import _build_segments, plan_budget
+from repro.errors import ConfigError, InvariantViolationError
+from repro.evaluation.pipeline import cluster_plans, placement_for_policy
 from repro.faults.schedule import (
     FaultSchedule,
     GrantDelay,
@@ -35,7 +41,14 @@ from repro.faults.schedule import (
     RackBreakerTrip,
     RackPowerDerate,
 )
-from repro.guard.invariants import GuardConfig
+from repro.guard.invariants import (
+    GrantConservationInvariant,
+    GuardConfig,
+    InvariantRegistry,
+    RackOvercommitInvariant,
+)
+from repro.guard.monitor import GuardMonitor
+from repro.sim.cluster import Sweep, run_sweeps
 
 
 class _App:
@@ -248,8 +261,32 @@ def _arbiter(floors=(100.0, 120.0), faults=None, guard=None, **overrides):
         **overrides,
     )
     tree = build_tree(_fleet(floors), config.rack_size, config.rack_slack)
-    auditor = BudgetAuditor(guard)
-    return BudgetArbiter(tree, config, faults=faults, auditor=auditor), tree
+    # The audit plan_budget runs: both budget invariants on one monitor,
+    # and no monitor at all without a guard.
+    monitor = None
+    if guard is not None:
+        monitor = GuardMonitor(guard, InvariantRegistry([
+            GrantConservationInvariant(guard), RackOvercommitInvariant(guard),
+        ]))
+    return BudgetArbiter(tree, config, faults=faults, monitor=monitor), tree
+
+
+def _everyone(tree):
+    return {server.name for server in tree.servers}
+
+
+def _cap_at(tree, grants, server, time_s, horizon_s=100.0):
+    """The cap in force at ``time_s``, by the planner's lease rule.
+
+    The same path a budgeted cell's schedule takes: ``_build_segments``
+    over the grants ``tick()`` returned, compiled into a
+    :class:`CapSchedule` and read with ``cap_at``.
+    """
+    segments = _build_segments(
+        [grant for grant in grants if grant.server == server],
+        tree.floor_of(server), horizon_s, BudgetStats(),
+    )
+    return CapSchedule.from_segments(segments).cap_at(time_s)
 
 
 def _hungry(tree):
@@ -267,33 +304,40 @@ def _hungry(tree):
 class TestBudgetArbiter:
     def test_floor_before_any_grant(self):
         arbiter, tree = _arbiter()
-        assert arbiter.in_force_cap_w("s0", 0.0) == tree.floor_of("s0")
+        grants = arbiter.tick(1.0, _hungry(tree), _everyone(tree))
+        assert _cap_at(tree, [], "s0", 0.0) == tree.floor_of("s0")
+        assert _cap_at(tree, grants, "s0", 0.5) == tree.floor_of("s0")
+        assert _cap_at(tree, grants, "s0", 1.5) > tree.floor_of("s0")
 
     def test_grants_lift_caps_then_expire_to_floor(self):
         arbiter, tree = _arbiter()
-        issued = arbiter.tick(0.0, _hungry(tree))
+        issued = arbiter.tick(0.0, _hungry(tree), _everyone(tree))
         assert len(issued) == 2
-        cap = arbiter.in_force_cap_w("s0", 0.5)
+        cap = _cap_at(tree, issued, "s0", 0.5)
         assert cap > tree.floor_of("s0")
         # The lease protocol: no renewal, so the grant dies at lease_s.
-        assert arbiter.in_force_cap_w("s0", 2.0) == tree.floor_of("s0")
+        assert _cap_at(tree, issued, "s0", 1.999) == cap
+        assert _cap_at(tree, issued, "s0", 2.0) == tree.floor_of("s0")
 
     def test_latest_grant_governs(self):
         arbiter, tree = _arbiter()
-        arbiter.tick(0.0, _hungry(tree))
-        first = arbiter.in_force_cap_w("s0", 0.5)
-        arbiter.tick(1.0, {})  # no demand: caps fall back toward floors
-        second = arbiter.in_force_cap_w("s0", 1.5)
+        grants = arbiter.tick(0.0, _hungry(tree), _everyone(tree))
+        # No demand: caps fall back toward floors.
+        renewal = arbiter.tick(1.0, {}, _everyone(tree))
+        grants += renewal
+        first = _cap_at(tree, grants, "s0", 0.5)
+        second = _cap_at(tree, grants, "s0", 1.5)
         assert second != first
+        assert second == next(g.cap_w for g in renewal if g.server == "s0")
 
     def test_grant_loss_keeps_floor(self):
         faults = FaultSchedule([
             GrantLoss(start_s=0.0, duration_s=10.0, lc_names=("s0",)),
         ])
         arbiter, tree = _arbiter(faults=faults)
-        arbiter.tick(0.0, _hungry(tree))
-        assert arbiter.in_force_cap_w("s0", 0.5) == tree.floor_of("s0")
-        assert arbiter.in_force_cap_w("s1", 0.5) > tree.floor_of("s1")
+        grants = arbiter.tick(0.0, _hungry(tree), _everyone(tree))
+        assert _cap_at(tree, grants, "s0", 0.5) == tree.floor_of("s0")
+        assert _cap_at(tree, grants, "s1", 0.5) > tree.floor_of("s1")
         assert arbiter.stats.grants_lost == 1
 
     def test_grant_delay_shifts_effective_time(self):
@@ -301,9 +345,9 @@ class TestBudgetArbiter:
             GrantDelay(start_s=0.0, duration_s=10.0, delay_s=0.7),
         ])
         arbiter, tree = _arbiter(faults=faults)
-        arbiter.tick(0.0, _hungry(tree))
-        assert arbiter.in_force_cap_w("s0", 0.5) == tree.floor_of("s0")
-        assert arbiter.in_force_cap_w("s0", 0.8) > tree.floor_of("s0")
+        grants = arbiter.tick(0.0, _hungry(tree), _everyone(tree))
+        assert _cap_at(tree, grants, "s0", 0.5) == tree.floor_of("s0")
+        assert _cap_at(tree, grants, "s0", 0.8) > tree.floor_of("s0")
         assert arbiter.stats.grants_delayed == 2
 
     def test_derate_drives_brownout_below_floor(self):
@@ -312,9 +356,9 @@ class TestBudgetArbiter:
                             rack="rack0"),
         ])
         arbiter, tree = _arbiter(faults=faults)
-        arbiter.tick(0.0, _hungry(tree))
+        grants = arbiter.tick(0.0, _hungry(tree), _everyone(tree))
         assert arbiter.stage_of("rack0") > STAGE_NOMINAL
-        assert arbiter.in_force_cap_w("s0", 0.5) < tree.floor_of("s0")
+        assert _cap_at(tree, grants, "s0", 0.5) < tree.floor_of("s0")
         assert arbiter.stats.brownout_entries == 1
 
     def test_breaker_trip_hits_emergency_fraction(self):
@@ -323,10 +367,10 @@ class TestBudgetArbiter:
                             rack="rack0"),
         ])
         arbiter, tree = _arbiter(faults=faults)
-        arbiter.tick(0.0, _hungry(tree))
+        grants = arbiter.tick(0.0, _hungry(tree), _everyone(tree))
         floor = tree.floor_of("s0")
         config = arbiter.config
-        assert arbiter.in_force_cap_w("s0", 0.5) == pytest.approx(
+        assert _cap_at(tree, grants, "s0", 0.5) == pytest.approx(
             floor * config.min_cap_fraction
         )
 
@@ -386,18 +430,61 @@ class TestGrantConservationProperty:
             oversubscription=oversubscription,
         )
         demands = _hungry(tree)
+        grants = []
         last_tick_s = 0.0
         for index, (skipped, wants) in enumerate(zip(skip, hungry)):
             if skipped:
                 continue  # the arbiter missed this period (crash window)
             time_s = index * arbiter.config.arbiter_period_s
-            arbiter.tick(time_s, demands if wants else {})
+            grants += arbiter.tick(
+                time_s, demands if wants else {}, _everyone(tree)
+            )
             last_tick_s = time_s
-        report = arbiter.auditor.report()
-        assert report is not None
+        report = arbiter.monitor.report()
         assert report.total_violations == 0
         settle_s = last_tick_s + arbiter.config.lease_s
         for server in tree.servers:
-            assert arbiter.in_force_cap_w(server.name, settle_s) == (
+            assert _cap_at(tree, grants, server.name, settle_s) == (
                 tree.floor_of(server.name)
             )
+
+
+class TestBudgetAuditModes:
+    """``plan_budget``'s audit of a planted over-issuing arbiter.
+
+    Record mode logs the over-issue in the plan's guard report; enforce
+    mode fails the sweep before any cell runs.
+    """
+
+    @pytest.fixture
+    def over_issuing(self, monkeypatch):
+        """Every fairness share is the whole pool and then some."""
+        monkeypatch.setattr(
+            repro.budget.arbiter, "distribute",
+            lambda objective, pool_w, wants_w, weights: [
+                pool_w + 50.0 for _ in wants_w
+            ],
+        )
+
+    @staticmethod
+    def _sweep(catalog, mode):
+        placement = placement_for_policy(catalog, "pocolo")
+        return Sweep(
+            cluster_plans(catalog, placement, "pocolo"), catalog.spec,
+            levels=(0.3, 0.6), duration_s=4.0, guard=GuardConfig(mode=mode),
+            budget=BudgetConfig(arbiter_period_s=1.0, lease_s=2.0),
+        )
+
+    def test_record_mode_logs_the_over_issue(self, catalog, over_issuing):
+        report = plan_budget(self._sweep(catalog, "record")).report.guard_report
+        assert report is not None
+        assert report.count("grant-conservation") > 0
+
+    def test_enforce_mode_raises_before_any_cell(
+        self, catalog, over_issuing, monkeypatch
+    ):
+        cells_run = []
+        monkeypatch.setattr(repro.sim.cluster, "_run_cell", cells_run.append)
+        with pytest.raises(InvariantViolationError, match=r"\[grant-conservation\]"):
+            run_sweeps([self._sweep(catalog, "enforce")], engine="object")
+        assert cells_run == []

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.__main__ import COMMANDS, main
-from repro.errors import ConfigError
 
 
 class TestCli:
@@ -52,10 +51,19 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
-    def test_resume_without_checkpoint_dir_rejected(self, capsys):
-        with pytest.raises(ConfigError, match="resume needs a journal_path"):
-            main(["run", "--resume", "--duration", "2"])
-        assert capsys.readouterr().out == ""
+    @pytest.mark.parametrize("flags, message", [
+        (["--resume"], "resume needs a journal_path"),
+        (["--checkpoint-every", "0"], "checkpoint_every must be at least 1"),
+    ], ids=["resume-without-checkpoint-dir", "checkpoint-every-zero"])
+    def test_bad_durability_flags_rejected(self, capsys, flags, message):
+        """A rejected durability option is a usage error, not a traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", *flags, "--duration", "2"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
 
     @pytest.mark.slow
     def test_motivation(self, capsys):
@@ -91,9 +99,13 @@ class TestGuardCli:
         assert "cases run" in out
         assert "coverage points" in out
 
-    def test_guard_campaign_rejects_enforce_mode(self):
-        with pytest.raises(ConfigError, match="record"):
+    def test_guard_campaign_rejects_enforce_mode(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["guard", "--campaign", "--guard-mode", "enforce"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "record" in captured.err
 
 
 class TestBudgetCli:

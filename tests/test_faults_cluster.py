@@ -8,7 +8,9 @@ onto a survivor, and retains nonzero BE throughput.
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.budget import BudgetConfig
 from repro.errors import ConfigError
 from repro.faults import (
     ClusterFaultPlan,
@@ -17,8 +19,10 @@ from repro.faults import (
     MeterStuckAt,
     Replacement,
     ServerCrash,
+    ServerRejoin,
 )
 from repro.sim import SimConfig, run_cluster
+from repro.sim.cluster import Sweep, plan_cluster_tasks
 
 FAST = SimConfig(seed=0, warmup_s=2.0)
 
@@ -331,3 +335,53 @@ class TestServerRejoin:
         # One server's worth of capacity came back for three parked BEs.
         assert len(placed_after) >= 1
         assert len(unplaced_after) >= 1
+
+
+@st.composite
+def _membership_plans(draw, names, n_levels):
+    """Any mix of crashes, recoveries and rejoins over ``names``."""
+    crashes, rejoins = [], []
+    for name in names:
+        kind = draw(st.sampled_from(("up", "crash", "recover", "rejoin")))
+        if kind == "up":
+            continue
+        at = draw(st.integers(0, n_levels - 1))
+        back = None
+        if kind != "crash" and at < n_levels - 1:
+            back = draw(st.integers(at + 1, n_levels - 1))
+        if kind == "rejoin" and back is not None:
+            crashes.append(ServerCrash(name, at_level_index=at))
+            rejoins.append(ServerRejoin(name, at_level_index=back))
+        else:
+            crashes.append(ServerCrash(
+                name, at_level_index=at,
+                recover_at_level_index=back if kind == "recover" else None,
+            ))
+    return ClusterFaultPlan(crashes=tuple(crashes), rejoins=tuple(rejoins))
+
+
+class TestBudgetedMembership:
+    """The budget planner and the fault planner agree on who is alive.
+
+    Both walk crashes, recoveries and rejoins level by level; a cell the
+    fault planner schedules on a server the budget planner thinks is
+    down would get no cap schedule and run uncapped.
+    """
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_planned_cell_carries_a_schedule(self, plans, catalog, data):
+        levels = (0.2, 0.4, 0.6, 0.8)
+        names = [plan.lc_app.name for plan in plans]
+        fault_plan = data.draw(_membership_plans(names, len(levels)))
+        sweep = Sweep(
+            plans, catalog.spec, levels=levels, duration_s=4.0, config=FAST,
+            fault_plan=fault_plan,
+            budget=BudgetConfig(arbiter_period_s=1.0, lease_s=2.0),
+        )
+        cells, _ = plan_cluster_tasks(sweep)
+        unscheduled = [
+            (cell.plan.lc_app.name, cell.level)
+            for cell in cells if cell.schedule is None
+        ]
+        assert unscheduled == []

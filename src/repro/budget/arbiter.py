@@ -424,10 +424,14 @@ class BudgetReport:
 
 @dataclass
 class BudgetPlan:
-    """The compiled budget: per-cell schedules plus planner decisions."""
+    """The compiled budget: per-cell schedules plus planner decisions.
+
+    Every container is filled in plan order (level, then server), so a
+    plan pickles to the same bytes whatever the interpreter's hash seed.
+    """
 
     schedules: Dict[Tuple[str, int], CapSchedule]
-    evicted: Set[Tuple[str, int]]
+    evicted: Tuple[Tuple[str, int], ...]
     level_scale: Dict[Tuple[str, int], float]
     report: BudgetReport
 
@@ -652,12 +656,15 @@ def plan_budget(sweep: Sweep) -> BudgetPlan:
 
     # Compile per-cell schedules and the ladder's structural decisions.
     schedules: Dict[Tuple[str, int], CapSchedule] = {}
-    evicted: Set[Tuple[str, int]] = set()
+    evicted: List[Tuple[str, int]] = []
     level_scale: Dict[Tuple[str, int], float] = {}
     for level_index in range(n_levels):
         start_s = level_index * float(duration_s)
         end_s = start_s + float(duration_s)
-        for name in alive_by_level[level_index]:
+        alive = alive_by_level[level_index]
+        for name in plan_by_name:
+            if name not in alive:
+                continue
             timeline = timeline_by_server[name]
             pieces = [(0.0, timeline.cap_at(start_s))]
             pieces.extend(
@@ -678,7 +685,7 @@ def plan_budget(sweep: Sweep) -> BudgetPlan:
             # (which knows the *actual* BE hosting after crash
             # re-placement) applies them and counts the cells affected.
             if stage >= STAGE_EVICT:
-                evicted.add((name, level_index))
+                evicted.append((name, level_index))
             if stage >= STAGE_SHED:
                 level_scale[(name, level_index)] = (
                     1.0 - budget.lc_shed_fraction
@@ -694,7 +701,7 @@ def plan_budget(sweep: Sweep) -> BudgetPlan:
     )
     return BudgetPlan(
         schedules=schedules,
-        evicted=evicted,
+        evicted=tuple(evicted),
         level_scale=level_scale,
         report=report,
     )

@@ -197,30 +197,24 @@ def build_performance_matrix(
 
 
 def assign_with_fallback(
-    values: np.ndarray, method: str = "hungarian", retries: int = 1
+    values: np.ndarray, method: str = "hungarian"
 ) -> Tuple[List[int], float, str, int]:
-    """Solve an assignment with bounded retry and a greedy last resort.
+    """Solve an assignment, with the greedy heuristic as the last resort.
 
     Production placement must produce *some* feasible assignment even
     when the optimal solver fails (numerical trouble, NaN-poisoned
-    matrix, ...).  The requested ``method`` is retried up to ``retries``
-    times on :class:`SolverError`; after that, non-finite cells are
-    zeroed (a failed prediction is worth nothing, not un-placeable) and
-    the greedy heuristic decides.  Returns
-    ``(assignment, total, method_used, fallbacks)`` where ``fallbacks``
-    counts failed attempts.
+    matrix, ...).  The requested ``method`` gets one attempt — the
+    solvers are deterministic, so retrying the same matrix cannot
+    succeed; on :class:`SolverError`, non-finite cells are zeroed (a
+    failed prediction is worth nothing, not un-placeable) and the greedy
+    heuristic decides.  Returns ``(assignment, total, method_used,
+    fallbacks)`` where ``fallbacks`` counts failed solves (0 or 1).
     """
-    if retries < 0:
-        raise ConfigError("retries cannot be negative")
-    fallbacks = 0
-    last_error: Optional[SolverError] = None
-    for _ in range(1 + retries):
-        try:
-            assignment, total = assign_max(values, method=method)
-            return assignment, total, method, fallbacks
-        except SolverError as exc:
-            fallbacks += 1
-            last_error = exc
+    try:
+        assignment, total = assign_max(values, method=method)
+        return assignment, total, method, 0
+    except SolverError as exc:
+        last_error = exc
     sanitized = np.nan_to_num(
         np.asarray(values, dtype=float), nan=0.0, posinf=0.0, neginf=0.0
     )
@@ -233,12 +227,12 @@ def assign_with_fallback(
         raise SolverError(
             f"assignment failed for {method!r} ({last_error}) and the "
             f"greedy fallback could not recover: {exc}"
-        ) from (last_error if last_error is not None else exc)
-    return assignment, total, "greedy-fallback", fallbacks
+        ) from last_error
+    return assignment, total, "greedy-fallback", 1
 
 
 def pocolo_placement(
-    matrix: PerformanceMatrix, method: str = "hungarian", retries: int = 1
+    matrix: PerformanceMatrix, method: str = "hungarian"
 ) -> PlacementDecision:
     """Solve the matrix for the throughput-maximizing assignment.
 
@@ -246,12 +240,12 @@ def pocolo_placement(
     paper's ``lp`` return the same canonical optimum (see
     :func:`repro.solvers.assign_max`); ``greedy``/``brute`` exist for
     the A2 ablation.  On
-    :class:`SolverError` the solve is retried ``retries`` times and then
-    falls back to the greedy heuristic, so placement always returns a
-    feasible decision; the decision records how it was reached.
+    :class:`SolverError` the solve falls back to the greedy heuristic,
+    so placement always returns a feasible decision; the decision
+    records how it was reached.
     """
     assignment, total, used, fallbacks = assign_with_fallback(
-        matrix.values, method=method, retries=retries
+        matrix.values, method=method
     )
     mapping = {
         matrix.be_names[i]: matrix.lc_names[j]

@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.core.utility import IndirectUtilityModel, integer_min_power_allocation
 from repro.errors import CapacityError, ConfigError, SimulationError
 from repro.hwmodel.server import Server
@@ -40,6 +38,32 @@ DEFAULT_SLACK_TARGET = 0.10
 
 #: Slack above which managers consider the primary over-provisioned.
 DEFAULT_SLACK_UPPER = 0.45
+
+#: Heracles: consecutive high-slack steps before the primary shrinks.
+SHRINK_PATIENCE = 3
+
+#: Heracles: steps after a grow during which the primary cannot shrink.
+GROW_COOLDOWN = 5
+
+#: Heracles: steps before the post-violation size floor decays (so a
+#: load drop can reclaim it).
+FLOOR_TTL = 60
+
+#: POM: initial multiplicative load margin when translating measured
+#: load into a capacity target; feedback adapts it online.
+INITIAL_HEADROOM = 1.20
+
+#: POM: the band the headroom feedback keeps the load margin within.
+MIN_HEADROOM = 1.05
+MAX_HEADROOM = 2.50
+
+#: POM: consecutive model misses tolerated before the manager stops
+#: trusting the fitted model.
+DISTRUST_AFTER = 3
+
+#: POM: control steps spent in the feedback-only fallback before the
+#: model is given another chance.
+RETRUST_AFTER = 15
 
 
 @dataclass
@@ -214,16 +238,10 @@ class HeraclesLikeManager(ServerManagerBase):
     which direction is cheaper in watts.
 
     Heracles-style asymmetry keeps the SLO safe: growth is immediate and
-    opens a shrink cooldown; shrinking needs ``shrink_patience``
-    consecutive high-slack observations; and any slack shortfall right
-    after a shrink re-establishes the previous size as a floor that
-    decays only after ``floor_ttl`` steps (so a load drop can reclaim it).
-
-    ``path`` selects how the walk moves through the indifference region:
-    ``"balanced"`` (default) scales both resources in the server's
-    core:way proportion; ``"random"`` picks the axis to grow or shrink
-    uniformly at random — the paper's literal "any one of the feasible
-    allocations in the indifference curve" baseline.
+    opens a :data:`GROW_COOLDOWN` shrink cooldown; shrinking needs
+    :data:`SHRINK_PATIENCE` consecutive high-slack observations; and any
+    slack shortfall right after a shrink re-establishes the previous
+    size as a floor that decays only after :data:`FLOOR_TTL` steps.
     """
 
     power_aware = False
@@ -233,22 +251,8 @@ class HeraclesLikeManager(ServerManagerBase):
         server: Server,
         slack_target: float = DEFAULT_SLACK_TARGET,
         slack_upper: float = DEFAULT_SLACK_UPPER,
-        shrink_patience: int = 3,
-        grow_cooldown: int = 5,
-        floor_ttl: int = 60,
-        path: str = "balanced",
-        seed: int = 0,
     ) -> None:
         super().__init__(server, slack_target=slack_target, slack_upper=slack_upper)
-        if shrink_patience < 1 or grow_cooldown < 0 or floor_ttl < 0:
-            raise ConfigError("controller pacing parameters must be non-negative")
-        if path not in ("balanced", "random"):
-            raise ConfigError(f"unknown allocation path {path!r}")
-        self.shrink_patience = shrink_patience
-        self.grow_cooldown = grow_cooldown
-        self.floor_ttl = floor_ttl
-        self.path = path
-        self._walk_rng = np.random.default_rng(seed)
         self._high_slack_streak = 0
         self._cooldown = 0
         self._floor_cores = 1
@@ -263,7 +267,7 @@ class HeraclesLikeManager(ServerManagerBase):
         if self._cooldown > 0:
             self._cooldown -= 1
         self._floor_age += 1
-        if self._floor_age > self.floor_ttl:
+        if self._floor_age > FLOOR_TTL:
             self._floor_cores = 1
 
         if measured_slack < self.slack_target:
@@ -271,55 +275,25 @@ class HeraclesLikeManager(ServerManagerBase):
             # revisit, and block shrinking for a while.
             self.stats.grow_actions += 1
             self._high_slack_streak = 0
-            self._cooldown = self.grow_cooldown
+            self._cooldown = GROW_COOLDOWN
             self._floor_cores = min(spec.cores, current.cores + 1)
             self._floor_age = 0
-            return self._grow(current)
+            return self._balanced(current.cores + 1)
 
         if measured_slack > self.slack_upper:
             self._high_slack_streak += 1
             can_shrink = (
                 self._cooldown == 0
-                and self._high_slack_streak >= self.shrink_patience
+                and self._high_slack_streak >= SHRINK_PATIENCE
                 and current.cores - 1 >= self._floor_cores
             )
             if can_shrink:
                 self.stats.shrink_actions += 1
                 self._high_slack_streak = 0
-                return self._shrink(current)
+                return self._balanced(current.cores - 1)
         else:
             self._high_slack_streak = 0
         return current
-
-    def _grow(self, current: Allocation) -> Allocation:
-        """One step up, along the configured path through the region."""
-        spec = self.server.spec
-        if self.path == "balanced":
-            return self._balanced(current.cores + 1)
-        options = []
-        if current.cores + 1 <= spec.cores:
-            options.append((current.cores + 1, current.ways))
-        if current.ways + 2 <= spec.llc_ways:
-            options.append((current.cores, current.ways + 2))
-        if not options:
-            return self._balanced(current.cores + 1)
-        c, w = options[int(self._walk_rng.integers(len(options)))]
-        return Allocation(cores=c, ways=w, freq_ghz=spec.max_freq_ghz)
-
-    def _shrink(self, current: Allocation) -> Allocation:
-        """One step down, along the configured path through the region."""
-        spec = self.server.spec
-        if self.path == "balanced":
-            return self._balanced(current.cores - 1)
-        options = []
-        if current.cores - 1 >= self._floor_cores:
-            options.append((current.cores - 1, current.ways))
-        if current.ways - 2 >= 1:
-            options.append((current.cores, current.ways - 2))
-        if not options:
-            return current
-        c, w = options[int(self._walk_rng.integers(len(options)))]
-        return Allocation(cores=c, ways=w, freq_ghz=spec.max_freq_ghz)
 
     def _balanced(self, cores: int) -> Allocation:
         """A feasible indifference-region point on the balanced path."""
@@ -337,27 +311,22 @@ class PowerOptimizedManager(ServerManagerBase):
         The primary app's *fitted* indirect utility model; its
         performance unit is max-load-under-SLO, i.e. the same unit as
         ``measured_load``.
-    headroom:
-        Initial multiplicative load margin when translating measured
-        load into a capacity target.  Adapted online by feedback within
-        [min_headroom, max_headroom].
-    freq_trim:
-        Allow stepping the primary's core frequency down when slack
-        stays high at the smallest allocation (the "including core
-        frequency" fine-tuning of Section IV-C).
-    distrust_after:
-        Consecutive *model misses* tolerated before the manager stops
-        trusting the fitted model.  A miss is a control step whose
-        observed slack falls below target even though the model's last
-        allocation promised (at full frequency) enough capacity for the
-        currently measured load — i.e. the model overestimated, as a
-        stale or mis-fitted model does.  Starvation during a load surge
-        is *not* a miss; that is the feedback loop's normal business.
-    retrust_after:
-        Control steps spent in the fallback (Heracles-style balanced
-        feedback stepping, no model jumps) before the model is given
-        another chance.  Persistent model error re-enters the fallback
-        after ``distrust_after`` further misses.
+
+    When slack stays high at the smallest allocation the manager steps
+    the primary's core frequency down (the "including core frequency"
+    fine-tuning of Section IV-C).
+
+    After :data:`DISTRUST_AFTER` consecutive *model misses* the manager
+    stops trusting the fitted model.  A miss is a control step whose
+    observed slack falls below target even though the model's last
+    allocation promised (at full frequency) enough capacity for the
+    currently measured load — i.e. the model overestimated, as a stale
+    or mis-fitted model does.  Starvation during a load surge is *not*
+    a miss; that is the feedback loop's normal business.  The manager
+    then spends :data:`RETRUST_AFTER` control steps in the fallback
+    (Heracles-style balanced feedback stepping, no model jumps) before
+    the model gets another chance; persistent model error re-enters the
+    fallback after further misses.
     """
 
     power_aware = True
@@ -368,25 +337,10 @@ class PowerOptimizedManager(ServerManagerBase):
         model: IndirectUtilityModel,
         slack_target: float = DEFAULT_SLACK_TARGET,
         slack_upper: float = DEFAULT_SLACK_UPPER,
-        headroom: float = 1.20,
-        min_headroom: float = 1.05,
-        max_headroom: float = 2.50,
-        freq_trim: bool = True,
-        distrust_after: int = 3,
-        retrust_after: int = 15,
     ) -> None:
         super().__init__(server, slack_target=slack_target, slack_upper=slack_upper)
-        if not min_headroom <= headroom <= max_headroom:
-            raise ConfigError("need min_headroom <= headroom <= max_headroom")
-        if distrust_after < 1 or retrust_after < 1:
-            raise ConfigError("distrust/retrust pacing must be at least 1 step")
         self.model = model
-        self.headroom = headroom
-        self.min_headroom = min_headroom
-        self.max_headroom = max_headroom
-        self.freq_trim = freq_trim
-        self.distrust_after = distrust_after
-        self.retrust_after = retrust_after
+        self.headroom = INITIAL_HEADROOM
         self._miss_streak = 0
         self._fallback_steps_left = 0
         self._promised_capacity: Optional[float] = None
@@ -430,17 +384,17 @@ class PowerOptimizedManager(ServerManagerBase):
         # lavish -> narrow slowly (asymmetric, SLO-safety first).
         if measured_slack < self.slack_target:
             self.stats.grow_actions += 1
-            self.headroom = min(self.max_headroom, self.headroom * 1.25)
+            self.headroom = min(MAX_HEADROOM, self.headroom * 1.25)
         elif measured_slack > self.slack_upper:
             self.stats.shrink_actions += 1
-            self.headroom = max(self.min_headroom, self.headroom * 0.93)
+            self.headroom = max(MIN_HEADROOM, self.headroom * 0.93)
 
         # Model distrust: when predictions repeatedly miss observed
         # slack, fall back to pure feedback stepping for a while.
         self._observe_model_miss(measured_load, measured_slack)
-        if self._fallback_steps_left == 0 and self._miss_streak >= self.distrust_after:
+        if self._fallback_steps_left == 0 and self._miss_streak >= DISTRUST_AFTER:
             self.stats.model_fallbacks += 1
-            self._fallback_steps_left = self.retrust_after
+            self._fallback_steps_left = RETRUST_AFTER
             self._miss_streak = 0
         if self._fallback_steps_left > 0:
             self._fallback_steps_left -= 1
@@ -462,7 +416,7 @@ class PowerOptimizedManager(ServerManagerBase):
         # leaves lavish slack, shed watts via DVFS; any slack shortfall
         # snaps the frequency back to maximum before resources grow.
         freq = spec.max_freq_ghz
-        if self.freq_trim and not current.is_empty:
+        if not current.is_empty:
             at_floor = alloc.cores == current.cores and alloc.ways == current.ways
             if measured_slack > self.slack_upper and at_floor:
                 freq = spec.ladder.step_down(current.freq_ghz)

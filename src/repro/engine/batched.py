@@ -57,7 +57,6 @@ cell dedupe already relies on.
 
 from __future__ import annotations
 
-import copy
 import operator
 from dataclasses import asdict, fields
 from functools import lru_cache
@@ -77,6 +76,13 @@ from typing import (
 import numpy as np
 
 from repro.core.server_manager import (
+    DISTRUST_AFTER,
+    FLOOR_TTL,
+    GROW_COOLDOWN,
+    MAX_HEADROOM,
+    MIN_HEADROOM,
+    RETRUST_AFTER,
+    SHRINK_PATIENCE,
     HeraclesLikeManager,
     ManagerStats,
     PowerOptimizedManager,
@@ -84,6 +90,7 @@ from repro.core.server_manager import (
 )
 from repro.core.utility import integer_min_power_allocation
 from repro.engine.parallel import _task_failure
+from repro.engine.vectorized import model_grid
 from repro.errors import CapacityError, ConfigError, InvariantViolationError
 from repro.faults.schedule import (
     FaultSchedule,
@@ -95,8 +102,15 @@ from repro.faults.schedule import (
     TelemetryGap,
 )
 from repro.guard.invariants import GuardReport, Violation
-from repro.hwmodel.capping import CapStats, PowerCapController
-from repro.hwmodel.meter import PowerMeter
+from repro.hwmodel.capping import (
+    DUTY_STEP,
+    MAX_PLAUSIBLE_FACTOR,
+    MIN_DUTY_CYCLE,
+    RECOVERY_SAMPLES,
+    RESTORE_MARGIN_W,
+    STALE_AFTER,
+    CapStats,
+)
 from repro.hwmodel.spec import Allocation, ServerSpec
 from repro.sim.colocation import ColocationResult, build_colocated_server
 from repro.sim.telemetry import LaneBlock, LaneTelemetry
@@ -133,7 +147,6 @@ _INELIGIBLE = object()
 # ----------------------------------------------------------------------
 _LADDER_MAPS: Dict[ServerSpec, Any] = {}
 _SURFACE_TABLES: Dict[Tuple[Any, ServerSpec], Tuple[np.ndarray, np.ndarray]] = {}
-_MODEL_GRIDS: Dict[Tuple[Any, ServerSpec], np.ndarray] = {}
 _SOLVER_MEMO: Dict[Tuple[Any, ServerSpec, float], Tuple[Any, ...]] = {}
 
 
@@ -141,7 +154,6 @@ def clear_batched_caches() -> None:
     """Drop every value-keyed table cache (tests and benchmarks)."""
     _LADDER_MAPS.clear()
     _SURFACE_TABLES.clear()
-    _MODEL_GRIDS.clear()
     _SOLVER_MEMO.clear()
 
 
@@ -274,20 +286,6 @@ def _surface_tables(profile: Any, spec: ServerSpec) -> Tuple[np.ndarray, np.ndar
     return tables
 
 
-def _model_grid(model: Any, spec: ServerSpec) -> np.ndarray:
-    """``model.performance((c, w))`` over the integer allocation grid."""
-    key = (model, spec)
-    hit = _MODEL_GRIDS.get(key)
-    if hit is not None:
-        return hit
-    grid = np.zeros((spec.cores + 1, spec.llc_ways + 1), dtype=np.float64)
-    for c in range(1, spec.cores + 1):
-        for w in range(1, spec.llc_ways + 1):
-            grid[c, w] = model.performance((float(c), float(w)))
-    _MODEL_GRIDS[key] = grid
-    return grid
-
-
 def _solve_allocation(model: Any, spec: ServerSpec, target: float) -> Tuple[Any, ...]:
     """Memoized least-power solve; returns ("ok", c, w) or ("err",)."""
     key = (model, spec, float(target))
@@ -315,8 +313,9 @@ def _probe_plan(
     """Build one throwaway server+manager to learn a plan's initial state.
 
     The probe proves the plan drives a manager class whose decision
-    procedure the batched core replicates, and records every knob and
-    every bit of initial mutable state.  The cache is per-invocation
+    procedure the batched core replicates, and records its kind and
+    every bit of its initial mutable state; the control constants are
+    module constants both engines read.  The cache is per-invocation
     (id() keys are only stable while the objects are alive).  A plan
     that fails an eligibility check caches the reason, a string: those
     lanes run on the per-object oracle instead.  A probe that raises
@@ -377,9 +376,6 @@ def _build_probe(plan: Any, spec: ServerSpec, be_app: Any) -> Union[Dict[str, An
                 maps["index"][be_alloc.freq_ghz],
                 be_alloc.duty_cycle,
             )
-    capper = PowerCapController(server=server, meter=PowerMeter(source=lambda: 0.0))
-    if not capper.watchdog:
-        return "cap watchdog disabled"
     info: Dict[str, Any] = {
         "kind": kind,
         "primary": primary,
@@ -388,24 +384,9 @@ def _build_probe(plan: Any, spec: ServerSpec, be_app: Any) -> Union[Dict[str, An
         "stats0": asdict(manager.stats),
         "slack_target": float(manager.slack_target),
         "slack_upper": float(manager.slack_upper),
-        "capper": {
-            "duty_step": float(capper.duty_step),
-            "min_duty": float(capper.min_duty_cycle),
-            "restore_margin": float(capper.restore_margin_w),
-            "stale_after": int(capper.stale_after),
-            "recovery_samples": int(capper.recovery_samples),
-            "max_plausible": float(capper.max_plausible_w),
-        },
     }
     if kind == "heracles":
-        if manager.path not in ("balanced", "random"):
-            return f"unknown Heracles path {manager.path!r}"
         info.update(
-            path=manager.path,
-            shrink_patience=int(manager.shrink_patience),
-            grow_cooldown=int(manager.grow_cooldown),
-            floor_ttl=int(manager.floor_ttl),
-            walk_rng=manager._walk_rng,
             streak0=int(manager._high_slack_streak),
             cooldown0=int(manager._cooldown),
             floor0=int(manager._floor_cores),
@@ -420,11 +401,6 @@ def _build_probe(plan: Any, spec: ServerSpec, be_app: Any) -> Union[Dict[str, An
         info.update(
             model=model,
             headroom0=float(manager.headroom),
-            min_headroom=float(manager.min_headroom),
-            max_headroom=float(manager.max_headroom),
-            freq_trim=bool(manager.freq_trim),
-            distrust_after=int(manager.distrust_after),
-            retrust_after=int(manager.retrust_after),
             miss0=int(manager._miss_streak),
             fb_left0=int(manager._fallback_steps_left),
             promised0=manager._promised_capacity,
@@ -722,7 +698,7 @@ class BatchedClusterSim:
                 self.be_duty[i] = be0[3]
                 self.be_empty[i] = False
 
-        # ---- manager knobs and state -------------------------------
+        # ---- manager state -----------------------------------------
         # Each kind's state lives on its lanes only: ``h_sel``/``p_sel``
         # index them (None: no lane of that kind).
         self.mgr_stats = {
@@ -736,16 +712,6 @@ class BatchedClusterSim:
             her = [infos[i] for i in np.arange(n)[self.h_sel].tolist()]
             self.h_slack_target = np.asarray([i["slack_target"] for i in her])
             self.h_slack_upper = np.asarray([i["slack_upper"] for i in her])
-            self.h_random = np.asarray([i["path"] == "random" for i in her])
-            self.h_patience = np.asarray(
-                [i["shrink_patience"] for i in her], dtype=np.int64
-            )
-            self.h_grow_cd = np.asarray(
-                [i["grow_cooldown"] for i in her], dtype=np.int64
-            )
-            self.h_floor_ttl = np.asarray(
-                [i["floor_ttl"] for i in her], dtype=np.int64
-            )
             self.h_streak = np.asarray([i["streak0"] for i in her], dtype=np.int64)
             self.h_cooldown = np.asarray(
                 [i["cooldown0"] for i in her], dtype=np.int64
@@ -754,7 +720,6 @@ class BatchedClusterSim:
             self.h_floor_age = np.asarray(
                 [i["floor_age0"] for i in her], dtype=np.int64
             )
-            self.walk_rngs = [copy.deepcopy(i["walk_rng"]) for i in her]
         if self.p_sel is not None:
             pom = [infos[i] for i in np.arange(n)[self.p_sel].tolist()]
             models: List[Any] = []
@@ -775,21 +740,12 @@ class BatchedClusterSim:
             self.midx = midx
             self.eff_midx = midx.copy()
             self.p_fclass = fclass[self.p_sel]
-            self.grids = np.stack([_model_grid(m, spec) for m in models])
+            self.grids = np.stack([model_grid(m, spec).perf for m in models])
             self.floor_perf = self.grids[:, 1, 1].copy()
             self.full_perf = self.grids[:, self.C, self.W].copy()
             self.p_slack_target = np.asarray([i["slack_target"] for i in pom])
             self.p_slack_upper = np.asarray([i["slack_upper"] for i in pom])
             self.p_headroom = np.asarray([i["headroom0"] for i in pom])
-            self.p_min_headroom = np.asarray([i["min_headroom"] for i in pom])
-            self.p_max_headroom = np.asarray([i["max_headroom"] for i in pom])
-            self.p_freq_trim = np.asarray([i["freq_trim"] for i in pom])
-            self.p_distrust = np.asarray(
-                [i["distrust_after"] for i in pom], dtype=np.int64
-            )
-            self.p_retrust = np.asarray(
-                [i["retrust_after"] for i in pom], dtype=np.int64
-            )
             self.p_miss = np.asarray([i["miss0"] for i in pom], dtype=np.int64)
             self.p_fb_left = np.asarray(
                 [i["fb_left0"] for i in pom], dtype=np.int64
@@ -806,21 +762,10 @@ class BatchedClusterSim:
             )
         self.model_swapped = [False] * self.n_fc
 
-        # ---- capper knobs and state --------------------------------
-        self.duty_step = np.asarray([i["capper"]["duty_step"] for i in infos])
-        self.min_duty = np.asarray([i["capper"]["min_duty"] for i in infos])
-        self.restore_margin = np.asarray(
-            [i["capper"]["restore_margin"] for i in infos]
-        )
-        self.stale_after = np.asarray(
-            [i["capper"]["stale_after"] for i in infos], dtype=np.int64
-        )
-        self.recovery_samples = np.asarray(
-            [i["capper"]["recovery_samples"] for i in infos], dtype=np.int64
-        )
-        self.max_plausible = np.asarray(
-            [i["capper"]["max_plausible"] for i in infos]
-        )
+        # ---- capper state ------------------------------------------
+        # The plausibility bound is anchored at the base provisioning,
+        # as the oracle's capper captures it before any cap schedule.
+        self.max_plausible = MAX_PLAUSIBLE_FACTOR * self.cap
         self.cap_stats = {
             f: np.zeros(n, dtype=np.int64)
             for f in (
@@ -1204,11 +1149,11 @@ class BatchedClusterSim:
             self.h_cooldown > 0, self.h_cooldown - 1, self.h_cooldown
         )
         self.h_floor_age += 1
-        self.h_floor = np.where(self.h_floor_age > self.h_floor_ttl, 1, self.h_floor)
+        self.h_floor = np.where(self.h_floor_age > FLOOR_TTL, 1, self.h_floor)
 
         grow = slack < self.h_slack_target
         self._add_kind(stats["grow_actions"], sel, grow)
-        self.h_cooldown = np.where(grow, self.h_grow_cd, self.h_cooldown)
+        self.h_cooldown = np.where(grow, GROW_COOLDOWN, self.h_cooldown)
         new_floor = np.minimum(self.C, lc_c + 1)
         self.h_floor = np.where(grow, new_floor, self.h_floor)
         self.h_floor_age = np.where(grow, 0, self.h_floor_age)
@@ -1218,47 +1163,18 @@ class BatchedClusterSim:
         can_shrink = (
             high
             & (self.h_cooldown == 0)
-            & (streak >= self.h_patience)
+            & (streak >= SHRINK_PATIENCE)
             & (lc_c - 1 >= self.h_floor)
         )
         self._add_kind(stats["shrink_actions"], sel, can_shrink)
         self.h_streak = np.where(can_shrink, 0, streak)
 
         bal_c, bal_w = self.maps["bal_c"], self.maps["bal_w"]
-        tc, tw, tf = lc_c.copy(), lc_w.copy(), lc_f.copy()
-        bal_grow = grow & ~self.h_random
-        bal_shrink = can_shrink & ~self.h_random
-        req = np.where(bal_grow, lc_c + 1, np.where(bal_shrink, lc_c - 1, 0))
-        moved = bal_grow | bal_shrink
-        tc = np.where(moved, bal_c[req], tc)
-        tw = np.where(moved, bal_w[req], tw)
-        tf = np.where(moved, self.K - 1, tf)
-
-        # Random-walk lanes: per-lane generators, rare-event scalar loop.
-        for i in np.flatnonzero(grow & self.h_random):
-            c, w = int(lc_c[i]), int(lc_w[i])
-            options = []
-            if c + 1 <= self.C:
-                options.append((c + 1, w))
-            if w + 2 <= self.W:
-                options.append((c, w + 2))
-            if not options:
-                tc[i], tw[i] = bal_c[c + 1], bal_w[c + 1]
-            else:
-                pick = options[int(self.walk_rngs[i].integers(len(options)))]
-                tc[i], tw[i] = pick
-            tf[i] = self.K - 1
-        for i in np.flatnonzero(can_shrink & self.h_random):
-            c, w = int(lc_c[i]), int(lc_w[i])
-            options = []
-            if c - 1 >= self.h_floor[i]:
-                options.append((c - 1, w))
-            if w - 2 >= 1:
-                options.append((c, w - 2))
-            if options:
-                pick = options[int(self.walk_rngs[i].integers(len(options)))]
-                tc[i], tw[i] = pick
-                tf[i] = self.K - 1
+        req = np.where(grow, lc_c + 1, np.where(can_shrink, lc_c - 1, 0))
+        moved = grow | can_shrink
+        tc = np.where(moved, bal_c[req], lc_c)
+        tw = np.where(moved, bal_w[req], lc_w)
+        tf = np.where(moved, self.K - 1, lc_f)
         return tc, tw, tf
 
     def _pom_decide(
@@ -1274,10 +1190,10 @@ class BatchedClusterSim:
         self._add_kind(stats["shrink_actions"], sel, shrink)
         self.p_headroom = np.where(
             grow,
-            np.minimum(self.p_max_headroom, self.p_headroom * 1.25),
+            np.minimum(MAX_HEADROOM, self.p_headroom * 1.25),
             np.where(
                 shrink,
-                np.maximum(self.p_min_headroom, self.p_headroom * 0.93),
+                np.maximum(MIN_HEADROOM, self.p_headroom * 0.93),
                 self.p_headroom,
             ),
         )
@@ -1287,9 +1203,9 @@ class BatchedClusterSim:
         self.p_miss = np.where(
             observing, np.where(grow & covered, self.p_miss + 1, 0), self.p_miss
         )
-        enter = (self.p_fb_left == 0) & (self.p_miss >= self.p_distrust)
+        enter = (self.p_fb_left == 0) & (self.p_miss >= DISTRUST_AFTER)
         self._add_kind(stats["model_fallbacks"], sel, enter)
-        self.p_fb_left = np.where(enter, self.p_retrust, self.p_fb_left)
+        self.p_fb_left = np.where(enter, RETRUST_AFTER, self.p_fb_left)
         self.p_miss = np.where(enter, 0, self.p_miss)
         fb = self.p_fb_left > 0
         self.p_fb_left = np.where(fb, self.p_fb_left - 1, self.p_fb_left)
@@ -1332,13 +1248,9 @@ class BatchedClusterSim:
             if solver_fallbacks.any():
                 self._add_kind(stats["solver_fallbacks"], sel, solver_fallbacks)
             at_floor = (ac == lc_c) & (aw == lc_w)
-            trim_down = (
-                nm & self.p_freq_trim
-                & (measured_slack > self.p_slack_upper) & at_floor
-            )
+            trim_down = nm & (measured_slack > self.p_slack_upper) & at_floor
             hold_freq = (
-                nm & self.p_freq_trim & ~trim_down
-                & (measured_slack >= self.p_slack_target)
+                nm & ~trim_down & (measured_slack >= self.p_slack_target)
             )
             tf = np.where(trim_down, self.maps["down_idx"][lc_f], tf)
             tf = np.where(hold_freq, lc_f, tf)
@@ -1467,7 +1379,7 @@ class BatchedClusterSim:
         self.prev_valid = np.ones(self.n, dtype=bool)
         healthy = ~(raw > self.max_plausible)
         if armed:
-            healthy = healthy & ~(self.repeat >= self.stale_after)
+            healthy = healthy & ~(self.repeat >= STALE_AFTER)
 
         was_safe = self.safe
         trip = ~was_safe & ~healthy
@@ -1478,17 +1390,17 @@ class BatchedClusterSim:
             was_safe, np.where(healthy, self.healthy_streak + 1, 0),
             self.healthy_streak,
         )
-        recover = was_safe & (self.healthy_streak >= self.recovery_samples)
+        recover = was_safe & (self.healthy_streak >= RECOVERY_SAMPLES)
         handled = (was_safe | trip) & ~recover
         self.safe = handled
         self._add(stats["safe_mode_steps"], handled)
         # _floor: pin secondaries to (min freq, min duty); counts a
         # throttle event only when that actually changes the allocation.
         floor_mask = handled & has_sec
-        changed = floor_mask & ((self.be_f != 0) | (self.be_duty != self.min_duty))
+        changed = floor_mask & ((self.be_f != 0) | (self.be_duty != MIN_DUTY_CYCLE))
         self._add(stats["throttle_events"], changed)
         self.be_f = np.where(floor_mask, 0, self.be_f)
-        self.be_duty = np.where(floor_mask, self.min_duty, self.be_duty)
+        self.be_duty = np.where(floor_mask, MIN_DUTY_CYCLE, self.be_duty)
         return handled
 
     def _capper_step(self, t: float) -> None:
@@ -1525,23 +1437,23 @@ class BatchedClusterSim:
         self.cooldown = np.where(punish, self.backoff, self.cooldown)
         can_down = self.maps["can_down"][self.be_f]
         f_down = over & can_down
-        d_down = over & ~can_down & (self.be_duty > self.min_duty + 1e-9)
+        d_down = over & ~can_down & (self.be_duty > MIN_DUTY_CYCLE + 1e-9)
         self._add(stats["throttle_events"], f_down)
         self._add(stats["throttle_events"], d_down)
-        new_duty = np.maximum(self.min_duty, self.be_duty - self.duty_step)
+        new_duty = np.maximum(MIN_DUTY_CYCLE, self.be_duty - DUTY_STEP)
         self.be_f = np.where(f_down, self.maps["down_idx"][self.be_f], self.be_f)
         self.be_duty = np.where(d_down, new_duty, self.be_duty)
 
         restore = (
             active & ~over
-            & (filt < self.cap - self.restore_margin)
+            & (filt < self.cap - RESTORE_MARGIN_W)
             & (self.cooldown == 0)
         )
         d_up = restore & (self.be_duty < 1.0 - 1e-9)
         f_up = restore & ~d_up & self.maps["can_up"][self.be_f]
         self._add(stats["restore_events"], d_up)
         self._add(stats["restore_events"], f_up)
-        up_duty = np.minimum(1.0, self.be_duty + self.duty_step)
+        up_duty = np.minimum(1.0, self.be_duty + DUTY_STEP)
         self.be_duty = np.where(d_up, up_duty, self.be_duty)
         self.be_f = np.where(f_up, self.maps["up_idx"][self.be_f], self.be_f)
         self.ssr = np.where(restore, 0, self.ssr)

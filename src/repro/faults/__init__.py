@@ -17,7 +17,7 @@ The matching *degradation policies* live with the components they
 protect: the meter watchdog and safe mode in
 :class:`repro.hwmodel.capping.PowerCapController`, the model-distrust
 fallback in :class:`repro.core.server_manager.PowerOptimizedManager`,
-the solver retry/greedy fallback in :func:`repro.core.placement.pocolo_placement`,
+the solver-to-greedy fallback in :func:`repro.core.placement.pocolo_placement`,
 and crash re-placement in :func:`repro.sim.cluster.run_cluster`.
 See ``docs/FAULTS.md`` for the full story.
 """

@@ -14,7 +14,7 @@ are ordered exactly as in the paper:
 
 * over cap  → step the BE frequency down the DVFS ladder; once the ladder
   is exhausted, reduce the BE duty cycle (CPU-time limiting);
-* safely under cap (by ``restore_margin_w``) → undo in reverse order:
+* safely under cap (by :data:`RESTORE_MARGIN_W`) → undo in reverse order:
   restore duty cycle first, then climb the ladder.
 
 Two mechanisms prevent limit cycling: the restore margin (hysteresis on
@@ -31,9 +31,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.errors import ConfigError
 from repro.hwmodel.meter import PowerMeter
 from repro.hwmodel.server import Server
+
+#: Granularity of CPU-time limiting once the frequency ladder is exhausted.
+DUTY_STEP = 0.05
+
+#: Floor below which the BE tenant is not squeezed further (a fully
+#: starved tenant would never release held resources in a real system;
+#: the paper keeps the BE app running, just slowly).
+MIN_DUTY_CYCLE = 0.05
+
+#: How far below the cap (W) the filtered draw must be before the loop
+#: starts giving resources back — the hysteresis band.
+RESTORE_MARGIN_W = 4.0
+
+#: Identical consecutive raw readings tolerated before the watchdog's
+#: stale trip (only armed when the meter reports a non-zero noise level).
+STALE_AFTER = 3
+
+#: A sane reading's upper bound, as a multiple of the provisioned
+#: capacity the controller is built under.  Negative readings are
+#: impossible by construction (meters clip at zero), so the bound is
+#: one-sided.
+MAX_PLAUSIBLE_FACTOR = 3.0
+
+#: Consecutive healthy (changing, in-bounds) readings required to leave
+#: safe mode.
+RECOVERY_SAMPLES = 3
 
 
 @dataclass
@@ -80,75 +105,25 @@ class PowerCapController:
         The server whose secondary tenant is throttled.
     meter:
         Power meter to read; the controller acts on ``filtered_watts``.
-    duty_step:
-        Granularity of CPU-time limiting once the frequency ladder is
-        exhausted.
-    min_duty_cycle:
-        Floor below which the BE tenant is not squeezed further (a fully
-        starved tenant would never release held resources in a real
-        system; the paper keeps the BE app running, just slowly).
-    restore_margin_w:
-        How far below the cap the filtered draw must be before the loop
-        starts giving resources back — the hysteresis band.
     watchdog:
         Enable the meter watchdog.  The loop's actuation is only as good
         as its sensor; the watchdog cross-checks every raw reading for
-        physical plausibility (see ``max_plausible_w``) and — on noisy
-        meters — for staleness (a real meter essentially never repeats a
-        float exactly; ``stale_after`` identical raw readings in a row
-        mean the sensor is stuck or the pipeline serves cached values).
+        physical plausibility (:data:`MAX_PLAUSIBLE_FACTOR` times the
+        provisioned capacity at construction) and — on noisy meters —
+        for staleness (a real meter essentially never repeats a float
+        exactly; :data:`STALE_AFTER` identical raw readings in a row mean
+        the sensor is stuck or the pipeline serves cached values).
         Either trip enters *safe mode*: the controller stops trusting
         the meter and conservatively pins every best-effort tenant to
-        its floor (minimum frequency and ``min_duty_cycle``) until
-        ``recovery_samples`` consecutive healthy readings arrive.
-    stale_after:
-        Identical consecutive raw readings tolerated before the stale
-        trip (only armed when the meter reports a non-zero noise level).
-    max_plausible_w:
-        Physical upper bound on a sane reading; ``None`` defaults to
-        3x the provisioned capacity.  Negative readings are impossible
-        by construction (meters clip at zero), so the bound is one-sided.
-    recovery_samples:
-        Consecutive healthy (changing, in-bounds) readings required to
-        leave safe mode.
+        its floor (minimum frequency and :data:`MIN_DUTY_CYCLE`) until
+        :data:`RECOVERY_SAMPLES` consecutive healthy readings arrive.
     """
 
-    def __init__(
-        self,
-        server: Server,
-        meter: PowerMeter,
-        duty_step: float = 0.05,
-        min_duty_cycle: float = 0.05,
-        restore_margin_w: float = 4.0,
-        watchdog: bool = True,
-        stale_after: int = 3,
-        max_plausible_w: Optional[float] = None,
-        recovery_samples: int = 3,
-    ) -> None:
-        if not 0 < duty_step <= 1:
-            raise ConfigError("duty step must lie in (0, 1]")
-        if not 0 <= min_duty_cycle < 1:
-            raise ConfigError("minimum duty cycle must lie in [0, 1)")
-        if restore_margin_w < 0:
-            raise ConfigError("restore margin cannot be negative")
-        if stale_after < 1:
-            raise ConfigError("stale_after must be at least 1 sample")
-        if recovery_samples < 1:
-            raise ConfigError("recovery_samples must be at least 1")
-        if max_plausible_w is not None and max_plausible_w <= 0:
-            raise ConfigError("plausibility bound must be positive")
+    def __init__(self, server: Server, meter: PowerMeter, watchdog: bool = True) -> None:
         self.server = server
         self.meter = meter
-        self.duty_step = duty_step
-        self.min_duty_cycle = min_duty_cycle
-        self.restore_margin_w = restore_margin_w
         self.watchdog = watchdog
-        self.stale_after = stale_after
-        self.max_plausible_w = (
-            max_plausible_w if max_plausible_w is not None
-            else 3.0 * server.provisioned_power_w
-        )
-        self.recovery_samples = recovery_samples
+        self.max_plausible_w = MAX_PLAUSIBLE_FACTOR * server.provisioned_power_w
         self.stats = CapStats()
         self._samples_since_restore = 10**9
         self._restore_backoff = 0
@@ -171,7 +146,7 @@ class PowerCapController:
         self._prev_raw_w = raw_w
         if raw_w > self.max_plausible_w:
             return False
-        if stale_armed and self._repeat_streak >= self.stale_after:
+        if stale_armed and self._repeat_streak >= STALE_AFTER:
             return False
         return True
 
@@ -194,7 +169,7 @@ class PowerCapController:
                 return False
         else:
             self._healthy_streak = self._healthy_streak + 1 if healthy else 0
-            if self._healthy_streak >= self.recovery_samples:
+            if self._healthy_streak >= RECOVERY_SAMPLES:
                 # Sensor recovered: resume closed-loop control.  The BE
                 # tenants climb back through the normal restore path.
                 self.safe_mode = False
@@ -208,7 +183,7 @@ class PowerCapController:
         """Pin one BE tenant to its minimum-power operating point."""
         alloc = self.server.allocation_of(be)
         ladder = self.server.spec.ladder
-        floored = alloc.with_freq(ladder.min_ghz).with_duty_cycle(self.min_duty_cycle)
+        floored = alloc.with_freq(ladder.min_ghz).with_duty_cycle(MIN_DUTY_CYCLE)
         if floored != alloc:
             self.server.apply_allocation(be, floored)
             self.stats.throttle_events += 1
@@ -248,7 +223,7 @@ class PowerCapController:
             # the most watts per throttle step.
             self._throttle(max(secondaries, key=self.server.tenant_power_w))
         elif (
-            reading.filtered_watts < cap - self.restore_margin_w
+            reading.filtered_watts < cap - RESTORE_MARGIN_W
             and self._restore_cooldown == 0
         ):
             # Give headroom back to the most-throttled tenant first.
@@ -267,8 +242,8 @@ class PowerCapController:
             new_freq = ladder.step_down(alloc.freq_ghz)
             self.server.apply_allocation(be, alloc.with_freq(new_freq))
             self.stats.throttle_events += 1
-        elif alloc.duty_cycle > self.min_duty_cycle + 1e-9:
-            new_duty = max(self.min_duty_cycle, alloc.duty_cycle - self.duty_step)
+        elif alloc.duty_cycle > MIN_DUTY_CYCLE + 1e-9:
+            new_duty = max(MIN_DUTY_CYCLE, alloc.duty_cycle - DUTY_STEP)
             self.server.apply_allocation(be, alloc.with_duty_cycle(new_duty))
             self.stats.throttle_events += 1
         # else: BE is already maximally squeezed; the primary alone must
@@ -278,7 +253,7 @@ class PowerCapController:
         alloc = self.server.allocation_of(be)
         ladder = self.server.spec.ladder
         if alloc.duty_cycle < 1.0 - 1e-9:
-            new_duty = min(1.0, alloc.duty_cycle + self.duty_step)
+            new_duty = min(1.0, alloc.duty_cycle + DUTY_STEP)
             self.server.apply_allocation(be, alloc.with_duty_cycle(new_duty))
             self.stats.restore_events += 1
         elif alloc.freq_ghz < ladder.max_ghz - 1e-9:

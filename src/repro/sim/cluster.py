@@ -602,7 +602,7 @@ def _replace_displaced(
     The score of (displaced app, survivor) is the survivor's provisioned
     active-power headroom divided by how many BE co-runners it already
     hosts — more budget and fewer co-runners make a better refuge.  The
-    matching is solved with the placement stack's retry/greedy-fallback
+    matching is solved with the placement stack's solve-then-greedy
     wrapper, so a solver failure degrades the *placement quality*, never
     the run.  Unmatched apps (more displaced than survivors — a 1:1
     matching places at most one per survivor per event) are parked.

@@ -22,7 +22,7 @@ activity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,15 +39,19 @@ from repro.faults.schedule import (
     ModelStaleness,
     TelemetryGap,
 )
+from repro.guard.invariants import (
+    GuardConfig,
+    GuardReport,
+    GuardSample,
+    InvariantRegistry,
+)
+from repro.guard.monitor import GuardMonitor
 from repro.hwmodel.capping import CapStats, PowerCapController
 from repro.hwmodel.meter import EnergyCounter, PowerMeter
 from repro.hwmodel.server import PRIMARY, SECONDARY, Server
 from repro.hwmodel.spec import ServerSpec
 from repro.sim.telemetry import Telemetry
 from repro.workloads.traces import LoadTrace
-
-if TYPE_CHECKING:  # the guard layer imports hwmodel only; no cycle
-    from repro.guard.invariants import GuardConfig, GuardReport
 
 #: Builds the cap loop for a sim; overridable so tests can plant doubles.
 CapperFactory = Callable[[Server, PowerMeter], PowerCapController]
@@ -96,7 +100,7 @@ class ColocationResult:
     cap_stats: CapStats
     manager_stats: ManagerStats
     telemetry: Telemetry = field(repr=False)
-    guard_report: Optional["GuardReport"] = None
+    guard_report: Optional[GuardReport] = None
 
 
 class ColocationSim:
@@ -111,7 +115,7 @@ class ColocationSim:
         be_app: Optional[BestEffortApp] = None,
         config: SimConfig = SimConfig(),
         faults: Optional[FaultSchedule] = None,
-        guard: Optional["GuardConfig"] = None,
+        guard: Optional[GuardConfig] = None,
         capper_factory: Optional[CapperFactory] = None,
         cap_schedule: Optional[CapSchedule] = None,
     ) -> None:
@@ -190,11 +194,6 @@ class ColocationSim:
         cfg = self.config
         monitor = None
         if self.guard is not None:
-            # Imported here: repro.guard.campaign drives this sim, so a
-            # module-level import would be circular.
-            from repro.guard.invariants import GuardSample, InvariantRegistry
-            from repro.guard.monitor import GuardMonitor
-
             monitor = GuardMonitor(
                 self.guard, InvariantRegistry.default(self.guard)
             )

@@ -17,8 +17,8 @@ The batched engine hands each cell its telemetry as a lazy view of the
 group's shared lane block; :class:`TestLaneViews` pins the view's
 series layouts, mutation isolation and pickling against the oracle.
 
-Coverage spans three manager types (POM, Heracles-balanced,
-Heracles-random), a no-BE plan, three fault schedules exercising all
+Coverage spans both manager types (POM at the default and at a raised
+slack target, and the Heracles baseline), a no-BE plan, three fault schedules exercising all
 six fault types, record- and enforce-mode guards, the ``engine`` knob
 on :func:`~repro.sim.cluster.run_cluster` (dedupe on and off), and a
 real mid-sweep SIGKILL resumed under the *other* engine.
@@ -35,7 +35,7 @@ from pathlib import Path
 import pytest
 
 from repro.budget.schedule import CapSchedule
-from repro.core.server_manager import HeraclesLikeManager, PowerOptimizedManager
+from repro.core.server_manager import PowerOptimizedManager
 from repro.core.utility import IndirectUtilityModel
 from repro.engine.batched import (
     BatchedClusterSim,
@@ -90,13 +90,18 @@ RESULT_FIELDS = (
 
 
 @dataclass(frozen=True)
-class RandomHeraclesFactory:
-    """Content-addressable factory for the randomized Heracles path."""
+class SlackTargetPomFactory:
+    """Content-addressable POM factory at the slack ablation's raised
+    target, so lanes of one group carry different slack thresholds."""
 
-    seed: int = 3
+    model: object
+    slack_target: float = 0.3
 
     def __call__(self, server):
-        return HeraclesLikeManager(server, path="random", seed=self.seed)
+        return PowerOptimizedManager(
+            server, model=self.model, slack_target=self.slack_target,
+            slack_upper=max(0.45, self.slack_target + 0.2),
+        )
 
 
 def assert_outcome_equal(a, b, where=""):
@@ -126,7 +131,7 @@ def catalog():
 
 @pytest.fixture(scope="module")
 def mixed_plans(catalog):
-    """Three manager types plus a no-BE colocation in one sweep."""
+    """Three manager factories plus a no-BE colocation in one sweep."""
     pom = cluster_plans(catalog, placement_for_policy(catalog, "pocolo"), "pocolo")
     her = cluster_plans(catalog, placement_for_policy(catalog, "random"), "random")
     plans = list(pom[:3]) + list(her[:2])
@@ -134,7 +139,7 @@ def mixed_plans(catalog):
     plans.append(ServerPlan(
         lc_app=base.lc_app, be_app=base.be_app,
         provisioned_power_w=base.provisioned_power_w,
-        manager_factory=RandomHeraclesFactory(),
+        manager_factory=SlackTargetPomFactory(base.manager_factory.model),
     ))
     plans.append(ServerPlan(
         lc_app=plans[1].lc_app, be_app=None,
@@ -388,7 +393,7 @@ class TestOneBlock:
             mixed_plans, catalog.spec, schedules, config, guard
         )
         assert {type(t.plan.manager_factory).__name__ for t in tasks} == {
-            "PomFactory", "HeraclesFactory", "RandomHeraclesFactory",
+            "PomFactory", "HeraclesFactory", "SlackTargetPomFactory",
         }
         assert {t.duration_s for t in tasks} == {6.0, 11.0}
         assert len({id(t.faults) for t in tasks}) == 3

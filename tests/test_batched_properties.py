@@ -42,7 +42,7 @@ from repro.sim.cluster import Cell, _run_cell
 from repro.sim.colocation import SimConfig
 
 from tests.test_batched_differential import (
-    RandomHeraclesFactory,
+    SlackTargetPomFactory,
     assert_outcome_equal,
 )
 
@@ -65,7 +65,7 @@ def _fixture():
         plans.append(ServerPlan(
             lc_app=pom[0].lc_app, be_app=pom[0].be_app,
             provisioned_power_w=pom[0].provisioned_power_w,
-            manager_factory=RandomHeraclesFactory(),
+            manager_factory=SlackTargetPomFactory(pom[0].manager_factory.model),
         ))
         plans.append(ServerPlan(
             lc_app=pom[1].lc_app, be_app=None,
@@ -177,8 +177,8 @@ def _sub_sweeps():
 
         subs = [
             sub((0, 1), 5.0, None),              # POM, unfaulted
-            sub((2,), 3.0, meter),               # Heracles, balanced path
-            sub((3,), 5.0, control),             # Heracles, random path
+            sub((2,), 3.0, meter),               # Heracles
+            sub((3,), 5.0, control),             # POM, raised slack target
             sub((4, 0), 3.0, control, budgeted=True),  # POM, budgeted
         ]
         _CACHE["subs"] = subs

@@ -215,6 +215,38 @@ class TestReplanIsDeterministic:
         assert again.report.guard_report is not None
         assert again.report.guard_report == first.report.guard_report
 
+    def test_plan_pickles_to_the_same_bytes_under_any_hash_seed(self):
+        """Schedules, evictions and sheds are filled in plan order, so
+        the pickled plan does not depend on string hashing."""
+        # Brownout ratios above any capacity/demand ratio drive every
+        # rack to the deepest stage: all three containers are filled.
+        script = (
+            "import pickle, sys\n"
+            "from repro.budget import BudgetConfig, plan_budget\n"
+            "from repro.evaluation.pipeline import fit_catalog, policy_sweep\n"
+            "budget = BudgetConfig(arbiter_period_s=2.0, lease_s=4.0,\n"
+            "    brownout_throttle_ratio=3.0, brownout_evict_ratio=3.0,\n"
+            "    brownout_shed_ratio=3.0)\n"
+            "sweep = policy_sweep(fit_catalog(seed=7), 'pocolo',\n"
+            "    levels=(0.2, 0.5, 0.8), duration_s=6.0, budget=budget)\n"
+            "plan = plan_budget(sweep)\n"
+            "assert plan.evicted and plan.level_scale, 'ladder never bit'\n"
+            "sys.stdout.buffer.write(pickle.dumps(plan))\n"
+        )
+        dumps = []
+        for hash_seed in ("0", "1"):
+            child = subprocess.run(
+                [sys.executable, "-c", script],
+                env={
+                    "PYTHONPATH": str(REPO_SRC), "PATH": "/usr/bin:/bin",
+                    "PYTHONHASHSEED": hash_seed,
+                },
+                capture_output=True, timeout=300,
+            )
+            assert child.returncode == 0, child.stderr.decode(errors="replace")
+            dumps.append(child.stdout)
+        assert dumps[0] == dumps[1]
+
 
 #: The drill geometry: 2 levels x 10 s, arbiter killed at 7 s with
 #: leases outstanding, never recovering.  Shared by the in-process

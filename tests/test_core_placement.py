@@ -197,10 +197,10 @@ class TestAssignWithFallback:
     def test_nan_poisoned_matrix_degrades_to_greedy(self):
         values = np.full((2, 2), np.nan)
         assignment, total, used, fallbacks = assign_with_fallback(
-            values, method="lp", retries=1
+            values, method="lp"
         )
         assert used == "greedy-fallback"
-        assert fallbacks == 2  # the primary attempt plus its retry
+        assert fallbacks == 1  # the one failed solve
         assert sorted(assignment) == [0, 1]
         assert total == 0.0  # failed predictions are worth nothing
 
@@ -210,12 +210,8 @@ class TestAssignWithFallback:
         # failure as __cause__ so pooled ExecutionError messages (which
         # lose pickled cause chains) can still name it.
         with pytest.raises(SolverError) as excinfo:
-            assign_with_fallback(np.zeros((0, 2)), method="lp", retries=1)
+            assign_with_fallback(np.zeros((0, 2)), method="lp")
         assert "greedy fallback could not recover" in str(excinfo.value)
         cause = excinfo.value.__cause__
         assert isinstance(cause, SolverError)
         assert "non-empty" in str(cause)
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ConfigError):
-            assign_with_fallback([[1.0]], retries=-1)

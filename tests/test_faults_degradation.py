@@ -13,7 +13,12 @@ import pytest
 
 from repro.analysis import format_degradation
 from repro.core.placement import assign_with_fallback, pocolo_placement
-from repro.core.server_manager import ManagerStats, PowerOptimizedManager
+from repro.core.server_manager import (
+    DISTRUST_AFTER,
+    RETRUST_AFTER,
+    ManagerStats,
+    PowerOptimizedManager,
+)
 from repro.errors import ConfigError, SolverError
 from repro.faults import FaultSchedule, ModelStaleness
 from repro.hwmodel.capping import CapStats
@@ -26,13 +31,13 @@ def overconfident(model, factor=3.0):
     return replace(model, perf=replace(model.perf, alpha0=model.perf.alpha0 * factor))
 
 
-def build_manager(catalog, model, **kwargs):
+def build_manager(catalog, model):
     lc = catalog.lc_apps["xapian"]
     be = catalog.be_apps["rnn"]
     server = build_colocated_server(
         catalog.spec, lc, provisioned_power_w=lc.peak_server_power_w(), be_app=be
     )
-    return PowerOptimizedManager(server, model=model, **kwargs), lc
+    return PowerOptimizedManager(server, model=model), lc
 
 
 class TestModelDistrust:
@@ -42,8 +47,8 @@ class TestModelDistrust:
         load = 0.3 * lc.peak_load
         # Step 1 records the model's promise; each following starved step
         # (slack below target while the promised capacity covers the
-        # load) is a miss.  distrust_after=3 misses trip the fallback.
-        for _ in range(4):
+        # load) is a miss.  DISTRUST_AFTER misses trip the fallback.
+        for _ in range(1 + DISTRUST_AFTER):
             manager.control_step(load, -0.05)
         assert manager.distrusts_model
         assert manager.stats.model_fallbacks == 1
@@ -51,20 +56,18 @@ class TestModelDistrust:
 
     def test_retrust_after_the_holdoff(self, catalog):
         stale = overconfident(catalog.lc_fits["xapian"].model)
-        manager, lc = build_manager(
-            catalog, stale, distrust_after=3, retrust_after=5
-        )
+        manager, lc = build_manager(catalog, stale)
         load = 0.3 * lc.peak_load
-        for _ in range(4):
+        for _ in range(1 + DISTRUST_AFTER):
             manager.control_step(load, -0.05)
         assert manager.distrusts_model
         # Healthy in-band slack burns down the holdoff; the model then
         # gets another chance.
-        for _ in range(5):
+        for _ in range(RETRUST_AFTER):
             manager.control_step(load, 0.30)
         assert not manager.distrusts_model
         # A persistently bad model re-trips after further misses.
-        for _ in range(5):
+        for _ in range(DISTRUST_AFTER + 2):
             manager.control_step(load, -0.05)
         assert manager.stats.model_fallbacks == 2
 
@@ -80,25 +83,16 @@ class TestModelDistrust:
 
     def test_fallback_steps_counted_in_stats(self, catalog):
         stale = overconfident(catalog.lc_fits["xapian"].model)
-        manager, lc = build_manager(
-            catalog, stale, distrust_after=2, retrust_after=6
-        )
+        manager, lc = build_manager(catalog, stale)
         load = 0.3 * lc.peak_load
-        for _ in range(12):
+        for _ in range(1 + DISTRUST_AFTER + RETRUST_AFTER):
             manager.control_step(load, -0.05)
         stats = manager.stats
-        assert stats.model_fallback_steps >= 6
+        assert stats.model_fallback_steps >= RETRUST_AFTER
         assert 0.0 < stats.model_fallback_fraction <= 1.0
         assert stats.model_fallback_fraction == pytest.approx(
             stats.model_fallback_steps / stats.control_steps
         )
-
-    def test_pacing_validation(self, catalog):
-        model = catalog.lc_fits["xapian"].model
-        with pytest.raises(ConfigError):
-            build_manager(catalog, model, distrust_after=0)
-        with pytest.raises(ConfigError):
-            build_manager(catalog, model, retrust_after=0)
 
     def test_stale_model_fault_triggers_fallback_in_sim(self, catalog):
         lc = catalog.lc_apps["xapian"]
@@ -127,15 +121,15 @@ class TestModelDistrust:
 
 
 class TestSolverFallback:
-    def test_retries_then_greedy_fallback(self):
+    def test_failed_solve_falls_back_to_greedy(self):
         values = np.array([[3.0, 1.0], [2.0, 4.0]])
-        # An unknown method fails with SolverError on every attempt, so
-        # the wrapper exhausts its retries and hands over to greedy.
+        # An unknown method fails with SolverError; the solvers are
+        # deterministic, so the wrapper hands over to greedy at once.
         assignment, total, method, fallbacks = assign_with_fallback(
-            values, method="bogus", retries=2
+            values, method="bogus"
         )
         assert method == "greedy-fallback"
-        assert fallbacks == 3  # 1 initial try + 2 retries, all failed
+        assert fallbacks == 1  # the one failed solve
         assert assignment == [0, 1]
         assert total == pytest.approx(7.0)
 
@@ -149,7 +143,7 @@ class TestSolverFallback:
     def test_nan_cells_sanitized_for_the_fallback(self):
         values = np.array([[np.nan, 1.0], [2.0, np.nan]])
         assignment, total, method, fallbacks = assign_with_fallback(
-            values, method="bogus", retries=0
+            values, method="bogus"
         )
         assert method == "greedy-fallback"
         # NaN cells are worth nothing, not un-placeable.
@@ -159,17 +153,13 @@ class TestSolverFallback:
     def test_unrecoverable_failure_raises_chained_solver_error(self):
         empty = np.empty((0, 0))
         with pytest.raises(SolverError):
-            assign_with_fallback(empty, method="bogus", retries=0)
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ConfigError):
-            assign_with_fallback(np.ones((2, 2)), retries=-1)
+            assign_with_fallback(empty, method="bogus")
 
     def test_pocolo_placement_records_fallbacks(self, catalog):
         matrix = catalog.performance_matrix()
-        decision = pocolo_placement(matrix, method="bogus", retries=1)
+        decision = pocolo_placement(matrix, method="bogus")
         assert decision.method == "greedy-fallback"
-        assert decision.solver_fallbacks == 2
+        assert decision.solver_fallbacks == 1
         assert set(decision.mapping) == set(matrix.be_names)
         clean = pocolo_placement(matrix)
         assert clean.solver_fallbacks == 0

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from repro.core.server_manager import PowerOptimizedManager
-from repro.errors import ConfigError
 from repro.faults import FaultSchedule, FaultyPowerMeter, MeterStuckAt
-from repro.hwmodel.capping import PowerCapController
+from repro.hwmodel.capping import MIN_DUTY_CYCLE, RECOVERY_SAMPLES, PowerCapController
 from repro.hwmodel.meter import PowerMeter
 from repro.sim import ColocationSim, SimConfig, build_colocated_server
 from repro.workloads import ConstantTrace
@@ -68,7 +67,7 @@ class TestWatchdogDetection:
         assert capper.safe_mode
         alloc = server.allocation_of(be.name)
         assert alloc.freq_ghz == pytest.approx(server.spec.ladder.min_ghz)
-        assert alloc.duty_cycle == pytest.approx(capper.min_duty_cycle)
+        assert alloc.duty_cycle == pytest.approx(MIN_DUTY_CYCLE)
 
     def test_recovery_after_the_fault_clears(self, catalog):
         schedule = FaultSchedule([MeterStuckAt(start_s=2.0, duration_s=2.0)])
@@ -84,7 +83,7 @@ class TestWatchdogDetection:
             ):
                 cleared_at = k
         assert cleared_at is not None
-        assert cleared_at - recovery_sample <= capper.recovery_samples + 1
+        assert cleared_at - recovery_sample <= RECOVERY_SAMPLES + 1
         assert not capper.safe_mode
 
     def test_implausible_reading_trips_immediately(self, catalog):
@@ -117,14 +116,6 @@ class TestWatchdogDetection:
             capper.step(k * 0.1)
         assert not capper.safe_mode
         assert capper.stats.watchdog_trips == 0
-
-    def test_parameter_validation(self, catalog):
-        with pytest.raises(ConfigError):
-            capped_server(catalog, stale_after=0)
-        with pytest.raises(ConfigError):
-            capped_server(catalog, recovery_samples=0)
-        with pytest.raises(ConfigError):
-            capped_server(catalog, max_plausible_w=0.0)
 
 
 def run_colocation(catalog, faults=None, duration_s=40.0):

@@ -6,6 +6,7 @@ package imports cleanly, and the exception hierarchy behaves.
 """
 
 import importlib
+import inspect
 
 import pytest
 
@@ -64,6 +65,35 @@ class TestPublicSurface:
         for obj in (IndirectUtilityModel, PowerOptimizedManager, fit_catalog,
                     run_policy, Server, ColocationSim):
             assert callable(obj)
+
+
+
+#: Public parameters of the control-plane constructors and the placement
+#: wrapper.  Tuning values are module constants of the owning module; a
+#: parameter belongs here only once code outside the tests sets it.
+CONSTRUCTOR_SURFACE = {
+    ("repro.hwmodel.capping", "PowerCapController"): (
+        "server", "meter", "watchdog",
+    ),
+    ("repro.core.server_manager", "HeraclesLikeManager"): (
+        "server", "slack_target", "slack_upper",
+    ),
+    ("repro.core.server_manager", "PowerOptimizedManager"): (
+        "server", "model", "slack_target", "slack_upper",
+    ),
+    ("repro.core.placement", "assign_with_fallback"): ("values", "method"),
+}
+
+
+class TestConstructorSurface:
+    @pytest.mark.parametrize(
+        "where, params", CONSTRUCTOR_SURFACE.items(),
+        ids=[name for _, name in CONSTRUCTOR_SURFACE],
+    )
+    def test_parameters_pinned(self, where, params):
+        module, name = where
+        obj = getattr(importlib.import_module(module), name)
+        assert tuple(inspect.signature(obj).parameters) == params
 
 
 class TestErrorHierarchy:

@@ -106,7 +106,7 @@ class TestNonFiniteInput:
         values = np.array([[np.nan, 1.0], [2.0, np.nan]])
         assignment, total, method, fallbacks = assign_with_fallback(values)
         assert method == "greedy-fallback"
-        assert fallbacks == 2  # the default solve and its one retry
+        assert fallbacks == 1  # the one failed solve
         assert assignment == [1, 0]
         assert total == pytest.approx(3.0)
 

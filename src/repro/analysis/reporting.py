@@ -71,7 +71,6 @@ def format_series(
     y_labels: Sequence[str],
     x: Sequence[float],
     series: Sequence[Sequence[float]],
-    precision: int = 3,
     title: str = "",
 ) -> str:
     """Render line-chart data (a figure's series) as a table.
@@ -87,8 +86,7 @@ def format_series(
         [x[i]] + [s[i] for s in series]
         for i in range(len(x))
     ]
-    return format_table([x_label] + list(y_labels), rows,
-                        precision=precision, title=title)
+    return format_table([x_label] + list(y_labels), rows, title=title)
 
 
 def percent_change(new: float, old: float) -> float:
@@ -98,11 +96,7 @@ def percent_change(new: float, old: float) -> float:
     return new / old - 1.0
 
 
-def format_degradation(
-    rows: Sequence[Sequence[Cell]],
-    precision: int = 3,
-    title: str = "Degradation under faults",
-) -> str:
+def format_degradation(rows: Sequence[Sequence[Cell]]) -> str:
     """Render the graceful-degradation table of one or more runs.
 
     Each row is ``(label, cap_stats, manager_stats)`` where the stats are
@@ -131,15 +125,11 @@ def format_degradation(
     return format_table(
         ["run", "safe steps", "safe frac", "wd trips", "over-cap frac",
          "model fb", "model fb frac", "solver fb"],
-        table_rows, precision=precision, title=title,
+        table_rows, title="Degradation under faults",
     )
 
 
-def format_budget_degradation(
-    rows: Sequence[Sequence[Cell]],
-    precision: int = 3,
-    title: str = "Degradation under power budgets",
-) -> str:
+def format_budget_degradation(rows: Sequence[Sequence[Cell]]) -> str:
     """Render the budget-arbiter degradation table of one or more runs.
 
     Each row is ``(label, budget_report)`` where the report is the
@@ -173,5 +163,5 @@ def format_budget_degradation(
     return format_table(
         ["run", "ticks", "skipped", "granted", "expired", "lost",
          "delayed", "max stage", "evicted", "shed"],
-        table_rows, precision=precision, title=title,
+        table_rows, title="Degradation under power budgets",
     )

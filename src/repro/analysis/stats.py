@@ -29,11 +29,10 @@ class Summary:
 def relative_gain_ci(
     new: Sequence[float],
     base: Sequence[float],
-    n_boot: int = 2000,
-    alpha: float = 0.05,
     seed: int = 0,
 ) -> Summary:
-    """Bootstrap CI of the relative gain ``mean(new)/mean(base) - 1``.
+    """95 % bootstrap CI (2000 resamples) of the relative gain
+    ``mean(new)/mean(base) - 1``.
 
     Resamples both groups independently; use for unpaired policy
     comparisons (different placement seeds per policy).
@@ -45,12 +44,12 @@ def relative_gain_ci(
     if np.mean(base_v) == 0:
         raise ConfigError("base group has zero mean")
     rng = np.random.default_rng(seed)
-    stats = np.empty(n_boot)
-    for b in range(n_boot):
+    stats = np.empty(2000)
+    for b in range(2000):
         ns = new_v[rng.integers(0, new_v.size, size=new_v.size)]
         bs = base_v[rng.integers(0, base_v.size, size=base_v.size)]
         stats[b] = np.mean(ns) / np.mean(bs) - 1.0
-    lo, hi = np.percentile(stats, [100 * alpha / 2, 100 * (1 - alpha / 2)])
+    lo, hi = np.percentile(stats, [2.5, 97.5])
     return Summary(
         mean=float(np.mean(new_v) / np.mean(base_v) - 1.0),
         ci_low=float(lo), ci_high=float(hi),

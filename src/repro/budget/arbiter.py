@@ -400,14 +400,11 @@ class BudgetReport:
         default_factory=dict
     )
 
-    def max_stage(self, rack_name: Optional[str] = None) -> int:
-        """The deepest brownout stage any (or the named) rack reached."""
-        racks = (
-            [rack_name] if rack_name is not None else list(self.stage_history)
-        )
+    def max_stage(self) -> int:
+        """The deepest brownout stage any rack reached."""
         deepest = STAGE_NOMINAL
-        for name in racks:
-            for _, stage in self.stage_history.get(name, ()):
+        for history in self.stage_history.values():
+            for _, stage in history:
                 deepest = max(deepest, stage)
         return deepest
 

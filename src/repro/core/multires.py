@@ -106,22 +106,23 @@ class KResourceProfile:
 
 
 def make_three_resource_app(
-    name: str = "analytics-3r",
-    alphas: Tuple[float, float, float] = (0.45, 0.25, 0.30),
     preferences: Tuple[float, float, float] = (0.30, 0.25, 0.45),
     full_active_w: float = 95.0,
     static_w: float = 4.0,
-    limits: Tuple[int, int, int] = (12, 20, 10),
 ) -> KResourceProfile:
-    """A calibrated 3-resource app: cores, LLC ways, memory bandwidth.
+    """``analytics-3r``, a calibrated app over cores, LLC ways and memory
+    bandwidth.
 
+    Elasticities are ``(0.45, 0.25, 0.30)`` and limits ``(12, 20, 10)``.
     Power coefficients are derived from the target indirect preference
     vector exactly as in the 2-resource catalog:
     ``p_j ∝ alpha_j / pref_j``, scaled so the full allocation draws
     ``full_active_w``.
     """
-    if len(alphas) != 3 or len(preferences) != 3 or len(limits) != 3:
+    if len(preferences) != 3:
         raise ConfigError("three resources require three-vectors")
+    alphas = (0.45, 0.25, 0.30)
+    limits = (12, 20, 10)
     raw_p = [a / pref for a, pref in zip(alphas, preferences)]
     scale = (full_active_w - static_w) / sum(
         limit * px for limit, px in zip(limits, raw_p)
@@ -129,7 +130,7 @@ def make_three_resource_app(
     if scale <= 0:
         raise ConfigError("full active power must exceed static power")
     return KResourceProfile(
-        name=name,
+        name="analytics-3r",
         alphas=alphas,
         p=tuple(px * scale for px in raw_p),
         limits=limits,
@@ -190,14 +191,14 @@ def profile_k_resources(
 
 def fit_k_model(
     samples: Sequence[KResourceSample],
-    names: Tuple[str, ...] = DEFAULT_RESOURCE_NAMES,
 ) -> Tuple[IndirectUtilityModel, float, float]:
-    """Log-linear + linear least squares over k regressors.
+    """Log-linear + linear least squares over the k regressors named by
+    ``DEFAULT_RESOURCE_NAMES``.
 
     Returns ``(model, r2_perf, r2_power)``; the same recipe as the
     2-resource :mod:`repro.core.fitting`, generalized.
     """
-    k = len(names)
+    k = len(DEFAULT_RESOURCE_NAMES)
     usable = [s for s in samples if s.perf > 0]
     if len(usable) < k + 2:
         raise ModelFitError(f"need at least {k + 2} positive samples")
@@ -227,7 +228,9 @@ def fit_k_model(
         p=tuple(max(1e-6, float(px)) for px in coef_p[1:]),
     )
 
-    model = IndirectUtilityModel(perf=perf_params, power=power_params, names=names)
+    model = IndirectUtilityModel(
+        perf=perf_params, power=power_params, names=DEFAULT_RESOURCE_NAMES
+    )
     r2_perf = r_squared(
         [s.perf for s in usable],
         [model.performance(s.resources) for s in usable],
@@ -247,11 +250,10 @@ def integer_min_power_allocation_k(
     model: IndirectUtilityModel,
     perf_target: float,
     limits: Sequence[int],
-    radius: int = 2,
 ) -> Tuple[int, ...]:
     """Discrete least-power k-vector reaching ``perf_target``.
 
-    Rounds the continuous dual solution, searches the ±``radius``
+    Rounds the continuous dual solution, searches the ±2
     lattice neighborhood for the cheapest feasible point, and repairs an
     infeasible rounding by greedily adding the unit with the best
     marginal performance per watt.  Raises :class:`CapacityError` when
@@ -270,7 +272,7 @@ def integer_min_power_allocation_k(
     center = [min(limits[j], max(1, round(cont[j]))) for j in range(k)]
 
     best: Optional[Tuple[float, Tuple[int, ...]]] = None
-    offsets = itertools.product(range(-radius, radius + 1), repeat=k)
+    offsets = itertools.product(range(-2, 3), repeat=k)
     for offset in offsets:
         point = tuple(center[j] + offset[j] for j in range(k))
         if any(not 1 <= point[j] <= limits[j] for j in range(k)):

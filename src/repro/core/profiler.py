@@ -106,7 +106,6 @@ def profile_latency_critical(
     app: LatencyCriticalApp,
     grid: Sequence[Allocation],
     load_fraction: float = 0.3,
-    slack_guard: float = DEFAULT_SLACK_GUARD,
     rng: Optional[np.random.Generator] = None,
     perf_noise: float = DEFAULT_PERF_NOISE,
     power_noise: float = DEFAULT_POWER_NOISE,
@@ -116,7 +115,7 @@ def profile_latency_critical(
 
     The performance metric per point is the estimated *max load within
     the SLO* (Section IV-A).  Points where the app would violate the
-    ``slack_guard`` latency slack at the current production load are
+    ``DEFAULT_SLACK_GUARD`` latency slack at the current production load are
     dropped — profiling never endangers the SLO, and contaminated
     samples (queue build-up corrupts both throughput and power readings)
     are exactly the ones the paper's guard rejects.
@@ -128,7 +127,7 @@ def profile_latency_critical(
     load = load_fraction * app.peak_load
     samples = []
     for alloc in grid:
-        if app.slack(load, alloc) < slack_guard:
+        if app.slack(load, alloc) < DEFAULT_SLACK_GUARD:
             continue
         perf = app.measured_capacity(alloc, rng, perf_noise)
         true_power = app.active_power_w(alloc)

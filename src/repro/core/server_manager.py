@@ -42,9 +42,6 @@ DEFAULT_SLACK_UPPER = 0.45
 #: Heracles: consecutive high-slack steps before the primary shrinks.
 SHRINK_PATIENCE = 3
 
-#: Heracles: steps after a grow during which the primary cannot shrink.
-GROW_COOLDOWN = 5
-
 #: Heracles: steps before the post-violation size floor decays (so a
 #: load drop can reclaim it).
 FLOOR_TTL = 60
@@ -238,10 +235,10 @@ class HeraclesLikeManager(ServerManagerBase):
     which direction is cheaper in watts.
 
     Heracles-style asymmetry keeps the SLO safe: growth is immediate and
-    opens a :data:`GROW_COOLDOWN` shrink cooldown; shrinking needs
-    :data:`SHRINK_PATIENCE` consecutive high-slack observations; and any
-    slack shortfall right after a shrink re-establishes the previous
-    size as a floor that decays only after :data:`FLOOR_TTL` steps.
+    makes the grown size a floor that decays only after :data:`FLOOR_TTL`
+    steps, so the primary cannot shrink back below it until then; and
+    shrinking needs :data:`SHRINK_PATIENCE` consecutive high-slack
+    observations.
     """
 
     power_aware = False
@@ -254,7 +251,6 @@ class HeraclesLikeManager(ServerManagerBase):
     ) -> None:
         super().__init__(server, slack_target=slack_target, slack_upper=slack_upper)
         self._high_slack_streak = 0
-        self._cooldown = 0
         self._floor_cores = 1
         self._floor_age = 0
 
@@ -264,18 +260,15 @@ class HeraclesLikeManager(ServerManagerBase):
         spec = self.server.spec
         if current.is_empty:
             return self._balanced(1)
-        if self._cooldown > 0:
-            self._cooldown -= 1
         self._floor_age += 1
         if self._floor_age > FLOOR_TTL:
             self._floor_cores = 1
 
         if measured_slack < self.slack_target:
-            # Starved: grow immediately, remember this size as unsafe to
-            # revisit, and block shrinking for a while.
+            # Starved: grow immediately and keep the grown size as a floor
+            # until it ages out.
             self.stats.grow_actions += 1
             self._high_slack_streak = 0
-            self._cooldown = GROW_COOLDOWN
             self._floor_cores = min(spec.cores, current.cores + 1)
             self._floor_age = 0
             return self._balanced(current.cores + 1)
@@ -283,8 +276,7 @@ class HeraclesLikeManager(ServerManagerBase):
         if measured_slack > self.slack_upper:
             self._high_slack_streak += 1
             can_shrink = (
-                self._cooldown == 0
-                and self._high_slack_streak >= SHRINK_PATIENCE
+                self._high_slack_streak >= SHRINK_PATIENCE
                 and current.cores - 1 >= self._floor_cores
             )
             if can_shrink:

@@ -158,19 +158,18 @@ def _pairwise_refine(
     shares: Dict[str, Tuple[int, int]],
     spare: Allocation,
     power_budget_w: float,
-    max_rounds: int = 6,
 ) -> Dict[str, Tuple[int, int]]:
     """Re-split every tenant pair exactly, holding the others fixed.
 
     Each pass hands one pair its combined resources + budget headroom
     and re-solves that two-tenant subproblem with the exact enumerator;
-    iterating to a fixed point lifts the k>=3 heuristic close to optimal
+    iterating to a fixed point (at most six passes) lifts the k>=3 heuristic close to optimal
     without exponential work.
     """
     from itertools import combinations
 
     names = list(models)
-    for _ in range(max_rounds):
+    for _ in range(6):
         improved = False
         for a, b in combinations(names, 2):
             others = {n: shares.get(n, (0, 0)) for n in names if n not in (a, b)}

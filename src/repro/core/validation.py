@@ -97,17 +97,13 @@ def _residual_trend(samples: Sequence[ProfileSample], fit: FitResult) -> float:
     return float(abs(np.corrcoef(logs_a, imb_a)[0, 1]))
 
 
-def _bootstrap_pref_ci(
-    samples: Sequence[ProfileSample],
-    n_boot: int = 200,
-    alpha: float = 0.05,
-    seed: int = 0,
-) -> Tuple[float, float]:
-    """Case-resampling bootstrap CI on the indirect cores-share."""
-    rng = np.random.default_rng(seed)
+def _bootstrap_pref_ci(samples: Sequence[ProfileSample]) -> Tuple[float, float]:
+    """Case-resampling 95 % bootstrap CI (200 resamples) on the indirect
+    cores-share."""
+    rng = np.random.default_rng(0)
     usable = list(samples)
     shares: List[float] = []
-    for _ in range(n_boot):
+    for _ in range(200):
         idx = rng.integers(0, len(usable), size=len(usable))
         resampled = [usable[i] for i in idx]
         try:
@@ -115,9 +111,9 @@ def _bootstrap_pref_ci(
         except ModelFitError:
             continue  # degenerate resample; skip
         shares.append(boot_fit.preference_vector()["cores"])
-    if len(shares) < max(20, n_boot // 4):
+    if len(shares) < 50:
         return (0.0, 1.0)  # too unstable to bound — maximally uncertain
-    lo, hi = np.percentile(shares, [100 * alpha / 2, 100 * (1 - alpha / 2)])
+    lo, hi = np.percentile(shares, [2.5, 97.5])
     return (float(lo), float(hi))
 
 
@@ -125,16 +121,13 @@ def diagnose_fit(
     samples: Sequence[ProfileSample],
     fit: Optional[FitResult] = None,
     min_r2_perf: float = MIN_R2_PERF,
-    min_r2_power: float = MIN_R2_POWER,
-    max_returns_to_scale: float = MAX_RETURNS_TO_SCALE,
-    max_residual_trend: float = MAX_RESIDUAL_TREND,
-    seed: int = 0,
 ) -> FitDiagnostics:
     """Run every diagnostic on a (samples, fit) pair.
 
-    ``fit`` defaults to fitting ``samples`` fresh.  Thresholds are
-    keyword-tunable; the defaults flag the synthetic Leontief stress app
-    while passing the whole paper catalog (see the tests).
+    ``fit`` defaults to fitting ``samples`` fresh.  The thresholds are the
+    module constants (``min_r2_perf`` is keyword-tunable); they flag the
+    synthetic Leontief stress app while passing the whole paper catalog
+    (see the tests).
     """
     if len(samples) < 6:
         raise ConfigError("diagnostics need at least 6 samples")
@@ -145,18 +138,18 @@ def diagnose_fit(
         warnings.append(
             f"performance R2 {fit.r2_perf:.2f} below {min_r2_perf:.2f}"
         )
-    if fit.r2_power < min_r2_power:
+    if fit.r2_power < MIN_R2_POWER:
         warnings.append(
-            f"power R2 {fit.r2_power:.2f} below {min_r2_power:.2f}"
+            f"power R2 {fit.r2_power:.2f} below {MIN_R2_POWER:.2f}"
         )
     rts = fit.model.perf.alpha_sum
-    if rts > max_returns_to_scale:
+    if rts > MAX_RETURNS_TO_SCALE:
         warnings.append(
-            f"returns to scale {rts:.2f} above {max_returns_to_scale:.2f} — "
+            f"returns to scale {rts:.2f} above {MAX_RETURNS_TO_SCALE:.2f} — "
             "fit is super-linear; check for contaminated samples"
         )
     trend = _residual_trend(samples, fit)
-    if trend > max_residual_trend:
+    if trend > MAX_RESIDUAL_TREND:
         warnings.append(
             f"residuals trend with resource imbalance (|r|={trend:.2f}) — "
             "the workload may not substitute resources (Leontief-like); "
@@ -167,7 +160,7 @@ def diagnose_fit(
     # 0.45:0.55) is a *finding* — placement treats its pairings as
     # interchangeable, exactly the paper's RNN/pbzip ↔ xapian/TPCC — not
     # a defect of the fit.
-    ci = _bootstrap_pref_ci(samples, seed=seed)
+    ci = _bootstrap_pref_ci(samples)
     return FitDiagnostics(
         r2_perf=fit.r2_perf,
         r2_power=fit.r2_power,
@@ -178,29 +171,21 @@ def diagnose_fit(
     )
 
 
-def leontief_samples(
-    spec_cores: int = 12,
-    spec_ways: int = 20,
-    scale: float = 100.0,
-    p_core: float = 4.0,
-    p_way: float = 2.0,
-    static_w: float = 5.0,
-    noise: float = 0.05,
-    seed: int = 0,
-) -> List[ProfileSample]:
+def leontief_samples(noise: float = 0.05) -> List[ProfileSample]:
     """Profiling samples from a *Leontief* (perfect-complements) app.
 
-    ``perf = scale * min(cores/C, ways/W)`` — resources do NOT
+    ``perf = 100 * min(cores/12, ways/20)`` and ``power = 5 + 4 cores +
+    2 ways`` W, with log-normal ``noise`` — resources do NOT
     substitute, violating the paper's §V-G convex-preferences premise.
     Used by tests and the V2 benchmark to prove the diagnostics catch
     exactly the workloads the paper warns about.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     samples = []
     for cores in (1, 2, 4, 6, 9, 12):
         for ways in (2, 5, 9, 14, 20):
-            perf = scale * min(cores / spec_cores, ways / spec_ways)
-            power = static_w + cores * p_core + ways * p_way
+            perf = 100.0 * min(cores / 12, ways / 20)
+            power = 5.0 + cores * 4.0 + ways * 2.0
             if noise:
                 perf *= rng.lognormal(0.0, noise)
                 power *= rng.lognormal(0.0, noise / 2)

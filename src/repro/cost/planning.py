@@ -46,12 +46,11 @@ def plan_power(
     horizon_s: float = 86400.0,
     samples: int = 96,
     safety_margin: float = 0.02,
-    slack_target: float = 0.0,
 ) -> PowerPlan:
     """Right-size a server's power capacity for ``lc`` under ``trace``.
 
     Samples the trace, computes the least-power draw that serves each
-    sampled load with ``slack_target`` latency slack, and provisions the
+    sampled load within its SLO, and provisions the
     maximum plus a ``safety_margin``.  Also reports the mean draw and
     the stranded fraction — the quantity harvesting recovers.
     """
@@ -67,7 +66,7 @@ def plan_power(
         t = horizon_s * i / samples
         fraction = trace.load_fraction(t)
         peak_fraction = max(peak_fraction, fraction)
-        alloc = true_min_power_allocation(lc, fraction, slack_target=slack_target)
+        alloc = true_min_power_allocation(lc, fraction)
         draws.append(lc.profile.server_power_w(alloc))
     provisioned = max(draws) * (1.0 + safety_margin)
     mean_draw = sum(draws) / len(draws)
@@ -103,10 +102,9 @@ def stranded_power_profile(
     lc: LatencyCriticalApp,
     trace: LoadTrace,
     provisioned_power_w: Optional[float] = None,
-    horizon_s: float = 86400.0,
     samples: int = 24,
 ) -> List[Tuple[float, float]]:
-    """(time, stranded watts) over the horizon — Fig 1's harvesting gap.
+    """(time, stranded watts) over one day — Fig 1's harvesting gap.
 
     Stranded watts = provisioned capacity minus the LC's power-efficient
     draw at that instant; the budget Pocolo hands to best-effort work.
@@ -114,10 +112,10 @@ def stranded_power_profile(
     if samples < 1:
         raise ConfigError("need at least one sample")
     if provisioned_power_w is None:
-        provisioned_power_w = plan_power(lc, trace, horizon_s=horizon_s).provisioned_power_w
+        provisioned_power_w = plan_power(lc, trace).provisioned_power_w
     profile = []
     for i in range(samples):
-        t = horizon_s * i / samples
+        t = 86400.0 * i / samples
         alloc = true_min_power_allocation(lc, trace.load_fraction(t))
         draw = lc.profile.server_power_w(alloc)
         profile.append((t, max(0.0, provisioned_power_w - draw)))

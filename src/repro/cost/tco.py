@@ -32,7 +32,7 @@ Fig 15 decomposes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.errors import ConfigError
 
@@ -142,10 +142,10 @@ def monthly_tco(
 
 def compare_policies(
     points: Sequence[PolicyOperatingPoint],
-    params: TcoParams = TcoParams(),
-    reference: str = None,
+    reference: Optional[str] = None,
 ) -> Dict[str, TcoBreakdown]:
-    """TCO for several policies at one constant delivered throughput.
+    """TCO for several policies at one constant delivered throughput,
+    priced at the default :class:`TcoParams`.
 
     ``reference`` names the policy whose measured throughput defines the
     constant total work (default: the first point).  Returns breakdowns
@@ -162,7 +162,7 @@ def compare_policies(
         raise ConfigError(f"reference policy {ref_name!r} not among points")
     ref_throughput = by_name[ref_name].throughput_per_server
     return {
-        p.name: monthly_tco(p, params, reference_throughput=ref_throughput)
+        p.name: monthly_tco(p, reference_throughput=ref_throughput)
         for p in points
     }
 

@@ -27,6 +27,7 @@ campaign its cases; a task that raises surfaces as
 """
 
 from repro.engine.parallel import CellKey, map_ordered
+from repro.engine.select import ENGINES, default_engine, resolve_engine
 from repro.engine.vectorized import (
     ModelGrid,
     build_performance_matrix_vectorized,
@@ -37,7 +38,6 @@ from repro.engine.vectorized import (
 )
 
 __all__ = [
-    "BatchedClusterSim",
     "CellKey",
     "ENGINES",
     "ModelGrid",
@@ -47,33 +47,6 @@ __all__ = [
     "default_engine",
     "map_ordered",
     "model_grid",
-    "partition_cells",
     "predict_be_throughput_batch",
     "resolve_engine",
-    "run_batched_cells",
 ]
-
-from repro.engine.select import ENGINES, default_engine, resolve_engine
-
-#: Names served lazily from repro.engine.batched (PEP 562).  The
-#: batched core imports repro.sim.colocation at module level, and
-#: repro.sim.cluster imports repro.engine.parallel — resolving these on
-#: first attribute access keeps package initialization acyclic.
-_BATCHED_EXPORTS = (
-    "BatchedClusterSim",
-    "clear_batched_caches",
-    "partition_cells",
-    "run_batched_cells",
-)
-
-
-def __getattr__(name: str):
-    if name in _BATCHED_EXPORTS:
-        from repro.engine import batched
-
-        return getattr(batched, name)
-    # The module __getattr__ protocol demands AttributeError — any
-    # other type breaks hasattr() and dir() probes.
-    raise AttributeError(  # pocolint: disable=exception-policy
-        f"module {__name__!r} has no attribute {name!r}"
-    )

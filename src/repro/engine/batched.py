@@ -78,7 +78,6 @@ import numpy as np
 from repro.core.server_manager import (
     DISTRUST_AFTER,
     FLOOR_TTL,
-    GROW_COOLDOWN,
     MAX_HEADROOM,
     MIN_HEADROOM,
     RETRUST_AFTER,
@@ -388,7 +387,6 @@ def _build_probe(plan: Any, spec: ServerSpec, be_app: Any) -> Union[Dict[str, An
     if kind == "heracles":
         info.update(
             streak0=int(manager._high_slack_streak),
-            cooldown0=int(manager._cooldown),
             floor0=int(manager._floor_cores),
             floor_age0=int(manager._floor_age),
         )
@@ -713,9 +711,6 @@ class BatchedClusterSim:
             self.h_slack_target = np.asarray([i["slack_target"] for i in her])
             self.h_slack_upper = np.asarray([i["slack_upper"] for i in her])
             self.h_streak = np.asarray([i["streak0"] for i in her], dtype=np.int64)
-            self.h_cooldown = np.asarray(
-                [i["cooldown0"] for i in her], dtype=np.int64
-            )
             self.h_floor = np.asarray([i["floor0"] for i in her], dtype=np.int64)
             self.h_floor_age = np.asarray(
                 [i["floor_age0"] for i in her], dtype=np.int64
@@ -1145,15 +1140,11 @@ class BatchedClusterSim:
         """Heracles targets for the lanes ``sel`` indexes (their slack)."""
         lc_c, lc_w, lc_f = self.lc_c[sel], self.lc_w[sel], self.lc_f[sel]
         stats = self.mgr_stats
-        self.h_cooldown = np.where(
-            self.h_cooldown > 0, self.h_cooldown - 1, self.h_cooldown
-        )
         self.h_floor_age += 1
         self.h_floor = np.where(self.h_floor_age > FLOOR_TTL, 1, self.h_floor)
 
         grow = slack < self.h_slack_target
         self._add_kind(stats["grow_actions"], sel, grow)
-        self.h_cooldown = np.where(grow, GROW_COOLDOWN, self.h_cooldown)
         new_floor = np.minimum(self.C, lc_c + 1)
         self.h_floor = np.where(grow, new_floor, self.h_floor)
         self.h_floor_age = np.where(grow, 0, self.h_floor_age)
@@ -1162,7 +1153,6 @@ class BatchedClusterSim:
         streak = np.where(high, self.h_streak + 1, 0)
         can_shrink = (
             high
-            & (self.h_cooldown == 0)
             & (streak >= SHRINK_PATIENCE)
             & (lc_c - 1 >= self.h_floor)
         )

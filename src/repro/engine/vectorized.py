@@ -105,7 +105,7 @@ def clear_engine_caches() -> None:
     model_grid.cache_clear()
     cached_spare_capacity.cache_clear()
     # The batched core keeps its own memoized surfaces; clear them too,
-    # but only if that module was ever imported (lazy PEP 562 export).
+    # but only if that module was ever imported (it imports this one).
     batched = sys.modules.get("repro.engine.batched")
     if batched is not None:
         batched.clear_batched_caches()

@@ -15,18 +15,22 @@ quantify it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.apps.best_effort import BestEffortApp
-from repro.apps.catalog import best_effort_apps, latency_critical_apps
+from repro.apps.catalog import (
+    REFERENCE_SPEC,
+    best_effort_apps,
+    latency_critical_apps,
+)
 from repro.apps.latency_critical import LatencyCriticalApp
 from repro.core.fitting import fit_indirect_utility
 from repro.core.placement import pocolo_placement, random_placement
 from repro.core.profiler import profile_best_effort, profile_latency_critical
 from repro.core.server_manager import PowerOptimizedManager
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ModelFitError
 from repro.evaluation.pipeline import FittedCatalog, fit_catalog
 from repro.hwmodel.spec import Allocation, ServerSpec
 from repro.sim.cluster import ServerPlan, Sweep, run_sweeps
@@ -51,13 +55,10 @@ class SlackAblationRow:
 def ablate_slack_target(
     catalog: FittedCatalog,
     targets: Sequence[float] = (0.0, 0.05, 0.10, 0.20, 0.30, 0.50),
-    lc_name: str = "xapian",
-    be_name: str = "rnn",
     levels: Sequence[float] = UNIFORM_EVAL_LEVELS,
     duration_s: float = 25.0,
-    sim_seed: int = 0,
 ) -> List[SlackAblationRow]:
-    """Sweep POM's latency-slack target on one representative colocation.
+    """Sweep POM's latency-slack target on xapian colocated with rnn.
 
     Expected shape in this substrate: POM is *robust* across the 0-30 %
     range (the adaptive load headroom, not the slack target, provides
@@ -67,12 +68,10 @@ def ablate_slack_target(
     ceiling, the primary hoards resources, and BE throughput collapses.
     The paper's 10 % choice sits comfortably on the flat, safe plateau.
     """
-    if lc_name not in catalog.lc_apps or be_name not in catalog.be_apps:
-        raise ConfigError("unknown application name")
-    lc = catalog.lc_apps[lc_name]
-    be = catalog.be_apps[be_name]
-    model = catalog.lc_fits[lc_name].model
-    config = SimConfig(seed=sim_seed)
+    lc = catalog.lc_apps["xapian"]
+    be = catalog.be_apps["rnn"]
+    model = catalog.lc_fits["xapian"].model
+    config = SimConfig(seed=0)
     sweeps = [
         Sweep([ServerPlan(
             lc_app=lc,
@@ -111,19 +110,17 @@ class SolverAblationRow:
 
 def ablate_solver_choice(
     catalog: FittedCatalog,
-    methods: Sequence[str] = ("lp", "hungarian", "brute", "greedy"),
-    random_seeds: Sequence[int] = tuple(range(24)),
-    levels: Sequence[float] = UNIFORM_EVAL_LEVELS,
 ) -> Tuple[List[SolverAblationRow], float]:
     """Compare assignment back ends on the same performance matrix.
 
-    Returns per-method rows plus the mean predicted total of random
-    placements (the no-solver floor).  LP, Hungarian and brute force must
-    agree on the optimum; greedy may fall short.
+    Returns per-method rows (LP, Hungarian, brute force, greedy) plus the
+    mean predicted total of 24 seeded random placements (the no-solver
+    floor).  LP, Hungarian and brute force must agree on the optimum;
+    greedy may fall short.
     """
-    matrix = catalog.performance_matrix(levels)
+    matrix = catalog.performance_matrix()
     rows = []
-    for method in methods:
+    for method in ("lp", "hungarian", "brute", "greedy"):
         decision = pocolo_placement(matrix, method=method)
         rows.append(
             SolverAblationRow(
@@ -133,7 +130,7 @@ def ablate_solver_choice(
             )
         )
     random_totals = []
-    for seed in random_seeds:
+    for seed in range(24):
         decision = random_placement(
             matrix.be_names, matrix.lc_names, rng=np.random.default_rng(seed)
         )
@@ -174,12 +171,11 @@ def _subgrid(spec: ServerSpec, n_per_axis: int) -> List[Allocation]:
 
 def ablate_sample_budget(
     budgets: Sequence[int] = (3, 4, 6, 8),
-    spec: Optional[ServerSpec] = None,
-    seed: int = 11,
-    reference_seed: int = 7,
-    load_fraction: float = 0.15,
 ) -> List[SampleBudgetRow]:
     """Refit every app on shrinking profiling grids (n x n points).
+
+    LC apps are profiled at 15 % load, with profiling seed 11 against the
+    seed-7 reference catalog.
 
     ``mean_pref_error`` is the mean absolute error of the fitted indirect
     cores-share against ground truth; ``placement_matches_full`` reports
@@ -189,11 +185,7 @@ def ablate_sample_budget(
     is reported as a NaN row with ``placement_matches_full=False`` rather
     than raising — "this budget is not enough" is the finding.
     """
-    from repro.apps.catalog import REFERENCE_SPEC
-    from repro.errors import ModelFitError
-
-    server_spec = spec if spec is not None else REFERENCE_SPEC
-    reference = fit_catalog(spec=server_spec, seed=reference_seed)
+    reference = fit_catalog(seed=7)
     reference_mapping = sorted(
         pocolo_placement(reference.performance_matrix()).mapping.items()
     )
@@ -201,15 +193,15 @@ def ablate_sample_budget(
     for n in budgets:
         if n < 2:
             raise ConfigError("need at least 2 points per axis to fit")
-        rng = np.random.default_rng(seed)
-        grid = _subgrid(server_spec, n)
-        lc_apps = latency_critical_apps(server_spec)
-        be_apps = best_effort_apps(server_spec)
+        rng = np.random.default_rng(11)
+        grid = _subgrid(REFERENCE_SPEC, n)
+        lc_apps = latency_critical_apps(REFERENCE_SPEC)
+        be_apps = best_effort_apps(REFERENCE_SPEC)
         try:
             lc_fits = {}
             for name, app in lc_apps.items():
                 samples = profile_latency_critical(
-                    app, grid, load_fraction=load_fraction, rng=rng
+                    app, grid, load_fraction=0.15, rng=rng
                 )
                 lc_fits[name] = fit_indirect_utility(samples)
             be_fits = {}
@@ -228,7 +220,7 @@ def ablate_sample_budget(
             )
             continue
         catalog = FittedCatalog(
-            spec=server_spec, lc_apps=lc_apps, be_apps=be_apps,
+            spec=REFERENCE_SPEC, lc_apps=lc_apps, be_apps=be_apps,
             lc_fits=lc_fits, be_fits=be_fits,
         )
         fits = list(lc_fits.values()) + list(be_fits.values())
@@ -317,8 +309,6 @@ def _perturbed_apps(
 def ablate_calibration_sensitivity(
     trials: int = 10,
     perturbation: float = 0.20,
-    seed: int = 100,
-    reference_seed: int = 7,
 ) -> List[CalibrationTrialRow]:
     """A8: re-run profile → fit → place in randomly perturbed worlds.
 
@@ -328,7 +318,9 @@ def ablate_calibration_sensitivity(
     the chosen placement's predicted total and the trial's own
     brute-force optimum on the same matrix (0 = the LP still found its
     optimum — it always should; the interesting question is whether the
-    *assignment itself* changes).
+    *assignment itself* changes).  Trial ``i`` perturbs with seed
+    ``(100, i)`` and profiles with seed ``8 + i`` against the seed-7
+    reference catalog.
     """
     if trials < 1:
         raise ConfigError("need at least one trial")
@@ -336,16 +328,16 @@ def ablate_calibration_sensitivity(
         raise ConfigError("perturbation must lie in [0, 1)")
     from repro.solvers.hungarian import brute_force_assignment_max
 
-    reference = fit_catalog(seed=reference_seed)
+    reference = fit_catalog(seed=7)
     reference_mapping = tuple(sorted(
         pocolo_placement(reference.performance_matrix()).mapping.items()
     ))
     rows = []
     for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
+        rng = np.random.default_rng((100, trial))
         lc_apps, be_apps = _perturbed_apps(perturbation, rng)
         catalog = fit_catalog(
-            seed=reference_seed + trial + 1, lc_apps=lc_apps, be_apps=be_apps
+            seed=8 + trial, lc_apps=lc_apps, be_apps=be_apps
         )
         matrix = catalog.performance_matrix()
         decision = pocolo_placement(matrix)

@@ -7,7 +7,7 @@ information the paper's cluster manager has — not on ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -33,12 +33,11 @@ class IndifferenceFigure:
 def fig5_indifference(
     catalog: FittedCatalog,
     app_name: str = "sphinx",
-    levels: Sequence[float] = FIG5_LEVELS,
-    n_points: int = 16,
 ) -> IndifferenceFigure:
     """Iso-load curves of one LC app and the dotted least-power path.
 
-    Curves are clipped to the server's way range; the expansion path's
+    One curve per ``FIG5_LEVELS`` load, sampled at 16 way counts.  Curves
+    are clipped to the server's way range; the expansion path's
     point at each level is the least-power allocation on that curve.
     """
     if app_name not in catalog.lc_fits:
@@ -46,10 +45,10 @@ def fig5_indifference(
     model = catalog.lc_fits[app_name].model
     app = catalog.lc_apps[app_name]
     spec = catalog.spec
-    ways = np.linspace(1.0, float(spec.llc_ways), n_points)
+    ways = np.linspace(1.0, float(spec.llc_ways), 16)
     curves = {}
     expansion = []
-    for level in levels:
+    for level in FIG5_LEVELS:
         perf = level * app.peak_load
         curve = [
             (c, w)
@@ -60,7 +59,7 @@ def fig5_indifference(
         expansion.append(tuple(model.least_power_allocation(perf)))
     return IndifferenceFigure(
         app_name=app_name,
-        levels=tuple(float(level) for level in levels),
+        levels=tuple(float(level) for level in FIG5_LEVELS),
         curves=curves,
         expansion=expansion,
     )
@@ -69,15 +68,15 @@ def fig5_indifference(
 def fig6_edgeworth(
     catalog: FittedCatalog,
     app_name: str = "sphinx",
-    levels: Sequence[float] = FIG5_LEVELS,
 ) -> List[EdgeworthPoint]:
-    """Fig 6: the Edgeworth box contract points over the load range."""
+    """Fig 6: the Edgeworth box contract points over the ``FIG5_LEVELS``
+    load range."""
     if app_name not in catalog.lc_fits:
         raise ConfigError(f"no fitted LC app named {app_name!r}")
     model = catalog.lc_fits[app_name].model
     app = catalog.lc_apps[app_name]
     box = EdgeworthBox(model=model, spec=catalog.spec)
-    return box.trace([level * app.peak_load for level in levels])
+    return box.trace([level * app.peak_load for level in FIG5_LEVELS])
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,6 @@ def evaluate_all_policies(
     placement_seeds: Iterable[int] = range(6),
     levels: Sequence[float] = UNIFORM_EVAL_LEVELS,
     duration_s: float = 30.0,
-    sim_seed: int = 0,
 ) -> Dict[str, PolicyEvaluation]:
     """Fig 12/13 in one call: every policy, same workload and sim seed.
 
@@ -66,8 +65,7 @@ def evaluate_all_policies(
     execute as one sweep (:func:`~repro.evaluation.pipeline.run_policies`).
     """
     runs_by_policy = run_policies(
-        catalog, policies, placement_seeds, levels=levels,
-        duration_s=duration_s, sim_seed=sim_seed,
+        catalog, policies, placement_seeds, levels=levels, duration_s=duration_s,
     )
     return {
         policy: PolicyEvaluation(
@@ -112,7 +110,6 @@ def _measure_placements(
     mappings: Sequence[Dict[str, str]],
     levels: Sequence[float],
     duration_s: float,
-    sim_seed: int,
 ) -> List[PlacementCurve]:
     """Measure full placements with POM management per server, as one sweep."""
     sweeps = [
@@ -120,7 +117,7 @@ def _measure_placements(
             cluster_plans(catalog, PlacementDecision(
                 mapping=dict(mapping), predicted_total=float("nan"), method="fixed",
             ), policy="pom"),
-            catalog.spec, levels, duration_s, SimConfig(seed=sim_seed),
+            catalog.spec, levels, duration_s, SimConfig(seed=0),
         )
         for mapping in mappings
     ]
@@ -145,10 +142,9 @@ def measure_placement(
     mapping: Dict[str, str],
     levels: Sequence[float] = UNIFORM_EVAL_LEVELS,
     duration_s: float = 20.0,
-    sim_seed: int = 0,
 ) -> PlacementCurve:
     """Measure one full placement with POM management per server."""
-    return _measure_placements(catalog, [mapping], levels, duration_s, sim_seed)[0]
+    return _measure_placements(catalog, [mapping], levels, duration_s)[0]
 
 
 @dataclass
@@ -181,7 +177,6 @@ def fig14_placement_comparison(
     catalog: FittedCatalog,
     levels: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9),
     duration_s: float = 15.0,
-    sim_seed: int = 0,
 ) -> Fig14Result:
     """Fig 14: measure all 4! placements and locate POColo's choice.
 
@@ -193,7 +188,7 @@ def fig14_placement_comparison(
     be_names = tuple(catalog.be_apps)
     lc_names = tuple(catalog.lc_apps)
     mappings = enumerate_placements(be_names, lc_names)
-    curves = _measure_placements(catalog, mappings, levels, duration_s, sim_seed)
+    curves = _measure_placements(catalog, mappings, levels, duration_s)
     pocolo_curve = next(
         c for c in curves if c.mapping == tuple(sorted(decision.mapping.items()))
     )

@@ -31,7 +31,7 @@ from repro.errors import CapacityError, ConfigError
 from repro.hwmodel.capping import PowerCapController
 from repro.hwmodel.meter import PowerMeter
 from repro.hwmodel.server import PRIMARY, SECONDARY, Server
-from repro.hwmodel.spec import Allocation, ServerSpec, spare_of
+from repro.hwmodel.spec import Allocation, spare_of
 from repro.workloads.traces import DiurnalTrace, uniform_levels
 
 
@@ -77,17 +77,13 @@ class DiurnalPoint:
 
 
 def fig1_diurnal_overshoot(
-    be_name: str = "graph",
-    spec: ServerSpec = REFERENCE_SPEC,
     capacity_w: Optional[float] = None,
-    hours: int = 24,
-    admission_threshold: float = 0.75,
 ) -> Tuple[List[DiurnalPoint], float]:
-    """The Fig 1 story on a diurnal xapian day with a naive BE admission.
+    """The Fig 1 story on a diurnal xapian day with a naive graph admission.
 
-    At each hour: xapian takes its least-power allocation for the current
-    load; during off-peak hours (load below ``admission_threshold``, as
-    the paper only colocates "during such off-peak periods") the BE app
+    At each of the day's 24 hours: xapian takes its least-power allocation
+    for the current load; during off-peak hours (load at most 75 %, as
+    the paper only colocates "during such off-peak periods") graph
     naively takes the whole spare at max frequency with no cap.  Core
     utilization never exceeds 1.0 — the primary-resource view says the
     colocation is fine — while colocated power overshoots the provisioned
@@ -98,16 +94,17 @@ def fig1_diurnal_overshoot(
     planning provisions for the primary's peak).  Returns the hourly
     points and the capacity actually used.
     """
+    spec = REFERENCE_SPEC
     xapian = make_xapian(spec)
-    be = best_effort_apps(spec)[be_name]
+    be = best_effort_apps(spec)["graph"]
     trace = DiurnalTrace(min_fraction=0.1, max_fraction=0.95)
     points = []
-    for h in range(hours):
+    for h in range(24):
         t = h * 3600.0
         frac = trace.load_fraction(t)
         lc_alloc = true_min_power_allocation(xapian, frac)
         spare = spare_of(spec, lc_alloc)
-        admitted = frac <= admission_threshold and not spare.is_empty
+        admitted = frac <= 0.75 and not spare.is_empty
         lc_power = spec.idle_power_w + xapian.active_power_w(lc_alloc)
         colo_power = lc_power + (be.active_power_w(spare) if admitted else 0.0)
         points.append(
@@ -126,19 +123,16 @@ def fig1_diurnal_overshoot(
     return points, capacity_w
 
 
-def fig2_power_overshoot(
-    spec: ServerSpec = REFERENCE_SPEC,
-    load_fraction: float = 0.10,
-    capacity_w: float = XAPIAN_MOTIVATION_CAPACITY_W,
-) -> Dict[str, float]:
+def fig2_power_overshoot() -> Dict[str, float]:
     """Fig 2: uncapped colocated server draw per BE app (xapian at 10 %).
 
     Paper: "the power draw of the server now ranges between 138 watts to
     155 watts, a 5% to 17% increase compared to the provisioned server
     power capacity of 132 W".
     """
+    spec = REFERENCE_SPEC
     xapian = make_xapian(spec)
-    lc_alloc = true_min_power_allocation(xapian, load_fraction)
+    lc_alloc = true_min_power_allocation(xapian, 0.10)
     spare = spare_of(spec, lc_alloc)
     base = spec.idle_power_w + xapian.active_power_w(lc_alloc)
     draws = {}
@@ -165,29 +159,27 @@ class CappedThroughput:
         return 1.0 - self.capped_norm / self.uncapped_norm
 
 
-def fig3_capped_throughput(
-    spec: ServerSpec = REFERENCE_SPEC,
-    load_fraction: float = 0.10,
-    capacity_w: float = XAPIAN_MOTIVATION_CAPACITY_W,
-    seed: int = 0,
-) -> List[CappedThroughput]:
+def fig3_capped_throughput() -> List[CappedThroughput]:
     """Fig 3: run the real cap loop to convergence for every BE app.
 
+    xapian serves 10 % load under the 132 W motivation capacity.
     Exercises :class:`PowerCapController` on an assembled server rather
     than re-deriving the throttle point analytically.
     """
+    spec = REFERENCE_SPEC
     xapian = make_xapian(spec)
-    lc_alloc = true_min_power_allocation(xapian, load_fraction)
+    lc_alloc = true_min_power_allocation(xapian, 0.10)
     results = []
     for name, be in best_effort_apps(spec).items():
-        server = Server(spec, provisioned_power_w=capacity_w, name=f"{name}-colo")
+        server = Server(spec, provisioned_power_w=XAPIAN_MOTIVATION_CAPACITY_W,
+                        name=f"{name}-colo")
         server.attach(xapian.name, xapian, role=PRIMARY)
         server.apply_allocation(xapian.name, lc_alloc)
         server.attach(name, be, role=SECONDARY)
         spare = server.spare_allocation()
         server.apply_allocation(name, spare)
         uncapped = be.normalized_throughput(server.allocation_of(name))
-        meter = PowerMeter(server.power_w, rng=np.random.default_rng(seed),
+        meter = PowerMeter(server.power_w, rng=np.random.default_rng(0),
                            noise_sigma_w=0.5)
         capper = PowerCapController(server, meter)
         capper.run_until_stable(max_steps=400)
@@ -206,10 +198,7 @@ def fig3_capped_throughput(
 
 def fig4_load_spectrum(
     be_names: Tuple[str, ...] = ("lstm", "rnn"),
-    spec: ServerSpec = REFERENCE_SPEC,
-    capacity_w: float = XAPIAN_MOTIVATION_CAPACITY_W,
     levels: Optional[List[float]] = None,
-    seed: int = 0,
 ) -> Dict[str, List[Tuple[float, float]]]:
     """Fig 4: capped BE throughput across the xapian load spectrum.
 
@@ -218,6 +207,7 @@ def fig4_load_spectrum(
     normalized throughput) per BE app.  "RNN is able to derive better
     performance at all loads when compared to LSTM."
     """
+    spec = REFERENCE_SPEC
     xapian = make_xapian(spec)
     if levels is None:
         levels = uniform_levels()
@@ -227,7 +217,7 @@ def fig4_load_spectrum(
         lc_alloc = true_min_power_allocation(xapian, level)
         for name in be_names:
             be = bes[name]
-            server = Server(spec, provisioned_power_w=capacity_w)
+            server = Server(spec, provisioned_power_w=XAPIAN_MOTIVATION_CAPACITY_W)
             server.attach(xapian.name, xapian, role=PRIMARY)
             server.apply_allocation(xapian.name, lc_alloc)
             server.attach(name, be, role=SECONDARY)
@@ -236,7 +226,7 @@ def fig4_load_spectrum(
                 curves[name].append((level, 0.0))
                 continue
             server.apply_allocation(name, spare)
-            meter = PowerMeter(server.power_w, rng=np.random.default_rng(seed),
+            meter = PowerMeter(server.power_w, rng=np.random.default_rng(0),
                                noise_sigma_w=0.5)
             PowerCapController(server, meter).run_until_stable(max_steps=400)
             tput = be.normalized_throughput(server.allocation_of(name))

@@ -38,8 +38,6 @@ from repro.core.placement import (
     random_placement,
 )
 from repro.core.profiler import (
-    DEFAULT_PERF_NOISE,
-    DEFAULT_POWER_NOISE,
     default_profiling_grid,
     profile_best_effort,
     profile_latency_critical,
@@ -111,22 +109,21 @@ class FittedCatalog:
 
 
 def fit_catalog(
-    spec: ServerSpec = REFERENCE_SPEC,
     seed: int = 7,
-    perf_noise: float = DEFAULT_PERF_NOISE,
-    power_noise: float = DEFAULT_POWER_NOISE,
-    profiling_load_fraction: float = 0.3,
     lc_apps: Optional[Dict[str, LatencyCriticalApp]] = None,
     be_apps: Optional[Dict[str, BestEffortApp]] = None,
 ) -> FittedCatalog:
-    """Profile and fit every application in the paper's catalog.
+    """Profile and fit every application in the paper's catalog on the
+    reference server.
 
     One shared RNG stream keeps the whole catalog reproducible from one
-    seed while still giving every app independent noise draws.  Custom
+    seed while still giving every app independent noise draws; LC apps
+    are profiled while serving 30 % of peak load.  Custom
     ``lc_apps`` / ``be_apps`` dicts replace the paper's catalog — used
     by the calibration-sensitivity ablation and by downstream users
     onboarding their own workloads.
     """
+    spec = REFERENCE_SPEC
     rng = np.random.default_rng(seed)
     grid = default_profiling_grid(spec)
     if lc_apps is None:
@@ -135,16 +132,11 @@ def fit_catalog(
         be_apps = best_effort_apps(spec)
     lc_fits = {}
     for name, app in lc_apps.items():
-        samples = profile_latency_critical(
-            app, grid, load_fraction=profiling_load_fraction,
-            rng=rng, perf_noise=perf_noise, power_noise=power_noise,
-        )
+        samples = profile_latency_critical(app, grid, load_fraction=0.3, rng=rng)
         lc_fits[name] = fit_indirect_utility(samples)
     be_fits = {}
     for name, app in be_apps.items():
-        samples = profile_best_effort(
-            app, grid, rng=rng, perf_noise=perf_noise, power_noise=power_noise
-        )
+        samples = profile_best_effort(app, grid, rng=rng)
         be_fits[name] = fit_indirect_utility(samples)
     return FittedCatalog(
         spec=spec, lc_apps=lc_apps, be_apps=be_apps,
@@ -298,18 +290,17 @@ def run_policies(
     placement_seeds: Iterable[int],
     levels: Sequence[float] = UNIFORM_EVAL_LEVELS,
     duration_s: float = 30.0,
-    sim_seed: int = 0,
 ) -> Dict[str, List[ClusterRunResult]]:
     """Every policy's seeded runs, planned first and executed as one sweep.
 
     Random-placement policies run once per placement seed, POColo once
-    (seed 0), all under ``SimConfig(seed=sim_seed)``.  Each run equals
+    (seed 0), all under ``SimConfig(seed=0)``.  Each run equals
     the :func:`run_policy` run with the same arguments, bit for bit.
     """
     seeds = list(placement_seeds)
     runs: Dict[str, List[ClusterRunResult]] = {p: [] for p in policies}
     planned = [(p, s) for p in runs for s in (seeds if p in RANDOM_PLACED else [0])]
-    config = SimConfig(seed=sim_seed)
+    config = SimConfig(seed=0)
     results = run_sweeps([
         policy_sweep(catalog, p, levels, duration_s, s, config) for p, s in planned
     ])

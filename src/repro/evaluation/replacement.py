@@ -41,19 +41,16 @@ DEFAULT_PHASES: Tuple[float, ...] = (0.0, 0.25, 0.5, 0.75)
 def phase_loads(
     catalog: FittedCatalog,
     phase: float,
-    min_fraction: float = 0.1,
-    max_fraction: float = 0.9,
 ) -> Dict[str, float]:
     """Per-LC-server load fractions at one phase of the shifted day.
 
-    Server ``i`` of ``n`` peaks at phase ``i/n`` — the staggered-peak
-    pattern of geo-mixed or audience-mixed services.
+    Loads swing between 10 % and 90 %; server ``i`` of ``n`` peaks at
+    phase ``i/n`` — the staggered-peak pattern of geo-mixed or
+    audience-mixed services.
     """
     names = list(catalog.lc_apps)
-    mid = 0.5 * (max_fraction + min_fraction)
-    amp = 0.5 * (max_fraction - min_fraction)
     return {
-        name: mid + amp * math.cos(2.0 * math.pi * (phase - i / len(names)))
+        name: 0.5 + 0.4 * math.cos(2.0 * math.pi * (phase - i / len(names)))
         for i, name in enumerate(names)
     }
 
@@ -97,7 +94,6 @@ def compare_replacement(
     catalog: FittedCatalog,
     phases: Sequence[float] = DEFAULT_PHASES,
     migration_penalties: Sequence[float] = (0.0, 0.02, 0.05, 0.10, 0.20),
-    phase_weight: float = 1.0,
 ) -> ReplacementComparison:
     """Static vs dynamic placement over the phase-shifted day (predicted).
 
@@ -126,7 +122,7 @@ def compare_replacement(
     static_total = sum(
         m.cell(be, lc) for m in per_phase_matrices
         for be, lc in static_mapping.items()
-    ) * phase_weight
+    )
 
     # Dynamic: re-solve per phase; count moves against each penalty.
     phase_mappings = [pocolo_placement(m).mapping for m in per_phase_matrices]
@@ -146,9 +142,7 @@ def compare_replacement(
         lost = penalty * total_moves * float(np.mean(raw_totals)) / len(
             per_phase_matrices[0].be_names
         )
-        dynamic_by_penalty[float(penalty)] = (
-            sum(raw_totals) - lost
-        ) * phase_weight
+        dynamic_by_penalty[float(penalty)] = sum(raw_totals) - lost
     return ReplacementComparison(
         static_total=static_total,
         dynamic_total_by_penalty=dynamic_by_penalty,

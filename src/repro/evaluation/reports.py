@@ -70,26 +70,22 @@ class FleetScaleResult:
     random_mean: float
 
 
-def solve_fleet_scale(
-    catalog: FittedCatalog,
-    demands: Mapping[str, int] = FLEET_DEMANDS,
-    capacities: Mapping[str, int] = FLEET_CAPACITIES,
-    random_seeds: Sequence[int] = tuple(range(20)),
-) -> FleetScaleResult:
+def solve_fleet_scale(catalog: FittedCatalog) -> FleetScaleResult:
     """Solve the fleet-scale placement via LP, greedy, and random floor.
 
-    The random floor spreads every stream uniformly over clusters with
-    remaining room, averaged over ``random_seeds``.
+    The scenario is ``FLEET_DEMANDS`` over ``FLEET_CAPACITIES``.  The
+    random floor spreads every stream uniformly over clusters with
+    remaining room, averaged over seeds 0-19.
     """
     matrix = catalog.performance_matrix()
-    lp = fleet_placement(matrix, demands, capacities, method="lp")
-    greedy = fleet_placement(matrix, demands, capacities, method="greedy")
+    lp = fleet_placement(matrix, FLEET_DEMANDS, FLEET_CAPACITIES, method="lp")
+    greedy = fleet_placement(matrix, FLEET_DEMANDS, FLEET_CAPACITIES, method="greedy")
     rng_totals = []
-    for seed in random_seeds:
+    for seed in range(20):
         rng = np.random.default_rng(seed)
-        remaining: Dict[str, int] = dict(capacities)
+        remaining: Dict[str, int] = dict(FLEET_CAPACITIES)
         total = 0.0
-        for be, demand in demands.items():
+        for be, demand in FLEET_DEMANDS.items():
             for _ in range(demand):
                 open_lcs = [lc for lc, cap in remaining.items() if cap > 0]
                 lc = open_lcs[int(rng.integers(len(open_lcs)))]
@@ -101,11 +97,7 @@ def solve_fleet_scale(
     )
 
 
-def render_fleet_flows(
-    lp: FleetPlacement,
-    demands: Mapping[str, int] = FLEET_DEMANDS,
-    capacities: Mapping[str, int] = FLEET_CAPACITIES,
-) -> str:
+def render_fleet_flows(lp: FleetPlacement) -> str:
     """The ``abl9_fleet_flows`` table (regenerated, not pinned)."""
     rows = [
         [be] + [lp.servers(be, lc) for lc in lp.lc_names]
@@ -114,7 +106,7 @@ def render_fleet_flows(
     return format_table(
         ["stream \\ cluster"] + list(lp.lc_names), rows,
         title=f"Ablation A9 — LP fleet flows "
-              f"(demands {dict(demands)}, capacities {dict(capacities)})",
+              f"(demands {dict(FLEET_DEMANDS)}, capacities {dict(FLEET_CAPACITIES)})",
     )
 
 

@@ -16,13 +16,12 @@ simulated substrate:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.core.server_manager import PowerOptimizedManager
 from repro.core.spatial import partition_spare
-from repro.errors import ConfigError
 from repro.evaluation.motivation import true_min_power_allocation
 from repro.evaluation.pipeline import FittedCatalog
 from repro.hwmodel.capping import PowerCapController
@@ -40,7 +39,7 @@ from repro.sim.timeshare import (
 )
 from repro.workloads.traces import ConstantTrace
 
-#: Default job mix for the scheduler comparison: one long job and
+#: Job mix for the scheduler comparison: one long job and
 #: several short ones, the mix where FCFS and SJF diverge most.
 DEFAULT_JOB_MIX: Tuple[Tuple[str, str, float], ...] = (
     ("train-big", "rnn", 25.0),
@@ -61,39 +60,33 @@ class SchedulerComparisonRow:
     all_done: bool
 
 
-def _run_mix(catalog: FittedCatalog, scheduler, lc_name: str,
-             level: float, seed: int, horizon_s: float,
-             mix: Sequence[Tuple[str, str, float]]) -> TimeShareResult:
-    lc = catalog.lc_apps[lc_name]
+def _run_mix(catalog: FittedCatalog, scheduler) -> TimeShareResult:
+    lc = catalog.lc_apps["xapian"]
     jobs = [
         BestEffortJob(name=name, app=catalog.be_apps[app], work_units=work)
-        for name, app, work in mix
+        for name, app, work in DEFAULT_JOB_MIX
     ]
     server = build_colocated_server(
         catalog.spec, lc, provisioned_power_w=lc.peak_server_power_w()
     )
-    manager = PowerOptimizedManager(server, model=catalog.lc_fits[lc_name].model)
+    manager = PowerOptimizedManager(server, model=catalog.lc_fits["xapian"].model)
     sim = TimeSharedColocationSim(
-        server=server, lc_app=lc, trace=ConstantTrace(level),
+        server=server, lc_app=lc, trace=ConstantTrace(0.4),
         manager=manager, jobs=jobs, scheduler=scheduler,
-        config=SimConfig(seed=seed, warmup_s=0.0),
+        config=SimConfig(seed=0, warmup_s=0.0),
     )
-    return sim.run(max_duration_s=horizon_s)
+    return sim.run(max_duration_s=600.0)
 
 
-def compare_schedulers(
-    catalog: FittedCatalog,
-    lc_name: str = "xapian",
-    level: float = 0.4,
-    seed: int = 0,
-    horizon_s: float = 600.0,
-    mix: Sequence[Tuple[str, str, float]] = DEFAULT_JOB_MIX,
-) -> List[SchedulerComparisonRow]:
-    """A4: run the job mix under FCFS, SJF and round-robin."""
+def compare_schedulers(catalog: FittedCatalog) -> List[SchedulerComparisonRow]:
+    """A4: run the job mix under FCFS, SJF and round-robin.
+
+    xapian serves 40 % load; each run stops after 600 s.
+    """
     rows = []
     for scheduler in (FcfsScheduler(), SjfScheduler(),
                       RoundRobinScheduler(quantum_s=5.0)):
-        result = _run_mix(catalog, scheduler, lc_name, level, seed, horizon_s, mix)
+        result = _run_mix(catalog, scheduler)
         rows.append(
             SchedulerComparisonRow(
                 scheduler=scheduler.name,
@@ -124,24 +117,18 @@ class SharingModeResult:
         return self.spatial_total / self.temporal_total - 1.0
 
 
-def compare_sharing_modes(
-    catalog: FittedCatalog,
-    lc_name: str = "sphinx",
-    be_names: Tuple[str, str] = ("graph", "lstm"),
-    level: float = 0.3,
-    duration_s: float = 120.0,
-    seed: int = 0,
-    quantum_s: float = 5.0,
-) -> SharingModeResult:
-    """A5: two BE apps on one server, time-shared vs spatially split.
+def compare_sharing_modes(catalog: FittedCatalog) -> SharingModeResult:
+    """A5: graph and lstm on one sphinx server, time-shared vs spatially split.
 
-    Both modes run the LC app at its least-power allocation for
-    ``level`` and enforce the provisioned cap with the real cap loop;
-    the comparison metric is aggregate normalized BE throughput
-    (time-average of the sum over tenants).
+    Both modes run sphinx at its least-power allocation for 30 % load
+    for 120 s and enforce the provisioned cap with the real cap loop
+    (round-robin quantum 5 s); the comparison metric is aggregate
+    normalized BE throughput (time-average of the sum over tenants).
     """
-    if len(be_names) != 2:
-        raise ConfigError("the sharing-mode comparison uses exactly two BE apps")
+    lc_name = "sphinx"
+    be_names = ("graph", "lstm")
+    level = 0.3
+    duration_s = 120.0
     lc = catalog.lc_apps[lc_name]
     spec = catalog.spec
     provisioned = lc.peak_server_power_w()
@@ -158,8 +145,8 @@ def compare_sharing_modes(
     sim = TimeSharedColocationSim(
         server=server, lc_app=lc, trace=ConstantTrace(level),
         manager=manager, jobs=jobs,
-        scheduler=RoundRobinScheduler(quantum_s=quantum_s),
-        config=SimConfig(seed=seed, warmup_s=0.0),
+        scheduler=RoundRobinScheduler(quantum_s=5.0),
+        config=SimConfig(seed=0, warmup_s=0.0),
     )
     temporal = sim.run(max_duration_s=duration_s)
     temporal_total = temporal.total_work_done / duration_s
@@ -178,7 +165,7 @@ def compare_sharing_modes(
         alloc = share.allocation_of(name)
         if not alloc.is_empty:
             server.apply_allocation(name, alloc)
-    meter = PowerMeter(server.power_w, rng=np.random.default_rng(seed),
+    meter = PowerMeter(server.power_w, rng=np.random.default_rng(0),
                        noise_sigma_w=1.0)
     capper = PowerCapController(server, meter)
     rates = []
@@ -194,7 +181,7 @@ def compare_sharing_modes(
 
     return SharingModeResult(
         lc_name=lc_name,
-        be_names=tuple(be_names),
+        be_names=be_names,
         temporal_total=temporal_total,
         spatial_total=spatial_total,
         spatial_allocations={

@@ -24,7 +24,6 @@ from repro.apps.catalog import NOCAP_PROVISIONED_W
 from repro.cost.tco import (
     PolicyOperatingPoint,
     TcoBreakdown,
-    TcoParams,
     compare_policies,
     relative_savings,
 )
@@ -52,21 +51,19 @@ class TcoEvaluation:
 
 def measure_operating_points(
     catalog: FittedCatalog,
-    policies: Sequence[str] = FIG15_POLICIES,
     placement_seeds: Iterable[int] = range(4),
     levels: Sequence[float] = UNIFORM_EVAL_LEVELS,
     duration_s: float = 30.0,
-    sim_seed: int = 0,
 ) -> Dict[str, PolicySummary]:
-    """Simulate every policy and reduce to per-server operating points.
+    """Simulate every Fig 15 policy and reduce to per-server operating points.
 
     Random-placement policies are averaged over ``placement_seeds``.
     Every run is planned first and all of them execute as one sweep
     (:func:`~repro.evaluation.pipeline.run_policies`).
     """
     runs_by_policy = run_policies(
-        catalog, policies, placement_seeds, levels=levels,
-        duration_s=duration_s, sim_seed=sim_seed,
+        catalog, FIG15_POLICIES, placement_seeds, levels=levels,
+        duration_s=duration_s,
     )
     summaries: Dict[str, PolicySummary] = {}
     for policy, runs in runs_by_policy.items():
@@ -84,16 +81,15 @@ def measure_operating_points(
 
 def fig15_tco(
     catalog: FittedCatalog,
-    params: TcoParams = TcoParams(),
-    policies: Sequence[str] = FIG15_POLICIES,
     placement_seeds: Iterable[int] = range(4),
     levels: Sequence[float] = UNIFORM_EVAL_LEVELS,
     duration_s: float = 30.0,
-    reference: str = "random",
 ) -> TcoEvaluation:
-    """Fig 15 end to end: simulate policies, price them, rank POColo."""
+    """Fig 15 end to end: simulate policies, price them at the default
+    :class:`~repro.cost.tco.TcoParams` against ``random``'s throughput,
+    rank POColo."""
     summaries = measure_operating_points(
-        catalog, policies=policies, placement_seeds=placement_seeds,
+        catalog, placement_seeds=placement_seeds,
         levels=levels, duration_s=duration_s,
     )
     points = [
@@ -105,7 +101,7 @@ def fig15_tco(
         )
         for s in summaries.values()
     ]
-    breakdowns = compare_policies(points, params=params, reference=reference)
+    breakdowns = compare_policies(points, reference="random")
     savings = relative_savings(breakdowns, winner="pocolo") if "pocolo" in breakdowns else {}
     return TcoEvaluation(
         summaries=summaries, breakdowns=breakdowns, savings_of_pocolo=savings

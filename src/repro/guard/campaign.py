@@ -33,8 +33,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
-    Callable,
     Dict,
     FrozenSet,
     List,
@@ -47,8 +45,10 @@ import numpy as np
 
 from repro.apps.best_effort import BestEffortApp
 from repro.apps.latency_critical import LatencyCriticalApp
+from repro.budget.arbiter import BudgetConfig
 from repro.engine.parallel import map_ordered
 from repro.errors import ConfigError
+from repro.faults.cluster import ClusterFaultPlan
 from repro.faults.schedule import (
     ArbiterCrash,
     Fault,
@@ -64,11 +64,8 @@ from repro.faults.schedule import (
     TelemetryGap,
 )
 from repro.guard.invariants import GuardConfig, GuardReport, Violation
-from repro.hwmodel.server import Server
 from repro.hwmodel.spec import ServerSpec
-# Submodule import, not ``from repro.sim import``: repro.sim's package
-# __init__ pulls in the cluster layer, which imports repro.guard — the
-# direct submodule path keeps that cycle unwound during package init.
+from repro.sim.cluster import ManagerFactory, ServerPlan, Sweep, run_sweeps
 from repro.sim.colocation import (
     CapperFactory,
     ColocationSim,
@@ -76,16 +73,6 @@ from repro.sim.colocation import (
     build_colocated_server,
 )
 from repro.workloads.traces import ConstantTrace
-
-if TYPE_CHECKING:  # pragma: no cover - cluster/budget layers sit above
-    from repro.budget.arbiter import BudgetConfig
-    from repro.faults.cluster import ClusterFaultPlan
-    from repro.sim.cluster import ServerPlan, Sweep
-
-#: Builds a manager for a freshly assembled campaign server (mirrors
-#: :data:`repro.sim.cluster.ManagerFactory`; restated here to keep this
-#: module off the cluster layer).
-ManagerFactory = Callable[[Server], "object"]
 
 #: CapStats fields that count graceful degradation (coverage signal).
 CAP_COUNTERS: Tuple[str, ...] = (
@@ -333,13 +320,13 @@ class BudgetCaseRunner:
     grant-conservation or rack-overcommit contracts too.
     """
 
-    plans: Tuple["ServerPlan", ...]
+    plans: Tuple[ServerPlan, ...]
     spec: ServerSpec
     levels: Tuple[float, ...] = (0.3, 0.6, 0.9)
     duration_s: float = 8.0
     config: SimConfig = SimConfig()
     guard: GuardConfig = GuardConfig()
-    budget: Optional["BudgetConfig"] = None
+    budget: Optional[BudgetConfig] = None
 
     def __post_init__(self) -> None:
         if self.guard.enforcing:
@@ -349,13 +336,8 @@ class BudgetCaseRunner:
             )
         self._sweep(None)  # the sweep terms are checked when it is built
 
-    def _sweep(self, fault_plan: Optional["ClusterFaultPlan"]) -> "Sweep":
+    def _sweep(self, fault_plan: Optional[ClusterFaultPlan]) -> Sweep:
         """The budgeted sweep this runner executes under ``fault_plan``."""
-        # Imported lazily: the cluster and budget layers sit above this
-        # module (repro.sim's package __init__ imports repro.guard).
-        from repro.budget.arbiter import BudgetConfig
-        from repro.sim.cluster import Sweep
-
         budget = self.budget if self.budget is not None else BudgetConfig()
         return Sweep(
             self.plans, self.spec, self.levels, self.duration_s, self.config,
@@ -364,9 +346,6 @@ class BudgetCaseRunner:
 
     def run(self, schedule: FaultSchedule) -> "CaseOutcome":
         """Execute one budgeted sweep under ``schedule``; summarize it."""
-        from repro.faults.cluster import ClusterFaultPlan
-        from repro.sim.cluster import run_sweeps
-
         infra = [f for f in schedule if isinstance(f, _INFRA_FAULTS)]
         cell = [f for f in schedule if not isinstance(f, _INFRA_FAULTS)]
         fault_plan = ClusterFaultPlan(

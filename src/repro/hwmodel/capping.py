@@ -261,14 +261,15 @@ class PowerCapController:
             self.server.apply_allocation(be, alloc.with_freq(new_freq))
             self.stats.restore_events += 1
 
-    def run_until_stable(self, start_time_s: float = 0.0, max_steps: int = 200) -> float:
-        """Iterate the loop until no action fires, returning the end time.
+    def run_until_stable(self, max_steps: int = 200) -> float:
+        """Iterate the loop from time 0 until no action fires, returning
+        the end time.
 
         Used by steady-state experiments (e.g. Fig 3) that want the
         converged throttle level for a fixed operating point rather than
         a full time-domain trace.
         """
-        time_s = start_time_s
+        time_s = 0.0
         for _ in range(max_steps):
             before = (self.stats.throttle_events, self.stats.restore_events)
             self.step(time_s)

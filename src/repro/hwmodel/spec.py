@@ -137,12 +137,10 @@ class ServerSpec:
         """Lowest DVFS operating point."""
         return self.ladder.min_ghz
 
-    def full_allocation(self, freq_ghz: float | None = None) -> "Allocation":
-        """The allocation using every core and way (default: max frequency)."""
+    def full_allocation(self) -> "Allocation":
+        """The allocation using every core and way at max frequency."""
         return Allocation(
-            cores=self.cores,
-            ways=self.llc_ways,
-            freq_ghz=self.max_freq_ghz if freq_ghz is None else freq_ghz,
+            cores=self.cores, ways=self.llc_ways, freq_ghz=self.max_freq_ghz
         )
 
     def validate(self, alloc: "Allocation") -> None:

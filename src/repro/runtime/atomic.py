@@ -80,18 +80,16 @@ def atomic_write_bytes(path: PathLike, data: bytes) -> Path:
     return target
 
 
-def atomic_write_text(
-    path: PathLike, text: str, encoding: str = "utf-8"
-) -> Path:
-    """Atomically replace ``path`` with ``text`` (see :func:`atomic_write_bytes`)."""
-    return atomic_write_bytes(path, text.encode(encoding))
+def atomic_write_text(path: PathLike, text: str) -> Path:
+    """Atomically replace ``path`` with UTF-8 ``text`` (see
+    :func:`atomic_write_bytes`)."""
+    return atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def atomic_write_json(
-    path: PathLike, obj: Any, indent: int = 2, sort_keys: bool = False
-) -> Path:
-    """Atomically serialize ``obj`` as JSON (trailing newline included)."""
-    text = json.dumps(obj, indent=indent, sort_keys=sort_keys) + "\n"
+def atomic_write_json(path: PathLike, obj: Any, sort_keys: bool = False) -> Path:
+    """Atomically serialize ``obj`` as 2-space-indented JSON (trailing
+    newline included)."""
+    text = json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n"
     return atomic_write_text(path, text)
 
 

@@ -149,7 +149,6 @@ def p99_curve(
     service_rate_total: float,
     rhos: List[float],
     workers: int = 4,
-    service_cv: float = 1.0,
     num_requests: int = 20_000,
     seed: int = 0,
 ) -> List[Tuple[float, float]]:
@@ -166,7 +165,6 @@ def p99_curve(
             arrival_rate=rho * service_rate_total,
             service_rate_total=service_rate_total,
             workers=workers,
-            service_cv=service_cv,
             seed=seed,
         )
         result = simulate_queue(config, num_requests=num_requests)

@@ -4,8 +4,6 @@ import pytest
 
 from repro.core.server_manager import (
     FLOOR_TTL,
-    GROW_COOLDOWN,
-    SHRINK_PATIENCE,
     HeraclesLikeManager,
     PowerOptimizedManager,
 )
@@ -177,19 +175,20 @@ class TestHeraclesLikeManager:
         steady = server.allocation_of(lc.name)
         assert steady.cores >= floor
 
-    def test_grow_cooldown_blocks_immediate_shrink(self, catalog, spec):
+    def test_grow_floor_blocks_shrink_until_it_ages_out(self, catalog, spec):
         lc = catalog.lc_apps["xapian"]
         server = build_server(spec, lc)
         server.apply_allocation(lc.name, Allocation(cores=2, ways=3))
         manager = HeraclesLikeManager(server)
         manager.control_step(0.5 * lc.peak_load, -0.5)   # starved -> grow
         grown = server.allocation_of(lc.name)
-        # Lavish for long enough to satisfy the shrink patience, but
-        # still inside the cooldown the grow opened.
-        assert SHRINK_PATIENCE < GROW_COOLDOWN
-        for _ in range(SHRINK_PATIENCE):
+        # The grown size is the new floor: lavish slack far past the
+        # shrink patience cannot shrink below it while the floor lives.
+        for _ in range(FLOOR_TTL):
             manager.control_step(0.0, 0.99)
             assert server.allocation_of(lc.name) == grown
+        manager.control_step(0.0, 0.99)   # the floor has aged out
+        assert server.allocation_of(lc.name).cores == grown.cores - 1
 
     def test_stats_and_validation(self, catalog, spec):
         lc = catalog.lc_apps["xapian"]

@@ -68,9 +68,11 @@ class TestPublicSurface:
 
 
 
-#: Public parameters of the control-plane constructors and the placement
-#: wrapper.  Tuning values are module constants of the owning module; a
-#: parameter belongs here only once code outside the tests sets it.
+#: Public parameters of the control-plane constructors, the placement
+#: wrapper, and the figure drivers and library helpers.  Tuning values
+#: and each experiment's fixed settings are literals or module constants
+#: of the owning module; a defaulted parameter belongs here only once
+#: some caller (a test included) sets it.
 CONSTRUCTOR_SURFACE = {
     ("repro.hwmodel.capping", "PowerCapController"): (
         "server", "meter", "watchdog",
@@ -82,6 +84,83 @@ CONSTRUCTOR_SURFACE = {
         "server", "model", "slack_target", "slack_upper",
     ),
     ("repro.core.placement", "assign_with_fallback"): ("values", "method"),
+    ("repro.analysis.reporting", "format_series"): (
+        "x_label", "y_labels", "x", "series", "title",
+    ),
+    ("repro.analysis.reporting", "format_degradation"): ("rows",),
+    ("repro.analysis.reporting", "format_budget_degradation"): ("rows",),
+    ("repro.analysis.stats", "relative_gain_ci"): ("new", "base", "seed"),
+    ("repro.budget.arbiter", "BudgetReport.max_stage"): ("self",),
+    ("repro.core.multires", "make_three_resource_app"): (
+        "preferences", "full_active_w", "static_w",
+    ),
+    ("repro.core.multires", "fit_k_model"): ("samples",),
+    ("repro.core.multires", "integer_min_power_allocation_k"): (
+        "model", "perf_target", "limits",
+    ),
+    ("repro.core.profiler", "profile_latency_critical"): (
+        "app", "grid", "load_fraction", "rng", "perf_noise", "power_noise",
+        "apportion_idle",
+    ),
+    ("repro.core.validation", "diagnose_fit"): ("samples", "fit", "min_r2_perf"),
+    ("repro.core.validation", "leontief_samples"): ("noise",),
+    ("repro.cost.planning", "plan_power"): (
+        "lc", "trace", "horizon_s", "samples", "safety_margin",
+    ),
+    ("repro.cost.planning", "stranded_power_profile"): (
+        "lc", "trace", "provisioned_power_w", "samples",
+    ),
+    ("repro.cost.tco", "compare_policies"): ("points", "reference"),
+    ("repro.evaluation.ablations", "ablate_slack_target"): (
+        "catalog", "targets", "levels", "duration_s",
+    ),
+    ("repro.evaluation.ablations", "ablate_solver_choice"): ("catalog",),
+    ("repro.evaluation.ablations", "ablate_sample_budget"): ("budgets",),
+    ("repro.evaluation.ablations", "ablate_calibration_sensitivity"): (
+        "trials", "perturbation",
+    ),
+    ("repro.evaluation.characterization", "fig5_indifference"): ("catalog", "app_name"),
+    ("repro.evaluation.characterization", "fig6_edgeworth"): ("catalog", "app_name"),
+    ("repro.evaluation.colocation_eval", "evaluate_all_policies"): (
+        "catalog", "policies", "placement_seeds", "levels", "duration_s",
+    ),
+    ("repro.evaluation.colocation_eval", "measure_placement"): (
+        "catalog", "mapping", "levels", "duration_s",
+    ),
+    ("repro.evaluation.colocation_eval", "fig14_placement_comparison"): (
+        "catalog", "levels", "duration_s",
+    ),
+    ("repro.evaluation.motivation", "fig1_diurnal_overshoot"): ("capacity_w",),
+    ("repro.evaluation.motivation", "fig2_power_overshoot"): (),
+    ("repro.evaluation.motivation", "fig3_capped_throughput"): (),
+    ("repro.evaluation.motivation", "fig4_load_spectrum"): ("be_names", "levels"),
+    ("repro.evaluation.pipeline", "fit_catalog"): ("seed", "lc_apps", "be_apps"),
+    ("repro.evaluation.pipeline", "run_policies"): (
+        "catalog", "policies", "placement_seeds", "levels", "duration_s",
+    ),
+    ("repro.evaluation.replacement", "phase_loads"): ("catalog", "phase"),
+    ("repro.evaluation.replacement", "compare_replacement"): (
+        "catalog", "phases", "migration_penalties",
+    ),
+    ("repro.evaluation.reports", "solve_fleet_scale"): ("catalog",),
+    ("repro.evaluation.reports", "render_fleet_flows"): ("lp",),
+    ("repro.evaluation.sharing", "compare_schedulers"): ("catalog",),
+    ("repro.evaluation.sharing", "compare_sharing_modes"): ("catalog",),
+    ("repro.evaluation.tco_eval", "measure_operating_points"): (
+        "catalog", "placement_seeds", "levels", "duration_s",
+    ),
+    ("repro.evaluation.tco_eval", "fig15_tco"): (
+        "catalog", "placement_seeds", "levels", "duration_s",
+    ),
+    ("repro.hwmodel.capping", "PowerCapController.run_until_stable"): (
+        "self", "max_steps",
+    ),
+    ("repro.hwmodel.spec", "ServerSpec.full_allocation"): ("self",),
+    ("repro.runtime.atomic", "atomic_write_text"): ("path", "text"),
+    ("repro.runtime.atomic", "atomic_write_json"): ("path", "obj", "sort_keys"),
+    ("repro.sim.queueing", "p99_curve"): (
+        "service_rate_total", "rhos", "workers", "num_requests", "seed",
+    ),
 }
 
 
@@ -92,8 +171,17 @@ class TestConstructorSurface:
     )
     def test_parameters_pinned(self, where, params):
         module, name = where
-        obj = getattr(importlib.import_module(module), name)
+        obj = importlib.import_module(module)
+        for part in name.split("."):
+            obj = getattr(obj, part)
         assert tuple(inspect.signature(obj).parameters) == params
+
+    @pytest.mark.parametrize("package", ["repro.guard", "repro.engine"])
+    def test_no_lazy_module_attributes(self, package):
+        """Every export is bound at import time: no PEP 562 hook."""
+        module = importlib.import_module(package)
+        assert "__getattr__" not in vars(module)
+        assert "__dir__" not in vars(module)
 
 
 class TestErrorHierarchy:

@@ -15,11 +15,17 @@ timed code paths are the production ones:
 * **placement LP** — the POColo matrix of the catalog replicated to
   fleet size, the assignment the cluster manager solves;
 * **checkpointed sweep** — the cluster sweep through the crash-safe
-  runner, checkpointing after every cell.
+  runner, checkpointing after every cell;
+* **step calls** — the profiled calls the batched core makes per
+  control tick of a fleet sweep, counted in a fresh process.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
@@ -135,3 +141,59 @@ def run_fleet_checkpointed(
         config=SWEEP_CONFIG,
         **kwargs,
     )
+
+
+#: Child process of :func:`step_calls`: after a 10-server sweep warms
+#: the memos, a batched fleet sweep whose ``BatchedClusterSim.step``
+#: calls run under cProfile; prints the profiled calls and the steps as
+#: JSON.
+_STEP_CALLS_CHILD = """\
+import cProfile
+import json
+import pstats
+import sys
+
+import perf_scenarios as sc
+from repro.engine.batched import BatchedClusterSim
+
+cat = sc.catalog()
+plans = sc.fleet_plans(cat, int(sys.argv[1]))
+sc.run_fleet(cat, sc.fleet_plans(cat, 10), engine="batched")
+profiler = cProfile.Profile()
+step = BatchedClusterSim.step
+steps = []
+
+
+def profiled_step(self):
+    steps.append(1)
+    profiler.enable()
+    step(self)
+    profiler.disable()
+
+
+BatchedClusterSim.step = profiled_step
+sc.run_fleet(cat, plans, engine="batched", dedupe=False)
+print(json.dumps({"calls": pstats.Stats(profiler).total_calls,
+                  "steps": len(steps)}))
+"""
+
+
+def step_calls(n_servers: int) -> Dict[str, int]:
+    """Profiled calls inside ``BatchedClusterSim.step`` over one batched
+    fleet sweep of ``n_servers`` (dedupe off, warm memos), and the
+    steps it took.
+
+    Counted in a fresh process with ``PYTHONHASHSEED=0``: string
+    hashing decides set and dict iteration order, and so the exact
+    count; with it fixed the count repeats on any host.
+    """
+    here = Path(__file__).resolve().parent
+    path = [str(here), str(here.parents[1] / "src")]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.pathsep.join(path))
+    child = subprocess.run(
+        [sys.executable, "-c", _STEP_CALLS_CHILD, str(n_servers)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(child.stdout.splitlines()[-1])

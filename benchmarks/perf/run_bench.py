@@ -425,6 +425,45 @@ def bench_checkpoint_overhead(
     }
 
 
+#: Headroom of the step-call ceiling over the recorded count: a numpy or
+#: Python release whose internals make a few more calls stays under it,
+#: while a per-lane Python loop in ``step()`` breaks the equal-count
+#: check and a lost solver memo (a solve per lane and tick) lands far
+#: above it.
+STEP_CALLS_HEADROOM = 1.1
+
+
+def bench_step_calls() -> dict:
+    """Profiled calls per ``BatchedClusterSim.step`` at two fleet sizes.
+
+    Host-independent: counted in a fresh process with a fixed
+    ``PYTHONHASHSEED`` (:func:`perf_scenarios.step_calls`), so the same
+    tree gives the same count on any machine with the same Python and
+    numpy.  The per-tick work of the batched core is flat in lanes, so
+    both sizes must read the same count.
+    """
+    sizes = (100, 1000)
+    counts = {n: sc.step_calls(n) for n in sizes}
+    per_step = {n: c["calls"] / c["steps"] for n, c in counts.items()}
+    return {
+        "name": "batched_step_calls",
+        "description": (
+            "profiled calls inside BatchedClusterSim.step per control tick "
+            f"of a batched run_cluster sweep ({len(sc.SWEEP_LEVELS)} "
+            f"levels, {sc.SWEEP_DURATION_S:.0f}s cells, dedupe off, warm "
+            "memos), counted under cProfile in a fresh process with "
+            f"PYTHONHASHSEED=0 at {' and '.join(map(str, sizes))} servers; "
+            "the gate requires equal counts at every size and at most "
+            "ceiling calls per step"
+        ),
+        "mechanism": "work-count",
+        **{f"calls_per_step_{n}": round(v, 1) for n, v in per_step.items()},
+        "ceiling": round(max(per_step.values()) * STEP_CALLS_HEADROOM),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -451,6 +490,7 @@ def main(argv=None) -> int:
     scenarios.append(bench_lp_assignment(cat))
     scenarios.append(bench_canonical_assignment(cat))
     scenarios.append(bench_checkpoint_overhead(cat))
+    scenarios.append(bench_step_calls())
 
     payload = {
         "schema": "pocolo-bench-engine/1",
@@ -468,6 +508,9 @@ def main(argv=None) -> int:
     }
     atomic_write_json(out_path, payload)
     for s in scenarios:
+        if "ceiling" in s:
+            print(f"{s['name']:28s} ceiling {s['ceiling']} calls/step")
+            continue
         speedup = s.get("speedup")
         print(f"{s['name']:28s} engine {s['engine_s']:8.3f}s"
               + (f"  serial {s['serial_s']:8.3f}s  speedup {speedup:5.2f}x"

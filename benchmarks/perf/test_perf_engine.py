@@ -358,3 +358,34 @@ class TestFleetRunLayers:
             f"ceiling {ceiling:.0f}% — investigate before refreshing "
             "BENCH_engine.json"
         )
+
+
+class TestStepCallCount:
+    """The batched core's per-tick work is flat in lanes, counted.
+
+    Profiled call counts repeat exactly across processes once
+    ``PYTHONHASHSEED`` is fixed, so this gate holds on any host, unlike
+    the wall-clock gates above: ``BatchedClusterSim.step`` must make the
+    same number of calls per tick at 100 and at 1000 servers, and no
+    more than the ceiling ``run_bench.py`` recorded (with its Python and
+    numpy versions).  A per-lane Python loop inside ``step()`` breaks
+    the first check; a lost solver memo, a solve per lane and tick,
+    breaks the second.
+    """
+
+    def test_step_calls_flat_in_lanes(self):
+        entry = _committed("batched_step_calls")
+        small, large = sc.step_calls(100), sc.step_calls(1000)
+        assert small["steps"] == large["steps"] > 0
+        assert small["calls"] == large["calls"], (
+            f"step() calls grow with lanes: {small['calls']} over "
+            f"{small['steps']} steps at 100 servers, {large['calls']} at "
+            "1000 — a per-lane Python loop in the batched core?"
+        )
+        per_step = small["calls"] / small["steps"]
+        assert per_step <= entry["ceiling"], (
+            f"step() makes {per_step:.1f} profiled calls per tick, over the "
+            f"recorded ceiling of {entry['ceiling']} (Python "
+            f"{entry['python']}, numpy {entry['numpy']}) — investigate "
+            "before refreshing BENCH_engine.json"
+        )

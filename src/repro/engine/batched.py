@@ -37,8 +37,20 @@ possible:
   :class:`~repro.faults.schedule.FaultSchedule` objects consume their
   tapes differently.  The sim keeps one two-variant generator pair per
   distinct schedule (unfaulted lanes are their own class), evaluates
-  each schedule once per tick or sub-tick, and gathers each lane's
-  draw by its schedule's index.
+  each schedule once per control tick (for all of the tick's
+  sub-ticks), and gathers each lane's draw by its schedule's index.
+
+The 100 ms cap loop is one per-tick kernel (``_cap_loop``).  Between
+two manager decisions the capper moves only the BE frequency index and
+duty cycle, so the LC and idle draw, each lane's BE activity row over
+the DVFS ladder, the budget caps, the meter's fault activity and each
+fault class's meter-noise draws (``normal(0, sigma, size=k)`` equals k
+scalar draws bit for bit) are read once per tick, and each sub-tick is
+a fixed run of array operations.  The watchdog's state machine runs
+only while a lane is in safe mode or a reading is unhealthy.  The POM
+decision solves once per distinct ``(model, target)`` pair, not per
+lane, so the Python-level work of :meth:`BatchedClusterSim.step` does
+not grow with lanes (``benchmarks/perf/test_perf_engine.py`` counts it).
 
 Anything the probe cannot prove eligible (custom manager classes,
 irregular DVFS ladders, unknown fault types, unhashable models) falls
@@ -67,6 +79,7 @@ from typing import (
     Dict,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -139,6 +152,34 @@ _SUPPORTED_FAULTS = (
 #: Sentinel for probe results proven ineligible (cached negatives).
 _INELIGIBLE = object()
 
+#: ``mask.any()`` as a direct ufunc reduction, without the Python-level
+#: wrapper ``ndarray.any`` goes through (the cap loop asks every sub-tick).
+_any = np.logical_or.reduce
+
+#: Row of each CapStats counter in ``BatchedClusterSim.cap_stats``.
+_CAP_ROW = {f.name: i for i, f in enumerate(fields(CapStats))}
+
+#: The counters only the watchdog's safe-mode state machine moves.
+_SAFE_ROWS = [
+    _CAP_ROW[name]
+    for name in ("safe_mode_steps", "safe_mode_entries", "watchdog_trips")
+]
+
+
+class _SubtickFaults(NamedTuple):
+    """One sub-tick's meter-fault activity over the fault classes."""
+
+    #: Every class re-serves its last reading: no sample at all.
+    all_dropped: bool
+    #: Lanes whose class re-serves its last reading, or None.
+    dropped: Optional[np.ndarray]
+    #: Per class: whether its oracle draws meter noise.
+    draws: List[bool]
+    #: Class -> the stuck-at fault holding its reading.
+    stuck: Dict[int, MeterStuckAt]
+    #: ``(lanes, bias)`` drift columns, in the oracle's order.
+    drift: List[Tuple[Optional[np.ndarray], Any]]
+
 # ----------------------------------------------------------------------
 # Value-keyed global caches.  Keys are frozen dataclasses (profiles,
 # specs, models) compared by value, so equal-by-value inputs share
@@ -146,7 +187,8 @@ _INELIGIBLE = object()
 # ----------------------------------------------------------------------
 _LADDER_MAPS: Dict[ServerSpec, Any] = {}
 _SURFACE_TABLES: Dict[Tuple[Any, ServerSpec], Tuple[np.ndarray, np.ndarray]] = {}
-_SOLVER_MEMO: Dict[Tuple[Any, ServerSpec, float], Tuple[Any, ...]] = {}
+#: (model, spec) -> {target: (cores, ways, solver failed)}.
+_SOLVER_MEMO: Dict[Tuple[Any, ServerSpec], Dict[float, Tuple[int, int, int]]] = {}
 
 
 def clear_batched_caches() -> None:
@@ -203,7 +245,8 @@ def _ladder_maps(spec: ServerSpec) -> Optional[Dict[str, Any]]:
     The batched core replaces ``step_down``/``step_up``/``clamp`` calls
     with integer index arithmetic; that is only exact when the ladder's
     operating points are strictly increasing, unique, clamp to
-    themselves, and span exactly [min_ghz, max_ghz].
+    themselves, step to their neighbours (the cap loop moves the index
+    by one), and span exactly [min_ghz, max_ghz].
     """
     hit = _LADDER_MAPS.get(spec, _INELIGIBLE)
     if hit is not _INELIGIBLE:
@@ -234,6 +277,11 @@ def _build_ladder_maps(spec: ServerSpec) -> Optional[Dict[str, Any]]:
             return None
         down.append(index[stepped_down])
         up.append(index[stepped_up])
+    last = len(vals) - 1
+    if down != [max(i - 1, 0) for i in range(last + 1)] or up != [
+        min(i + 1, last) for i in range(last + 1)
+    ]:
+        return None
     bal_c = np.zeros(spec.cores + 2, dtype=np.int64)
     bal_w = np.zeros(spec.cores + 2, dtype=np.int64)
     for arg in range(spec.cores + 2):
@@ -245,9 +293,6 @@ def _build_ladder_maps(spec: ServerSpec) -> Optional[Dict[str, Any]]:
         "vals_arr": np.asarray(vals, dtype=np.float64),
         "index": index,
         "down_idx": np.asarray(down, dtype=np.int64),
-        "up_idx": np.asarray(up, dtype=np.int64),
-        "can_down": np.asarray([v > ladder.min_ghz + 1e-9 for v in vals]),
-        "can_up": np.asarray([v < ladder.max_ghz - 1e-9 for v in vals]),
         "at_max": np.asarray([v >= ladder.max_ghz - 1e-9 for v in vals]),
         "bal_c": bal_c,
         "bal_w": bal_w,
@@ -285,19 +330,17 @@ def _surface_tables(profile: Any, spec: ServerSpec) -> Tuple[np.ndarray, np.ndar
     return tables
 
 
-def _solve_allocation(model: Any, spec: ServerSpec, target: float) -> Tuple[Any, ...]:
-    """Memoized least-power solve; returns ("ok", c, w) or ("err",)."""
-    key = (model, spec, float(target))
-    hit = _SOLVER_MEMO.get(key)
-    if hit is not None:
-        return hit
+def _solve_allocation(model: Any, spec: ServerSpec, target: float) -> Tuple[int, int, int]:
+    """Least-power ``(cores, ways, failed)`` for a target capacity.
+
+    A :class:`CapacityError` gives the full server with ``failed = 1``,
+    as the oracle's manager falls back to ``spec.full_allocation()``.
+    """
     try:
         alloc = integer_min_power_allocation(model, target, spec)
-        entry: Tuple[Any, ...] = ("ok", alloc.cores, alloc.ways)
     except CapacityError:
-        entry = ("err",)
-    _SOLVER_MEMO[key] = entry
-    return entry
+        return spec.cores, spec.llc_ways, 1
+    return alloc.cores, alloc.ways, 0
 
 
 # ----------------------------------------------------------------------
@@ -533,8 +576,8 @@ class BatchedClusterSim:
       telemetry, counters, energy and guard verdicts (``_live``).
     * **fault schedule** — one generator pair per distinct schedule
       object, unfaulted lanes being their own class; each schedule is
-      consulted once per tick or sub-tick and each lane gathers its
-      class's draw and fault columns.
+      consulted once per tick, for the tick and its sub-ticks, and each
+      lane gathers its class's draw and fault columns.
     """
 
     def __init__(self, tasks: Sequence[Cell], infos: Sequence[Dict[str, Any]]) -> None:
@@ -732,6 +775,11 @@ class BatchedClusterSim:
                     if isinstance(f, ModelStaleness) and f.model not in models:
                         models.append(f.model)
             self.models = models
+            #: Each model's solver memo, resolved once so the per-tick
+            #: lookup hashes a float target, not the model.
+            self.memos = [
+                _SOLVER_MEMO.setdefault((m, spec), {}) for m in models
+            ]
             self.midx = midx
             self.eff_midx = midx.copy()
             self.p_fclass = fclass[self.p_sel]
@@ -761,29 +809,33 @@ class BatchedClusterSim:
         # The plausibility bound is anchored at the base provisioning,
         # as the oracle's capper captures it before any cap schedule.
         self.max_plausible = MAX_PLAUSIBLE_FACTOR * self.cap
-        self.cap_stats = {
-            f: np.zeros(n, dtype=np.int64)
-            for f in (
-                "samples", "over_cap_samples", "throttle_events",
-                "restore_events", "duty_limited_samples", "safe_mode_steps",
-                "safe_mode_entries", "watchdog_trips",
-            )
-        }
-        self.ssr = np.full(n, 10 ** 9, dtype=np.int64)
+        #: CapStats counters x lanes, rows in field order.
+        self.cap_stats = np.zeros((len(_CAP_ROW), n), dtype=np.int64)
+        #: One tick's per-sub-tick counter increments, counted into
+        #: ``cap_stats`` once per tick.  Every sub-tick is a sample; the
+        #: safe-mode rows are written only when the watchdog runs.
+        self.events = np.zeros((self.subticks, len(_CAP_ROW), n), dtype=bool)
+        self.events[:, _CAP_ROW["samples"]] = True
+        self.events_safe = False
+        #: Samples taken so far.  The oracle's "samples since restore"
+        #: and restore cooldown countdowns are kept as sample numbers:
+        #: the last restore's, and the first one a restore may act on.
+        self.sample = 0
+        self.restored_at = np.full(n, -(10 ** 9) - 1, dtype=np.int64)
+        self.cool_until = np.zeros(n, dtype=np.int64)
         self.backoff = np.zeros(n, dtype=np.int64)
-        self.cooldown = np.zeros(n, dtype=np.int64)
         self.safe = np.zeros(n, dtype=bool)
-        self.prev_raw = np.zeros(n)
-        self.prev_valid = np.zeros(n, dtype=bool)
+        self.safe_any = False
         self.repeat = np.zeros(n, dtype=np.int64)
+        self.repeating = False
         self.healthy_streak = np.zeros(n, dtype=np.int64)
+        #: Each lane's first entry in the flattened (lanes x K) BE row.
+        self.row_start = np.arange(n, dtype=np.int64) * self.K
 
         # ---- meter / energy ----------------------------------------
         self.meter_sigma = float(cfg.meter_noise_w)
         self.m_filt = np.zeros(n)
-        self.m_filt_init = False
         self.m_last_raw = np.zeros(n)
-        self.m_last_filt = np.zeros(n)
         self.m_last_time = 0.0
         self.m_has_last = False
         #: Per fault class: MeterStuckAt fault -> the readings it holds.
@@ -1009,8 +1061,7 @@ class BatchedClusterSim:
 
         self._control_step(measured_load, measured_slack)
 
-        for k in range(self.subticks):
-            self._capper_step(t + k * cfg.power_interval_s)
+        self._cap_loop(t)
 
         true_slack = 1.0 - self._true_p99(
             true_load, self._lc_capacity(self.lc_c, self.lc_w, self.lc_f)
@@ -1218,23 +1269,7 @@ class BatchedClusterSim:
             target = np.minimum(
                 np.maximum(target, self.floor_perf[eff]), self.full_perf[eff]
             )
-            ac = np.zeros(n, dtype=np.int64)
-            aw = np.zeros(n, dtype=np.int64)
-            solver_fallbacks = np.zeros(n, dtype=np.int64)
-            local: Dict[Tuple[int, float], Tuple[Any, ...]] = {}
-            for i in np.flatnonzero(nm):
-                key = (int(eff[i]), float(target[i]))
-                entry = local.get(key)
-                if entry is None:
-                    entry = _solve_allocation(
-                        self.models[key[0]], self.spec, target[i]
-                    )
-                    local[key] = entry
-                if entry[0] == "ok":
-                    ac[i], aw[i] = entry[1], entry[2]
-                else:
-                    solver_fallbacks[i] = 1
-                    ac[i], aw[i] = self.C, self.W
+            ac, aw, solver_fallbacks = self._pom_solve(eff, target, nm)
             if solver_fallbacks.any():
                 self._add_kind(stats["solver_fallbacks"], sel, solver_fallbacks)
             at_floor = (ac == lc_c) & (aw == lc_w)
@@ -1255,92 +1290,216 @@ class BatchedClusterSim:
             )
         return tc, tw, tf
 
+    def _pom_solve(
+        self, eff: np.ndarray, target: np.ndarray, lanes: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Least-power ``(cores, ways, solver failed)`` per POM lane, zero
+        off ``lanes``.
+
+        Lanes sharing a ``(model, target)`` pair share one memo lookup.
+        The pairs are made unique as complex keys, the model index the
+        real part and the target the imaginary one (both exact), so the
+        Python work per tick grows with distinct pairs, not with lanes.
+        """
+        keys, inverse = np.unique(
+            eff[lanes] + 1j * target[lanes], return_inverse=True
+        )
+        solved = []
+        for m, value in zip(
+            keys.real.astype(np.int64).tolist(), keys.imag.tolist()
+        ):
+            memo = self.memos[m]
+            entry = memo.get(value)
+            if entry is None:
+                entry = memo[value] = _solve_allocation(
+                    self.models[m], self.spec, value
+                )
+            solved.append(entry)
+        out = np.zeros((len(eff), 3), dtype=np.int64)
+        out[lanes] = np.asarray(solved, dtype=np.int64)[inverse]
+        return out[:, 0], out[:, 1], out[:, 2]
+
+    # ------------------------------------------------------------------
+    # Power-cap loop (PowerCapController.step over one tick's sub-ticks)
+    # ------------------------------------------------------------------
+    def _cap_loop(self, t: float) -> None:
+        """The tick's power-cap sub-ticks as one kernel.
+
+        The capper moves only the BE frequency index and duty cycle, so
+        everything else it reads is gathered once per tick: the idle +
+        LC draw, each lane's BE activity row over the frequency ladder,
+        which lanes have a secondary to act on, the budget caps, the
+        meter's fault activity and its noise draws.  A sub-tick reads
+        its BE draw from the row with one flat index, and its counter
+        increments are counted into ``cap_stats`` at the end of the tick.
+        """
+        cfg = self.config
+        times = [t + k * cfg.power_interval_s for k in range(self.subticks)]
+        caps = self._tick_caps(times)
+        cap = self.cap if caps is None else caps
+        # The capper throttles and restores only lanes with a secondary
+        # to act on; the others get thresholds no reading crosses.
+        has_sec = self.has_be & ~self.be_empty
+        cap_hi = np.where(has_sec, cap, np.inf)
+        cap_lo = np.where(has_sec, cap - RESTORE_MARGIN_W, -np.inf)
+        if caps is None:  # the same cap every sub-tick
+            caps, cap_hi, cap_lo = (
+                [row] * len(times) for row in (self.cap, cap_hi, cap_lo)
+            )
+        # Server.power_w adds idle, then the tenants in attachment order
+        # (LC first): ((idle + lc) + be).  An empty or absent BE tenant's
+        # row reads 0.0, and adding 0.0 leaves the positive base as is.
+        base = self.idle_w + self.lc_act[self.lc_tbl, self.lc_c, self.lc_w, self.lc_f]
+        be_row = np.where(
+            self.be_empty[:, None], 0.0,
+            self.be_act[self.be_tbl, self.be_c, self.be_w],
+        ).ravel()
+        noise, faults = self._tick_meter(times)
+        for k, tk in enumerate(times):
+            # The oracle moves provisioned_power_w immediately before
+            # capper.step; the capper reads the live cap.
+            self.cap = caps[k]
+            true_w = base + be_row[self.row_start + self.be_f] * self.be_duty
+            prev = self.m_last_raw if self.m_has_last else None
+            self._meter_sample(
+                tk, true_w,
+                None if noise is None else noise[k],
+                None if faults is None else faults[k],
+            )
+            self._cap_step(k, prev, has_sec, cap_hi[k], cap_lo[k])
+            self.sample += 1
+        self._add(self.cap_stats, np.count_nonzero(self.events, axis=0))
+        if self.events_safe:
+            self.events[:, _SAFE_ROWS] = False
+            self.events_safe = False
+
+    def _tick_caps(self, times: List[float]) -> Optional[np.ndarray]:
+        """Each sub-tick's budget cap per lane, ``(sub-ticks, lanes)``, or
+        None when no lane has a cap schedule.
+
+        ``CapSchedule.cap_at`` per lane: an exact integer count of the
+        breakpoints already in force at each time (not a float
+        reduction), less one and clamped to zero.
+        """
+        if not self.any_sched:
+            return None
+        in_force = self.sched_times[:, :, None] <= np.asarray(times)
+        idx = np.maximum(np.count_nonzero(in_force, axis=1) - 1, 0)
+        return np.ascontiguousarray(self.sched_caps[self._lanes[:, None], idx].T)
+
     # ------------------------------------------------------------------
     # Power meter (vectorized PowerMeter / FaultyPowerMeter.sample)
     # ------------------------------------------------------------------
-    def _meter_base_observe(self, classes: Sequence[int]) -> np.ndarray:
-        """``PowerMeter._observe``: true draw plus gaussian meter noise,
-        drawn by the fault classes in ``classes``."""
-        true_w = self._power()
-        if self.meter_sigma:
-            sigma = self.meter_sigma
+    def _tick_meter(
+        self, times: List[float]
+    ) -> Tuple[Optional[np.ndarray], Optional[List[_SubtickFaults]]]:
+        """The meter's inputs for the tick's sub-ticks, in one call.
 
-            def noise(rng: np.random.Generator) -> float:
-                return rng.normal(0.0, sigma)
-
-            z_w = self._draw(self.rng_with, noise, classes)
-            z_wo = self._draw(self.rng_without, noise, classes)
-            return np.maximum(0.0, true_w + np.where(self.with_mask, z_w, z_wo))
-        return np.maximum(0.0, true_w + 0.0)
-
-    def _meter_observe(self, t: float, classes: Sequence[int]) -> np.ndarray:
-        """``FaultyPowerMeter._observe`` for the fault classes in
-        ``classes``: stuck-at first, then drift."""
-        if not self.faulted:
-            return self._meter_base_observe(classes)
-        stuck: Dict[int, MeterStuckAt] = {}
-        draws: List[int] = []
-        biases: List[List[float]] = [[] for _ in self.fscheds]
-        for k in classes:
-            sched = self.fscheds[k]
-            if sched is None:
-                draws.append(k)
-                continue
-            fault = sched.first_active(t, MeterStuckAt)
-            if fault is None:
-                draws.append(k)
-                biases[k] = [d.bias_at(t) for d in sched.active(t, MeterDrift)]
-                continue
-            stuck[k] = fault
-            if (
-                fault not in self.held[k]
-                and fault.value_w is None
-                and not self.m_has_last
-            ):
-                draws.append(k)  # the held value is this draw
-        base = self._meter_base_observe(draws) if draws else np.zeros(self.n)
-        raw = base
-        for lanes, bias in self._lane_columns(biases):
-            drifted = raw + bias
-            raw = drifted if lanes is None else np.where(lanes, drifted, raw)
-        # Idempotent on lanes without drift: the base is already >= 0.
-        raw = np.maximum(0.0, raw)
-        for k, fault in stuck.items():
-            held = self.held[k].get(fault)
-            if held is None:
-                if fault.value_w is not None:
-                    held = np.full(self.n, float(fault.value_w))
-                elif self.m_has_last:
-                    held = self.m_last_raw.copy()
-                else:
-                    held = base.copy()
-                self.held[k][fault] = held
-            # Held readings bypass drift and the trailing clamp.
-            raw = held if self.n_fc == 1 else np.where(self.fclass == k, held, raw)
-        return raw
-
-    def _meter_sample(self, t: float) -> None:
-        """``sample`` per fault class: a dropout re-serves the last
-        reading restamped."""
-        classes: Sequence[int] = range(self.n_fc)
-        dropped = None
-        if self.faulted and self.m_has_last:
-            drop = [
-                s is not None and s.first_active(t, MeterDropout) is not None
-                for s in self.fscheds
+        Returns each sub-tick's noise row per lane (None for an exact
+        meter) and, on a faulted block, each sub-tick's fault activity.
+        A fault class draws its tick's noise with one call per tape:
+        ``normal(0, sigma, size=k)`` equals k scalar draws bit for bit,
+        and k counts only the sub-ticks on which its oracle draws.
+        """
+        first = not self.m_has_last
+        faults = None
+        if self.faulted:
+            faults = [
+                self._meter_faults(tk, first and k == 0)
+                for k, tk in enumerate(times)
             ]
-            if all(drop):
-                # FaultyPowerMeter re-publishes the stale reading under
-                # the new timestamp: no draw, no EWMA update.
-                self.m_last_time = t
-                return
-            if any(drop):
-                classes = [k for k, d in enumerate(drop) if not d]
-                dropped = np.asarray(drop)[self.fclass]
-        raw = self._meter_observe(t, classes)
-        if not self.m_filt_init:
+        if not self.meter_sigma:
+            return None, faults
+        z_with = np.zeros((len(times), self.n_fc))
+        z_without = np.zeros((len(times), self.n_fc))
+        for c in range(self.n_fc):
+            rows = [
+                k for k in range(len(times))
+                if faults is None or faults[k].draws[c]
+            ]
+            z_with[rows, c] = self.rng_with[c].normal(
+                0.0, self.meter_sigma, size=len(rows)
+            )
+            z_without[rows, c] = self.rng_without[c].normal(
+                0.0, self.meter_sigma, size=len(rows)
+            )
+        noise = np.where(
+            self.with_mask, z_with[:, self.fclass], z_without[:, self.fclass]
+        )
+        return noise, faults
+
+    def _meter_faults(self, t: float, first: bool) -> _SubtickFaults:
+        """Each fault class's meter faults at one sub-tick.
+
+        ``first`` marks the first sample ever: no reading to re-serve
+        yet, so no dropout, and a stuck-at fault without a pinned value
+        holds a fresh (drawn) reading.
+        """
+        drop = [
+            not first and s is not None
+            and s.first_active(t, MeterDropout) is not None
+            for s in self.fscheds
+        ]
+        draws = [False] * self.n_fc
+        stuck: Dict[int, MeterStuckAt] = {}
+        if all(drop):
+            return _SubtickFaults(True, None, draws, stuck, [])
+        biases: List[List[float]] = [[] for _ in self.fscheds]
+        for c, sched in enumerate(self.fscheds):
+            if drop[c]:
+                continue
+            fault = None if sched is None else sched.first_active(t, MeterStuckAt)
+            if fault is None:
+                draws[c] = True
+                if sched is not None:
+                    biases[c] = [
+                        d.bias_at(t) for d in sched.active(t, MeterDrift)
+                    ]
+            else:
+                stuck[c] = fault
+                draws[c] = first and fault.value_w is None
+        dropped = np.asarray(drop)[self.fclass] if any(drop) else None
+        return _SubtickFaults(
+            False, dropped, draws, stuck, list(self._lane_columns(biases))
+        )
+
+    def _meter_sample(
+        self,
+        t: float,
+        true_w: np.ndarray,
+        noise: Optional[np.ndarray],
+        faults: Optional[_SubtickFaults],
+    ) -> None:
+        """``FaultyPowerMeter.sample`` at one sub-tick: stuck-at first,
+        then drift; a dropout re-serves the last reading restamped."""
+        if faults is not None and faults.all_dropped:
+            # No draw and no EWMA update: the stale reading, restamped.
+            self.m_last_time = t
+            return
+        observed = np.maximum(0.0, true_w if noise is None else true_w + noise)
+        raw = observed
+        dropped = None
+        if faults is not None:
+            for lanes, bias in faults.drift:
+                drifted = raw + bias
+                raw = drifted if lanes is None else np.where(lanes, drifted, raw)
+            # Idempotent on lanes without drift: the observation is >= 0.
+            raw = np.maximum(0.0, raw)
+            for c, fault in faults.stuck.items():
+                held = self.held[c].get(fault)
+                if held is None:
+                    if fault.value_w is not None:
+                        held = np.full(self.n, float(fault.value_w))
+                    elif self.m_has_last:
+                        held = self.m_last_raw.copy()
+                    else:
+                        held = observed.copy()  # the held value is this draw
+                    self.held[c][fault] = held
+                # Held readings bypass drift and the trailing clamp.
+                raw = held if self.n_fc == 1 else np.where(self.fclass == c, held, raw)
+            dropped = faults.dropped
+        if not self.m_has_last:
             self.m_filt = raw.copy()
-            self.m_filt_init = True
         else:
             filt = 0.5 * raw + 0.5 * self.m_filt
             self.m_filt = filt if dropped is None else np.where(
@@ -1349,104 +1508,124 @@ class BatchedClusterSim:
         if dropped is not None:
             raw = np.where(dropped, self.m_last_raw, raw)
         self.m_last_raw = raw
-        self.m_last_filt = self.m_filt
         self.m_last_time = t
         self.m_has_last = True
 
     # ------------------------------------------------------------------
-    # Power-cap loop (vectorized PowerCapController.step)
+    # Power-cap controller (vectorized PowerCapController.step)
     # ------------------------------------------------------------------
-    def _watchdog_step(self, raw: np.ndarray, has_sec: np.ndarray) -> np.ndarray:
-        """Safe-mode state machine; returns the lanes it handled."""
-        stats = self.cap_stats
-        armed = self.meter_sigma > 0
-        if armed:
-            rep = self.prev_valid & (raw == self.prev_raw)
-            self.repeat = np.where(rep, self.repeat + 1, 0)
-        else:
-            self.repeat = np.zeros(self.n, dtype=np.int64)
-        self.prev_raw = raw
-        self.prev_valid = np.ones(self.n, dtype=bool)
-        healthy = ~(raw > self.max_plausible)
-        if armed:
-            healthy = healthy & ~(self.repeat >= STALE_AFTER)
+    def _watchdog(
+        self, k: int, prev: Optional[np.ndarray], has_sec: np.ndarray
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The meter watchdog at sub-tick ``k``: the lanes it handled and
+        those its floor throttled, or None when it had nothing to do.
 
+        ``prev`` is the previous raw reading (None before the first); on
+        a noisy meter a repeat counts toward the staleness streak.  The
+        safe-mode state machine runs only while a lane is in safe mode
+        or a reading is unhealthy; otherwise its updates are identities.
+        """
+        raw = self.m_last_raw
+        unhealthy = raw > self.max_plausible
+        if self.meter_sigma > 0 and prev is not None:
+            rep = raw == prev
+            repeating = bool(_any(rep))
+            if repeating or self.repeating:
+                self.repeat = (self.repeat + 1) * rep
+                self.repeating = repeating
+                unhealthy = unhealthy | (self.repeat >= STALE_AFTER)
+        if not self.safe_any and not _any(unhealthy):
+            return None
         was_safe = self.safe
-        trip = ~was_safe & ~healthy
-        self._add(stats["watchdog_trips"], trip)
-        self._add(stats["safe_mode_entries"], trip)
-        self.healthy_streak = np.where(trip, 0, self.healthy_streak)
+        trip = ~was_safe & unhealthy
+        streak = np.where(unhealthy, 0, self.healthy_streak + 1)
         self.healthy_streak = np.where(
-            was_safe, np.where(healthy, self.healthy_streak + 1, 0),
-            self.healthy_streak,
+            was_safe, streak, np.where(trip, 0, self.healthy_streak)
         )
         recover = was_safe & (self.healthy_streak >= RECOVERY_SAMPLES)
         handled = (was_safe | trip) & ~recover
         self.safe = handled
-        self._add(stats["safe_mode_steps"], handled)
+        self.safe_any = bool(_any(handled))
+        events = self.events
+        events[k, _CAP_ROW["safe_mode_steps"]] = handled
+        events[k, _CAP_ROW["safe_mode_entries"]] = trip
+        events[k, _CAP_ROW["watchdog_trips"]] = trip
+        self.events_safe = True
         # _floor: pin secondaries to (min freq, min duty); counts a
         # throttle event only when that actually changes the allocation.
-        floor_mask = handled & has_sec
-        changed = floor_mask & ((self.be_f != 0) | (self.be_duty != MIN_DUTY_CYCLE))
-        self._add(stats["throttle_events"], changed)
-        self.be_f = np.where(floor_mask, 0, self.be_f)
-        self.be_duty = np.where(floor_mask, MIN_DUTY_CYCLE, self.be_duty)
-        return handled
+        floor = handled & has_sec
+        floored = floor & ((self.be_f != 0) | (self.be_duty != MIN_DUTY_CYCLE))
+        self.be_f = np.where(floor, 0, self.be_f)
+        self.be_duty = np.where(floor, MIN_DUTY_CYCLE, self.be_duty)
+        return handled, floored
 
-    def _capper_step(self, t: float) -> None:
-        if self.any_sched:
-            # The oracle moves server.provisioned_power_w immediately
-            # before capper.step; the capper reads the live cap.
-            # An exact integer count per lane (not a float reduction):
-            # how many breakpoints are already in force at t.
-            k = np.count_nonzero(self.sched_times <= t, axis=1) - 1
-            self.cap = self.sched_caps[self._lanes, np.maximum(k, 0)]
-        self._meter_sample(t)
-        raw = self.m_last_raw
-        filt = self.m_last_filt
-        stats = self.cap_stats
-        self._add(stats["samples"], 1)
-        self.ssr += 1
-        self.cooldown = np.where(
-            self.cooldown > 0, self.cooldown - 1, self.cooldown
-        )
-        self._add(stats["over_cap_samples"], raw > self.cap)
-        has_sec = self.has_be & ~self.be_empty
-        handled = self._watchdog_step(raw, has_sec)
-        active = has_sec & ~handled
-        self._add(stats["duty_limited_samples"], active & (self.be_duty < 1.0))
+    def _cap_step(
+        self,
+        k: int,
+        prev: Optional[np.ndarray],
+        has_sec: np.ndarray,
+        cap_hi: np.ndarray,
+        cap_lo: np.ndarray,
+    ) -> None:
+        """``PowerCapController.step`` after sub-tick ``k``'s meter sample.
 
-        over = active & (filt > self.cap)
+        Lanes with a secondary read the cap as ``cap_hi`` and the cap
+        less the restore margin as ``cap_lo``; the others never cross
+        them.
+        """
+        raw, filt = self.m_last_raw, self.m_filt
+        events = self.events
+        events[k, _CAP_ROW["over_cap_samples"]] = raw > self.cap
+        watchdog = self._watchdog(k, prev, has_sec)
+        f, duty = self.be_f, self.be_duty
+        limited = duty < 1.0
+        s = self.sample
+        over = filt > cap_hi
+        if watchdog is None:
+            # A lane without a secondary holds duty 1.0 (granting or
+            # releasing one resets it), so it is never duty-limited.
+            events[k, _CAP_ROW["duty_limited_samples"]] = limited
+        else:
+            calm = ~watchdog[0]  # safe-mode lanes stand down
+            over = over & calm
+            events[k, _CAP_ROW["duty_limited_samples"]] = has_sec & calm & limited
         # Oscillation punishment: a restore that bounced straight back
         # over the cap doubles the restore backoff.
-        punish = over & (self.ssr <= 2)
-        self.backoff = np.where(
-            punish, np.minimum(600, np.maximum(10, self.backoff * 2)),
-            self.backoff,
+        punish = over & (self.restored_at >= s - 2)
+        if _any(punish):
+            self.backoff = np.where(
+                punish, np.minimum(600, np.maximum(10, self.backoff * 2)),
+                self.backoff,
+            )
+            self.cool_until = np.where(punish, s + self.backoff, self.cool_until)
+        # Below the cap less the margin is not over the cap, so no lane
+        # both throttles and restores: both read the same f and duty.
+        restore = (filt < cap_lo) & (self.cool_until <= s)
+        if watchdog is not None:
+            restore = restore & calm
+        # Ladder steps move the index by one (see _build_ladder_maps).
+        f_down = over & (f > 0)
+        f_up = restore & (f < self.K - 1)
+        at_min = over & (f == 0)
+        if _any(limited) or _any(at_min):
+            # Duty cycling: below the bottom of the ladder on the way
+            # down, before any frequency step on the way up.
+            d_down = at_min & (duty > MIN_DUTY_CYCLE + 1e-9)
+            d_up = restore & (duty < 1.0 - 1e-9)
+            f_up = f_up & ~d_up
+            self.be_duty = np.where(
+                d_down, np.maximum(MIN_DUTY_CYCLE, duty - DUTY_STEP),
+                np.where(d_up, np.minimum(1.0, duty + DUTY_STEP), duty),
+            )
+            throttled, restored = f_down | d_down, d_up | f_up
+        else:
+            throttled, restored = f_down, f_up
+        events[k, _CAP_ROW["throttle_events"]] = (
+            throttled if watchdog is None else throttled | watchdog[1]
         )
-        self.cooldown = np.where(punish, self.backoff, self.cooldown)
-        can_down = self.maps["can_down"][self.be_f]
-        f_down = over & can_down
-        d_down = over & ~can_down & (self.be_duty > MIN_DUTY_CYCLE + 1e-9)
-        self._add(stats["throttle_events"], f_down)
-        self._add(stats["throttle_events"], d_down)
-        new_duty = np.maximum(MIN_DUTY_CYCLE, self.be_duty - DUTY_STEP)
-        self.be_f = np.where(f_down, self.maps["down_idx"][self.be_f], self.be_f)
-        self.be_duty = np.where(d_down, new_duty, self.be_duty)
-
-        restore = (
-            active & ~over
-            & (filt < self.cap - RESTORE_MARGIN_W)
-            & (self.cooldown == 0)
-        )
-        d_up = restore & (self.be_duty < 1.0 - 1e-9)
-        f_up = restore & ~d_up & self.maps["can_up"][self.be_f]
-        self._add(stats["restore_events"], d_up)
-        self._add(stats["restore_events"], f_up)
-        up_duty = np.minimum(1.0, self.be_duty + DUTY_STEP)
-        self.be_duty = np.where(d_up, up_duty, self.be_duty)
-        self.be_f = np.where(f_up, self.maps["up_idx"][self.be_f], self.be_f)
-        self.ssr = np.where(restore, 0, self.ssr)
+        events[k, _CAP_ROW["restore_events"]] = restored
+        self.be_f = f - f_down + f_up
+        self.restored_at = np.where(restore, s, self.restored_at)
 
     # ------------------------------------------------------------------
     # Guard invariants (vectorized GuardMonitor.observe, registry order)
@@ -1680,9 +1859,7 @@ class BatchedClusterSim:
         # Lane-indexable epilogue columns, listed once so the per-lane
         # loop does no numpy scalar extraction: positional stat rows,
         # pairwise-exact means of the averaged series.
-        cap_rows = list(zip(*(
-            self.cap_stats[f.name].tolist() for f in fields(CapStats)
-        )))
+        cap_rows = list(zip(*self.cap_stats.tolist()))
         mgr_rows = list(zip(*(
             self.mgr_stats[f.name].tolist() for f in fields(ManagerStats)
         )))

@@ -18,8 +18,8 @@ group's shared lane block; :class:`TestLaneViews` pins the view's
 series layouts, mutation isolation and pickling against the oracle.
 
 Coverage spans both manager types (POM at the default and at a raised
-slack target, and the Heracles baseline), a no-BE plan, three fault schedules exercising all
-six fault types, record- and enforce-mode guards, the ``engine`` knob
+slack target, and the Heracles baseline), a no-BE plan, a solver that
+refuses targets, three fault schedules exercising all six fault types, record- and enforce-mode guards, the ``engine`` knob
 on :func:`~repro.sim.cluster.run_cluster` (dedupe on and off), and a
 real mid-sweep SIGKILL resumed under the *other* engine.
 """
@@ -34,17 +34,20 @@ from pathlib import Path
 
 import pytest
 
+import repro.engine.batched as batched_engine
 from repro.budget.schedule import CapSchedule
+from repro.core import server_manager
 from repro.core.server_manager import PowerOptimizedManager
-from repro.core.utility import IndirectUtilityModel
+from repro.core.utility import IndirectUtilityModel, integer_min_power_allocation
 from repro.engine.batched import (
     BatchedClusterSim,
+    clear_batched_caches,
     partition_cells,
     run_batched_cells,
 )
 from repro.engine.parallel import map_ordered
 from repro.engine.select import default_engine
-from repro.errors import ExecutionError
+from repro.errors import CapacityError, ExecutionError
 from repro.evaluation import (
     evaluate_all_policies,
     measure_operating_points,
@@ -221,6 +224,45 @@ class TestUnfaultedDifferential:
             f"new ColocationResult fields {sorted(uncovered)} are not "
             "compared by assert_outcome_equal; add them to RESULT_FIELDS"
         )
+
+
+class TestSolverFallbackDifferential:
+    """POM's solver-fallback branch, on both engines.
+
+    When ``integer_min_power_allocation`` raises ``CapacityError`` the
+    manager takes the full server and counts a solver fallback.  The
+    fitted catalog never makes it raise (targets are clamped to the
+    model's range), so both engines' solver is replaced by one that
+    refuses targets above half the model's full-server performance;
+    the batched memo is cleared around the test so no refusal outlives
+    it.
+    """
+
+    @pytest.fixture
+    def refusing_solver(self, monkeypatch):
+        def refusing(model, target, spec):
+            full = model.performance((float(spec.cores), float(spec.llc_ways)))
+            if target > 0.5 * full:
+                raise CapacityError("target refused by the test solver")
+            return integer_min_power_allocation(model, target, spec)
+
+        monkeypatch.setattr(server_manager, "integer_min_power_allocation", refusing)
+        monkeypatch.setattr(batched_engine, "integer_min_power_allocation", refusing)
+        clear_batched_caches()
+        yield
+        clear_batched_caches()
+
+    def test_refused_solves_bit_exact(self, catalog, mixed_plans, refusing_solver):
+        config = SimConfig(warmup_s=3.0, seed=1)
+        tasks = _tasks(mixed_plans, catalog.spec, (0.2, 0.5, 0.9), 8.0, config)
+        oracle = _oracle(tasks)
+        for a, b in zip(oracle, run_batched_cells(tasks)):
+            assert_outcome_equal(a, b, "refusing solver")
+        stats = [o.result.manager_stats for o in oracle]
+        assert any(m.solver_fallbacks for m in stats), "no solve was refused"
+        assert any(
+            0 < m.solver_fallbacks < m.control_steps for m in stats
+        ), "no lane mixed refused and solved targets"
 
 
 @pytest.fixture(scope="module")
@@ -596,7 +638,14 @@ class TestEvaluationDifferential:
 
     KWARGS = dict(placement_seeds=range(2), levels=(0.3, 0.7), duration_s=4.0)
 
-    def _both_engines(self, monkeypatch, evaluate, *args):
+    #: The ``policy_eval`` benchmark's shape (its 25 s cells over the
+    #: default levels) with one placement seed instead of four: long
+    #: enough for the cap loop's restore backoff and duty cycling to
+    #: act.  The benchmark's own check compares the batched engine with
+    #: itself, so this is the cross-engine check at that shape.
+    BENCHMARK_SHAPE = dict(placement_seeds=(1234,), duration_s=25.0)
+
+    def _both_engines(self, monkeypatch, evaluate, *args, kwargs=KWARGS):
         swept = []
         real = pipeline.run_sweeps
 
@@ -608,8 +657,8 @@ class TestEvaluationDifferential:
 
         monkeypatch.setattr(pipeline, "run_sweeps", recording)
         with default_engine("object"):
-            oracle = evaluate(*args, **self.KWARGS)
-        default = evaluate(*args, **self.KWARGS)
+            oracle = evaluate(*args, **kwargs)
+        default = evaluate(*args, **kwargs)
         assert len(swept) == 2, "each evaluation must execute as one sweep"
         assert len(swept[0]) == len(swept[1])
         _, fallback = partition_cells(swept[1])
@@ -617,9 +666,26 @@ class TestEvaluationDifferential:
         return oracle, default
 
     def test_policy_evaluation_engines_agree(self, catalog, monkeypatch):
-        oracle, default = self._both_engines(
+        self._assert_policies_equal(*self._both_engines(
             monkeypatch, evaluate_all_policies, catalog
+        ))
+
+    def test_policy_evaluation_at_benchmark_shape(self, catalog, monkeypatch):
+        oracle, default = self._both_engines(
+            monkeypatch, evaluate_all_policies, catalog,
+            kwargs=self.BENCHMARK_SHAPE,
         )
+        self._assert_policies_equal(oracle, default)
+        stats = [
+            o.result.cap_stats
+            for ev in oracle.values() for run in ev.runs for o in run.outcomes
+        ]
+        assert sum(s.duty_limited_samples for s in stats), (
+            "the cap loop never duty-cycled a BE tenant at this shape"
+        )
+
+    @staticmethod
+    def _assert_policies_equal(oracle, default):
         assert list(oracle) == list(default) == ["random", "pom", "pocolo"]
         for policy, want in oracle.items():
             got = default[policy]

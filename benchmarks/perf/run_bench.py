@@ -24,10 +24,12 @@ for how to read and when to refresh the committed file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import os
 import pathlib
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -37,6 +39,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 import numpy as np
 
 import perf_scenarios as sc
+import repro.runtime.sweep as sweep_module
 from repro.core.placement import _build_performance_matrix_reference
 from repro.engine.vectorized import (
     build_performance_matrix_vectorized,
@@ -369,39 +372,94 @@ def bench_canonical_assignment(cat, copies: int = 12, reps: int = 5) -> dict:
     }
 
 
+#: Iterations of the pure-Python loop whose CPU time is the host-speed
+#: unit of the checkpoint gate (perfbench's reference loop).
+REF_LOOP = 50_000
+
+
+def _reference_cpu_s() -> float:
+    """Median CPU seconds of three runs of a fixed pure-Python loop.
+
+    The loop calls nothing in the program, so only the host's speed
+    moves it; dividing a measured cost by it cancels most of the drift
+    of a shared host.
+    """
+    samples = []
+    for _ in range(3):
+        start = time.process_time()
+        acc = 0
+        for i in range(REF_LOOP):
+            acc += i * i
+        samples.append(time.process_time() - start)
+    return statistics.median(samples)
+
+
+@contextlib.contextmanager
+def _checkpoint_hook_cpu(spent: list):
+    """Add the CPU seconds of every checkpoint result-hook call to ``spent[0]``.
+
+    The hook is all a checkpointed sweep adds per delivered run of
+    cells: pickling each cell, appending its record and the ``fsync``.
+    """
+    real = sweep_module._execute
+
+    def execute(cells, engine, dedupe, completed, on_result=None):
+        def hook(delivered):
+            start = time.process_time()
+            on_result(delivered)
+            spent[0] += time.process_time() - start
+
+        return real(cells, engine, dedupe, completed, hook)
+
+    sweep_module._execute = execute
+    try:
+        yield
+    finally:
+        sweep_module._execute = real
+
+
 def bench_checkpoint_overhead(
-    cat, n_servers: int = 48, duration_s: float = 30.0, reps: int = 5
+    cat, n_servers: int = 48, duration_s: float = 30.0, reps: int = 15
 ) -> dict:
     """Checkpointed vs plain batched sweep; the crash-safety tax.
 
     The checkpointed arm runs with ``checkpoint_every=1`` (the default):
     every cell is pickled once and appended as one record, and each run
     of cells the batched engine delivers together is committed with one
-    ``fsync``, so a return to an fsync per cell, or to re-pickling or
-    rewriting every completed cell per save, shows up here.  The
-    journal is append-only and each arm starts it fresh, so its size
-    after a sweep is every byte that sweep wrote to it
-    (``bytes_written``).  Cells run ``duration_s``
-    (the fleet benchmark's length) so their telemetry, and with it the
-    pickling, is the size a real sweep checkpoints.  Arms are
-    interleaved and the per-arm minimum is kept.
+    ``fsync``.  The gated figure, ``hook_ref``, is the CPU time the
+    sweep spends in its checkpoint hook (``hook_cpu_s``) in units of
+    the reference loop's CPU time (``ref_cpu_s``), each the minimum over
+    ``reps`` interleaved reps: it moves with what checkpointing costs,
+    not with how fast the sweep around it runs, so a second pickling
+    pass, an ``fsync`` per cell or a rewrite of every completed cell
+    per save shows up here.  The journal is append-only and each arm
+    starts it fresh, so its size after a sweep is every byte that sweep
+    wrote to it (``bytes_written``).  Cells run ``duration_s`` (the
+    fleet benchmark's length) so their telemetry, and with it the
+    pickling, is the size a real sweep checkpoints.  ``serial_s`` and
+    ``engine_s`` are the plain and checkpointed arms' wall minima.
     """
     plans = sc.fleet_plans(cat, n_servers)
     n_cells = n_servers * len(sc.SWEEP_LEVELS)
     kwargs = dict(duration_s=duration_s, engine="batched")
     sc.run_fleet(cat, plans, **kwargs)  # warm surface tables
-    plain_s = checkpointed_s = float("inf")
+    plain_s = checkpointed_s = hook_s = ref_s = float("inf")
     plain = checkpointed = None
+    spent = [0.0]
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "sweep.ckpt"
         for _ in range(reps):
+            ref_s = min(ref_s, _reference_cpu_s())
             plain, t = _timed(sc.run_fleet, cat, plans, **kwargs)
             plain_s = min(plain_s, t)
-            checkpointed, t = _timed(
-                sc.run_fleet_checkpointed, cat, plans, path,
-                checkpoint_every=1, **kwargs,
-            )
+            spent[0] = 0.0
+            with _checkpoint_hook_cpu(spent):
+                checkpointed, t = _timed(
+                    sc.run_fleet_checkpointed, cat, plans, path,
+                    checkpoint_every=1, **kwargs,
+                )
             checkpointed_s = min(checkpointed_s, t)
+            hook_s = min(hook_s, spent[0])
         bytes_written = path.stat().st_size
     assert _flat(plain) == _flat(checkpointed), "checkpointed != plain"
     return {
@@ -411,14 +469,18 @@ def bench_checkpoint_overhead(
             f"{len(sc.SWEEP_LEVELS)} levels = {n_cells} cells of "
             f"{duration_s:.0f}s, plain vs "
             "run_cluster_checkpointed with checkpoint_every=1 (one record "
-            "per cell, one fsync per delivered run); min over "
+            "per cell, one fsync per delivered run); hook_ref is the CPU "
+            "seconds spent in the checkpoint result hook over the CPU "
+            f"seconds of a {REF_LOOP}-iteration reference loop, minima over "
             f"{reps} interleaved reps; bytes_written is the journal's size "
             "after one sweep"
         ),
         "mechanism": "checkpoint",
         "serial_s": round(plain_s, 4),
         "engine_s": round(checkpointed_s, 4),
-        "overhead_pct": round(100.0 * (checkpointed_s / plain_s - 1.0), 1),
+        "hook_cpu_s": round(hook_s, 4),
+        "ref_cpu_s": round(ref_s, 5),
+        "hook_ref": round(hook_s / ref_s, 2),
         "bytes_written": bytes_written,
         "cells": n_cells,
         "identical_results": True,
@@ -517,7 +579,9 @@ def main(argv=None) -> int:
                  if speedup is not None else "")
               + (f"  overhead {s['overhead_pct']}%" if "overhead_pct" in s else "")
               + (f"  LP/Hungarian {s['lp_over_hungarian']}x"
-                 if "lp_over_hungarian" in s else ""))
+                 if "lp_over_hungarian" in s else "")
+              + (f"  checkpoint hook {s['hook_ref']} ref loops"
+                 if "hook_ref" in s else ""))
     print(f"wrote {out_path}")
     return 0
 

@@ -320,17 +320,19 @@ class TestFleetRunLayers:
     recording host; a dense pivot read 89x, above its ceiling.  The
     default assignment's speedup over the simplex solve read 48.5-54.6x
     (at most 11% below the highest reading); a Hungarian inner loop
-    back on numpy scalar indexing lands below its floor.  With group
-    commit (one fsync per run of cells delivered together) the
-    checkpoint journal's overhead read 18-47% over seven runs, and the
-    recorded entry is the median run; one fsync per cell read 73-164%
-    over ten runs, and rewriting the whole file on every save 472-608%,
-    both above the ceiling.
+    back on numpy scalar indexing lands below its floor.  The checkpoint
+    gate holds the CPU time of the sweep's checkpoint hook, in units of
+    a fixed reference loop's CPU time (``hook_ref``), to the committed
+    figure: it measures what journaling costs, so it stays put when the
+    sweep around it gets faster.  Ten runs of the scenario read
+    3.67-4.42 reference loops; a copy that pickles every completed cell
+    a second time on each save read 5.12-5.51, and one that fsyncs
+    every cell 7.1, both above the ceiling.
     """
 
     LP_SLACK = 0.25
     CANONICAL_SLACK = 0.15
-    CHECKPOINT_SLACK = 1.0
+    CHECKPOINT_SLACK = 0.25
 
     def test_lp_assignment_gate(self, cat):
         entry = _committed("lp_assignment_48")
@@ -350,12 +352,12 @@ class TestFleetRunLayers:
 
     def test_checkpoint_overhead_gate(self, cat):
         entry = _committed("checkpoint_overhead_48")
-        measured = run_bench.bench_checkpoint_overhead(cat)["overhead_pct"]
-        ceiling = entry["overhead_pct"] * (1.0 + self.CHECKPOINT_SLACK)
+        measured = run_bench.bench_checkpoint_overhead(cat)["hook_ref"]
+        ceiling = entry["hook_ref"] * (1.0 + self.CHECKPOINT_SLACK)
         assert measured <= ceiling, (
-            f"checkpointing regressed: measured {measured:.0f}% over the "
-            f"plain sweep, committed {entry['overhead_pct']}%, gate "
-            f"ceiling {ceiling:.0f}% — investigate before refreshing "
+            f"checkpointing regressed: its hook measured {measured:.2f} "
+            f"reference loops, committed {entry['hook_ref']}, gate "
+            f"ceiling {ceiling:.2f} — investigate before refreshing "
             "BENCH_engine.json"
         )
 

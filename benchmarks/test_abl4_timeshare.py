@@ -9,9 +9,12 @@ power-capped xapian server.
 Expected shape: identical makespan (work conservation), SJF with the
 lowest mean response time, round-robin in between, and the LC SLO held
 throughout the job swaps.
+
+The emitted table is a committed golden snapshot — see
+``tests/test_golden_reports.py`` and ``repro.evaluation.reports``.
 """
 
-from repro.analysis import format_table
+from repro.evaluation.reports import render_timeshare
 from repro.evaluation.sharing import compare_schedulers
 
 
@@ -20,18 +23,7 @@ def test_abl4_timeshare(benchmark, emit, catalog):
         compare_schedulers, args=(catalog,), rounds=1, iterations=1
     )
 
-    rows = [
-        [r.scheduler, r.mean_response_time_s, r.makespan_s,
-         r.slo_violation_fraction, "yes" if r.all_done else "NO"]
-        for r in rows_data
-    ]
-    emit("abl4_timeshare", format_table(
-        ["scheduler", "mean response (s)", "makespan (s)",
-         "SLO violations", "all done"],
-        rows, precision=1,
-        title="Ablation A4 — time-sharing schedulers "
-              "(1 long + 3 short jobs on xapian @ 40%)",
-    ))
+    emit("abl4_timeshare", render_timeshare(rows_data))
 
     by_name = {r.scheduler: r for r in rows_data}
     assert all(r.all_done for r in rows_data)

@@ -9,9 +9,12 @@ Expected shape: spatial sharing wins for this *complementary* pair —
 graph gets the cores it loves while LSTM simultaneously gets the ways it
 loves, instead of each alternating over the whole (mismatched) slice —
 and the partition visibly reflects the preference vectors.
+
+The emitted table is a committed golden snapshot — see
+``tests/test_golden_reports.py`` and ``repro.evaluation.reports``.
 """
 
-from repro.analysis import format_table
+from repro.evaluation.reports import render_sharing_modes
 from repro.evaluation.sharing import compare_sharing_modes
 
 
@@ -20,17 +23,7 @@ def test_abl5_sharing_modes(benchmark, emit, catalog):
         compare_sharing_modes, args=(catalog,), rounds=1, iterations=1
     )
 
-    rows = [
-        ["temporal (round-robin)", result.temporal_total, "--"],
-        ["spatial (partitioned)", result.spatial_total,
-         f"{result.spatial_advantage:+.1%}"],
-    ]
-    emit("abl5_sharing_modes", format_table(
-        ["mode", "aggregate BE throughput", "vs temporal"],
-        rows,
-        title=f"Ablation A5 — graph+lstm on {result.lc_name} @ 30% "
-              f"(spatial split: {result.spatial_allocations})",
-    ))
+    emit("abl5_sharing_modes", render_sharing_modes(result))
 
     assert result.spatial_total > result.temporal_total
     graph_c, graph_w = result.spatial_allocations["graph"]

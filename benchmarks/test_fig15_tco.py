@@ -8,37 +8,25 @@ capex.
 
 Shape to reproduce: POColo cheapest overall; POM second; NoCap pays the
 highest infra bill.  (Our gaps are compressed — see EXPERIMENTS.md.)
+
+Both emitted tables are committed golden snapshots — see
+``tests/test_golden_reports.py`` and ``repro.evaluation.reports``.
 """
 
-from repro.analysis import format_table
-from repro.evaluation.tco_eval import fig15_tco
+from repro.evaluation.reports import (
+    fig15_evaluation,
+    render_fig15_savings,
+    render_fig15_tco,
+)
 
 
 def test_fig15_tco(benchmark, emit, catalog):
     ev = benchmark.pedantic(
-        fig15_tco, args=(catalog,),
-        kwargs={"placement_seeds": range(4), "duration_s": 25.0},
-        rounds=1, iterations=1,
+        fig15_evaluation, args=(catalog,), rounds=1, iterations=1
     )
 
-    rows = []
-    for name, b in ev.breakdowns.items():
-        rows.append([
-            name, b.num_servers, b.servers_usd / 1e6, b.power_infra_usd / 1e6,
-            b.energy_usd / 1e6, b.total_usd / 1e6,
-        ])
-    emit("fig15_tco", format_table(
-        ["policy", "servers", "server $M/mo", "infra $M/mo",
-         "energy $M/mo", "total $M/mo"],
-        rows, precision=2,
-        title="Fig 15 — amortized monthly TCO "
-              "(paper: Pocolo -12%/-16%/-8% vs NoCap/Random/POM)",
-    ))
-    emit("fig15_savings", format_table(
-        ["vs policy", "pocolo saves"],
-        [[k, f"{v:.1%}"] for k, v in ev.savings_of_pocolo.items()],
-        title="POColo TCO savings",
-    ))
+    emit("fig15_tco", render_fig15_tco(ev))
+    emit("fig15_savings", render_fig15_savings(ev))
 
     totals = {name: b.total_usd for name, b in ev.breakdowns.items()}
     assert min(totals, key=totals.get) == "pocolo"

@@ -33,6 +33,7 @@ audited here, over the planned timeline, by the same
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -72,6 +73,13 @@ from repro.guard.monitor import GuardMonitor
 if TYPE_CHECKING:  # repro.sim.cluster imports this module
     from repro.sim.cluster import Sweep
 
+#: Share of its unused floor a nominal rack member donates to the pool.
+DONATE_FRACTION = 0.8
+#: Least cap brownout issues, as a share of the floor (what a capper enforces).
+MIN_CAP_FRACTION = 0.35
+#: Share of its load a stage-3 (shed) cell drops; it runs at 1 - LC_SHED_SHARE.
+LC_SHED_SHARE = 0.5
+
 
 @dataclass(frozen=True)
 class BudgetConfig:
@@ -81,10 +89,12 @@ class BudgetConfig:
     :class:`~repro.sim.colocation.SimConfig` does, so two processes
     planning the same budget compute the same plan and the same key.
 
-    ``lease_s`` must cover at least one ``arbiter_period_s`` (otherwise
-    every grant would lapse before its renewal); the default 2x means
-    one lost renewal is survivable and two are not — the staleness
-    window the rack-overcommit invariant grants as grace.
+    ``lease_s`` must be finite and cover at least one
+    ``arbiter_period_s`` (otherwise every grant would lapse before its
+    renewal); the default 2x means one lost renewal is survivable and
+    two are not — the staleness window the rack-overcommit invariant
+    grants as grace.  The ``brownout_*_ratio`` fields are the ladder's
+    entry thresholds; the shares below are module constants.
     """
 
     arbiter_period_s: float = 5.0
@@ -93,18 +103,17 @@ class BudgetConfig:
     rack_slack: float = 0.10
     oversubscription: float = 0.0
     fairness: str = FAIRNESS_MAX_MIN
-    donate_fraction: float = 0.8
-    min_cap_fraction: float = 0.35
     brownout_throttle_ratio: float = 1.0
     brownout_evict_ratio: float = 0.85
     brownout_shed_ratio: float = 0.70
-    brownout_exit_margin: float = 0.05
-    brownout_hold_ticks: int = 2
-    lc_shed_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.arbiter_period_s <= 0.0:
-            raise ConfigError("arbiter_period_s must be positive")
+        if not 0.0 < self.arbiter_period_s < math.inf:
+            raise ConfigError(
+                f"arbiter_period_s must be positive and finite; got {self.arbiter_period_s!r}"
+            )
+        if not math.isfinite(self.lease_s):  # a lease must be able to expire
+            raise ConfigError(f"lease_s must be finite; got {self.lease_s!r}")
         if self.lease_s < self.arbiter_period_s:
             raise ConfigError(
                 "lease_s must cover at least one arbiter period; got "
@@ -122,27 +131,17 @@ class BudgetConfig:
                 f"unknown fairness objective {self.fairness!r}; expected "
                 f"one of {FAIRNESS_OBJECTIVES}"
             )
-        if not 0.0 <= self.donate_fraction <= 1.0:
-            raise ConfigError("donate_fraction must be in [0, 1]")
-        if not 0.0 < self.min_cap_fraction <= 1.0:
-            raise ConfigError("min_cap_fraction must be in (0, 1]")
-        if not 0.0 < self.lc_shed_fraction < 1.0:
-            raise ConfigError("lc_shed_fraction must be in (0, 1)")
-        # Ladder-ratio and hold validation is delegated to the ladder
-        # itself so the constraints live in one place.
+        # Ladder-ratio validation is delegated to the ladder itself so
+        # the constraint lives in one place.
         self.ladder()
 
     def ladder(self) -> BrownoutLadder:
         """The brownout ladder this config describes."""
-        return BrownoutLadder(
-            (
-                self.brownout_throttle_ratio,
-                self.brownout_evict_ratio,
-                self.brownout_shed_ratio,
-            ),
-            self.brownout_exit_margin,
-            self.brownout_hold_ticks,
-        )
+        return BrownoutLadder((
+            self.brownout_throttle_ratio,
+            self.brownout_evict_ratio,
+            self.brownout_shed_ratio,
+        ))
 
 
 @dataclass(frozen=True)
@@ -282,7 +281,7 @@ class BudgetArbiter:
                 demand = demands.get(member.name, ServerDemand(member.floor_w))
                 desired_w = demand.lc_w + demand.be_w
                 spares.append(
-                    max(0.0, member.floor_w - desired_w) * cfg.donate_fraction
+                    max(0.0, member.floor_w - desired_w) * DONATE_FRACTION
                 )
                 wants.append(max(0.0, desired_w - member.floor_w))
                 weights.append(demand.be_weight)
@@ -299,7 +298,7 @@ class BudgetArbiter:
             # capper can physically enforce.
             for member in members:
                 scaled_w = member.floor_w * ratio
-                emergency_w = member.floor_w * self.config.min_cap_fraction
+                emergency_w = member.floor_w * MIN_CAP_FRACTION
                 caps[member.name] = min(
                     member.floor_w, max(scaled_w, emergency_w)
                 )
@@ -315,7 +314,7 @@ class BudgetArbiter:
                 issued=True,
                 lease_s=self.config.lease_s,
                 period_s=self.config.arbiter_period_s,
-                min_deliverable_w=floor_sum_w * self.config.min_cap_fraction,
+                min_deliverable_w=floor_sum_w * MIN_CAP_FRACTION,
             ))
         return caps
 
@@ -373,7 +372,7 @@ class BudgetArbiter:
                 min_deliverable_w=sum(
                     server.floor_w for rack in self.tree.racks
                     for server in rack.servers if server.name in alive
-                ) * self.config.min_cap_fraction,
+                ) * MIN_CAP_FRACTION,
             ))
         return issued
 
@@ -647,7 +646,7 @@ def plan_budget(sweep: Sweep) -> BudgetPlan:
                     period_s=period_s,
                     min_deliverable_w=sum(
                         s.floor_w for s in rack.servers if s.name in alive
-                    ) * budget.min_cap_fraction,
+                    ) * MIN_CAP_FRACTION,
                 ))
             audit_index += 1
 
@@ -684,9 +683,7 @@ def plan_budget(sweep: Sweep) -> BudgetPlan:
             if stage >= STAGE_EVICT:
                 evicted.append((name, level_index))
             if stage >= STAGE_SHED:
-                level_scale[(name, level_index)] = (
-                    1.0 - budget.lc_shed_fraction
-                )
+                level_scale[(name, level_index)] = 1.0 - LC_SHED_SHARE
 
     report = BudgetReport(
         fairness=budget.fairness,

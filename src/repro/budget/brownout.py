@@ -19,7 +19,7 @@ increasingly drastic mitigations:
 
 Escalation is immediate (capacity loss cannot wait), but de-escalation
 is *hysteretic*: the ratio must recover past the stage's entry
-threshold by ``exit_margin`` and hold there for ``hold_ticks``
+threshold by :data:`EXIT_MARGIN` and hold there for :data:`HOLD_TICKS`
 consecutive arbiter periods, and the ladder then steps down one stage
 at a time.  Without this, a capacity hovering at a threshold would
 flap grants and evictions every period — exactly the grant/revoke
@@ -41,6 +41,10 @@ STAGE_SHED = 3
 
 STAGE_NAMES: Tuple[str, ...] = ("nominal", "throttle-be", "evict-be", "shed-lc")
 
+#: De-escalation hysteresis (module docstring).
+EXIT_MARGIN = 0.05
+HOLD_TICKS = 2
+
 
 @dataclass
 class BrownoutState:
@@ -59,12 +63,7 @@ class BrownoutLadder:
     :meth:`step`, so one ladder serves every rack of an arbiter.
     """
 
-    def __init__(
-        self,
-        enter_ratios: Tuple[float, float, float],
-        exit_margin: float,
-        hold_ticks: int,
-    ) -> None:
+    def __init__(self, enter_ratios: Tuple[float, float, float]) -> None:
         if len(enter_ratios) != 3:
             raise ConfigError(
                 f"the brownout ladder has 3 stages; got {len(enter_ratios)} "
@@ -77,13 +76,7 @@ class BrownoutLadder:
                     f"(deeper stages engage at lower ratios); got "
                     f"{enter_ratios!r}"
                 )
-        if exit_margin < 0.0:
-            raise ConfigError("brownout exit_margin must be >= 0")
-        if hold_ticks < 1:
-            raise ConfigError("brownout hold_ticks must be >= 1")
         self.enter_ratios = tuple(float(r) for r in enter_ratios)
-        self.exit_margin = float(exit_margin)
-        self.hold_ticks = int(hold_ticks)
 
     def target_stage(self, ratio: float) -> int:
         """The stage ``ratio`` calls for, ignoring hysteresis."""
@@ -109,12 +102,10 @@ class BrownoutLadder:
             state.recovery_streak = 0
             return entered
         if target < state.stage:
-            exit_ratio = self.enter_ratios[state.stage - 1] * (
-                1.0 + self.exit_margin
-            )
+            exit_ratio = self.enter_ratios[state.stage - 1] * (1.0 + EXIT_MARGIN)
             if ratio >= exit_ratio:
                 state.recovery_streak += 1
-                if state.recovery_streak >= self.hold_ticks:
+                if state.recovery_streak >= HOLD_TICKS:
                     state.stage -= 1
                     state.recovery_streak = 0
             else:

@@ -10,7 +10,6 @@ from repro.cost.tco import (
     HOURS_PER_MONTH,
     PolicyOperatingPoint,
     TcoBreakdown,
-    TcoParams,
     compare_policies,
     monthly_tco,
     relative_savings,
@@ -24,7 +23,6 @@ __all__ = [
     "stranded_power_profile",
     "PolicyOperatingPoint",
     "TcoBreakdown",
-    "TcoParams",
     "compare_policies",
     "monthly_tco",
     "relative_savings",

@@ -22,6 +22,8 @@ servers, and its amortized monthly cost is
     power infra:N * provisioned_W * $/W / infra_amortization_months
     energy:     N * avg_W * PUE * hours_per_month * $/kWh / 1000
 
+at the paper's prices, the module constants below.
+
 Policies that extract more throughput per server need fewer servers
 (lower capex across the board); policies that draw less power pay less
 energy; policies that provision more watts per server (Random(NoCap) at
@@ -39,29 +41,14 @@ from repro.errors import ConfigError
 #: Average hours in a month (365.25 * 24 / 12).
 HOURS_PER_MONTH = 730.5
 
-
-@dataclass(frozen=True)
-class TcoParams:
-    """Cost-model inputs; defaults are the paper's Section V-F values."""
-
-    baseline_num_servers: int = 100_000
-    server_cost_usd: float = 1450.0
-    power_infra_usd_per_w: float = 9.0
-    energy_usd_per_kwh: float = 0.07
-    pue: float = 1.1
-    server_amortization_months: int = 36
-    infra_amortization_months: int = 180  # 15-year facility life (Hamilton)
-
-    def __post_init__(self) -> None:
-        if self.baseline_num_servers <= 0:
-            raise ConfigError("baseline server count must be positive")
-        if min(self.server_cost_usd, self.power_infra_usd_per_w,
-               self.energy_usd_per_kwh) < 0:
-            raise ConfigError("costs cannot be negative")
-        if self.pue < 1.0:
-            raise ConfigError("PUE cannot be below 1.0")
-        if self.server_amortization_months <= 0 or self.infra_amortization_months <= 0:
-            raise ConfigError("amortization periods must be positive")
+# The paper's Section V-F cost inputs.
+BASELINE_NUM_SERVERS = 100_000
+SERVER_COST_USD = 1450.0
+POWER_INFRA_USD_PER_W = 9.0
+ENERGY_USD_PER_KWH = 0.07
+PUE = 1.1
+SERVER_AMORTIZATION_MONTHS = 36
+INFRA_AMORTIZATION_MONTHS = 180  # 15-year facility life (Hamilton)
 
 
 @dataclass(frozen=True)
@@ -100,7 +87,6 @@ class TcoBreakdown:
 
 def monthly_tco(
     point: PolicyOperatingPoint,
-    params: TcoParams = TcoParams(),
     reference_throughput: float = 1.0,
 ) -> TcoBreakdown:
     """Amortized monthly TCO delivering ``reference_throughput`` per
@@ -109,26 +95,26 @@ def monthly_tco(
     ``reference_throughput`` is in the same normalized units as
     ``point.throughput_per_server``; the baseline policy conventionally
     passes its own throughput so that its server count equals
-    ``params.baseline_num_servers``.
+    :data:`BASELINE_NUM_SERVERS`.
     """
     if reference_throughput <= 0:
         raise ConfigError("reference throughput must be positive")
     num_servers = (
-        params.baseline_num_servers * reference_throughput / point.throughput_per_server
+        BASELINE_NUM_SERVERS * reference_throughput / point.throughput_per_server
     )
-    servers_usd = num_servers * params.server_cost_usd / params.server_amortization_months
+    servers_usd = num_servers * SERVER_COST_USD / SERVER_AMORTIZATION_MONTHS
     power_infra_usd = (
         num_servers
         * point.provisioned_w_per_server
-        * params.power_infra_usd_per_w
-        / params.infra_amortization_months
+        * POWER_INFRA_USD_PER_W
+        / INFRA_AMORTIZATION_MONTHS
     )
     energy_usd = (
         num_servers
         * point.avg_power_w_per_server
-        * params.pue
+        * PUE
         * HOURS_PER_MONTH
-        * params.energy_usd_per_kwh
+        * ENERGY_USD_PER_KWH
         / 1000.0
     )
     return TcoBreakdown(
@@ -145,7 +131,7 @@ def compare_policies(
     reference: Optional[str] = None,
 ) -> Dict[str, TcoBreakdown]:
     """TCO for several policies at one constant delivered throughput,
-    priced at the default :class:`TcoParams`.
+    at the paper's prices.
 
     ``reference`` names the policy whose measured throughput defines the
     constant total work (default: the first point).  Returns breakdowns

@@ -113,7 +113,7 @@ from repro.faults.schedule import (
     ModelStaleness,
     TelemetryGap,
 )
-from repro.guard.invariants import GuardReport, Violation
+from repro.guard.invariants import CAP_RAMP_DECAY, CAP_RAMP_MIN_W, GuardReport, Violation
 from repro.hwmodel.capping import (
     DUTY_STEP,
     MAX_PLAUSIBLE_FACTOR,
@@ -123,8 +123,14 @@ from repro.hwmodel.capping import (
     STALE_AFTER,
     CapStats,
 )
+from repro.hwmodel.meter import DEFAULT_NOISE_SIGMA_W, DEFAULT_SAMPLE_INTERVAL_S
 from repro.hwmodel.spec import Allocation, ServerSpec
-from repro.sim.colocation import ColocationResult, build_colocated_server
+from repro.sim.colocation import (
+    CONTROL_INTERVAL_S,
+    SUBTICKS,
+    ColocationResult,
+    build_colocated_server,
+)
 from repro.sim.telemetry import LaneBlock, LaneTelemetry
 
 if TYPE_CHECKING:
@@ -477,7 +483,7 @@ def _partition(
 
     A group shares what must be uniform across the lanes of one
     :class:`BatchedClusterSim`: the guard config, the sim config (seed,
-    tick geometry and noise sigmas) and the server spec.  Manager kind,
+    warm-up and telemetry noise) and the server spec.  Manager kind,
     duration, fault schedule and cap schedule are lane attributes, so a
     sweep over one config and spec is one group.  Fallback positions map
     to the reason the cell runs on the oracle; a probe that raises
@@ -600,16 +606,13 @@ class BatchedClusterSim:
         self.W = spec.llc_ways
 
         cfg = config
-        self.n_warmup = int(round(cfg.warmup_s / cfg.control_interval_s))
+        self.n_warmup = int(round(cfg.warmup_s / CONTROL_INTERVAL_S))
         self.durations = [t.duration_s for t in tasks]
         # np.round rounds half to even, as the oracle's round() does.
         self.lane_ticks = np.round(
-            np.asarray(self.durations, dtype=np.float64) / cfg.control_interval_s
+            np.asarray(self.durations, dtype=np.float64) / CONTROL_INTERVAL_S
         ).astype(np.int64)
         self.n_ticks = int(self.lane_ticks.max())
-        self.subticks = int(round(cfg.control_interval_s / cfg.power_interval_s))
-        if int(self.lane_ticks.min()) < 0 or self.subticks < 1:
-            raise ConfigError("degenerate tick geometry")
         #: Distinct lane lengths; a lane of length L runs ticks up to L - 1.
         self.lengths = sorted(set(self.lane_ticks.tolist()))
 
@@ -814,7 +817,7 @@ class BatchedClusterSim:
         #: One tick's per-sub-tick counter increments, counted into
         #: ``cap_stats`` once per tick.  Every sub-tick is a sample; the
         #: safe-mode rows are written only when the watchdog runs.
-        self.events = np.zeros((self.subticks, len(_CAP_ROW), n), dtype=bool)
+        self.events = np.zeros((SUBTICKS, len(_CAP_ROW), n), dtype=bool)
         self.events[:, _CAP_ROW["samples"]] = True
         self.events_safe = False
         #: Samples taken so far.  The oracle's "samples since restore"
@@ -833,7 +836,6 @@ class BatchedClusterSim:
         self.row_start = np.arange(n, dtype=np.int64) * self.K
 
         # ---- meter / energy ----------------------------------------
-        self.meter_sigma = float(cfg.meter_noise_w)
         self.m_filt = np.zeros(n)
         self.m_last_raw = np.zeros(n)
         self.m_last_time = 0.0
@@ -857,7 +859,7 @@ class BatchedClusterSim:
 
         # ---- telemetry buffers -------------------------------------
         self.times = [
-            tick * cfg.control_interval_s for tick in range(self.n_ticks)
+            tick * CONTROL_INTERVAL_S for tick in range(self.n_ticks)
         ]
         shape = (self.n_ticks, n)
         self.buffers = {
@@ -1000,7 +1002,7 @@ class BatchedClusterSim:
         tick = self._tick
         if tick >= self.n_ticks:
             raise ConfigError("batched sim already ran to completion")
-        t = tick * cfg.control_interval_s
+        t = tick * CONTROL_INTERVAL_S
         in_window = tick >= 0
 
         load_frac = self.level.copy()
@@ -1333,8 +1335,7 @@ class BatchedClusterSim:
         its BE draw from the row with one flat index, and its counter
         increments are counted into ``cap_stats`` at the end of the tick.
         """
-        cfg = self.config
-        times = [t + k * cfg.power_interval_s for k in range(self.subticks)]
+        times = [t + k * DEFAULT_SAMPLE_INTERVAL_S for k in range(SUBTICKS)]
         caps = self._tick_caps(times)
         cap = self.cap if caps is None else caps
         # The capper throttles and restores only lanes with a secondary
@@ -1362,9 +1363,7 @@ class BatchedClusterSim:
             true_w = base + be_row[self.row_start + self.be_f] * self.be_duty
             prev = self.m_last_raw if self.m_has_last else None
             self._meter_sample(
-                tk, true_w,
-                None if noise is None else noise[k],
-                None if faults is None else faults[k],
+                tk, true_w, noise[k], None if faults is None else faults[k],
             )
             self._cap_step(k, prev, has_sec, cap_hi[k], cap_lo[k])
             self.sample += 1
@@ -1392,11 +1391,11 @@ class BatchedClusterSim:
     # ------------------------------------------------------------------
     def _tick_meter(
         self, times: List[float]
-    ) -> Tuple[Optional[np.ndarray], Optional[List[_SubtickFaults]]]:
+    ) -> Tuple[np.ndarray, Optional[List[_SubtickFaults]]]:
         """The meter's inputs for the tick's sub-ticks, in one call.
 
-        Returns each sub-tick's noise row per lane (None for an exact
-        meter) and, on a faulted block, each sub-tick's fault activity.
+        Returns each sub-tick's noise row per lane and, on a faulted
+        block, each sub-tick's fault activity.
         A fault class draws its tick's noise with one call per tape:
         ``normal(0, sigma, size=k)`` equals k scalar draws bit for bit,
         and k counts only the sub-ticks on which its oracle draws.
@@ -1408,8 +1407,6 @@ class BatchedClusterSim:
                 self._meter_faults(tk, first and k == 0)
                 for k, tk in enumerate(times)
             ]
-        if not self.meter_sigma:
-            return None, faults
         z_with = np.zeros((len(times), self.n_fc))
         z_without = np.zeros((len(times), self.n_fc))
         for c in range(self.n_fc):
@@ -1418,10 +1415,10 @@ class BatchedClusterSim:
                 if faults is None or faults[k].draws[c]
             ]
             z_with[rows, c] = self.rng_with[c].normal(
-                0.0, self.meter_sigma, size=len(rows)
+                0.0, DEFAULT_NOISE_SIGMA_W, size=len(rows)
             )
             z_without[rows, c] = self.rng_without[c].normal(
-                0.0, self.meter_sigma, size=len(rows)
+                0.0, DEFAULT_NOISE_SIGMA_W, size=len(rows)
             )
         noise = np.where(
             self.with_mask, z_with[:, self.fclass], z_without[:, self.fclass]
@@ -1467,7 +1464,7 @@ class BatchedClusterSim:
         self,
         t: float,
         true_w: np.ndarray,
-        noise: Optional[np.ndarray],
+        noise: np.ndarray,
         faults: Optional[_SubtickFaults],
     ) -> None:
         """``FaultyPowerMeter.sample`` at one sub-tick: stuck-at first,
@@ -1476,7 +1473,7 @@ class BatchedClusterSim:
             # No draw and no EWMA update: the stale reading, restamped.
             self.m_last_time = t
             return
-        observed = np.maximum(0.0, true_w if noise is None else true_w + noise)
+        observed = np.maximum(0.0, true_w + noise)
         raw = observed
         dropped = None
         if faults is not None:
@@ -1527,7 +1524,7 @@ class BatchedClusterSim:
         """
         raw = self.m_last_raw
         unhealthy = raw > self.max_plausible
-        if self.meter_sigma > 0 and prev is not None:
+        if prev is not None:
             rep = raw == prev
             repeating = bool(_any(rep))
             if repeating or self.repeating:
@@ -1668,14 +1665,14 @@ class BatchedClusterSim:
             # the same float-op order; ramp stays exactly 0.0 on lanes
             # whose cap never steps down, so x + 0.0 keeps unbudgeted
             # runs bit-identical.
-            ramp = self.g_ramp * g.cap_ramp_decay
+            ramp = self.g_ramp * CAP_RAMP_DECAY
             if self.g_prev_cap_valid:
                 ramp = np.where(
                     self.cap < self.g_prev_cap,
                     ramp + (self.g_prev_cap - self.cap),
                     ramp,
                 )
-            ramp = np.where(ramp < g.cap_ramp_min_w, 0.0, ramp)
+            ramp = np.where(ramp < CAP_RAMP_MIN_W, 0.0, ramp)
             self.g_ramp = ramp
             self.g_prev_cap = self.cap.copy()
             self.g_prev_cap_valid = True

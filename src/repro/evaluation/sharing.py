@@ -25,7 +25,7 @@ from repro.core.spatial import partition_spare
 from repro.evaluation.motivation import true_min_power_allocation
 from repro.evaluation.pipeline import FittedCatalog
 from repro.hwmodel.capping import PowerCapController
-from repro.hwmodel.meter import PowerMeter
+from repro.hwmodel.meter import DEFAULT_SAMPLE_INTERVAL_S, PowerMeter
 from repro.hwmodel.server import PRIMARY, SECONDARY, Server
 from repro.hwmodel.spec import spare_of
 from repro.sim.colocation import SimConfig, build_colocated_server
@@ -165,13 +165,12 @@ def compare_sharing_modes(catalog: FittedCatalog) -> SharingModeResult:
         alloc = share.allocation_of(name)
         if not alloc.is_empty:
             server.apply_allocation(name, alloc)
-    meter = PowerMeter(server.power_w, rng=np.random.default_rng(0),
-                       noise_sigma_w=1.0)
+    meter = PowerMeter(server.power_w, rng=np.random.default_rng(0))
     capper = PowerCapController(server, meter)
     rates = []
-    steps = int(round(duration_s / 0.1))
+    steps = int(round(duration_s / DEFAULT_SAMPLE_INTERVAL_S))
     for k in range(steps):
-        capper.step(k * 0.1)
+        capper.step(k * DEFAULT_SAMPLE_INTERVAL_S)
         total = sum(
             catalog.be_apps[name].normalized_throughput(server.allocation_of(name))
             for name in be_names

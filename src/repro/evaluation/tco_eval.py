@@ -85,9 +85,9 @@ def fig15_tco(
     levels: Sequence[float] = UNIFORM_EVAL_LEVELS,
     duration_s: float = 30.0,
 ) -> TcoEvaluation:
-    """Fig 15 end to end: simulate policies, price them at the default
-    :class:`~repro.cost.tco.TcoParams` against ``random``'s throughput,
-    rank POColo."""
+    """Fig 15 end to end: simulate policies, price them at the paper's
+    prices (:mod:`repro.cost.tco`) against ``random``'s throughput, rank
+    POColo."""
     summaries = measure_operating_points(
         catalog, placement_seeds=placement_seeds,
         levels=levels, duration_s=duration_s,

@@ -31,7 +31,7 @@ from repro.faults.schedule import (
     MeterStuckAt,
 )
 from repro.hwmodel.meter import (
-    DEFAULT_SAMPLE_INTERVAL_S,
+    DEFAULT_NOISE_SIGMA_W,
     PowerMeter,
     PowerReading,
 )
@@ -45,16 +45,14 @@ class FaultyPowerMeter(PowerMeter):
         source: Callable[[], float],
         schedule: FaultSchedule,
         rng: Optional[np.random.Generator] = None,
-        noise_sigma_w: float = 1.0,
+        noise_sigma_w: float = DEFAULT_NOISE_SIGMA_W,
         ewma_alpha: float = 0.5,
-        interval_s: float = DEFAULT_SAMPLE_INTERVAL_S,
     ) -> None:
         super().__init__(
             source,
             rng=rng,
             noise_sigma_w=noise_sigma_w,
             ewma_alpha=ewma_alpha,
-            interval_s=interval_s,
         )
         self.schedule = schedule
         self._held: Dict[MeterStuckAt, float] = {}

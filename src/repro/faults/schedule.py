@@ -174,7 +174,7 @@ class RackBreakerTrip(Fault):
     (a secondary feed); the default 0.25 keeps the rack on the deepest
     brownout stage rather than dark, which is the recoverable scenario
     the ladder is designed for.  A residual below the arbiter's
-    ``min_cap_fraction`` makes the rack physically un-cappable — the
+    ``MIN_CAP_FRACTION`` makes the rack physically un-cappable — the
     chaos campaign uses that to surface power-cap violations.
     """
 

@@ -92,6 +92,9 @@ MANAGER_COUNTERS: Tuple[str, ...] = (
     "solver_fallbacks",
 )
 
+#: Evaluations a campaign spends shrinking each violating schedule.
+SHRINK_BUDGET = 32
+
 #: One coverage point: a counter name at an order-of-magnitude bucket.
 CoveragePoint = Tuple[str, int]
 CoverageSignature = FrozenSet[CoveragePoint]
@@ -105,7 +108,7 @@ class CampaignConfig:
     ``initial_corpus`` seed inputs, so the total evaluation budget is
     ``initial_corpus + rounds * batch_size`` cells (plus shrinking).
     Fault windows are drawn inside ``[0, horizon_s)`` — normally the
-    runner's simulated duration.  ``shrink_budget`` bounds the extra
+    runner's simulated duration.  :data:`SHRINK_BUDGET` bounds the extra
     serial evaluations spent minimizing each violating schedule.
     """
 
@@ -116,7 +119,6 @@ class CampaignConfig:
     horizon_s: float = 30.0
     max_faults: int = 4
     mean_duration_s: float = 8.0
-    shrink_budget: int = 32
     stop_on_violation: bool = True
     #: Include the power-infrastructure family (rack derates/trips,
     #: arbiter crashes, grant loss/delay) in the mutation pool.  Only
@@ -134,8 +136,6 @@ class CampaignConfig:
             raise ConfigError("fault horizon and mean duration must be positive")
         if self.max_faults < 1:
             raise ConfigError("campaign schedules need room for one fault")
-        if self.shrink_budget < 0:
-            raise ConfigError("shrink budget cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -694,7 +694,7 @@ def run_campaign(
         if outcome.violating:
             invariants = outcome.violated_invariants()
             shrunk = shrink_schedule(
-                runner, outcome.schedule, invariants, config.shrink_budget
+                runner, outcome.schedule, invariants, SHRINK_BUDGET
             )
             violations.append(ViolationCase(
                 schedule=outcome.schedule,

@@ -74,6 +74,15 @@ if TYPE_CHECKING:  # layering: guard sits below the sim loop
 MODE_RECORD = "record"
 MODE_ENFORCE = "enforce"
 
+#: A step *down* in the effective cap (a budget lease expiring, the
+#: arbiter curtailing a rack) grants the cap loop a decaying extra
+#: allowance equal to the drop: the 100 ms loop needs several duty steps
+#: to shed that many watts, and the excursion is the *plan's* doing, not
+#: the controller's.  It decays by ``CAP_RAMP_DECAY`` per control tick
+#: and snaps to zero below ``CAP_RAMP_MIN_W``; a constant cap keeps it 0.0.
+CAP_RAMP_DECAY = 0.5
+CAP_RAMP_MIN_W = 0.5
+
 
 @dataclass(frozen=True)
 class GuardConfig:
@@ -109,16 +118,6 @@ class GuardConfig:
     check_rng: bool = True
     max_violations: int = 100
     deep_check_every: int = 8
-    #: A step *down* in the effective cap (a budget lease expiring, the
-    #: arbiter curtailing a rack) grants the cap loop a decaying extra
-    #: allowance equal to the drop: the 100 ms loop needs several duty
-    #: steps to shed that many watts, and the excursion is the *plan's*
-    #: doing, not the controller's.  The allowance halves (by default)
-    #: every control tick and snaps to zero below ``cap_ramp_min_w``,
-    #: so a constant-cap run computes the exact same envelope as before
-    #: these fields existed (x + 0.0 == x).
-    cap_ramp_decay: float = 0.5
-    cap_ramp_min_w: float = 0.5
 
     def __post_init__(self) -> None:
         if self.mode not in (MODE_RECORD, MODE_ENFORCE):
@@ -136,10 +135,6 @@ class GuardConfig:
             raise ConfigError("max_violations must be at least 1")
         if self.deep_check_every < 1:
             raise ConfigError("deep_check_every must be at least 1")
-        if not 0.0 <= self.cap_ramp_decay < 1.0:
-            raise ConfigError("cap_ramp_decay must be in [0, 1)")
-        if self.cap_ramp_min_w < 0.0:
-            raise ConfigError("cap_ramp_min_w cannot be negative")
 
     @property
     def enforcing(self) -> bool:
@@ -239,7 +234,7 @@ class BudgetSample:
     period_s: float
     #: The least the arbiter can physically issue to this node's
     #: children (the sum of their emergency minimums — caps below
-    #: ``min_cap_fraction`` of a floor cannot be enforced by a capper).
+    #: ``MIN_CAP_FRACTION`` of a floor cannot be enforced by a capper).
     #: When a fault collapses capacity beneath this, issuing it is the
     #: arbiter doing its best, not over-committing.
     min_deliverable_w: float = 0.0
@@ -296,7 +291,7 @@ class PowerCapInvariant(Invariant[GuardSample]):
 
     Under a budget :class:`~repro.budget.schedule.CapSchedule` the
     effective cap moves mid-run; a step *down* additionally grants a
-    decaying ramp allowance (see ``GuardConfig.cap_ramp_decay``) so the
+    decaying ramp allowance (see :data:`CAP_RAMP_DECAY`) so the
     controller is judged on how fast it *sheds* the drop, not punished
     for the instant the plan moved the goalposts.
     """
@@ -336,10 +331,10 @@ class PowerCapInvariant(Invariant[GuardSample]):
         engine's lane arrays; a run whose cap never moves keeps the
         allowance at exactly 0.0.
         """
-        ramp = self._ramp_w * self.config.cap_ramp_decay
+        ramp = self._ramp_w * CAP_RAMP_DECAY
         if self._prev_cap_w is not None and cap < self._prev_cap_w:
             ramp = ramp + (self._prev_cap_w - cap)
-        if ramp < self.config.cap_ramp_min_w:
+        if ramp < CAP_RAMP_MIN_W:
             ramp = 0.0
         self._ramp_w = ramp
         self._prev_cap_w = cap

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.hwmodel.meter import PowerMeter
+from repro.hwmodel.meter import DEFAULT_SAMPLE_INTERVAL_S, PowerMeter
 from repro.hwmodel.server import Server
 
 #: Granularity of CPU-time limiting once the frequency ladder is exhausted.
@@ -273,7 +273,7 @@ class PowerCapController:
         for _ in range(max_steps):
             before = (self.stats.throttle_events, self.stats.restore_events)
             self.step(time_s)
-            time_s += self.meter.interval_s
+            time_s += DEFAULT_SAMPLE_INTERVAL_S
             if (self.stats.throttle_events, self.stats.restore_events) == before:
                 # No action at this sample; with EWMA warm, we call it stable.
                 if self.stats.samples >= 3:

@@ -21,6 +21,9 @@ from repro.errors import ConfigError, SimulationError
 #: The paper's power-sampling interval (Section IV-C).
 DEFAULT_SAMPLE_INTERVAL_S = 0.1
 
+#: A meter's Gaussian noise (standard deviation) unless a caller sets one.
+DEFAULT_NOISE_SIGMA_W = 1.0
+
 #: Seed for the fallback noise generator when a meter is built without
 #: an injected rng; simulations that care pass their own seeded
 #: generator, and a bare ``PowerMeter(...)`` stays reproducible.
@@ -49,33 +52,28 @@ class PowerMeter:
     ewma_alpha:
         Smoothing factor of the exponentially weighted moving average
         exposed as ``filtered_watts`` (1.0 disables smoothing).
-    interval_s:
-        Nominal sampling period; :meth:`sample` takes the timestamp
-        explicitly so simulations control time, but the interval is used
-        by :class:`EnergyCounter` integration when gaps are irregular.
+
+    :meth:`sample` takes the timestamp explicitly so simulations control
+    time; they sample every :data:`DEFAULT_SAMPLE_INTERVAL_S`.
     """
 
     def __init__(
         self,
         source: Callable[[], float],
         rng: Optional[np.random.Generator] = None,
-        noise_sigma_w: float = 1.0,
+        noise_sigma_w: float = DEFAULT_NOISE_SIGMA_W,
         ewma_alpha: float = 0.5,
-        interval_s: float = DEFAULT_SAMPLE_INTERVAL_S,
     ) -> None:
         if noise_sigma_w < 0:
             raise ConfigError("noise sigma cannot be negative")
         if not 0.0 < ewma_alpha <= 1.0:
             raise ConfigError("EWMA alpha must lie in (0, 1]")
-        if interval_s <= 0:
-            raise ConfigError("sampling interval must be positive")
         self._source = source
         self._rng = (
             rng if rng is not None else np.random.default_rng(DEFAULT_METER_SEED)
         )
         self._noise_sigma_w = noise_sigma_w
         self._ewma_alpha = ewma_alpha
-        self.interval_s = interval_s
         self._filtered: Optional[float] = None
         self._last: Optional[PowerReading] = None
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Callable, Dict, Optional, Sequence, TextIO
+from typing import Callable, Dict, Sequence
 
 from repro.lint.core import Finding
 
@@ -24,15 +24,13 @@ def summary(findings: Sequence[Finding]) -> str:
     return f"pocolint: {len(findings)} {noun}"
 
 
-def render_text(findings: Sequence[Finding], stream: Optional[TextIO] = None) -> None:
-    stream = stream if stream is not None else sys.stdout
+def render_text(findings: Sequence[Finding]) -> None:
     for finding in findings:
-        print(finding.render(), file=stream)
-    print(summary(findings), file=stream)
+        print(finding.render())
+    print(summary(findings))
 
 
-def render_json(findings: Sequence[Finding], stream: Optional[TextIO] = None) -> None:
-    stream = stream if stream is not None else sys.stdout
+def render_json(findings: Sequence[Finding]) -> None:
     counts: Dict[str, int] = {}
     for finding in findings:
         counts[finding.rule_id] = counts.get(finding.rule_id, 0) + 1
@@ -52,8 +50,8 @@ def render_json(findings: Sequence[Finding], stream: Optional[TextIO] = None) ->
         "counts": dict(sorted(counts.items())),
         "clean": not findings,
     }
-    json.dump(doc, stream, indent=2)
-    print(file=stream)
+    json.dump(doc, sys.stdout, indent=2)
+    print()
 
 
 def _escape_property(value: str) -> str:
@@ -72,17 +70,15 @@ def _escape_data(value: str) -> str:
     return value.replace("%", "%25").replace("\r", "%0D").replace("\n", "%0A")
 
 
-def render_github(findings: Sequence[Finding], stream: Optional[TextIO] = None) -> None:
-    stream = stream if stream is not None else sys.stdout
+def render_github(findings: Sequence[Finding]) -> None:
     for finding in findings:
         title = _escape_property(f"{finding.code}[{finding.rule_id}]")
         print(
             f"::error file={_escape_property(finding.path)},"
             f"line={finding.line},col={finding.col + 1},"
-            f"title={title}::{_escape_data(finding.message)}",
-            file=stream,
+            f"title={title}::{_escape_data(finding.message)}"
         )
-    print(summary(findings), file=stream)
+    print(summary(findings))
 
 
 #: ``--format`` choice -> renderer

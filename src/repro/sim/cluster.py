@@ -14,6 +14,7 @@ is entirely through the placement decision — as in the paper.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from numbers import Real
 from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
@@ -207,10 +208,10 @@ class Cell:
         # ints and numpy scalars.
         if not (
             (type(duration_s) is float or isinstance(duration_s, Real))
-            and duration_s > 0
+            and 0.0 < duration_s < math.inf
         ):
             raise ConfigError(
-                f"cell duration_s must be positive, got {duration_s!r}"
+                f"cell duration_s must be positive and finite, got {duration_s!r}"
             )
         if not (
             (type(level) is float or isinstance(level, Real))
@@ -399,6 +400,8 @@ class Sweep:
                 raise ConfigError(f"sweep level must lie in [0, 1], got {level!r}")
         if not self.duration_s > 0:
             raise ConfigError(f"sweep duration_s must be positive, got {self.duration_s!r}")
+        if self.duration_s == math.inf:
+            raise ConfigError(f"sweep duration_s must be finite, got {self.duration_s!r}")
         if self.fault_plan is not None:
             # Every rejoin repairs one of these crashes (ClusterFaultPlan
             # checks that), so known crash names cover the rejoins too.

@@ -47,7 +47,7 @@ from repro.guard.invariants import (
 )
 from repro.guard.monitor import GuardMonitor
 from repro.hwmodel.capping import CapStats, PowerCapController
-from repro.hwmodel.meter import EnergyCounter, PowerMeter
+from repro.hwmodel.meter import DEFAULT_SAMPLE_INTERVAL_S, EnergyCounter, PowerMeter
 from repro.hwmodel.server import PRIMARY, SECONDARY, Server
 from repro.hwmodel.spec import ServerSpec
 from repro.sim.telemetry import Telemetry
@@ -57,23 +57,23 @@ from repro.workloads.traces import LoadTrace
 CapperFactory = Callable[[Server, PowerMeter], PowerCapController]
 
 
+#: The tick geometry every simulator reads (Section IV-C): a manager
+#: decision per control tick, then SUBTICKS cap-loop samples 100 ms apart.
+CONTROL_INTERVAL_S = 1.0
+SUBTICKS = int(round(CONTROL_INTERVAL_S / DEFAULT_SAMPLE_INTERVAL_S))
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Timing and noise knobs of the colocation loop."""
+    """Warm-up, telemetry noise and seed of the colocation loop; the
+    tick geometry is :data:`CONTROL_INTERVAL_S` and :data:`SUBTICKS`."""
 
-    control_interval_s: float = 1.0
-    power_interval_s: float = 0.1
     warmup_s: float = 10.0
     load_noise: float = 0.02
     latency_noise: float = 0.05
-    meter_noise_w: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.control_interval_s <= 0 or self.power_interval_s <= 0:
-            raise ConfigError("intervals must be positive")
-        if self.power_interval_s > self.control_interval_s:
-            raise ConfigError("power loop must run at least as often as control")
         if self.warmup_s < 0:
             raise ConfigError("warmup cannot be negative")
 
@@ -143,19 +143,10 @@ class ColocationSim:
         self._rng = np.random.default_rng(config.seed)
         if faults is not None:
             self.meter: PowerMeter = FaultyPowerMeter(
-                source=server.power_w,
-                schedule=faults,
-                rng=self._rng,
-                noise_sigma_w=config.meter_noise_w,
-                interval_s=config.power_interval_s,
+                source=server.power_w, schedule=faults, rng=self._rng,
             )
         else:
-            self.meter = PowerMeter(
-                source=server.power_w,
-                rng=self._rng,
-                noise_sigma_w=config.meter_noise_w,
-                interval_s=config.power_interval_s,
-            )
+            self.meter = PowerMeter(source=server.power_w, rng=self._rng)
         if capper_factory is not None:
             self.capper = capper_factory(server, self.meter)
         else:
@@ -207,15 +198,14 @@ class ColocationSim:
                 "the colocation run started"
             )
 
-        n_warmup = int(round(cfg.warmup_s / cfg.control_interval_s))
-        n_ticks = int(round(duration_s / cfg.control_interval_s))
-        subticks = int(round(cfg.control_interval_s / cfg.power_interval_s))
+        n_warmup = int(round(cfg.warmup_s / CONTROL_INTERVAL_S))
+        n_ticks = int(round(duration_s / CONTROL_INTERVAL_S))
         violations = 0
         stale_load: Optional[float] = None
         stale_slack: Optional[float] = None
 
         for tick in range(-n_warmup, n_ticks):
-            t = tick * cfg.control_interval_s
+            t = tick * CONTROL_INTERVAL_S
             in_window = tick >= 0
             load_frac = self.trace.load_fraction(max(0.0, t))
             if self.faults is not None:
@@ -251,12 +241,11 @@ class ColocationSim:
             # before the capper samples — the capper reads the live
             # ``provisioned_power_w`` each step, so a lease expiring
             # mid-tick takes effect at the very next 100 ms sample.
-            for k in range(subticks):
+            for k in range(SUBTICKS):
+                sub_t = t + k * DEFAULT_SAMPLE_INTERVAL_S
                 if self.cap_schedule is not None:
-                    self.server.provisioned_power_w = (
-                        self.cap_schedule.cap_at(t + k * cfg.power_interval_s)
-                    )
-                self.capper.step(t + k * cfg.power_interval_s)
+                    self.server.provisioned_power_w = self.cap_schedule.cap_at(sub_t)
+                self.capper.step(sub_t)
 
             # Record ground truth at end of tick.
             lc_alloc = self.server.allocation_of(primary)

@@ -27,9 +27,9 @@ from repro.apps.latency_critical import LatencyCriticalApp
 from repro.core.server_manager import ServerManagerBase
 from repro.errors import ConfigError, SimulationError
 from repro.hwmodel.capping import PowerCapController
-from repro.hwmodel.meter import PowerMeter
+from repro.hwmodel.meter import DEFAULT_SAMPLE_INTERVAL_S, PowerMeter
 from repro.hwmodel.server import SECONDARY, Server
-from repro.sim.colocation import SimConfig
+from repro.sim.colocation import CONTROL_INTERVAL_S, SUBTICKS, SimConfig
 from repro.sim.telemetry import Telemetry
 from repro.workloads.traces import LoadTrace
 
@@ -191,11 +191,7 @@ class TimeSharedColocationSim:
         self.scheduler = scheduler
         self.config = config
         self._rng = np.random.default_rng(config.seed)
-        self.meter = PowerMeter(
-            source=server.power_w, rng=self._rng,
-            noise_sigma_w=config.meter_noise_w,
-            interval_s=config.power_interval_s,
-        )
+        self.meter = PowerMeter(source=server.power_w, rng=self._rng)
         self.capper = PowerCapController(server=server, meter=self.meter)
         self._active: Optional[BestEffortJob] = None
         self._active_since: float = 0.0
@@ -213,13 +209,12 @@ class TimeSharedColocationSim:
                 f"server {self.server.name!r} lost its primary tenant before "
                 "the time-share run started"
             )
-        subticks = int(round(cfg.control_interval_s / cfg.power_interval_s))
-        n_ticks = int(round(max_duration_s / cfg.control_interval_s))
+        n_ticks = int(round(max_duration_s / CONTROL_INTERVAL_S))
         violations = 0
         makespan = max_duration_s
 
         for tick in range(n_ticks):
-            t = tick * cfg.control_interval_s
+            t = tick * CONTROL_INTERVAL_S
             self._dispatch(t)
 
             load = self.trace.load_fraction(t) * self.lc_app.peak_load
@@ -231,8 +226,8 @@ class TimeSharedColocationSim:
             self.manager.control_step(
                 measured_load, 1.0 - p99 / self.lc_app.latency.slo.p99_s
             )
-            for k in range(subticks):
-                self.capper.step(t + k * cfg.power_interval_s)
+            for k in range(SUBTICKS):
+                self.capper.step(t + k * DEFAULT_SAMPLE_INTERVAL_S)
 
             lc_alloc = self.server.allocation_of(primary)
             if self.lc_app.slack(load, lc_alloc) < 0:
@@ -242,15 +237,15 @@ class TimeSharedColocationSim:
             if self._active is not None:
                 be_alloc = self.server.allocation_of(self._active.name)
                 rate = self._active.app.normalized_throughput(be_alloc)
-                self._active.remaining -= rate * cfg.control_interval_s
+                self._active.remaining -= rate * CONTROL_INTERVAL_S
                 telemetry.record("active_job_rate", t, rate)
                 if self._active.done:
                     self._active.remaining = 0.0
-                    self._active.completed_s = t + cfg.control_interval_s
+                    self._active.completed_s = t + CONTROL_INTERVAL_S
                     self._retire_active()
 
             if all(j.done for j in self.jobs):
-                makespan = (tick + 1) * cfg.control_interval_s
+                makespan = (tick + 1) * CONTROL_INTERVAL_S
                 break
 
         return TimeShareResult(

@@ -19,11 +19,14 @@ series layouts, mutation isolation and pickling against the oracle.
 
 Coverage spans both manager types (POM at the default and at a raised
 slack target, and the Heracles baseline), a no-BE plan, a solver that
-refuses targets, three fault schedules exercising all six fault types, record- and enforce-mode guards, the ``engine`` knob
-on :func:`~repro.sim.cluster.run_cluster` (dedupe on and off), and a
+refuses targets, three fault schedules exercising all six fault types,
+record- and enforce-mode guards, the ``engine`` knob on
+:func:`~repro.sim.cluster.run_cluster` (dedupe on and off), every
+reason a cell falls back to the oracle, and a
 real mid-sweep SIGKILL resumed under the *other* engine.
 """
 
+import copy
 import pickle
 import signal
 import subprocess
@@ -35,9 +38,10 @@ from pathlib import Path
 import pytest
 
 import repro.engine.batched as batched_engine
+from repro.apps import best_effort_apps
 from repro.budget.schedule import CapSchedule
 from repro.core import server_manager
-from repro.core.server_manager import PowerOptimizedManager
+from repro.core.server_manager import HeraclesLikeManager, PowerOptimizedManager
 from repro.core.utility import IndirectUtilityModel, integer_min_power_allocation
 from repro.engine.batched import (
     BatchedClusterSim,
@@ -63,6 +67,7 @@ from repro.evaluation.pipeline import (
 )
 from repro.faults.schedule import (
     FaultSchedule,
+    GrantLoss,
     LoadSpike,
     MeterDrift,
     MeterDropout,
@@ -71,6 +76,8 @@ from repro.faults.schedule import (
     TelemetryGap,
 )
 from repro.guard.invariants import GuardConfig
+from repro.hwmodel.server import SECONDARY
+from repro.hwmodel.spec import Allocation
 from repro.runtime import read_journal, run_cluster_checkpointed
 from repro.sim.cluster import Cell, _run_cell, plan_cluster_tasks, run_cluster, run_sweeps
 from repro.sim.colocation import SimConfig
@@ -544,6 +551,101 @@ class TestProbeFallback:
         assert [len(p) for p in groups.values()] == [2]
         for a, b in zip(_oracle(tasks), run_batched_cells(tasks)):
             assert_outcome_equal(a, b, case)
+
+
+def _other_server_manager(server):
+    """Manages a copy of the server, not the one it is handed."""
+    return HeraclesLikeManager(copy.deepcopy(server))
+
+
+def _primary_detached(server):
+    """Builds the manager, then detaches the primary tenant."""
+    manager = HeraclesLikeManager(server)
+    server.detach(server.primary_tenant())
+    return manager
+
+
+def _lc_half_duty(server):
+    """Starts the LC tenant duty-cycled, not on the full box."""
+    server.apply_allocation(
+        server.primary_tenant(), replace(server.spec.full_allocation(), duty_cycle=0.5)
+    )
+    return HeraclesLikeManager(server)
+
+
+def _extra_be_tenant(server):
+    """Attaches a BE tenant to a server planned without one."""
+    server.attach("stowaway", best_effort_apps()["rnn"], role=SECONDARY)
+    return HeraclesLikeManager(server)
+
+
+def _be_between_ladder_points(server):
+    """Gives the BE tenant two cores at a frequency a hair off its step."""
+    spec = server.spec
+    primary, be = server.primary_tenant(), server.secondary_tenant()
+    server.apply_allocation(primary, Allocation(spec.cores - 2, spec.llc_ways - 2))
+    server.apply_allocation(be, Allocation(2, 2))
+    server.dvfs.set_frequency(server.cores.cores_of(be), spec.ladder.min_ghz + 5e-8)
+    return HeraclesLikeManager(server)
+
+
+#: case -> (reason, manager factory or None, cell faults, whether the
+#: oracle's run raises); "irregular-ladder" also swaps the spec.
+FALLBACK_INPUTS = {
+    "unsupported-fault": (
+        "fault schedule not batchable", None,
+        FaultSchedule([GrantLoss(start_s=1.0, duration_s=2.0)]), False,
+    ),
+    "irregular-ladder": ("irregular DVFS ladder", None, None, False),
+    "other-server": (
+        "manager manages another server", _other_server_manager, None, True,
+    ),
+    "no-primary": ("no primary tenant", _primary_detached, None, True),
+    "lc-half-duty": ("irregular initial LC allocation", _lc_half_duty, None, False),
+    "extra-be": (
+        "BE app and secondary tenant disagree", _extra_be_tenant, None, False,
+    ),
+    "be-off-ladder": (
+        "BE frequency off the DVFS ladder", _be_between_ladder_points, None, False,
+    ),
+}
+
+
+class TestProbeFallbackInputs:
+    """Every other fallback reason, reached through a public input."""
+
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            return fn(*args)
+        except Exception as exc:  # noqa: BLE001 - comparing raises
+            return type(exc).__name__, str(exc)
+
+    @pytest.mark.parametrize("case", FALLBACK_INPUTS)
+    def test_fallback_reason(self, catalog, mixed_plans, case):
+        reason, factory, faults, raises = FALLBACK_INPUTS[case]
+        heracles = mixed_plans[3]
+        plan = heracles if factory is None else replace(heracles, manager_factory=factory)
+        if case == "extra-be":
+            plan = replace(plan, be_app=None)
+        spec = catalog.spec
+        if case == "irregular-ladder":
+            ladder = spec.ladder
+            spec = replace(spec, ladder=replace(ladder, max_ghz=ladder.max_ghz + 1e-8))
+        tasks = _tasks([plan], spec, (0.3, 0.7), 4.0, SimConfig(seed=0), faults)
+        groups, fallback = partition_cells(tasks)
+        assert fallback == {0: reason, 1: reason}
+        assert groups == {}
+        oracle = self._outcome(map_ordered, _run_cell, [(t,) for t in tasks])
+        batched = self._outcome(run_batched_cells, tasks)
+        if raises:
+            assert isinstance(oracle, tuple), "the oracle must refuse this cell"
+            assert oracle == batched
+        else:
+            assert isinstance(oracle, list), oracle
+            assert len(batched) == len(oracle)
+            for a, b in zip(oracle, batched):
+                assert_outcome_equal(a, b, case)
 
 
 class TestGuardReportDifferential:

@@ -31,7 +31,7 @@ from repro.budget import (
     max_min_shares,
     throughput_shares,
 )
-from repro.budget.arbiter import _build_segments, plan_budget
+from repro.budget.arbiter import MIN_CAP_FRACTION, _build_segments, plan_budget
 from repro.errors import ConfigError, InvariantViolationError
 from repro.evaluation.pipeline import cluster_plans, placement_for_policy
 from repro.faults.schedule import (
@@ -200,9 +200,8 @@ class TestFairness:
 
 
 class TestBrownoutLadder:
-    def _ladder(self, hold=2):
-        return BrownoutLadder((1.0, 0.85, 0.70), exit_margin=0.05,
-                              hold_ticks=hold)
+    def _ladder(self):
+        return BrownoutLadder((1.0, 0.85, 0.70))
 
     def test_target_stages(self):
         ladder = self._ladder()
@@ -219,7 +218,7 @@ class TestBrownoutLadder:
         assert ladder.step(state, 0.5) is False  # already in brownout
 
     def test_hysteresis_holds_before_exit(self):
-        ladder = self._ladder(hold=2)
+        ladder = self._ladder()
         state = BrownoutState()
         ladder.step(state, 0.95)
         assert state.stage == STAGE_THROTTLE
@@ -234,14 +233,20 @@ class TestBrownoutLadder:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            BrownoutLadder((0.7, 0.85, 1.0), 0.05, 2)
-        with pytest.raises(ConfigError):
-            BrownoutLadder((1.0, 0.85, 0.7), -0.1, 2)
-        with pytest.raises(ConfigError):
-            BrownoutLadder((1.0, 0.85, 0.7), 0.05, 0)
+            BrownoutLadder((0.7, 0.85, 1.0))
 
 
 class TestBudgetConfig:
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(arbiter_period_s=float("nan")), "arbiter_period_s must be positive and finite"),
+        (dict(arbiter_period_s=float("inf")), "arbiter_period_s must be positive and finite"),
+        (dict(lease_s=float("nan")), "lease_s must be finite"),
+        (dict(lease_s=float("inf")), "lease_s must be finite"),
+    ], ids=["period-nan", "period-inf", "lease-nan", "lease-inf"])
+    def test_non_finite_times_rejected(self, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            BudgetConfig(**kwargs)
+
     def test_lease_must_cover_period(self):
         with pytest.raises(ConfigError):
             BudgetConfig(arbiter_period_s=5.0, lease_s=4.0)
@@ -369,9 +374,8 @@ class TestBudgetArbiter:
         arbiter, tree = _arbiter(faults=faults)
         grants = arbiter.tick(0.0, _hungry(tree), _everyone(tree))
         floor = tree.floor_of("s0")
-        config = arbiter.config
         assert _cap_at(tree, grants, "s0", 0.5) == pytest.approx(
-            floor * config.min_cap_fraction
+            floor * MIN_CAP_FRACTION
         )
 
 

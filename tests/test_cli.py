@@ -65,6 +65,24 @@ class TestCli:
         assert message in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--budget-tree", "--arbiter-period", "nan"],
+         "arbiter_period_s must be positive and finite"),
+        (["--budget-tree", "--lease", "nan"], "lease_s must be finite"),
+        (["--budget-tree", "--lease", "inf"], "lease_s must be finite"),
+        (["--duration", "inf"], "duration_s must be finite"),
+    ], ids=["arbiter-period-nan", "lease-nan", "lease-inf", "duration-inf"])
+    def test_non_finite_flags_rejected(self, capsys, flags, message):
+        """A NaN or infinite period, lease or duration is a usage error."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", *flags])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "usage:" in captured.err
+        assert "Traceback" not in captured.err
+
     @pytest.mark.slow
     def test_motivation(self, capsys):
         assert main(["motivation"]) == 0

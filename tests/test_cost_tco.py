@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.cost import tco
 from repro.cost.tco import (
     HOURS_PER_MONTH,
     PolicyOperatingPoint,
-    TcoParams,
     compare_policies,
     monthly_tco,
     relative_savings,
@@ -23,8 +23,7 @@ def point():
 
 class TestMonthlyTco:
     def test_hand_computed_breakdown(self, point):
-        params = TcoParams()
-        b = monthly_tco(point, params, reference_throughput=1.0)
+        b = monthly_tco(point, reference_throughput=1.0)
         assert b.num_servers == pytest.approx(100_000)
         assert b.servers_usd == pytest.approx(100_000 * 1450 / 36)
         assert b.power_infra_usd == pytest.approx(100_000 * 150 * 9 / 180)
@@ -68,22 +67,11 @@ class TestMonthlyTco:
 
 class TestParamsValidation:
     def test_paper_defaults(self):
-        params = TcoParams()
-        assert params.baseline_num_servers == 100_000
-        assert params.server_cost_usd == 1450.0
-        assert params.power_infra_usd_per_w == 9.0
-        assert params.energy_usd_per_kwh == 0.07
-        assert params.pue == 1.1
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ConfigError):
-            TcoParams(baseline_num_servers=0)
-        with pytest.raises(ConfigError):
-            TcoParams(pue=0.9)
-        with pytest.raises(ConfigError):
-            TcoParams(server_cost_usd=-5.0)
-        with pytest.raises(ConfigError):
-            TcoParams(infra_amortization_months=0)
+        assert tco.BASELINE_NUM_SERVERS == 100_000
+        assert tco.SERVER_COST_USD == 1450.0
+        assert tco.POWER_INFRA_USD_PER_W == 9.0
+        assert tco.ENERGY_USD_PER_KWH == 0.07
+        assert tco.PUE == 1.1
 
     def test_operating_point_validation(self):
         with pytest.raises(ConfigError):

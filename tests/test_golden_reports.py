@@ -1,13 +1,16 @@
 """Golden snapshot tests: regenerate pinned reports and diff them.
 
-Two ``benchmarks/out`` artifacts are committed as golden snapshots
+Six ``benchmarks/out`` artifacts are committed as golden snapshots
 (``repro.evaluation.reports.GOLDEN_REPORTS``).  These tests rebuild each
 one from scratch — fitted catalog, performance matrix (vectorized
-engine path), solver, rendering — and require byte equality with the
-committed file.  Any drift in the models, the matrix, the solvers, or
-the table renderer shows up as a readable text diff.
+engine path), solver, simulation, pricing, rendering — and require byte
+equality with the committed file.  Any drift in the models, the matrix,
+the solvers, the simulators, the TCO constants or the table renderer
+shows up as a readable text diff.  The two Fig 15 reports render one
+policy evaluation per engine (7-11 s on the object engine, 2 CPUs).
 
-To update a snapshot intentionally::
+To update a snapshot intentionally, rerun the benchmark that emits it
+and commit the regenerated file, e.g.::
 
     PYTHONPATH=src python -m pytest benchmarks/test_abl2_solver_choice.py \
         benchmarks/test_abl9_fleet_scale.py -q --benchmark-disable
@@ -19,7 +22,7 @@ import pathlib
 
 import pytest
 
-from repro.engine.select import default_engine
+from repro.engine.select import default_engine, resolve_engine
 from repro.evaluation import reports
 from repro.evaluation.pipeline import fit_catalog
 
@@ -29,6 +32,23 @@ OUT_DIR = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "out"
 @pytest.fixture(scope="module")
 def catalog():
     return fit_catalog(seed=7)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def one_fig15_evaluation_per_engine():
+    """``fig15_tco`` and ``fig15_savings`` render the same evaluation."""
+    evaluate = reports.fig15_evaluation
+    memo = {}
+
+    def shared(catalog):
+        engine = resolve_engine(None)
+        if engine not in memo:
+            memo[engine] = evaluate(catalog)
+        return memo[engine]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reports, "fig15_evaluation", shared)
+        yield
 
 
 @pytest.mark.parametrize("filename,builder", reports.GOLDEN_REPORTS)

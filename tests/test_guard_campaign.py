@@ -102,7 +102,6 @@ class TestConfigValidation:
         {"horizon_s": 0.0},
         {"mean_duration_s": 0.0},
         {"max_faults": 0},
-        {"shrink_budget": -1},
     ])
     def test_bad_campaign_knobs_rejected(self, kwargs):
         with pytest.raises(ConfigError):

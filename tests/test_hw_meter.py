@@ -69,10 +69,6 @@ class TestPowerMeter:
             PowerMeter(source=lambda: 1.0, rng=rng, ewma_alpha=0.0)
         with pytest.raises(ConfigError):
             PowerMeter(source=lambda: 1.0, rng=rng, ewma_alpha=1.5)
-        with pytest.raises(ConfigError):
-            PowerMeter(source=lambda: 1.0, rng=rng, interval_s=0.0)
-        with pytest.raises(ConfigError):
-            PowerMeter(source=lambda: 1.0, rng=rng, interval_s=-0.1)
 
     def test_ewma_alpha_boundaries(self, rng):
         # The valid interval is (0, 1]: exactly 1 disables smoothing and

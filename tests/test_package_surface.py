@@ -111,6 +111,32 @@ CONSTRUCTOR_SURFACE = {
         "lc", "trace", "provisioned_power_w", "samples",
     ),
     ("repro.cost.tco", "compare_policies"): ("points", "reference"),
+    ("repro.cost.tco", "monthly_tco"): ("point", "reference_throughput"),
+    ("repro.budget.brownout", "BrownoutLadder"): ("enter_ratios",),
+    ("repro.lint.formats", "render_text"): ("findings",),
+    ("repro.lint.formats", "render_json"): ("findings",),
+    ("repro.lint.formats", "render_github"): ("findings",),
+    # The config records' fields.  The paper's fixed settings (tick
+    # geometry, meter noise, TCO prices, the arbiter's shares, the
+    # ladder's hysteresis, the guard's ramp allowance, the campaign's
+    # shrink budget) are module constants, not fields.
+    ("repro.sim.colocation", "SimConfig"): (
+        "warmup_s", "load_noise", "latency_noise", "seed",
+    ),
+    ("repro.guard.invariants", "GuardConfig"): (
+        "mode", "cap_margin_w", "cap_grace_steps", "energy_abs_tol_w",
+        "energy_rel_tol", "lc_min_cores", "lc_min_ways", "check_rng",
+        "max_violations", "deep_check_every",
+    ),
+    ("repro.budget.arbiter", "BudgetConfig"): (
+        "arbiter_period_s", "lease_s", "rack_size", "rack_slack",
+        "oversubscription", "fairness", "brownout_throttle_ratio",
+        "brownout_evict_ratio", "brownout_shed_ratio",
+    ),
+    ("repro.guard.campaign", "CampaignConfig"): (
+        "seed", "rounds", "batch_size", "initial_corpus", "horizon_s",
+        "max_faults", "mean_duration_s", "stop_on_violation", "infra_faults",
+    ),
     ("repro.evaluation.ablations", "ablate_slack_target"): (
         "catalog", "targets", "levels", "duration_s",
     ),

@@ -113,6 +113,8 @@ class TestCellValidation:
         ("level", -0.1),
         ("level", float("nan")),
         ("level", "0.5"),
+        ("duration_s", float("inf")),
+        ("duration_s", float("nan")),
     ])
     def test_rejected_field(self, catalog, field, value):
         plan = plans_for(catalog, [("xapian", "rnn")])[0]

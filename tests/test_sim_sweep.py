@@ -101,7 +101,10 @@ class TestSweepValidation:
             )),
             "crash names unknown server 'memcached'",
         ),
-    ], ids=["no-plans", "no-levels", "level-1.5", "duration-0", "unknown-crash"])
+        (dict(duration_s=float("inf")), "duration_s must be finite, got inf"),
+        (dict(duration_s=float("nan")), "duration_s must be positive, got nan"),
+    ], ids=["no-plans", "no-levels", "level-1.5", "duration-0", "unknown-crash",
+            "duration-inf", "duration-nan"])
     def test_refused_when_built(self, terms, match, budget):
         sweep = dict(plans=_plans(), spec=REFERENCE_SPEC, levels=LEVELS,
                      duration_s=4.0, config=CONFIG, budget=budget)
@@ -172,7 +175,7 @@ class TestRunKeyPinned:
     def test_plain_sweep(self):
         sweep = Sweep(_plans(), REFERENCE_SPEC, LEVELS, 6.0, CONFIG)
         assert sweep_run_key(sweep) == (
-            "520a0fe087c3412dd9bf43b31b0a0e1bff862e43f2102a5a19dc966ac18b3d1f"
+            "1e77b51daf4b00c7b77364e2e8600ac36b76e356530e729ff3946e5d84c10860"
         )
 
     def test_sweep_with_every_optional_term(self):
@@ -182,5 +185,5 @@ class TestRunKeyPinned:
             budget=BUDGET,
         )
         assert sweep_run_key(sweep) == (
-            "b43d8e3e3047c761e7aa0877d03db0f109062f8275ddbdffe1c6aa29efcb6428"
+            "2d9999e4a4fc2f5e0bdd451658249a71598cf82182f5ce1e3980ba717e1ed198"
         )

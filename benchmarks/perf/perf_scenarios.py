@@ -17,7 +17,10 @@ timed code paths are the production ones:
 * **checkpointed sweep** — the cluster sweep through the crash-safe
   runner, checkpointing after every cell;
 * **step calls** — the profiled calls the batched core makes per
-  control tick of a fleet sweep, counted in a fresh process.
+  control tick of a fleet sweep, counted in a fresh process;
+* **cold set-up calls** — the profiled calls of one cold placement and
+  batched sweep of the catalog renamed to 48 servers, counted in a
+  fresh process.
 """
 
 from __future__ import annotations
@@ -80,6 +83,28 @@ def matrix_inputs(
         for k in range(replicas)
     }
     return servers, be_models
+
+
+def renamed_catalog(cat: FittedCatalog, copies: int) -> FittedCatalog:
+    """The catalog ``copies`` times over, every app under a distinct name.
+
+    Replicas are renamed through their profiles and share their fits,
+    as the benchmark's checkpointed fleet is: the physics of each
+    replica is its original's, only the name differs.
+    """
+    def renamed(app, name):
+        return replace(app, profile=replace(app.profile, name=name))
+
+    lc_apps, be_apps, lc_fits, be_fits = {}, {}, {}, {}
+    for k in range(copies):
+        for name, app in cat.lc_apps.items():
+            lc_apps[f"{name}-{k:02d}"] = renamed(app, f"{name}-{k:02d}")
+            lc_fits[f"{name}-{k:02d}"] = cat.lc_fits[name]
+        for name, app in cat.be_apps.items():
+            be_apps[f"{name}-{k:02d}"] = renamed(app, f"{name}-{k:02d}")
+            be_fits[f"{name}-{k:02d}"] = cat.be_fits[name]
+    return FittedCatalog(spec=cat.spec, lc_apps=lc_apps, be_apps=be_apps,
+                         lc_fits=lc_fits, be_fits=be_fits)
 
 
 def fleet_plans(cat: FittedCatalog, n_servers: int) -> List[ServerPlan]:
@@ -187,13 +212,64 @@ def step_calls(n_servers: int) -> Dict[str, int]:
     hashing decides set and dict iteration order, and so the exact
     count; with it fixed the count repeats on any host.
     """
+    return _child_json(_STEP_CALLS_CHILD, str(n_servers))
+
+
+def _child_json(script: str, arg: str) -> Dict[str, int]:
+    """Run ``script`` with ``arg`` in a fresh ``PYTHONHASHSEED=0``
+    process; its last stdout line, parsed as JSON."""
     here = Path(__file__).resolve().parent
     path = [str(here), str(here.parents[1] / "src")]
     if os.environ.get("PYTHONPATH"):
         path.append(os.environ["PYTHONPATH"])
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.pathsep.join(path))
     child = subprocess.run(
-        [sys.executable, "-c", _STEP_CALLS_CHILD, str(n_servers)],
+        [sys.executable, "-c", script, arg],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(child.stdout.splitlines()[-1])
+
+
+#: Child process of :func:`cold_setup_calls`: a small sweep imports
+#: every lazily loaded module, the engine memos are cleared, and the
+#: POColo placement and batched sweep of the renamed catalog run under
+#: cProfile; prints the profiled calls as JSON.
+_COLD_SETUP_CHILD = """\
+import cProfile
+import json
+import pstats
+import sys
+
+import perf_scenarios as sc
+from repro.engine import clear_engine_caches
+from repro.evaluation.pipeline import cluster_plans, placement_for_policy
+
+cat = sc.catalog()
+sc.run_fleet(cat, sc.fleet_plans(cat, 4), engine="batched")
+fleet = sc.renamed_catalog(cat, int(sys.argv[1]))
+clear_engine_caches()
+profiler = cProfile.Profile()
+profiler.enable()
+plans = cluster_plans(fleet, placement_for_policy(fleet, "pocolo"), "pocolo")
+sc.run_fleet(fleet, plans, engine="batched")
+profiler.disable()
+print(json.dumps({"calls": pstats.Stats(profiler).total_calls,
+                  "servers": len(plans)}))
+"""
+
+
+#: Copies in the renamed fleet of :func:`cold_setup_calls`: 48 servers,
+#: the size of the benchmark's checkpointed fleet.
+RENAMED_COPIES = 12
+
+
+def cold_setup_calls() -> Dict[str, int]:
+    """Profiled calls of one cold POColo placement and batched sweep of
+    the catalog renamed :data:`RENAMED_COPIES` times.
+
+    Every engine memo starts empty, so the count is the set-up work a
+    cold sweep does: surface tables, model grids, spare-capacity and
+    POM solves.  Counted in a fresh process with ``PYTHONHASHSEED=0``,
+    as :func:`step_calls` is.
+    """
+    return _child_json(_COLD_SETUP_CHILD, str(RENAMED_COPIES))

@@ -45,6 +45,7 @@ from repro.engine.vectorized import (
     build_performance_matrix_vectorized,
     clear_engine_caches,
 )
+from repro.guard.monitor import GuardMonitor
 from repro.runtime.atomic import atomic_write_json
 from repro.solvers.assignment import assign_max, birkhoff_lp
 from repro.solvers.hungarian import tie_tolerance
@@ -197,14 +198,63 @@ def bench_batched(cat, n_servers: int, reps: int = 3) -> dict:
     }
 
 
+#: Iterations of the pure-Python loop whose CPU time is the host-speed
+#: unit of the guard and checkpoint gates (perfbench's reference loop).
+REF_LOOP = 50_000
+
+
+def _reference_cpu_s() -> float:
+    """Median CPU seconds of three runs of a fixed pure-Python loop.
+
+    The loop calls nothing in the program, so only the host's speed
+    moves it; dividing a measured cost by it cancels most of the drift
+    of a shared host.
+    """
+    samples = []
+    for _ in range(3):
+        start = time.process_time()
+        acc = 0
+        for i in range(REF_LOOP):
+            acc += i * i
+        samples.append(time.process_time() - start)
+    return statistics.median(samples)
+
+
+@contextlib.contextmanager
+def _guard_monitor_cpu(spent: list):
+    """Add the CPU seconds of every ``GuardMonitor.observe`` call to
+    ``spent[0]``: the invariant evaluations a guarded cell adds per
+    control tick."""
+    real = GuardMonitor.observe
+
+    def observe(self, sample):
+        start = time.process_time()
+        try:
+            real(self, sample)
+        finally:
+            spent[0] += time.process_time() - start
+
+    GuardMonitor.observe = observe
+    try:
+        yield
+    finally:
+        GuardMonitor.observe = real
+
+
 def bench_guard_overhead(cat, n_servers: int = 10, reps: int = 9) -> dict:
     """Guarded vs unguarded cluster sweep; the invariant-monitor tax.
 
-    Arms are interleaved and the per-arm minimum is kept, so scheduler
-    noise cannot masquerade as guard overhead.  The guarded run must
-    stay clean and produce identical floats — guards observe, never
-    steer.  Both arms run the per-object engine, the one the committed
-    figure was recorded on.
+    The gated figure, ``hook_ref``, is the CPU time the guarded sweep
+    spends in the monitor (``monitor_cpu_s``) in units of the reference
+    loop's CPU time (``ref_cpu_s``), each the minimum over ``reps``
+    interleaved reps: it moves with what the invariants cost, not with
+    how fast the sweep around them runs, so a monitor that ignores its
+    deep-check stride shows up here.  ``serial_s`` and ``engine_s`` are
+    the unguarded and guarded arms' wall minima and ``overhead_pct``
+    their ratio, recorded but not gated.  The guarded run must stay
+    clean and produce identical floats — guards observe, never steer.
+    Both arms run the per-object engine, the one the figure was first
+    recorded on.
     """
     from repro.guard import GuardConfig
 
@@ -212,13 +262,18 @@ def bench_guard_overhead(cat, n_servers: int = 10, reps: int = 9) -> dict:
     guard = GuardConfig()
     kwargs = dict(dedupe=True, engine="object")
     sc.run_fleet(cat, plans, **kwargs)  # warm model/grid caches
-    plain_s = guarded_s = float("inf")
+    plain_s = guarded_s = monitor_s = ref_s = float("inf")
     plain = guarded = None
+    spent = [0.0]
     for _ in range(reps):
+        ref_s = min(ref_s, _reference_cpu_s())
         plain, t = _timed(sc.run_fleet, cat, plans, **kwargs)
         plain_s = min(plain_s, t)
-        guarded, t = _timed(sc.run_fleet, cat, plans, guard=guard, **kwargs)
+        spent[0] = 0.0
+        with _guard_monitor_cpu(spent):
+            guarded, t = _timed(sc.run_fleet, cat, plans, guard=guard, **kwargs)
         guarded_s = min(guarded_s, t)
+        monitor_s = min(monitor_s, spent[0])
     assert _flat(plain) == _flat(guarded), "guarded != unguarded results"
     assert all(
         o.result.guard_report.clean for o in guarded.outcomes
@@ -230,12 +285,19 @@ def bench_guard_overhead(cat, n_servers: int = 10, reps: int = 9) -> dict:
             f"object-engine run_cluster: {n_servers} servers x "
             f"{len(sc.SWEEP_LEVELS)} levels, unguarded vs guarded (record "
             "mode, all six invariants, deep_check_every="
-            f"{guard.deep_check_every}); min over {reps} interleaved reps"
+            f"{guard.deep_check_every}); hook_ref is the CPU seconds spent "
+            "in GuardMonitor.observe over the CPU seconds of a "
+            f"{REF_LOOP}-iteration reference loop, minima over {reps} "
+            "interleaved reps; overhead_pct is the wall-clock ratio of the "
+            "arms' minima"
         ),
         "mechanism": "guard-monitor",
         "serial_s": round(plain_s, 4),
         "engine_s": round(guarded_s, 4),
         "overhead_pct": overhead_pct,
+        "monitor_cpu_s": round(monitor_s, 5),
+        "ref_cpu_s": round(ref_s, 5),
+        "hook_ref": round(monitor_s / ref_s, 3),
         "identical_results": True,
     }
 
@@ -372,28 +434,6 @@ def bench_canonical_assignment(cat, copies: int = 12, reps: int = 5) -> dict:
     }
 
 
-#: Iterations of the pure-Python loop whose CPU time is the host-speed
-#: unit of the checkpoint gate (perfbench's reference loop).
-REF_LOOP = 50_000
-
-
-def _reference_cpu_s() -> float:
-    """Median CPU seconds of three runs of a fixed pure-Python loop.
-
-    The loop calls nothing in the program, so only the host's speed
-    moves it; dividing a measured cost by it cancels most of the drift
-    of a shared host.
-    """
-    samples = []
-    for _ in range(3):
-        start = time.process_time()
-        acc = 0
-        for i in range(REF_LOOP):
-            acc += i * i
-        samples.append(time.process_time() - start)
-    return statistics.median(samples)
-
-
 @contextlib.contextmanager
 def _checkpoint_hook_cpu(spent: list):
     """Add the CPU seconds of every checkpoint result-hook call to ``spent[0]``.
@@ -487,12 +527,13 @@ def bench_checkpoint_overhead(
     }
 
 
-#: Headroom of the step-call ceiling over the recorded count: a numpy or
+#: Headroom of a call-count ceiling over the recorded count: a numpy or
 #: Python release whose internals make a few more calls stays under it,
 #: while a per-lane Python loop in ``step()`` breaks the equal-count
-#: check and a lost solver memo (a solve per lane and tick) lands far
-#: above it.
-STEP_CALLS_HEADROOM = 1.1
+#: check, a lost solver memo (a solve per lane and tick) lands far above
+#: the step ceiling, and a memo keyed by app name again (a table or
+#: solve per renamed replica) far above the cold set-up one.
+CALLS_HEADROOM = 1.1
 
 
 def bench_step_calls() -> dict:
@@ -520,7 +561,36 @@ def bench_step_calls() -> dict:
         ),
         "mechanism": "work-count",
         **{f"calls_per_step_{n}": round(v, 1) for n, v in per_step.items()},
-        "ceiling": round(max(per_step.values()) * STEP_CALLS_HEADROOM),
+        "ceiling": round(max(per_step.values()) * CALLS_HEADROOM),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def bench_cold_setup_calls() -> dict:
+    """Profiled calls of one cold placement and batched sweep of the
+    catalog renamed ``perf_scenarios.RENAMED_COPIES`` times over.
+
+    Host-independent like :func:`bench_step_calls`
+    (:func:`perf_scenarios.cold_setup_calls`).  The memos are keyed by
+    value, so the renamed replicas share every surface table, model
+    grid and spare-capacity solve of the original catalog.
+    """
+    counted = sc.cold_setup_calls()
+    return {
+        "name": "cold_setup_calls",
+        "description": (
+            "profiled calls of one cold POColo placement plus batched "
+            f"run_cluster sweep ({len(sc.SWEEP_LEVELS)} levels, "
+            f"{sc.SWEEP_DURATION_S:.0f}s cells) of the catalog renamed "
+            f"{sc.RENAMED_COPIES} times ({counted['servers']} servers), every engine "
+            "memo cleared first, counted under cProfile in a fresh process "
+            "with PYTHONHASHSEED=0; the gate requires at most ceiling calls"
+        ),
+        "mechanism": "work-count",
+        "servers": counted["servers"],
+        "calls": counted["calls"],
+        "ceiling": round(counted["calls"] * CALLS_HEADROOM),
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
@@ -553,6 +623,7 @@ def main(argv=None) -> int:
     scenarios.append(bench_canonical_assignment(cat))
     scenarios.append(bench_checkpoint_overhead(cat))
     scenarios.append(bench_step_calls())
+    scenarios.append(bench_cold_setup_calls())
 
     payload = {
         "schema": "pocolo-bench-engine/1",
@@ -571,7 +642,8 @@ def main(argv=None) -> int:
     atomic_write_json(out_path, payload)
     for s in scenarios:
         if "ceiling" in s:
-            print(f"{s['name']:28s} ceiling {s['ceiling']} calls/step")
+            unit = "calls/step" if "calls_per_step_100" in s else "calls"
+            print(f"{s['name']:28s} ceiling {s['ceiling']} {unit}")
             continue
         speedup = s.get("speedup")
         print(f"{s['name']:28s} engine {s['engine_s']:8.3f}s"

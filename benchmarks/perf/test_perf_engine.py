@@ -90,9 +90,13 @@ class TestMatrixPopulation:
         )
         assert np.array_equal(matrix.values, reference.values)
 
-    #: Six full ``run_bench.py`` runs on the 2-CPU recording host read
-    #: 1.28-1.38x cold and 14.4-15.8x warm: at most 7% and 9% below
-    #: the highest reading.
+    #: Twenty-four ``run_bench.bench_matrix`` runs on the 2-CPU recording
+    #: host read 1.40-2.30x cold and 5.58-11.36x warm, medians 1.62x and
+    #: 7.4x; all but one read at most 10% below the committed 1.59x and
+    #: 7.4x (the exception, 1.40x and 5.58x, ran while the host was about
+    #: twice as slow as usual).  The loop reference reads the model grid
+    #: through the POM solve, as the engine does, so both ratios moved
+    #: when the solve stopped evaluating the scalar model per candidate.
     SLACK = 0.10
 
     @pytest.mark.parametrize("field", ["speedup", "speedup_warm"])
@@ -140,6 +144,11 @@ class TestClusterSweep:
     #: 12.8-15.4x (10 servers), 91-132x (100) and 479-715x (1000):
     #: at most 17%, 31% and 33% below the highest reading.  The
     #: engine arm takes milliseconds, so the larger fleets scatter more.
+    #: Once the POM solve read the model grid, the serial arm ran about
+    #: 35% faster while the engine arm did not move; eight runs then read
+    #: 13.7-18.1x, 113-155x and 275-599x (and 262x once inside a full
+    #: perf-suite run), and the committed figures are the median of the
+    #: last three.
     SLACK = {10: 0.20, 100: 0.35, 1000: 0.35}
 
     @pytest.mark.parametrize("n_servers", [10, 100, 1000])
@@ -195,7 +204,10 @@ class TestBatchedEngine:
     #: recording host (six with the one-block core, six before it) read
     #: 97-187x: at most 48% below the highest reading.  Both arms are
     #: single sweeps of a shared host, and the 12-17 s serial arm moves
-    #: most.
+    #: most.  Once the POM solve read the model grid, the serial arm ran
+    #: about 30% faster while the batched arm did not move; eight runs
+    #: then read 99-156x (100 servers: 66-87x), and the committed
+    #: figures are the median of the last three.
     SLACK_1000 = 0.50
 
     def test_batched_1000_speedup_gate(self, cat):
@@ -273,40 +285,31 @@ class TestBudgetOverhead:
 
 
 class TestGuardOverhead:
-    """The guard monitor: results unchanged, overhead gated.
+    """The guard monitor: results unchanged, its CPU cost gated.
 
-    Mirrors the budget gate: the record-mode monitor's tax on the
-    10-server per-object sweep (the engine the committed figure was
-    recorded on) must stay within ``max(5%, committed + 3 pp)`` of the
-    committed ``guard_overhead_10`` figure, measured as interleaved
-    per-arm minima.
+    ``run_bench.bench_guard_overhead`` runs the record-mode monitor on
+    the 10-server per-object sweep and asserts the guarded floats equal
+    the unguarded ones.  The gate holds the CPU time spent in
+    ``GuardMonitor.observe``, in units of a fixed reference loop's CPU
+    time (``hook_ref``, each the minimum over interleaved reps), to the
+    committed figure plus ``SLACK``: it measures what the invariants
+    cost, so it stays put when the sweep around them gets faster, as
+    the wall-clock overhead ratio did not.  Ten runs read 0.95-1.03
+    reference loops; a monitor that ignores its deep-check stride read
+    1.82-1.90, above the ceiling.
     """
 
-    def test_guard_overhead_gate(self, cat):
-        from repro.guard import GuardConfig
+    SLACK = 0.25
 
+    def test_guard_overhead_gate(self, cat):
         entry = _committed("guard_overhead_10")
-        plans = sc.fleet_plans(cat, 10)
-        guard = GuardConfig()
-        kwargs = dict(dedupe=True, engine="object")
-        sc.run_fleet(cat, plans, **kwargs)  # warm model/grid caches
-        plain_s = guarded_s = float("inf")
-        plain = guarded = None
-        for _ in range(7):
-            t0 = time.perf_counter()
-            plain = sc.run_fleet(cat, plans, **kwargs)
-            plain_s = min(plain_s, time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            guarded = sc.run_fleet(cat, plans, guard=guard, **kwargs)
-            guarded_s = min(guarded_s, time.perf_counter() - t0)
-        assert _flat(guarded) == _flat(plain), "guards changed the results"
-        overhead_pct = 100.0 * (guarded_s / plain_s - 1.0)
-        ceiling = max(5.0, entry["overhead_pct"] + 3.0)
-        assert overhead_pct <= ceiling, (
-            f"guard monitor overhead regressed: measured "
-            f"{overhead_pct:.1f}%, committed {entry['overhead_pct']}%, "
-            f"gate ceiling {ceiling:.1f}% — investigate before "
-            "refreshing BENCH_engine.json"
+        measured = run_bench.bench_guard_overhead(cat)["hook_ref"]
+        ceiling = entry["hook_ref"] * (1.0 + self.SLACK)
+        assert measured <= ceiling, (
+            f"guard monitor overhead regressed: it measured {measured:.2f} "
+            f"reference loops, committed {entry['hook_ref']}, gate ceiling "
+            f"{ceiling:.2f} — investigate before refreshing "
+            "BENCH_engine.json"
         )
 
 
@@ -390,4 +393,31 @@ class TestStepCallCount:
             f"recorded ceiling of {entry['ceiling']} (Python "
             f"{entry['python']}, numpy {entry['numpy']}) — investigate "
             "before refreshing BENCH_engine.json"
+        )
+
+
+class TestColdSetupCallCount:
+    """A cold set-up does each scalar evaluation once per distinct value.
+
+    Counted like ``TestStepCallCount``: the profiled calls of one cold
+    POColo placement and batched sweep of the catalog renamed to 48
+    servers (every engine memo cleared first, a fresh
+    ``PYTHONHASHSEED=0`` process) must stay under the ceiling
+    ``run_bench.py`` recorded.  The memos are keyed by value, so the
+    renamed replicas share the original catalog's 8 surface tables, 8
+    model grids and 36 spare-capacity solves; a surface memo keyed by
+    the profile's name again builds 96 tables and lands about 40% over
+    the recorded count, and a spare-capacity memo keyed by the server's
+    name makes 432 solves and lands about 30% over it.
+    """
+
+    def test_cold_setup_calls_under_ceiling(self):
+        entry = _committed("cold_setup_calls")
+        counted = sc.cold_setup_calls()
+        assert counted["servers"] == entry["servers"]
+        assert counted["calls"] <= entry["ceiling"], (
+            f"a cold set-up makes {counted['calls']} profiled calls, over "
+            f"the recorded ceiling of {entry['ceiling']} (Python "
+            f"{entry['python']}, numpy {entry['numpy']}) — a memo keyed by "
+            "name again? Investigate before refreshing BENCH_engine.json"
         )

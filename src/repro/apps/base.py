@@ -31,7 +31,7 @@ Calibration of per-app parameters to the paper's anchor numbers lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -60,6 +60,11 @@ def saturate(x: float, kappa: float) -> float:
     if kappa < 0:
         raise ConfigError("saturation kappa cannot be negative")
     return (1.0 + kappa) * x / (1.0 + kappa * x)
+
+
+def frequency_ratio(freq_ghz: float, spec: ServerSpec) -> float:
+    """``phi = f / f_max``, capped at 1: the DVFS point both surfaces scale by."""
+    return min(1.0, freq_ghz / spec.max_freq_ghz)
 
 
 @dataclass(frozen=True)
@@ -91,19 +96,46 @@ class PerformanceSurface:
         if self.alpha_freq < 0:
             raise ConfigError("frequency elasticity cannot be negative")
 
+    def resource_factor(self, cores: int, ways: int, spec: ServerSpec) -> float:
+        """The saturated Cobb-Douglas core ``sat((c/C)^a_c * (w/W)^a_w)``."""
+        core_frac = cores / spec.cores
+        way_frac = ways / spec.llc_ways
+        base = (core_frac ** self.alpha_cores) * (way_frac ** self.alpha_ways)
+        return saturate(base, self.saturation_kappa)
+
+    def freq_factor(self, freq_ghz: float, spec: ServerSpec) -> float:
+        """The frequency term ``(f/f_max)^a_f``."""
+        return frequency_ratio(freq_ghz, spec) ** self.alpha_freq
+
     def normalized(self, alloc: Allocation, spec: ServerSpec) -> float:
         """Normalized throughput in [0, ~1] at ``alloc`` on ``spec``."""
         if alloc.is_empty or alloc.ways == 0:
             return 0.0
-        core_frac = alloc.cores / spec.cores
-        way_frac = alloc.ways / spec.llc_ways
-        base = (core_frac ** self.alpha_cores) * (way_frac ** self.alpha_ways)
-        freq_frac = min(1.0, alloc.freq_ghz / spec.max_freq_ghz)
         return (
-            saturate(base, self.saturation_kappa)
-            * (freq_frac ** self.alpha_freq)
+            self.resource_factor(alloc.cores, alloc.ways, spec)
+            * self.freq_factor(alloc.freq_ghz, spec)
             * alloc.duty_cycle
         )
+
+    def normalized_table(
+        self, spec: ServerSpec, cores: int, ways: int, freqs: Sequence[float]
+    ) -> np.ndarray:
+        """``normalized`` at duty 1.0 on a ``(cores+1, ways+1, freqs)`` grid.
+
+        Each factor is evaluated once per (cores, ways) or per frequency
+        by the scalar helpers above, then combined with the same multiply
+        ``normalized`` performs (a duty of 1.0 multiplies exactly), so
+        every entry is the bit-exact scalar value.  Row and column zero
+        stay 0.0, as ``normalized`` returns for an empty allocation.
+        """
+        resource = np.array([
+            [self.resource_factor(c, w, spec) for w in range(1, ways + 1)]
+            for c in range(1, cores + 1)
+        ])
+        freq = np.array([self.freq_factor(f, spec) for f in freqs])
+        table = np.zeros((cores + 1, ways + 1, len(freqs)))
+        table[1:, 1:] = resource[:, :, None] * freq
+        return table
 
 
 @dataclass(frozen=True)
@@ -127,15 +159,45 @@ class PowerSurface:
         if not 0.0 <= self.way_static_share <= 1.0:
             raise ConfigError("way static share must lie in [0, 1]")
 
+    def core_freq_factor(self, freq_ghz: float, spec: ServerSpec) -> float:
+        """Per-core dynamic power's frequency scaling ``phi^e``."""
+        return frequency_ratio(freq_ghz, spec) ** self.freq_exponent
+
+    def way_freq_factor(self, freq_ghz: float, spec: ServerSpec) -> float:
+        """Per-way power's frequency scaling ``s + (1-s) phi``."""
+        s = self.way_static_share
+        return s + (1.0 - s) * frequency_ratio(freq_ghz, spec)
+
     def active_power_w(self, alloc: Allocation, spec: ServerSpec) -> float:
         """Active power at ``alloc`` on ``spec`` (duty cycle NOT applied)."""
         if alloc.is_empty:
             return 0.0
-        phi = min(1.0, alloc.freq_ghz / spec.max_freq_ghz)
-        core_power = alloc.cores * self.p_core_w * (phi ** self.freq_exponent)
-        s = self.way_static_share
-        way_power = alloc.ways * self.p_way_w * (s + (1.0 - s) * phi)
+        core_power = (
+            alloc.cores * self.p_core_w
+            * self.core_freq_factor(alloc.freq_ghz, spec)
+        )
+        way_power = (
+            alloc.ways * self.p_way_w * self.way_freq_factor(alloc.freq_ghz, spec)
+        )
         return self.static_w + core_power + way_power
+
+    def active_power_table(
+        self, spec: ServerSpec, cores: int, ways: int, freqs: Sequence[float]
+    ) -> np.ndarray:
+        """``active_power_w`` on a ``(cores+1, ways+1, freqs)`` grid.
+
+        The frequency factors are evaluated once per frequency by the
+        scalar helpers above and combined with ``active_power_w``'s own
+        multiplies and adds in its order, so every entry is the bit-exact
+        scalar value.  Row and column zero stay 0.0.
+        """
+        core_freq = np.array([self.core_freq_factor(f, spec) for f in freqs])
+        way_freq = np.array([self.way_freq_factor(f, spec) for f in freqs])
+        core_power = (np.arange(1, cores + 1) * self.p_core_w)[:, None] * core_freq
+        way_power = (np.arange(1, ways + 1) * self.p_way_w)[:, None] * way_freq
+        table = np.zeros((cores + 1, ways + 1, len(freqs)))
+        table[1:, 1:] = (self.static_w + core_power[:, None, :]) + way_power[None, :, :]
+        return table
 
 
 @dataclass(frozen=True)

@@ -122,10 +122,12 @@ class BudgetConfig:
             )
         if self.rack_size < 1:
             raise ConfigError("rack_size must be >= 1")
-        if self.rack_slack < 0.0:
-            raise ConfigError("rack_slack cannot be negative")
-        if self.oversubscription < 0.0:
-            raise ConfigError("oversubscription cannot be negative")
+        for name in ("rack_slack", "oversubscription"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(
+                    f"{name} must be non-negative and finite; got {value!r}"
+                )
         if self.fairness not in FAIRNESS_OBJECTIVES:
             raise ConfigError(
                 f"unknown fairness objective {self.fairness!r}; expected "

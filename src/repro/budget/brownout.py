@@ -28,6 +28,7 @@ oscillation the hysteresis exists to prevent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -68,6 +69,10 @@ class BrownoutLadder:
             raise ConfigError(
                 f"the brownout ladder has 3 stages; got {len(enter_ratios)} "
                 "entry ratios"
+            )
+        if not all(math.isfinite(r) for r in enter_ratios):
+            raise ConfigError(
+                f"brownout entry ratios must be finite; got {enter_ratios!r}"
             )
         for shallow, deep in zip(enter_ratios, enter_ratios[1:]):
             if deep > shallow:

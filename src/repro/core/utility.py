@@ -26,10 +26,11 @@ k=2 with the canonical order ``("cores", "ways")``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import CapacityError, ConfigError
 from repro.hwmodel.spec import Allocation, ServerSpec
@@ -254,11 +255,58 @@ class IndirectUtilityModel:
 # Integer projection onto a server's discrete allocation grid
 # ----------------------------------------------------------------------
 
-def _neighborhood(cores: int, ways: int, radius: int) -> "itertools.product":
-    return itertools.product(
-        range(cores - radius, cores + radius + 1),
-        range(ways - radius, ways + radius + 1),
-    )
+@dataclass(frozen=True)
+class ModelGrid:
+    """Scalar-model evaluations cached on the integer allocation grid.
+
+    ``perf[c, w]`` / ``power[c, w]`` hold ``model.performance((c, w))``
+    and ``model.power_w((c, w))`` for ``1 <= c <= cores`` and
+    ``1 <= w <= ways`` (index 0 rows/cols are inf power, 0 perf, and
+    never selected).  Filling the grid costs ``cores * ways`` scalar
+    calls once per (model, spec); every lookup afterwards is exact by
+    construction.
+    """
+
+    perf: np.ndarray
+    power: np.ndarray
+
+    @property
+    def full_perf(self) -> float:
+        """Performance of the full box — the normalization denominator."""
+        return float(self.perf[-1, -1])
+
+
+#: (model, spec) -> its grid.  Models are frozen dataclasses, so equal
+#: values share one grid whatever object carries them.
+_MODEL_GRIDS: Dict[Tuple[IndirectUtilityModel, ServerSpec], ModelGrid] = {}
+
+
+def model_grid(model: IndirectUtilityModel, spec: ServerSpec) -> ModelGrid:
+    """The (cores+1, ways+1) grid of exact scalar evaluations, memoized.
+
+    A model that cannot be hashed cannot key the memo; it gets a grid
+    filled for this call alone.
+    """
+    key = (model, spec)
+    try:
+        grid = _MODEL_GRIDS.get(key)
+    except TypeError:
+        return _fill_model_grid(model, spec)
+    if grid is None:
+        grid = _MODEL_GRIDS[key] = _fill_model_grid(model, spec)
+    return grid
+
+
+def _fill_model_grid(model: IndirectUtilityModel, spec: ServerSpec) -> ModelGrid:
+    perf = np.zeros((spec.cores + 1, spec.llc_ways + 1))
+    power = np.full((spec.cores + 1, spec.llc_ways + 1), np.inf)
+    for c in range(1, spec.cores + 1):
+        for w in range(1, spec.llc_ways + 1):
+            perf[c, w] = model.performance((float(c), float(w)))
+            power[c, w] = model.power_w((float(c), float(w)))
+    perf.setflags(write=False)
+    power.setflags(write=False)
+    return ModelGrid(perf=perf, power=power)
 
 
 def integer_min_power_allocation(
@@ -273,45 +321,63 @@ def integer_min_power_allocation(
     integer neighborhood (±``radius``) for the cheapest feasible point
     *according to the model*; "a constant time operation (less than a
     millisecond)" as the paper notes of the analytical solution
-    (Section IV-C).  Only valid for the two-resource instantiation.
+    (Section IV-C).  Every candidate is read from the (model, spec)
+    :class:`ModelGrid`, whose entries are the scalar model's own values.
+    Only valid for the two-resource instantiation.
 
     Raises :class:`CapacityError` when even the full server cannot reach
     the target under the model.
     """
     _require_two_resources(model)
-    full = (float(spec.cores), float(spec.llc_ways))
-    if model.performance(full) < perf_target:
+    grid = model_grid(model, spec)
+    full_perf = grid.full_perf
+    if full_perf < perf_target:
         raise CapacityError(
             f"model says even the full server ({spec.cores}c/{spec.llc_ways}w) "
-            f"reaches only {model.performance(full):.4g} < {perf_target:.4g}"
+            f"reaches only {full_perf:.4g} < {perf_target:.4g}"
         )
     cont = model.least_power_allocation(perf_target)
     center_c = int(round(cont[0]))
     center_w = int(round(cont[1]))
-    best: Optional[Tuple[float, int, int]] = None
-    for c, w in _neighborhood(center_c, center_w, radius):
-        if not (1 <= c <= spec.cores and 1 <= w <= spec.llc_ways):
-            continue
-        if model.performance((c, w)) < perf_target:
-            continue
-        cost = model.power_w((c, w))
-        if best is None or cost < best[0] - 1e-12:
-            best = (cost, c, w)
+    # The window, clipped to the grid: the in-bounds points in scan order.
+    best = _cheapest_reaching(
+        grid,
+        perf_target,
+        range(max(center_c - radius, 1), min(center_c + radius, spec.cores) + 1),
+        range(max(center_w - radius, 1), min(center_w + radius, spec.llc_ways) + 1),
+    )
     if best is None:
         # The rounded neighborhood missed; fall back to scanning the grid.
-        for c in range(1, spec.cores + 1):
-            for w in range(1, spec.llc_ways + 1):
-                if model.performance((c, w)) < perf_target:
-                    continue
-                cost = model.power_w((c, w))
-                if best is None or cost < best[0] - 1e-12:
-                    best = (cost, c, w)
+        best = _cheapest_reaching(
+            grid,
+            perf_target,
+            range(1, spec.cores + 1),
+            range(1, spec.llc_ways + 1),
+        )
     if best is None:
         raise CapacityError(
             f"no integer allocation reaches performance {perf_target:.4g}"
         )  # pragma: no cover - full-server check above makes this unreachable
     _, c, w = best
     return Allocation(cores=c, ways=w, freq_ghz=spec.max_freq_ghz)
+
+
+def _cheapest_reaching(
+    grid: ModelGrid, perf_target: float, cores: range, ways: range
+) -> Optional[Tuple[float, int, int]]:
+    """``(power, cores, ways)`` of the first point, cores-major, whose
+    power undercuts every earlier feasible one by more than 1e-12."""
+    block = (slice(cores.start, cores.stop), slice(ways.start, ways.stop))
+    perf_rows = grid.perf[block].tolist()
+    power_rows = grid.power[block].tolist()
+    best: Optional[Tuple[float, int, int]] = None
+    for c, perf_row, power_row in zip(cores, perf_rows, power_rows):
+        for w, perf, cost in zip(ways, perf_row, power_row):
+            if perf < perf_target:
+                continue
+            if best is None or cost < best[0] - 1e-12:
+                best = (cost, c, w)
+    return best
 
 
 def integer_demand_allocation(

@@ -21,10 +21,11 @@ possible:
 * **Scalar-filled tables** — transcendentals (``**``, ``exp``/``log``
   inside the Cobb-Douglas models) differ between numpy's vectorized
   kernels and CPython's scalar math.  Every nonlinear surface is
-  therefore pre-evaluated point-by-point *through the real model
-  methods* into dense ``(cores+1, ways+1, ladder)`` tables; the hot loop
-  only gathers and applies IEEE-exact ``+ - * /`` elementwise ops in the
-  oracle's exact association order.
+  therefore pre-evaluated *through the real model's scalar helpers*
+  (each transcendental factor once per grid row, column or ladder
+  step) into dense ``(cores+1, ways+1, ladder)`` tables; the fill and
+  the hot loop only gather and apply IEEE-exact ``+ - * /`` elementwise
+  ops in the oracle's exact association order.
 * **Two-variant RNG tapes** — every cell draws from its own
   ``default_rng(config.seed)``, so cells sharing a config share one
   random tape... except that :func:`repro.apps.base.measured` skips the
@@ -124,7 +125,7 @@ from repro.hwmodel.capping import (
     CapStats,
 )
 from repro.hwmodel.meter import DEFAULT_NOISE_SIGMA_W, DEFAULT_SAMPLE_INTERVAL_S
-from repro.hwmodel.spec import Allocation, ServerSpec
+from repro.hwmodel.spec import ServerSpec
 from repro.sim.colocation import (
     CONTROL_INTERVAL_S,
     SUBTICKS,
@@ -187,12 +188,15 @@ class _SubtickFaults(NamedTuple):
     drift: List[Tuple[Optional[np.ndarray], Any]]
 
 # ----------------------------------------------------------------------
-# Value-keyed global caches.  Keys are frozen dataclasses (profiles,
-# specs, models) compared by value, so equal-by-value inputs share
-# tables across invocations; nothing here is keyed by id().
+# Value-keyed global caches.  Keys are frozen dataclasses (surfaces,
+# specs, models) compared by value, never an app's name, so equal-by-
+# value inputs share tables across invocations; nothing here is keyed
+# by id().  ``repro.engine.clear_engine_caches`` empties them all.
 # ----------------------------------------------------------------------
+#: spec -> its DVFS-ladder index maps (None: ineligible ladder).
 _LADDER_MAPS: Dict[ServerSpec, Any] = {}
-_SURFACE_TABLES: Dict[Tuple[Any, ServerSpec], Tuple[np.ndarray, np.ndarray]] = {}
+#: (perf surface, power surface, profile spec, spec) -> (norm, act).
+_SURFACE_TABLES: Dict[Tuple[Any, ...], Tuple[np.ndarray, np.ndarray]] = {}
 #: (model, spec) -> {target: (cores, ways, solver failed)}.
 _SOLVER_MEMO: Dict[Tuple[Any, ServerSpec], Dict[float, Tuple[int, int, int]]] = {}
 
@@ -202,6 +206,7 @@ def clear_batched_caches() -> None:
     _LADDER_MAPS.clear()
     _SURFACE_TABLES.clear()
     _SOLVER_MEMO.clear()
+    _series_layout.cache_clear()
 
 
 def _np_mean_lanes(buf: np.ndarray) -> np.ndarray:
@@ -308,32 +313,52 @@ def _build_ladder_maps(spec: ServerSpec) -> Optional[Dict[str, Any]]:
 def _surface_tables(profile: Any, spec: ServerSpec) -> Tuple[np.ndarray, np.ndarray]:
     """Dense (normalized-throughput, active-power) tables for a profile.
 
-    Filled point-by-point through the profile's *own* scalar methods at
-    duty 1.0, so a gathered entry is the bit-exact scalar value; duty is
-    applied afterwards with the same single multiply the object path
-    performs.  Row/column zero stay 0.0, matching the scalar empty-
-    allocation short-circuits.
+    Filled by the profile's own surfaces (``normalized_table`` and
+    ``active_power_table``), which evaluate each scalar factor once and
+    combine them in the scalar methods' operation order, at duty 1.0,
+    so a gathered entry is the bit-exact scalar value; duty is applied
+    afterwards with the same single multiply the object path performs.
+    Row/column zero stay 0.0, matching the scalar empty-allocation
+    short-circuits.  Keyed by the surfaces and specs, never the app's
+    name: renamed apps of one physics share a table.
     """
-    key = (profile, spec)
+    key = (profile.perf, profile.power, profile.spec, spec)
     hit = _SURFACE_TABLES.get(key)
     if hit is not None:
         return hit
     maps = _ladder_maps(spec)
     if maps is None:  # callers gate on ladder eligibility first
         raise ConfigError("surface tables need a DVFS-ladder spec")
-    vals = maps["vals"]
-    n_c, n_w, n_k = spec.cores, spec.llc_ways, len(vals)
-    norm = np.zeros((n_c + 1, n_w + 1, n_k), dtype=np.float64)
-    act = np.zeros((n_c + 1, n_w + 1, n_k), dtype=np.float64)
-    for c in range(1, n_c + 1):
-        for w in range(1, n_w + 1):
-            for k, freq in enumerate(vals):
-                alloc = Allocation(cores=c, ways=w, freq_ghz=freq)
-                norm[c, w, k] = profile.normalized_throughput(alloc)
-                act[c, w, k] = profile.active_power_w(alloc)
-    tables = (norm, act)
+    grid = (profile.spec, spec.cores, spec.llc_ways, maps["vals"])
+    tables = (
+        profile.perf.normalized_table(*grid),
+        profile.power.active_power_table(*grid),
+    )
     _SURFACE_TABLES[key] = tables
     return tables
+
+
+def _stacked_surfaces(
+    profiles: Sequence[Any], spec: ServerSpec
+) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
+    """Each lane's table index, and the memoized tables of each distinct
+    surface pair in first-use order.  Lanes share profile objects, so
+    the memo is consulted once per object; its value key decides which
+    profiles share a table."""
+    slot_of_profile: Dict[int, int] = {}
+    slot_of_tables: Dict[int, int] = {}
+    stack: List[Tuple[np.ndarray, np.ndarray]] = []
+    index = np.zeros(len(profiles), dtype=np.int64)
+    for i, prof in enumerate(profiles):
+        slot = slot_of_profile.get(id(prof))
+        if slot is None:
+            tables = _surface_tables(prof, spec)
+            slot = slot_of_tables.setdefault(id(tables), len(stack))
+            if slot == len(stack):
+                stack.append(tables)
+            slot_of_profile[id(prof)] = slot
+        index[i] = slot
+    return index, stack
 
 
 def _solve_allocation(model: Any, spec: ServerSpec, target: float) -> Tuple[int, int, int]:
@@ -670,42 +695,23 @@ class BatchedClusterSim:
         )
         self.idle_w = float(spec.idle_power_w)
 
-        # Surface tables, stacked over the distinct profiles in play.
-        lc_profiles: List[Any] = []
-        lc_tbl = np.zeros(n, dtype=np.int64)
-        for i, plan in enumerate(self.plans):
-            prof = plan.lc_app.profile
-            try:
-                idx = lc_profiles.index(prof)
-            except ValueError:
-                idx = len(lc_profiles)
-                lc_profiles.append(prof)
-            lc_tbl[i] = idx
-        self.lc_tbl = lc_tbl
-        self.lc_norm = np.stack([_surface_tables(p, spec)[0] for p in lc_profiles])
-        self.lc_act = np.stack([_surface_tables(p, spec)[1] for p in lc_profiles])
+        # Surface tables, stacked over the distinct surface pairs in play.
+        self.lc_tbl, lc_tables = _stacked_surfaces(
+            [plan.lc_app.profile for plan in self.plans], spec
+        )
+        self.lc_norm = np.stack([norm for norm, _act in lc_tables])
+        self.lc_act = np.stack([act for _norm, act in lc_tables])
 
         self.has_be = np.asarray([a is not None for a in self.be_apps])
-        be_profiles: List[Any] = []
-        be_tbl = np.zeros(n, dtype=np.int64)
-        for i, app in enumerate(self.be_apps):
-            if app is None:
-                continue
-            prof = app.profile
-            try:
-                idx = be_profiles.index(prof)
-            except ValueError:
-                idx = len(be_profiles)
-                be_profiles.append(prof)
-            be_tbl[i] = idx
-        self.be_tbl = be_tbl
-        if be_profiles:
-            self.be_norm = np.stack(
-                [_surface_tables(p, spec)[0] for p in be_profiles]
-            )
-            self.be_act = np.stack(
-                [_surface_tables(p, spec)[1] for p in be_profiles]
-            )
+        be_lanes = [i for i, app in enumerate(self.be_apps) if app is not None]
+        be_idx, be_tables = _stacked_surfaces(
+            [self.be_apps[i].profile for i in be_lanes], spec
+        )
+        self.be_tbl = np.zeros(n, dtype=np.int64)
+        self.be_tbl[be_lanes] = be_idx
+        if be_tables:
+            self.be_norm = np.stack([norm for norm, _act in be_tables])
+            self.be_act = np.stack([act for _norm, act in be_tables])
         else:
             self.be_norm = np.zeros((1, self.C + 1, self.W + 1, self.K))
             self.be_act = np.zeros((1, self.C + 1, self.W + 1, self.K))

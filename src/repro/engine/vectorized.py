@@ -22,9 +22,12 @@ against the retained loop implementation
 (``_build_performance_matrix_reference``).
 
 The spare-capacity prediction (one dual-form solve per (server, level))
-is memoized in :func:`cached_spare_capacity`: placement inputs are
-frozen dataclasses, so the cache key is the value itself, and repeated
-matrix builds over the same fleet skip the integer neighborhood search.
+is memoized in :func:`cached_spare_capacity`, keyed by the values it
+reads (model, provisioning, peak load, spec, level, margin) and never
+by the server's name: repeated matrix builds, and renamed replicas of
+one server, skip the integer neighborhood search.  :class:`ModelGrid`
+and :func:`model_grid` live in :mod:`repro.core.utility`, whose POM
+solve reads the same grid, and are re-exported here.
 """
 
 # pocolint: lane-module
@@ -32,9 +35,7 @@ matrix builds over the same fleet skip the integer neighborhood search.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -44,47 +45,31 @@ from repro.core.placement import (
     PerformanceMatrix,
     predict_spare_capacity,
 )
-from repro.core.utility import IndirectUtilityModel
+from repro.core.utility import (
+    _MODEL_GRIDS,
+    IndirectUtilityModel,
+    ModelGrid,
+    model_grid,
+)
 from repro.errors import ConfigError
 from repro.hwmodel.spec import Allocation, ServerSpec
 
-
-@dataclass(frozen=True)
-class ModelGrid:
-    """Scalar-model evaluations cached on the integer allocation grid.
-
-    ``perf[c, w]`` / ``power[c, w]`` hold ``model.performance((c, w))``
-    and ``model.power_w((c, w))`` for ``1 <= c <= cores`` and
-    ``1 <= w <= ways`` (index 0 rows/cols are -inf power, 0 perf, and
-    never selected).  Filling the grid costs ``cores * ways`` scalar
-    calls once per (model, spec); every batched lookup afterwards is
-    exact by construction.
-    """
-
-    perf: np.ndarray
-    power: np.ndarray
-
-    @property
-    def full_perf(self) -> float:
-        """Performance of the full box — the normalization denominator."""
-        return float(self.perf[-1, -1])
+__all__ = [
+    "ModelGrid",
+    "build_performance_matrix_vectorized",
+    "cached_spare_capacity",
+    "clear_engine_caches",
+    "model_grid",
+    "predict_be_throughput_batch",
+]
 
 
-@lru_cache(maxsize=None)
-def model_grid(model: IndirectUtilityModel, spec: ServerSpec) -> ModelGrid:
-    """The (cores+1, ways+1) grid of exact scalar evaluations."""
-    perf = np.zeros((spec.cores + 1, spec.llc_ways + 1))
-    power = np.full((spec.cores + 1, spec.llc_ways + 1), np.inf)
-    for c in range(1, spec.cores + 1):
-        for w in range(1, spec.llc_ways + 1):
-            perf[c, w] = model.performance((float(c), float(w)))
-            power[c, w] = model.power_w((float(c), float(w)))
-    perf.setflags(write=False)
-    power.setflags(write=False)
-    return ModelGrid(perf=perf, power=power)
+#: (LC model, provisioned power, peak load, spec, level, margin) ->
+#: (spare, BE budget): everything the prediction reads, and not the
+#: server's name, so renamed servers of one physics share a solve.
+_SPARE_CAPACITY: Dict[Tuple[Any, ...], Tuple[Allocation, float]] = {}
 
 
-@lru_cache(maxsize=None)
 def cached_spare_capacity(
     lc: LcServerSide,
     spec: ServerSpec,
@@ -93,17 +78,22 @@ def cached_spare_capacity(
 ) -> Tuple[Allocation, float]:
     """Memoized :func:`repro.core.placement.predict_spare_capacity`.
 
-    All four arguments are frozen (hashable) dataclasses or floats, so
-    equality of keys implies equality of the prediction; the property
-    suite asserts cached == uncached.
+    The key is a plain tuple of the values the prediction reads (frozen
+    dataclasses and floats), so equality of keys implies equality of
+    the prediction; the property suite asserts cached == uncached.
     """
-    return predict_spare_capacity(lc, spec, level, margin)
+    key = (lc.model, lc.provisioned_power_w, lc.peak_load, spec, level, margin)
+    hit = _SPARE_CAPACITY.get(key)
+    if hit is None:
+        hit = _SPARE_CAPACITY[key] = predict_spare_capacity(lc, spec, level, margin)
+    return hit
 
 
 def clear_engine_caches() -> None:
-    """Drop memoized grids and spare-capacity solves (tests, reloads)."""
-    model_grid.cache_clear()
-    cached_spare_capacity.cache_clear()
+    """Empty every value-keyed memo: model grids, spare-capacity solves
+    and the batched core's tables (tests, cold-start benchmarks)."""
+    _MODEL_GRIDS.clear()
+    _SPARE_CAPACITY.clear()
     # The batched core keeps its own memoized surfaces; clear them too,
     # but only if that module was ever imported (it imports this one).
     batched = sys.modules.get("repro.engine.batched")

@@ -21,6 +21,7 @@ activity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -74,8 +75,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.warmup_s < 0:
-            raise ConfigError("warmup cannot be negative")
+        if not 0.0 <= self.warmup_s < math.inf:
+            raise ConfigError(
+                f"warmup_s must be non-negative and finite; got {self.warmup_s!r}"
+            )
 
 
 @dataclass

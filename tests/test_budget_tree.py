@@ -234,6 +234,9 @@ class TestBrownoutLadder:
     def test_validation(self):
         with pytest.raises(ConfigError):
             BrownoutLadder((0.7, 0.85, 1.0))
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match="finite"):
+                BrownoutLadder((1.0, bad, 0.7))
 
 
 class TestBudgetConfig:
@@ -246,6 +249,15 @@ class TestBudgetConfig:
     def test_non_finite_times_rejected(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):
             BudgetConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", [
+        "rack_slack", "oversubscription", "brownout_throttle_ratio",
+        "brownout_evict_ratio", "brownout_shed_ratio",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="finite"):
+            BudgetConfig(**{field: value})
 
     def test_lease_must_cover_period(self):
         with pytest.raises(ConfigError):

@@ -42,6 +42,11 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             SimConfig(warmup_s=-1.0)
 
+    @pytest.mark.parametrize("warmup_s", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_warmup_rejected(self, warmup_s):
+        with pytest.raises(ConfigError, match="warmup_s must be non-negative and finite"):
+            SimConfig(warmup_s=warmup_s)
+
 
 class TestBuildColocatedServer:
     def test_lc_starts_on_full_box(self, catalog):

@@ -20,7 +20,10 @@ timed code paths are the production ones:
   control tick of a fleet sweep, counted in a fresh process;
 * **cold set-up calls** — the profiled calls of one cold placement and
   batched sweep of the catalog renamed to 48 servers, counted in a
-  fresh process.
+  fresh process;
+* **budget plan calls** — the profiled calls of one ``plan_budget`` of
+  a budgeted 48-server sweep at two arbiter periods, counted in a fresh
+  process.
 """
 
 from __future__ import annotations
@@ -273,3 +276,65 @@ def cold_setup_calls() -> Dict[str, int]:
     as :func:`step_calls` is.
     """
     return _child_json(_COLD_SETUP_CHILD, str(RENAMED_COPIES))
+
+
+#: Child process of :func:`budget_plan_calls`: the POColo plans of the
+#: renamed catalog, then for each arbiter period in ``argv[1]`` one
+#: warm-up ``plan_budget`` and one under cProfile; prints the profiled
+#: calls per period as JSON.
+_BUDGET_PLAN_CHILD = """\
+import cProfile
+import json
+import pstats
+import sys
+
+import perf_scenarios as sc
+from repro.budget import BudgetConfig, plan_budget
+from repro.evaluation.pipeline import cluster_plans, placement_for_policy
+from repro.faults.cluster import ClusterFaultPlan, ServerCrash
+from repro.guard.invariants import GuardConfig
+from repro.sim.cluster import Sweep
+
+fleet = sc.renamed_catalog(sc.catalog(), sc.RENAMED_COPIES)
+plans = cluster_plans(fleet, placement_for_policy(fleet, "pocolo"), "pocolo")
+crash = ServerCrash(plans[0].lc_app.name, at_level_index=1)
+calls = {}
+for period_s in sys.argv[1].split(","):
+    sweep = Sweep(
+        plans, fleet.spec, sc.SWEEP_LEVELS, sc.BUDGET_PLAN_DURATION_S,
+        fault_plan=ClusterFaultPlan(crashes=(crash,)),
+        guard=GuardConfig(mode="record"),
+        budget=BudgetConfig(arbiter_period_s=float(period_s),
+                            lease_s=sc.BUDGET_PLAN_LEASE_S, rack_size=4),
+    )
+    plan_budget(sweep)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    plan_budget(sweep)
+    profiler.disable()
+    calls[period_s] = pstats.Stats(profiler).total_calls
+print(json.dumps({"calls": calls, "servers": len(plans)}))
+"""
+
+#: The budgeted sweep of :func:`budget_plan_calls`, shaped like the
+#: benchmark's checkpointed fleet: 30 s levels, 2 s leases, racks of 4.
+BUDGET_PLAN_DURATION_S = 30.0
+BUDGET_PLAN_LEASE_S = 2.0
+#: Arbiter periods :func:`budget_plan_calls` counts at: the fleet's own
+#: and one four times denser.
+BUDGET_PLAN_PERIODS_S: Tuple[float, ...] = (1.0, 0.25)
+
+
+def budget_plan_calls() -> Dict[str, object]:
+    """Profiled calls of one ``plan_budget`` of the POColo plans of the
+    catalog renamed :data:`RENAMED_COPIES` times (48 servers, racks of
+    4, one crash, guarded, no infra faults), at each arbiter period of
+    :data:`BUDGET_PLAN_PERIODS_S`.
+
+    The planner walks event to event, so a denser arbiter period adds
+    ticks but no events, and the count barely moves.  Counted in a
+    fresh process with ``PYTHONHASHSEED=0``, as :func:`step_calls` is.
+    """
+    return _child_json(
+        _BUDGET_PLAN_CHILD, ",".join(str(p) for p in BUDGET_PLAN_PERIODS_S)
+    )

@@ -596,6 +596,45 @@ def bench_cold_setup_calls() -> dict:
     }
 
 
+#: Most the budget plan's profiled calls may grow from the fleet's
+#: arbiter period to one four times denser.
+BUDGET_PLAN_DENSITY_RATIO = 1.1
+
+
+def bench_budget_plan_calls() -> dict:
+    """Profiled calls of one ``plan_budget`` of the renamed 48-server
+    fleet at two arbiter periods.
+
+    Host-independent like :func:`bench_step_calls`
+    (:func:`perf_scenarios.budget_plan_calls`).  The planner walks event
+    to event, so the denser period reads the same count as the fleet's
+    own; a per-tick walk makes about four times the calls there.
+    """
+    counted = sc.budget_plan_calls()
+    calls = {float(period): n for period, n in counted["calls"].items()}
+    return {
+        "name": "budget_plan_calls",
+        "description": (
+            "profiled calls of one plan_budget of the POColo plans of the "
+            f"catalog renamed {sc.RENAMED_COPIES} times ({counted['servers']} "
+            f"servers, racks of 4, {len(sc.SWEEP_LEVELS)} levels x "
+            f"{sc.BUDGET_PLAN_DURATION_S:.0f}s, {sc.BUDGET_PLAN_LEASE_S:.0f}s "
+            "leases, one server crash, record-mode guard, no infra faults), "
+            "counted under cProfile in a fresh process with PYTHONHASHSEED=0 "
+            "at each arbiter period; the gate requires the denser period's "
+            f"count within {BUDGET_PLAN_DENSITY_RATIO}x of the sparser one's "
+            "and both at most ceiling"
+        ),
+        "mechanism": "work-count",
+        "servers": counted["servers"],
+        **{f"calls_period_{period:g}s": n for period, n in calls.items()},
+        "ceiling": round(max(calls.values()) * CALLS_HEADROOM),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -624,6 +663,7 @@ def main(argv=None) -> int:
     scenarios.append(bench_checkpoint_overhead(cat))
     scenarios.append(bench_step_calls())
     scenarios.append(bench_cold_setup_calls())
+    scenarios.append(bench_budget_plan_calls())
 
     payload = {
         "schema": "pocolo-bench-engine/1",

@@ -421,3 +421,39 @@ class TestColdSetupCallCount:
             f"{entry['python']}, numpy {entry['numpy']}) — a memo keyed by "
             "name again? Investigate before refreshing BENCH_engine.json"
         )
+
+
+class TestBudgetPlanCallCount:
+    """The budget planner decides once per event, not once per period.
+
+    Counted like ``TestStepCallCount``: the profiled calls of one
+    ``plan_budget`` of the renamed 48-server fleet (racks of 4, 3 levels
+    x 30 s, one crash, a record-mode guard, no infra faults), in a fresh
+    ``PYTHONHASHSEED=0`` process, at the fleet's 1 s arbiter period and
+    at 0.25 s.  Four times the ticks bring no new events, so the denser
+    count must stay within ``BUDGET_PLAN_DENSITY_RATIO`` of the sparser
+    one, and both under the ceiling ``run_bench.py`` recorded.  The
+    per-tick walk the planner replaced reads 125,598 calls at 1 s and
+    475,692 at 0.25 s, failing both checks.
+    """
+
+    def test_plan_calls_flat_in_ticks(self):
+        entry = _committed("budget_plan_calls")
+        counted = sc.budget_plan_calls()
+        assert counted["servers"] == entry["servers"]
+        sparse, dense = (
+            counted["calls"][str(period)] for period in sc.BUDGET_PLAN_PERIODS_S
+        )
+        ratio = run_bench.BUDGET_PLAN_DENSITY_RATIO
+        assert dense <= sparse * ratio, (
+            f"plan_budget makes {dense} profiled calls at a "
+            f"{sc.BUDGET_PLAN_PERIODS_S[1]}s arbiter period against {sparse} "
+            f"at {sc.BUDGET_PLAN_PERIODS_S[0]}s, over {ratio}x — does the "
+            "planner walk every tick again?"
+        )
+        assert max(sparse, dense) <= entry["ceiling"], (
+            f"plan_budget makes {max(sparse, dense)} profiled calls, over the "
+            f"recorded ceiling of {entry['ceiling']} (Python "
+            f"{entry['python']}, numpy {entry['numpy']}) — investigate "
+            "before refreshing BENCH_engine.json"
+        )

@@ -18,8 +18,9 @@ Crucially, all of this happens at *plan time* — the same discipline as
 is deterministic (level ``k`` spans ``[k * duration_s, (k+1) *
 duration_s)``), demand comes from app power models rather than runtime
 telemetry, and the infra faults are data; so :func:`plan_budget` can
-walk every arbiter tick ahead of execution and compile the outcome
-into per-cell :class:`~repro.budget.schedule.CapSchedule` objects.
+decide every arbiter tick ahead of execution (event by event, since
+between events the ticks repeat) and compile the outcome into
+per-cell :class:`~repro.budget.schedule.CapSchedule` objects.
 Cells stay pure functions of their arguments, dedupe and checkpoint
 resume keep working, and the object oracle and the batched engine
 consume the identical plan — the foundation of the bit-exactness the
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -49,6 +51,7 @@ from repro.budget.fairness import (
     FAIRNESS_OBJECTIVES,
     distribute,
 )
+from repro.budget.lease import LeaseTimeline
 from repro.budget.schedule import CapSchedule
 from repro.budget.tree import BudgetTree, RackNode, build_tree
 from repro.errors import ConfigError
@@ -203,10 +206,10 @@ class BudgetArbiter:
 
     Holds each rack's brownout ladder position; the grants it issues
     are returned to the caller, which compiles them into cap timelines
-    (:func:`_build_segments`).  It lives only inside one
-    :func:`plan_budget` call and is never persisted: a resume re-plans
-    the budget from the same inputs.  With a ``monitor``, every issued
-    assignment is audited for grant conservation.
+    (:class:`~repro.budget.lease.LeaseTimeline`).  It lives only inside
+    one :func:`plan_budget` call and is never persisted: a resume
+    re-plans the budget from the same inputs.  With a ``monitor``,
+    every issued assignment is audited for grant conservation.
     """
 
     def __init__(
@@ -246,20 +249,80 @@ class BudgetArbiter:
                 capacity_w *= trip.residual
         return capacity_w
 
+    def delivery_delay_s(self, server: str, time_s: float) -> Optional[float]:
+        """How late a grant issued to ``server`` at ``time_s`` lands:
+        the longest active delay affecting it, or None when it is lost."""
+        if self.faults is None:
+            return 0.0
+        if any(loss.affects(server) for loss in self.faults.active(time_s, GrantLoss)):
+            return None
+        delay_s = 0.0
+        for lag in self.faults.active(time_s, GrantDelay):
+            if lag.affects(server):
+                delay_s = max(delay_s, lag.delay_s)
+        return delay_s
+
+    def sample(
+        self,
+        time_s: float,
+        node: str,
+        committed_w: float,
+        capacity_w: float,
+        min_deliverable_w: float,
+        issued: bool,
+    ) -> BudgetSample:
+        """One budget-tree node's audit sample under this config."""
+        return BudgetSample(
+            time_s=time_s,
+            node=node,
+            committed_w=committed_w,
+            capacity_w=capacity_w,
+            oversubscription=self.config.oversubscription,
+            issued=issued,
+            lease_s=self.config.lease_s,
+            period_s=self.config.arbiter_period_s,
+            min_deliverable_w=min_deliverable_w,
+        )
+
+    def cluster_sample(
+        self, time_s: float, committed_w: float, alive: Set[str]
+    ) -> BudgetSample:
+        """The cluster root's sample for one issuing tick."""
+        floor_sum_w = sum(
+            server.floor_w for server in self.tree.servers if server.name in alive
+        )
+        return self.sample(
+            time_s, "cluster", committed_w, self.tree.capacity_w,
+            floor_sum_w * MIN_CAP_FRACTION, issued=True,
+        )
+
     # ------------------------------------------------------------------
     # The tick
     # ------------------------------------------------------------------
+    def _count_stage(self, stage: int, ticks: int) -> None:
+        """Add ``ticks`` arbiter periods spent at ``stage``."""
+        if stage >= STAGE_SHED:
+            self.stats.shed_ticks += ticks
+        elif stage >= STAGE_EVICT:
+            self.stats.evict_ticks += ticks
+        elif stage > STAGE_NOMINAL:
+            self.stats.throttle_ticks += ticks
+
     def _rack_assignments(
         self,
         rack: RackNode,
         time_s: float,
         demands: Mapping[str, ServerDemand],
         alive: Set[str],
-    ) -> Dict[str, float]:
-        """Decide every alive member's cap for this period."""
+    ) -> Tuple[Dict[str, float], Optional[BudgetSample]]:
+        """Decide every alive member's cap for this period.
+
+        Returns the caps and the rack's grant-conservation sample (None,
+        with no caps, when no member is alive: the ladder does not move).
+        """
         members = [s for s in rack.servers if s.name in alive]
         if not members:
-            return {}
+            return {}, None
         capacity_w = self.rack_capacity_w(rack, time_s)
         floor_sum_w = sum(member.floor_w for member in members)
         ratio = capacity_w / floor_sum_w
@@ -267,12 +330,7 @@ class BudgetArbiter:
         if self._ladder.step(state, ratio):
             self.stats.brownout_entries += 1
         stage = state.stage
-        if stage >= STAGE_SHED:
-            self.stats.shed_ticks += 1
-        elif stage >= STAGE_EVICT:
-            self.stats.evict_ticks += 1
-        elif stage > STAGE_NOMINAL:
-            self.stats.throttle_ticks += 1
+        self._count_stage(stage, 1)
         caps: Dict[str, float] = {}
         if stage == STAGE_NOMINAL:
             cfg = self.config
@@ -306,19 +364,46 @@ class BudgetArbiter:
                 )
         # Grant conservation is checked on what the arbiter *issues*;
         # message loss downstream never excuses an over-issue.
-        if self.monitor is not None:
-            self.monitor.observe(BudgetSample(
-                time_s=time_s,
-                node=rack.name,
-                committed_w=sum(caps.values()),
-                capacity_w=capacity_w,
-                oversubscription=self.config.oversubscription,
-                issued=True,
-                lease_s=self.config.lease_s,
-                period_s=self.config.arbiter_period_s,
-                min_deliverable_w=floor_sum_w * MIN_CAP_FRACTION,
-            ))
-        return caps
+        return caps, self.sample(
+            time_s, rack.name, sum(caps.values()), capacity_w,
+            floor_sum_w * MIN_CAP_FRACTION, issued=True,
+        )
+
+    def rack_periods(
+        self,
+        rack: RackNode,
+        times_s: Sequence[float],
+        first: int,
+        stop: int,
+        demands: Mapping[str, ServerDemand],
+        alive: Set[str],
+    ) -> List[Tuple[int, int, Dict[str, float], BudgetSample, int]]:
+        """The rack's decisions over ticks ``first .. stop - 1``, across
+        which its capacity, membership and demands hold still.
+
+        Runs the per-period rule tick by tick only until the brownout
+        ladder reaches its fixed point (a tick that leaves the rack's
+        stage and recovery streak as they were): every later tick
+        repeats that one, so it covers the rest, and its stage is
+        counted once per tick it covers.  Returns ``(first_tick,
+        stop_tick, caps, sample, stage)`` pieces; none when no member is
+        alive.
+        """
+        state = self._brownout[rack.name]
+        pieces: List[Tuple[int, int, Dict[str, float], BudgetSample, int]] = []
+        k = first
+        while k < stop:
+            before = (state.stage, state.recovery_streak)
+            caps, sample = self._rack_assignments(rack, times_s[k], demands, alive)
+            if sample is None:
+                break
+            end = k + 1
+            if (state.stage, state.recovery_streak) == before:
+                end = stop
+                self._count_stage(state.stage, stop - k - 1)
+            pieces.append((k, end, caps, sample, state.stage))
+            k = end
+        return pieces
 
     def tick(
         self,
@@ -336,20 +421,15 @@ class BudgetArbiter:
         issued: List[Grant] = []
         cluster_committed_w = 0.0
         for rack in self.tree.racks:
-            caps = self._rack_assignments(rack, time_s, demands, alive)
+            caps, sample = self._rack_assignments(rack, time_s, demands, alive)
+            if sample is not None and self.monitor is not None:
+                self.monitor.observe(sample)
             cluster_committed_w += sum(caps.values())
             for name, cap_w in caps.items():
-                if self.faults is not None and any(
-                    loss.affects(name)
-                    for loss in self.faults.active(time_s, GrantLoss)
-                ):
+                delay_s = self.delivery_delay_s(name, time_s)
+                if delay_s is None:
                     self.stats.grants_lost += 1
                     continue
-                delay_s = 0.0
-                if self.faults is not None:
-                    for lag in self.faults.active(time_s, GrantDelay):
-                        if lag.affects(name):
-                            delay_s = max(delay_s, lag.delay_s)
                 if delay_s > 0.0:
                     self.stats.grants_delayed += 1
                 grant = Grant(
@@ -362,20 +442,9 @@ class BudgetArbiter:
                 issued.append(grant)
                 self.stats.grants_issued += 1
         if self.monitor is not None:
-            self.monitor.observe(BudgetSample(
-                time_s=time_s,
-                node="cluster",
-                committed_w=cluster_committed_w,
-                capacity_w=self.tree.capacity_w,
-                oversubscription=self.config.oversubscription,
-                issued=True,
-                lease_s=self.config.lease_s,
-                period_s=self.config.arbiter_period_s,
-                min_deliverable_w=sum(
-                    server.floor_w for rack in self.tree.racks
-                    for server in rack.servers if server.name in alive
-                ) * MIN_CAP_FRACTION,
-            ))
+            self.monitor.observe(
+                self.cluster_sample(time_s, cluster_committed_w, alive)
+            )
         return issued
 
 
@@ -494,56 +563,43 @@ def _server_demand(plan: Any, spec: Any, level: float) -> ServerDemand:
     return ServerDemand(lc_w=lc_w, be_w=be_w, be_weight=be_weight)
 
 
-def _build_segments(
-    grants: List[Grant],
-    floor_w: float,
-    total_s: float,
-    stats: BudgetStats,
-) -> List[Tuple[float, float]]:
-    """Compile one server's grant history into cap segments.
+def _tick_times(period_s: float, total_s: float) -> List[float]:
+    """Every arbiter tick's time, ``k * period_s``, before ``total_s``."""
+    n_ticks = int(total_s / period_s)
+    while n_ticks * period_s < total_s:
+        n_ticks += 1
+    while n_ticks > 0 and (n_ticks - 1) * period_s >= total_s:
+        n_ticks -= 1
+    return [k * period_s for k in range(n_ticks)]
 
-    This is the lease rule, and its only statement: the cap in force at
-    any instant is the latest grant (by effective time, then grant
-    time) whose ``[effective_s, expires_s)`` window covers the instant,
-    else the fail-safe floor.  A delayed stale grant that lands after a
-    fresher one overrides it — the reordering the rack-overcommit
-    invariant watches.  A grant delayed past its own expiry has an
-    empty window and is dead on arrival; every transition back to the
-    floor is a lease running out, counted as an expiry — that revert
-    *is* the lease protocol.  Segments start at 0.0 and are strictly
-    increasing, so :meth:`CapSchedule.from_segments` compiles them
-    into the server's timeline.
+
+def _audit(
+    queue: List[Tuple[Tuple[int, int, int], BudgetSample]],
+    phase: int,
+    node: int,
+    sample: BudgetSample,
+    first: int,
+    stop: int,
+    times_s: Sequence[float],
+) -> int:
+    """Queue one node's samples for ticks ``first .. stop - 1``, which
+    repeat ``sample`` but for the time; returns how many were left out.
+
+    An in-limit sample makes both budget invariants return None and,
+    once it has cleared the node's overcommit clock, keep no state, so
+    only the first of a run of them is queued.  Over-limit samples are
+    queued one per tick: each may be a violation, and the overcommit
+    clock reads their times.  The key ``(phase, tick, node)`` is the
+    order the per-tick walk observes them in.
     """
-    live = [
-        grant for grant in grants
-        if grant.effective_s < total_s
-        and grant.expires_s > grant.effective_s
-    ]
-    breakpoints = {0.0}
-    for grant in live:
-        breakpoints.add(grant.effective_s)
-        if grant.expires_s < total_s:
-            breakpoints.add(grant.expires_s)
-    segments: List[Tuple[float, float]] = []
-    governed = False
-    for time_s in sorted(breakpoints):
-        governing: Optional[Grant] = None
-        for grant in live:
-            if grant.effective_s <= time_s < grant.expires_s:
-                if governing is None or (
-                    (grant.effective_s, grant.granted_at_s)
-                    >= (governing.effective_s, governing.granted_at_s)
-                ):
-                    governing = grant
-        if governing is None:
-            if governed:
-                stats.grants_expired += 1
-            governed = False
-            segments.append((time_s, floor_w))
-        else:
-            governed = True
-            segments.append((time_s, governing.cap_w))
-    return segments
+    if sample.committed_w <= sample.limit_w:
+        queue.append(((phase, first, node), sample))
+        return stop - first - 1
+    for k in range(first, stop):
+        if k > first:
+            sample = dataclasses.replace(sample, time_s=times_s[k])
+        queue.append(((phase, k, node), sample))
+    return 0
 
 
 def plan_budget(sweep: Sweep) -> BudgetPlan:
@@ -553,6 +609,19 @@ def plan_budget(sweep: Sweep) -> BudgetPlan:
     sweep geometry, the budget config and the (data-pure) fault plan —
     replanning on a checkpoint resume reproduces the identical plan,
     which is why the arbiter needs no persistence of its own.
+
+    The walk goes event to event, not tick to tick.  The arbiter ticks
+    at ``k * period_s``; an *event* is a tick where a level starts
+    (demand and membership move) or where an infra fault starts or ends
+    (rack capacity, an arbiter crash, grant loss or delay).  Between
+    events every tick repeats the one before once each rack's brownout
+    ladder has settled (:meth:`BudgetArbiter.rack_periods`), so the
+    grants of an interval are runs of one cap each
+    (:meth:`LeaseTimeline.grant_run`), the stats count rate × ticks,
+    and the audit sees one sample per repeat of an in-limit sample
+    (:func:`_audit`).  The plan is the one the per-tick walk gives,
+    field for field and in pickle bytes; that walk is the differential
+    oracle in ``tests/budget_oracle.py``.
 
     With ``sweep.guard`` set, the grant-conservation and rack-overcommit
     invariants audit every arbiter period; ``enforce`` mode raises
@@ -569,88 +638,146 @@ def plan_budget(sweep: Sweep) -> BudgetPlan:
     period_s = budget.arbiter_period_s
     infra = fault_plan.infra_faults if fault_plan is not None else None
     tree = build_tree(plans, budget.rack_size, budget.rack_slack)
+    leaves = tree.leaf_index()
     monitor = None
     if guard is not None:
         monitor = GuardMonitor(guard, InvariantRegistry([
             GrantConservationInvariant(guard), RackOvercommitInvariant(guard),
         ]))
-    arbiter = BudgetArbiter(tree, budget, faults=infra, monitor=monitor)
+    arbiter = BudgetArbiter(tree, budget, faults=infra)
+    stats = arbiter.stats
     alive_by_level = _alive_by_level(plans, n_levels, fault_plan)
     plan_by_name = {str(plan.lc_app.name): plan for plan in plans}
+    times_s = _tick_times(period_s, total_s)
+    n_ticks = len(times_s)
+    # min(int(t / duration_s), n_levels - 1) per tick, as the level
+    # index of a time; the index is monotone, so the clamp is a tail.
+    level_by_tick = [int(time_s / duration_s) for time_s in times_s]
+    past_end = bisect_left(level_by_tick, n_levels)
+    level_by_tick[past_end:] = [n_levels - 1] * (n_ticks - past_end)
+    edges = {0, n_ticks}
+    edges.update(bisect_left(level_by_tick, level) for level in range(1, n_levels))
+    for fault in infra if infra is not None else ():
+        edges.add(bisect_left(times_s, fault.start_s))
+        edges.add(bisect_left(times_s, fault.end_s))
+    events = sorted(edges)
+
     stage_history: Dict[str, List[Tuple[float, int]]] = {
         rack.name: [] for rack in tree.racks
     }
-
-    grants_by_server: Dict[str, List[Grant]] = {
+    # Per server, the grants it received: (cap_w, delay_s, first, stop)
+    # runs of ticks.
+    runs: Dict[str, List[Tuple[float, float, int, int]]] = {
         server.name: [] for server in tree.servers
     }
-    demand_cache: Dict[Tuple[str, int], ServerDemand] = {}
-    tick_index = 0
-    while True:
-        time_s = tick_index * period_s
-        if time_s >= total_s:
-            break
-        level_index = min(int(time_s / duration_s), n_levels - 1)
+    audit: List[Tuple[Tuple[int, int, int], BudgetSample]] = []
+    passing = 0
+    demands_by_level: Dict[int, Dict[str, ServerDemand]] = {}
+    for first, stop in zip(events, events[1:]):
+        time_s = times_s[first]
+        level_index = level_by_tick[first]
         alive = alive_by_level[level_index]
         if infra is not None and infra.active(time_s, ArbiterCrash):
-            arbiter.stats.skipped_ticks += 1
-        else:
-            # Demand is a pure function of (server, level); memoized so
-            # a dense arbiter period does not re-walk the app models.
-            demands = {}
-            for name in alive:
-                key = (name, level_index)
-                if key not in demand_cache:
-                    demand_cache[key] = _server_demand(
-                        plan_by_name[name], spec, levels[level_index]
-                    )
-                demands[name] = demand_cache[key]
-            for grant in arbiter.tick(time_s, demands, alive):
-                grants_by_server[grant.server].append(grant)
-        for rack in tree.racks:
-            stage_history[rack.name].append(
-                (time_s, arbiter.stage_of(rack.name))
-            )
-        tick_index += 1
+            stats.skipped_ticks += stop - first
+            for rack in tree.racks:
+                stage = arbiter.stage_of(rack.name)
+                stage_history[rack.name].extend(
+                    [(t, stage) for t in times_s[first:stop]]
+                )
+            continue
+        stats.ticks += stop - first
+        if level_index not in demands_by_level:
+            # Demand is a pure function of (server, level).
+            demands_by_level[level_index] = {
+                name: _server_demand(plan_by_name[name], spec, levels[level_index])
+                for name in alive
+            }
+        demands = demands_by_level[level_index]
+        delays: Dict[str, Optional[float]] = {}
+        rack_sums: List[Dict[int, float]] = []
+        for rack_index, rack in enumerate(tree.racks):
+            history = stage_history[rack.name]
+            pieces = arbiter.rack_periods(rack, times_s, first, stop, demands, alive)
+            if not pieces:
+                stage = arbiter.stage_of(rack.name)
+                history.extend([(t, stage) for t in times_s[first:stop]])
+                continue
+            sums: Dict[int, float] = {}
+            for k0, k1, caps, sample, stage in pieces:
+                history.extend([(t, stage) for t in times_s[k0:k1]])
+                sums[k0] = sample.committed_w
+                if monitor is not None:
+                    passing += _audit(audit, 0, rack_index, sample, k0, k1, times_s)
+                for name, cap_w in caps.items():
+                    if name not in delays:
+                        delays[name] = arbiter.delivery_delay_s(name, time_s)
+                    delay_s = delays[name]
+                    if delay_s is None:
+                        stats.grants_lost += k1 - k0
+                        continue
+                    if delay_s > 0.0:
+                        stats.grants_delayed += k1 - k0
+                    stats.grants_issued += k1 - k0
+                    runs[name].append((cap_w, delay_s, k0, k1))
+            rack_sums.append(sums)
+        if monitor is not None:
+            # The cluster root sums the racks' issued caps, in rack order.
+            breaks = sorted({first}.union(*rack_sums))
+            current = [0.0] * len(rack_sums)
+            for k0, k1 in zip(breaks, breaks[1:] + [stop]):
+                committed_w = 0.0
+                for index, sums in enumerate(rack_sums):
+                    current[index] = sums.get(k0, current[index])
+                    committed_w += current[index]
+                sample = arbiter.cluster_sample(times_s[k0], committed_w, alive)
+                passing += _audit(audit, 0, len(tree.racks), sample, k0, k1, times_s)
 
-    timeline_by_server = {
-        name: CapSchedule.from_segments(_build_segments(
-            grants, tree.floor_of(name), total_s, arbiter.stats
-        ))
-        for name, grants in grants_by_server.items()
-    }
+    timeline_by_server: Dict[str, CapSchedule] = {}
+    for server in tree.servers:
+        lease = LeaseTimeline(server.floor_w, total_s)
+        for cap_w, delay_s, k0, k1 in runs[server.name]:
+            lease.grant_run(cap_w, delay_s, k0, k1, period_s, budget.lease_s)
+        timeline, expired = lease.compile()
+        timeline_by_server[server.name] = timeline
+        stats.grants_expired += expired
 
     # In-force audit at every period boundary: this is where stale
     # grants meet collapsed capacity, the case the rack-overcommit
-    # invariant (and its lease grace) exists for.
+    # invariant (and its lease grace) exists for.  A rack's in-force
+    # sum moves only at an event or at a tick where a member's cap
+    # changes.
     if monitor is not None:
-        audit_index = 0
-        while True:
-            time_s = audit_index * period_s
-            if time_s >= total_s:
-                break
-            level_index = min(int(time_s / duration_s), n_levels - 1)
-            alive = alive_by_level[level_index]
-            for rack in tree.racks:
-                committed_w = sum(
-                    timeline_by_server[s.name].cap_at(time_s)
-                    for s in rack.servers
-                    if s.name in alive
+        for rack_index, rack in enumerate(tree.racks):
+            changes = set(events)
+            for server in rack.servers:
+                changes.update(
+                    bisect_left(times_s, change_s)
+                    for change_s in timeline_by_server[server.name].times_s
                 )
-                monitor.observe(BudgetSample(
-                    time_s=time_s,
-                    node=rack.name,
-                    committed_w=committed_w,
-                    capacity_w=arbiter.rack_capacity_w(rack, time_s),
-                    oversubscription=budget.oversubscription,
-                    issued=False,
-                    lease_s=budget.lease_s,
-                    period_s=period_s,
-                    min_deliverable_w=sum(
+            changes.discard(n_ticks)
+            ticks = sorted(changes)
+            for k0, k1 in zip(ticks, ticks[1:] + [n_ticks]):
+                time_s = times_s[k0]
+                alive = alive_by_level[level_by_tick[k0]]
+                sample = arbiter.sample(
+                    time_s,
+                    rack.name,
+                    sum(
+                        timeline_by_server[s.name].cap_at(time_s)
+                        for s in rack.servers
+                        if s.name in alive
+                    ),
+                    arbiter.rack_capacity_w(rack, time_s),
+                    sum(
                         s.floor_w for s in rack.servers if s.name in alive
                     ) * MIN_CAP_FRACTION,
-                ))
-            audit_index += 1
+                    issued=False,
+                )
+                passing += _audit(audit, 1, rack_index, sample, k0, k1, times_s)
+        audit.sort(key=lambda item: item[0])
+        for _, sample in audit:
+            monitor.observe(sample)
+        monitor.count_passing(passing)
 
     # Compile per-cell schedules and the ladder's structural decisions.
     schedules: Dict[Tuple[str, int], CapSchedule] = {}
@@ -660,25 +787,20 @@ def plan_budget(sweep: Sweep) -> BudgetPlan:
         start_s = level_index * float(duration_s)
         end_s = start_s + float(duration_s)
         alive = alive_by_level[level_index]
+        # The last arbiter tick at or before the level's start.
+        start_tick = bisect_right(times_s, start_s) - 1
         for name in plan_by_name:
             if name not in alive:
                 continue
             timeline = timeline_by_server[name]
-            pieces = [(0.0, timeline.cap_at(start_s))]
-            pieces.extend(
+            segments = [(0.0, timeline.cap_at(start_s))]
+            segments.extend(
                 (seg_start_s - start_s, cap_w)
                 for seg_start_s, cap_w in zip(timeline.times_s, timeline.caps_w)
                 if start_s < seg_start_s < end_s
             )
-            schedules[(name, level_index)] = CapSchedule.from_segments(pieces)
-            rack = tree.rack_of(name)
-            history = stage_history[rack.name]
-            stage = STAGE_NOMINAL
-            for tick_s, tick_stage in history:
-                if tick_s <= start_s:
-                    stage = tick_stage
-                else:
-                    break
+            schedules[(name, level_index)] = CapSchedule.from_segments(segments)
+            stage = stage_history[leaves[name][0].name][start_tick][1]
             # Structural decisions are flagged here; the cluster planner
             # (which knows the *actual* BE hosting after crash
             # re-placement) applies them and counts the cells affected.
@@ -689,7 +811,7 @@ def plan_budget(sweep: Sweep) -> BudgetPlan:
 
     report = BudgetReport(
         fairness=budget.fairness,
-        stats=arbiter.stats,
+        stats=stats,
         guard_report=None if monitor is None else monitor.report(),
         stage_history={
             rack: tuple(history) for rack, history in stage_history.items()

@@ -90,25 +90,34 @@ class BudgetTree:
         """Every leaf, in rack order then member order."""
         return tuple(s for rack in self.racks for s in rack.servers)
 
+    def leaf_index(self) -> Dict[str, Tuple[RackNode, float]]:
+        """Every leaf's name mapped to its rack and its fail-safe floor.
+
+        Built on each call, not stored, so the tree's fields, ``repr``,
+        equality and pickle stay its racks alone; a caller that looks up
+        many leaves builds it once.
+        """
+        return {
+            server.name: (rack, server.floor_w)
+            for rack in self.racks
+            for server in rack.servers
+        }
+
+    def _leaf(self, server_name: str) -> Tuple[RackNode, float]:
+        leaf = self.leaf_index().get(server_name)
+        if leaf is None:
+            raise ConfigError(
+                f"server {server_name!r} is not a leaf of this budget tree"
+            )
+        return leaf
+
     def rack_of(self, server_name: str) -> RackNode:
         """The rack hosting ``server_name``."""
-        for rack in self.racks:
-            for server in rack.servers:
-                if server.name == server_name:
-                    return rack
-        raise ConfigError(
-            f"server {server_name!r} is not a leaf of this budget tree"
-        )
+        return self._leaf(server_name)[0]
 
     def floor_of(self, server_name: str) -> float:
         """The fail-safe floor of ``server_name``."""
-        for rack in self.racks:
-            for server in rack.servers:
-                if server.name == server_name:
-                    return server.floor_w
-        raise ConfigError(
-            f"server {server_name!r} is not a leaf of this budget tree"
-        )
+        return self._leaf(server_name)[1]
 
 
 def build_tree(

@@ -239,6 +239,17 @@ class BudgetSample:
     #: arbiter doing its best, not over-committing.
     min_deliverable_w: float = 0.0
 
+    @property
+    def limit_w(self) -> float:
+        """The most the node's children may hold: capacity times ``1 +
+        oversubscription`` or the emergency minimum, whichever is larger,
+        plus :data:`BUDGET_SUM_TOL_W` of rounding slack.  Both budget
+        invariants pass every sample whose ``committed_w`` is within it."""
+        return (
+            max(self.capacity_w * (1.0 + self.oversubscription), self.min_deliverable_w)
+            + BUDGET_SUM_TOL_W
+        )
+
 
 #: The snapshot an invariant reads: one control tick of a live run, or
 #: one budget-tree node at one arbiter period.
@@ -622,13 +633,7 @@ class GrantConservationInvariant(Invariant[BudgetSample]):
     def observe(self, sample: BudgetSample) -> Optional[Violation]:
         if not sample.issued:
             return None
-        limit = (
-            max(
-                sample.capacity_w * (1.0 + sample.oversubscription),
-                sample.min_deliverable_w,
-            )
-            + BUDGET_SUM_TOL_W
-        )
+        limit = sample.limit_w
         if sample.committed_w <= limit:
             return None
         return self.violation(
@@ -658,13 +663,7 @@ class RackOvercommitInvariant(Invariant[BudgetSample]):
         self._over_since_s: dict[str, float] = {}
 
     def observe(self, sample: BudgetSample) -> Optional[Violation]:
-        limit = (
-            max(
-                sample.capacity_w * (1.0 + sample.oversubscription),
-                sample.min_deliverable_w,
-            )
-            + BUDGET_SUM_TOL_W
-        )
+        limit = sample.limit_w
         if sample.committed_w <= limit:
             self._over_since_s.pop(sample.node, None)
             return None

@@ -6,7 +6,8 @@ end.  The simulation loop feeds it a
 :class:`~repro.guard.invariants.GuardSample` per control tick; the
 budget planner (:func:`repro.budget.arbiter.plan_budget`) feeds it a
 :class:`~repro.guard.invariants.BudgetSample` per tree node and arbiter
-period.  In ``record`` mode violations accumulate (capped) into the
+period, counting with :meth:`GuardMonitor.count_passing` the repeats it
+has proved pass.  In ``record`` mode violations accumulate (capped) into the
 :class:`~repro.guard.invariants.GuardReport`; in ``enforce`` mode the
 first violation raises :class:`~repro.errors.InvariantViolationError`
 immediately, so a broken controller kills its cell instead of producing
@@ -64,6 +65,16 @@ class GuardMonitor(Generic[SampleT]):
                     f"guard invariant violated in enforce mode: "
                     f"{violation.render()}"
                 )
+
+    def count_passing(self, samples: int) -> None:
+        """Count ``samples`` samples as checked without evaluating them.
+
+        For a caller that has proved every invariant returns None on each
+        of them and keeps no state for them (the budget planner's repeats
+        of an in-limit sample), so the report's ``checks`` stays what one
+        :meth:`observe` per sample would have counted.
+        """
+        self._checks += samples * len(self.registry.invariants)
 
     def report(self) -> GuardReport:
         """Snapshot what the guards saw so far, as plain frozen data."""

@@ -13,6 +13,7 @@ violations in enforce mode, and a checkpoint resume must reproduce the
 telemetry bit for bit.
 """
 
+import pickle
 import signal
 import subprocess
 import sys
@@ -20,8 +21,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.budget import BudgetConfig, plan_budget
+from repro.budget import STAGE_NOMINAL, STAGE_SHED, BudgetConfig, plan_budget
+from repro.budget.brownout import HOLD_TICKS
+from repro.errors import InvariantViolationError
 from repro.evaluation.pipeline import (
     cluster_plans,
     fit_catalog,
@@ -42,6 +46,7 @@ from repro.guard.invariants import GuardConfig
 from repro.runtime import read_journal, run_cluster_checkpointed
 from repro.sim.cluster import Sweep, run_cluster, run_sweeps
 from repro.sim.colocation import SimConfig
+from tests.budget_oracle import plan_budget_per_tick
 from tests.test_batched_differential import assert_outcome_equal
 from tests.test_runtime_checkpoint import keep_cells
 
@@ -246,6 +251,225 @@ class TestReplanIsDeterministic:
             assert child.returncode == 0, child.stderr.decode(errors="replace")
             dumps.append(child.stdout)
         assert dumps[0] == dumps[1]
+
+
+class _App:
+    """Duck-typed app: what the budget planner reads of one."""
+
+    def __init__(self, name, peak_w, full_w=0.0, throughput=0.0):
+        self.name = name
+        self.peak_w = peak_w
+        self.full_w = full_w
+        self.peak_throughput = throughput
+
+    def peak_server_power_w(self):
+        return self.peak_w
+
+    def uncapped_full_power_w(self):
+        return self.full_w
+
+
+class _Plan:
+    """Duck-typed server plan: a named LC app, a floor, maybe a BE app."""
+
+    def __init__(self, name, floor_w, lc_peak_w, be=None):
+        self.lc_app = _App(name, lc_peak_w)
+        self.provisioned_power_w = floor_w
+        self.be_app = None if be is None else _App(f"{name}-be", 0.0, *be)
+
+
+class _Spec:
+    idle_power_w = 50.0
+
+
+def _planned(sweep, planner):
+    """The plan, or the enforce-mode violation message it raised."""
+    try:
+        return planner(sweep)
+    except InvariantViolationError as exc:
+        return str(exc)
+
+
+def assert_plans_equal(sweep):
+    """The event walk's plan is the per-tick oracle's, field for field
+    and in pickle bytes (or both raise the same enforce-mode error)."""
+    got = _planned(sweep, plan_budget)
+    want = _planned(sweep, plan_budget_per_tick)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.schedules == want.schedules
+    assert got.evicted == want.evicted
+    assert got.level_scale == want.level_scale
+    assert got.report.stats == want.report.stats
+    assert got.report.guard_report == want.report.guard_report
+    assert got.report.stage_history == want.report.stage_history
+    assert pickle.dumps(got) == pickle.dumps(want)
+
+
+@st.composite
+def _budgeted_sweeps(draw):
+    """A small fleet under a drawn budget config, infra faults and
+    crash/rejoin plan.  Periods, leases and delays include the float
+    edges: a lease of exactly one period, delays longer than a period,
+    equal to the lease and past the horizon."""
+    n_servers = draw(st.integers(1, 7))
+    plans = [
+        _Plan(
+            f"s{i}",
+            draw(st.floats(60.0, 250.0)),
+            draw(st.floats(60.0, 260.0)),
+            draw(st.one_of(st.none(), st.tuples(
+                st.floats(10.0, 200.0), st.floats(0.5, 3.0),
+            ))),
+        )
+        for i in range(n_servers)
+    ]
+    levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    duration_s = draw(st.sampled_from([0.3, 1.0, 2.5, 4.0, 7.0]))
+    period_s = draw(st.sampled_from([0.1, 0.25, 0.3, 0.5, 1.0, 2.0]))
+    lease_s = period_s * draw(st.sampled_from([1.0, 1.0000001, 1.5, 2.0, 2.7, 4.5]))
+    ratios = sorted(
+        draw(st.lists(
+            st.sampled_from([3.0, 1.2, 1.0, 0.95, 0.85, 0.7, 0.5]),
+            min_size=3, max_size=3,
+        )),
+        reverse=True,
+    )
+    budget = BudgetConfig(
+        arbiter_period_s=period_s,
+        lease_s=lease_s,
+        rack_size=draw(st.integers(1, 4)),
+        rack_slack=draw(st.sampled_from([0.0, 0.1, 0.3])),
+        oversubscription=draw(st.sampled_from([0.0, 0.1])),
+        fairness=draw(st.sampled_from(["max-min", "throughput"])),
+        brownout_throttle_ratio=ratios[0],
+        brownout_evict_ratio=ratios[1],
+        brownout_shed_ratio=ratios[2],
+    )
+    total_s = len(levels) * duration_s
+    n_racks = -(-n_servers // budget.rack_size)
+    names = [plan.lc_app.name for plan in plans]
+    faults = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(
+            [RackPowerDerate, RackBreakerTrip, ArbiterCrash, GrantLoss, GrantDelay]
+        ))
+        window = dict(
+            start_s=draw(st.floats(0.0, total_s)),
+            duration_s=draw(st.one_of(st.none(), st.floats(0.2, total_s))),
+        )
+        rack = f"rack{draw(st.integers(0, n_racks - 1))}"
+        targets = tuple(draw(st.lists(st.sampled_from(names), max_size=2, unique=True)))
+        if kind is RackPowerDerate:
+            faults.append(kind(rack=rack, factor=draw(st.floats(0.05, 0.95)), **window))
+        elif kind is RackBreakerTrip:
+            faults.append(kind(rack=rack, residual=draw(st.floats(0.0, 0.6)), **window))
+        elif kind is ArbiterCrash:
+            faults.append(kind(**window))
+        elif kind is GrantLoss:
+            faults.append(kind(lc_names=targets, **window))
+        else:
+            delay_s = draw(st.sampled_from([
+                0.5 * period_s, 1.5 * period_s, 2.5 * period_s,
+                lease_s - period_s, lease_s, 3.0 * lease_s, total_s,
+            ]))
+            if delay_s > 0.0:
+                faults.append(kind(delay_s=delay_s, lc_names=targets, **window))
+    crashes, rejoins = (), ()
+    if len(levels) > 1 and draw(st.booleans()):
+        victim = draw(st.sampled_from(names))
+        at = draw(st.integers(1, len(levels) - 1))
+        crashes = (ServerCrash(victim, at_level_index=at),)
+        if at + 1 < len(levels) and draw(st.booleans()):
+            rejoins = (ServerRejoin(victim, at_level_index=at + 1),)
+    fault_plan = None
+    if faults or crashes:
+        fault_plan = ClusterFaultPlan(
+            crashes=crashes, rejoins=rejoins,
+            infra_faults=FaultSchedule(faults) if faults else None,
+        )
+    guard = draw(st.sampled_from([
+        None, GuardConfig(mode="record"), GuardConfig(max_violations=2),
+        GuardConfig(mode="enforce"),
+    ]))
+    return Sweep(plans, _Spec(), levels, duration_s, fault_plan=fault_plan,
+                 guard=guard, budget=budget)
+
+
+class TestEventWalkEqualsPerTickWalk:
+    """``plan_budget`` walks event to event; the per-tick walk it
+    replaced (``tests/budget_oracle.py``) is its differential oracle."""
+
+    @given(sweep=_budgeted_sweeps())
+    @settings(max_examples=250, deadline=None)
+    def test_plans_equal_under_drawn_configs_and_faults(self, sweep):
+        assert_plans_equal(sweep)
+
+    @staticmethod
+    def _sweep(budget, faults, levels=(0.5, 0.5), duration_s=10.0,
+               guard=GuardConfig()):
+        plans = [_Plan(f"s{i}", 150.0, 140.0, (60.0, 1.0)) for i in range(4)]
+        return Sweep(
+            plans, _Spec(), levels, duration_s,
+            fault_plan=ClusterFaultPlan(infra_faults=FaultSchedule(faults)),
+            guard=guard, budget=budget,
+        )
+
+    def test_ladder_walks_down_stage_by_stage(self):
+        """A derate drops rack0 to the shed stage; when it lifts, the
+        recovered ratio holds still and the ladder steps down one stage
+        per ``HOLD_TICKS`` periods."""
+        budget = BudgetConfig(arbiter_period_s=1.0, lease_s=2.0, rack_size=2)
+        sweep = self._sweep(budget, [
+            RackPowerDerate(start_s=2.0, duration_s=4.0, rack="rack0", factor=0.5),
+        ])
+        assert_plans_equal(sweep)
+        stages = [stage for _, stage in plan_budget(sweep).report.stage_history["rack0"]]
+        assert stages[:2] == [STAGE_NOMINAL] * 2
+        assert stages[2:6] == [STAGE_SHED] * 4
+        walk_down = list(range(STAGE_SHED - 1, STAGE_NOMINAL - 1, -1))
+        expected = [STAGE_SHED] * (HOLD_TICKS - 1) + [
+            stage for stage in walk_down for _ in range(HOLD_TICKS)
+        ]
+        assert stages[6:6 + len(expected)] == expected
+        assert set(stages[6 + len(expected):]) == {STAGE_NOMINAL}
+
+    def test_delayed_grant_lands_after_a_fresher_one(self):
+        """Grants issued at 2 s and 3 s arrive 1.5 s late; the on-time
+        grant of the next level (4 s) takes effect first and the stale
+        one overrides it from 4.5 s until its lease ends at 5 s."""
+        budget = BudgetConfig(arbiter_period_s=1.0, lease_s=2.0, rack_size=4)
+        sweep = Sweep(
+            [_Plan(f"s{i}", 150.0, 140.0, (60.0, 1.0)) for i in range(2)],
+            _Spec(), (0.2, 0.9), 4.0,
+            fault_plan=ClusterFaultPlan(infra_faults=FaultSchedule([
+                GrantDelay(start_s=2.0, duration_s=2.0, delay_s=1.5),
+            ])),
+            guard=GuardConfig(), budget=budget,
+        )
+        assert_plans_equal(sweep)
+        schedule = plan_budget(sweep).schedule_for("s0", 1)
+        assert schedule.times_s == (0.0, 0.5, 1.0)
+        fresh, stale, _ = schedule.caps_w
+        assert stale != fresh
+        assert schedule.caps_w[2] == fresh
+
+    def test_leases_run_out_during_an_arbiter_crash(self):
+        """The arbiter is down from 5 s to 12 s: the grants of 4 s run
+        out at 6 s and every server sits at its floor until the arbiter
+        is back."""
+        budget = BudgetConfig(arbiter_period_s=1.0, lease_s=2.0, rack_size=2)
+        sweep = self._sweep(budget, [ArbiterCrash(start_s=5.0, duration_s=7.0)])
+        assert_plans_equal(sweep)
+        plan = plan_budget(sweep)
+        assert plan.report.stats.skipped_ticks == 7
+        assert plan.report.stats.grants_expired == 4
+        schedule = plan.schedule_for("s0", 0)
+        assert schedule.cap_at(5.5) != 150.0
+        assert schedule.cap_at(6.0) == 150.0
+        assert plan.schedule_for("s0", 1).cap_at(1.9) == 150.0
+        assert plan.schedule_for("s0", 1).cap_at(2.0) != 150.0
 
 
 #: The drill geometry: 2 levels x 10 s, arbiter killed at 7 s with

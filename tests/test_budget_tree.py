@@ -5,8 +5,9 @@ the fail-safe floor expires, so the arbiter never needs to be trusted —
 is pinned twice: directly (grants revert to the floor after ``lease_s``
 with no renewal) and via Hypothesis (zero budget-invariant violations
 under arbitrary grant/loss/delay/expiry sequences).  Caps are read the
-way a budgeted cell sees them: ``_build_segments`` over the grants
-``tick()`` returned, compiled into a :class:`CapSchedule`.
+way a budgeted cell sees them: the grants ``tick()`` returned, applied
+to the server's :class:`LeaseTimeline` and compiled into a
+:class:`CapSchedule`.
 """
 
 import pytest
@@ -25,13 +26,15 @@ from repro.budget import (
     BudgetConfig,
     BudgetStats,
     CapSchedule,
+    Grant,
     ServerDemand,
     build_tree,
     distribute,
     max_min_shares,
     throughput_shares,
 )
-from repro.budget.arbiter import MIN_CAP_FRACTION, _build_segments, plan_budget
+from repro.budget.arbiter import MIN_CAP_FRACTION, plan_budget
+from repro.budget.lease import LeaseTimeline
 from repro.errors import ConfigError, InvariantViolationError
 from repro.evaluation.pipeline import cluster_plans, placement_for_policy
 from repro.faults.schedule import (
@@ -49,6 +52,7 @@ from repro.guard.invariants import (
 )
 from repro.guard.monitor import GuardMonitor
 from repro.sim.cluster import Sweep, run_sweeps
+from tests.budget_oracle import build_segments
 
 
 class _App:
@@ -111,6 +115,89 @@ class TestCapSchedule:
         b = CapSchedule(times_s=(0.0, 5.0), caps_w=(100.0, 80.0))
         assert a == b
         assert hash(a) == hash(b)
+
+
+class TestLeaseTimeline:
+    """The lease rule against the breakpoint scan it replaced.
+
+    ``LeaseTimeline`` applies grants one at a time (``grant``) or a run
+    of one cap and delay at once (``grant_run``); both must compile to
+    the schedule and expiry count that ``build_segments`` (the per-tick
+    oracle's statement of the rule) reads off every live grant at every
+    breakpoint.  Delays cover the cases that reorder grants: longer
+    than a period (a stale grant lands after a fresher one), as long as
+    the lease (dead on arrival), and past the horizon.
+    """
+
+    FLOOR_W = 100.0
+
+    @given(
+        runs=st.lists(
+            st.tuples(
+                st.sampled_from([90.0, 100.0, 150.0]),
+                st.sampled_from([0.0, 0.0, 0.5, 1.5, 2.5, 4.0]),
+                st.sampled_from([0, 0, 1, 2]),
+                st.integers(1, 8),
+            ),
+            max_size=6,
+        ),
+        period_s=st.sampled_from([0.1, 0.3, 1.0]),
+        lease_periods=st.sampled_from([1.0, 1.0000001, 1.5, 2.0, 3.0, 4.5]),
+        horizon_periods=st.sampled_from([6.5, 15.0, 40.0]),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_runs_equal_the_breakpoint_scan(
+        self, runs, period_s, lease_periods, horizon_periods
+    ):
+        lease_s = period_s * lease_periods
+        total_s = period_s * horizon_periods
+        grants = []
+        one_by_one = LeaseTimeline(self.FLOOR_W, total_s)
+        in_runs = LeaseTimeline(self.FLOOR_W, total_s)
+        tick = 0
+        for cap_w, delay_periods, gap, length in runs:
+            delay_s = delay_periods * period_s
+            tick += gap
+            in_runs.grant_run(cap_w, delay_s, tick, tick + length, period_s, lease_s)
+            for k in range(tick, tick + length):
+                issued_s = k * period_s
+                grant = Grant("s0", cap_w, issued_s, issued_s + delay_s,
+                              issued_s + lease_s)
+                grants.append(grant)
+                one_by_one.grant(cap_w, grant.effective_s, grant.expires_s)
+            tick += length
+        stats = BudgetStats()
+        expected = CapSchedule.from_segments(
+            build_segments(grants, self.FLOOR_W, total_s, stats)
+        )
+        assert one_by_one.compile() == (expected, stats.grants_expired)
+        assert in_runs.compile() == (expected, stats.grants_expired)
+
+    def test_stale_grant_rules_between_two_fresher_ones(self):
+        """Grants of ticks 0-3 land 1.5 s late; tick 4's on-time grant
+        governs from 4 s, tick 3's stale grant overrides it at 4.5 s,
+        and tick 5's grant takes over at 5 s, though the stale lease
+        runs to 6 s."""
+        period_s, lease_s, total_s = 1.0, 3.0, 12.0
+        runs = [(150.0, 1.5, 0, 4), (90.0, 0.0, 4, 9)]
+        in_runs = LeaseTimeline(self.FLOOR_W, total_s)
+        one_by_one = LeaseTimeline(self.FLOOR_W, total_s)
+        grants = []
+        for cap_w, delay_s, first, stop in runs:
+            in_runs.grant_run(cap_w, delay_s, first, stop, period_s, lease_s)
+            for k in range(first, stop):
+                grant = Grant("s0", cap_w, k * period_s, k * period_s + delay_s,
+                              k * period_s + lease_s)
+                grants.append(grant)
+                one_by_one.grant(cap_w, grant.effective_s, grant.expires_s)
+        stats = BudgetStats()
+        expected = CapSchedule.from_segments(
+            build_segments(grants, self.FLOOR_W, total_s, stats)
+        )
+        assert expected.times_s == (0.0, 1.5, 4.0, 4.5, 5.0, 11.0)
+        assert expected.caps_w == (100.0, 150.0, 90.0, 150.0, 90.0, 100.0)
+        assert stats.grants_expired == 1
+        assert in_runs.compile() == one_by_one.compile() == (expected, 1)
 
 
 class TestBudgetTree:
@@ -295,15 +382,15 @@ def _everyone(tree):
 def _cap_at(tree, grants, server, time_s, horizon_s=100.0):
     """The cap in force at ``time_s``, by the planner's lease rule.
 
-    The same path a budgeted cell's schedule takes: ``_build_segments``
-    over the grants ``tick()`` returned, compiled into a
-    :class:`CapSchedule` and read with ``cap_at``.
+    The same path a budgeted cell's schedule takes: the grants
+    ``tick()`` returned, applied in issue order to the server's
+    :class:`LeaseTimeline` and read from its compiled schedule.
     """
-    segments = _build_segments(
-        [grant for grant in grants if grant.server == server],
-        tree.floor_of(server), horizon_s, BudgetStats(),
-    )
-    return CapSchedule.from_segments(segments).cap_at(time_s)
+    lease = LeaseTimeline(tree.floor_of(server), horizon_s)
+    for grant in grants:
+        if grant.server == server:
+            lease.grant(grant.cap_w, grant.effective_s, grant.expires_s)
+    return lease.compile()[0].cap_at(time_s)
 
 
 def _hungry(tree):

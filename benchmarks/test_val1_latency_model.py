@@ -20,8 +20,7 @@ RHOS = [0.2, 0.4, 0.6, 0.75, 0.85, 0.92]
 
 def measure_and_fit():
     curve = p99_curve(
-        service_rate_total=100.0, rhos=RHOS, workers=4,
-        num_requests=30_000, seed=7,
+        service_rate_total=100.0, rhos=RHOS, num_requests=30_000, seed=7,
     )
     t0, knee = calibrate_knee(curve)
     return curve, t0, knee

@@ -9,11 +9,11 @@ We model the p99 latency of an LC app serving load ``L`` on an allocation
 with capacity ``C`` (the max load meeting the SLO on that allocation) with
 an M/M/1-flavoured blow-up in the effective utilization:
 
-    p99(rho) = t0 / (1 - rho_knee * rho),      rho = L / C
+    p99(rho) = t0 / (1 - RHO_KNEE * rho),      rho = L / C
 
 calibrated so that ``p99(1) == SLO`` exactly — i.e. "capacity" *means*
 "the load at which p99 hits the SLO", making the two definitions
-consistent by construction.  With the default knee of 0.85 the curve is
+consistent by construction.  With the knee of 0.85 the curve is
 gentle at low utilization and explodes past ``rho = 1/0.85``, which is
 where we clip to a large-but-finite value so controllers can still reason
 about how badly they are violating.
@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
-#: Utilization knee of the tail-latency blow-up.
-DEFAULT_RHO_KNEE = 0.85
+#: Utilization knee of the tail-latency blow-up: in (0, 1), and the
+#: curve explodes past ``rho = 1 / RHO_KNEE``.
+RHO_KNEE = 0.85
 
 #: p99 reported when the allocation is saturated past the model's pole.
 SATURATED_LATENCY_FACTOR = 50.0
@@ -54,22 +55,14 @@ class TailLatencyModel:
     ----------
     slo:
         The latency SLO; ``p99(load == capacity) == slo.p99_s``.
-    rho_knee:
-        How sharply latency blows up with utilization.  Must lie in
-        (0, 1); larger values mean a flatter curve that explodes later.
     """
 
     slo: LatencySlo
-    rho_knee: float = DEFAULT_RHO_KNEE
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rho_knee < 1.0:
-            raise ConfigError("rho knee must lie in (0, 1)")
 
     @property
     def base_latency_s(self) -> float:
         """The ``t0`` intercept: p99 at zero load."""
-        return self.slo.p99_s * (1.0 - self.rho_knee)
+        return self.slo.p99_s * (1.0 - RHO_KNEE)
 
     def p99_s(self, load: float, capacity: float) -> float:
         """p99 latency serving ``load`` on an allocation of ``capacity``.
@@ -85,7 +78,7 @@ class TailLatencyModel:
         if capacity <= 0:
             return self.slo.p99_s * SATURATED_LATENCY_FACTOR
         rho = load / capacity
-        denom = 1.0 - self.rho_knee * rho
+        denom = 1.0 - RHO_KNEE * rho
         ceiling = self.slo.p99_s * SATURATED_LATENCY_FACTOR
         if denom <= self.base_latency_s / ceiling:
             return ceiling
@@ -113,7 +106,7 @@ class TailLatencyModel:
             return 0.0
         # t0 / (1 - knee * rho) <= (1 - s) * slo  =>  rho <= (1 - t0/((1-s) slo)) / knee
         limit = (1.0 - self.base_latency_s / ((1.0 - slack_target) * self.slo.p99_s))
-        rho_max = max(0.0, limit / self.rho_knee)
+        rho_max = max(0.0, limit / RHO_KNEE)
         return rho_max * capacity
 
     def capacity_for_load(self, load: float, slack_target: float) -> float:

@@ -33,14 +33,13 @@ class LatencyCriticalApp:
         frequency — the Table II "peak server load".
     latency:
         Tail-latency model anchored to the app's SLO.
-    unit:
-        Human-readable load unit (requests/s for all paper LC apps).
+
+    Load is in requests/s for every paper LC app.
     """
 
     profile: ApplicationProfile
     peak_load: float
     latency: TailLatencyModel
-    unit: str = "requests/s"
 
     def __post_init__(self) -> None:
         if self.peak_load <= 0:
@@ -66,9 +65,9 @@ class LatencyCriticalApp:
         """True latency slack (1 - p99/SLO) serving ``load`` on ``alloc``."""
         return self.latency.slack(load, self.capacity(alloc))
 
-    def meets_slo(self, load: float, alloc: Allocation, slack_target: float = 0.0) -> bool:
-        """True when ``alloc`` serves ``load`` with at least ``slack_target``."""
-        return self.slack(load, alloc) >= slack_target
+    def meets_slo(self, load: float, alloc: Allocation) -> bool:
+        """True when ``alloc`` serves ``load`` within the p99 SLO."""
+        return self.slack(load, alloc) >= 0.0
 
     def required_capacity(self, load: float, slack_target: float) -> float:
         """Capacity needed to serve ``load`` with ``slack_target`` slack."""

@@ -25,6 +25,10 @@ from repro.core.utility import IndirectUtilityModel, integer_min_power_allocatio
 from repro.errors import CapacityError, ConfigError
 from repro.hwmodel.spec import ServerSpec, spare_of
 
+#: Multiplicative margin on measured load when sizing the LC's
+#: allocation (mirrors POM's headroom).
+LOAD_MARGIN = 1.2
+
 
 @dataclass(frozen=True)
 class AdmissionDecision:
@@ -55,9 +59,9 @@ class AdmissionController:
     min_headroom_w:
         Power headroom that must remain *after* the LC's predicted draw
         before any best-effort watt is granted.
-    load_margin:
-        Multiplicative margin on measured load when sizing the LC's
-        allocation (mirrors POM's headroom).
+
+    The LC's allocation is sized for ``LOAD_MARGIN`` times its measured
+    load.
     """
 
     def __init__(
@@ -68,7 +72,6 @@ class AdmissionController:
         spec: ServerSpec,
         min_be_throughput: float = 0.05,
         min_headroom_w: float = 5.0,
-        load_margin: float = 1.2,
     ) -> None:
         if peak_load <= 0:
             raise ConfigError("peak load must be positive")
@@ -78,15 +81,12 @@ class AdmissionController:
             raise ConfigError("throughput threshold must lie in [0, 1)")
         if min_headroom_w < 0:
             raise ConfigError("headroom threshold cannot be negative")
-        if load_margin < 1.0:
-            raise ConfigError("load margin cannot be below 1.0")
         self.lc_model = lc_model
         self.peak_load = peak_load
         self.provisioned_power_w = provisioned_power_w
         self.spec = spec
         self.min_be_throughput = min_be_throughput
         self.min_headroom_w = min_headroom_w
-        self.load_margin = load_margin
 
     def decide(
         self, measured_load: float, be_model: IndirectUtilityModel
@@ -97,7 +97,7 @@ class AdmissionController:
         spec = self.spec
         floor = self.lc_model.performance((1.0, 1.0))
         full = self.lc_model.performance((float(spec.cores), float(spec.llc_ways)))
-        target = min(max(measured_load * self.load_margin, floor), full)
+        target = min(max(measured_load * LOAD_MARGIN, floor), full)
         try:
             lc_alloc = integer_min_power_allocation(self.lc_model, target, spec)
         except CapacityError:

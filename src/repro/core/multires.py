@@ -43,6 +43,13 @@ from repro.errors import CapacityError, ConfigError, ModelFitError
 #: (an Intel MBA-style throttling level granting ~6 GB/s per unit).
 DEFAULT_RESOURCE_NAMES: Tuple[str, ...] = ("cores", "ways", "membw")
 
+#: ``analytics-3r``'s calibration: its indirect preference vector over
+#: ``DEFAULT_RESOURCE_NAMES``, and the active and static power (W) of
+#: the full allocation.
+THREE_RESOURCE_PREFERENCES: Tuple[float, float, float] = (0.30, 0.25, 0.45)
+THREE_RESOURCE_FULL_ACTIVE_W = 95.0
+THREE_RESOURCE_STATIC_W = 4.0
+
 
 @dataclass(frozen=True)
 class KResourceProfile:
@@ -60,12 +67,10 @@ class KResourceProfile:
     limits: Tuple[int, ...]
     static_w: float = 4.0
     saturation_kappa: float = 0.15
-    names: Tuple[str, ...] = DEFAULT_RESOURCE_NAMES
 
     def __post_init__(self) -> None:
-        k = len(self.alphas)
-        if not (len(self.p) == len(self.limits) == len(self.names) == k):
-            raise ConfigError("alphas, p, limits and names must share length")
+        if not len(self.p) == len(self.limits) == len(self.alphas):
+            raise ConfigError("alphas, p and limits must share length")
         if any(a <= 0 for a in self.alphas) or any(px <= 0 for px in self.p):
             raise ConfigError("elasticities and power coefficients must be positive")
         if any(limit < 1 for limit in self.limits):
@@ -105,36 +110,27 @@ class KResourceProfile:
             raise ConfigError(f"expected {self.k} resources, got {len(r)}")
 
 
-def make_three_resource_app(
-    preferences: Tuple[float, float, float] = (0.30, 0.25, 0.45),
-    full_active_w: float = 95.0,
-    static_w: float = 4.0,
-) -> KResourceProfile:
+def make_three_resource_app() -> KResourceProfile:
     """``analytics-3r``, a calibrated app over cores, LLC ways and memory
     bandwidth.
 
     Elasticities are ``(0.45, 0.25, 0.30)`` and limits ``(12, 20, 10)``.
-    Power coefficients are derived from the target indirect preference
-    vector exactly as in the 2-resource catalog:
-    ``p_j ∝ alpha_j / pref_j``, scaled so the full allocation draws
-    ``full_active_w``.
+    Power coefficients are derived from ``THREE_RESOURCE_PREFERENCES``
+    exactly as in the 2-resource catalog: ``p_j ∝ alpha_j / pref_j``,
+    scaled so the full allocation draws ``THREE_RESOURCE_FULL_ACTIVE_W``.
     """
-    if len(preferences) != 3:
-        raise ConfigError("three resources require three-vectors")
     alphas = (0.45, 0.25, 0.30)
     limits = (12, 20, 10)
-    raw_p = [a / pref for a, pref in zip(alphas, preferences)]
-    scale = (full_active_w - static_w) / sum(
+    raw_p = [a / pref for a, pref in zip(alphas, THREE_RESOURCE_PREFERENCES)]
+    scale = (THREE_RESOURCE_FULL_ACTIVE_W - THREE_RESOURCE_STATIC_W) / sum(
         limit * px for limit, px in zip(limits, raw_p)
     )
-    if scale <= 0:
-        raise ConfigError("full active power must exceed static power")
     return KResourceProfile(
         name="analytics-3r",
         alphas=alphas,
         p=tuple(px * scale for px in raw_p),
         limits=limits,
-        static_w=static_w,
+        static_w=THREE_RESOURCE_STATIC_W,
     )
 
 

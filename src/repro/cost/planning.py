@@ -23,6 +23,14 @@ from repro.errors import ConfigError
 from repro.evaluation.motivation import true_min_power_allocation
 from repro.workloads.traces import LoadTrace
 
+#: Trace samples :func:`plan_power` takes over its horizon (one every
+#: 15 minutes of a day).
+PLAN_SAMPLES = 96
+
+#: Per-server share of capacity :func:`servers_for_demand` fills at
+#: peak, keeping headroom for load dispersion and failures.
+TARGET_UTILIZATION = 0.75
+
 
 @dataclass(frozen=True)
 class PowerPlan:
@@ -44,26 +52,23 @@ def plan_power(
     lc: LatencyCriticalApp,
     trace: LoadTrace,
     horizon_s: float = 86400.0,
-    samples: int = 96,
     safety_margin: float = 0.02,
 ) -> PowerPlan:
     """Right-size a server's power capacity for ``lc`` under ``trace``.
 
-    Samples the trace, computes the least-power draw that serves each
-    sampled load within its SLO, and provisions the
-    maximum plus a ``safety_margin``.  Also reports the mean draw and
+    Samples the trace ``PLAN_SAMPLES`` times, computes the least-power
+    draw that serves each sampled load within its SLO, and provisions
+    the maximum plus a ``safety_margin``.  Also reports the mean draw and
     the stranded fraction — the quantity harvesting recovers.
     """
-    if samples < 2:
-        raise ConfigError("need at least two trace samples")
     if horizon_s <= 0:
         raise ConfigError("horizon must be positive")
     if safety_margin < 0:
         raise ConfigError("safety margin cannot be negative")
     draws: List[float] = []
     peak_fraction = 0.0
-    for i in range(samples):
-        t = horizon_s * i / samples
+    for i in range(PLAN_SAMPLES):
+        t = horizon_s * i / PLAN_SAMPLES
         fraction = trace.load_fraction(t)
         peak_fraction = max(peak_fraction, fraction)
         alloc = true_min_power_allocation(lc, fraction)
@@ -79,22 +84,16 @@ def plan_power(
     )
 
 
-def servers_for_demand(
-    lc: LatencyCriticalApp,
-    aggregate_peak_load: float,
-    target_utilization: float = 0.75,
-) -> int:
+def servers_for_demand(lc: LatencyCriticalApp, aggregate_peak_load: float) -> int:
     """Server count serving an aggregate peak demand.
 
-    ``target_utilization`` keeps per-server peak below capacity (load
-    dispersion, failure headroom); the paper's clusters are right-sized
-    per primary app, so this is per-cluster arithmetic.
+    ``TARGET_UTILIZATION`` keeps per-server peak below capacity; the
+    paper's clusters are right-sized per primary app, so this is
+    per-cluster arithmetic.
     """
     if aggregate_peak_load <= 0:
         raise ConfigError("aggregate demand must be positive")
-    if not 0.0 < target_utilization <= 1.0:
-        raise ConfigError("target utilization must lie in (0, 1]")
-    per_server = lc.peak_load * target_utilization
+    per_server = lc.peak_load * TARGET_UTILIZATION
     return max(1, math.ceil(aggregate_peak_load / per_server))
 
 

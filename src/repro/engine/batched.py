@@ -89,6 +89,7 @@ from typing import (
 
 import numpy as np
 
+from repro.apps.latency import RHO_KNEE
 from repro.core.server_manager import (
     DISTRUST_AFTER,
     FLOOR_TTL,
@@ -681,11 +682,9 @@ class BatchedClusterSim:
         self.slo_p99 = np.asarray(
             [p.lc_app.latency.slo.p99_s for p in self.plans]
         )
-        self.knee = np.asarray([p.lc_app.latency.rho_knee for p in self.plans])
         # Identical scalar ops to TailLatencyModel.p99_s / base_latency_s.
         self.lat_base = np.asarray(
-            [p.lc_app.latency.slo.p99_s * (1.0 - p.lc_app.latency.rho_knee)
-             for p in self.plans]
+            [p.lc_app.latency.slo.p99_s * (1.0 - RHO_KNEE) for p in self.plans]
         )
         self.lat_ceiling = np.asarray(
             [p.lc_app.latency.slo.p99_s * 50.0 for p in self.plans]
@@ -995,7 +994,7 @@ class BatchedClusterSim:
     def _true_p99(self, load: np.ndarray, capacity: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             rho = load / capacity
-            denom = 1.0 - self.knee * rho
+            denom = 1.0 - RHO_KNEE * rho
             served = np.minimum(self.lat_ceiling, self.lat_base / denom)
         saturated = (capacity <= 0) | (denom <= self.lat_thr)
         return np.where(saturated, self.lat_ceiling, served)

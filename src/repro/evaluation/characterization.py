@@ -13,10 +13,12 @@ import numpy as np
 
 from repro.core.indifference import EdgeworthBox, EdgeworthPoint, indifference_curve
 from repro.core.utility import IndirectUtilityModel
-from repro.errors import ConfigError
 from repro.evaluation.pipeline import FittedCatalog
 
-#: The iso-load levels Fig 5 draws for sphinx.
+#: The LC app Figs 5 and 6 characterize.
+FIG5_APP = "sphinx"
+
+#: The iso-load levels Fig 5 draws for it.
 FIG5_LEVELS: Tuple[float, ...] = (0.2, 0.4, 0.6, 0.8)
 
 
@@ -30,20 +32,15 @@ class IndifferenceFigure:
     expansion: List[Tuple[float, float]]
 
 
-def fig5_indifference(
-    catalog: FittedCatalog,
-    app_name: str = "sphinx",
-) -> IndifferenceFigure:
-    """Iso-load curves of one LC app and the dotted least-power path.
+def fig5_indifference(catalog: FittedCatalog) -> IndifferenceFigure:
+    """Iso-load curves of ``FIG5_APP`` and the dotted least-power path.
 
     One curve per ``FIG5_LEVELS`` load, sampled at 16 way counts.  Curves
     are clipped to the server's way range; the expansion path's
     point at each level is the least-power allocation on that curve.
     """
-    if app_name not in catalog.lc_fits:
-        raise ConfigError(f"no fitted LC app named {app_name!r}")
-    model = catalog.lc_fits[app_name].model
-    app = catalog.lc_apps[app_name]
+    model = catalog.lc_fits[FIG5_APP].model
+    app = catalog.lc_apps[FIG5_APP]
     spec = catalog.spec
     ways = np.linspace(1.0, float(spec.llc_ways), 16)
     curves = {}
@@ -58,23 +55,18 @@ def fig5_indifference(
         curves[float(level)] = curve
         expansion.append(tuple(model.least_power_allocation(perf)))
     return IndifferenceFigure(
-        app_name=app_name,
+        app_name=FIG5_APP,
         levels=tuple(float(level) for level in FIG5_LEVELS),
         curves=curves,
         expansion=expansion,
     )
 
 
-def fig6_edgeworth(
-    catalog: FittedCatalog,
-    app_name: str = "sphinx",
-) -> List[EdgeworthPoint]:
-    """Fig 6: the Edgeworth box contract points over the ``FIG5_LEVELS``
-    load range."""
-    if app_name not in catalog.lc_fits:
-        raise ConfigError(f"no fitted LC app named {app_name!r}")
-    model = catalog.lc_fits[app_name].model
-    app = catalog.lc_apps[app_name]
+def fig6_edgeworth(catalog: FittedCatalog) -> List[EdgeworthPoint]:
+    """Fig 6: ``FIG5_APP``'s Edgeworth box contract points over the
+    ``FIG5_LEVELS`` load range."""
+    model = catalog.lc_fits[FIG5_APP].model
+    app = catalog.lc_apps[FIG5_APP]
     box = EdgeworthBox(model=model, spec=catalog.spec)
     return box.trace([level * app.peak_load for level in FIG5_LEVELS])
 

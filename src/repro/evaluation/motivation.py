@@ -35,10 +35,9 @@ from repro.hwmodel.spec import Allocation, spare_of
 from repro.workloads.traces import DiurnalTrace, uniform_levels
 
 
-def true_min_power_allocation(
-    lc: LatencyCriticalApp, load_fraction: float, slack_target: float = 0.0
-) -> Allocation:
-    """Ground-truth least-power allocation serving a load fraction.
+def true_min_power_allocation(lc: LatencyCriticalApp, load_fraction: float) -> Allocation:
+    """Ground-truth least-power allocation serving a load fraction within
+    the SLO.
 
     Exhaustive over the (cores, ways) grid at max frequency — this is the
     *oracle* the motivation figures use (they predate the fitted model in
@@ -51,7 +50,7 @@ def true_min_power_allocation(
     load = load_fraction * lc.peak_load
     best: Optional[Tuple[float, Allocation]] = None
     for alloc in spec.iter_allocations():
-        if lc.slack(load, alloc) < slack_target:
+        if lc.slack(load, alloc) < 0.0:
             continue
         power = lc.profile.server_power_w(alloc)
         if best is None or power < best[0]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -31,11 +31,14 @@ from repro.core.placement import (
     predict_be_throughput,
     predict_spare_capacity,
 )
-from repro.errors import ConfigError
 from repro.evaluation.pipeline import FittedCatalog
 
 #: Hours at which each phase is sampled (4 phases of a compressed day).
-DEFAULT_PHASES: Tuple[float, ...] = (0.0, 0.25, 0.5, 0.75)
+PHASES: Tuple[float, ...] = (0.0, 0.25, 0.5, 0.75)
+
+#: Fraction of one phase's BE work a moved co-runner loses (drain +
+#: warm-up), one dynamic total per penalty.
+MIGRATION_PENALTIES: Tuple[float, ...] = (0.0, 0.02, 0.05, 0.10, 0.20)
 
 
 def phase_loads(
@@ -90,25 +93,16 @@ class ReplacementComparison:
         return float("inf")
 
 
-def compare_replacement(
-    catalog: FittedCatalog,
-    phases: Sequence[float] = DEFAULT_PHASES,
-    migration_penalties: Sequence[float] = (0.0, 0.02, 0.05, 0.10, 0.20),
-) -> ReplacementComparison:
-    """Static vs dynamic placement over the phase-shifted day (predicted).
+def compare_replacement(catalog: FittedCatalog) -> ReplacementComparison:
+    """Static vs dynamic placement over the ``PHASES`` of the day
+    (predicted), dynamic once per ``MIGRATION_PENALTIES`` entry.
 
-    ``migration_penalties`` are the fraction of one phase's BE work a
-    moved co-runner loses (drain + warm-up).  Totals are predicted
-    normalized BE throughput summed over phases; the comparison is
-    model-level — the same fidelity placement itself operates at.
+    Totals are predicted normalized BE throughput summed over phases;
+    the comparison is model-level — the same fidelity placement itself
+    operates at.
     """
-    if not phases:
-        raise ConfigError("need at least one phase")
-    if any(p < 0 for p in migration_penalties):
-        raise ConfigError("migration penalties cannot be negative")
-
     per_phase_matrices = [
-        matrix_at_loads(catalog, phase_loads(catalog, phase)) for phase in phases
+        matrix_at_loads(catalog, phase_loads(catalog, phase)) for phase in PHASES
     ]
 
     # Static: the paper's POColo — one placement from the average matrix.
@@ -138,7 +132,7 @@ def compare_replacement(
         )
         previous = mapping
     dynamic_by_penalty = {}
-    for penalty in migration_penalties:
+    for penalty in MIGRATION_PENALTIES:
         lost = penalty * total_moves * float(np.mean(raw_totals)) / len(
             per_phase_matrices[0].be_names
         )
@@ -146,5 +140,5 @@ def compare_replacement(
     return ReplacementComparison(
         static_total=static_total,
         dynamic_total_by_penalty=dynamic_by_penalty,
-        moves_per_phase=total_moves / max(1, len(phases) - 1),
+        moves_per_phase=total_moves / max(1, len(PHASES) - 1),
     )

@@ -55,6 +55,7 @@ the arbiter's tree, not per control tick:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generic, List, Optional, Tuple, TypeVar
 
@@ -125,10 +126,14 @@ class GuardConfig:
                 f"guard mode must be {MODE_RECORD!r} or {MODE_ENFORCE!r}, "
                 f"got {self.mode!r}"
             )
+        if not math.isfinite(self.cap_margin_w):
+            raise ConfigError(f"cap margin must be finite; got {self.cap_margin_w!r}")
         if self.cap_grace_steps < 0:
             raise ConfigError("cap grace steps cannot be negative")
-        if self.energy_abs_tol_w < 0 or self.energy_rel_tol < 0:
-            raise ConfigError("energy tolerances cannot be negative")
+        for name in ("energy_abs_tol_w", "energy_rel_tol"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"{name} must be non-negative and finite; got {value!r}")
         if self.lc_min_cores < 1 or self.lc_min_ways < 1:
             raise ConfigError("the LC floor share must be at least one unit")
         if self.max_violations < 1:

@@ -20,8 +20,8 @@ from typing import Iterator, Tuple
 
 from repro.errors import AllocationError, ConfigError
 
-#: Default DVFS step used by the Xeon E5-2650 ladder (GHz).
-DEFAULT_FREQ_STEP_GHZ = 0.1
+#: DVFS step of the Xeon E5-2650 ladder (GHz).
+FREQ_STEP_GHZ = 0.1
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,12 @@ class FrequencyLadder:
     """Discrete DVFS ladder, mirroring ``cpupowerutils`` available steps.
 
     Frequencies are represented in GHz.  The ladder is inclusive on both
-    ends and uniform in ``step_ghz``; ``steps()`` enumerates it ascending.
+    ends and uniform in :data:`FREQ_STEP_GHZ`; ``steps()`` enumerates it
+    ascending.
     """
 
     min_ghz: float = 1.2
     max_ghz: float = 2.2
-    step_ghz: float = DEFAULT_FREQ_STEP_GHZ
 
     def __post_init__(self) -> None:
         if self.min_ghz <= 0 or self.max_ghz <= 0:
@@ -43,18 +43,16 @@ class FrequencyLadder:
             raise ConfigError(
                 f"min frequency {self.min_ghz} exceeds max {self.max_ghz}"
             )
-        if self.step_ghz <= 0:
-            raise ConfigError("frequency step must be positive")
 
     @property
     def num_steps(self) -> int:
         """Number of discrete operating points on the ladder."""
-        return int(round((self.max_ghz - self.min_ghz) / self.step_ghz)) + 1
+        return int(round((self.max_ghz - self.min_ghz) / FREQ_STEP_GHZ)) + 1
 
     def steps(self) -> Tuple[float, ...]:
         """All operating points, ascending, rounded to avoid FP drift."""
         return tuple(
-            round(self.min_ghz + i * self.step_ghz, 6) for i in range(self.num_steps)
+            round(self.min_ghz + i * FREQ_STEP_GHZ, 6) for i in range(self.num_steps)
         )
 
     def clamp(self, freq_ghz: float) -> float:
@@ -63,23 +61,23 @@ class FrequencyLadder:
             return self.min_ghz
         if freq_ghz >= self.max_ghz:
             return self.max_ghz
-        idx = round((freq_ghz - self.min_ghz) / self.step_ghz)
-        return round(self.min_ghz + idx * self.step_ghz, 6)
+        idx = round((freq_ghz - self.min_ghz) / FREQ_STEP_GHZ)
+        return round(self.min_ghz + idx * FREQ_STEP_GHZ, 6)
 
     def contains(self, freq_ghz: float) -> bool:
         """True if ``freq_ghz`` is (numerically) a ladder operating point."""
         if freq_ghz < self.min_ghz - 1e-9 or freq_ghz > self.max_ghz + 1e-9:
             return False
-        offset = (freq_ghz - self.min_ghz) / self.step_ghz
+        offset = (freq_ghz - self.min_ghz) / FREQ_STEP_GHZ
         return abs(offset - round(offset)) < 1e-6
 
     def step_down(self, freq_ghz: float) -> float:
         """One ladder step below ``freq_ghz`` (clamped at the minimum)."""
-        return self.clamp(self.clamp(freq_ghz) - self.step_ghz)
+        return self.clamp(self.clamp(freq_ghz) - FREQ_STEP_GHZ)
 
     def step_up(self, freq_ghz: float) -> float:
         """One ladder step above ``freq_ghz`` (clamped at the maximum)."""
-        return self.clamp(self.clamp(freq_ghz) + self.step_ghz)
+        return self.clamp(self.clamp(freq_ghz) + FREQ_STEP_GHZ)
 
 
 @dataclass(frozen=True)
@@ -157,7 +155,7 @@ class ServerSpec:
             raise AllocationError(
                 f"frequency {alloc.freq_ghz} GHz is not on the DVFS ladder "
                 f"[{self.ladder.min_ghz}, {self.ladder.max_ghz}] "
-                f"step {self.ladder.step_ghz}"
+                f"step {FREQ_STEP_GHZ}"
             )
 
     def iter_allocations(

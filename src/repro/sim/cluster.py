@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Real
+from numbers import Integral, Real
 from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,8 +64,11 @@ class ServerPlan:
     be_app: Optional[BestEffortApp] = None
 
     def __post_init__(self) -> None:
-        if self.provisioned_power_w <= 0:
-            raise ConfigError("provisioned power must be positive")
+        if not 0.0 < self.provisioned_power_w < math.inf:
+            raise ConfigError(
+                f"provisioned power must be positive and finite; "
+                f"got {self.provisioned_power_w!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -436,7 +439,10 @@ class Durability:
     ledger_path: Optional[PathLike] = None
 
     def __post_init__(self) -> None:
-        if self.checkpoint_every < 1:
+        every = self.checkpoint_every
+        if isinstance(every, bool) or not isinstance(every, Integral):
+            raise ConfigError(f"checkpoint_every must be an integer; got {every!r}")
+        if every < 1:
             raise ConfigError("checkpoint_every must be at least 1")
         if self.resume and self.journal_path is None:
             raise ConfigError("resume needs a journal_path (nothing to resume from)")

@@ -75,10 +75,12 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.warmup_s < math.inf:
-            raise ConfigError(
-                f"warmup_s must be non-negative and finite; got {self.warmup_s!r}"
-            )
+        for name in ("warmup_s", "load_noise", "latency_noise"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(
+                    f"{name} must be non-negative and finite; got {value!r}"
+                )
 
 
 @dataclass

@@ -25,6 +25,17 @@ import numpy as np
 
 from repro.errors import ConfigError
 
+#: Coefficient of variation of the lognormal service times (1.0 is
+#: exponential-like variability).
+SERVICE_CV = 1.0
+
+#: Share of the first completions :func:`simulate_queue` discards as
+#: queue ramp-up.
+WARMUP_FRACTION = 0.1
+
+#: Parallel workers of :func:`p99_curve`'s validation queue.
+CURVE_WORKERS = 4
+
 
 @dataclass(frozen=True)
 class QueueingConfig:
@@ -32,15 +43,13 @@ class QueueingConfig:
 
     ``service_rate_total`` is the aggregate requests/s the worker pool
     completes at full utilization (the allocation's *capacity*);
-    ``workers`` spreads it over parallel servers.  ``service_cv`` is the
-    coefficient of variation of the lognormal service times (1.0 ≈
-    exponential-like variability).
+    ``workers`` spreads it over parallel servers, whose service times
+    are lognormal with coefficient of variation :data:`SERVICE_CV`.
     """
 
     arrival_rate: float
     service_rate_total: float
     workers: int = 1
-    service_cv: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -50,8 +59,6 @@ class QueueingConfig:
             raise ConfigError("service rate must be positive")
         if self.workers < 1:
             raise ConfigError("need at least one worker")
-        if self.service_cv <= 0:
-            raise ConfigError("service-time CV must be positive")
 
     @property
     def rho(self) -> float:
@@ -88,23 +95,20 @@ def _lognormal_params(mean: float, cv: float) -> Tuple[float, float]:
 def simulate_queue(
     config: QueueingConfig,
     num_requests: int = 20_000,
-    warmup_fraction: float = 0.1,
 ) -> QueueingResult:
     """Run the queue for ``num_requests`` arrivals and measure latency.
 
     FCFS dispatch to the first free worker; each worker completes at
     ``service_rate_total / workers`` requests/s on average.  The first
-    ``warmup_fraction`` of completions is discarded (queue ramp-up).
+    :data:`WARMUP_FRACTION` of completions is discarded (queue ramp-up).
     Overload (``rho >= 1``) is allowed — latencies then grow with the
     horizon, which is exactly the signal the tests look for.
     """
     if num_requests < 100:
         raise ConfigError("need at least 100 requests for stable percentiles")
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigError("warmup fraction must lie in [0, 1)")
     rng = np.random.default_rng(config.seed)
     mean_service = config.workers / config.service_rate_total
-    mu, sigma = _lognormal_params(mean_service, config.service_cv)
+    mu, sigma = _lognormal_params(mean_service, SERVICE_CV)
 
     inter = (
         rng.exponential(1.0 / config.arrival_rate, size=num_requests)
@@ -133,7 +137,7 @@ def simulate_queue(
         heapq.heappush(pending_completions, done)
         max_queue = max(max_queue, len(pending_completions))
 
-    cut = int(len(latencies) * warmup_fraction)
+    cut = int(len(latencies) * WARMUP_FRACTION)
     window = np.asarray(latencies[cut:])
     return QueueingResult(
         completed=len(window),
@@ -148,11 +152,11 @@ def simulate_queue(
 def p99_curve(
     service_rate_total: float,
     rhos: List[float],
-    workers: int = 4,
     num_requests: int = 20_000,
     seed: int = 0,
 ) -> List[Tuple[float, float]]:
-    """Measured p99 latency across a utilization sweep.
+    """Measured p99 latency across a utilization sweep, on a queue of
+    :data:`CURVE_WORKERS` workers.
 
     The validation tool for :class:`~repro.apps.latency.TailLatencyModel`:
     both curves must be monotone in rho and blow up near rho = 1.
@@ -164,7 +168,7 @@ def p99_curve(
         config = QueueingConfig(
             arrival_rate=rho * service_rate_total,
             service_rate_total=service_rate_total,
-            workers=workers,
+            workers=CURVE_WORKERS,
             seed=seed,
         )
         result = simulate_queue(config, num_requests=num_requests)

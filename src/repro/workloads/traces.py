@@ -57,30 +57,27 @@ class ConstantTrace:
 class DiurnalTrace:
     """Smooth day/night load curve (the Fig 1 motivation shape).
 
-    ``load(t) = mid + amp * cos(2*pi*(t - peak_time)/period)^sharpness``
+    ``load(t) = mid + amp * cos(2*pi*(t - peak_time)/DAY_S)^sharpness``
     so the maximum (``max_fraction``) occurs at ``peak_time_s`` and the
-    minimum (``min_fraction``) half a period later.  An odd ``sharpness``
+    minimum (``min_fraction``) half a day later.  An odd ``sharpness``
     above 1 narrows both the peak and the trough, concentrating time near
     the mid-load shoulders while preserving the extremes.
     """
 
     min_fraction: float = 0.1
     max_fraction: float = 0.9
-    period_s: float = 86400.0
     peak_time_s: float = 14.0 * 3600.0
     sharpness: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.min_fraction <= self.max_fraction <= 1.0:
             raise ConfigError("need 0 <= min_fraction <= max_fraction <= 1")
-        if self.period_s <= 0:
-            raise ConfigError("period must be positive")
         if self.sharpness < 1 or self.sharpness % 2 == 0:
             raise ConfigError("sharpness must be an odd positive integer")
 
     def load_fraction(self, time_s: float) -> float:
-        """Offered load at ``time_s``; periodic with ``period_s``."""
-        phase = 2.0 * math.pi * (time_s - self.peak_time_s) / self.period_s
+        """Offered load at ``time_s``; periodic with one day."""
+        phase = 2.0 * math.pi * (time_s - self.peak_time_s) / DAY_S
         shaped = math.cos(phase) ** self.sharpness
         mid = 0.5 * (self.max_fraction + self.min_fraction)
         amp = 0.5 * (self.max_fraction - self.min_fraction)

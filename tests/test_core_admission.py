@@ -120,6 +120,3 @@ class TestValidation:
         with pytest.raises(ConfigError):
             AdmissionController(model, peak_load=100.0, provisioned_power_w=150.0,
                                 spec=catalog.spec, min_be_throughput=1.0)
-        with pytest.raises(ConfigError):
-            AdmissionController(model, peak_load=100.0, provisioned_power_w=150.0,
-                                spec=catalog.spec, load_margin=0.9)

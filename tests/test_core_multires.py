@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.multires import (
     DEFAULT_RESOURCE_NAMES,
+    THREE_RESOURCE_FULL_ACTIVE_W,
+    THREE_RESOURCE_PREFERENCES,
+    THREE_RESOURCE_STATIC_W,
     KResourceProfile,
     fit_k_model,
     integer_min_power_allocation_k,
@@ -49,12 +52,13 @@ class TestKResourceProfile:
         assert app.active_power_w((3, 5, 2)) == pytest.approx(expected)
 
     def test_preference_vector_matches_calibration(self):
-        app = make_three_resource_app(preferences=(0.30, 0.25, 0.45))
-        assert app.true_preference_vector() == pytest.approx((0.30, 0.25, 0.45))
+        app = make_three_resource_app()
+        assert app.true_preference_vector() == pytest.approx(THREE_RESOURCE_PREFERENCES)
 
     def test_full_power_matches_calibration(self):
-        app = make_three_resource_app(full_active_w=95.0, static_w=4.0)
-        assert app.active_power_w(app.limits) == pytest.approx(95.0)
+        app = make_three_resource_app()
+        assert app.static_w == THREE_RESOURCE_STATIC_W
+        assert app.active_power_w(app.limits) == pytest.approx(THREE_RESOURCE_FULL_ACTIVE_W)
 
     def test_arity_checked(self, app):
         with pytest.raises(ConfigError):
@@ -64,10 +68,7 @@ class TestKResourceProfile:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            KResourceProfile("x", alphas=(0.5, 0.5), p=(1.0,),
-                             limits=(4, 4), names=("a", "b"))
-        with pytest.raises(ConfigError):
-            make_three_resource_app(full_active_w=1.0, static_w=4.0)
+            KResourceProfile("x", alphas=(0.5, 0.5), p=(1.0,), limits=(4, 4))
 
 
 class TestGridAndProfiling:

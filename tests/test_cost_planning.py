@@ -38,8 +38,6 @@ class TestPlanPower:
 
     def test_validation(self, xapian):
         with pytest.raises(ConfigError):
-            plan_power(xapian, ConstantTrace(0.5), samples=1)
-        with pytest.raises(ConfigError):
             plan_power(xapian, ConstantTrace(0.5), horizon_s=0.0)
         with pytest.raises(ConfigError):
             plan_power(xapian, ConstantTrace(0.5), safety_margin=-0.1)
@@ -59,8 +57,6 @@ class TestServersForDemand:
     def test_validation(self, xapian):
         with pytest.raises(ConfigError):
             servers_for_demand(xapian, 0.0)
-        with pytest.raises(ConfigError):
-            servers_for_demand(xapian, 100.0, target_utilization=0.0)
 
 
 class TestStrandedProfile:

@@ -3,7 +3,6 @@
 
 import pytest
 
-from repro.errors import ConfigError
 from repro.evaluation.characterization import (
     fig5_indifference,
     fig6_edgeworth,
@@ -36,10 +35,6 @@ class TestFig5:
             for cores, ways in fig.curves[level]:
                 assert model.power_w((cores, ways)) >= exp_power - 1e-6
 
-    def test_unknown_app_rejected(self, catalog):
-        with pytest.raises(ConfigError):
-            fig5_indifference(catalog, app_name="redis")
-
 
 class TestFig6:
     def test_points_are_complements(self, catalog):
@@ -54,10 +49,6 @@ class TestFig6:
         points = fig6_edgeworth(catalog)
         spare_totals = [p.spare[0] + p.spare[1] for p in points]
         assert spare_totals == sorted(spare_totals, reverse=True)
-
-    def test_unknown_app_rejected(self, catalog):
-        with pytest.raises(ConfigError):
-            fig6_edgeworth(catalog, app_name="redis")
 
 
 class TestFig8:

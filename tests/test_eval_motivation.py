@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.catalog import XAPIAN_MOTIVATION_CAPACITY_W
-from repro.errors import CapacityError, ConfigError
+from repro.errors import ConfigError
 from repro.evaluation.motivation import (
     fig1_diurnal_overshoot,
     fig2_power_overshoot,
@@ -30,10 +30,6 @@ class TestTrueMinPowerAllocation:
             for level in (0.1, 0.4, 0.7, 0.95)
         ]
         assert powers == sorted(powers)
-
-    def test_impossible_slack_raises(self, xapian):
-        with pytest.raises(CapacityError):
-            true_min_power_allocation(xapian, 1.0, slack_target=0.9)
 
     def test_invalid_fraction_rejected(self, xapian):
         with pytest.raises(ConfigError):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.placement import pocolo_placement
-from repro.errors import ConfigError
 from repro.evaluation.replacement import (
     compare_replacement,
     matrix_at_loads,
@@ -77,9 +76,3 @@ class TestCompareReplacement:
     def test_crossover_exists_in_sweep(self, catalog):
         result = compare_replacement(catalog)
         assert result.crossover_penalty() <= 0.20
-
-    def test_validation(self, catalog):
-        with pytest.raises(ConfigError):
-            compare_replacement(catalog, phases=())
-        with pytest.raises(ConfigError):
-            compare_replacement(catalog, migration_penalties=(-0.1,))

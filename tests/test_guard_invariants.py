@@ -83,6 +83,13 @@ class TestGuardConfig:
         {"lc_min_ways": 0},
         {"max_violations": 0},
         {"deep_check_every": 0},
+        {"cap_margin_w": float("nan")},
+        {"cap_margin_w": float("inf")},
+        {"cap_margin_w": float("-inf")},
+        {"energy_abs_tol_w": float("nan")},
+        {"energy_abs_tol_w": float("inf")},
+        {"energy_rel_tol": float("nan")},
+        {"energy_rel_tol": float("inf")},
     ])
     def test_invalid_knobs_rejected(self, kwargs):
         with pytest.raises(ConfigError):

@@ -52,8 +52,6 @@ class TestFrequencyLadder:
             FrequencyLadder(min_ghz=-1.0)
         with pytest.raises(ConfigError):
             FrequencyLadder(min_ghz=2.0, max_ghz=1.0)
-        with pytest.raises(ConfigError):
-            FrequencyLadder(step_ghz=0.0)
 
     @given(st.floats(min_value=0.1, max_value=5.0, allow_nan=False))
     def test_clamp_always_lands_on_ladder(self, freq):

@@ -91,9 +91,7 @@ CONSTRUCTOR_SURFACE = {
     ("repro.analysis.reporting", "format_budget_degradation"): ("rows",),
     ("repro.analysis.stats", "relative_gain_ci"): ("new", "base", "seed"),
     ("repro.budget.arbiter", "BudgetReport.max_stage"): ("self",),
-    ("repro.core.multires", "make_three_resource_app"): (
-        "preferences", "full_active_w", "static_w",
-    ),
+    ("repro.core.multires", "make_three_resource_app"): (),
     ("repro.core.multires", "fit_k_model"): ("samples",),
     ("repro.core.multires", "integer_min_power_allocation_k"): (
         "model", "perf_target", "limits",
@@ -105,8 +103,9 @@ CONSTRUCTOR_SURFACE = {
     ("repro.core.validation", "diagnose_fit"): ("samples", "fit", "min_r2_perf"),
     ("repro.core.validation", "leontief_samples"): ("noise",),
     ("repro.cost.planning", "plan_power"): (
-        "lc", "trace", "horizon_s", "samples", "safety_margin",
+        "lc", "trace", "horizon_s", "safety_margin",
     ),
+    ("repro.cost.planning", "servers_for_demand"): ("lc", "aggregate_peak_load"),
     ("repro.cost.planning", "stranded_power_profile"): (
         "lc", "trace", "provisioned_power_w", "samples",
     ),
@@ -145,8 +144,8 @@ CONSTRUCTOR_SURFACE = {
     ("repro.evaluation.ablations", "ablate_calibration_sensitivity"): (
         "trials", "perturbation",
     ),
-    ("repro.evaluation.characterization", "fig5_indifference"): ("catalog", "app_name"),
-    ("repro.evaluation.characterization", "fig6_edgeworth"): ("catalog", "app_name"),
+    ("repro.evaluation.characterization", "fig5_indifference"): ("catalog",),
+    ("repro.evaluation.characterization", "fig6_edgeworth"): ("catalog",),
     ("repro.evaluation.colocation_eval", "evaluate_all_policies"): (
         "catalog", "policies", "placement_seeds", "levels", "duration_s",
     ),
@@ -160,14 +159,13 @@ CONSTRUCTOR_SURFACE = {
     ("repro.evaluation.motivation", "fig2_power_overshoot"): (),
     ("repro.evaluation.motivation", "fig3_capped_throughput"): (),
     ("repro.evaluation.motivation", "fig4_load_spectrum"): ("be_names", "levels"),
+    ("repro.evaluation.motivation", "true_min_power_allocation"): ("lc", "load_fraction"),
     ("repro.evaluation.pipeline", "fit_catalog"): ("seed", "lc_apps", "be_apps"),
     ("repro.evaluation.pipeline", "run_policies"): (
         "catalog", "policies", "placement_seeds", "levels", "duration_s",
     ),
     ("repro.evaluation.replacement", "phase_loads"): ("catalog", "phase"),
-    ("repro.evaluation.replacement", "compare_replacement"): (
-        "catalog", "phases", "migration_penalties",
-    ),
+    ("repro.evaluation.replacement", "compare_replacement"): ("catalog",),
     ("repro.evaluation.reports", "solve_fleet_scale"): ("catalog",),
     ("repro.evaluation.reports", "render_fleet_flows"): ("lp",),
     ("repro.evaluation.sharing", "compare_schedulers"): ("catalog",),
@@ -185,7 +183,32 @@ CONSTRUCTOR_SURFACE = {
     ("repro.runtime.atomic", "atomic_write_text"): ("path", "text"),
     ("repro.runtime.atomic", "atomic_write_json"): ("path", "obj", "sort_keys"),
     ("repro.sim.queueing", "p99_curve"): (
-        "service_rate_total", "rhos", "workers", "num_requests", "seed",
+        "service_rate_total", "rhos", "num_requests", "seed",
+    ),
+    ("repro.sim.queueing", "simulate_queue"): ("config", "num_requests"),
+    ("repro.core.admission", "AdmissionController"): (
+        "lc_model", "peak_load", "provisioned_power_w", "spec",
+        "min_be_throughput", "min_headroom_w",
+    ),
+    ("repro.apps.latency_critical", "LatencyCriticalApp.meets_slo"): (
+        "self", "load", "alloc",
+    ),
+    # The model records' fields.  The paper's fixed hardware and models
+    # (the latency knee, the DVFS step, the service-time CV, the diurnal
+    # period, the three-resource axes) are module constants, not fields.
+    ("repro.apps.latency", "TailLatencyModel"): ("slo",),
+    ("repro.apps.latency_critical", "LatencyCriticalApp"): (
+        "profile", "peak_load", "latency",
+    ),
+    ("repro.hwmodel.spec", "FrequencyLadder"): ("min_ghz", "max_ghz"),
+    ("repro.core.multires", "KResourceProfile"): (
+        "name", "alphas", "p", "limits", "static_w", "saturation_kappa",
+    ),
+    ("repro.sim.queueing", "QueueingConfig"): (
+        "arrival_rate", "service_rate_total", "workers", "seed",
+    ),
+    ("repro.workloads.traces", "DiurnalTrace"): (
+        "min_fraction", "max_fraction", "peak_time_s", "sharpness",
     ),
 }
 

@@ -85,6 +85,16 @@ class TestRunCluster:
                 provisioned_power_w=0.0,
             )
 
+    @pytest.mark.parametrize("power_w", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_provisioned_power_rejected(self, catalog, power_w):
+        """NaN used to run to a NaN power utilization, and inf to 0.0."""
+        with pytest.raises(ConfigError, match="provisioned power must be positive and finite"):
+            ServerPlan(
+                lc_app=catalog.lc_apps["xapian"],
+                manager_factory=lambda s: None,
+                provisioned_power_w=power_w,
+            )
+
     def test_fresh_state_per_cell(self, catalog):
         """Order of levels must not change per-level outcomes."""
         plans = plans_for(catalog, [("xapian", "rnn")])

@@ -47,6 +47,15 @@ class TestSimConfig:
         with pytest.raises(ConfigError, match="warmup_s must be non-negative and finite"):
             SimConfig(warmup_s=warmup_s)
 
+    @pytest.mark.parametrize("name", ["load_noise", "latency_noise"])
+    @pytest.mark.parametrize(
+        "value", [-0.01, float("nan"), float("inf")], ids=["negative", "nan", "inf"]
+    )
+    def test_bad_noise_rejected(self, name, value):
+        """An infinite latency noise used to zero the BE throughput."""
+        with pytest.raises(ConfigError, match=f"{name} must be non-negative and finite"):
+            SimConfig(**{name: value})
+
 
 class TestBuildColocatedServer:
     def test_lc_starts_on_full_box(self, catalog):

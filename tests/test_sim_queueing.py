@@ -29,9 +29,6 @@ class TestConfig:
             QueueingConfig(arrival_rate=1.0, service_rate_total=0.0)
         with pytest.raises(ConfigError):
             QueueingConfig(arrival_rate=1.0, service_rate_total=10.0, workers=0)
-        with pytest.raises(ConfigError):
-            QueueingConfig(arrival_rate=1.0, service_rate_total=10.0,
-                           service_cv=0.0)
 
 
 class TestSimulateQueue:
@@ -91,8 +88,6 @@ class TestSimulateQueue:
         config = QueueingConfig(arrival_rate=1.0, service_rate_total=10.0)
         with pytest.raises(ConfigError):
             simulate_queue(config, num_requests=10)
-        with pytest.raises(ConfigError):
-            simulate_queue(config, warmup_fraction=1.0)
 
     def test_percentile_accessor(self):
         config = QueueingConfig(arrival_rate=10.0, service_rate_total=100.0,
@@ -110,7 +105,7 @@ class TestAnalyticModelValidation:
         curve = p99_curve(
             service_rate_total=100.0,
             rhos=[0.2, 0.4, 0.6, 0.8, 0.9],
-            workers=4, num_requests=30_000, seed=7,
+            num_requests=30_000, seed=7,
         )
         t0, knee = calibrate_knee(curve)
         assert t0 > 0
@@ -125,7 +120,7 @@ class TestAnalyticModelValidation:
         curve = p99_curve(
             service_rate_total=100.0,
             rhos=[0.3, 0.5, 0.7, 0.9],
-            workers=4, num_requests=30_000, seed=8,
+            num_requests=30_000, seed=8,
         )
         measured = [p for _, p in curve]
         slo = LatencySlo(p95_s=measured[-1] * 0.8, p99_s=measured[-1])

@@ -124,7 +124,11 @@ class TestDurabilityValidation:
          "checkpoint_every must be at least 1"),
         (dict(resume=True, ledger_path="ledger.jsonl"),
          r"resume needs a journal_path \(nothing to resume from\)"),
-    ], ids=["every-0", "resume-without-journal"])
+        (dict(journal_path="sweep.ckpt", checkpoint_every=2.5),
+         "checkpoint_every must be an integer; got 2.5"),
+        (dict(journal_path="sweep.ckpt", checkpoint_every=True),
+         "checkpoint_every must be an integer; got True"),
+    ], ids=["every-0", "resume-without-journal", "every-float", "every-bool"])
     def test_refused_when_built(self, terms, match):
         with pytest.raises(ConfigError, match=match):
             Durability(**terms)
@@ -175,7 +179,7 @@ class TestRunKeyPinned:
     def test_plain_sweep(self):
         sweep = Sweep(_plans(), REFERENCE_SPEC, LEVELS, 6.0, CONFIG)
         assert sweep_run_key(sweep) == (
-            "1e77b51daf4b00c7b77364e2e8600ac36b76e356530e729ff3946e5d84c10860"
+            "7825853a0cff0dc1813ab924a234ee04327521bba4bb6167b41f50c247ce9140"
         )
 
     def test_sweep_with_every_optional_term(self):
@@ -185,5 +189,5 @@ class TestRunKeyPinned:
             budget=BUDGET,
         )
         assert sweep_run_key(sweep) == (
-            "2d9999e4a4fc2f5e0bdd451658249a71598cf82182f5ce1e3980ba717e1ed198"
+            "9b9c46aece39eceae4bda4721ac8b784eef2a25c169c628931e9c4874c920f03"
         )

@@ -96,6 +96,6 @@ class TestPlanningIntegration:
             base=DiurnalTrace(min_fraction=0.1, max_fraction=0.7),
             events=((12 * 3600.0, 3600.0, 0.9),),
         )
-        calm_plan = plan_power(xapian, calm, horizon_s=WEEK_S, samples=96)
-        spiky_plan = plan_power(xapian, spiky, horizon_s=WEEK_S, samples=96)
+        calm_plan = plan_power(xapian, calm, horizon_s=WEEK_S)
+        spiky_plan = plan_power(xapian, spiky, horizon_s=WEEK_S)
         assert spiky_plan.provisioned_power_w > calm_plan.provisioned_power_w

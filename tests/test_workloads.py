@@ -64,8 +64,6 @@ class TestDiurnalTrace:
         with pytest.raises(ConfigError):
             DiurnalTrace(min_fraction=0.9, max_fraction=0.1)
         with pytest.raises(ConfigError):
-            DiurnalTrace(period_s=0.0)
-        with pytest.raises(ConfigError):
             DiurnalTrace(sharpness=2)  # must be odd
 
 

@@ -18,6 +18,8 @@ timed code paths are the production ones:
   runner, checkpointing after every cell;
 * **step calls** — the profiled calls the batched core makes per
   control tick of a fleet sweep, counted in a fresh process;
+* **collect calls** — the profiled calls of the batched core's set-up
+  and result assembly over a fleet sweep, counted in a fresh process;
 * **cold set-up calls** — the profiled calls of one cold placement and
   batched sweep of the catalog renamed to 48 servers, counted in a
   fresh process;
@@ -231,6 +233,54 @@ def _child_json(script: str, arg: str) -> Dict[str, int]:
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(child.stdout.splitlines()[-1])
+
+
+#: Child process of :func:`collect_calls`: after a 10-server sweep warms
+#: the memos, a batched fleet sweep whose ``BatchedClusterSim``
+#: constructor and ``collect`` each run under their own cProfile;
+#: prints each one's profiled calls as JSON.
+_COLLECT_CALLS_CHILD = """\
+import cProfile
+import json
+import pstats
+import sys
+
+import perf_scenarios as sc
+from repro.engine.batched import BatchedClusterSim
+
+cat = sc.catalog()
+plans = sc.fleet_plans(cat, int(sys.argv[1]))
+sc.run_fleet(cat, sc.fleet_plans(cat, 10), engine="batched")
+profilers = {"init": cProfile.Profile(), "collect": cProfile.Profile()}
+
+
+def profiled(profiler, method):
+    def run(self, *args):
+        profiler.enable()
+        try:
+            return method(self, *args)
+        finally:
+            profiler.disable()
+    return run
+
+
+BatchedClusterSim.__init__ = profiled(profilers["init"], BatchedClusterSim.__init__)
+BatchedClusterSim.collect = profiled(profilers["collect"], BatchedClusterSim.collect)
+result = sc.run_fleet(cat, plans, engine="batched", dedupe=False)
+counts = {name: pstats.Stats(p).total_calls for name, p in profilers.items()}
+print(json.dumps(dict(counts, cells=len(result.outcomes))))
+"""
+
+
+def collect_calls(n_servers: int) -> Dict[str, int]:
+    """Profiled calls inside ``BatchedClusterSim.__init__`` and
+    ``collect`` over one batched fleet sweep of ``n_servers`` (dedupe
+    off, warm memos), and the cells it returned.
+
+    Counted in a fresh ``PYTHONHASHSEED=0`` process, as
+    :func:`step_calls` is.
+    """
+    return _child_json(_COLLECT_CALLS_CHILD, str(n_servers))
 
 
 #: Child process of :func:`cold_setup_calls`: a small sweep imports

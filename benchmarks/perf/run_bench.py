@@ -578,6 +578,39 @@ def bench_step_calls() -> dict:
     }
 
 
+def bench_collect_calls() -> dict:
+    """Profiled calls of ``BatchedClusterSim.__init__`` and ``collect``
+    over a fleet sweep at two sizes.
+
+    Host-independent like :func:`bench_step_calls`
+    (:func:`perf_scenarios.collect_calls`).  ``collect`` fills numpy
+    columns and builds no per-lane object, so both sizes must read the
+    same count; the constructor reads each lane's plan, so its count
+    grows with lanes and is held to a ceiling at the larger size.
+    """
+    sizes = (100, 1000)
+    counts = {n: sc.collect_calls(n) for n in sizes}
+    return {
+        "name": "batched_collect_calls",
+        "description": (
+            "profiled calls inside BatchedClusterSim.collect and "
+            "BatchedClusterSim.__init__ over one batched run_cluster sweep "
+            f"({len(sc.SWEEP_LEVELS)} levels, {sc.SWEEP_DURATION_S:.0f}s "
+            "cells, dedupe off, warm memos), counted under cProfile in a "
+            "fresh process with PYTHONHASHSEED=0 at "
+            f"{' and '.join(map(str, sizes))} servers; the gate requires "
+            "equal collect counts at every size and at most ceiling "
+            f"constructor calls at {sizes[-1]} servers"
+        ),
+        "mechanism": "work-count",
+        **{f"collect_calls_{n}": c["collect"] for n, c in counts.items()},
+        **{f"init_calls_{n}": c["init"] for n, c in counts.items()},
+        "ceiling": round(counts[sizes[-1]]["init"] * CALLS_HEADROOM),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
 def bench_cold_setup_calls() -> dict:
     """Profiled calls of one cold placement and batched sweep of the
     catalog renamed ``perf_scenarios.RENAMED_COPIES`` times over.
@@ -673,6 +706,7 @@ def main(argv=None) -> int:
     scenarios.append(bench_canonical_assignment(cat))
     scenarios.append(bench_checkpoint_overhead(cat))
     scenarios.append(bench_step_calls())
+    scenarios.append(bench_collect_calls())
     scenarios.append(bench_cold_setup_calls())
     scenarios.append(bench_budget_plan_calls())
 

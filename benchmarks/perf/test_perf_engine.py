@@ -392,6 +392,39 @@ class TestStepCallCount:
         )
 
 
+class TestCollectCallCount:
+    """The batched core's result assembly builds no per-lane object, counted.
+
+    Counted like ``TestStepCallCount``: the profiled calls of
+    ``BatchedClusterSim.collect`` and of its constructor over the
+    fleet_wide-shaped sweep (3 levels of 3 s cells) at 100 and 1000
+    servers, in a fresh ``PYTHONHASHSEED=0`` process.  ``collect`` fills
+    numpy columns, so it must make the same number of calls at both
+    sizes; the constructor reads each lane's plan and must stay under
+    the ceiling ``run_bench.py`` recorded at 1000 servers.  A collect
+    that builds each lane's ``LevelOutcome`` again makes five
+    constructor calls per lane and fails the first check.
+    """
+
+    def test_collect_calls_flat_in_lanes(self):
+        entry = _committed("batched_collect_calls")
+        small, large = sc.collect_calls(100), sc.collect_calls(1000)
+        assert (small["cells"], large["cells"]) == (
+            100 * len(sc.SWEEP_LEVELS), 1000 * len(sc.SWEEP_LEVELS)
+        )
+        assert small["collect"] == large["collect"], (
+            f"collect() calls grow with lanes: {small['collect']} at 100 "
+            f"servers, {large['collect']} at 1000 — per-lane objects built "
+            "in result assembly again?"
+        )
+        assert large["init"] <= entry["ceiling"], (
+            f"BatchedClusterSim() makes {large['init']} profiled calls at "
+            f"1000 servers, over the recorded ceiling of {entry['ceiling']} "
+            f"(Python {entry['python']}, numpy {entry['numpy']}) — "
+            "investigate before refreshing BENCH_engine.json"
+        )
+
+
 class TestColdSetupCallCount:
     """A cold set-up does each scalar evaluation once per distinct value.
 

@@ -133,6 +133,7 @@ from repro.sim.colocation import (
     ColocationResult,
     build_colocated_server,
 )
+from repro.sim.columns import FLOAT_COLUMNS, CellStore, Outcomes, object_column
 from repro.sim.telemetry import LaneBlock, LaneTelemetry
 
 if TYPE_CHECKING:
@@ -390,7 +391,8 @@ def _probe_plan(
     procedure the batched core replicates, and records its kind and
     every bit of its initial mutable state; the control constants are
     module constants both engines read.  The cache is per-invocation
-    (id() keys are only stable while the objects are alive).  A plan
+    (id() keys are only stable while the objects are alive), so its
+    key hashes no dataclass: a spec is keyed by its object too.  A plan
     that fails an eligibility check caches the reason, a string: those
     lanes run on the per-object oracle instead.  A probe that raises
     propagates, as the oracle's identical build would.
@@ -400,7 +402,7 @@ def _probe_plan(
         id(be_app) if be_app is not None else None,
         plan.provisioned_power_w,
         id(plan.manager_factory),
-        spec,
+        id(spec),
     )
     hit: Union[Dict[str, Any], str, None] = cache.get(key)
     if hit is None:
@@ -452,6 +454,9 @@ def _build_probe(plan: Any, spec: ServerSpec, be_app: Any) -> Union[Dict[str, An
             )
     info: Dict[str, Any] = {
         "kind": kind,
+        "lc_name": plan.lc_app.name,
+        "be_name": be_app.name if be_app is not None else None,
+        "be_peak": float(be_app.peak_throughput) if be_app is not None else 0.0,
         "primary": primary,
         "lc0": (lc0.cores, lc0.ways, maps["index"][lc0.freq_ghz]),
         "be0": be0,
@@ -518,6 +523,9 @@ def _partition(
     from repro.sim.cluster import _run_cell
 
     groups: Dict[Any, List[int]] = {}
+    #: (guard, config, spec) object ids -> their group's positions, so
+    #: each distinct triple of objects hashes its value key once.
+    by_ids: Dict[Tuple[int, int, int], List[int]] = {}
     fallback: Dict[int, str] = {}
     infos: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
     for i, cell in enumerate(tasks):
@@ -532,8 +540,13 @@ def _partition(
             fallback[i] = info
             continue
         infos[i] = info
-        group_key = (cell.guard, cell.config, cell.spec)
-        groups.setdefault(group_key, []).append(i)
+        ids = (id(cell.guard), id(cell.config), id(cell.spec))
+        positions = by_ids.get(ids)
+        if positions is None:
+            positions = by_ids[ids] = groups.setdefault(
+                (cell.guard, cell.config, cell.spec), []
+            )
+        positions.append(i)
     return groups, fallback, infos
 
 
@@ -590,8 +603,9 @@ class BatchedClusterSim:
     A *lane* is one (server, level) colocation cell.  Construction
     mirrors ``ColocationSim.__init__`` + ``run()`` setup for every lane
     at once; :meth:`step` is one control tick of the oracle's loop body;
-    :meth:`collect` assembles per-lane :class:`LevelOutcome` objects
-    bit-identical to the oracle's.  Its state lives only for one run:
+    :meth:`collect` fills the per-lane result columns
+    (:class:`LaneColumns`), whose cells are bit-identical to the
+    oracle's.  Its state lives only for one run:
     recovery re-runs whole cells (``docs/RECOVERY.md``).
 
     Manager kind, duration, fault schedule and cap schedule are lane
@@ -645,11 +659,17 @@ class BatchedClusterSim:
         self.plans = [t.plan for t in tasks]
         self.levels_raw = [t.level for t in tasks]
         self.be_apps = [t.be_app for t in tasks]
+        # Cell identity, read off the probes (lanes share them).
+        self.lc_names = object_column([i["lc_name"] for i in infos], n)
+        self.be_names = object_column([i["be_name"] for i in infos], n)
+        self.be_peak = np.asarray([i["be_peak"] for i in infos])
 
         # ---- per-lane static columns -------------------------------
         self.level = np.asarray([float(t.level) for t in tasks])
         self.peak_load = np.asarray([p.lc_app.peak_load for p in self.plans])
         self.cap = np.asarray([float(p.provisioned_power_w) for p in self.plans])
+        #: The base provisioning; ``cap`` follows the budget schedule.
+        self.provisioned_w = self.cap
 
         # ---- budget cap schedules ----------------------------------
         # Per-lane breakpoint matrices, padded so a single vectorized
@@ -768,20 +788,24 @@ class BatchedClusterSim:
             )
         if self.p_sel is not None:
             pom = [infos[i] for i in np.arange(n)[self.p_sel].tolist()]
-            models: List[Any] = []
+            # Models in first-use order, keyed by value (the probe
+            # admits value-hashable models only); lanes share probe
+            # infos, so each info's model is looked up once.
+            slot_of: Dict[Any, int] = {}
+            by_info: Dict[int, int] = {}
             midx = np.zeros(len(pom), dtype=np.int64)
             for i, info in enumerate(pom):
-                model = info["model"]
-                try:
-                    mi = models.index(model)
-                except ValueError:
-                    mi = len(models)
-                    models.append(model)
+                mi = by_info.get(id(info))
+                if mi is None:
+                    mi = by_info[id(info)] = slot_of.setdefault(
+                        info["model"], len(slot_of)
+                    )
                 midx[i] = mi
             for sched in self.fscheds:
                 for f in () if sched is None else sched.faults:
-                    if isinstance(f, ModelStaleness) and f.model not in models:
-                        models.append(f.model)
+                    if isinstance(f, ModelStaleness):
+                        slot_of.setdefault(f.model, len(slot_of))
+            models = list(slot_of)
             self.models = models
             #: Each model's solver memo, resolved once so the per-tick
             #: lookup hashes a float target, not the model.
@@ -1822,117 +1846,171 @@ class BatchedClusterSim:
     # ------------------------------------------------------------------
     # Result assembly
     # ------------------------------------------------------------------
-    def collect(self) -> List[Any]:
-        """Per-lane outcomes, bit-identical to the oracle's.
+    def collect(self) -> "LaneColumns":
+        """Every lane's outcome as columns, bit-identical to the oracle's.
 
-        Lanes whose guard ran in enforce mode and violated return an
-        :class:`~repro.errors.InvariantViolationError` carrying the
-        first violation (the oracle would have raised it mid-run); the
-        caller re-raises it at the lane's delivery position.
+        Numpy fills the scalar columns; no lane's objects are built here
+        (:meth:`LaneColumns.outcome` builds a lane's cell on demand).
+        Lanes whose guard ran in enforce mode and violated carry an
+        :class:`~repro.errors.InvariantViolationError` naming the first
+        violation in ``errors`` (the oracle would have raised it
+        mid-run); the caller re-raises it at the lane's delivery
+        position.
         """
         if self._tick < self.n_ticks:
             raise ConfigError("batched sim has not run to completion")
-        from repro.sim.cluster import LevelOutcome
-
+        n = self.n
         # One telemetry block per lane length: one time axis and one
         # (lanes, ticks) copy of each buffer, which every lane view of
         # that length shares.  Series means are pairwise-exact per
-        # length, since numpy's summation tree depends on the length.
+        # length, since numpy's summation tree depends on the length;
+        # a zero-length lane averages its empty series to 0.0.
         single = len(self.lengths) == 1
-        views: Dict[int, Tuple[LaneBlock, Dict[str, List[float]]]] = {}
-        rows = np.arange(self.n)
+        blocks: Dict[int, LaneBlock] = {}
+        rows = np.arange(n)
+        means = {name: np.zeros(n) for name in _AVERAGED}
         for length in self.lengths:
             lanes: Any = slice(None)
             if not single:
                 lanes = np.flatnonzero(self.lane_ticks == length)
                 rows[lanes] = np.arange(len(lanes))
-            block = LaneBlock(
+            blocks[length] = LaneBlock(
                 tuple(self.times[:length]),
                 {
                     name: np.ascontiguousarray(buf[:length, lanes].T)
                     for name, buf in self.buffers.items()
                 },
             )
-            means = {
-                name: _np_mean_lanes(self.buffers[name][:length, lanes]).tolist()
-                for name in ("be_throughput_norm", "power_w", "lc_load_fraction")
-            } if length > 0 else {}
-            views[length] = (block, means)
-        # Lane-indexable epilogue columns, listed once so the per-lane
-        # loop does no numpy scalar extraction: positional stat rows,
-        # pairwise-exact means of the averaged series.
-        cap_rows = list(zip(*self.cap_stats.tolist()))
-        mgr_rows = list(zip(*(
-            self.mgr_stats[f.name].tolist() for f in fields(ManagerStats)
-        )))
-        lane_ticks = self.lane_ticks.tolist()
-        lane_rows = rows.tolist()
-        joules = self.joules.tolist()
-        slo = self.slo_violations.tolist()
-        g_total = self.g_total.tolist()
+            if length > 0:
+                for name, col in means.items():
+                    col[lanes] = _np_mean_lanes(self.buffers[name][:length, lanes])
+        # The oracle's epilogue, elementwise and in its operation order.
+        avg_norm = np.where(self.has_be, means["be_throughput_norm"], 0.0)
+        avg_power = means["power_w"]
+        columns = {
+            "lc_name": self.lc_names,
+            "be_name": self.be_names,
+            "level": object_column(self.levels_raw, n),
+            "duration_s": object_column(self.durations, n),
+            "avg_be_throughput_norm": avg_norm,
+            "avg_be_throughput_abs": np.where(
+                self.has_be, avg_norm * self.be_peak, 0.0
+            ),
+            "avg_lc_load_fraction": means["lc_load_fraction"],
+            "avg_power_w": avg_power,
+            "power_utilization": avg_power / self.provisioned_w,
+            "energy_kwh": self.joules / 3.6e6,
+            "slo_violation_fraction": (
+                self.slo_violations / np.maximum(1, self.lane_ticks)
+            ),
+            "cap_stats": self.cap_stats.T,
+            "manager_stats": np.stack(
+                [self.mgr_stats[f.name] for f in fields(ManagerStats)], axis=1
+            ),
+        }
+        errors: Dict[int, InvariantViolationError] = {}
+        if self.guard is not None and self.guard.enforcing:
+            # A lane has a first violation exactly when it counted one.
+            for lane in np.flatnonzero(self.g_total).tolist():
+                first = self.g_first_violation[lane]
+                if first is not None:
+                    errors[lane] = InvariantViolationError(
+                        f"guard invariant violated in enforce mode: "
+                        f"{first.render()}"
+                    )
+        return LaneColumns(
+            columns, blocks, self.lane_ticks, rows, self.schedules,
+            self.n_warmup, None if self.guard is None else self.guard.mode,
+            self.g_total, self.g_violations, errors,
+        )
 
-        enforcing = self.guard is not None and self.guard.enforcing
-        out: List[Any] = []
-        for i in range(self.n):
-            first = self.g_first_violation[i]
-            if enforcing and first is not None:
-                out.append(InvariantViolationError(
-                    f"guard invariant violated in enforce mode: "
-                    f"{first.render()}"
-                ))
-                continue
-            plan = self.plans[i]
-            lc_name = plan.lc_app.name
-            be_app = self.be_apps[i]
-            has_be = be_app is not None
-            be_name = be_app.name if has_be else None
-            ticks = lane_ticks[i]
-            block, means = views[ticks]
-            row = lane_rows[i]
-            filled, empty = _series_layout(
-                ticks > 0, self.schedules[i] is not None, has_be
+
+#: The telemetry series the oracle's epilogue averages.
+_AVERAGED = ("be_throughput_norm", "power_w", "lc_load_fraction")
+
+
+class LaneColumns:
+    """One :class:`BatchedClusterSim` group's outcomes, as columns.
+
+    The scalar columns (:data:`repro.sim.columns.COLUMNS`) are what
+    :meth:`BatchedClusterSim.collect` filled; a lane's
+    :class:`~repro.sim.cluster.LevelOutcome` is built from them, its
+    lane block row and its guard record on first :meth:`outcome` call,
+    then cached.  A :class:`~repro.sim.columns.CellStore` part.
+    """
+
+    def __init__(
+        self,
+        columns: Dict[str, np.ndarray],
+        blocks: Dict[int, LaneBlock],
+        lane_ticks: np.ndarray,
+        rows: np.ndarray,
+        schedules: List[Any],
+        n_warmup: int,
+        guard_mode: Optional[str],
+        g_total: np.ndarray,
+        g_violations: List[List[Violation]],
+        errors: Dict[int, InvariantViolationError],
+    ) -> None:
+        self._columns = columns
+        self._blocks = blocks
+        self._lane_ticks = lane_ticks
+        self._rows = rows
+        self._schedules = schedules
+        self._n_warmup = n_warmup
+        self._guard_mode = guard_mode
+        self._g_total = g_total
+        self._g_violations = g_violations
+        #: Lane -> the enforce-mode error its delivery raises.
+        self.errors = errors
+        self._built: List[Any] = [None] * len(lane_ticks)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def columns(self) -> Dict[str, np.ndarray]:
+        return self._columns
+
+    def outcome(self, lane: int) -> Any:
+        """Lane ``lane``'s cell, the same object on every call."""
+        built = self._built[lane]
+        if built is None:
+            built = self._built[lane] = self._build(lane)
+        return built
+
+    def _build(self, lane: int) -> Any:
+        from repro.sim.cluster import LevelOutcome  # imports this module
+
+        c = self._columns
+        lc_name, be_name = c["lc_name"][lane], c["be_name"][lane]
+        ticks = self._lane_ticks.item(lane)
+        filled, empty = _series_layout(
+            ticks > 0, self._schedules[lane] is not None, be_name is not None
+        )
+        report = None
+        if self._guard_mode is not None:
+            report = GuardReport(
+                mode=self._guard_mode,
+                checks=6 * (self._n_warmup + ticks),
+                total_violations=self._g_total.item(lane),
+                violations=tuple(self._g_violations[lane]),
             )
-            # The oracle's aggregation epilogue reads these series, so
-            # they exist even when empty; an empty series averages 0.0.
-            avg_norm = (
-                means["be_throughput_norm"][row] if has_be and means else 0.0
-            )
-            avg_power = means["power_w"][row] if means else 0.0
-            report = None
-            if self.guard is not None:
-                report = GuardReport(
-                    mode=self.guard.mode,
-                    checks=6 * (self.n_warmup + ticks),
-                    total_violations=g_total[i],
-                    violations=tuple(self.g_violations[i]),
-                )
-            result = ColocationResult(
-                lc_name=lc_name,
-                be_name=be_name,
-                duration_s=self.durations[i],
-                avg_be_throughput_norm=avg_norm,
-                avg_be_throughput_abs=(
-                    avg_norm * be_app.peak_throughput if has_be else 0.0
-                ),
-                avg_lc_load_fraction=(
-                    means["lc_load_fraction"][row] if means else 0.0
-                ),
-                avg_power_w=avg_power,
-                power_utilization=avg_power / plan.provisioned_power_w,
-                energy_kwh=joules[i] / 3.6e6,
-                slo_violation_fraction=slo[i] / max(1, ticks),
-                cap_stats=CapStats(*cap_rows[i]),
-                manager_stats=ManagerStats(*mgr_rows[i]),
-                telemetry=LaneTelemetry(block, row, filled, empty),
-                guard_report=report,
-            )
-            out.append(LevelOutcome(
-                lc_name=lc_name,
-                be_name=be_name,
-                level=self.levels_raw[i],
-                result=result,
-            ))
-        return out
+        floats = {name: c[name].item(lane) for name in FLOAT_COLUMNS}
+        result = ColocationResult(
+            lc_name=lc_name,
+            be_name=be_name,
+            duration_s=c["duration_s"][lane],
+            **floats,
+            cap_stats=CapStats(*c["cap_stats"][lane].tolist()),
+            manager_stats=ManagerStats(*c["manager_stats"][lane].tolist()),
+            telemetry=LaneTelemetry(
+                self._blocks[ticks], self._rows.item(lane), filled, empty
+            ),
+            guard_report=report,
+        )
+        return LevelOutcome(
+            lc_name=lc_name, be_name=be_name, level=c["level"][lane], result=result
+        )
 
 
 # ----------------------------------------------------------------------
@@ -1941,7 +2019,7 @@ class BatchedClusterSim:
 def run_batched_cells(
     tasks: Sequence[Cell],
     on_result: Optional[Callable[[List[Tuple[int, Any]]], None]] = None,
-) -> List[Any]:
+) -> Outcomes:
     """Run :class:`~repro.sim.cluster.Cell` records through the batched core.
 
     Mirrors the :func:`~repro.engine.parallel.map_ordered` run of the cells
@@ -1950,16 +2028,23 @@ def run_batched_cells(
     batched core cannot claim (unknown manager types, unsupported
     faults) fall back to the per-object oracle, one cell at a time.
 
-    ``on_result(delivered)`` receives each run of results delivered
-    together, as ``(position, result)`` pairs in ascending position
-    order: the batched results up to the next oracle fallback (or
-    failure) arrive in one call, before that fallback runs.
+    Returns the cells as columns (:class:`~repro.sim.columns.Outcomes`,
+    in cell order): each group's lane columns and the fallback cells'
+    objects in one store, and each position's slot in it.  A cell is
+    built as an object only when indexed, or when ``on_result`` is
+    given: ``on_result(delivered)`` receives each run of results
+    delivered together, as ``(position, result)`` pairs in ascending
+    position order: the batched results up to the next oracle fallback
+    (or failure) arrive in one call, before that fallback runs.
     """
     from repro.sim.cluster import _run_cell
 
     tasks = list(tasks)
+    total = len(tasks)
     groups, fallback, infos = _partition(tasks, {})
-    slots: List[Any] = [None] * len(tasks)
+    store = CellStore()
+    slots = np.zeros(total, dtype=np.int64)
+    failures: Dict[int, InvariantViolationError] = {}
     for positions in groups.values():
         # No fallback here: an error in a group the probe admitted is a
         # bug in the batched core and propagates to the caller.
@@ -1968,38 +2053,36 @@ def run_batched_cells(
             [infos[i] for i in positions],
         )
         sim.run()
-        outcomes = sim.collect()
-        for position, outcome in zip(positions, outcomes):
-            slots[position] = outcome
+        lanes = sim.collect()
+        first = store.add(lanes)
+        slots[np.asarray(positions, dtype=np.int64)] = np.arange(
+            first, first + len(positions)
+        )
+        for lane, error in lanes.errors.items():
+            failures[positions[lane]] = error
 
-    total = len(tasks)
-    results: List[Any] = []
-    delivered: List[Tuple[int, Any]] = []
+    def deliver(start: int, stop: int) -> None:
+        if on_result is not None and stop > start:
+            outcome = store.outcome
+            on_result([
+                (position, outcome(slot))
+                for position, slot in enumerate(slots[start:stop].tolist(), start)
+            ])
 
-    def deliver() -> None:
-        if on_result is not None and delivered:
-            on_result(list(delivered))
-            delivered.clear()
-
-    for position, cell in enumerate(tasks):
-        if position in fallback:
-            deliver()
-            try:
-                result = _run_cell(cell)
-            except Exception as exc:
-                raise _task_failure(position, total, _run_cell, (cell,), exc) from exc
-        else:
-            entry = slots[position]
-            if isinstance(entry, InvariantViolationError):
-                # The oracle raises mid-run in enforce mode; re-raise at
-                # the same delivery position with the same wrapping.
-                deliver()
-                raise _task_failure(
-                    position, total, _run_cell, (cell,), entry
-                ) from entry
-            result = entry
-        results.append(result)
-        if on_result is not None:
-            delivered.append((position, result))
-    deliver()
-    return results
+    start = 0
+    for position in sorted({*fallback, *failures}):
+        deliver(start, position)
+        cell = tasks[position]
+        error = failures.get(position)
+        if error is not None:
+            # The oracle raises mid-run in enforce mode; re-raise at
+            # the same delivery position with the same wrapping.
+            raise _task_failure(position, total, _run_cell, (cell,), error) from error
+        try:
+            result = _run_cell(cell)
+        except Exception as exc:
+            raise _task_failure(position, total, _run_cell, (cell,), exc) from exc
+        slots[position] = store.add_outcome(result)
+        start = position
+    deliver(start, total)
+    return Outcomes(store, slots)

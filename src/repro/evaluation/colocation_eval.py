@@ -123,16 +123,19 @@ def _measure_placements(
     ]
     curves = []
     for mapping, sweep, result in zip(mappings, sweeps, run_sweeps(sweeps)):
-        totals = [
-            o.result.avg_lc_load_fraction + o.result.avg_be_throughput_norm
-            for o in result.outcomes
-        ]
-        # Fault-free outcomes are plan-major: level k's cells are k::n.
+        totals = (
+            result.column("avg_lc_load_fraction")
+            + result.column("avg_be_throughput_norm")
+        )
+        # Fault-free outcomes are plan-major: level k's cells are k::n,
+        # averaged as one contiguous array each.
         n = len(sweep.levels)
         curves.append(PlacementCurve(
             mapping=tuple(sorted(mapping.items())),
             levels=tuple(sweep.levels),
-            total_load=tuple(float(np.mean(totals[k::n])) for k in range(n)),
+            total_load=tuple(
+                float(np.mean(np.ascontiguousarray(totals[k::n]))) for k in range(n)
+            ),
         ))
     return curves
 

@@ -338,13 +338,10 @@ def summarize_policy(
     served, nothing drawn" is the truthful description of a cluster
     that is entirely down.
     """
-    lc_load = float(np.mean(
-        [o.result.avg_lc_load_fraction for o in result.outcomes]
-    )) if result.outcomes else 0.0
+    cells = len(result.outcomes)
+    lc_load = float(np.mean(result.column("avg_lc_load_fraction"))) if cells else 0.0
     be_norm = result.cluster_be_throughput()
-    power = float(np.mean(
-        [o.result.avg_power_w for o in result.outcomes]
-    )) if result.outcomes else 0.0
+    power = float(np.mean(result.column("avg_power_w"))) if cells else 0.0
     if provisioned_override_w is not None:
         provisioned = provisioned_override_w
     else:

@@ -20,7 +20,7 @@ resources").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.errors import AllocationError, ConfigError
@@ -48,7 +48,8 @@ SECONDARY = "secondary"
 class _TenantState:
     model: PowerDrawModel
     role: str
-    duty_cycle: float = 1.0
+    #: Starts unthrottled; :meth:`Server.apply_allocation` sets it.
+    duty_cycle: float = field(default=1.0, init=False)
 
 
 class Server:

@@ -58,6 +58,7 @@ from repro.sim.cluster import (
     run_sweeps,
 )
 from repro.sim.colocation import SimConfig
+from repro.sim.columns import Outcomes
 from repro.workloads.traces import UNIFORM_EVAL_LEVELS
 
 _ADDRESS_RE = re.compile(r" at 0x[0-9a-fA-F]+")
@@ -200,12 +201,13 @@ def run_journaled(
     engine: Optional[str],
     dedupe: bool,
     durability: Durability,
-) -> List[LevelOutcome]:
+) -> Outcomes:
     """Run ``sweep``'s planned ``cells``, journaling each as it lands.
 
     A resumed run loads what ``durability``'s journal holds and runs
     only the rest; a fresh one starts a new journal.  Returns every
-    planned cell's outcome, in planned order.
+    planned cell's outcome, in planned order; the cells the journal
+    pickled are the objects the result holds.
     """
     if durability.journal_path is None:
         raise ConfigError("a journaled run needs a journal_path")

@@ -17,7 +17,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
-from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -45,6 +56,7 @@ from repro.sim.colocation import (
     SimConfig,
     build_colocated_server,
 )
+from repro.sim.columns import Outcomes
 from repro.workloads.traces import UNIFORM_EVAL_LEVELS, ConstantTrace
 
 if TYPE_CHECKING:  # repro.runtime imports this module
@@ -85,6 +97,10 @@ class LevelOutcome:
 class ClusterRunResult:
     """All (server, level) outcomes of one policy run, with aggregates.
 
+    ``outcomes`` is an :class:`~repro.sim.columns.Outcomes`: the cells
+    in planned order, each built on first access, over per-cell columns
+    the aggregates read without building any cell (:meth:`column`).
+
     ``fault_report`` is populated only by faulted runs (crash/recovery
     handling, re-placements, degraded cells); it stays ``None`` for
     fault-free sweeps.  ``budget_report`` is populated only by budgeted
@@ -92,34 +108,58 @@ class ClusterRunResult:
     history and the plan-time budget-invariant audit.
     """
 
-    outcomes: List[LevelOutcome] = field(default_factory=list)
+    outcomes: Outcomes = field(default_factory=Outcomes.of)
     fault_report: Optional[ClusterFaultReport] = None
     budget_report: Optional[BudgetReport] = None
 
+    def __getstate__(self) -> Dict[str, Any]:
+        # The cells as a plain list: a pickled result is the bytes the
+        # list-holding record pickled to, and carries no lane block.
+        return dict(self.__dict__, outcomes=list(self.outcomes))
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state, outcomes=Outcomes.of(state["outcomes"]))
+
+    def column(self, name: str) -> np.ndarray:
+        """Column ``name`` of :data:`~repro.sim.columns.COLUMNS`, one row
+        per cell in planned order."""
+        return self.outcomes.column(name)
+
+    def _server_groups(self) -> List[Tuple[str, np.ndarray]]:
+        """Each LC server name, in first-seen order, with its cells'
+        positions in ascending order."""
+        code: Dict[str, int] = {}
+        codes = np.asarray(
+            [code.setdefault(name, len(code)) for name in self.column("lc_name").tolist()],
+            dtype=np.int64,
+        )
+        order = np.argsort(codes, kind="stable")
+        bounds = np.cumsum(np.bincount(codes, minlength=len(code)))[:-1]
+        return list(zip(code, np.split(order, bounds)))
+
     def servers(self) -> List[str]:
         """LC server names present, in first-seen order."""
-        seen: List[str] = []
-        for o in self.outcomes:
-            if o.lc_name not in seen:
-                seen.append(o.lc_name)
-        return seen
+        return [name for name, _ in self._server_groups()]
 
-    def _per_server(self, metric: Callable[[ColocationResult], float]) -> Dict[str, float]:
-        by: Dict[str, List[float]] = {}
-        for o in self.outcomes:
-            by.setdefault(o.lc_name, []).append(metric(o.result))
-        return {name: float(np.mean(vals)) for name, vals in by.items()}
+    def _per_server(self, name: str) -> Dict[str, float]:
+        # A server's values gathered into one contiguous array average
+        # bit for bit like the list of them: the same pairwise sum.
+        values = self.column(name)
+        return {
+            server: float(np.mean(values[cells]))
+            for server, cells in self._server_groups()
+        }
 
     def be_throughput_by_server(self) -> Dict[str, float]:
         """Mean normalized BE throughput per server over the level sweep.
 
         This is the Fig 12 y-axis (one bar per LC server per policy).
         """
-        return self._per_server(lambda r: r.avg_be_throughput_norm)
+        return self._per_server("avg_be_throughput_norm")
 
     def power_utilization_by_server(self) -> Dict[str, float]:
         """Mean power draw / provisioned capacity per server (Fig 13)."""
-        return self._per_server(lambda r: r.power_utilization)
+        return self._per_server("power_utilization")
 
     def cluster_be_throughput(self) -> float:
         """Mean normalized BE throughput across servers and levels."""
@@ -132,21 +172,19 @@ class ClusterRunResult:
         return float(np.mean(list(per.values()))) if per else 0.0
 
     def total_energy_kwh(self) -> float:
-        """Summed energy over every simulated cell."""
-        return float(sum(o.result.energy_kwh for o in self.outcomes))
+        """Summed energy over every simulated cell, in cell order."""
+        return float(sum(self.column("energy_kwh").tolist()))
 
     def cluster_violation_fraction(self) -> float:
         """Mean SLO-violation fraction across all cells."""
         if not self.outcomes:
             return 0.0
-        return float(np.mean([o.result.slo_violation_fraction for o in self.outcomes]))
+        return float(np.mean(self.column("slo_violation_fraction")))
 
     def be_names_by_server(self) -> Dict[str, Optional[str]]:
         """The placement this run executed (lc -> be)."""
-        mapping: Dict[str, Optional[str]] = {}
-        for o in self.outcomes:
-            mapping[o.lc_name] = o.be_name
-        return mapping
+        be_names = self.column("be_name")
+        return {server: be_names[cells[-1]] for server, cells in self._server_groups()}
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
@@ -311,7 +349,7 @@ def _execute(
     dedupe: bool,
     completed: Mapping[int, LevelOutcome],
     on_result: Optional[Callable[[List[Tuple[int, LevelOutcome]]], None]] = None,
-) -> List[LevelOutcome]:
+) -> Outcomes:
     """Run a planned sweep: the one owner of dedupe and engine choice.
 
     ``completed`` maps planned cell positions to outcomes already known
@@ -324,19 +362,21 @@ def _execute(
     each call is one run of cells that landed together (one cell on the
     object engine; every batched cell up to the next oracle fallback on
     the batched engine), so a checkpoint commits each run with one
-    ``fsync``.
+    ``fsync``.  Only the cells it is handed are built as objects.
 
-    Returns every planned cell's outcome, in planned order.
+    Returns every planned cell, in planned order, as columns: the
+    engine's store of the cells run, with the completed cells added,
+    and each position's slot in it.
     """
     engine_name = resolve_engine(engine)
-    source: Sequence[int] = range(len(cells))
+    source: Optional[List[int]] = None
+    pending: Sequence[int] = range(len(cells))
     if dedupe:
         first: Dict[CellKey, int] = {}
         source = [first.setdefault(cell.key, i) for i, cell in enumerate(cells)]
-    pending = [
-        i for i, origin in enumerate(source)
-        if origin == i and i not in completed
-    ]
+        pending = [i for i, origin in enumerate(source) if origin == i]
+    if completed:
+        pending = [i for i in pending if i not in completed]
     todo = [cells[i] for i in pending]
     landed = None if on_result is None else (
         lambda delivered: on_result([(pending[i], o) for i, o in delivered])
@@ -348,15 +388,23 @@ def _execute(
 
         fresh = run_batched_cells(todo, on_result=landed)
     else:
-        fresh = map_ordered(
+        fresh = Outcomes.of(map_ordered(
             _run_cell, [(cell,) for cell in todo],
             on_result=None if landed is None else (
                 lambda index, outcome: landed([(index, outcome)])
             ),
-        )
-    outcomes = dict(completed)
-    outcomes.update(zip(pending, fresh))
-    return [outcomes[origin] for origin in source]
+        ))
+    if len(pending) == len(cells):
+        return fresh
+    store = fresh.store
+    slots = np.empty(len(cells), dtype=np.int64)
+    slots[np.asarray(pending, dtype=np.int64)] = fresh.slots
+    for position, outcome in completed.items():
+        if source is None or source[position] == position:
+            slots[position] = store.add_outcome(outcome)
+    if source is not None:
+        slots = slots[source]
+    return Outcomes(store, slots)
 
 
 @dataclass(frozen=True)
@@ -483,7 +531,7 @@ def run_sweeps(
         outcomes = run_journaled(sweeps[0], cells, engine, dedupe, durability)
     start = 0
     for sweep_cells, skeleton in planned:
-        skeleton.outcomes.extend(outcomes[start:start + len(sweep_cells)])
+        skeleton.outcomes = outcomes[start:start + len(sweep_cells)]
         start += len(sweep_cells)
     results = [skeleton for _, skeleton in planned]
     if durability is not None and durability.ledger_path is not None:

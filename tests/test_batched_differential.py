@@ -32,19 +32,22 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.engine.batched as batched_engine
 from repro.apps import best_effort_apps
+from repro.budget import BudgetConfig
 from repro.budget.schedule import CapSchedule
 from repro.core import server_manager
 from repro.core.server_manager import HeraclesLikeManager, PowerOptimizedManager
 from repro.core.utility import IndirectUtilityModel, integer_min_power_allocation
 from repro.engine.batched import (
     BatchedClusterSim,
+    LaneColumns,
     clear_batched_caches,
     partition_cells,
     run_batched_cells,
@@ -53,6 +56,7 @@ from repro.engine.parallel import map_ordered
 from repro.engine.select import default_engine
 from repro.errors import CapacityError, ExecutionError
 from repro.evaluation import (
+    colocation_eval,
     evaluate_all_policies,
     measure_operating_points,
     pipeline,
@@ -65,6 +69,7 @@ from repro.evaluation.pipeline import (
     placement_for_policy,
     policy_sweep,
 )
+from repro.faults.cluster import ClusterFaultPlan, ServerCrash
 from repro.faults.schedule import (
     FaultSchedule,
     GrantLoss,
@@ -76,11 +81,20 @@ from repro.faults.schedule import (
     TelemetryGap,
 )
 from repro.guard.invariants import GuardConfig
+from repro.hwmodel.capping import CapStats
 from repro.hwmodel.server import SECONDARY
 from repro.hwmodel.spec import Allocation
 from repro.runtime import read_journal, run_cluster_checkpointed
-from repro.sim.cluster import Cell, _run_cell, plan_cluster_tasks, run_cluster, run_sweeps
+from repro.sim.cluster import (
+    Cell,
+    Sweep,
+    _run_cell,
+    plan_cluster_tasks,
+    run_cluster,
+    run_sweeps,
+)
 from repro.sim.colocation import SimConfig
+from repro.sim.columns import COLUMNS
 from repro.sim.telemetry import Telemetry
 from tests.test_runtime_checkpoint import keep_cells
 
@@ -939,3 +953,187 @@ class TestCrossEngineResume:
         assert len(resumed.outcomes) == len(clean.outcomes) == 6
         for a, b in zip(clean.outcomes, resumed.outcomes):
             assert_outcome_equal(a, b, "sigkill-resume")
+
+
+def assert_columns_equal(a, b, where=""):
+    """Every result column bit for bit: raw bytes of the numeric ones,
+    values and their types for the object ones."""
+    for name in COLUMNS:
+        ca, cb = a.column(name), b.column(name)
+        assert (ca.dtype, ca.shape) == (cb.dtype, cb.shape), f"{where}: {name}"
+        if ca.dtype == object:
+            assert ca.tolist() == cb.tolist(), f"{where}: {name}"
+            assert [type(v) for v in ca] == [type(v) for v in cb], f"{where}: {name}"
+        else:
+            assert ca.tobytes() == cb.tobytes(), f"{where}: {name}"
+
+
+def _aggregates_by_loop(result, catalog):
+    """The aggregates as per-object loops over the cells, the way the
+    list-holding result computed them: the oracle for the columns."""
+    outcomes = list(result.outcomes)
+    by = {}
+    for o in outcomes:
+        by.setdefault(o.lc_name, []).append(o.result)
+
+    def per_server(field):
+        return {
+            name: float(np.mean([getattr(r, field) for r in results]))
+            for name, results in by.items()
+        }
+
+    def mean_or_zero(values):
+        return float(np.mean(values)) if outcomes else 0.0
+
+    be, power = per_server("avg_be_throughput_norm"), per_server("power_utilization")
+    be_norm = float(np.mean(list(be.values()))) if be else 0.0
+    provisioned = float(np.mean(
+        [app.peak_server_power_w() for app in catalog.lc_apps.values()]
+    ))
+    return {
+        "servers": list(by),
+        "be_by_server": be,
+        "power_by_server": power,
+        "cluster_be": be_norm,
+        "cluster_power": float(np.mean(list(power.values()))) if power else 0.0,
+        "energy": float(sum(o.result.energy_kwh for o in outcomes)),
+        "violations": mean_or_zero([o.result.slo_violation_fraction for o in outcomes]),
+        "placement": {o.lc_name: o.be_name for o in outcomes},
+        "summary": pipeline.PolicySummary(
+            policy="pocolo",
+            throughput_per_server=mean_or_zero(
+                [o.result.avg_lc_load_fraction for o in outcomes]
+            ) + be_norm,
+            provisioned_w_per_server=provisioned,
+            avg_power_w_per_server=mean_or_zero([o.result.avg_power_w for o in outcomes]),
+            be_throughput_norm=be_norm,
+            power_utilization=float(np.mean(list(power.values()))) if power else 0.0,
+        ),
+    }
+
+
+def _aggregates(result, catalog):
+    return {
+        "servers": result.servers(),
+        "be_by_server": result.be_throughput_by_server(),
+        "power_by_server": result.power_utilization_by_server(),
+        "cluster_be": result.cluster_be_throughput(),
+        "cluster_power": result.cluster_power_utilization(),
+        "energy": result.total_energy_kwh(),
+        "violations": result.cluster_violation_fraction(),
+        "placement": result.be_names_by_server(),
+        "summary": pipeline.summarize_policy("pocolo", result, catalog),
+    }
+
+
+def _column_sweeps(catalog, mixed_plans, schedules):
+    """``name -> run_cluster kwargs`` of the sweeps the columns cover."""
+    pom = mixed_plans[0]
+    fallback = replace(pom, manager_factory=SubclassedPomFactory(
+        pom.manager_factory.model
+    ))
+    names = [p.lc_app.name for p in mixed_plans[:4]]
+    base = dict(levels=(0.0, 0.4, 0.9), duration_s=5.0,
+                config=SimConfig(warmup_s=1.0, seed=6))
+    return {
+        "oracle-fallback": dict(base, plans=[mixed_plans[1], fallback, mixed_plans[2]]),
+        "replicas": dict(base, plans=list(mixed_plans[:3]) * 2),
+        "time-shared-faulted": dict(
+            base, plans=list(mixed_plans[:4]), guard=GuardConfig(),
+            fault_plan=ClusterFaultPlan(
+                crashes=(ServerCrash(names[0], at_level_index=1),),
+                cell_faults=schedules["everything"],
+            ),
+        ),
+        "budgeted": dict(
+            base,
+            plans=cluster_plans(catalog, placement_for_policy(catalog, "pocolo"), "pocolo"),
+            budget=BudgetConfig(arbiter_period_s=1.0, lease_s=2.0, rack_size=2),
+        ),
+    }
+
+
+class TestResultColumns:
+    """The columnar result: both engines fill the same columns bit for
+    bit, a cell is built from them only when indexed, and the built
+    cells pickle as the oracle's."""
+
+    @pytest.mark.parametrize("dedupe", [False, True], ids=["plain", "dedupe"])
+    @pytest.mark.parametrize("case", [
+        "oracle-fallback", "replicas", "time-shared-faulted", "budgeted",
+    ])
+    def test_columns_bit_exact(self, catalog, mixed_plans, schedules, case, dedupe):
+        kwargs = _column_sweeps(catalog, mixed_plans, schedules)[case]
+        plans = kwargs.pop("plans")
+        obj = run_cluster(plans, catalog.spec, engine="object", dedupe=dedupe, **kwargs)
+        got = run_cluster(plans, catalog.spec, engine="batched", dedupe=dedupe, **kwargs)
+        assert len(got.outcomes) == len(obj.outcomes) > 0
+        assert_columns_equal(obj, got, case)
+        for result in (obj, got):
+            assert _aggregates(result, catalog) == _aggregates_by_loop(result, catalog)
+        if case == "time-shared-faulted":
+            shares = got.column("duration_s").tolist()
+            assert min(shares) < max(shares), "no time-shared cell"
+        cells, _ = plan_cluster_tasks(Sweep(plans, catalog.spec, **kwargs))
+        for k, (a, b) in enumerate(zip(obj.outcomes, got.outcomes)):
+            assert pickle.dumps(a) == pickle.dumps(b), f"{case} cell {k}"
+            assert b is got.outcomes[k], "a built cell is cached"
+        # The whole list pickles as the oracle's list did, replicas
+        # sharing one object; the sequence pickles as that list.
+        assert pickle.dumps(list(got.outcomes)) == pickle.dumps(list(obj.outcomes))
+        if not dedupe:
+            assert pickle.dumps(list(got.outcomes)) == pickle.dumps(_oracle(cells))
+        clone = pickle.loads(pickle.dumps(got.outcomes))
+        assert type(clone) is list
+        assert pickle.dumps(clone) == pickle.dumps(list(obj.outcomes))
+        assert pickle.dumps(got) == pickle.dumps(obj)
+
+    def test_aggregates_build_no_cell(self, catalog, mixed_plans, monkeypatch):
+        result = run_cluster(
+            mixed_plans, catalog.spec, levels=(0.3, 0.8), duration_s=4.0,
+            config=SimConfig(warmup_s=1.0, seed=6), engine="batched",
+        )
+
+        def refuse(self, lane):
+            raise AssertionError("an aggregate built a cell")
+
+        monkeypatch.setattr(LaneColumns, "_build", refuse)
+        _aggregates(result, catalog)
+        mapping = placement_for_policy(catalog, "pocolo").mapping
+        curve = colocation_eval.measure_placement(
+            catalog, mapping, levels=(0.3, 0.8), duration_s=3.0
+        )
+        assert len(curve.total_load) == 2
+
+    def test_fully_degraded_run_is_empty(self, catalog, mixed_plans):
+        plans = list(mixed_plans[:3])
+        fault_plan = ClusterFaultPlan(crashes=tuple(
+            ServerCrash(p.lc_app.name, at_level_index=0) for p in plans
+        ))
+        for engine in ("object", "batched"):
+            run = run_cluster(
+                plans, catalog.spec, levels=(0.3, 0.6), duration_s=4.0,
+                config=SimConfig(seed=0), fault_plan=fault_plan, engine=engine,
+            )
+            assert run.outcomes == []
+            assert len(run.outcomes) == 0 and list(run.outcomes) == []
+            assert run.column("cap_stats").shape == (0, len(fields(CapStats)))
+            assert run.column("avg_power_w").dtype == np.float64
+            assert _aggregates(run, catalog) == _aggregates_by_loop(run, catalog)
+
+    def test_resumed_run_mixes_journal_and_lanes(self, catalog, mixed_plans, tmp_path):
+        kwargs = dict(levels=(0.2, 0.6), duration_s=5.0, config=SimConfig(seed=3))
+        plans = list(mixed_plans[:3]) * 2
+        want = run_cluster(plans, catalog.spec, engine="object", **kwargs)
+        path = tmp_path / "sweep.ckpt"
+        run_cluster_checkpointed(plans, catalog.spec, path, engine="batched", **kwargs)
+        keep_cells(path, [0, 3, 7])
+        for dedupe in (False, True):
+            resumed = run_cluster_checkpointed(
+                plans, catalog.spec, path, resume=True, engine="batched",
+                dedupe=dedupe, **kwargs,
+            )
+            assert_columns_equal(want, resumed, f"resumed dedupe={dedupe}")
+            assert [pickle.dumps(o) for o in resumed.outcomes] == [
+                pickle.dumps(o) for o in want.outcomes
+            ]

@@ -15,7 +15,9 @@ call *sets* a value when it passes it
 - by keyword, including the string keys of a ``**{...}`` literal and,
   for ``**name``, every string key of a dict literal in the same file;
 - by position, skipping ``self``/``cls`` on a method or constructor;
-- through ``dataclasses.replace`` (every dataclass field of that name);
+- through ``dataclasses.replace`` (every dataclass field of that name;
+  ``replace(self, ...)`` only the fields of the class whose body holds
+  the call);
 - through a ``**kwargs`` parameter its callee forwards to another call.
 
 A value passed inside ``with pytest.raises(...)`` is a rejected value
@@ -59,7 +61,7 @@ ALLOWED_UNSET: Dict[str, str] = {
         "state record: a ladder starts at stage 0 with no recovery streak"
     ),
     "repro.sim.cluster:ClusterRunResult.outcomes": (
-        "filled in level by level as the sweep lands"
+        "assigned the sweep's cells when they land"
     ),
     "repro.lint.core:LintContext": "per-run linter state, filled in as modules are read",
     "repro.lint.graph:ModuleSymbols": (
@@ -117,6 +119,8 @@ class Index:
     slots: Dict[str, Slot] = field(default_factory=dict)
     by_name: Dict[str, List[Signature]] = field(default_factory=dict)
     fields_by_name: Dict[str, List[Slot]] = field(default_factory=dict)
+    #: Class name -> field name -> slots, for ``replace(self, ...)``.
+    fields_by_class: Dict[str, Dict[str, List[Slot]]] = field(default_factory=dict)
 
     def add(self, name: str, sig: Signature) -> None:
         self.by_name.setdefault(name, []).append(sig)
@@ -261,6 +265,9 @@ def build_index(trees: Dict[Path, ast.Module]) -> Index:
                     else:
                         continue
                     index.fields_by_name.setdefault(name, []).append(slot)
+                    index.fields_by_class.setdefault(node.name, {}).setdefault(
+                        name, []
+                    ).append(slot)
 
     for path, tree in trees.items():
         if SRC_DIR / "repro" in path.parents:
@@ -402,8 +409,13 @@ class _CallWalker:
     def call(self, call: ast.Call, file: _File) -> None:
         name = _callee_name(call.func)
         if name == "replace":
+            fields = self.index.fields_by_name
+            if call.args and getattr(call.args[0], "id", None) == "self":
+                # ``replace(self, ...)`` copies the enclosing class.
+                owner = file.enclosing_class(call)
+                fields = self.index.fields_by_class.get(owner or "", {})
             for field_name, value in self.keywords(call, file):
-                for slot in self.index.fields_by_name.get(field_name, []):
+                for slot in fields.get(field_name, []):
                     self.mark(slot, value)
             return
         if name == "cls" or (
@@ -483,3 +495,35 @@ def test_allowlist_names_only_unset_values() -> None:
     index, unset = audit()
     stale = [a for a in ALLOWED_UNSET if not any(_covered(k, a) for k in unset)]
     assert not stale, f"ALLOWED_UNSET entries no longer unset (drop them): {stale}"
+
+
+def test_replace_self_sets_only_its_own_class() -> None:
+    """``replace(self, x=...)`` copies the enclosing class, so it sets
+    that class's ``x`` and no other record's field of the same name;
+    ``replace(other, x=...)`` cannot know the type and sets every one."""
+    source = textwrap.dedent('''
+        from dataclasses import dataclass, replace
+
+        @dataclass
+        class Copied:
+            x: float = 1.0
+
+            def halved(self):
+                return replace(self, x=0.5)
+
+        @dataclass
+        class Namesake:
+            x: float = 1.0
+    ''')
+    path = SRC_DIR / "repro" / "_audit_probe.py"
+    tree = ast.parse(source)
+
+    def unset_after(caller: str) -> Set[str]:
+        index = build_index({path: tree})
+        walker = _CallWalker(index)
+        walker.walk(_File.of(tree))
+        walker.walk(_File.of(ast.parse(caller)))
+        return set(index.slots) - walker.set_keys
+
+    assert unset_after("") == {"repro._audit_probe:Namesake.x"}
+    assert unset_after("replace(thing, x=2.0)") == set()
